@@ -3,8 +3,10 @@ Schur modules and DOT graph export over JSON.
 
 Every command prints a JSON envelope {"status", "result", "diagnostics"}
 (or raw DOT/ASCII with --format) and exits 0.  Validation problems exit 2
-with a machine-readable diagnostic; an internal oracle disagreement exits 1.
-All output orderings are deterministic.
+with a machine-readable diagnostic; an internal oracle disagreement exits 1;
+a crystal that grows past its element limit exits 3 with status
+"limit-exceeded".  All output orderings are deterministic, and every
+envelope, error envelopes included, has sorted keys.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .cartan import build_root_datum, weight_str
-from .crystal import graph_to_json, to_dot
+from .crystal import ClosureLimitError, graph_to_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
                       validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
@@ -131,7 +133,7 @@ def cmd_plan(args):
 def cmd_graph(args):
     datum = _parse_datum(args)
     r = _parse_multiset(datum, args.R)
-    graph = product_crystal(datum, r, threads=max(1, args.threads))
+    graph = product_crystal(datum, r)
     if args.format == "dot":
         return to_dot(graph)
     return {"graph": graph_to_json(graph)}
@@ -210,7 +212,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--cartan", default="A", choices=["A", "D", "E6", "E7", "E8", "GL"])
             p.add_argument("--rank", type=int, default=2)
         p.add_argument("--format", default="json", choices=["json", "dot", "ascii"])
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("decompose", help="decompose M(R) into irreducibles")
     common(p)
@@ -257,6 +258,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(status: str, diagnostic: str, code: int) -> int:
+    print(json.dumps({"status": status, "result": None, "diagnostics": [diagnostic]},
+                     indent=2, sort_keys=True))
+    return code
+
+
 def run(argv) -> int:
     parser = make_parser()
     try:
@@ -266,17 +273,13 @@ def run(argv) -> int:
     try:
         result = args.func(args)
     except ConsistencyError as err:
-        print(json.dumps({"status": "internal-inconsistency", "result": None,
-                          "diagnostics": [str(err)]}, indent=2))
-        return 1
+        return _error("internal-inconsistency", str(err), 1)
+    except ClosureLimitError as err:
+        return _error("limit-exceeded", str(err), 3)
     except json.JSONDecodeError as err:
-        print(json.dumps({"status": "error", "result": None,
-                          "diagnostics": [f"bad JSON: {err}"]}, indent=2))
-        return 2
+        return _error("error", f"bad JSON: {err}", 2)
     except (ValidationError, ValueError) as err:
-        print(json.dumps({"status": "error", "result": None,
-                          "diagnostics": [str(err)]}, indent=2))
-        return 2
+        return _error("error", str(err), 2)
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")
     else:

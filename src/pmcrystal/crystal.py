@@ -4,6 +4,9 @@ The closure engine works with any element supporting the five crystal
 queries (weight, eps_i, phi_i, e_i, f_i); here that means Monomials and
 TensorElements.  Graphs are built breadth-first with a sorted frontier so
 that element order, edge order and DOT output are reproducible run to run.
+``graph_over`` works on sets of monomials in their packed form (see
+``monomial.MonomialCodec``).  Every graph records its highest-weight
+elements from the e_i computed while it was built.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootDatum, Weight, w_add
-from .monomial import Monomial, column_stats, e_op, f_op, make_monomial
+from .monomial import (Monomial, MonomialCodec, column_stats, e_op, f_op,
+                       make_monomial)
 from .weightring import GroupAlgebraElement
 
 
 class ClosureLimitError(RuntimeError):
-    pass
+    """A closure or a product fold grew past its element limit."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,9 @@ class CrystalGraph:
     datum: RootDatum
     elements: tuple
     f_edges: tuple  # ((x, i, y), ...) meaning f_i(x) = y, sorted
+    # the elements every e_i kills, in element order; None when the graph
+    # was built without that record (highest_weights then sweeps the e_i)
+    highest: tuple | None = None
 
     def element_set(self):
         return set(self.elements)
@@ -96,9 +103,11 @@ def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGra
     seen = set(seeds)
     frontier = sorted(seen, key=sort_key)
     edges = {}
+    tops = set()
     while frontier:
         nxt = []
         for x in frontier:
+            top = True
             for i in datum.vertices:
                 down = f_of(datum, x, i)
                 if down is not None:
@@ -107,9 +116,13 @@ def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGra
                         seen.add(down)
                         nxt.append(down)
                 up = e_of(datum, x, i)
-                if up is not None and up not in seen:
-                    seen.add(up)
-                    nxt.append(up)
+                if up is not None:
+                    top = False
+                    if up not in seen:
+                        seen.add(up)
+                        nxt.append(up)
+            if top:
+                tops.add(x)
             if len(seen) > limit:
                 raise ClosureLimitError(f"closure exceeded limit {limit}")
         frontier = sorted(nxt, key=sort_key)
@@ -118,30 +131,92 @@ def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGra
     # frontier eventually visits everything in `seen`, so this is complete
     f_edges = tuple(sorted(((x, i, y) for (x, i), y in edges.items()),
                            key=lambda t: (sort_key(t[0]), t[1])))
-    return CrystalGraph(datum, elements, f_edges)
+    return CrystalGraph(datum, elements, f_edges,
+                        tuple(x for x in elements if x in tops))
 
 
-def graph_over(datum: RootDatum, elements) -> CrystalGraph:
-    """The crystal graph on an already e/f-closed set of elements."""
-    elems = tuple(sorted(set(elements), key=sort_key))
+def graph_over(datum: RootDatum, elements,
+               codec: MonomialCodec | None = None) -> CrystalGraph:
+    """The crystal graph on an already e/f-closed set of elements: Monomials
+    or formal tensors, or, when ``codec`` is given, that codec's keys of a
+    set of monomials.
+
+    Every f_i(x) and e_i(x) is computed once and looked up in the set;
+    ValueError when one is missing.
+    """
+    if codec is None:
+        elements = set(elements)
+        if not all(isinstance(x, Monomial) for x in elements):
+            return _generic_graph(datum, elements)
+        codec = MonomialCodec.for_set(datum, elements)
+        elements = {codec.encode(p) for p in elements}
+    return _packed_graph(datum, codec, elements)
+
+
+def _packed_graph(datum: RootDatum, codec: MonomialCodec, keys) -> CrystalGraph:
+    """graph_over on packed monomials: column i of a key is one shift and
+    mask away, and f_i/e_i add a delta memoised per (i, column) for this
+    call."""
+    rows = sorted((*codec.decode(key), key) for key in keys)  # sort_key order
+    elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
+    index = {key: x for x, (_, _, key) in zip(elems, rows)}
+    columns = [(i, shift, mask, {}) for i, shift, mask in codec.columns]
     edges = []
-    elem_set = set(elems)
+    highest = []
+    for key, x in index.items():
+        top = True
+        for i, shift, mask, memo in columns:
+            col = (key >> shift) & mask
+            step = memo.get(col)
+            if step is None:
+                phi, eps, best_f, best_e = codec.column_stats(i, col)
+                step = memo[col] = (
+                    phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
+                    eps, codec.z_delta(i, best_e, 1) if eps else None)
+            phi, f_delta, eps, e_delta = step
+            if phi:
+                # a delta leaving the window leaves the set
+                y = None if f_delta is None else index.get(key + f_delta)
+                if y is None:
+                    raise ValueError("element set is not closed under f")
+                edges.append((x, i, y))
+            if eps:
+                top = False
+                if e_delta is None or key + e_delta not in index:
+                    raise ValueError("element set is not closed under e")
+        if top:
+            highest.append(x)
+    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
+
+
+def _generic_graph(datum: RootDatum, elements) -> CrystalGraph:
+    """graph_over on elements given through the generic crystal queries."""
+    elems = tuple(sorted(elements, key=sort_key))
+    edges = []
+    highest = []
     for x in elems:
+        top = True
         for i in datum.vertices:
             down = f_of(datum, x, i)
             if down is not None:
-                if down not in elem_set:
+                if down not in elements:
                     raise ValueError("element set is not closed under f")
                 edges.append((x, i, down))
             up = e_of(datum, x, i)
-            if up is not None and up not in elem_set:
-                raise ValueError("element set is not closed under e")
-    return CrystalGraph(datum, elems, tuple(edges))
+            if up is not None:
+                top = False
+                if up not in elements:
+                    raise ValueError("element set is not closed under e")
+        if top:
+            highest.append(x)
+    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
 
 
 def highest_weights(graph: CrystalGraph) -> tuple:
     """The primitive elements: no incoming f-edge, i.e. every e_i kills
-    them."""
+    them.  Read from the graph's record when it has one."""
+    if graph.highest is not None:
+        return graph.highest
     datum = graph.datum
     return tuple(x for x in graph.elements
                  if all(e_of(datum, x, i) is None for i in datum.vertices))

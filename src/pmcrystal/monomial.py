@@ -11,13 +11,44 @@ as  f_i(p) = p * z_{i, F_i(p)-2}^{-1}  and  e_i(p) = p * z_{i, E_i(p)},
 where F_i (resp. E_i) is the largest (smallest) position maximising the
 upper (negated lower) column sum.  This convention reproduces the crystal
 graphs of the small SL_3 examples edge by edge; see the tests.
+
+Packed monomials.  ``MonomialCodec`` packs the monomials of one finite set
+into integers, so that a product is an integer sum and f_i/e_i add a fixed
+integer delta.  Its invariants:
+
+* Window.  Every encoded point lies in a finite window: the points of the
+  given supports (for a product, the union of the factors' supports), and
+  no others, so the key size depends on the supports and not on how far
+  apart they lie.  Columns are laid out one after another in vertex order,
+  each column's positions by c ascending, one fixed-width digit each, so
+  column i is one shift and one mask away.  Every monomial of the encoded
+  set is 0 off the window, while a delta changes each point it touches by
+  +-1; a delta that touches a point outside the window therefore leaves
+  the set.
+* Digit width.  Every encoded exponent has |e| <= bound, and f_i/e_i
+  change each exponent by at most 1, so every exponent the codec ever
+  meets has |e| <= bound + 1.  A digit stores e + H with H a power of two
+  at least bound + 2, in width log2(2H) bits; the stored value stays in
+  [1, 2H - 1], so no sum or delta carries across a digit boundary, and
+  the exponents of a key are its digits minus H.  For a product the bound
+  is the sum over the factors of their largest |exponent|.
+* Weight.  Write s_i for the column sums.  For the semisimple kinds
+  (fundamental coordinates) D(s) = s, and for GL_n (epsilon basis)
+  D(s)_k = n * sum_{i > k} s_i - sum_i i * s_i, with scale 1 and n.  The
+  invariant I(p) = scale * wt(p) - D(s(p)) is unchanged by multiplying
+  with any z_{i,k}^{+-1}, so it is constant on a crystal closure and
+  additive over products.  For an element of the monomial crystal I is 0
+  (semisimple) or the weight's total times det (GL).  A key carries the
+  index of I(p) among the codec's invariants above the window bits, and
+  wt(p) = (I(p) + D(s(p))) / scale is read back from the digits; two
+  distinct monomials therefore never share a key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootDatum, Weight, w_add, w_scale, weight_str
+from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
 
 LatticePoint = tuple[int, int]
 
@@ -175,7 +206,11 @@ def column_stats(p: Monomial, i: int) -> tuple[int, int, int | None, int | None]
     (None when phi_i = 0); E_i the smallest k maximising the negated lower
     sum (None when eps_i = 0).
     """
-    col = p.column(i)
+    return _scan_column(p.column(i))
+
+
+def _scan_column(col) -> tuple[int, int, int | None, int | None]:
+    """column_stats of the column [(c, exponent)], c ascending."""
     if not col:
         return 0, 0, None, None
     phi = 0
@@ -209,3 +244,163 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
     if eps == 0:
         return None
     return mono_mul(p, _z_monomial_cached(datum, i, best_e, 1))
+
+
+def _derived_weight(datum: RootDatum, sums) -> Weight:
+    """D(s): scale times the weight of a monomial with column sums ``sums``
+    (one per vertex) and invariant 0; see the module docstring."""
+    if datum.det is None:
+        return tuple(sums)
+    n = datum.rank
+    total = sum(i * s for i, s in zip(datum.vertices, sums))
+    out = [0] * n
+    suffix = 0
+    for k in range(n - 1, -1, -1):
+        out[k] = n * suffix - total
+        if k:
+            suffix += sums[k - 1]
+    return tuple(out)
+
+
+def _weight_invariant(datum: RootDatum, p: Monomial) -> Weight:
+    """I(p) = scale * wt(p) - D(column sums of p), unchanged by every
+    e_i/f_i step."""
+    sums = [0] * len(datum.vertices)
+    for (i, _), ex in p.exponents:
+        sums[i - 1] += ex
+    scale = datum.rank if datum.det is not None else 1
+    return w_sub(w_scale(scale, p.weight), _derived_weight(datum, sums))
+
+
+class MonomialCodec:
+    """Packs monomials over one window into integers (see the module
+    docstring for the layout and its invariants).
+
+    ``points`` are the window, ``bound`` caps |exponent| of every monomial
+    encoded, and ``invariants`` lists the weight invariants they may carry.
+    Decoded columns and weights are memoised on the codec, which is meant
+    to live for one computation.
+    """
+
+    def __init__(self, datum: RootDatum, points, bound: int, invariants):
+        self.datum = datum
+        self.bound = bound
+        self.half = 1 << (bound + 1).bit_length()  # at least bound + 2
+        self.width = width = (bound + 1).bit_length() + 1
+        self.scale = datum.rank if datum.det is not None else 1
+        cs: dict[int, set[int]] = {}
+        for i, c in points:
+            require_lattice_point(datum, i, c)
+            cs.setdefault(i, set()).add(c)
+        self.positions = [tuple(sorted(cs.get(i, ()))) for i in datum.vertices]
+        self.shift: dict[LatticePoint, int] = {}
+        self.columns: list[tuple[int, int, int]] = []  # (i, shift, mask)
+        shift = 0
+        for i, col in zip(datum.vertices, self.positions):
+            self.columns.append((i, shift, (1 << len(col) * width) - 1))
+            for c in col:
+                self.shift[(i, c)] = shift
+                shift += width
+        self.window_bits = shift
+        # the key of the monomial with no exponents, invariant index 0: the
+        # bias H in every digit
+        self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
+        self.invariants = tuple(sorted(set(invariants)))
+        self._class = {inv: k for k, inv in enumerate(self.invariants)}
+        self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
+        self._weights: dict[tuple, Weight] = {}
+
+    @classmethod
+    def for_set(cls, datum: RootDatum, monomials) -> "MonomialCodec":
+        """The codec of a finite set of monomials."""
+        return cls(datum, {pt for p in monomials for pt, _ in p.exponents},
+                   max((abs(ex) for p in monomials for _, ex in p.exponents), default=0),
+                   [_weight_invariant(datum, p) for p in monomials])
+
+    @classmethod
+    def for_products(cls, datum: RootDatum, factors) -> "MonomialCodec":
+        """The codec of the products x_1 * ... * x_m, x_k from factors[k].
+
+        Each factor is a nonempty crystal closure, so all its elements share
+        one invariant and every product carries their sum.
+        """
+        invariant = (0,) * datum.lattice_rank
+        for factor in factors:
+            invariant = w_add(invariant, _weight_invariant(datum, factor[0]))
+        return cls(datum, {pt for f in factors for p in f for pt, _ in p.exponents},
+                   sum(max((abs(ex) for p in f for _, ex in p.exponents), default=0)
+                       for f in factors),
+                   [invariant])
+
+    def offset(self, p: Monomial) -> int:
+        """The exponents of p as a signed sum of digits (no bias, no
+        invariant): key(p * q) = key(p) + offset(q)."""
+        out = 0
+        for pt, ex in p.exponents:
+            if abs(ex) > self.bound:
+                raise ValueError(f"exponent {ex} at {pt} exceeds the codec bound {self.bound}")
+            shift = self.shift.get(pt)
+            if shift is None:
+                raise ValueError(f"point {pt} lies outside the codec window")
+            out += ex << shift
+        return out
+
+    def encode(self, p: Monomial) -> int:
+        index = self._class.get(_weight_invariant(self.datum, p))
+        if index is None:
+            raise ValueError(f"weight invariant of {p} is not one of the codec's")
+        return self.zero + self.offset(p) + (index << self.window_bits)
+
+    def _column(self, i: int, col: int) -> tuple:
+        """(((i, c), exponent) nonzero entries by c ascending, column sum)
+        of the packed column ``col`` of vertex i."""
+        memo = self._decoded[i - 1]
+        out = memo.get(col)
+        if out is None:
+            width, half = self.width, self.half
+            digit = (1 << width) - 1
+            entries = []
+            rest = col
+            for c in self.positions[i - 1]:
+                ex = (rest & digit) - half
+                if ex:
+                    entries.append(((i, c), ex))
+                rest >>= width
+            out = memo[col] = (tuple(entries), sum(ex for _, ex in entries))
+        return out
+
+    def decode(self, key: int) -> tuple[Weight, tuple]:
+        """The weight and the exponent tuple of the monomial with this key."""
+        exponents: list = []
+        sums = []
+        for (i, shift, mask), memo in zip(self.columns, self._decoded):
+            col = (key >> shift) & mask
+            entries, total = memo.get(col) or self._column(i, col)
+            exponents += entries
+            sums.append(total)
+        cls_sums = (key >> self.window_bits, tuple(sums))
+        weight = self._weights.get(cls_sums)
+        if weight is None:
+            derived = _derived_weight(self.datum, sums)
+            weight = self._weights[cls_sums] = tuple(
+                (a + b) // self.scale for a, b in zip(self.invariants[cls_sums[0]], derived))
+        return weight, tuple(exponents)
+
+    def column_stats(self, i: int, col: int) -> tuple[int, int, int | None, int | None]:
+        """column_stats of the packed column ``col`` of vertex i."""
+        return _scan_column([(c, ex) for (_, c), ex in self._column(i, col)[0]])
+
+    def z_delta(self, i: int, k: int, power: int) -> int | None:
+        """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a
+        point outside the window (then p * z_{i,k}^power is not in the
+        encoded set)."""
+        points = [((i, k), power), ((i, k + 2), power)]
+        points += [((j, k + 1), -power) for j in self.datum.neighbours[i]]
+        out = 0
+        for pt, ex in points:
+            shift = self.shift.get(pt)
+            if shift is None:
+                return None
+            out += ex << shift
+        return out
+

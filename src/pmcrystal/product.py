@@ -16,13 +16,13 @@ supports.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cartan import RootDatum, Weight, w_add, w_scale, w_sub
-from .crystal import CrystalGraph, closure, graph_over, highest_weights, DEFAULT_CEILING
-from .monomial import (LatticePoint, Monomial, make_monomial, mono_mul, one,
-                       require_lattice_point, y_monomial)
+from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
+                      highest_weights, DEFAULT_CEILING)
+from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
+                       mono_mul, one, require_lattice_point, y_monomial)
 
 
 class NotExpressibleError(ValueError):
@@ -122,33 +122,31 @@ def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int,
 
 
 def product_crystal(datum: RootDatum, r: PointMultiset,
-                    limit: int = DEFAULT_CEILING, threads: int = 1) -> CrystalGraph:
+                    limit: int = DEFAULT_CEILING) -> CrystalGraph:
     """M(R): the monomial-wise product of the fundamental subcrystals.
 
-    The factor sets are folded pairwise with deduplication; every
-    intermediate product is itself a product crystal, so the working set
-    never exceeds the true size.  The resulting set is closed under all
-    e_i/f_i by the underlying theory; this is asserted rather than trusted.
+    The factor sets are folded pairwise with deduplication, as packed keys
+    (a product of monomials is a sum of keys); every intermediate product is
+    itself a product crystal, so the working set never exceeds the true
+    size, and ClosureLimitError is raised as soon as it passes ``limit``.
+    The resulting set is closed under all e_i/f_i by the underlying theory;
+    this is asserted rather than trusted.
     """
     validate_points(datum, r)
-    if r.is_empty():
-        return graph_over(datum, [one(datum)])
-    points = list(r.points)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            factors = list(pool.map(
-                lambda pm: fundamental_crystal(datum, pm[0][0], pm[0][1], pm[1], limit).elements,
-                points))
-    else:
-        factors = [fundamental_crystal(datum, i, c, m, limit).elements
-                   for (i, c), m in points]
-    product: set[Monomial] = set(factors[0])
-    for factor in factors[1:]:
-        product = {mono_mul(p, q) for p in product for q in factor}
-        if len(product) > limit:
-            raise RuntimeError(f"product crystal exceeded limit {limit}")
-    graph = graph_over(datum, product)  # raises if the product set is not closed
-    return graph
+    factors = [fundamental_crystal(datum, i, c, m, limit).elements
+               for (i, c), m in r.points]
+    codec = MonomialCodec.for_products(datum, factors)
+    product = {codec.zero}
+    for factor in factors:
+        offsets = [codec.offset(q) for q in factor]
+        folded: set[int] = set()
+        for p in product:
+            folded.update([p + q for q in offsets])
+            if len(folded) > limit:
+                raise ClosureLimitError(f"product crystal exceeded limit {limit}")
+        product = folded
+    # raises if the product set is not closed
+    return graph_over(datum, product, codec)
 
 
 def expand_label(datum: RootDatum, r: PointMultiset, s: PointMultiset) -> Monomial:

@@ -133,6 +133,9 @@ def test_validation_errors_exit_2(capsys, argv):
     assert code == 2
     data = json.loads(out)
     assert data["status"] == "error" and data["diagnostics"]
+    assert list(data) == sorted(data)
+    assert run(argv) == 2
+    assert capsys.readouterr().out == out
 
 
 def test_unknown_command_exits_2(capsys):
@@ -146,10 +149,17 @@ def test_round_trip_schema(capsys):
     assert set(data) == {"status", "result", "diagnostics"}
 
 
-def test_graph_output_independent_of_threads(capsys):
-    argv = ["graph", "--cartan", "A", "--rank", "3", "--R", "[[1,1,1],[2,0,1]]",
-            "--format", "dot"]
-    assert run(argv) == 0
-    base = capsys.readouterr().out
-    assert run(argv + ["--threads", "3"]) == 0
-    assert capsys.readouterr().out == base
+
+@pytest.mark.parametrize("command", ["decompose", "graph"])
+def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
+    from pmcrystal import cli, product
+    original = product.product_crystal
+
+    def small_limit(datum, r, limit=None):
+        return original(datum, r, limit=5)  # |M(R)| = 6 below
+    monkeypatch.setattr(product, "product_crystal", small_limit)
+    monkeypatch.setattr(cli, "product_crystal", small_limit)
+    data = run_json(capsys, [command, "--cartan", "A", "--rank", "2",
+                             "--R", "[[1,1,2]]"], expect_code=3)
+    assert data["status"] == "limit-exceeded" and data["result"] is None
+    assert "limit 5" in data["diagnostics"][0]

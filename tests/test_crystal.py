@@ -1,12 +1,12 @@
 import pytest
 
-from pmcrystal.cartan import build_root_datum
-from pmcrystal.crystal import (ClosureLimitError,
+from pmcrystal.cartan import build_root_datum, w_add
+from pmcrystal.crystal import (ClosureLimitError, CrystalGraph,
                                character_of_set, check_crystal_axioms, closure,
-                               demazure_crystal, extend_strings, graph_over,
+                               demazure_crystal, extend_strings, f_of, graph_over,
                                highest_weights, highest_weight_monomial,
                                string_property, tensor_crystal, to_dot, wt_of)
-from pmcrystal.monomial import mono_mul, one, y_monomial
+from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.weightring import e, irreducible_character
 
 
@@ -37,6 +37,42 @@ def test_closure_trivial_and_limit(a2):
 
 def test_highest_weights_empty(a2):
     assert highest_weights(graph_over(a2, [])) == ()
+
+
+def test_highest_weights_without_record(a2):
+    # a graph built without the record of its highest elements
+    g = closure(a2, [y_monomial(a2, 1, 1, 2)])
+    bare = CrystalGraph(a2, g.elements, g.f_edges)
+    assert bare.highest is None
+    assert highest_weights(bare) == highest_weights(g) == (y_monomial(a2, 1, 1, 2),)
+
+
+def test_graph_over_rejects_sets_not_closed(a2):
+    y11 = y_monomial(a2, 1, 1)
+    with pytest.raises(ValueError, match="not closed under f"):
+        graph_over(a2, [y11])  # f_1 leaves the window
+    lowest = f_of(a2, f_of(a2, y11, 1), 2)  # no f_i acts on it
+    with pytest.raises(ValueError, match="not closed under e"):
+        graph_over(a2, [lowest])
+    # misses inside the window
+    square = {x.weight: x for x in closure(a2, [y_monomial(a2, 1, 1, 2)]).elements}
+    with pytest.raises(ValueError, match="not closed under f"):
+        graph_over(a2, set(square.values()) - {square[(0, -2)]})  # the lowest
+    with pytest.raises(ValueError, match="not closed under e"):
+        graph_over(a2, set(square.values()) - {square[(2, 0)]})  # the highest
+
+
+def test_graph_over_keeps_weights_apart(a2, gl3):
+    # equal exponents, different weights: a det shift in GL, and a weight
+    # that is not the column sums
+    base = closure(gl3, [y_monomial(gl3, 1, 1)]).elements
+    shifted = tuple(make_monomial(w_add(p.weight, gl3.det), dict(p.exponents))
+                    for p in base)
+    g = graph_over(gl3, base + shifted)
+    assert len(g) == 6 and len(g.f_edges) == 4
+    assert set(highest_weights(g)) == {base[-1], shifted[-1]}
+    odd = Monomial((1, 1), ())
+    assert graph_over(a2, [one(a2), odd]).highest == (one(a2), odd)
 
 
 def test_extend_strings(a3):

@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from pmcrystal.cartan import build_root_datum
-from pmcrystal.crystal import (check_crystal_axioms, e_of, f_of,
-                               highest_weights)
+from pmcrystal.crystal import (ClosureLimitError, check_crystal_axioms, e_of,
+                               f_of, highest_weights, sort_key)
 from pmcrystal.monomial import mono_mul, one, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
                                fundamental_crystal, multiset,
@@ -43,6 +44,54 @@ def test_product_closure_random():
             r = random_multiset(rng, datum, max_points=4, max_mult=2, cap=2500)
             g = product_crystal(datum, r)  # graph_over asserts e/f closure
             check_crystal_axioms(g)
+
+
+def test_product_crystal_fold_limit(a3):
+    r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
+    size = len(product_crystal(a3, r))
+    with pytest.raises(ClosureLimitError):
+        product_crystal(a3, r, limit=size - 1)
+    assert len(product_crystal(a3, r, limit=size)) == size
+
+
+def assert_matches_naive_fold(datum, r):
+    """product_crystal(datum, r) against a mono_mul fold, with every f_i/e_i
+    taken by f_of/e_of."""
+    naive = {one(datum)}
+    for (i, c), m in r.points:
+        factor = fundamental_crystal(datum, i, c, m).elements
+        naive = {mono_mul(p, q) for p in naive for q in factor}
+    elements = tuple(sorted(naive, key=sort_key))
+    downs = [(x, i, f_of(datum, x, i)) for x in elements for i in datum.vertices]
+    ups = {x: [e_of(datum, x, i) for i in datum.vertices] for x in elements}
+    assert all(y in naive for _, _, y in downs if y is not None)
+    assert all(y in naive for ys in ups.values() for y in ys if y is not None)
+    g = product_crystal(datum, r)
+    assert g.elements == elements
+    assert g.f_edges == tuple(t for t in downs if t[2] is not None)
+    assert highest_weights(g) == tuple(
+        x for x in elements if all(y is None for y in ups[x]))
+
+
+def test_packed_product_matches_naive_fold():
+    rng = random.Random(33)
+    cases = [(build_root_datum("E6", 6), multiset({(1, 0): 1, (6, 2): 1}))]
+    for kind, rank in [("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]:
+        datum = build_root_datum(kind, rank)
+        cases += [(datum, random_multiset(rng, datum, max_points=4, max_mult=2, cap=3000))
+                  for _ in range(5)]
+    for datum, r in cases:
+        assert_matches_naive_fold(datum, r)
+
+
+def test_product_crystal_far_apart_points(a2):
+    # the packed window holds only the factors' supports, so its size does
+    # not grow with the distance between the points
+    r = multiset({(1, 1): 1, (1, 10**6 + 1): 1, (2, -10**6): 1})
+    start = time.perf_counter()
+    assert len(product_crystal(a2, r)) == 27
+    assert time.perf_counter() - start < 2.0
+    assert_matches_naive_fold(a2, r)
 
 
 def test_product_rejects_parity_violation(a2):
