@@ -52,11 +52,14 @@ def _edge_list(kind: str, rank: int) -> list[tuple[int, int]]:
 
 
 class RootDatum:
-    """A based root datum with everything precomputed at construction.
+    """A based root datum with its structure precomputed at construction.
 
-    Instances are immutable in practice (nothing mutates them after
-    ``__init__``) and are shared via the lru_cache on
-    :func:`build_root_datum`, so they are safe to use from several threads.
+    Instances are shared via the lru_cache on :func:`build_root_datum` but
+    are not immutable: ``_irr_cache`` (irreducible characters) and
+    ``_z_cache`` (the monomials z_{i,k}) fill lazily, without bound, after
+    ``__init__``.  Neither is locked; an entry depends on its key alone and
+    dict gets and sets are atomic in CPython, so racing threads at worst
+    compute an entry twice.
     """
 
     def __init__(self, kind: str, rank: int):
@@ -127,6 +130,10 @@ class RootDatum:
         self.longest_word: tuple[int, ...] = self._greedy_descent_word()
         self.positive_roots = self._close_positive_roots()
         assert len(self.positive_roots) == len(self.longest_word)
+        # height(w) = <w, _height>: rho for GL (alpha_i has height 1), else
+        # the simple-root coordinates of 2 rho (alpha_i has height 2)
+        self._height = self.rho if kind == "GL" else tuple(
+            map(sum, zip(*(c for c, _ in self.positive_roots))))
         self._irr_cache: dict[Weight, object] = {}
 
     # -- basic structure ---------------------------------------------------
@@ -175,16 +182,10 @@ class RootDatum:
     def is_dominant(self, w: Weight) -> bool:
         return all(self.pairing(i, w) >= 0 for i in self.vertices)
 
-    def weight_of_mults(self, mults: dict[int, int], det: int = 0) -> Weight:
-        """The weight sum(mults[i] * fundamental_i) (+ det * det_n for GL)."""
-        w = self.zero
-        for i, m in mults.items():
-            w = w_add(w, w_scale(m, self.fundamentals[i]))
-        if det:
-            if self.det is None:
-                raise ValueError("det component only exists for GL")
-            w = w_add(w, w_scale(det, self.det))
-        return w
+    def height(self, w: Weight) -> int:
+        """A linear functional positive on every simple root, so that v > w
+        in the positive-root order implies height(v) > height(w)."""
+        return sum(h * x for h, x in zip(self._height, w))
 
     def root_coords(self, w: Weight) -> tuple[int, ...] | None:
         """Coordinates of w in the simple-root basis, or None if w is not

@@ -34,10 +34,7 @@ class ValidationError(ValueError):
 
 
 def _parse_datum(args):
-    try:
-        return build_root_datum(args.cartan, args.rank)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
+    return build_root_datum(args.cartan, args.rank)
 
 
 def _parse_multiset(datum, text):
@@ -108,10 +105,7 @@ def cmd_truncate(args):
     r = _parse_multiset(datum, args.R)
     j = (_parse_truncation(datum, args.truncation) if args.truncation
          else up_closure(datum, r.support()))
-    try:
-        elements = truncate(datum, r, j)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
+    elements = truncate(datum, r, j)
     return {"truncation": j.to_json(),
             "elements": [p.to_json() for p in elements],
             "count": len(elements)}
@@ -121,10 +115,7 @@ def cmd_plan(args):
     datum = _parse_datum(args)
     r = _parse_multiset(datum, args.R)
     j = _parse_truncation(datum, args.truncation) if args.truncation else None
-    try:
-        plan = build_plan(datum, r, j)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
+    plan = build_plan(datum, r, j)
     ch = char_by_plan(datum, plan)
     return {"plan": plan.to_json(),
             "character": {weight_str(w): c for w, c in ch.items()}}
@@ -162,10 +153,7 @@ def cmd_schur(args):
         raise ValidationError(f"bad diagram: {err}") from err
     if args.format == "ascii":
         return diagram_ascii(boxes)
-    try:
-        seq = sequence_of_diagram(boxes)
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
+    seq = sequence_of_diagram(boxes)
     n = args.rank if args.rank else max(len(seq), 1)
     dec = schur_decompose(seq, n)
     result = {"rank": n, "sequence": [list(p) for p in seq],

@@ -4,9 +4,10 @@ The closure engine works with any element supporting the five crystal
 queries (weight, eps_i, phi_i, e_i, f_i); here that means Monomials and
 TensorElements.  Graphs are built breadth-first with a sorted frontier so
 that element order, edge order and DOT output are reproducible run to run.
-``graph_over`` works on sets of monomials in their packed form (see
-``monomial.MonomialCodec``).  Every graph records its highest-weight
-elements from the e_i computed while it was built.
+``graph_over`` works on the packed form of a product crystal (see
+``monomial.MonomialCodec``) only when it is given that codec; any other
+set goes through the generic crystal queries.  Every graph records its
+highest-weight elements from the e_i computed while it was built.
 """
 
 from __future__ import annotations
@@ -83,12 +84,7 @@ class CrystalGraph:
     datum: RootDatum
     elements: tuple
     f_edges: tuple  # ((x, i, y), ...) meaning f_i(x) = y, sorted
-    # the elements every e_i kills, in element order; None when the graph
-    # was built without that record (highest_weights then sweeps the e_i)
-    highest: tuple | None = None
-
-    def element_set(self):
-        return set(self.elements)
+    highest: tuple  # the elements every e_i kills, in element order
 
     def __len__(self):
         return len(self.elements)
@@ -139,17 +135,13 @@ def graph_over(datum: RootDatum, elements,
                codec: MonomialCodec | None = None) -> CrystalGraph:
     """The crystal graph on an already e/f-closed set of elements: Monomials
     or formal tensors, or, when ``codec`` is given, that codec's keys of a
-    set of monomials.
+    set of products (the packed form, used only then).
 
     Every f_i(x) and e_i(x) is computed once and looked up in the set;
     ValueError when one is missing.
     """
     if codec is None:
-        elements = set(elements)
-        if not all(isinstance(x, Monomial) for x in elements):
-            return _generic_graph(datum, elements)
-        codec = MonomialCodec.for_set(datum, elements)
-        elements = {codec.encode(p) for p in elements}
+        return _generic_graph(datum, set(elements))
     return _packed_graph(datum, codec, elements)
 
 
@@ -214,12 +206,8 @@ def _generic_graph(datum: RootDatum, elements) -> CrystalGraph:
 
 def highest_weights(graph: CrystalGraph) -> tuple:
     """The primitive elements: no incoming f-edge, i.e. every e_i kills
-    them.  Read from the graph's record when it has one."""
-    if graph.highest is not None:
-        return graph.highest
-    datum = graph.datum
-    return tuple(x for x in graph.elements
-                 if all(e_of(datum, x, i) is None for i in datum.vertices))
+    them.  Read from the record the graph was built with."""
+    return graph.highest
 
 
 def extend_strings(datum: RootDatum, i: int, xs) -> frozenset:

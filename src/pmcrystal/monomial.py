@@ -12,36 +12,34 @@ where F_i (resp. E_i) is the largest (smallest) position maximising the
 upper (negated lower) column sum.  This convention reproduces the crystal
 graphs of the small SL_3 examples edge by edge; see the tests.
 
-Packed monomials.  ``MonomialCodec`` packs the monomials of one finite set
-into integers, so that a product is an integer sum and f_i/e_i add a fixed
-integer delta.  Its invariants:
+Packed monomials.  ``MonomialCodec`` packs the products of the factors of
+a product crystal into integers, so that a product is an integer sum and
+f_i/e_i add a fixed integer delta.  Its invariants:
 
-* Window.  Every encoded point lies in a finite window: the points of the
-  given supports (for a product, the union of the factors' supports), and
-  no others, so the key size depends on the supports and not on how far
-  apart they lie.  Columns are laid out one after another in vertex order,
-  each column's positions by c ascending, one fixed-width digit each, so
-  column i is one shift and one mask away.  Every monomial of the encoded
-  set is 0 off the window, while a delta changes each point it touches by
-  +-1; a delta that touches a point outside the window therefore leaves
-  the set.
+* Window.  Every encoded point lies in a finite window: the union of the
+  factors' supports, and no other points, so the key size depends on the
+  supports and not on how far apart they lie.  Columns are laid out one
+  after another in vertex order, each column's positions by c ascending,
+  one fixed-width digit each, so column i is one shift and one mask away.
+  Every monomial of the encoded set is 0 off the window, while a delta
+  changes each point it touches by +-1; a delta that touches a point
+  outside the window therefore leaves the set.
 * Digit width.  Every encoded exponent has |e| <= bound, and f_i/e_i
   change each exponent by at most 1, so every exponent the codec ever
   meets has |e| <= bound + 1.  A digit stores e + H with H a power of two
   at least bound + 2, in width log2(2H) bits; the stored value stays in
   [1, 2H - 1], so no sum or delta carries across a digit boundary, and
-  the exponents of a key are its digits minus H.  For a product the bound
-  is the sum over the factors of their largest |exponent|.
+  the exponents of a key are its digits minus H.  The bound is the sum
+  over the factors of their largest |exponent|.
 * Weight.  Write s_i for the column sums.  For the semisimple kinds
   (fundamental coordinates) D(s) = s, and for GL_n (epsilon basis)
   D(s)_k = n * sum_{i > k} s_i - sum_i i * s_i, with scale 1 and n.  The
   invariant I(p) = scale * wt(p) - D(s(p)) is unchanged by multiplying
   with any z_{i,k}^{+-1}, so it is constant on a crystal closure and
-  additive over products.  For an element of the monomial crystal I is 0
-  (semisimple) or the weight's total times det (GL).  A key carries the
-  index of I(p) among the codec's invariants above the window bits, and
-  wt(p) = (I(p) + D(s(p))) / scale is read back from the digits; two
-  distinct monomials therefore never share a key.
+  additive over products: every encoded monomial carries the one
+  invariant I, the sum of the factors' invariants.  The weight
+  wt(p) = (I + D(s(p))) / scale is therefore a function of the column
+  sums, which the digits give, and a key determines its monomial.
 """
 
 from __future__ import annotations
@@ -51,10 +49,6 @@ from dataclasses import dataclass
 from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
 
 LatticePoint = tuple[int, int]
-
-
-def is_lattice_point(datum: RootDatum, i: int, c: int) -> bool:
-    return i in datum.neighbours and datum.parity[i] == c % 2
 
 
 def require_lattice_point(datum: RootDatum, i: int, c: int) -> None:
@@ -273,21 +267,22 @@ def _weight_invariant(datum: RootDatum, p: Monomial) -> Weight:
 
 
 class MonomialCodec:
-    """Packs monomials over one window into integers (see the module
-    docstring for the layout and its invariants).
+    """Packs the products of given crystal closures into integers (see the
+    module docstring for the layout and its invariants).
 
     ``points`` are the window, ``bound`` caps |exponent| of every monomial
-    encoded, and ``invariants`` lists the weight invariants they may carry.
+    encoded, and ``invariant`` is the weight invariant they all carry.
     Decoded columns and weights are memoised on the codec, which is meant
     to live for one computation.
     """
 
-    def __init__(self, datum: RootDatum, points, bound: int, invariants):
+    def __init__(self, datum: RootDatum, points, bound: int, invariant: Weight):
         self.datum = datum
         self.bound = bound
         self.half = 1 << (bound + 1).bit_length()  # at least bound + 2
         self.width = width = (bound + 1).bit_length() + 1
         self.scale = datum.rank if datum.det is not None else 1
+        self.invariant = invariant
         cs: dict[int, set[int]] = {}
         for i, c in points:
             require_lattice_point(datum, i, c)
@@ -301,21 +296,10 @@ class MonomialCodec:
             for c in col:
                 self.shift[(i, c)] = shift
                 shift += width
-        self.window_bits = shift
-        # the key of the monomial with no exponents, invariant index 0: the
-        # bias H in every digit
+        # the key of the monomial with no exponents: the bias H in every digit
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
-        self.invariants = tuple(sorted(set(invariants)))
-        self._class = {inv: k for k, inv in enumerate(self.invariants)}
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[tuple, Weight] = {}
-
-    @classmethod
-    def for_set(cls, datum: RootDatum, monomials) -> "MonomialCodec":
-        """The codec of a finite set of monomials."""
-        return cls(datum, {pt for p in monomials for pt, _ in p.exponents},
-                   max((abs(ex) for p in monomials for _, ex in p.exponents), default=0),
-                   [_weight_invariant(datum, p) for p in monomials])
 
     @classmethod
     def for_products(cls, datum: RootDatum, factors) -> "MonomialCodec":
@@ -330,11 +314,11 @@ class MonomialCodec:
         return cls(datum, {pt for f in factors for p in f for pt, _ in p.exponents},
                    sum(max((abs(ex) for p in f for _, ex in p.exponents), default=0)
                        for f in factors),
-                   [invariant])
+                   invariant)
 
     def offset(self, p: Monomial) -> int:
-        """The exponents of p as a signed sum of digits (no bias, no
-        invariant): key(p * q) = key(p) + offset(q)."""
+        """The exponents of p as a signed sum of digits (no bias):
+        key(p * q) = key(p) + offset(q)."""
         out = 0
         for pt, ex in p.exponents:
             if abs(ex) > self.bound:
@@ -344,12 +328,6 @@ class MonomialCodec:
                 raise ValueError(f"point {pt} lies outside the codec window")
             out += ex << shift
         return out
-
-    def encode(self, p: Monomial) -> int:
-        index = self._class.get(_weight_invariant(self.datum, p))
-        if index is None:
-            raise ValueError(f"weight invariant of {p} is not one of the codec's")
-        return self.zero + self.offset(p) + (index << self.window_bits)
 
     def _column(self, i: int, col: int) -> tuple:
         """(((i, c), exponent) nonzero entries by c ascending, column sum)
@@ -378,12 +356,12 @@ class MonomialCodec:
             entries, total = memo.get(col) or self._column(i, col)
             exponents += entries
             sums.append(total)
-        cls_sums = (key >> self.window_bits, tuple(sums))
-        weight = self._weights.get(cls_sums)
+        sums = tuple(sums)
+        weight = self._weights.get(sums)
         if weight is None:
-            derived = _derived_weight(self.datum, sums)
-            weight = self._weights[cls_sums] = tuple(
-                (a + b) // self.scale for a, b in zip(self.invariants[cls_sums[0]], derived))
+            weight = self._weights[sums] = tuple(
+                (a + b) // self.scale
+                for a, b in zip(self.invariant, _derived_weight(self.datum, sums)))
         return weight, tuple(exponents)
 
     def column_stats(self, i: int, col: int) -> tuple[int, int, int | None, int | None]:

@@ -47,9 +47,6 @@ class ThresholdSet:
     def contains_all(self, points) -> bool:
         return all(self.contains(i, c) for (i, c) in points)
 
-    def all_finite(self) -> bool:
-        return all(t is not None for t in self.thresholds)
-
     def with_point(self, i: int, k: int) -> "ThresholdSet":
         new = list(self.thresholds)
         new[i - 1] = k

@@ -551,7 +551,8 @@ class _SpanBasis:
             return False
         vec = _normalise_row(vec)
         pivot = min(vec)
-        # keep reduced form: clear the new pivot from existing rows
+        # keep reduced form: clear the new pivot from existing rows (their
+        # pivots stay put, as every key of vec is at least the new pivot)
         for idx, row in enumerate(self.rows):
             coeff = row.get(pivot)
             if coeff:
@@ -559,7 +560,6 @@ class _SpanBasis:
                 new = {k: a * row.get(k, 0) - coeff * vec.get(k, 0)
                        for k in set(row) | set(vec)}
                 self.rows[idx] = _normalise_row({k: v for k, v in new.items() if v})
-        self.pivots = {min(r): i for i, r in enumerate(self.rows)}
         self.rows.append(vec)
         self.pivots[pivot] = len(self.rows) - 1
         return True
@@ -569,8 +569,8 @@ class _SpanBasis:
         of the reduced basis."""
         h_inv = invert(h)
         total = Fraction(0)
-        for row in self.rows:
-            pivot = min(row)
+        for pivot, idx in self.pivots.items():
+            row = self.rows[idx]
             total += Fraction(row.get(compose(h_inv, pivot), 0), row[pivot])
         assert total.denominator == 1
         return int(total)

@@ -12,10 +12,10 @@ where a_i is the i-th simple root.  The operators are idempotent and braid,
 so composing along any reduced word of w_o yields the same projector; its
 image on e^w (w dominant) is the irreducible character ch V(w).
 
-Decomposition routines peel characters triangularly: ``weyl_decompose``
-peels a maximal dominant term in the positive-root order, while
-``key_decompose`` peels a minimal term (Demazure characters have lowest
-term e^mu with coefficient one).
+Decomposition routines peel characters triangularly by height, which grows
+along the positive-root order: ``weyl_decompose`` peels a dominant term of
+greatest height, ``key_decompose`` a term of least height (Demazure
+characters have lowest term e^mu with coefficient one).
 """
 
 from __future__ import annotations
@@ -174,13 +174,6 @@ def demazure_character(datum: RootDatum, mu: Weight) -> GroupAlgebraElement:
     return out
 
 
-def root_order_le(datum: RootDatum, a: Weight, b: Weight) -> bool:
-    """a <= b in the positive-root order (b - a a nonnegative sum of
-    simple roots)."""
-    coords = datum.root_coords(w_sub(b, a))
-    return coords is not None and all(c >= 0 for c in coords)
-
-
 class DecompositionError(ValueError):
     """The element is not the expected nonnegative combination."""
 
@@ -188,7 +181,8 @@ class DecompositionError(ValueError):
 def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]:
     """Write f as a sum of irreducible characters.
 
-    Repeatedly subtracts c * ch V(mu) at a dominance-maximal dominant term.
+    Repeatedly subtracts c * ch V(mu) at a dominant term mu of greatest
+    height, hence maximal in the positive-root order.
     Raises DecompositionError when f is not a nonnegative integral
     combination.
     """
@@ -199,11 +193,7 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
         if not dominant:
             raise DecompositionError(
                 f"not a nonnegative integral combination: residue {rem!r}")
-        maximal = [
-            w for w in dominant
-            if not any(v != w and root_order_le(datum, w, v) for v in dominant)
-        ]
-        mu = max(maximal)
+        mu = max(dominant, key=lambda w: (datum.height(w), w))
         c = rem.coefficient(mu)
         if c < 0:
             raise DecompositionError(
@@ -216,10 +206,11 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
 def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]:
     """Write f as a sum of Demazure characters (key polynomials).
 
-    Repeatedly peels at a term minimal in the positive-root order.  For an
-    element that is a nonnegative sum of key polynomials this terminates
-    with the exact multiset of keys; otherwise DecompositionError is
-    raised (negative coefficient, or the iteration guard trips).
+    Repeatedly peels at a term of least height, hence minimal in the
+    positive-root order.  For an element that is a nonnegative sum of key
+    polynomials this terminates with the exact multiset of keys; otherwise
+    DecompositionError is raised (negative coefficient, or the iteration
+    guard trips).
     """
     rem = GroupAlgebraElement(dict(f.terms))
     out: dict[Weight, int] = {}
@@ -229,12 +220,7 @@ def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]
         if guard < 0:
             raise DecompositionError("key decomposition did not terminate; "
                                      "input is not key-positive")
-        support = list(rem.terms)
-        minimal = [
-            w for w in support
-            if not any(v != w and root_order_le(datum, v, w) for v in support)
-        ]
-        mu = min(minimal)
+        mu = min(rem.terms, key=lambda w: (datum.height(w), w))
         c = rem.coefficient(mu)
         if c < 0:
             raise DecompositionError(f"negative key coefficient {c} at {mu}")

@@ -115,3 +115,15 @@ def test_longest_word_rank_one():
     assert a1.longest_word == (1,)
     gl1 = build_root_datum("GL", 1)
     assert gl1.longest_word == () and gl1.vertices == ()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", r) for r in range(1, 6)]
+                         + [("D", r) for r in range(4, 7)]
+                         + [("E6", 6), ("E7", 7), ("E8", 8)]
+                         + [("GL", r) for r in range(2, 6)])
+def test_height_is_positive_on_positive_roots(kind, rank):
+    datum = build_root_datum(kind, rank)
+    simple = 1 if kind == "GL" else 2
+    assert all(datum.height(datum.alphas[i]) == simple for i in datum.vertices)
+    for coords, root in datum.positive_roots:
+        assert datum.height(root) == simple * sum(coords) > 0

@@ -1,0 +1,39 @@
+"""Byte-for-byte CLI output: the README command-line examples and two
+validation errors, against the files in tests/golden/."""
+
+from pathlib import Path
+
+import pytest
+
+from pmcrystal.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+R = "[[1,3,1],[3,1,1],[3,3,1]]"
+CASES = {
+    "decompose_a3": (0, ["decompose", "--cartan", "A", "--rank", "3", "--R", R]),
+    "decompose_gl6": (0, ["decompose", "--cartan", "GL", "--rank", "6",
+                          "--R", "[[1,5,1],[3,1,1],[4,6,1]]"]),
+    "character_gl4_truncation": (0, ["character", "--cartan", "GL", "--rank", "4", "--R", R,
+                                     "--truncation",
+                                     '{"thresholds": {"1": 3, "2": 2, "3": 1}}']),
+    "truncate_a3": (0, ["truncate", "--cartan", "A", "--rank", "3", "--R", R]),
+    "plan_a3": (0, ["plan", "--cartan", "A", "--rank", "3", "--R", R]),
+    "graph_a2_dot": (0, ["graph", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2]]",
+                         "--format", "dot"]),
+    "schur_sequence": (0, ["schur", "--sequence", "[[1],[1],[2,1,1]]"]),
+    "schur_diagram": (0, ["schur", "--diagram", "[[1,1],[2,2],[3,2],[2,3],[4,3]]"]),
+    "stable_coeffs": (0, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]",
+                          "--coeffs", "--restrict", "5"]),
+    # a root datum that does not exist, and a truncation that misses R
+    "error_bad_rank": (2, ["decompose", "--cartan", "D", "--rank", "3", "--R", "[]"]),
+    "error_truncation_misses_r": (2, ["truncate", "--cartan", "A", "--rank", "2",
+                                      "--R", "[[1,1,1]]", "--truncation",
+                                      '{"thresholds": {"1": 3, "2": 2}}']),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    code, argv = CASES[name]
+    assert run(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()

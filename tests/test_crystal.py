@@ -1,12 +1,13 @@
 import pytest
 
 from pmcrystal.cartan import build_root_datum, w_add
-from pmcrystal.crystal import (ClosureLimitError, CrystalGraph,
-                               character_of_set, check_crystal_axioms, closure,
-                               demazure_crystal, extend_strings, f_of, graph_over,
-                               highest_weights, highest_weight_monomial,
-                               string_property, tensor_crystal, to_dot, wt_of)
-from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
+from pmcrystal.crystal import (ClosureLimitError, character_of_set,
+                               check_crystal_axioms, closure, demazure_crystal,
+                               extend_strings, f_of, graph_over, highest_weights,
+                               highest_weight_monomial, string_property,
+                               tensor_crystal, to_dot, wt_of)
+from pmcrystal.monomial import (Monomial, MonomialCodec, make_monomial, mono_mul,
+                                one, y_monomial)
 from pmcrystal.weightring import e, irreducible_character
 
 
@@ -39,27 +40,23 @@ def test_highest_weights_empty(a2):
     assert highest_weights(graph_over(a2, [])) == ()
 
 
-def test_highest_weights_without_record(a2):
-    # a graph built without the record of its highest elements
-    g = closure(a2, [y_monomial(a2, 1, 1, 2)])
-    bare = CrystalGraph(a2, g.elements, g.f_edges)
-    assert bare.highest is None
-    assert highest_weights(bare) == highest_weights(g) == (y_monomial(a2, 1, 1, 2),)
-
-
 def test_graph_over_rejects_sets_not_closed(a2):
     y11 = y_monomial(a2, 1, 1)
-    with pytest.raises(ValueError, match="not closed under f"):
-        graph_over(a2, [y11])  # f_1 leaves the window
     lowest = f_of(a2, f_of(a2, y11, 1), 2)  # no f_i acts on it
-    with pytest.raises(ValueError, match="not closed under e"):
-        graph_over(a2, [lowest])
-    # misses inside the window
     square = {x.weight: x for x in closure(a2, [y_monomial(a2, 1, 1, 2)]).elements}
-    with pytest.raises(ValueError, match="not closed under f"):
-        graph_over(a2, set(square.values()) - {square[(0, -2)]})  # the lowest
-    with pytest.raises(ValueError, match="not closed under e"):
-        graph_over(a2, set(square.values()) - {square[(2, 0)]})  # the highest
+    cases = [([y11], "f"), ([lowest], "e"),
+             (set(square.values()) - {square[(0, -2)]}, "f"),  # the lowest
+             (set(square.values()) - {square[(2, 0)]}, "e")]   # the highest
+    for elements, op in cases:
+        with pytest.raises(ValueError, match=f"not closed under {op}"):
+            graph_over(a2, elements)
+        # the packed pass of product_crystal: in the first two cases the
+        # missing neighbour lies outside the codec window, in the last two
+        # inside it
+        codec = MonomialCodec.for_products(a2, [tuple(elements)])
+        keys = {codec.zero + codec.offset(p) for p in elements}
+        with pytest.raises(ValueError, match=f"not closed under {op}"):
+            graph_over(a2, keys, codec)
 
 
 def test_graph_over_keeps_weights_apart(a2, gl3):
