@@ -56,10 +56,12 @@ class RootDatum:
 
     Instances are shared via the lru_cache on :func:`build_root_datum` but
     are not immutable: ``_irr_cache`` (irreducible characters) and
-    ``_z_cache`` (the monomials z_{i,k}) fill lazily, without bound, after
-    ``__init__``.  Neither is locked; an entry depends on its key alone and
-    dict gets and sets are atomic in CPython, so racing threads at worst
-    compute an entry twice.
+    ``_z_cache`` (the monomials z_{i,k}) fill lazily after ``__init__``.
+    ``_irr_cache`` holds at most ``weightring.IRR_CACHE_MAX_TERMS`` terms in
+    all and evicts its oldest entries first; ``_z_cache`` is unbounded.
+    Neither is locked; an entry depends on its key alone and dict gets and
+    sets are atomic in CPython, so racing threads at worst compute an entry
+    twice or evict one more than needed.
     """
 
     def __init__(self, kind: str, rank: int):

@@ -16,49 +16,156 @@ Decomposition routines peel characters triangularly by height, which grows
 along the positive-root order: ``weyl_decompose`` peels a dominant term of
 greatest height, ``key_decompose`` a term of least height (Demazure
 characters have lowest term e^mu with coefficient one).
+
+Packed weights.  Inside this module a weight (w_1, ..., w_n) is the integer
+
+    key = sum_k (w_k + BIAS) << DIGIT_BITS * (n - k),   BIAS = 2^(DIGIT_BITS-2),
+
+one fixed-width biased digit per coordinate, w_1 most significant, so that
+key order on weights of one length is tuple order.  The layout depends on
+nothing but n, so ``e(w)`` and ``GroupAlgebraElement(terms)`` need no root
+datum; each element records n, and tuples appear only at the API edge
+(``terms``, ``items()``, ``coefficient``, ``repr``, ``laurent_str``).  A
+coordinate is *legal* when it lies in [-BIAS, BIAS), i.e. its digit lies in
+[0, 2^(DIGIT_BITS-1)); every key an element stores has legal coordinates,
+and ``e``/``GroupAlgebraElement`` raise ``ValueError`` on any other.  With
+A(i) the packed delta sum_k (a_i)_k << DIGIT_BITS * (n - k) of a_i:
+
+- <a_i^vee, w> is one digit minus BIAS (fundamental coordinates) or the
+  difference of digits i and i+1 (GL): shifts and masks;
+- w - t a_i is ``key - t * A(i)``, so a pi_i string is a ``range`` of keys,
+  and the reflection s_i w is ``key - <a_i^vee, w> * A(i)``;
+- e^v * e^w is ``key(w) + key(v) - key(0)``.
+
+No silent overflow.  Integer sums of digits are exact; a result decodes
+correctly exactly when all its true digits stay inside [0, 2^DIGIT_BITS).
+Let GUARD have the top bit of every digit set.  If every true digit t of a
+result lies in the window [-2^(DIGIT_BITS-1), 2^DIGIT_BITS) -- coordinates
+in [-3 BIAS, 3 BIAS) -- then ``key & GUARD`` is zero exactly when all its
+coordinates are legal: the lowest illegal digit receives no borrow from
+the legal digits below it and shows its top bit.  Each operation stays in
+that window and is checked where it could leave the legal range:
+
+- pi_i on e^w: every coordinate moves monotonically along the string, from
+  w (legal) to its far end (s_i w, or s_i w - a_i when the pairing is at
+  most -2), so the string is legal iff its far end is, and only the far end
+  is tested.  The far end differs from w by at most |<a_i^vee, w>| <= 2 BIAS
+  in a coordinate of GL (where it stays between w_i and w_(i+1)) and by at
+  most BIAS in a neighbour's coordinate otherwise, which stays inside the
+  window.  Every weight of pi_i(e^w) lies in conv(W w), whose coordinates
+  grow with sum_k mark_k |w_k|, so long words over large weights do reach
+  the limit; they then raise ``ValueError`` instead of wrapping.
+- a product of legal keys has coordinates in [-2 BIAS, 2 BIAS); every key
+  formed is tested before terms cancel.
+- the W-invariance test of ``pi_longest`` only looks keys up: a reflected
+  key with an illegal coordinate is never a stored key.
+- a peel subtracts ch V(mu) or ch D(mu), whose keys were built and tested
+  by pi_i strings, from an element with legal keys.
 """
 
 from __future__ import annotations
 
-from .cartan import RootDatum, Weight, w_add, w_sub, weight_str
+from .cartan import RootDatum, Weight, weight_str
+
+DIGIT_BITS = 32
+BIAS = 1 << (DIGIT_BITS - 2)
+_MASK = (1 << DIGIT_BITS) - 1
+
+# Bound on the terms held by one datum's irreducible-character cache; the
+# oldest entries are evicted first.  The benchmark's character workload
+# holds at most about 1.2e5 terms at once.
+IRR_CACHE_MAX_TERMS = 500_000
+
+
+def _repunit(n: int) -> int:
+    """1 in every one of n digits."""
+    return ((1 << DIGIT_BITS * n) - 1) // _MASK
+
+
+def _encode(w) -> int:
+    key = 0
+    for x in w:
+        if not -BIAS <= x < BIAS:
+            raise ValueError(
+                f"weight coordinate {x} outside the packed range [{-BIAS}, {BIAS})")
+        key = (key << DIGIT_BITS) + x + BIAS
+    return key
+
+
+def _decode(key: int, n: int) -> Weight:
+    return tuple(((key >> sh) & _MASK) - BIAS
+                 for sh in range(DIGIT_BITS * (n - 1), -1, -DIGIT_BITS))
+
+
+def _overflow(n: int) -> ValueError:
+    return ValueError(f"a weight left the packed range [{-BIAS}, {BIAS}) "
+                      f"in some of its {n} coordinates")
 
 
 class GroupAlgebraElement:
-    """A sparse element of Z[P]: a map weight -> nonzero integer."""
+    """A sparse element of Z[P]: a map weight -> nonzero integer, held as
+    packed keys of weights of one length (see the module docstring)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_keys", "_n")
 
     def __init__(self, terms: dict[Weight, int] | None = None):
-        self.terms: dict[Weight, int] = {
-            w: c for w, c in (terms or {}).items() if c != 0
-        }
+        keys: dict[int, int] = {}
+        n = None
+        for w, c in (terms or {}).items():
+            if not c:
+                continue
+            if n is None:
+                n = len(w)
+            elif len(w) != n:
+                raise ValueError(f"weights of different lengths {n} and {len(w)}")
+            keys[_encode(w)] = c
+        self._keys = keys
+        self._n = n
+
+    @classmethod
+    def _of(cls, keys: dict[int, int], n: int | None) -> "GroupAlgebraElement":
+        out = object.__new__(cls)
+        out._keys = keys
+        out._n = n
+        return out
 
     @classmethod
     def unit(cls, datum: RootDatum) -> "GroupAlgebraElement":
         return cls({datum.zero: 1})
 
+    @property
+    def terms(self) -> dict[Weight, int]:
+        n = self._n
+        return {_decode(k, n): c for k, c in self._keys.items()}
+
     def items(self):
-        return sorted(self.terms.items())
+        n = self._n
+        return [(_decode(k, n), c) for k, c in sorted(self._keys.items())]
 
     def coefficient(self, w: Weight) -> int:
-        return self.terms.get(w, 0)
+        if len(w) != self._n:
+            return 0
+        return self._keys.get(_encode(w), 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def total(self) -> int:
         """Sum of all coefficients (the dimension, for a character)."""
-        return sum(self.terms.values())
+        return sum(self._keys.values())
+
+    def _length_with(self, other: "GroupAlgebraElement") -> int | None:
+        if not self._keys:
+            return other._n
+        if other._keys and other._n != self._n:
+            raise ValueError(f"weights of different lengths {self._n} and {other._n}")
+        return self._n
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            new = out.get(w, 0) + c
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-        return GroupAlgebraElement(out)
+        n = self._length_with(other)
+        out = dict(self._keys)
+        _add_into(out, 1, other._keys)
+        return GroupAlgebraElement._of(out, n)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -69,30 +176,36 @@ class GroupAlgebraElement:
     def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return GroupAlgebraElement({w: scalar * c for w, c in self.terms.items()})
+        keys = {k: scalar * c for k, c in self._keys.items()} if scalar else {}
+        return GroupAlgebraElement._of(keys, self._n)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        out: dict[Weight, int] = {}
-        for v, a in self.terms.items():
-            for w, b in other.terms.items():
-                key = w_add(v, w)
-                new = out.get(key, 0) + a * b
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return GroupAlgebraElement(out)
+        n = self._length_with(other)
+        if n is None:
+            return GroupAlgebraElement._of({}, None)
+        zero, guard = BIAS * _repunit(n), _repunit(n) << (DIGIT_BITS - 1)
+        out: dict[int, int] = {}
+        get = out.get
+        for v, a in self._keys.items():
+            delta = v - zero
+            for w, b in other._keys.items():
+                k = w + delta
+                out[k] = get(k, 0) + a * b
+        if any(k & guard for k in out):
+            raise _overflow(n)
+        return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
 
     def __eq__(self, other):
-        return isinstance(other, GroupAlgebraElement) and self.terms == other.terms
+        return (isinstance(other, GroupAlgebraElement) and self._keys == other._keys
+                and (self._n == other._n or not self._keys))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._keys.items()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._keys:
             return "0"
         bits = []
         for w, c in self.items():
@@ -101,35 +214,94 @@ class GroupAlgebraElement:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+def _add_into(out: dict[int, int], c: int, keys: dict[int, int]) -> None:
+    """out += c * keys, in place, dropping the terms that cancel."""
+    for k, v in keys.items():
+        new = out.get(k, 0) + c * v
+        if new:
+            out[k] = new
+        else:
+            del out[k]
+
+
 def e(w: Weight, coeff: int = 1) -> GroupAlgebraElement:
     """The basis element coeff * e^w."""
     return GroupAlgebraElement({tuple(w): coeff})
 
 
+def _check_length(datum: RootDatum, f: GroupAlgebraElement) -> int:
+    n = datum.lattice_rank
+    if f._keys and f._n != n:
+        raise ValueError(f"weights of length {f._n} in a datum of rank {n}")
+    return n
+
+
+def _alpha_key(datum: RootDatum, i: int) -> int:
+    """The packed delta A(i) of the simple root a_i."""
+    if i not in datum.neighbours:
+        raise ValueError(f"vertex {i} not in diagram")
+    key = 0
+    for x in datum.alphas[i]:
+        key = (key << DIGIT_BITS) + x
+    return key
+
+
+def _pairings(datum: RootDatum, i: int, keys, n: int) -> list[int]:
+    """<a_i^vee, w> for every key, in iteration order."""
+    sh = DIGIT_BITS * (n - i)
+    if datum.kind == "GL":
+        nxt = sh - DIGIT_BITS
+        return [((k >> sh) & _MASK) - ((k >> nxt) & _MASK) for k in keys]
+    return [((k >> sh) & _MASK) - BIAS for k in keys]
+
+
+def _reflection_fixes(keys: dict[int, int], a: int, pairings: list[int]) -> bool:
+    """Whether s_i fixes the element with these keys, given A(i) and the
+    pairings <a_i^vee, w> of its keys."""
+    get = keys.get
+    return all(get(k - m * a) == c for (k, c), m in zip(keys.items(), pairings))
+
+
+def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
+    out = list(keys)
+    for i in datum.vertices:
+        out = [k for k, m in zip(out, _pairings(datum, i, out, n)) if m >= 0]
+    return out
+
+
+def _height_of_key(datum: RootDatum, n: int):
+    """A function on keys ordered like ``datum.height`` on their weights
+    (it differs from it by a constant)."""
+    parts = [(DIGIT_BITS * (n - 1 - j), h) for j, h in enumerate(datum._height) if h]
+    return lambda k: sum(h * ((k >> sh) & _MASK) for sh, h in parts)
+
+
 def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
-    out: dict[Weight, int] = {}
-
-    def accumulate(w: Weight, c: int):
-        new = out.get(w, 0) + c
-        if new:
-            out[w] = new
-        else:
-            del out[w]
-
-    alpha = datum.alphas[i]
-    for w, c in f.terms.items():
-        m = datum.pairing(i, w)
+    n = _check_length(datum, f)
+    a = _alpha_key(datum, i)
+    guard = _repunit(n) << (DIGIT_BITS - 1)
+    keys = f._keys
+    pairings = _pairings(datum, i, keys, n)
+    # pi_i fixes every s_i-invariant element: one lookup per term instead
+    # of a whole string
+    if _reflection_fixes(keys, a, pairings):
+        return f
+    out: dict[int, int] = {}
+    get = out.get
+    for (k, c), m in zip(keys.items(), pairings):
         if m >= 0:
-            cur = w
-            for _ in range(m + 1):
-                accumulate(cur, c)
-                cur = w_sub(cur, alpha)
+            end = k - m * a
+            if end & guard:
+                raise _overflow(n)
+            for s in range(k, end - a, -a):
+                out[s] = get(s, 0) + c
         elif m <= -2:
-            cur = w_add(w, alpha)
-            for _ in range(-m - 1):
-                accumulate(cur, -c)
-                cur = w_add(cur, alpha)
-    return GroupAlgebraElement(out)
+            end = k - (m + 1) * a
+            if end & guard:
+                raise _overflow(n)
+            for s in range(k + a, end + a, a):
+                out[s] = get(s, 0) - c
+    return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
 
 
 def apply_word(datum: RootDatum, word, f: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -144,23 +316,37 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     """Apply pi_{w_o}; optionally assert the result is Weyl-invariant."""
     out = apply_word(datum, datum.longest_word, f)
     if check:
+        n, keys = datum.lattice_rank, out._keys
         for i in datum.vertices:
-            for w, c in out.terms.items():
-                if out.coefficient(datum.reflect(i, w)) != c:
-                    raise AssertionError("pi_{w_o} image is not Weyl-invariant")
+            if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
+                raise AssertionError("pi_{w_o} image is not Weyl-invariant")
     return out
 
 
 def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
-    """ch V(w) for dominant w, via the Demazure character formula at w_o."""
+    """ch V(w) for dominant w, via the Demazure character formula at w_o.
+
+    Remembered in ``datum._irr_cache``, which holds at most
+    IRR_CACHE_MAX_TERMS terms and evicts its oldest entries first."""
     w = tuple(w)
     if not datum.is_dominant(w):
         raise ValueError(f"{w} is not dominant")
-    cached = datum._irr_cache.get(w)
+    cache = datum._irr_cache
+    cached = cache.get(w)
     if cached is None:
         cached = apply_word(datum, datum.longest_word, e(w))
-        assert cached.coefficient(w) == 1
-        datum._irr_cache[w] = cached
+        if cached.coefficient(w) != 1:
+            raise AssertionError(f"ch V{weight_str(w)} has no simple top term")
+        cache[w] = cached
+        # list() snapshots the dict in one step, so racing threads see no
+        # change of size during iteration
+        held = sum(len(ch._keys) for ch in list(cache.values()))
+        for old in list(cache):
+            if held <= IRR_CACHE_MAX_TERMS:
+                break
+            gone = cache.pop(old, None)
+            if gone is not None:
+                held -= len(gone._keys)
     return cached
 
 
@@ -170,7 +356,8 @@ def demazure_character(datum: RootDatum, mu: Weight) -> GroupAlgebraElement:
     mu = tuple(mu)
     dom, word = datum.dominant_representative(mu)
     out = apply_word(datum, word, e(dom))
-    assert out.coefficient(mu) == 1
+    if out.coefficient(mu) != 1:
+        raise AssertionError(f"ch D{weight_str(mu)} has no simple bottom term")
     return out
 
 
@@ -186,19 +373,28 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     Raises DecompositionError when f is not a nonnegative integral
     combination.
     """
-    rem = GroupAlgebraElement(dict(f.terms))
+    n = _check_length(datum, f)
+    height = _height_of_key(datum, n)
+    rem = dict(f._keys)
+    dominant = set(_dominant_keys(datum, rem, n))
     out: dict[Weight, int] = {}
-    while not rem.is_zero():
-        dominant = [w for w in rem.terms if datum.is_dominant(w)]
+    while rem:
         if not dominant:
             raise DecompositionError(
-                f"not a nonnegative integral combination: residue {rem!r}")
-        mu = max(dominant, key=lambda w: (datum.height(w), w))
-        c = rem.coefficient(mu)
+                "not a nonnegative integral combination: residue "
+                f"{GroupAlgebraElement._of(rem, n)!r}")
+        top = max(dominant, key=lambda k: (height(k), k))
+        mu, c = _decode(top, n), rem[top]
         if c < 0:
             raise DecompositionError(
                 f"not a nonnegative integral combination: coefficient {c} at {mu}")
-        rem = rem - c * irreducible_character(datum, mu)
+        ch = irreducible_character(datum, mu)
+        _add_into(rem, -c, ch._keys)
+        for k in _dominant_keys(datum, ch._keys, n):
+            if k in rem:
+                dominant.add(k)
+            else:
+                dominant.discard(k)
         out[mu] = out.get(mu, 0) + c
     return out
 
@@ -212,19 +408,21 @@ def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]
     DecompositionError is raised (negative coefficient, or the iteration
     guard trips).
     """
-    rem = GroupAlgebraElement(dict(f.terms))
+    n = _check_length(datum, f)
+    height = _height_of_key(datum, n)
+    rem = dict(f._keys)
     out: dict[Weight, int] = {}
-    guard = sum(abs(c) for c in f.terms.values()) + 10
-    while not rem.is_zero():
+    guard = sum(abs(c) for c in rem.values()) + 10
+    while rem:
         guard -= 1
         if guard < 0:
             raise DecompositionError("key decomposition did not terminate; "
                                      "input is not key-positive")
-        mu = min(rem.terms, key=lambda w: (datum.height(w), w))
-        c = rem.coefficient(mu)
+        low = min(rem, key=lambda k: (height(k), k))
+        mu, c = _decode(low, n), rem[low]
         if c < 0:
             raise DecompositionError(f"negative key coefficient {c} at {mu}")
-        rem = rem - c * demazure_character(datum, mu)
+        _add_into(rem, -c, demazure_character(datum, mu)._keys)
         out[mu] = out.get(mu, 0) + c
     return {w: c for w, c in out.items() if c}
 
@@ -237,7 +435,7 @@ def laurent_str(datum: RootDatum, f: GroupAlgebraElement) -> str:
     if f.is_zero():
         return "0"
     bits = []
-    for w, c in sorted(f.terms.items(), reverse=True):
+    for w, c in reversed(f.items()):
         mono = "*".join(
             f"x{k+1}" if p == 1 else f"x{k+1}^{p}"
             for k, p in enumerate(w) if p != 0

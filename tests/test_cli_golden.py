@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI output: the README command-line examples and two
-validation errors, against the files in tests/golden/."""
+"""Byte-for-byte CLI output: the README command-line examples, semisimple
+characters and a plan through pi_{w_o}, and two validation errors, against
+the files in tests/golden/."""
 
 from pathlib import Path
 
@@ -24,6 +25,14 @@ CASES = {
     "schur_diagram": (0, ["schur", "--diagram", "[[1,1],[2,2],[3,2],[2,3],[4,3]]"]),
     "stable_coeffs": (0, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]",
                           "--coeffs", "--restrict", "5"]),
+    # semisimple characters: negative fundamental coordinates, pi_{w_o} and
+    # its W-invariance check
+    "character_d4": (0, ["character", "--cartan", "D", "--rank", "4",
+                         "--R", "[[1,0,1],[2,1,1],[3,2,1]]"]),
+    "character_e6": (0, ["character", "--cartan", "E6", "--rank", "6",
+                         "--R", "[[1,0,1],[6,4,1]]"]),
+    "plan_d4": (0, ["plan", "--cartan", "D", "--rank", "4",
+                    "--R", "[[1,0,1],[1,6,1],[2,5,1]]"]),
     # a root datum that does not exist, and a truncation that misses R
     "error_bad_rank": (2, ["decompose", "--cartan", "D", "--rank", "3", "--R", "[]"]),
     "error_truncation_misses_r": (2, ["truncate", "--cartan", "A", "--rank", "2",

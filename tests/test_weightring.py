@@ -2,12 +2,86 @@ import random
 
 import pytest
 
-from pmcrystal.cartan import build_root_datum
-from pmcrystal.weightring import (DecompositionError, GroupAlgebraElement,
+from pmcrystal import weightring
+from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_sub
+from pmcrystal.product import multiset, weight_of_multiset
+from pmcrystal.truncation import build_plan, full_character
+from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
                                   apply_word, demazure_character, demazure_pi,
                                   e, irreducible_character, key_decompose,
                                   laurent_str, pi_longest, weyl_decompose)
 from conftest import random_element
+
+
+# -- reference: the Demazure operators on tuple weights ------------------------
+
+
+def ref_demazure_pi(datum, i, terms):
+    """pi_i on a dict weight -> coefficient, one tuple at a time."""
+    out = {}
+
+    def accumulate(w, c):
+        new = out.get(w, 0) + c
+        if new:
+            out[w] = new
+        else:
+            del out[w]
+
+    alpha = datum.alphas[i]
+    for w, c in terms.items():
+        m = datum.pairing(i, w)
+        if m >= 0:
+            cur = w
+            for _ in range(m + 1):
+                accumulate(cur, c)
+                cur = w_sub(cur, alpha)
+        elif m <= -2:
+            cur = w_add(w, alpha)
+            for _ in range(-m - 1):
+                accumulate(cur, -c)
+                cur = w_add(cur, alpha)
+    return out
+
+
+def ref_apply_word(datum, word, terms):
+    for i in reversed(tuple(word)):
+        terms = ref_demazure_pi(datum, i, terms)
+    return terms
+
+
+def ref_mul(a, b):
+    out = {}
+    for v, x in a.items():
+        for w, y in b.items():
+            key = w_add(v, w)
+            out[key] = out.get(key, 0) + x * y
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_full_character(datum, r):
+    """char_by_plan and pi_{w_o} folded on tuple weights."""
+    ch = {datum.zero: 1}
+    for kind, payload in build_plan(datum, r).steps:
+        if kind == "extend":
+            ch = ref_demazure_pi(datum, payload[0], ch)
+        else:
+            ch = ref_mul({weight_of_multiset(datum, payload): 1}, ch)
+    return ref_apply_word(datum, datum.longest_word, ch)
+
+
+def ref_weyl_decompose(datum, terms):
+    rem, out = dict(terms), {}
+    while rem:
+        mu = max((w for w in rem if datum.is_dominant(w)),
+                 key=lambda w: (datum.height(w), w))
+        c = rem[mu]
+        assert c > 0
+        for w, x in ref_apply_word(datum, datum.longest_word, {mu: 1}).items():
+            rem[w] = rem.get(w, 0) - c * x
+            if not rem[w]:
+                del rem[w]
+        out[mu] = c
+    return out
 
 
 def x(*exps):
@@ -173,3 +247,129 @@ def test_tensor_product_multiplicities_nonnegative(a2):
         dec = weyl_decompose(a2, prod)
         assert all(c > 0 for c in dec.values())
         assert sum(c * a2.weyl_dimension(nu) for nu, c in dec.items()) == prod.total()
+
+
+# -- the packed kernel against the tuple reference ------------------------------
+
+
+KINDS = [("A", 3), ("D", 4), ("E6", 6), ("E7", 7), ("GL", 4)]
+
+
+@pytest.mark.parametrize("kind,rank", KINDS)
+def test_packed_pi_matches_reference(kind, rank):
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(40 + rank)
+    seen = set()
+    for _ in range(40):
+        f = random_element(rng, datum, terms=5)
+        i = rng.choice(datum.vertices)
+        pairings = {datum.pairing(i, w) for w in f.terms}
+        seen.update("-1" if m == -1 else "<=-2" if m <= -2 else ">=0" for m in pairings)
+        assert demazure_pi(datum, i, f).terms == ref_demazure_pi(datum, i, f.terms)
+        word = tuple(rng.choice(datum.vertices) for _ in range(rng.randint(2, 6)))
+        assert apply_word(datum, word, f).terms == ref_apply_word(datum, word, f.terms)
+    assert seen == {"-1", "<=-2", ">=0"}
+    first = datum.fundamentals[1]
+    f = e(first) + e(first, -2) * e(first) + 3 * e(tuple(-x for x in first))
+    assert (pi_longest(datum, f, check=False).terms
+            == ref_apply_word(datum, datum.longest_word, f.terms))
+
+
+@pytest.mark.parametrize("kind,rank", KINDS)
+def test_packed_pi_cancelling_terms(kind, rank):
+    # pi_i e^(s_i w - a_i) = -pi_i e^w when <a_i^vee, w> >= 0
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(50 + rank)
+    for _ in range(10):
+        i = rng.choice(datum.vertices)
+        w = tuple(rng.randint(-3, 3) for _ in range(datum.lattice_rank))
+        if datum.pairing(i, w) < 0:
+            w = datum.reflect(i, w)
+        partner = w_sub(datum.reflect(i, w), datum.alphas[i])
+        other = tuple(rng.randint(-3, 3) for _ in range(datum.lattice_rank))
+        f = e(w) + e(partner) + e(other, 2)
+        assert ref_demazure_pi(datum, i, {w: 1, partner: 1}) == {}
+        assert demazure_pi(datum, i, e(w) + e(partner)).is_zero()
+        assert demazure_pi(datum, i, f).terms == ref_demazure_pi(datum, i, f.terms)
+
+
+@pytest.mark.parametrize("kind,rank,points", [
+    ("D", 4, {(1, 0): 1, (2, 1): 1, (3, 2): 1}),   # overlapping
+    ("E6", 6, {(1, 0): 1, (6, 20): 1}),           # far apart
+    ("E7", 7, {(7, 1): 1, (7, 25): 1}),
+])
+def test_character_route_matches_reference(kind, rank, points):
+    datum = build_root_datum(kind, rank)
+    r = multiset(points)
+    expected = ref_full_character(datum, r)
+    ch = full_character(datum, r)
+    assert ch.terms == expected
+    assert weyl_decompose(datum, ch) == ref_weyl_decompose(datum, expected)
+
+
+# -- the edges of the packed range -------------------------------------------------
+
+
+def test_encode_range(a2):
+    for x in (BIAS - 1, -BIAS):
+        assert e((x, 0)).items() == [((x, 0), 1)]
+        assert GroupAlgebraElement({(0, x): 3}).coefficient((0, x)) == 3
+    for x in (BIAS, -BIAS - 1):
+        with pytest.raises(ValueError):
+            e((x, 0))
+        with pytest.raises(ValueError):
+            GroupAlgebraElement({(0, x): 1})
+
+
+def test_overflow_raises_instead_of_wrapping(a2):
+    big = BIAS - 1
+    with pytest.raises(ValueError):   # s_1 (big, big) = (-big, 2 big)
+        demazure_pi(a2, 1, e((big, big)))
+    with pytest.raises(ValueError):   # far end of a negative string
+        demazure_pi(a2, 1, e((-big, -big)))
+    with pytest.raises(ValueError):
+        e((big, 0)) * e((1, 0))
+    with pytest.raises(ValueError):
+        e((0, -BIAS)) * e((0, -1))
+    # GL strings stay between w_i and w_(i+1), so they never leave the range
+    gl2 = build_root_datum("GL", 2)
+    for w in ((big, big - 3), (big - 3, big), (-BIAS, -BIAS + 3), (-BIAS + 3, -BIAS)):
+        assert demazure_pi(gl2, 1, e(w)).terms == ref_demazure_pi(gl2, 1, {w: 1})
+
+
+def test_errors_at_the_edges(a2):
+    with pytest.raises(ValueError):   # a vertex the datum lacks
+        demazure_pi(a2, 3, e((1, 0)))
+    with pytest.raises(ValueError):   # weights of different lengths
+        e((1, 0)) * e((1, 0, 0))
+    with pytest.raises(ValueError):
+        GroupAlgebraElement({(1, 0): 1, (1, 0, 0): 1})
+    with pytest.raises(ValueError):   # weights of another rank
+        demazure_pi(a2, 1, e((1, 0, 0)))
+
+
+def test_irreducible_cache_is_bounded(monkeypatch):
+    cap = 30
+    monkeypatch.setattr(weightring, "IRR_CACHE_MAX_TERMS", cap)
+    datum = RootDatum("A", 3)   # not the shared instance
+    reference = build_root_datum("A", 3)
+    inserted = []
+    # (1,1,1) and (2,1,0) alone have more terms than the cap and are not kept
+    for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2), (1, 0, 1), (2, 0, 0),
+                (1, 1, 1), (1, 0, 0), (2, 1, 0), (0, 1, 0)]:
+        if lam not in datum._irr_cache:
+            inserted.append(lam)
+        ch = irreducible_character(datum, lam)
+        assert ch.terms == ref_apply_word(reference, reference.longest_word, {lam: 1})
+        held = [len(c.terms) for c in datum._irr_cache.values()]
+        kept = list(datum._irr_cache)
+        # the newest entries that fit, oldest evicted first
+        assert kept == inserted[len(inserted) - len(kept):]
+        assert sum(held) <= cap
+        if len(kept) < len(inserted):
+            dropped = inserted[len(inserted) - len(kept) - 1]
+            assert sum(held) + len(irreducible_character(reference, dropped).terms) > cap
+    assert (1, 1, 1) not in datum._irr_cache and (2, 1, 0) not in datum._irr_cache
+    dec = weyl_decompose(datum, irreducible_character(datum, (1, 0, 0))
+                         * irreducible_character(datum, (0, 0, 1)))
+    assert dec == {(1, 0, 1): 1, (0, 0, 0): 1}
