@@ -55,10 +55,10 @@ class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
     Instances are shared via the lru_cache on :func:`build_root_datum` but
-    are not immutable: ``_irr_cache`` (irreducible characters) and
-    ``_z_cache`` (the monomials z_{i,k}) fill lazily after ``__init__``.
-    ``_irr_cache`` holds at most ``weightring.IRR_CACHE_MAX_TERMS`` terms in
-    all and evicts its oldest entries first; ``_z_cache`` is unbounded.
+    are not immutable.  Its two caches are attributes created empty by
+    ``__init__`` and filled lazily: ``_irr_cache`` (irreducible characters,
+    at most ``weightring.IRR_CACHE_MAX_TERMS`` terms in all, oldest entries
+    evicted first) and ``_z_cache`` (the monomials z_{i,k}^power, unbounded).
     Neither is locked; an entry depends on its key alone and dict gets and
     sets are atomic in CPython, so racing threads at worst compute an entry
     twice or evict one more than needed.
@@ -98,8 +98,8 @@ class RootDatum:
             self.parity: dict[int, int] = {i: i % 2 for i in self.vertices}
         else:
             self.parity = {i: self.dist[1, i] % 2 for i in self.vertices}
-        for a, b in self.edges:
-            assert self.parity[a] != self.parity[b], "two-colouring failed"
+        if any(self.parity[a] == self.parity[b] for a, b in self.edges):
+            raise AssertionError("two-colouring failed")
 
         if kind == "GL":
             n = rank
@@ -124,19 +124,21 @@ class RootDatum:
             }
             self.det = None
             self.rho = (1,) * m
-            self._cartan_inverse = _invert_integer_matrix(
-                [[self._cartan_entry(i, j) for j in self.vertices] for i in self.vertices]
-            )
 
         self.zero: Weight = (0,) * self.lattice_rank
-        self.longest_word: tuple[int, ...] = self._greedy_descent_word()
+        # the ascent from -rho to the dominant chamber is reduced of length
+        # #positive-roots, so it is a reduced word for w_o
+        self.longest_word: tuple[int, ...] = self.dominant_representative(
+            w_scale(-1, self.rho))[1]
         self.positive_roots = self._close_positive_roots()
-        assert len(self.positive_roots) == len(self.longest_word)
+        if len(self.positive_roots) != len(self.longest_word):
+            raise AssertionError("longest word and positive roots differ in length")
         # height(w) = <w, _height>: rho for GL (alpha_i has height 1), else
         # the simple-root coordinates of 2 rho (alpha_i has height 2)
         self._height = self.rho if kind == "GL" else tuple(
             map(sum, zip(*(c for c, _ in self.positive_roots))))
         self._irr_cache: dict[Weight, object] = {}
+        self._z_cache: dict[tuple[int, int, int], object] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -189,25 +191,6 @@ class RootDatum:
         in the positive-root order implies height(v) > height(w)."""
         return sum(h * x for h, x in zip(self._height, w))
 
-    def root_coords(self, w: Weight) -> tuple[int, ...] | None:
-        """Coordinates of w in the simple-root basis, or None if w is not
-        in the root lattice."""
-        if self.kind == "GL":
-            if sum(w) != 0:
-                return None
-            out, acc = [], 0
-            for x in w[:-1]:
-                acc += x
-                out.append(acc)
-            return tuple(out)
-        coords = []
-        for row in self._cartan_inverse:
-            val = sum(r * x for r, x in zip(row, w))
-            if val.denominator != 1:
-                return None
-            coords.append(int(val))
-        return tuple(coords)
-
     # -- Weyl group ---------------------------------------------------------
 
     def dominant_representative(self, w: Weight) -> tuple[Weight, tuple[int, ...]]:
@@ -228,21 +211,6 @@ class RootDatum:
                     break
             else:
                 return cur, tuple(word)
-
-    def _greedy_descent_word(self) -> tuple[int, ...]:
-        # Descend from rho to the antidominant chamber; the recorded word is
-        # reduced of length #positive-roots, and w_o being an involution it
-        # is a reduced word for w_o itself.
-        word = []
-        cur = self.rho
-        while True:
-            for i in self.vertices:
-                if self.pairing(i, cur) > 0:
-                    cur = self.reflect(i, cur)
-                    word.append(i)
-                    break
-            else:
-                return tuple(word)
 
     def _close_positive_roots(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:
         """All positive roots as (simple-root coordinates, weight vector),
@@ -289,24 +257,9 @@ class RootDatum:
             pair_l = sum(c * self.pairing(i, shifted) for c, i in zip(coords, self.vertices))
             pair_r = sum(c * self.pairing(i, self.rho) for c, i in zip(coords, self.vertices))
             num *= Fraction(pair_l, pair_r)
-        assert num.denominator == 1
+        if num.denominator != 1:
+            raise AssertionError(f"Weyl dimension of {w} is not an integer")
         return int(num)
-
-
-def _invert_integer_matrix(mat: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @lru_cache(maxsize=None)

@@ -33,10 +33,6 @@ class ValidationError(ValueError):
     pass
 
 
-def _parse_datum(args):
-    return build_root_datum(args.cartan, args.rank)
-
-
 def _parse_multiset(datum, text):
     try:
         pairs = json.loads(text)
@@ -80,14 +76,14 @@ def _decomposition_json(datum, dec):
 
 def cmd_decompose(args):
     from .product import decompose
-    datum = _parse_datum(args)
+    datum = build_root_datum(args.cartan, args.rank)
     r = _parse_multiset(datum, args.R)
     dec = decompose(datum, r)
     return {"decomposition": _decomposition_json(datum, dec)}
 
 
 def cmd_character(args):
-    datum = _parse_datum(args)
+    datum = build_root_datum(args.cartan, args.rank)
     r = _parse_multiset(datum, args.R)
     if args.truncation:
         j = _parse_truncation(datum, args.truncation)
@@ -101,7 +97,7 @@ def cmd_character(args):
 
 
 def cmd_truncate(args):
-    datum = _parse_datum(args)
+    datum = build_root_datum(args.cartan, args.rank)
     r = _parse_multiset(datum, args.R)
     j = (_parse_truncation(datum, args.truncation) if args.truncation
          else up_closure(datum, r.support()))
@@ -112,7 +108,7 @@ def cmd_truncate(args):
 
 
 def cmd_plan(args):
-    datum = _parse_datum(args)
+    datum = build_root_datum(args.cartan, args.rank)
     r = _parse_multiset(datum, args.R)
     j = _parse_truncation(datum, args.truncation) if args.truncation else None
     plan = build_plan(datum, r, j)
@@ -122,7 +118,7 @@ def cmd_plan(args):
 
 
 def cmd_graph(args):
-    datum = _parse_datum(args)
+    datum = build_root_datum(args.cartan, args.rank)
     r = _parse_multiset(datum, args.R)
     graph = product_crystal(datum, r)
     if args.format == "dot":
@@ -266,7 +262,7 @@ def run(argv) -> int:
         return _error("limit-exceeded", str(err), 3)
     except json.JSONDecodeError as err:
         return _error("error", f"bad JSON: {err}", 2)
-    except (ValidationError, ValueError) as err:
+    except ValueError as err:  # ValidationError included
         return _error("error", str(err), 2)
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")

@@ -125,16 +125,15 @@ def y_monomial(datum: RootDatum, i: int, c: int, n: int = 1) -> Monomial:
 
 
 def _z_monomial_cached(datum: RootDatum, i: int, k: int, power: int) -> Monomial:
-    cache = datum.__dict__.setdefault("_z_cache", {})
     key = (i, k, power)
-    out = cache.get(key)
+    out = datum._z_cache.get(key)
     if out is None:
         require_lattice_point(datum, i, k)
         exps: dict[LatticePoint, int] = {(i, k): power, (i, k + 2): power}
         for j in datum.neighbours[i]:
             exps[(j, k + 1)] = exps.get((j, k + 1), 0) - power
         out = make_monomial(w_scale(power, datum.alphas[i]), exps)
-        cache[key] = out
+        datum._z_cache[key] = out
     return out
 
 

@@ -138,10 +138,6 @@ def truncate(datum: RootDatum, r: PointMultiset, j: ThresholdSet,
 
 # -- build plans -----------------------------------------------------------
 
-ExtendStep = tuple  # ("extend", (i, k))
-MultiplyStep = tuple  # ("multiply", PointMultiset)
-
-
 @dataclass(frozen=True)
 class BuildPlan:
     datum_key: tuple

@@ -572,7 +572,8 @@ class _SpanBasis:
         for pivot, idx in self.pivots.items():
             row = self.rows[idx]
             total += Fraction(row.get(compose(h_inv, pivot), 0), row[pivot])
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise AssertionError(f"trace of {h} is not an integer")
         return int(total)
 
 
@@ -609,7 +610,8 @@ def specht_decompose_bruteforce(boxes, ceiling: int = 7) -> dict[Partition, int]
     classes = list(partitions_of(d))
     module_char = {mu: basis.trace_of_left_mult(class_representative(mu, d))
                    for mu in classes}
-    assert module_char[(1,) * d] == len(basis.rows)
+    if module_char[(1,) * d] != len(basis.rows):
+        raise AssertionError("identity trace differs from the module dimension")
 
     out: dict[Partition, int] = {}
     for lam in classes:
@@ -617,7 +619,8 @@ def specht_decompose_bruteforce(boxes, ceiling: int = 7) -> dict[Partition, int]
         for mu in classes:
             acc += Fraction(module_char[mu] * sym_character(lam, mu),
                             centraliser_order(mu))
-        assert acc.denominator == 1 and acc >= 0, (lam, acc)
+        if acc.denominator != 1 or acc < 0:
+            raise AssertionError(f"multiplicity of {lam} is {acc}")
         if acc:
             out[lam] = int(acc)
     return out

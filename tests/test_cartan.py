@@ -102,6 +102,30 @@ def test_longest_word_is_reduced_descent(a2):
     assert cur == tuple(-x for x in a2.rho)
 
 
+def ref_greedy_descent_word(datum):
+    """A reduced word for w_o by greedy descent from rho to the
+    antidominant chamber (the construction the library used before it
+    took the ascent from -rho)."""
+    word, cur = [], datum.rho
+    while True:
+        for i in datum.vertices:
+            if datum.pairing(i, cur) > 0:
+                cur = datum.reflect(i, cur)
+                word.append(i)
+                break
+        else:
+            return tuple(word)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", r) for r in range(1, 9)]
+                         + [("D", r) for r in range(4, 9)]
+                         + [("E6", 6), ("E7", 7), ("E8", 8)]
+                         + [("GL", r) for r in range(1, 8)])
+def test_longest_word_matches_greedy_descent(kind, rank):
+    datum = build_root_datum(kind, rank)
+    assert datum.longest_word == ref_greedy_descent_word(datum)
+
+
 def test_weyl_dimension(a2, a3, gl4):
     assert a2.weyl_dimension(a2.fundamentals[1]) == 3
     assert a2.weyl_dimension(w_add(a2.fundamentals[1], a2.fundamentals[2])) == 8

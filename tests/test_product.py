@@ -3,16 +3,16 @@ import time
 
 import pytest
 
-from pmcrystal.cartan import build_root_datum
+from pmcrystal.cartan import build_root_datum, w_add, w_scale, w_sub
 from pmcrystal.crystal import (ClosureLimitError, check_crystal_axioms, e_of,
                                f_of, highest_weights, sort_key)
-from pmcrystal.monomial import mono_mul, one, y_monomial
+from pmcrystal.monomial import Monomial, mono_mul, one, validate_monomial, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
                                fundamental_crystal, multiset,
                                multiset_from_pairs, product_crystal, r_support,
                                s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
-from conftest import random_multiset
+from conftest import random_multiset, random_point
 
 
 def test_fundamental_sizes(a2, a3):
@@ -147,6 +147,105 @@ def test_s_label_rejects_foreign_monomials(a2):
         s_label(a2, r, y_monomial(a2, 2, 0))
     with pytest.raises(NotExpressibleError):
         s_label(a2, r, y_monomial(a2, 1, 3))
+
+
+LABEL_DATA = [("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]
+
+
+def random_label(rng, datum, anchors):
+    """A random nonnegative S whose points lie a few levels from an anchor
+    (anchors are even, so the points keep their parity)."""
+    out = {}
+    for _ in range(rng.randint(0, 5)):
+        i, c = random_point(rng, datum, -3, 2)
+        pt = (i, c + rng.choice(anchors))
+        out[pt] = out.get(pt, 0) + rng.randint(1, 2)
+    return multiset(out)
+
+
+def label_cases(seed, far=True):
+    """Seeded (datum, R, S) triples over LABEL_DATA; with ``far``, each
+    datum also gets an R whose points lie 10**6 levels apart, with S near
+    both groups."""
+    rng = random.Random(seed)
+    for kind, rank in LABEL_DATA:
+        datum = build_root_datum(kind, rank)
+        for _ in range(8):
+            yield datum, random_multiset(rng, datum), random_label(rng, datum, [0])
+        if far:
+            r = random_multiset(rng, datum)
+            yield (datum, r + r.shifted(10**6),
+                   random_label(rng, datum, [0, 10**6]))
+
+
+def test_s_label_round_trip():
+    seen_far = seen_nonempty = 0
+    for datum, r, s in label_cases(41):
+        assert s_label(datum, r, expand_label(datum, r, s)) == s
+        seen_far += max(c for (_, c) in r.support()) >= 10**6
+        seen_nonempty += not s.is_empty()
+    assert seen_far == len(LABEL_DATA) and seen_nonempty > 20
+
+
+def perturbations(rng, datum, r, p):
+    """Monomials near p = y_R z_S^{-1} that are not of that form."""
+    exps = dict(p.exponents)
+    pt = rng.choice(sorted(set(exps) | set(r.support())))
+    for d in (1, -1):
+        moved = dict(exps)
+        moved[pt] = moved.get(pt, 0) + d
+        q = Monomial(p.weight, tuple(sorted((k, v) for k, v in moved.items() if v)))
+        with pytest.raises(ValueError):
+            validate_monomial(datum, q)
+        yield q
+    # weights off the root lattice: a fundamental weight added alone, and
+    # with its y-variable (a valid monomial)
+    i, c = random_point(rng, datum)
+    yield Monomial(w_add(p.weight, datum.fundamentals[i]), p.exponents)
+    yield mono_mul(p, y_monomial(datum, i, c))
+    if datum.det is not None:
+        yield Monomial(w_add(p.weight, datum.det), p.exponents)
+
+
+def test_s_label_rejects_perturbed_labels():
+    rng = random.Random(43)
+    rejected = 0
+    for datum, r, s in label_cases(42, far=False):
+        p = expand_label(datum, r, s)
+        for q in perturbations(rng, datum, r, p):
+            with pytest.raises(NotExpressibleError):
+                s_label(datum, r, q)
+            rejected += 1
+        if not p.is_one():
+            with pytest.raises(NotExpressibleError):
+                s_label(datum, multiset({}), p)
+            rejected += 1
+    assert rejected >= 4 * 8 * len(LABEL_DATA)
+
+
+def test_s_label_empty_r(a3, gl4):
+    assert s_label(a3, multiset({}), one(a3)).is_empty()
+    for datum in (a3, gl4):
+        for w in (datum.alphas[1], w_scale(-1, datum.alphas[1]), datum.fundamentals[1]):
+            with pytest.raises(NotExpressibleError):
+                s_label(datum, multiset({}), Monomial(w, ()))
+    with pytest.raises(NotExpressibleError):
+        s_label(gl4, multiset({}), Monomial(gl4.det, ()))
+
+
+def test_s_label_budget_bounds_the_sweep(a3):
+    r = multiset({(1, 1): 1, (3, 1): 1})
+    wt_r = weight_of_multiset(a3, r)
+    # height(wt R - wt p) = 0, but the exponents force S[1,1] = 3
+    with pytest.raises(NotExpressibleError, match="exceeds"):
+        s_label(a3, r, Monomial(wt_r, (((1, 3), -3), ((3, 1), 1))))
+    # a budget of 6 * 10**6, and exponents that no S explains
+    huge = w_scale(10**6, w_add(w_add(a3.alphas[1], a3.alphas[2]), a3.alphas[3]))
+    start = time.perf_counter()
+    for exps in ((((1, 3), -3),), (((2, -4), 5), ((3, 1), -1)), (((1, 1), 2),)):
+        with pytest.raises(NotExpressibleError):
+            s_label(a3, r, Monomial(w_sub(wt_r, huge), exps))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_fundamental_support_bound(a3):
