@@ -34,6 +34,17 @@ def w_scale(k: int, a: Weight) -> Weight:
     return tuple(k * x for x in a)
 
 
+def add_into(out: dict, c: int, terms: dict) -> None:
+    """out += c * terms for sparse integer vectors, in place, dropping the
+    entries that cancel."""
+    for k, v in terms.items():
+        new = out.get(k, 0) + c * v
+        if new:
+            out[k] = new
+        else:
+            del out[k]
+
+
 def weight_str(w: Weight) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
@@ -54,11 +65,12 @@ def _edge_list(kind: str, rank: int) -> list[tuple[int, int]]:
 class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
-    Instances are shared via the lru_cache on :func:`build_root_datum` but
-    are not immutable.  Its two caches are attributes created empty by
-    ``__init__`` and filled lazily: ``_irr_cache`` (irreducible characters,
-    at most ``weightring.IRR_CACHE_MAX_TERMS`` terms in all, oldest entries
-    evicted first) and ``_z_cache`` (the monomials z_{i,k}^power, unbounded).
+    Instances are shared via the lru_cache on :func:`build_root_datum`,
+    which keeps the 64 most recently used, but are not immutable.  Its two
+    caches are attributes created empty by ``__init__`` and filled lazily:
+    ``_irr_cache`` (irreducible characters, at most
+    ``weightring.IRR_CACHE_MAX_TERMS`` terms in all, oldest entries evicted
+    first) and ``_z_cache`` (the monomials z_{i,k}^power, unbounded).
     Neither is locked; an entry depends on its key alone and dict gets and
     sets are atomic in CPython, so racing threads at worst compute an entry
     twice or evict one more than needed.
@@ -262,7 +274,7 @@ class RootDatum:
         return int(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_root_datum(kind: str, rank: int) -> RootDatum:
     """Construct (and cache) the root datum for the given kind and rank.
 

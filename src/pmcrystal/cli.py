@@ -22,10 +22,10 @@ from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
                          truncate, truncation_character, up_closure,
                          validate_threshold_set)
-from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
-                    schur_decompose, sequence_of_diagram, check_sequence,
-                    skew_normalise, specht_decompose_bruteforce, stable_bound,
-                    stable_coeffs, flagged_schur_char, min_rank)
+from .typea import (SPECHT_MAX_BOXES, diagram_ascii, lr_skew_expand,
+                    restrict_coeffs, schur_decompose, sequence_of_diagram,
+                    check_sequence, skew_normalise, specht_decompose_bruteforce,
+                    stable_bound, stable_coeffs, flagged_schur_char, min_rank)
 from .weightring import laurent_str
 
 
@@ -48,11 +48,14 @@ def _parse_truncation(datum, text):
         data = json.loads(text)
         thresholds = [None] * len(datum.vertices)
         for key, val in data["thresholds"].items():
-            thresholds[int(key) - 1] = int(val)
+            col = int(key)
+            if col not in datum.vertices:
+                raise ValueError(f"column {key} is not a vertex")
+            thresholds[col - 1] = int(val)
         j = ThresholdSet(tuple(thresholds))
         validate_threshold_set(datum, j)
         return j
-    except (ValueError, TypeError, KeyError) as err:
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
         raise ValidationError(f"bad truncation {text!r}: {err}") from err
 
 
@@ -161,7 +164,7 @@ def cmd_schur(args):
         result["skew_shape"] = {"lambda": list(lam), "mu": list(mu)}
         result["skew_lr"] = {json.dumps(list(p)): m
                              for p, m in sorted(lr_skew_expand(lam, mu).items())}
-    if len(boxes) <= 7:
+    if len(boxes) <= SPECHT_MAX_BOXES:
         result["specht"] = {json.dumps(list(p)): m for p, m in
                             sorted(specht_decompose_bruteforce(boxes).items())}
     return result
@@ -262,7 +265,7 @@ def run(argv) -> int:
         return _error("limit-exceeded", str(err), 3)
     except json.JSONDecodeError as err:
         return _error("error", f"bad JSON: {err}", 2)
-    except ValueError as err:  # ValidationError included
+    except (ValueError, OverflowError) as err:  # ValidationError; int(1e400)
         return _error("error", str(err), 2)
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")

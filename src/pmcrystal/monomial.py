@@ -10,7 +10,8 @@ multiplication with the auxiliary monomials
 as  f_i(p) = p * z_{i, F_i(p)-2}^{-1}  and  e_i(p) = p * z_{i, E_i(p)},
 where F_i (resp. E_i) is the largest (smallest) position maximising the
 upper (negated lower) column sum.  This convention reproduces the crystal
-graphs of the small SL_3 examples edge by edge; see the tests.
+graphs of the small SL_3 examples edge by edge; see the tests.  The
+exponents of z_{i,k} are written out once, in ``z_exponents``.
 
 Packed monomials.  ``MonomialCodec`` packs the products of the factors of
 a product crystal into integers, so that a product is an integer sum and
@@ -124,14 +125,20 @@ def y_monomial(datum: RootDatum, i: int, c: int, n: int = 1) -> Monomial:
     return make_monomial(w_scale(n, datum.fundamentals[i]), {(i, c): n})
 
 
+def z_exponents(datum: RootDatum, i: int, k: int) -> dict[LatticePoint, int]:
+    """The exponents of z_{i,k}: 1 at (i,k) and (i,k+2), -1 at (j,k+1) for
+    every neighbour j of i."""
+    out = {(j, k + 1): -1 for j in datum.neighbours[i]}
+    out[(i, k)] = out[(i, k + 2)] = 1
+    return out
+
+
 def _z_monomial_cached(datum: RootDatum, i: int, k: int, power: int) -> Monomial:
     key = (i, k, power)
     out = datum._z_cache.get(key)
     if out is None:
         require_lattice_point(datum, i, k)
-        exps: dict[LatticePoint, int] = {(i, k): power, (i, k + 2): power}
-        for j in datum.neighbours[i]:
-            exps[(j, k + 1)] = exps.get((j, k + 1), 0) - power
+        exps = {pt: power * ex for pt, ex in z_exponents(datum, i, k).items()}
         out = make_monomial(w_scale(power, datum.alphas[i]), exps)
         datum._z_cache[key] = out
     return out
@@ -371,13 +378,11 @@ class MonomialCodec:
         """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a
         point outside the window (then p * z_{i,k}^power is not in the
         encoded set)."""
-        points = [((i, k), power), ((i, k + 2), power)]
-        points += [((j, k + 1), -power) for j in self.datum.neighbours[i]]
         out = 0
-        for pt, ex in points:
+        for pt, ex in z_exponents(self.datum, i, k).items():
             shift = self.shift.get(pt)
             if shift is None:
                 return None
-            out += ex << shift
+            out += power * ex << shift
         return out
 

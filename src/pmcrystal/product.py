@@ -4,28 +4,26 @@ The product crystal attached to a finite multiset R of parity-respecting
 points is the monomial-wise product of the fundamental subcrystals
 generated by e^{n w_i} y_{i,c}^n over the points (i, c) of R (n the
 multiplicity).  Every element factors uniquely as p = y_R * z_S^{-1} for a
-finite multiset S; the exponents are tied together by
+finite multiset S.
 
-    p[i,k] = R[i,k] - S[i,k-2] - S[i,k] + sum_{j ~ i} S[j,k-1].
-
-``s_label`` inverts this relation by a descending sweep over the grid
-levels: reading the relation at k = c+2 expresses S[i,c] through S-values
-strictly above level c, so the sweep is forced once it starts above all
-supports.  Since wt(p) = wt(R) - sum S[i,c] alpha_i, any label spends
-exactly height(wt R - wt p) in entries weighted by height(alpha_i); that
-integer budget bounds the sweep, and re-expanding the label is the one
-membership verdict.
+``s_label`` finds S by peeling z_S = y_R / p from its top level down,
+which visits only the levels where the residual is nonzero.  Since
+wt(p) = wt(R) - sum S[i,c] alpha_i, any label spends exactly
+height(wt R - wt p) in entries weighted by height(alpha_i); that integer
+budget bounds the peel, and re-expanding the label is the one membership
+verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootDatum, Weight, w_add, w_scale, w_sub
+from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub
 from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
                       highest_weights, DEFAULT_CEILING)
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
-                       mono_mul, one, require_lattice_point, y_monomial)
+                       mono_mul, one, require_lattice_point, y_monomial,
+                       z_exponents)
 
 
 class NotExpressibleError(ValueError):
@@ -153,23 +151,11 @@ def product_crystal(datum: RootDatum, r: PointMultiset,
 
 
 def expand_label(datum: RootDatum, r: PointMultiset, s: PointMultiset) -> Monomial:
-    """The monomial y_R z_S^{-1}, from the defining exponent relation."""
-    exps: dict[LatticePoint, int] = {}
-
-    def bump(i, c, v):
-        if v:
-            exps[(i, c)] = exps.get((i, c), 0) + v
-            if exps[(i, c)] == 0:
-                del exps[(i, c)]
-
-    for (i, c), m in r.points:
-        bump(i, c, m)
+    """The monomial y_R z_S^{-1}."""
+    exps = dict(r.points)
     weight = weight_of_multiset(datum, r)
     for (i, k), m in s.points:
-        bump(i, k, -m)
-        bump(i, k + 2, -m)
-        for j in datum.neighbours[i]:
-            bump(j, k + 1, m)
+        add_into(exps, -m, z_exponents(datum, i, k))
         weight = w_sub(weight, w_scale(m, datum.alphas[i]))
     return make_monomial(weight, exps)
 
@@ -177,38 +163,30 @@ def expand_label(datum: RootDatum, r: PointMultiset, s: PointMultiset) -> Monomi
 def s_label(datum: RootDatum, r: PointMultiset, p: Monomial) -> PointMultiset:
     """The unique S with p = y_R z_S^{-1}, or NotExpressibleError.
 
-    The sweep solves
-    S[i,c] = R[i,c+2] - p[i,c+2] - S[i,c+2] + sum_{j~i} S[j,c+1] level by
-    level downward, which only involves already-known values, and stops two
-    empty levels below the lowest support.  Any label of p has
-    sum S[i,c] height(alpha_i) = height(wt R - wt p); the sweep raises on a
-    negative entry or once it overspends that budget, which bounds its
-    length, and its result is accepted only if it re-expands to p.
+    z_{i,c} reaches no level above c+2, so an entry v at the top level t of
+    the residual y_R / p can only come from S[i,t-2] = v, which must be
+    positive and on the parity grid; subtracting v z_{i,t-2} lowers the
+    top.  The peel raises once it overspends the budget
+    height(wt R - wt p), and its result is accepted only if it re-expands
+    to p.
     """
     budget = datum.height(w_sub(weight_of_multiset(datum, r), p.weight))
-    cost = {i: datum.height(datum.alphas[i]) for i in datum.vertices}
-    rd = {pt: m for pt, m in r.points}
-    pd = {pt: ex for pt, ex in p.exponents}
-    support_levels = [c for (_, c) in rd] + [c for (_, c) in pd]
+    residual = dict(r.points)
+    add_into(residual, -1, dict(p.exponents))
     s: dict[LatticePoint, int] = {}
-    min_seen = min(support_levels, default=0)
-    c = max(support_levels, default=0)
-    while c >= min_seen - 2:
+    while residual:
+        t = max(c for _, c in residual)
         for i in datum.vertices:
-            if datum.parity[i] != c % 2:
+            v = residual.get((i, t))
+            if v is None:
                 continue
-            val = (rd.get((i, c + 2), 0) - pd.get((i, c + 2), 0)
-                   - s.get((i, c + 2), 0)
-                   + sum(s.get((j, c + 1), 0) for j in datum.neighbours[i]))
-            if val < 0:
-                raise NotExpressibleError(f"negative S entry at ({i},{c})")
-            if val:
-                budget -= val * cost[i]
-                if budget < 0:
-                    raise NotExpressibleError("S exceeds height(wt R - wt p)")
-                s[(i, c)] = val
-                min_seen = min(min_seen, c)
-        c -= 1
+            if v < 0 or datum.parity[i] != t % 2:
+                raise NotExpressibleError(f"negative or off-grid S entry at ({i},{t - 2})")
+            budget -= v * datum.height(datum.alphas[i])
+            if budget < 0:
+                raise NotExpressibleError("S exceeds height(wt R - wt p)")
+            s[(i, t - 2)] = v
+            add_into(residual, -v, z_exponents(datum, i, t - 2))
     out = multiset(s)
     if expand_label(datum, r, out) != p:
         raise NotExpressibleError("re-expansion mismatch")

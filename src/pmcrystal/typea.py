@@ -38,6 +38,10 @@ from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
 Partition = tuple[int, ...]
 Box = tuple[int, int]  # (row, col), 1-based, matrix convention
 
+# the most boxes ``specht_decompose_bruteforce`` takes; ``cli schur`` adds
+# the Specht decomposition up to this size
+SPECHT_MAX_BOXES = 7
+
 
 # -- partitions ---------------------------------------------------------------
 
@@ -382,7 +386,7 @@ def check_shape(lam, mu) -> tuple[Partition, Partition]:
 # -- symmetric group characters (Murnaghan-Nakayama) ---------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sym_character(lam: Partition, mu: Partition) -> int:
     """chi^lam on the class of cycle type mu, by border-strip recursion on
     beta-numbers."""
@@ -577,7 +581,7 @@ class _SpanBasis:
         return int(total)
 
 
-def specht_decompose_bruteforce(boxes, ceiling: int = 7) -> dict[Partition, int]:
+def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     """Decompose the generalised Specht module C[S_d] y_T of a diagram.
 
     Spans the module by left translates of y_T (closing under the adjacent
@@ -588,8 +592,8 @@ def specht_decompose_bruteforce(boxes, ceiling: int = 7) -> dict[Partition, int]
     """
     boxes = frozenset(boxes)
     d = len(boxes)
-    if d > ceiling:
-        raise ValueError(f"diagram has {d} boxes, over the ceiling {ceiling}")
+    if d > SPECHT_MAX_BOXES:
+        raise ValueError(f"diagram has {d} boxes, over the ceiling {SPECHT_MAX_BOXES}")
     if d == 0:
         return {(): 1}
     y = young_symmetriser(boxes)

@@ -65,7 +65,7 @@ that window and is checked where it could leave the legal range:
 
 from __future__ import annotations
 
-from .cartan import RootDatum, Weight, weight_str
+from .cartan import RootDatum, Weight, add_into, weight_str
 
 DIGIT_BITS = 32
 BIAS = 1 << (DIGIT_BITS - 2)
@@ -164,7 +164,7 @@ class GroupAlgebraElement:
     def __add__(self, other):
         n = self._length_with(other)
         out = dict(self._keys)
-        _add_into(out, 1, other._keys)
+        add_into(out, 1, other._keys)
         return GroupAlgebraElement._of(out, n)
 
     def __sub__(self, other):
@@ -212,16 +212,6 @@ class GroupAlgebraElement:
             coeff = "" if c == 1 else "-" if c == -1 else f"{c}*"
             bits.append(f"{coeff}e{weight_str(w)}")
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def _add_into(out: dict[int, int], c: int, keys: dict[int, int]) -> None:
-    """out += c * keys, in place, dropping the terms that cancel."""
-    for k, v in keys.items():
-        new = out.get(k, 0) + c * v
-        if new:
-            out[k] = new
-        else:
-            del out[k]
 
 
 def e(w: Weight, coeff: int = 1) -> GroupAlgebraElement:
@@ -389,7 +379,7 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
             raise DecompositionError(
                 f"not a nonnegative integral combination: coefficient {c} at {mu}")
         ch = irreducible_character(datum, mu)
-        _add_into(rem, -c, ch._keys)
+        add_into(rem, -c, ch._keys)
         for k in _dominant_keys(datum, ch._keys, n):
             if k in rem:
                 dominant.add(k)
@@ -422,7 +412,7 @@ def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]
         mu, c = _decode(low, n), rem[low]
         if c < 0:
             raise DecompositionError(f"negative key coefficient {c} at {mu}")
-        _add_into(rem, -c, demazure_character(datum, mu)._keys)
+        add_into(rem, -c, demazure_character(datum, mu)._keys)
         out[mu] = out.get(mu, 0) + c
     return {w: c for w, c in out.items() if c}
 

@@ -1,8 +1,13 @@
 import json
+import random
+import time
 
 import pytest
 
+from pmcrystal.cartan import build_root_datum
 from pmcrystal.cli import run
+from pmcrystal.truncation import up_closure
+from conftest import random_multiset
 
 
 def run_json(capsys, argv, expect_code=0):
@@ -163,3 +168,159 @@ def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
                              "--R", "[[1,1,2]]"], expect_code=3)
     assert data["status"] == "limit-exceeded" and data["result"] is None
     assert "limit 5" in data["diagnostics"][0]
+
+
+A3_R = "[[1,1,1]]"
+
+
+@pytest.mark.parametrize("argv", [
+    # columns outside 1..3; "0" once indexed column 3 from the end
+    ["truncate", "--cartan", "A", "--rank", "3", "--R", A3_R,
+     "--truncation", '{"thresholds": {"9": 1}}'],
+    ["character", "--cartan", "A", "--rank", "3", "--R", A3_R,
+     "--truncation", '{"thresholds": {"0": 1, "1": 1, "2": 2}}'],
+    ["plan", "--cartan", "A", "--rank", "3", "--R", A3_R,
+     "--truncation", '{"thresholds": {"-1": 1, "1": 1}}'],
+    # JSON numbers too large for an int
+    *[[command, "--cartan", "A", "--rank", "3", "--R", "[[1,1e400,1]]"]
+      for command in ("decompose", "character", "truncate", "plan", "graph")],
+    ["stable", "--R", "[[1,1,1e400]]"],
+    ["character", "--cartan", "A", "--rank", "3", "--R", A3_R,
+     "--truncation", '{"thresholds": {"1": 1e400}}'],
+    ["schur", "--diagram", "[[1,-1e400]]"],
+    ["schur", "--sequence", "[[1e400]]"],
+])
+def test_malformed_integers_exit_2(capsys, argv):
+    code = run(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error" and data["diagnostics"]
+    assert list(data) == sorted(data)
+
+
+# -- seeded argv fuzzing ------------------------------------------------------
+
+FUZZ_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("GL", 2),
+             ("GL", 3), ("GL", 4)]
+
+# JSON texts that replace one value (or the whole argument) of a valid argv
+FUZZ_VALUES = ["1e400", "-1e400", "2.5", "-0.5", "0.0", "true", "false", "null",
+               '"x"', '"1"', '""', "[]", "[[]]", "[1, [2, [3]]]", "{}",
+               '{"1": 1}', '{"thresholds": []}', "-1", "0"]
+FUZZ_KEYS = ['"0"', '"9"', '"-1"', '"x"', '"1.5"', '""']
+STATUS = {0: "ok", 2: "error", 3: "limit-exceeded"}
+
+
+def fuzz_points(rng, datum):
+    """[[i, c, m], ...]: at most 3 points of multiplicity <= 2, levels within
+    +-10, and a product crystal small enough to enumerate quickly."""
+    r = random_multiset(rng, datum, max_points=3, max_mult=2, c_lo=-5, c_hi=4,
+                        cap=400)
+    return [[i, c, m] for (i, c), m in r.points]
+
+
+def fuzz_argv(rng):
+    """A valid argv for one of the seven subcommands, as (fixed options,
+    {option: JSON value})."""
+    command = rng.choice(["decompose", "character", "truncate", "plan", "graph",
+                          "schur", "stable"])
+    if command == "stable":
+        # levels within +-3: the stable rank grows with their spread
+        gl = build_root_datum("GL", 4)
+        pts = [[i, c, m] for (i, c), m in
+               random_multiset(rng, gl, max_points=3, c_lo=-1, c_hi=1).points]
+        return [command, "--coeffs", "--restrict", "3"], {"--R": pts}
+    if command == "schur":
+        boxes = rng.sample([(r, c) for r in range(1, 4) for c in range(1, 4)],
+                           rng.randint(1, 6))
+        if rng.random() < 0.5:
+            return ([command, "--format", rng.choice(["json", "ascii"])],
+                    {"--diagram": [list(b) for b in sorted(boxes)]})
+        seq, left = [], 6
+        for k in range(1, rng.randint(1, 3) + 1):
+            part = sorted((rng.randint(1, 2) for _ in range(rng.randint(0, k))),
+                          reverse=True)
+            if sum(part) > left:
+                part = []
+            left -= sum(part)
+            seq.append(part)
+        return [command], {"--sequence": seq}
+    kind, rank = rng.choice(FUZZ_DATA)
+    datum = build_root_datum(kind, rank)
+    fixed = [command, "--cartan", kind, "--rank", str(rank)]
+    values = {"--R": fuzz_points(rng, datum)}
+    if command == "graph":
+        fixed += ["--format", rng.choice(["json", "dot"])]
+    elif command != "decompose" and rng.random() < 0.5:
+        pts = [tuple(p[:2]) for p in values["--R"]]
+        lower = rng.choice([0, 0, 2])  # 2 leaves R outside J
+        j = up_closure(datum, pts).to_json()
+        values["--truncation"] = {
+            "thresholds": {k: t + lower for k, t in j["thresholds"].items()}}
+    return fixed, values
+
+
+def mutate(rng, value):
+    """The JSON text of ``value`` with one slot (the root, an entry, a dict
+    key, or for point lists a level moved off its parity) replaced."""
+    slots = []
+
+    def walk(v, path):
+        slots.append(("value", path))
+        if isinstance(v, list):
+            for n, x in enumerate(v):
+                walk(x, path + (n,))
+        elif isinstance(v, dict):
+            for k, x in v.items():
+                slots.append(("key", path + (k,)))
+                walk(x, path + (k,))
+
+    walk(value, ())
+    kind, target = rng.choice(slots)
+    if isinstance(value, list) and value and isinstance(value[0], list) \
+            and len(value[0]) == 3 and rng.random() < 0.2:
+        kind, target = "parity", (rng.randrange(len(value)),)
+    replacement = rng.choice(FUZZ_KEYS if kind == "key" else FUZZ_VALUES)
+
+    def dump(v, path):
+        if path == target:
+            if kind == "value":
+                return replacement
+            if kind == "parity":
+                i, c, m = v
+                return json.dumps([i, c + rng.choice([-1, 1]), m])
+        if isinstance(v, list):
+            return "[" + ", ".join(dump(x, path + (n,)) for n, x in enumerate(v)) + "]"
+        if isinstance(v, dict):
+            return "{" + ", ".join(
+                (replacement if kind == "key" and path + (k,) == target
+                 else json.dumps(k)) + ": " + dump(x, path + (k,))
+                for k, x in v.items()) + "}"
+        return json.dumps(v)
+
+    return dump(value, ())
+
+
+def test_cli_fuzz(capsys):
+    rng = random.Random(61)
+    start = time.perf_counter()
+    codes = []
+    for _ in range(400):
+        fixed, values = fuzz_argv(rng)
+        texts = {opt: json.dumps(v) for opt, v in values.items()}
+        if rng.random() < 0.85:
+            opt = rng.choice(sorted(values))
+            texts[opt] = mutate(rng, values[opt])
+        # --opt=value, so that a value such as -1e400 is not read as an option
+        argv = fixed + [f"{opt}={text}" for opt, text in texts.items()]
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in STATUS, (argv, out)
+        codes.append(code)
+        if code == 0 and ("dot" in argv or "ascii" in argv):
+            continue
+        data = json.loads(out)
+        assert list(data) == sorted(data), argv
+        assert data["status"] == STATUS[code], (argv, out)
+        assert (data["result"] is None) == (code != 0), argv
+    assert codes.count(0) > 50 and codes.count(2) > 100
+    assert time.perf_counter() - start < 10.0

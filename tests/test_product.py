@@ -248,6 +248,91 @@ def test_s_label_budget_bounds_the_sweep(a3):
     assert time.perf_counter() - start < 2.0
 
 
+def ref_s_label(datum, r, p):
+    """The descending level sweep s_label used before the peel, kept as a
+    reference: S[i,c] from the exponent relation at level c+2, every grid
+    level from the highest support down to two below the lowest."""
+    budget = datum.height(w_sub(weight_of_multiset(datum, r), p.weight))
+    cost = {i: datum.height(datum.alphas[i]) for i in datum.vertices}
+    rd = {pt: m for pt, m in r.points}
+    pd = {pt: ex for pt, ex in p.exponents}
+    support_levels = [c for (_, c) in rd] + [c for (_, c) in pd]
+    s = {}
+    min_seen = min(support_levels, default=0)
+    c = max(support_levels, default=0)
+    while c >= min_seen - 2:
+        for i in datum.vertices:
+            if datum.parity[i] != c % 2:
+                continue
+            val = (rd.get((i, c + 2), 0) - pd.get((i, c + 2), 0)
+                   - s.get((i, c + 2), 0)
+                   + sum(s.get((j, c + 1), 0) for j in datum.neighbours[i]))
+            if val < 0:
+                raise NotExpressibleError(f"negative S entry at ({i},{c})")
+            if val:
+                budget -= val * cost[i]
+                if budget < 0:
+                    raise NotExpressibleError("S exceeds height(wt R - wt p)")
+                s[(i, c)] = val
+                min_seen = min(min_seen, c)
+        c -= 1
+    out = multiset(s)
+    if expand_label(datum, r, out) != p:
+        raise NotExpressibleError("re-expansion mismatch")
+    return out
+
+
+def label_or_error(datum, r, p, label):
+    try:
+        return label(datum, r, p)
+    except NotExpressibleError:
+        return NotExpressibleError
+
+
+def test_peel_matches_reference_sweep():
+    rng = random.Random(44)
+    outcomes = {"label": 0, "error": 0}
+    for kind, rank in [("A", 1), ("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]:
+        datum = build_root_datum(kind, rank)
+        for _ in range(25):
+            r = random_multiset(rng, datum)
+            label = random_label(rng, datum, [0])
+            p = expand_label(datum, r, label)
+            # y_R z_S^{-1} with one point of S moved off the parity grid
+            i, c = random_point(rng, datum)
+            near = [p, expand_label(datum, r, label + multiset({(i, c + 1): 1}))]
+            for _ in range(3):
+                # an exponent moved by +-1, at a point within three levels
+                # of the support (off the parity grid for odd shifts)
+                i, c = rng.choice(sorted(set(p.support()) | set(r.support())))
+                pt = (rng.choice(datum.vertices), c + rng.randint(-3, 3))
+                exps = dict(p.exponents)
+                exps[pt] = exps.get(pt, 0) + rng.choice([-1, 1])
+                near.append(Monomial(p.weight, tuple(sorted(
+                    (q, v) for q, v in exps.items() if v))))
+                # one weight coordinate moved by +-1
+                w = list(p.weight)
+                w[rng.randrange(len(w))] += rng.choice([-1, 1])
+                near.append(Monomial(tuple(w), p.exponents))
+            for q in near:
+                got = label_or_error(datum, r, q, s_label)
+                assert got == label_or_error(datum, r, q, ref_s_label), (datum, r, q)
+                outcomes["error" if got is NotExpressibleError else "label"] += 1
+    assert outcomes["label"] >= 125 and outcomes["error"] >= 500
+
+
+def test_s_label_cost_ignores_distance(a3):
+    # with the level sweep, every element cost seconds at a gap of 10**6
+    from pmcrystal.truncation import truncate
+    counts = []
+    for gap in (10**6, 10**8):
+        r = multiset({(1, 1): 1, (1, gap + 1): 1, (2, 0): 2})
+        start = time.perf_counter()
+        counts.append(len(truncate(a3, r, up_closure(a3, r.support()))))
+        assert time.perf_counter() - start < 1.0
+    assert counts[0] == counts[1] > 0
+
+
 def test_fundamental_support_bound(a3):
     from pmcrystal.truncation import down_closure
     for (i, c, n) in [(1, 1, 2), (2, 0, 1), (3, 3, 2)]:

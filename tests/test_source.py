@@ -15,3 +15,34 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unbounded_cache(node) -> bool:
+    """functools.cache, or lru_cache with maxsize None."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name != "lru_cache":
+            return False
+        sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+        return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name == "cache" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "cache" \
+        and getattr(node.value, "id", None) == "functools"
+
+
+def test_no_unbounded_caches():
+    # a cache decorator must give a finite maxsize
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _unbounded_cache(node)]
+    assert found == []
+    # the check itself sees the three spellings
+    for text in ("@lru_cache(maxsize=None)\ndef f(): pass",
+                 "@functools.lru_cache(None)\ndef f(): pass",
+                 "from functools import cache", "@functools.cache\ndef f(): pass"):
+        assert any(_unbounded_cache(n) for n in ast.walk(ast.parse(text)))
+    assert not any(_unbounded_cache(n) for n in
+                   ast.walk(ast.parse("@lru_cache(maxsize=64)\ndef f(): pass")))
