@@ -18,14 +18,15 @@ import sys
 from .cartan import build_root_datum, weight_str
 from .crystal import ClosureLimitError, graph_to_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
-                      validate_points)
+                      strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
                          truncate, truncation_character, up_closure,
                          validate_threshold_set)
 from .typea import (SPECHT_MAX_BOXES, diagram_ascii, lr_skew_expand,
                     restrict_coeffs, schur_decompose, sequence_of_diagram,
-                    check_sequence, skew_normalise, specht_decompose_bruteforce,
-                    stable_bound, stable_coeffs, flagged_schur_char, min_rank)
+                    check_diagram, check_sequence, skew_normalise,
+                    specht_decompose_bruteforce, stable_bound, stable_coeffs,
+                    flagged_schur_char, min_rank)
 from .weightring import laurent_str
 
 
@@ -51,7 +52,7 @@ def _parse_truncation(datum, text):
             col = int(key)
             if col not in datum.vertices:
                 raise ValueError(f"column {key} is not a vertex")
-            thresholds[col - 1] = int(val)
+            thresholds[col - 1] = strict_int(val)
         j = ThresholdSet(tuple(thresholds))
         validate_threshold_set(datum, j)
         return j
@@ -147,7 +148,7 @@ def cmd_schur(args):
                 "decomposition": {json.dumps(list(lam)): m
                                   for lam, m in sorted(dec.items())}}
     try:
-        boxes = frozenset((int(r), int(c)) for r, c in json.loads(args.diagram))
+        boxes = check_diagram(json.loads(args.diagram))
     except (ValueError, TypeError) as err:
         raise ValidationError(f"bad diagram: {err}") from err
     if args.format == "ascii":

@@ -89,11 +89,19 @@ def multiset(mult: dict[LatticePoint, int]) -> PointMultiset:
     return PointMultiset(tuple(sorted((pt, m) for pt, m in mult.items() if m > 0)))
 
 
+def strict_int(x) -> int:
+    """int(x), refusing what int() takes without it being an integer: a
+    bool, or a float with a fractional part (or an infinite or NaN one)."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def multiset_from_pairs(pairs) -> PointMultiset:
     out: dict[LatticePoint, int] = {}
     for entry in pairs:
-        i, c, m = (entry if len(entry) == 3 else (*entry, 1))
-        out[(int(i), int(c))] = out.get((int(i), int(c)), 0) + int(m)
+        i, c, m = map(strict_int, entry if len(entry) == 3 else (*entry, 1))
+        out[(i, c)] = out.get((i, c), 0) + m
     return multiset(out)
 
 

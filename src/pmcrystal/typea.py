@@ -19,7 +19,11 @@ enumeration of lattice skew tableaux (when the diagram has a skew
 presentation), and an exact symmetric-group computation that spans
 C[S_d] * y_T by left translates of the Young symmetrizer, row-reduces the
 span over Q, reads traces of left multiplication off the pivots, and pairs
-them against Murnaghan-Nakayama characters.
+them against Murnaghan-Nakayama characters.  It keys S_d by Lehmer rank,
+translates through int tables per adjacent transposition (the lru_cache
+``_rank_tables``, one entry per d up to ``SPECHT_MAX_BOXES``; racing
+threads at worst build one twice), and eliminates fraction-free in place
+on int-keyed dict rows.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .cartan import RootDatum, Weight, build_root_datum
 from .product import (PointMultiset, multiset, decompose, expand_label,
-                      s_label)
+                      s_label, strict_int)
 from .truncation import ThresholdSet
 from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
                          pi_longest, weyl_decompose)
@@ -47,7 +52,7 @@ SPECHT_MAX_BOXES = 7
 
 
 def check_partition(p) -> Partition:
-    p = tuple(int(x) for x in p)
+    p = tuple(strict_int(x) for x in p)
     if any(x <= 0 for x in p) or any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"{p} is not a partition")
     return p
@@ -113,6 +118,15 @@ def diagram_of_sequence(seq) -> frozenset[Box]:
     return frozenset(boxes)
 
 
+def check_diagram(boxes) -> frozenset[Box]:
+    """The (row, col) boxes of a diagram, every row and column an integer
+    >= 1."""
+    boxes = frozenset((strict_int(r), strict_int(c)) for r, c in boxes)
+    if any(r < 1 or c < 1 for r, c in boxes):
+        raise ValueError("diagram rows and columns start at 1")
+    return boxes
+
+
 def diagram_columns(boxes) -> dict[int, list[int]]:
     cols: dict[int, list[int]] = {}
     for r, c in boxes:
@@ -132,6 +146,16 @@ def is_column_convex(boxes) -> bool:
                for rs in diagram_columns(boxes).values())
 
 
+def row_relabellings(boxes, limit: int):
+    """Every map of the diagram's n rows onto 1..n, as dicts in
+    lexicographic order of the images, or None over ``limit`` rows."""
+    rows = sorted(diagram_rows(boxes))
+    if len(rows) > limit:
+        return None
+    return (dict(zip(rows, perm))
+            for perm in itertools.permutations(range(1, len(rows) + 1)))
+
+
 def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     """Recover a partition sequence from a column-convex diagram (sorting
     columns), searching row permutations first when columns have gaps.
@@ -139,16 +163,15 @@ def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     The Specht/Schur decomposition is invariant under row and column
     permutations, so any convexifying row order is as good as another.
     """
-    boxes = frozenset(boxes)
+    boxes = check_diagram(boxes)
     if not boxes:
         return ()
     if not is_column_convex(boxes):
-        rows = sorted(diagram_rows(boxes))
-        if len(rows) > 8:
+        relabellings = row_relabellings(boxes, 8)
+        if relabellings is None:
             raise ValueError("diagram has gapped columns and too many rows "
                              "to search for a convexifying row order")
-        for perm in itertools.permutations(range(1, len(rows) + 1)):
-            relabel = dict(zip(rows, perm))
+        for relabel in relabellings:
             moved = frozenset((relabel[r], c) for (r, c) in boxes)
             if is_column_convex(moved):
                 boxes = moved
@@ -273,8 +296,7 @@ def schur_decompose(seq, n: int) -> dict[Partition, int]:
 # -- skew presentations and Littlewood-Richardson ------------------------------
 
 
-def _column_intervals(boxes, row_order):
-    pos = {r: k + 1 for k, r in enumerate(row_order)}
+def _column_intervals(boxes, pos):
     cols = diagram_columns(boxes)
     out = []
     for c in sorted(cols):
@@ -285,8 +307,8 @@ def _column_intervals(boxes, row_order):
     return out
 
 
-def _skew_shape_from(boxes, row_order):
-    intervals = _column_intervals(boxes, row_order)
+def _skew_shape_from(boxes, pos):
+    intervals = _column_intervals(boxes, pos)
     if intervals is None:
         return None
     order = sorted(range(len(intervals)),
@@ -299,7 +321,7 @@ def _skew_shape_from(boxes, row_order):
             return None
         a_prev, b_prev = a, b
         placed.update((rr, col_pos) for rr in range(a, b + 1))
-    nrows = len(row_order)
+    nrows = len(pos)
     lam, mu = [], []
     for rr in range(1, nrows + 1):
         cs = sorted(c for (r2, c) in placed if r2 == rr)
@@ -321,14 +343,15 @@ def skew_normalise(boxes):
     boxes = frozenset(boxes)
     if not boxes:
         return (), ()
-    rows = sorted(diagram_rows(boxes))
-    if len(rows) > 7:
-        candidates = [rows, sorted(rows, key=lambda r: (-len(diagram_rows(boxes)[r]), r))]
-    else:
-        candidates = [list(p) for p in itertools.permutations(rows)]
+    relabellings = row_relabellings(boxes, 7)
+    if relabellings is None:  # keep the row order, or sort rows by length
+        rows = diagram_rows(boxes)
+        by_length = sorted(rows, key=lambda r: (-len(rows[r]), r))
+        relabellings = [{r: k for k, r in enumerate(order, start=1)}
+                        for order in (sorted(rows), by_length)]
     best = None
-    for order in candidates:
-        shape = _skew_shape_from(boxes, order)
+    for pos in relabellings:
+        shape = _skew_shape_from(boxes, pos)
         if shape is not None and (best is None or shape < best):
             best = shape
     return best
@@ -513,82 +536,63 @@ def young_symmetriser(boxes) -> dict[tuple[int, ...], int]:
     return {k: v for k, v in y.items() if v}
 
 
-def _normalise_row(vec: dict) -> dict:
-    from math import gcd
-    g = 0
-    for v in vec.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        vec = {k: v // g for k, v in vec.items()}
-    pivot = min(vec)
-    if vec[pivot] < 0:
-        vec = {k: -v for k, v in vec.items()}
-    return vec
+@lru_cache(maxsize=SPECHT_MAX_BOXES + 1)
+def _rank_tables(d: int):
+    """S_d by Lehmer rank, the position in ``itertools.permutations(range(d))``
+    (so rank order is tuple order): the image words (bytes) by rank, the
+    rank of each word, and per adjacent transposition s_k the table
+    rank(perm) -> rank(s_k o perm).  Never mutated once built."""
+    words = tuple(bytes(perm) for perm in itertools.permutations(range(d)))
+    rank = {w: k for k, w in enumerate(words)}
+    # s_k o perm swaps the values k and k+1 of the image word
+    left = [tuple(rank[w.translate(swap)] for w in words)
+            for swap in (bytes.maketrans(bytes((k, k + 1)), bytes((k + 1, k)))
+                         for k in range(d - 1))]
+    return words, rank, left
 
 
-class _SpanBasis:
-    """A reduced row-echelon integer basis of a left ideal of Z[S_d],
-    with rows keyed by permutation tuples and pivots at the smallest key."""
+def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:
+    """vec <- a*vec - b*row in place, for a = row[p] and b = vec[p], so that
+    vec loses its entry at p; cancelled entries are dropped."""
+    a, b = row[p], vec[p]
+    if a != 1:
+        for k in vec:
+            vec[k] *= a
+    for k, v in row.items():
+        x = vec.get(k, 0) - b * v
+        if x:
+            vec[k] = x
+        else:
+            del vec[k]
 
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.pivots: dict[tuple[int, ...], int] = {}
 
-    def reduce(self, vec: dict) -> dict:
-        # Rows are mutually reduced, so each pivot hit is eliminated once
-        # and the eliminating row introduces no further pivot coordinates.
-        vec = dict(vec)
-        for p in sorted(k for k in vec if k in self.pivots):
-            b = vec.get(p, 0)
-            if not b:
-                continue
-            row = self.rows[self.pivots[p]]
-            a = row[p]
-            vec = {k: a * vec.get(k, 0) - b * row.get(k, 0)
-                   for k in set(vec) | set(row)}
-            vec = {k: v for k, v in vec.items() if v}
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        vec = _normalise_row(vec)
-        pivot = min(vec)
-        # keep reduced form: clear the new pivot from existing rows (their
-        # pivots stay put, as every key of vec is at least the new pivot)
-        for idx, row in enumerate(self.rows):
-            coeff = row.get(pivot)
-            if coeff:
-                a = vec[pivot]
-                new = {k: a * row.get(k, 0) - coeff * vec.get(k, 0)
-                       for k in set(row) | set(vec)}
-                self.rows[idx] = _normalise_row({k: v for k, v in new.items() if v})
-        self.rows.append(vec)
-        self.pivots[pivot] = len(self.rows) - 1
-        return True
-
-    def trace_of_left_mult(self, h: tuple[int, ...]) -> int:
-        """Trace of v -> h * v on the spanned module, read off the pivots
-        of the reduced basis."""
-        h_inv = invert(h)
-        total = Fraction(0)
-        for pivot, idx in self.pivots.items():
-            row = self.rows[idx]
-            total += Fraction(row.get(compose(h_inv, pivot), 0), row[pivot])
-        if total.denominator != 1:
-            raise AssertionError(f"trace of {h} is not an integer")
-        return int(total)
+def _normalise(vec: dict[int, int]) -> None:
+    """Divide out the content and make the pivot (smallest key) positive."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    if g != 1:
+        for k in vec:
+            vec[k] //= g
 
 
 def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     """Decompose the generalised Specht module C[S_d] y_T of a diagram.
 
-    Spans the module by left translates of y_T (closing under the adjacent
-    transpositions), computes the character as traces of left
-    multiplication on the reduced basis, and pairs against the
+    Spans the module by left translates of y_T, closing under the adjacent
+    transpositions (never straight back along the one a vector came by),
+    with permutations as Lehmer ranks and left translation by s_k one
+    lookup per key in a table of ``_rank_tables``, an lru_cache of one
+    entry per d up to ``SPECHT_MAX_BOXES``; concurrent calls share it
+    safely, racing threads at worst building a table twice.  Each new
+    vector is reduced in place, fraction-free, against a reduced echelon
+    basis of int-keyed integer rows (pivot at the smallest rank, content
+    divided out, so the basis does not depend on the order of insertion),
+    and then clears its pivot from the other rows.  The character is the
+    trace of left multiplication read off the pivots, paired against the
     Murnaghan-Nakayama irreducible characters.  Exact integer arithmetic
-    throughout.
+    throughout; traces, the identity trace (= the module dimension) and the
+    multiplicities are checked integral.
     """
     boxes = frozenset(boxes)
     d = len(boxes)
@@ -596,25 +600,43 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
         raise ValueError(f"diagram has {d} boxes, over the ceiling {SPECHT_MAX_BOXES}")
     if d == 0:
         return {(): 1}
-    y = young_symmetriser(boxes)
-    gens = []
-    for k in range(d - 1):
-        img = list(range(d))
-        img[k], img[k + 1] = img[k + 1], img[k]
-        gens.append(tuple(img))
-    basis = _SpanBasis()
-    frontier = [y]
+    words, rank, left = _rank_tables(d)
+    y = {rank[bytes(perm)]: v for perm, v in young_symmetriser(boxes).items()}
+    rows: dict[int, dict[int, int]] = {}  # pivot -> row, mutually reduced
+    # (vector, the table it came by): that table leads back into the span
+    frontier = [(y, None)]
     while frontier:
-        vec = frontier.pop()
-        if not basis.insert(vec):
+        vec, back = frontier.pop()
+        red = dict(vec)
+        # a row has no entry at another row's pivot, so each pivot hit is
+        # eliminated once and brings in no further pivot
+        for p in [k for k in red if k in rows]:
+            _eliminate(red, rows[p], p)
+        if not red:
             continue
-        for g in gens:
-            frontier.append({compose(g, perm): coeff for perm, coeff in vec.items()})
+        _normalise(red)
+        pivot = min(red)
+        # every key of red is >= pivot, so the other rows keep their pivots
+        for row in rows.values():
+            if pivot in row:
+                _eliminate(row, red, pivot)
+                _normalise(row)
+        rows[pivot] = red
+        frontier.extend(({t[k]: v for k, v in vec.items()}, t)
+                        for t in left if t is not back)
+
+    def trace(h: tuple[int, ...]) -> int:
+        # the coefficient of h o pivot in h * row sits at h^-1 o pivot in row
+        h_inv = bytes.maketrans(bytes(range(d)), bytes(invert(h)))
+        total = sum((Fraction(row.get(rank[words[p].translate(h_inv)], 0), row[p])
+                     for p, row in rows.items()), Fraction(0))
+        if total.denominator != 1:
+            raise AssertionError(f"trace of {h} is not an integer")
+        return int(total)
 
     classes = list(partitions_of(d))
-    module_char = {mu: basis.trace_of_left_mult(class_representative(mu, d))
-                   for mu in classes}
-    if module_char[(1,) * d] != len(basis.rows):
+    module_char = {mu: trace(class_representative(mu, d)) for mu in classes}
+    if module_char[(1,) * d] != len(rows):
         raise AssertionError("identity trace differs from the module dimension")
 
     out: dict[Partition, int] = {}

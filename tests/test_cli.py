@@ -189,12 +189,36 @@ A3_R = "[[1,1,1]]"
      "--truncation", '{"thresholds": {"1": 1e400}}'],
     ["schur", "--diagram", "[[1,-1e400]]"],
     ["schur", "--sequence", "[[1e400]]"],
+    # rows and columns below 1, once dropped by the Schur route alone
+    ["schur", "--diagram", "[[0,1],[-1,1],[1,2]]"],
+    ["schur", "--diagram", "[[1,0],[1,1]]"],
+    ["schur", "--diagram", "[[0,1]]", "--format", "ascii"],
 ])
 def test_malformed_integers_exit_2(capsys, argv):
     code = run(argv)
     data = json.loads(capsys.readouterr().out)
     assert code == 2 and data["status"] == "error" and data["diagnostics"]
     assert list(data) == sorted(data)
+
+
+GL4_R = "[[1,3,1],[3,1,1],[3,3,1]]"
+
+
+@pytest.mark.parametrize("value", ["1.9", "true", "2.5"])
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--cartan", "A", "--rank", "3", "--R", "[[1,1,{}]]"],
+    ["stable", "--R", "[[1,1,{}]]"],
+    ["character", "--cartan", "GL", "--rank", "4", "--R", GL4_R, "--truncation",
+     '{{"thresholds": {{"1": 3, "2": {}, "3": 1}}}}'],
+    ["schur", "--diagram", "[[1,1],[{},2]]"],
+    ["schur", "--sequence", "[[{}]]"],
+])
+def test_non_integers_exit_2(capsys, argv, value):
+    # int() would truncate the float or read the bool as 1, and exit 0
+    code = run([arg.format(value) for arg in argv])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error"
+    assert "is not an integer" in data["diagnostics"][0]
 
 
 # -- seeded argv fuzzing ------------------------------------------------------

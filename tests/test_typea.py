@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,13 +9,14 @@ from pmcrystal.crystal import highest_weights
 from pmcrystal.product import multiset, product_crystal
 from pmcrystal.truncation import build_plan, char_by_plan
 from pmcrystal.typea import (centraliser_order, check_sequence,
-                             diagram_of_sequence, flagged_schur_char,
+                             class_representative, compose,
+                             diagram_of_sequence, flagged_schur_char, invert,
                              lr_skew_expand, multiset_of_sequence,
                              partitions_of, psi_embed, restrict_coeffs,
                              schur_decompose, sequence_of_diagram,
                              sequence_of_multiset, skew_normalise,
                              specht_decompose_bruteforce, stable_bound,
-                             stable_coeffs, sym_character)
+                             stable_coeffs, sym_character, young_symmetriser)
 from pmcrystal.weightring import e, laurent_str
 
 FIVE_BOX = frozenset({(1, 1), (2, 2), (3, 2), (2, 3), (4, 3)})
@@ -68,6 +70,13 @@ def test_sequence_of_diagram_roundtrip():
 
 def test_sequence_of_diagram_convexifies():
     assert sequence_of_diagram(FIVE_BOX) == ((), (1, 1), (1, 1), (1,))
+
+
+def test_sequence_of_diagram_rejects_non_positive_or_non_integer_boxes():
+    # a row below 1 was once dropped, leaving a smaller diagram
+    for boxes in ({(0, 1), (-1, 1), (1, 2)}, {(1, 0)}, {(1.5, 1)}, {(True, 1)}):
+        with pytest.raises(ValueError):
+            sequence_of_diagram(boxes)
 
 
 # -- sequences <-> multisets ----------------------------------------------------
@@ -232,6 +241,143 @@ def test_specht_ceiling():
 def test_specht_disconnected_boxes():
     # two free boxes: the regular representation of S_2
     assert specht_decompose_bruteforce({(1, 2), (2, 1)}) == {(2,): 1, (1, 1): 1}
+
+
+# the Specht oracle as first written: permutation tuples as keys, tuple
+# composition for translates, and rows rebuilt on every elimination step;
+# kept as an independent reference for the Lehmer-ranked kernel
+
+
+def _ref_normalise_row(vec: dict) -> dict:
+    g = 0
+    for v in vec.values():
+        g = gcd(g, abs(v))
+    if g > 1:
+        vec = {k: v // g for k, v in vec.items()}
+    pivot = min(vec)
+    if vec[pivot] < 0:
+        vec = {k: -v for k, v in vec.items()}
+    return vec
+
+
+class _RefSpanBasis:
+    """A reduced row-echelon integer basis of a left ideal of Z[S_d],
+    with rows keyed by permutation tuples and pivots at the smallest key."""
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.pivots: dict[tuple[int, ...], int] = {}
+
+    def reduce(self, vec: dict) -> dict:
+        vec = dict(vec)
+        for p in sorted(k for k in vec if k in self.pivots):
+            b = vec.get(p, 0)
+            if not b:
+                continue
+            row = self.rows[self.pivots[p]]
+            a = row[p]
+            vec = {k: a * vec.get(k, 0) - b * row.get(k, 0)
+                   for k in set(vec) | set(row)}
+            vec = {k: v for k, v in vec.items() if v}
+        return vec
+
+    def insert(self, vec: dict) -> bool:
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        vec = _ref_normalise_row(vec)
+        pivot = min(vec)
+        for idx, row in enumerate(self.rows):
+            coeff = row.get(pivot)
+            if coeff:
+                a = vec[pivot]
+                new = {k: a * row.get(k, 0) - coeff * vec.get(k, 0)
+                       for k in set(row) | set(vec)}
+                self.rows[idx] = _ref_normalise_row(
+                    {k: v for k, v in new.items() if v})
+        self.rows.append(vec)
+        self.pivots[pivot] = len(self.rows) - 1
+        return True
+
+    def trace_of_left_mult(self, h: tuple[int, ...]) -> int:
+        h_inv = invert(h)
+        total = Fraction(0)
+        for pivot, idx in self.pivots.items():
+            row = self.rows[idx]
+            total += Fraction(row.get(compose(h_inv, pivot), 0), row[pivot])
+        assert total.denominator == 1
+        return int(total)
+
+
+def ref_specht_decompose(boxes) -> dict:
+    boxes = frozenset(boxes)
+    d = len(boxes)
+    if d == 0:
+        return {(): 1}
+    gens = []
+    for k in range(d - 1):
+        img = list(range(d))
+        img[k], img[k + 1] = img[k + 1], img[k]
+        gens.append(tuple(img))
+    basis = _RefSpanBasis()
+    frontier = [young_symmetriser(boxes)]
+    while frontier:
+        vec = frontier.pop()
+        if not basis.insert(vec):
+            continue
+        for g in gens:
+            frontier.append({compose(g, perm): coeff for perm, coeff in vec.items()})
+    classes = list(partitions_of(d))
+    module_char = {mu: basis.trace_of_left_mult(class_representative(mu, d))
+                   for mu in classes}
+    assert module_char[(1,) * d] == len(basis.rows)
+    out = {}
+    for lam in classes:
+        acc = sum((Fraction(module_char[mu] * sym_character(lam, mu),
+                            centraliser_order(mu)) for mu in classes), Fraction(0))
+        assert acc.denominator == 1 and acc >= 0
+        if acc:
+            out[lam] = int(acc)
+    return out
+
+
+def sequences_up_to(total: int, length: int):
+    """Every partition sequence of at most ``length`` steps and at most
+    ``total`` boxes whose last partition is nonempty."""
+    def grow(i, rest, seq):
+        if seq and seq[-1]:
+            yield tuple(seq)
+        if i > length:
+            return
+        for size in range(rest + 1):
+            for p in partitions_of(size):
+                if len(p) <= i:
+                    yield from grow(i + 1, rest - size, seq + [p])
+    yield from grow(1, total, [])
+
+
+# the 6- and 7-box sequences of the typea benchmark round
+TYPEA_SEQUENCES = ([[6]], [[7]], [[4], [2]], [[5], [2]], [[3], [2, 1]],
+                   [[1], [3], [3]], [[2], [1, 1], [1], [2]],
+                   [[1], [1], [2, 1, 1]], [[3], [2, 2]], [[2], [3, 2]])
+
+
+def test_specht_matches_reference():
+    # every diagram of at most 5 boxes, up to vertical translation (a
+    # sequence of more steps only adds empty rows)
+    small = {diagram_of_sequence(seq) for seq in sequences_up_to(5, 5)}
+    assert len(small) == 322
+    for boxes in small:
+        assert specht_decompose_bruteforce(boxes) == ref_specht_decompose(boxes)
+    rng = random.Random(31)
+    six = sorted({diagram_of_sequence(seq) for seq in sequences_up_to(6, 6)
+                  if sum(map(sum, seq)) == 6}, key=sorted)
+    for boxes in rng.sample(six, 60):
+        assert specht_decompose_bruteforce(boxes) == ref_specht_decompose(boxes)
+    for seq in TYPEA_SEQUENCES:
+        seq = check_sequence(seq)
+        assert specht_decompose_bruteforce(diagram_of_sequence(seq)) == \
+            schur_decompose(seq, len(seq))
 
 
 # -- stability ----------------------------------------------------------------------
