@@ -66,14 +66,15 @@ class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
     Instances are shared via the lru_cache on :func:`build_root_datum`,
-    which keeps the 64 most recently used, but are not immutable.  Its two
-    caches are attributes created empty by ``__init__`` and filled lazily:
-    ``_irr_cache`` (irreducible characters, at most
+    which keeps the 64 most recently used, but are not immutable.  Its one
+    cache, ``_irr_cache``, is created empty by ``__init__`` and filled
+    lazily with irreducible characters, at most
     ``weightring.IRR_CACHE_MAX_TERMS`` terms in all, oldest entries evicted
-    first) and ``_z_cache`` (the monomials z_{i,k}^power, unbounded).
-    Neither is locked; an entry depends on its key alone and dict gets and
-    sets are atomic in CPython, so racing threads at worst compute an entry
-    twice or evict one more than needed.
+    first.  It is not locked; an entry depends on its key alone and dict
+    gets and sets are atomic in CPython, so racing threads at worst compute
+    an entry twice or evict one more than needed.  The monomials
+    z_{i,k}^power live outside the datum, in the fixed-size lru_cache
+    ``monomial._z_monomial_cached``.
     """
 
     def __init__(self, kind: str, rank: int):
@@ -150,7 +151,6 @@ class RootDatum:
         self._height = self.rho if kind == "GL" else tuple(
             map(sum, zip(*(c for c, _ in self.positive_roots))))
         self._irr_cache: dict[Weight, object] = {}
-        self._z_cache: dict[tuple[int, int, int], object] = {}
 
     # -- basic structure ---------------------------------------------------
 

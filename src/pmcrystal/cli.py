@@ -5,14 +5,18 @@ Every command prints a JSON envelope {"status", "result", "diagnostics"}
 (or raw DOT/ASCII with --format) and exits 0.  Validation problems exit 2
 with a machine-readable diagnostic; an internal oracle disagreement exits 1;
 a crystal that grows past its element limit exits 3 with status
-"limit-exceeded".  All output orderings are deterministic, and every
-envelope, error envelopes included, has sorted keys.
+"limit-exceeded".  When stdout closes before the output is written (as
+under ``| head``), the command stops without a traceback and exits 141, the
+code a shell gives a process that SIGPIPE ended.  All output orderings are
+deterministic, and every envelope, error envelopes included, has sorted
+keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cartan import build_root_datum, weight_str
@@ -277,7 +281,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

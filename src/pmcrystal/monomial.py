@@ -46,6 +46,7 @@ f_i/e_i add a fixed integer delta.  Its invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
 
@@ -133,15 +134,11 @@ def z_exponents(datum: RootDatum, i: int, k: int) -> dict[LatticePoint, int]:
     return out
 
 
+@lru_cache(maxsize=4096)  # the z_{i,k}^power of every root datum
 def _z_monomial_cached(datum: RootDatum, i: int, k: int, power: int) -> Monomial:
-    key = (i, k, power)
-    out = datum._z_cache.get(key)
-    if out is None:
-        require_lattice_point(datum, i, k)
-        exps = {pt: power * ex for pt, ex in z_exponents(datum, i, k).items()}
-        out = make_monomial(w_scale(power, datum.alphas[i]), exps)
-        datum._z_cache[key] = out
-    return out
+    require_lattice_point(datum, i, k)
+    exps = {pt: power * ex for pt, ex in z_exponents(datum, i, k).items()}
+    return make_monomial(w_scale(power, datum.alphas[i]), exps)
 
 
 def z_monomial(datum: RootDatum, i: int, k: int) -> Monomial:

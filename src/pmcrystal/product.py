@@ -91,8 +91,9 @@ def multiset(mult: dict[LatticePoint, int]) -> PointMultiset:
 
 def strict_int(x) -> int:
     """int(x), refusing what int() takes without it being an integer: a
-    bool, or a float with a fractional part (or an infinite or NaN one)."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+    bool, a string, or a float with a fractional part (or an infinite or NaN
+    one)."""
+    if isinstance(x, (bool, str)) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
@@ -130,20 +131,12 @@ def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int,
     return closure(datum, [y_monomial(datum, i, c, n)], limit)
 
 
-def product_crystal(datum: RootDatum, r: PointMultiset,
-                    limit: int = DEFAULT_CEILING) -> CrystalGraph:
-    """M(R): the monomial-wise product of the fundamental subcrystals.
-
-    The factor sets are folded pairwise with deduplication, as packed keys
-    (a product of monomials is a sum of keys); every intermediate product is
-    itself a product crystal, so the working set never exceeds the true
-    size, and ClosureLimitError is raised as soon as it passes ``limit``.
-    The resulting set is closed under all e_i/f_i by the underlying theory;
-    this is asserted rather than trusted.
-    """
-    validate_points(datum, r)
-    factors = [fundamental_crystal(datum, i, c, m, limit).elements
-               for (i, c), m in r.points]
+def fold(datum: RootDatum, factors,
+         limit: int = DEFAULT_CEILING) -> tuple[MonomialCodec, set[int]]:
+    """The products x_1 * ... * x_m, x_k from factors[k], as codec keys:
+    folded pairwise with deduplication (a product of monomials is a sum of
+    keys).  The working set never shrinks, so ClosureLimitError is raised as
+    soon as it passes ``limit``."""
     codec = MonomialCodec.for_products(datum, factors)
     product = {codec.zero}
     for factor in factors:
@@ -154,6 +147,16 @@ def product_crystal(datum: RootDatum, r: PointMultiset,
             if len(folded) > limit:
                 raise ClosureLimitError(f"product crystal exceeded limit {limit}")
         product = folded
+    return codec, product
+
+
+def product_crystal(datum: RootDatum, r: PointMultiset,
+                    limit: int = DEFAULT_CEILING) -> CrystalGraph:
+    """M(R): the ``fold`` of the fundamental subcrystals; its closure under
+    every e_i/f_i is asserted rather than trusted."""
+    validate_points(datum, r)
+    codec, product = fold(datum, [fundamental_crystal(datum, i, c, m, limit).elements
+                                  for (i, c), m in r.points], limit)
     # raises if the product set is not closed
     return graph_over(datum, product, codec)
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from .cartan import RootDatum
 from .crystal import extend_strings
 from .monomial import LatticePoint, Monomial, mono_mul, one
-from .product import (PointMultiset, multiset, product_crystal, s_label,
-                      validate_points, weight_of_multiset, y_of_multiset)
+from .product import (PointMultiset, fold, fundamental_crystal, multiset,
+                      r_support, validate_points, weight_of_multiset,
+                      y_of_multiset)
 from .weightring import GroupAlgebraElement, demazure_pi, e as ga_e, pi_longest
 
 INF = None  # an infinite threshold: the column meets J nowhere
@@ -119,21 +120,22 @@ def boundary(datum: RootDatum, j: ThresholdSet) -> frozenset[LatticePoint]:
     return frozenset((i, j.threshold(i)) for i in datum.vertices)
 
 
-def truncate(datum: RootDatum, r: PointMultiset, j: ThresholdSet,
-             graph=None) -> tuple[Monomial, ...]:
-    """M(R, J) = the monomials of M(R) whose R-support lies in J."""
+def truncate(datum: RootDatum, r: PointMultiset,
+             j: ThresholdSet) -> tuple[Monomial, ...]:
+    """M(R, J): the monomials of M(R) whose R-support lies in J, in sort_key
+    order.  Any p = x_1 * ... * x_m over the fundamental factors has
+    S(p) = S(x_1) + ... + S(x_m), so p lies in M(R, J) iff every S(x_k)
+    lies in J: M(R, J) is the ``fold`` of the truncated factors, and M(R)
+    is never built."""
     validate_points(datum, r)
     validate_threshold_set(datum, j)
     if not j.contains_all(r.support()):
         raise ValueError("J must contain the support of R")
-    if graph is None:
-        graph = product_crystal(datum, r)
-    kept = []
-    for p in graph.elements:
-        s = s_label(datum, r, p)
-        if j.contains_all(s.support()):
-            kept.append(p)
-    return tuple(kept)
+    factors = [[x for x in fundamental_crystal(datum, i, c, m).elements
+                if j.contains_all(r_support(datum, multiset({(i, c): m}), x))]
+               for (i, c), m in r.points]
+    codec, keys = fold(datum, factors)
+    return tuple(sorted(Monomial(*codec.decode(key)) for key in keys))
 
 
 # -- build plans -----------------------------------------------------------

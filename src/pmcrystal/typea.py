@@ -120,8 +120,11 @@ def diagram_of_sequence(seq) -> frozenset[Box]:
 
 def check_diagram(boxes) -> frozenset[Box]:
     """The (row, col) boxes of a diagram, every row and column an integer
-    >= 1."""
-    boxes = frozenset((strict_int(r), strict_int(c)) for r, c in boxes)
+    >= 1 and no box listed twice."""
+    pairs = [(strict_int(r), strict_int(c)) for r, c in boxes]
+    boxes = frozenset(pairs)
+    if len(boxes) != len(pairs):
+        raise ValueError("a diagram lists each box once")
     if any(r < 1 or c < 1 for r, c in boxes):
         raise ValueError("diagram rows and columns start at 1")
     return boxes

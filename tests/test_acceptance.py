@@ -186,7 +186,7 @@ def test_criterion_8_lemma_property_suite():
             i = rng.choice(datum.vertices)
             extra.append((i, datum.parity[i] + 2 * rng.randint(-3, 1)))
         j = up_closure(datum, extra)
-        xs = truncate(datum, r, j, graph=graph)
+        xs = truncate(datum, r, j)
 
         # extension lemma at any admissible vertex
         for i in datum.vertices:
@@ -194,7 +194,7 @@ def test_criterion_8_lemma_property_suite():
             if all(j.threshold(v) <= k + 1 for v in datum.neighbours[i]):
                 j_ext = j.with_point(i, k)
                 validate_threshold_set(datum, j_ext)
-                assert set(truncate(datum, r, j_ext, graph=graph)) == \
+                assert set(truncate(datum, r, j_ext)) == \
                     set(extend_strings(datum, i, xs))
                 break
 

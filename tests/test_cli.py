@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,25 @@ def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
     assert "limit 5" in data["diagnostics"][0]
 
 
+def test_closed_stdout_exits_quietly(capsys):
+    # a reader that stops early (| head) once left a BrokenPipeError
+    # traceback on stderr
+    argv = ["graph", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,0,1],[4,0,1]]"]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out) > 4 << 16  # beyond any pipe buffer
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "pmcrystal.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err, err.decode()
+
+
 A3_R = "[[1,1,1]]"
 
 
@@ -193,6 +216,8 @@ A3_R = "[[1,1,1]]"
     ["schur", "--diagram", "[[0,1],[-1,1],[1,2]]"],
     ["schur", "--diagram", "[[1,0],[1,1]]"],
     ["schur", "--diagram", "[[0,1]]", "--format", "ascii"],
+    # a repeated box, once read as a 2-box column
+    ["schur", "--diagram", "[[1,1],[1,1],[2,1]]"],
 ])
 def test_malformed_integers_exit_2(capsys, argv):
     code = run(argv)
@@ -204,7 +229,7 @@ def test_malformed_integers_exit_2(capsys, argv):
 GL4_R = "[[1,3,1],[3,1,1],[3,3,1]]"
 
 
-@pytest.mark.parametrize("value", ["1.9", "true", "2.5"])
+@pytest.mark.parametrize("value", ["1.9", "true", "2.5", '"1"'])
 @pytest.mark.parametrize("argv", [
     ["decompose", "--cartan", "A", "--rank", "3", "--R", "[[1,1,{}]]"],
     ["stable", "--R", "[[1,1,{}]]"],
@@ -214,7 +239,8 @@ GL4_R = "[[1,3,1],[3,1,1],[3,3,1]]"
     ["schur", "--sequence", "[[{}]]"],
 ])
 def test_non_integers_exit_2(capsys, argv, value):
-    # int() would truncate the float or read the bool as 1, and exit 0
+    # int() would truncate the float, read the bool as 1 or parse the
+    # string, and exit 0
     code = run([arg.format(value) for arg in argv])
     data = json.loads(capsys.readouterr().out)
     assert code == 2 and data["status"] == "error"

@@ -412,5 +412,5 @@ def test_truncation_elements_are_the_primitives(a3):
     from pmcrystal.truncation import truncate, up_closure
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     g = product_crystal(a3, r)
-    trunc = truncate(a3, r, up_closure(a3, r.support()), graph=g)
+    trunc = truncate(a3, r, up_closure(a3, r.support()))
     assert set(highest_weights(g)) == set(trunc)

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmcrystal"
@@ -46,3 +47,24 @@ def test_no_unbounded_caches():
         assert any(_unbounded_cache(n) for n in ast.walk(ast.parse(text)))
     assert not any(_unbounded_cache(n) for n in
                    ast.walk(ast.parse("@lru_cache(maxsize=64)\ndef f(): pass")))
+
+
+def test_bench_tracer_hooks_resolve():
+    # bench/tracing.py wraps library functions by (module, name); one that
+    # a refactor renamed or moved would only fail when the bench installs
+    # the tracer
+    tree = ast.parse((SRC.parents[1] / "bench" / "tracing.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in ("MODULES", "SPANS", "COUNTS")}
+    modules = tables["MODULES"]
+    # attributes read straight off a module, as product.mono_mul
+    direct = {(node.value.id, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in modules}
+    hooks = {*tables["SPANS"], *tables["COUNTS"], *direct}
+    assert ("product", "mono_mul") in hooks and len(hooks) > 20
+    missing = [f"{module}.{name}" for module, name in sorted(hooks)
+               if not callable(getattr(importlib.import_module(f"pmcrystal.{module}"),
+                                       name, None))]
+    assert missing == []

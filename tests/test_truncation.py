@@ -7,7 +7,8 @@ from pmcrystal.crystal import (TensorElement, character_of_set, e_of,
                                extend_strings, graph_over,
                                highest_weight_monomial, string_property, wt_of)
 from pmcrystal.monomial import mono_div, mono_mul, one
-from pmcrystal.product import multiset, product_crystal, y_of_multiset
+from pmcrystal.product import (fundamental_crystal, multiset, product_crystal,
+                               r_support, y_of_multiset)
 from pmcrystal.truncation import (ThresholdSet, boundary, build_plan,
                                   char_by_plan, down_closure, full_character,
                                   replay_plan, truncate, truncation_character,
@@ -61,7 +62,62 @@ def test_truncate_everything(a2):
     r = multiset({(1, 1): 2})
     g = product_crystal(a2, r)
     j = ThresholdSet(tuple(t - 20 for t in up_closure(a2, r.support()).thresholds))
-    assert set(truncate(a2, r, j, graph=g)) == set(g.elements)
+    assert set(truncate(a2, r, j)) == set(g.elements)
+
+
+# (kind, rank, {(i, k): m}) for the point (i, parity(i) + 2k): overlapping
+# points, points of multiplicity 2, and far-apart points
+ORACLE_CASES = [
+    ("A", 3, {(1, 0): 1, (3, 0): 1}),
+    ("A", 3, {(2, 0): 2, (1, 1): 1}),
+    ("A", 3, {(1, 0): 1, (3, 20): 1}),
+    ("D", 4, {(1, 0): 1, (2, 0): 1}),
+    ("D", 4, {(3, 0): 2, (4, 0): 1}),
+    ("D", 4, {(1, 0): 1, (4, 15): 1}),
+    ("E6", 6, {(1, 0): 2}),
+    ("E6", 6, {(1, 0): 1, (1, 1): 1}),
+    ("E6", 6, {(1, 0): 1, (6, 10): 1}),
+    ("GL", 4, {(1, 0): 2, (2, 0): 1}),
+    ("GL", 4, {(1, 0): 1, (3, 0): 1, (2, 1): 1}),
+    ("GL", 4, {(1, 0): 1, (3, 12): 2}),
+]
+
+
+def test_truncate_is_the_filtered_product_crystal(monkeypatch):
+    # the definition: the elements of M(R) whose R-support lies in J, in
+    # element order; truncate labels only elements of the fundamental factors
+    from pmcrystal import product
+    labelled = []
+    real_s_label = product.s_label
+
+    def recording_s_label(datum, r, p):
+        labelled.append(p)
+        return real_s_label(datum, r, p)
+    monkeypatch.setattr(product, "s_label", recording_s_label)
+    rng = random.Random(21)
+    for kind, rank, levels in ORACLE_CASES:
+        datum = build_root_datum(kind, rank)
+        r = multiset({(i, datum.parity[i] + 2 * k): m for (i, k), m in levels.items()})
+        graph = product_crystal(datum, r)
+        factor_elements = [fundamental_crystal(datum, i, c, m).elements
+                           for (i, c), m in r.points]
+        # up(Supp R), then widened by one and by two lower points
+        js = [up_closure(datum, r.support())]
+        lowest = min(k for _, k in levels)
+        extra = list(r.support())
+        for _ in range(2):
+            i = rng.choice(datum.vertices)
+            extra.append((i, datum.parity[i] + 2 * (lowest - rng.randint(1, 5))))
+            js.append(up_closure(datum, extra))
+        for j in js:
+            expected = tuple(p for p in graph.elements
+                             if j.contains_all(r_support(datum, r, p)))
+            labelled.clear()
+            assert truncate(datum, r, j) == expected
+            assert len(labelled) == sum(map(len, factor_elements))
+            assert set(labelled) <= set().union(*factor_elements)
+        if len(r.points) > 1:
+            assert len(labelled) < len(graph.elements)
 
 
 def test_truncate_requires_containment(a2):
@@ -136,7 +192,6 @@ def test_extension_lemma_random():
         datum = build_root_datum(kind, rank)
         for _ in range(5):
             r = random_multiset(rng, datum, max_points=2, cap=400)
-            g = product_crystal(datum, r)
             j = _random_containing_up_set(rng, datum, r)
             # find a vertex whose threshold can drop by 2 keeping upward closure
             for i in datum.vertices:
@@ -144,8 +199,8 @@ def test_extension_lemma_random():
                 if all(j.threshold(v) <= k + 1 for v in datum.neighbours[i]):
                     j_bigger = j.with_point(i, k)
                     validate_threshold_set(datum, j_bigger)
-                    lhs = set(truncate(datum, r, j_bigger, graph=g))
-                    rhs = set(extend_strings(datum, i, truncate(datum, r, j, graph=g)))
+                    lhs = set(truncate(datum, r, j_bigger))
+                    rhs = set(extend_strings(datum, i, truncate(datum, r, j)))
                     assert lhs == rhs
                     break
 
@@ -173,7 +228,7 @@ def test_truncations_have_string_property_and_commute():
             r = random_multiset(rng, datum, max_points=2, cap=900)
             g = product_crystal(datum, r)
             j = _random_containing_up_set(rng, datum, r)
-            xs = truncate(datum, r, j, graph=g)
+            xs = truncate(datum, r, j)
             ok, witness = string_property(datum, xs, g)
             assert ok, witness
             for i in datum.vertices:
