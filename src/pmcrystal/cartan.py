@@ -21,6 +21,11 @@ Weight = tuple[int, ...]
 
 KINDS = ("A", "D", "E6", "E7", "E8", "GL")
 
+# the largest rank a RootDatum accepts: A/D/GL 32 build in well under a
+# second, 64 takes seconds and A128 most of a minute, so a larger rank is
+# refused at once rather than left to run without bound
+MAX_RANK = 32
+
 
 def w_add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b, strict=True))
@@ -88,6 +93,8 @@ class RootDatum:
             raise ValueError("type D needs rank >= 4")
         if kind in ("E6", "E7", "E8") and rank != int(kind[1]):
             raise ValueError(f"type {kind} has fixed rank {kind[1]}")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} exceeds the ceiling MAX_RANK = {MAX_RANK}")
 
         self.kind = kind
         self.rank = rank

@@ -5,16 +5,24 @@ Every command prints a JSON envelope {"status", "result", "diagnostics"}
 (or raw DOT/ASCII with --format) and exits 0.  Validation problems exit 2
 with a machine-readable diagnostic; an internal oracle disagreement exits 1;
 a crystal that grows past its element limit exits 3 with status
-"limit-exceeded".  When stdout closes before the output is written (as
-under ``| head``), the command stops without a traceback and exits 141, the
-code a shell gives a process that SIGPIPE ended.  All output orderings are
-deterministic, and every envelope, error envelopes included, has sorted
-keys.
+"limit-exceeded".  A rank above ``cartan.MAX_RANK`` (32) exits 2 too, as
+``RootDatum`` refuses it before building anything; ``schur`` and ``stable``
+build the datum of their GL rank before any other route runs.  When stdout
+closes before the output is written (as under ``| head``), the command
+stops without a traceback and exits 141, the code a shell gives a process
+that SIGPIPE ended.  All output orderings are deterministic, and every
+envelope, error envelopes included, has sorted keys.
+
+Envelopes are written by ``_dumps``, which gives the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` without that call's fallback
+to the pure-Python encoder: one walk writes the indentation and hands every
+string to the C ``encode_basestring_ascii``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,16 +258,91 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at
+    close to C-encoder speed.  Dict keys must be strings: any other key
+    raises TypeError (the CLI builds only string keys)."""
+    chunks = []
+    _walk(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _walk(obj, newline, write) -> None:
+    """Write ``obj`` indented two spaces a level below ``newline``.  Exact
+    ints and strings are written inline, so a leaf costs no call; any other
+    leaf (floats, int subclasses, unknown types) goes to the compact
+    ``json.dumps``, which writes it as the indenting encoder does or raises
+    the same TypeError."""
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            kind = type(value)
+            if kind is int:
+                write(sep + _encode_str(key) + ": " + _int_repr(value))
+            elif kind is str:
+                write(sep + _encode_str(key) + ": " + _encode_str(value))
+            else:
+                write(sep + _encode_str(key) + ": ")
+                _walk(value, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            kind = type(item)
+            if kind is int:
+                write(sep + _int_repr(item))
+            elif kind is str:
+                write(sep + _encode_str(item))
+            else:
+                write(sep)
+                _walk(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif type(obj) is int:
+        write(_int_repr(obj))
+    else:
+        write(json.dumps(obj))
+
+
 def _error(status: str, diagnostic: str, code: int) -> int:
-    print(json.dumps({"status": status, "result": None, "diagnostics": [diagnostic]},
-                     indent=2, sort_keys=True))
+    print(_dumps({"status": status, "result": None, "diagnostics": [diagnostic]}))
     return code
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  ``parse_args``
+    leaves it unchanged, so every call of ``run`` can share it."""
+    return make_parser()
+
+
 def run(argv) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
@@ -275,8 +358,7 @@ def run(argv) -> int:
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")
     else:
-        print(json.dumps({"status": "ok", "result": result, "diagnostics": []},
-                         indent=2, sort_keys=True))
+        print(_dumps({"status": "ok", "result": result, "diagnostics": []}))
     return 0
 
 

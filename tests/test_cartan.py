@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pmcrystal.cartan import build_root_datum, w_add, w_sub
+from pmcrystal.cartan import MAX_RANK, RootDatum, build_root_datum, w_add, w_sub
 from conftest import random_weight
 
 
@@ -29,10 +29,19 @@ def test_d4_shape(d4):
     assert {frozenset(v) for v in classes.values()} == {frozenset({2}), frozenset({1, 3, 4})}
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 0), ("D", 3), ("E6", 7), ("GL", 0), ("F", 4)])
+@pytest.mark.parametrize("kind,rank", [("A", 0), ("D", 3), ("E6", 7), ("GL", 0), ("F", 4),
+                                       ("A", 33), ("D", 33), ("GL", 33), ("A", 100000)])
 def test_invalid_data_rejected(kind, rank):
     with pytest.raises(ValueError):
         build_root_datum(kind, rank)
+
+
+def test_rank_ceiling_is_inclusive():
+    # the largest accepted rank still builds
+    datum = RootDatum("GL", MAX_RANK)
+    assert datum.rank == MAX_RANK and len(datum.vertices) == MAX_RANK - 1
+    with pytest.raises(ValueError, match="MAX_RANK"):
+        RootDatum("GL", MAX_RANK + 1)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 4), ("D", 5), ("E6", 6),

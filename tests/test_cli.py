@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import random
@@ -374,3 +375,119 @@ def test_cli_fuzz(capsys):
         assert (data["result"] is None) == (code != 0), argv
     assert codes.count(0) > 50 and codes.count(2) > 100
     assert time.perf_counter() - start < 10.0
+
+
+# -- the shared parser and the rank ceiling -----------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_parser_is_built_once(capsys):
+    # run shares one parser; a failed parse and --help between two runs of
+    # a golden case leave its output unchanged
+    from pmcrystal import cli
+    argv = ["decompose", "--cartan", "A", "--rank", "3", "--R", "[[1,3,1],[3,1,1],[3,3,1]]"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["decompose", "--cartan", "Q", "--R", "[]"]) == 2
+    assert run(["--help"]) == 0
+    assert "decompose" in capsys.readouterr().out
+    assert run(argv) == 0
+    second = capsys.readouterr().out
+    assert first == second
+    assert first.encode() == (GOLDEN / "decompose_a3.out").read_bytes()
+    assert cli._parser() is cli._parser()
+    assert cli.make_parser() is not cli.make_parser()
+
+
+CEILING_SCHUR_DIAGRAM = json.dumps([[r, 1] for r in range(1, 34)])  # GL rank 33
+
+
+@pytest.mark.parametrize("argv", [
+    *[[command, "--cartan", kind, "--rank", rank, "--R", "[[1,1,1]]"]
+      for command in ("decompose", "graph") for kind in ("A", "D", "GL")
+      for rank in ("33", "100000")],
+    ["decompose", "--cartan", "A", "--rank", "3", "--rank", "100000", "--R", "[[1,1,1]]"],
+    ["schur", "--sequence", "[[1]]", "--rank", "2000"],
+    ["schur", "--sequence", "[[1]]", "--rank", "33"],
+    ["schur", "--diagram", "[[1,1],[2,1],[2,2]]", "--rank", "300"],
+    ["schur", "--diagram", CEILING_SCHUR_DIAGRAM],
+    ["stable", "--R", "[[1,1,1],[1001,1,1]]", "--bound"],
+    ["stable", "--R", "[[1,1,1],[1001,1,1]]", "--coeffs"],
+])
+def test_rank_above_ceiling_exits_2_at_once(capsys, argv):
+    # these once built the root datum of the rank asked for, and ran for
+    # minutes or until the process was killed
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error" and data["result"] is None
+    assert "MAX_RANK" in data["diagnostics"][0]
+    assert elapsed < 1.0
+
+
+# -- the envelope emitter -----------------------------------------------------
+
+EMIT_CHARS = ['a', 'Z', '0', ' ', '"', '\\', '/', '\x00', '\x07', '\n', '\t', '\x1f',
+              '\x7f', 'é', 'ß', 'λ', ' ', '∞', '\ud800', '\U0001F600', '\U0001D11E']
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+def emit_string(rng):
+    return "".join(rng.choice(EMIT_CHARS) for _ in range(rng.randrange(6)))
+
+
+def emit_leaf(rng):
+    return rng.choice([
+        lambda: rng.choice([0, -1, 1, -rng.randrange(1 << 40), rng.randrange(1 << 40),
+                            (1 << 64) + rng.randrange(1 << 70), -(1 << 65) - 3]),
+        lambda: rng.choice([True, False, None, Colour.RED]),
+        lambda: rng.choice([0.0, -0.0, 1.5, -2.5e-300, 1e300, rng.random(),
+                            float("inf"), float("-inf"), float("nan")]),
+        lambda: emit_string(rng),
+    ])()
+
+
+def emit_value(rng, depth, spine=False):
+    """A random JSON-able value; ``spine`` forces a container chain
+    ``depth`` levels deep."""
+    if depth == 0 or (not spine and rng.random() < 0.3):
+        return emit_leaf(rng)
+    children = [emit_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if spine:
+        children.insert(rng.randrange(len(children) + 1), emit_value(rng, depth - 1, True))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {emit_string(rng): child for child in children}
+    return children if kind == 1 else tuple(children)
+
+
+def nesting(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(nesting, value), default=0)
+    return 0
+
+
+def test_emitter_matches_indented_json_dumps():
+    from pmcrystal.cli import _dumps
+    rng = random.Random(2019)
+    depths = []
+    for n in range(300):
+        value = emit_value(rng, 7, spine=n % 2 == 0)
+        envelope = {"status": emit_string(rng), "result": value, "diagnostics": []}
+        for obj in (envelope, value):
+            assert _dumps(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+        depths.append(nesting(value))
+    assert max(depths) >= 7 and min(depths) == 0
+    for empty in ({}, [], (), {"": {}}, [[], ()]):
+        assert _dumps(empty) == json.dumps(empty, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps({"a": [1, {2, 3}]})
+    with pytest.raises(TypeError):
+        _dumps({"a": {1: "b"}})

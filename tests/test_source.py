@@ -68,3 +68,26 @@ def test_bench_tracer_hooks_resolve():
                if not callable(getattr(importlib.import_module(f"pmcrystal.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def _indented_dumps(node) -> bool:
+    """A json.dump/json.dumps call given an indent keyword."""
+    return isinstance(node, ast.Call) \
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps") \
+        and any(k.arg == "indent" for k in node.keywords)
+
+
+def test_no_indented_json_dumps():
+    # json.dumps with indent takes the pure-Python encoder; envelopes go
+    # through cli._dumps instead
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _indented_dumps(node)]
+    assert found == []
+    # the check itself sees an indented call and passes a compact one
+    assert any(_indented_dumps(n) for n in
+               ast.walk(ast.parse("json.dumps(x, indent=2, sort_keys=True)")))
+    assert not any(_indented_dumps(n) for n in
+                   ast.walk(ast.parse("json.dumps(x, sort_keys=True)")))
