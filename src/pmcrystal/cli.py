@@ -2,16 +2,18 @@
 Schur modules and DOT graph export over JSON.
 
 Every command prints a JSON envelope {"status", "result", "diagnostics"}
-(or raw DOT/ASCII with --format) and exits 0.  Validation problems exit 2
-with a machine-readable diagnostic; an internal oracle disagreement exits 1;
-a crystal that grows past its element limit exits 3 with status
-"limit-exceeded".  A rank above ``cartan.MAX_RANK`` (32) exits 2 too, as
-``RootDatum`` refuses it before building anything; ``schur`` and ``stable``
-build the datum of their GL rank before any other route runs.  When stdout
-closes before the output is written (as under ``| head``), the command
-stops without a traceback and exits 141, the code a shell gives a process
-that SIGPIPE ended.  All output orderings are deterministic, and every
-envelope, error envelopes included, has sorted keys.
+and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
+--format ascii`` the diagram instead, and no other command takes --format.
+Validation problems exit 2 with a machine-readable diagnostic; an internal
+oracle disagreement exits 1; a crystal that grows past its element limit
+(``crystal.MAX_ELEMENTS``) exits 3 with status "limit-exceeded".  A rank
+above ``cartan.MAX_RANK`` (32) exits 2 too, as ``RootDatum`` refuses it
+before building anything; ``schur`` and ``stable`` build the datum of their
+GL rank before any other route runs.  When stdout closes before the output
+is written (as under ``| head``), the command stops without a traceback and
+exits 141, the code a shell gives a process that SIGPIPE ended.  All output
+orderings are deterministic, and every envelope, error envelopes included,
+has sorted keys.
 
 Envelopes are written by ``_dumps``, which gives the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's fallback
@@ -146,6 +148,8 @@ def cmd_schur(args):
     if (args.sequence is None) == (args.diagram is None):
         raise ValidationError("schur needs exactly one of --sequence/--diagram")
     if args.sequence is not None:
+        if args.format == "ascii":
+            raise ValidationError("--format ascii draws a --diagram, not a --sequence")
         try:
             seq = check_sequence(json.loads(args.sequence))
         except (ValueError, TypeError) as err:
@@ -184,6 +188,8 @@ def cmd_schur(args):
 
 
 def cmd_stable(args):
+    if args.restrict is not None and args.restrict < 0:
+        raise ValidationError(f"--restrict must be at least 0, not {args.restrict}")
     try:
         r = multiset_from_pairs(json.loads(args.R))
         datum = build_root_datum("GL", max(min_rank(r), 2))
@@ -207,11 +213,9 @@ def make_parser() -> argparse.ArgumentParser:
                     "generalised Schur modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_cartan=True):
-        if need_cartan:
-            p.add_argument("--cartan", default="A", choices=["A", "D", "E6", "E7", "E8", "GL"])
-            p.add_argument("--rank", type=int, default=2)
-        p.add_argument("--format", default="json", choices=["json", "dot", "ascii"])
+    def common(p):
+        p.add_argument("--cartan", default="A", choices=["A", "D", "E6", "E7", "E8", "GL"])
+        p.add_argument("--rank", type=int, default=2)
 
     p = sub.add_parser("decompose", help="decompose M(R) into irreducibles")
     common(p)
@@ -239,17 +243,17 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="emit the crystal graph of M(R)")
     common(p)
     p.add_argument("--R", required=True)
+    p.add_argument("--format", default="json", choices=["json", "dot"])
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("schur", help="Schur module of a sequence or diagram")
-    common(p, need_cartan=False)
     p.add_argument("--rank", type=int, default=0)
     p.add_argument("--sequence", help="JSON [[parts],...]")
     p.add_argument("--diagram", help="JSON [[row,col],...]")
+    p.add_argument("--format", default="json", choices=["json", "ascii"])
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("stable", help="stable coefficients of a multiset")
-    common(p, need_cartan=False)
     p.add_argument("--R", required=True)
     p.add_argument("--bound", action="store_true", help="report only the bound")
     p.add_argument("--coeffs", action="store_true")

@@ -2,12 +2,13 @@
 
 The closure engine works with any element supporting the five crystal
 queries (weight, eps_i, phi_i, e_i, f_i); here that means Monomials and
-TensorElements.  Graphs are built breadth-first with a sorted frontier so
-that element order, edge order and DOT output are reproducible run to run.
-``graph_over`` works on the packed form of a product crystal (see
-``monomial.MonomialCodec``) only when it is given that codec; any other
-set goes through the generic crystal queries.  Every graph records its
-highest-weight elements from the e_i computed while it was built.
+TensorElements.  ``closure`` builds every graph on such elements, breadth
+first, and sorts what it found once at the end, so that element order,
+edge order and DOT output are reproducible run to run.  ``graph_over`` is
+the other builder: one pass over the packed keys of a product crystal (see
+``monomial.MonomialCodec``), as ``product.fold`` makes them.  Every graph
+records its highest-weight elements from the e_i computed while it was
+built.  Both ``closure`` and ``product.fold`` stop at ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .weightring import GroupAlgebraElement
 
 
 class ClosureLimitError(RuntimeError):
-    """A closure or a product fold grew past its element limit."""
+    """A closure or a product fold grew past ``MAX_ELEMENTS``."""
+
+
+MAX_ELEMENTS = 10**6  # the element limit of every closure and product fold
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,12 @@ class CrystalGraph:
         return len(self.elements)
 
 
-DEFAULT_CEILING = 10**6
-
-
-def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGraph:
+def closure(datum: RootDatum, seeds) -> CrystalGraph:
     """Smallest subset containing ``seeds`` closed under every e_i and f_i,
-    together with its f-edges."""
+    together with its f-edges; ClosureLimitError past ``MAX_ELEMENTS``."""
+    limit = MAX_ELEMENTS
     seen = set(seeds)
-    frontier = sorted(seen, key=sort_key)
+    frontier = list(seen)
     edges = {}
     tops = set()
     while frontier:
@@ -121,7 +123,7 @@ def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGra
                 tops.add(x)
             if len(seen) > limit:
                 raise ClosureLimitError(f"closure exceeded limit {limit}")
-        frontier = sorted(nxt, key=sort_key)
+        frontier = nxt
     elements = tuple(sorted(seen, key=sort_key))
     # edges were only recorded for elements processed in the frontier; the
     # frontier eventually visits everything in `seen`, so this is complete
@@ -131,24 +133,12 @@ def closure(datum: RootDatum, seeds, limit: int = DEFAULT_CEILING) -> CrystalGra
                         tuple(x for x in elements if x in tops))
 
 
-def graph_over(datum: RootDatum, elements,
-               codec: MonomialCodec | None = None) -> CrystalGraph:
-    """The crystal graph on an already e/f-closed set of elements: Monomials
-    or formal tensors, or, when ``codec`` is given, that codec's keys of a
-    set of products (the packed form, used only then).
-
-    Every f_i(x) and e_i(x) is computed once and looked up in the set;
-    ValueError when one is missing.
-    """
-    if codec is None:
-        return _generic_graph(datum, set(elements))
-    return _packed_graph(datum, codec, elements)
-
-
-def _packed_graph(datum: RootDatum, codec: MonomialCodec, keys) -> CrystalGraph:
-    """graph_over on packed monomials: column i of a key is one shift and
+def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
+    """The crystal graph on an e/f-closed set of products, given as
+    ``codec``'s keys: one pass in which column i of a key is one shift and
     mask away, and f_i/e_i add a delta memoised per (i, column) for this
-    call."""
+    call.  Every f_i(x) and e_i(x) is computed once and looked up in the
+    set; ValueError when one is missing."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # sort_key order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: x for x, (_, _, key) in zip(elems, rows)}
@@ -175,29 +165,6 @@ def _packed_graph(datum: RootDatum, codec: MonomialCodec, keys) -> CrystalGraph:
             if eps:
                 top = False
                 if e_delta is None or key + e_delta not in index:
-                    raise ValueError("element set is not closed under e")
-        if top:
-            highest.append(x)
-    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
-
-
-def _generic_graph(datum: RootDatum, elements) -> CrystalGraph:
-    """graph_over on elements given through the generic crystal queries."""
-    elems = tuple(sorted(elements, key=sort_key))
-    edges = []
-    highest = []
-    for x in elems:
-        top = True
-        for i in datum.vertices:
-            down = f_of(datum, x, i)
-            if down is not None:
-                if down not in elements:
-                    raise ValueError("element set is not closed under f")
-                edges.append((x, i, down))
-            up = e_of(datum, x, i)
-            if up is not None:
-                top = False
-                if up not in elements:
                     raise ValueError("element set is not closed under e")
         if top:
             highest.append(x)
@@ -288,8 +255,7 @@ def demazure_crystal(datum: RootDatum, lam: Weight, word, baseline: int = 0) -> 
 def tensor_crystal(datum: RootDatum, a: CrystalGraph, b: CrystalGraph) -> CrystalGraph:
     """The tensor product crystal on pairs of elements of two closed
     graphs."""
-    elements = [TensorElement(x, y) for x in a.elements for y in b.elements]
-    return graph_over(datum, elements)
+    return closure(datum, [TensorElement(x, y) for x in a.elements for y in b.elements])
 
 
 def character_of_set(datum: RootDatum, xs) -> GroupAlgebraElement:

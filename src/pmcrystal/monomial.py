@@ -270,24 +270,28 @@ def _weight_invariant(datum: RootDatum, p: Monomial) -> Weight:
 
 
 class MonomialCodec:
-    """Packs the products of given crystal closures into integers (see the
-    module docstring for the layout and its invariants).
+    """Packs the products x_1 * ... * x_m, x_k from factors[k], into
+    integers (see the module docstring for the layout and its invariants).
 
-    ``points`` are the window, ``bound`` caps |exponent| of every monomial
-    encoded, and ``invariant`` is the weight invariant they all carry.
-    Decoded columns and weights are memoised on the codec, which is meant
-    to live for one computation.
+    Each factor is a nonempty crystal closure, so all its elements share one
+    invariant and every product carries their sum.  The window is the union
+    of the factors' supports, and the bound the sum over the factors of
+    their largest |exponent|.  Decoded columns and weights are memoised on
+    the codec, which is meant to live for one computation.
     """
 
-    def __init__(self, datum: RootDatum, points, bound: int, invariant: Weight):
+    def __init__(self, datum: RootDatum, factors):
         self.datum = datum
-        self.bound = bound
+        self.bound = bound = sum(
+            max((abs(ex) for p in f for _, ex in p.exponents), default=0) for f in factors)
         self.half = 1 << (bound + 1).bit_length()  # at least bound + 2
         self.width = width = (bound + 1).bit_length() + 1
         self.scale = datum.rank if datum.det is not None else 1
-        self.invariant = invariant
+        self.invariant = (0,) * datum.lattice_rank
+        for factor in factors:
+            self.invariant = w_add(self.invariant, _weight_invariant(datum, factor[0]))
         cs: dict[int, set[int]] = {}
-        for i, c in points:
+        for i, c in {pt for f in factors for p in f for pt, _ in p.exponents}:
             require_lattice_point(datum, i, c)
             cs.setdefault(i, set()).add(c)
         self.positions = [tuple(sorted(cs.get(i, ()))) for i in datum.vertices]
@@ -303,21 +307,6 @@ class MonomialCodec:
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[tuple, Weight] = {}
-
-    @classmethod
-    def for_products(cls, datum: RootDatum, factors) -> "MonomialCodec":
-        """The codec of the products x_1 * ... * x_m, x_k from factors[k].
-
-        Each factor is a nonempty crystal closure, so all its elements share
-        one invariant and every product carries their sum.
-        """
-        invariant = (0,) * datum.lattice_rank
-        for factor in factors:
-            invariant = w_add(invariant, _weight_invariant(datum, factor[0]))
-        return cls(datum, {pt for f in factors for p in f for pt, _ in p.exponents},
-                   sum(max((abs(ex) for p in f for _, ex in p.exponents), default=0)
-                       for f in factors),
-                   invariant)
 
     def offset(self, p: Monomial) -> int:
         """The exponents of p as a signed sum of digits (no bias):

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub
+from . import crystal
 from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
-                      highest_weights, DEFAULT_CEILING)
+                      highest_weights)
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
                        mono_mul, one, require_lattice_point, y_monomial,
                        z_exponents)
@@ -49,9 +50,6 @@ class PointMultiset:
 
     def support(self) -> tuple[LatticePoint, ...]:
         return tuple(pt for pt, _ in self.points)
-
-    def size(self) -> int:
-        return sum(m for _, m in self.points)
 
     def is_empty(self) -> bool:
         return not self.points
@@ -125,19 +123,18 @@ def y_of_multiset(datum: RootDatum, r: PointMultiset) -> Monomial:
     return p
 
 
-def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int,
-                        limit: int = DEFAULT_CEILING) -> CrystalGraph:
+def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
     """M(i,c)^n: the closure of the highest-weight monomial y_{i,c}^n."""
-    return closure(datum, [y_monomial(datum, i, c, n)], limit)
+    return closure(datum, [y_monomial(datum, i, c, n)])
 
 
-def fold(datum: RootDatum, factors,
-         limit: int = DEFAULT_CEILING) -> tuple[MonomialCodec, set[int]]:
+def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
     """The products x_1 * ... * x_m, x_k from factors[k], as codec keys:
     folded pairwise with deduplication (a product of monomials is a sum of
     keys).  The working set never shrinks, so ClosureLimitError is raised as
-    soon as it passes ``limit``."""
-    codec = MonomialCodec.for_products(datum, factors)
+    soon as it passes ``crystal.MAX_ELEMENTS``."""
+    limit = crystal.MAX_ELEMENTS
+    codec = MonomialCodec(datum, factors)
     product = {codec.zero}
     for factor in factors:
         offsets = [codec.offset(q) for q in factor]
@@ -150,13 +147,12 @@ def fold(datum: RootDatum, factors,
     return codec, product
 
 
-def product_crystal(datum: RootDatum, r: PointMultiset,
-                    limit: int = DEFAULT_CEILING) -> CrystalGraph:
+def product_crystal(datum: RootDatum, r: PointMultiset) -> CrystalGraph:
     """M(R): the ``fold`` of the fundamental subcrystals; its closure under
     every e_i/f_i is asserted rather than trusted."""
     validate_points(datum, r)
-    codec, product = fold(datum, [fundamental_crystal(datum, i, c, m, limit).elements
-                                  for (i, c), m in r.points], limit)
+    codec, product = fold(datum, [fundamental_crystal(datum, i, c, m).elements
+                                  for (i, c), m in r.points])
     # raises if the product set is not closed
     return graph_over(datum, product, codec)
 
@@ -210,8 +206,7 @@ def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[Latt
     return frozenset(r.support()) | frozenset(s.support())
 
 
-def decompose(datum: RootDatum, r: PointMultiset,
-              limit: int = DEFAULT_CEILING) -> dict[Weight, int]:
+def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:
     """Multiplicities of each B(lambda) inside M(R), computed two
     independent ways (highest-weight enumeration on the closed graph, and
     Weyl decomposition of the Demazure-stabilised truncation character).
@@ -219,7 +214,7 @@ def decompose(datum: RootDatum, r: PointMultiset,
     from . import truncation
     from .weightring import weyl_decompose
 
-    graph = product_crystal(datum, r, limit)
+    graph = product_crystal(datum, r)
     counts: dict[Weight, int] = {}
     for p in highest_weights(graph):
         counts[p.weight] = counts.get(p.weight, 0) + 1

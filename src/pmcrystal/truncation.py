@@ -142,7 +142,6 @@ def truncate(datum: RootDatum, r: PointMultiset,
 
 @dataclass(frozen=True)
 class BuildPlan:
-    datum_key: tuple
     start: ThresholdSet
     steps: tuple
 
@@ -175,7 +174,7 @@ def build_plan(datum: RootDatum, r: PointMultiset,
         if not j_target.contains_all(r.support()):
             raise ValueError("J_target must contain the support of R")
     if r.is_empty():
-        return BuildPlan((datum.kind, datum.rank), j_target, ())
+        return BuildPlan(j_target, ())
 
     down_r = down_closure(datum, r.support())
     start = []
@@ -203,7 +202,7 @@ def build_plan(datum: RootDatum, r: PointMultiset,
         m = r.multiplicity(i, k)
         if m:
             steps.append(("multiply", multiset({(i, k): m})))
-    return BuildPlan((datum.kind, datum.rank), start_j, tuple(steps))
+    return BuildPlan(start_j, tuple(steps))
 
 
 def replay_plan(datum: RootDatum, plan: BuildPlan) -> frozenset[Monomial]:

@@ -149,11 +149,11 @@ def is_column_convex(boxes) -> bool:
                for rs in diagram_columns(boxes).values())
 
 
-def row_relabellings(boxes, limit: int):
+def row_relabellings(boxes, max_rows: int):
     """Every map of the diagram's n rows onto 1..n, as dicts in
-    lexicographic order of the images, or None over ``limit`` rows."""
+    lexicographic order of the images, or None over ``max_rows`` rows."""
     rows = sorted(diagram_rows(boxes))
-    if len(rows) > limit:
+    if len(rows) > max_rows:
         return None
     return (dict(zip(rows, perm))
             for perm in itertools.permutations(range(1, len(rows) + 1)))
@@ -676,9 +676,13 @@ def stable_bound(rr: PointMultiset) -> int:
         return 1
     pts = rr.support()
     max_vertex = max(i for i, _ in pts)
-    span = max(c for _, c in pts) - min(c for _, c in pts)
+    # from column max_vertex on, theta_j - delta_j = 2j + min(c - i) + 2 -
+    # max(c + i) grows by 2 a column: solve for the last j with theta <= delta
+    last = (max(c + i for i, c in pts) - 2 - min(c - i for i, c in pts)) // 2
+    if last >= max_vertex:
+        return last + 1
     top = 1
-    for j in range(1, max_vertex + span + 3):
+    for j in range(1, max_vertex):
         theta = min(c + abs(i - j) for i, c in pts)
         delta = max(c - 2 - abs(i - j) for i, c in pts)
         if theta <= delta:

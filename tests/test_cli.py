@@ -115,6 +115,29 @@ def test_schur_diagram_ascii(capsys):
     assert out == "[][]\n[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "--R", "[[1,1,1]]", "--format", "ascii"],
+    ["decompose", "--R", "[[1,1,1]]", "--format", "dot"],
+    ["character", "--R", "[[1,1,1]]", "--format", "json"],
+    ["stable", "--R", "[[1,1,1]]", "--format", "json"],
+    ["schur", "--diagram", "[[1,1]]", "--format", "dot"],
+])
+def test_format_only_where_honoured(capsys, argv):
+    # --format belongs to graph (json, dot) and schur (json, ascii) alone
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--sequence", "[[1]]", "--format", "ascii"],
+    ["stable", "--R", "[[1,1,1]]", "--coeffs", "--restrict", "-1"],
+    ["stable", "--R", "[[1,1,1]]", "--bound", "--restrict", "-1"],
+])
+def test_options_that_would_do_nothing_exit_2(capsys, argv):
+    data = run_json(capsys, argv, expect_code=2)
+    assert data["status"] == "error" and data["diagnostics"]
+
+
 def test_stable_commands(capsys):
     data = run_json(capsys, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]", "--bound"])
     assert data["result"]["stable_bound"] == 6
@@ -162,13 +185,8 @@ def test_round_trip_schema(capsys):
 
 @pytest.mark.parametrize("command", ["decompose", "graph"])
 def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
-    from pmcrystal import cli, product
-    original = product.product_crystal
-
-    def small_limit(datum, r, limit=None):
-        return original(datum, r, limit=5)  # |M(R)| = 6 below
-    monkeypatch.setattr(product, "product_crystal", small_limit)
-    monkeypatch.setattr(cli, "product_crystal", small_limit)
+    from pmcrystal import crystal
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 5)  # |M(R)| = 6 below
     data = run_json(capsys, [command, "--cartan", "A", "--rank", "2",
                              "--R", "[[1,1,2]]"], expect_code=3)
     assert data["status"] == "limit-exceeded" and data["result"] is None

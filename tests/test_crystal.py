@@ -1,10 +1,11 @@
 import pytest
 
+from pmcrystal import crystal
 from pmcrystal.cartan import build_root_datum, w_add
-from pmcrystal.crystal import (ClosureLimitError, character_of_set,
+from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, character_of_set,
                                check_crystal_axioms, closure, demazure_crystal,
-                               extend_strings, f_of, graph_over, highest_weights,
-                               highest_weight_monomial, string_property,
+                               e_of, extend_strings, f_of, graph_over, highest_weights,
+                               highest_weight_monomial, sort_key, string_property,
                                tensor_crystal, to_dot, wt_of)
 from pmcrystal.monomial import (Monomial, MonomialCodec, make_monomial, mono_mul,
                                 one, y_monomial)
@@ -30,14 +31,15 @@ def test_closure_sl3_square(a2):
     assert len(g.f_edges) == 6
 
 
-def test_closure_trivial_and_limit(a2):
+def test_closure_trivial_and_limit(a2, monkeypatch):
     assert len(closure(a2, [one(a2)])) == 1
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
     with pytest.raises(ClosureLimitError):
-        closure(a2, [y_monomial(a2, 1, 1, 3)], limit=4)
+        closure(a2, [y_monomial(a2, 1, 1, 3)])
 
 
 def test_highest_weights_empty(a2):
-    assert highest_weights(graph_over(a2, [])) == ()
+    assert highest_weights(closure(a2, [])) == ()
 
 
 def test_graph_over_rejects_sets_not_closed(a2):
@@ -48,12 +50,10 @@ def test_graph_over_rejects_sets_not_closed(a2):
              (set(square.values()) - {square[(0, -2)]}, "f"),  # the lowest
              (set(square.values()) - {square[(2, 0)]}, "e")]   # the highest
     for elements, op in cases:
-        with pytest.raises(ValueError, match=f"not closed under {op}"):
-            graph_over(a2, elements)
         # the packed pass of product_crystal: in the first two cases the
         # missing neighbour lies outside the codec window, in the last two
         # inside it
-        codec = MonomialCodec.for_products(a2, [tuple(elements)])
+        codec = MonomialCodec(a2, [tuple(elements)])
         keys = {codec.zero + codec.offset(p) for p in elements}
         with pytest.raises(ValueError, match=f"not closed under {op}"):
             graph_over(a2, keys, codec)
@@ -65,11 +65,11 @@ def test_graph_over_keeps_weights_apart(a2, gl3):
     base = closure(gl3, [y_monomial(gl3, 1, 1)]).elements
     shifted = tuple(make_monomial(w_add(p.weight, gl3.det), dict(p.exponents))
                     for p in base)
-    g = graph_over(gl3, base + shifted)
+    g = closure(gl3, base + shifted)
     assert len(g) == 6 and len(g.f_edges) == 4
     assert set(highest_weights(g)) == {base[-1], shifted[-1]}
     odd = Monomial((1, 1), ())
-    assert graph_over(a2, [one(a2), odd]).highest == (one(a2), odd)
+    assert closure(a2, [one(a2), odd]).highest == (one(a2), odd)
 
 
 def test_extend_strings(a3):
@@ -82,7 +82,7 @@ def test_extend_strings(a3):
 
 
 def test_string_property(a2):
-    ambient = graph_over(a2, demazure_crystal(a2, (1, 1), a2.longest_word))
+    ambient = closure(a2, demazure_crystal(a2, (1, 1), a2.longest_word))
     assert len(ambient) == 8
     ok, witness = string_property(a2, ambient.elements, ambient)
     assert ok and witness is None
@@ -159,7 +159,7 @@ def test_dot_deterministic(a2):
 
 
 def test_dot_single_node(a2):
-    g = graph_over(a2, [one(a2)])
+    g = closure(a2, [one(a2)])
     text = to_dot(g)
     assert text.count("->") == 0 and text.count("[label=") == 1
 
@@ -190,3 +190,82 @@ def test_demazure_crystal_char_matches_word_on_random_words(a2):
 
 def test_character_of_singleton(a2):
     assert character_of_set(a2, [one(a2)]) == e(a2.zero)
+
+
+def ref_graph_over(datum, elements) -> CrystalGraph:
+    """The crystal graph on an e/f-closed set through the generic crystal
+    queries, one pass in sort_key order: the reference ``closure`` must
+    match on closed sets."""
+    elements = set(elements)
+    elems = tuple(sorted(elements, key=sort_key))
+    edges = []
+    highest = []
+    for x in elems:
+        top = True
+        for i in datum.vertices:
+            down = f_of(datum, x, i)
+            if down is not None:
+                if down not in elements:
+                    raise ValueError("element set is not closed under f")
+                edges.append((x, i, down))
+            up = e_of(datum, x, i)
+            if up is not None:
+                top = False
+                if up not in elements:
+                    raise ValueError("element set is not closed under e")
+        if top:
+            highest.append(x)
+    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
+
+
+def assert_same_graph(got, want):
+    assert got.elements == want.elements
+    assert got.f_edges == want.f_edges
+    assert got.highest == want.highest
+
+
+def test_closure_matches_reference_pass():
+    from pmcrystal.product import fundamental_crystal, multiset, product_crystal
+    cases = [("A", 3, {(1, 1): 1, (3, 1): 1, (2, 2): 1}),
+             ("D", 4, {(1, 0): 1, (2, 1): 1, (4, 2): 1}),
+             ("E6", 6, {(1, 0): 1, (6, 2): 1}),
+             ("GL", 4, {(1, 3): 1, (3, 1): 1, (3, 3): 1})]
+    for kind, rank, points in cases:
+        datum = build_root_datum(kind, rank)
+        # fundamental crystals, from their highest element and from all of it
+        for (i, c), m in points.items():
+            fund = fundamental_crystal(datum, i, c, m)
+            assert_same_graph(fund, ref_graph_over(datum, fund.elements))
+            assert_same_graph(closure(datum, reversed(fund.elements)), fund)
+        # the element set of a product crystal, and its packed pass
+        packed = product_crystal(datum, multiset(points))
+        ref = ref_graph_over(datum, packed.elements)
+        assert_same_graph(closure(datum, packed.elements), ref)
+        assert_same_graph(packed, ref)
+        # a tensor square of the first fundamental crystal
+        (i, c), m = next(iter(points.items()))
+        fund = fundamental_crystal(datum, i, c, m)
+        square = tensor_crystal(datum, fund, fund)
+        assert len(square) == len(fund) ** 2
+        assert_same_graph(square, ref_graph_over(datum, square.elements))
+
+
+def test_one_element_limit(capsys, monkeypatch, a2):
+    # one binding stops the closure, the product fold and the truncation
+    from pmcrystal import product
+    from pmcrystal.cli import run
+    from pmcrystal.product import multiset, product_crystal
+    from pmcrystal.truncation import truncate, up_closure
+    r = multiset({(1, 1): 1, (2, 0): 1})  # factors of 3 elements, |M(R)| = 8
+    j = up_closure(a2, [(1, -9), (2, -10)])  # M(R, J) = M(R)
+    assert len(product_crystal(a2, r)) == len(truncate(a2, r, j)) == 8
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
+    with pytest.raises(ClosureLimitError, match="closure exceeded limit 4"):
+        closure(a2, [y_monomial(a2, 1, 1, 2)])
+    with pytest.raises(ClosureLimitError, match="product crystal exceeded limit 4"):
+        product_crystal(a2, r)
+    with pytest.raises(ClosureLimitError, match="product crystal exceeded limit 4"):
+        truncate(a2, r, j)
+    assert not hasattr(product, "MAX_ELEMENTS")
+    assert run(["graph", "--R", "[[1,1,1],[2,0,1]]"]) == 3
+    assert '"limit-exceeded"' in capsys.readouterr().out

@@ -46,12 +46,15 @@ def test_product_closure_random():
             check_crystal_axioms(g)
 
 
-def test_product_crystal_fold_limit(a3):
+def test_product_crystal_fold_limit(a3, monkeypatch):
+    from pmcrystal import crystal
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     size = len(product_crystal(a3, r))
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", size - 1)
     with pytest.raises(ClosureLimitError):
-        product_crystal(a3, r, limit=size - 1)
-    assert len(product_crystal(a3, r, limit=size)) == size
+        product_crystal(a3, r)
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", size)
+    assert len(product_crystal(a3, r)) == size
 
 
 def assert_matches_naive_fold(datum, r):

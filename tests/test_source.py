@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmcrystal"
@@ -68,6 +69,52 @@ def test_bench_tracer_hooks_resolve():
                if not callable(getattr(importlib.import_module(f"pmcrystal.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def _library_calls(tree) -> list:
+    """(dotted name under pmcrystal, positional count, keyword names, line)
+    of every call made through ``pm.`` or ``self.pm.``."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        names, target = [], node.func
+        while isinstance(target, ast.Attribute):
+            names.insert(0, target.attr)
+            target = target.value
+        if isinstance(target, ast.Name) and target.id == "self" and names[:1] == ["pm"]:
+            names = names[1:]
+        elif not (isinstance(target, ast.Name) and target.id == "pm"):
+            continue
+        if names:
+            calls.append((".".join(names), len(node.args),
+                          tuple(k.arg for k in node.keywords), node.lineno))
+    return calls
+
+
+def test_bench_calls_bind():
+    # bench/worker.py calls the library directly; a removed or renamed
+    # parameter would only fail when the benchmark runs
+    tree = ast.parse((SRC.parents[1] / "bench" / "worker.py").read_text())
+    calls = _library_calls(tree)
+    assert len(calls) >= 5
+    assert any(name == "truncation.full_character" and "check" in keywords
+               for name, _, keywords, _ in calls)
+    unbound = []
+    for name, positional, keywords, line in calls:
+        module, _, attr = name.rpartition(".")
+        fn = getattr(importlib.import_module(f"pmcrystal.{module}".rstrip(".")), attr, None)
+        try:
+            inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except (TypeError, ValueError) as err:
+            unbound.append(f"worker.py:{line} {name}: {err}")
+    assert unbound == []
+    # the collector sees both spellings and skips other receivers
+    sample = _library_calls(ast.parse(
+        "pm.decompose(a, b)\nself.pm.truncation.full_character(d, r, check=True)\n"
+        "other.decompose(a)\nself.run(x)"))
+    assert [(n, p, k) for n, p, k, _ in sample] == [
+        ("decompose", 2, ()), ("truncation.full_character", 2, ("check",))]
 
 
 def _indented_dumps(node) -> bool:

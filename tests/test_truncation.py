@@ -4,8 +4,8 @@ import pytest
 
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import (TensorElement, character_of_set, e_of,
-                               extend_strings, graph_over,
-                               highest_weight_monomial, string_property, wt_of)
+                               extend_strings, highest_weight_monomial,
+                               string_property, wt_of)
 from pmcrystal.monomial import mono_div, mono_mul, one
 from pmcrystal.product import (fundamental_crystal, multiset, product_crystal,
                                r_support, y_of_multiset)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -389,6 +390,38 @@ def test_stable_bound_three_point_multiset():
 
 def test_stable_bound_singleton():
     assert stable_bound(multiset({(1, 1): 1})) == 1
+
+
+def ref_stable_bound(rr) -> int:
+    """stable_bound by walking every column up to max vertex + span + 2."""
+    if rr.is_empty():
+        return 1
+    pts = rr.support()
+    max_vertex = max(i for i, _ in pts)
+    span = max(c for _, c in pts) - min(c for _, c in pts)
+    top = 1
+    for j in range(1, max_vertex + span + 3):
+        theta = min(c + abs(i - j) for i, c in pts)
+        delta = max(c - 2 - abs(i - j) for i, c in pts)
+        if theta <= delta:
+            top = j + 1
+    return top
+
+
+def test_stable_bound_matches_column_walk():
+    rng = random.Random(41)
+    for _ in range(4000):
+        r = multiset({(rng.randint(1, 7), rng.randint(-12, 12)): 1
+                      for _ in range(rng.randint(1, 4))})
+        assert stable_bound(r) == ref_stable_bound(r), r
+    assert stable_bound(multiset({})) == ref_stable_bound(multiset({})) == 1
+
+
+def test_stable_bound_far_apart_points_at_once():
+    # the column walk took seconds here: its length grows with the gap
+    start = time.perf_counter()
+    assert stable_bound(multiset({(1, 1): 1, (1, 2000001): 1})) == 1000001
+    assert time.perf_counter() - start < 1.0
 
 
 def test_stable_coeffs_gl6_example():
