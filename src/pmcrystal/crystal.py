@@ -320,11 +320,11 @@ def element_label(x) -> str:
     return f"{element_label(x.left)} (x) {element_label(x.right)}"
 
 
-def to_dot(graph: CrystalGraph, name: str = "crystal") -> str:
+def to_dot(graph: CrystalGraph) -> str:
     """Deterministic DOT rendering: vertices in sorted order, edges
     labelled by their vertex index."""
     index = {x: k for k, x in enumerate(graph.elements)}
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph crystal {"]
     for x in graph.elements:
         lines.append(f'  n{index[x]} [label="{element_label(x)}"];')
     for x, i, y in graph.f_edges:

@@ -42,12 +42,6 @@ class PointMultiset:
 
     points: tuple[tuple[LatticePoint, int], ...]
 
-    def multiplicity(self, i: int, c: int) -> int:
-        for (pi, pc), m in self.points:
-            if (pi, pc) == (i, c):
-                return m
-        return 0
-
     def support(self) -> tuple[LatticePoint, ...]:
         return tuple(pt for pt, _ in self.points)
 
@@ -71,13 +65,6 @@ class PointMultiset:
 
     def to_json(self) -> list:
         return [[i, c, m] for (i, c), m in self.points]
-
-    def __str__(self):
-        if not self.points:
-            return "{}"
-        bits = [f"({i},{c})" + (f"^{m}" if m > 1 else "")
-                for (i, c), m in self.points]
-        return "{" + ", ".join(bits) + "}"
 
 
 def multiset(mult: dict[LatticePoint, int]) -> PointMultiset:

@@ -14,6 +14,10 @@ moves, each with a character-level counterpart:
 
 so folding the plan gives the truncation's character without enumerating
 any crystal, and pi_{w_o} of that is the character of all of M(R).
+
+A plan is stored as its window, one level range per column, and its steps
+are generated; the character fold skips every Extend that follows a
+W-invariant character (see ``char_by_plan``).
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ class ThresholdSet:
     def to_json(self) -> dict:
         return {"thresholds": {str(i + 1): t for i, t in enumerate(self.thresholds)
                                if t is not None}}
-
-    def __str__(self):
-        bits = [f"{i+1}:{'inf' if t is None else t}"
-                for i, t in enumerate(self.thresholds)]
-        return "J[" + ", ".join(bits) + "]"
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,39 @@ def truncate(datum: RootDatum, r: PointMultiset,
 
 @dataclass(frozen=True)
 class BuildPlan:
+    """A plan that builds M(R, J_target) from {1}, stored as its window:
+    J_0 = J_target minus down(Supp R), then (i, theta_i, delta_i) for each
+    column i meeting K = J_target meets down(Supp R) in theta_i, theta_i + 2,
+    ..., delta_i.  The walk adjoins K level by level from the top, columns
+    in vertex order, multiplying each point of R in right after its Extend.
+    Every point above a point of K has a higher level, so it lies in J_0 or
+    earlier in the walk: every prefix is upward-closed."""
+
     start: ThresholdSet
-    steps: tuple
+    window: tuple
+    r: PointMultiset
+
+    @property
+    def steps(self) -> tuple:
+        return tuple(self._walk(lambda: False))
+
+    def _walk(self, invariant):
+        """Yield the steps; when ``invariant()`` holds after a level, go on
+        at the next level below holding a point of R, or stop."""
+        if not self.window:
+            return
+        mult = dict(self.r.points)
+        level = max(delta for _, _, delta in self.window)
+        bottom = min(theta for _, theta, _ in self.window)
+        while level >= bottom:
+            for i, theta, delta in self.window:
+                if theta <= level <= delta and (delta - level) % 2 == 0:
+                    yield "extend", (i, level)
+                    if (i, level) in mult:
+                        yield "multiply", multiset({(i, level): mult[i, level]})
+            level -= 1
+            if invariant():
+                level = max((c for _, c in mult if c <= level), default=bottom - 1)
 
     def to_json(self) -> dict:
         steps = []
@@ -157,15 +187,9 @@ class BuildPlan:
 
 def build_plan(datum: RootDatum, r: PointMultiset,
                j_target: ThresholdSet | None = None) -> BuildPlan:
-    """A plan whose replay builds M(R, J_target) from {1}.
-
-    Start from J_0 = J_target minus down(Supp R) (upward-closed, disjoint
-    from every possible S-support level of interest); the finite window
-    K = J_target meets down(Supp R) is then adjoined point by point in
-    weakly decreasing level order, which keeps every prefix upward-closed,
-    and each R-point is multiplied in the moment it appears on the
-    boundary.
-    """
+    """The plan that builds M(R, J_target) from {1}, J_target defaulting to
+    up(Supp R).  R, J_target and J_0 are validated once; the walk keeps
+    every prefix upward-closed (see ``BuildPlan``)."""
     validate_points(datum, r)
     if j_target is None:
         j_target = up_closure(datum, r.support())
@@ -174,35 +198,23 @@ def build_plan(datum: RootDatum, r: PointMultiset,
         if not j_target.contains_all(r.support()):
             raise ValueError("J_target must contain the support of R")
     if r.is_empty():
-        return BuildPlan(j_target, ())
+        return BuildPlan(j_target, (), r)
 
     down_r = down_closure(datum, r.support())
-    start = []
-    window: list[LatticePoint] = []
+    start, window = [], []
     for i in datum.vertices:
         theta = j_target.threshold(i)
         delta = down_r.ceilings[i - 1]
         if theta is None:
             raise ValueError("J_target has an empty column over a nonempty R")
-        if delta is None or delta < theta:
+        if delta < theta:
             start.append(theta)
-            continue
-        # parity forces theta = delta mod 2 here
-        start.append(delta + 2)
-        window.extend((i, c) for c in range(delta, theta - 2, -2))
+        else:  # parity forces theta = delta mod 2 here
+            start.append(delta + 2)
+            window.append((i, theta, delta))
     start_j = ThresholdSet(tuple(start))
     validate_threshold_set(datum, start_j)
-
-    steps = []
-    cur = start_j
-    for (i, k) in sorted(window, key=lambda pt: (-pt[1], pt[0])):
-        cur = cur.with_point(i, k)
-        validate_threshold_set(datum, cur)  # prefix stays upward-closed
-        steps.append(("extend", (i, k)))
-        m = r.multiplicity(i, k)
-        if m:
-            steps.append(("multiply", multiset({(i, k): m})))
-    return BuildPlan(start_j, tuple(steps))
+    return BuildPlan(start_j, tuple(window), r)
 
 
 def replay_plan(datum: RootDatum, plan: BuildPlan) -> frozenset[Monomial]:
@@ -220,13 +232,26 @@ def replay_plan(datum: RootDatum, plan: BuildPlan) -> frozenset[Monomial]:
 
 def char_by_plan(datum: RootDatum, plan: BuildPlan) -> GroupAlgebraElement:
     """Fold the inductive character rules over a plan: start from 1, apply
-    pi_i for Extend(i, k), multiply by e^{wt Q} for Multiply(Q)."""
+    pi_i for Extend(i, k), multiply by e^{wt Q} for Multiply(Q).
+
+    pi_i f = f exactly when s_i f = f (Demazure 1974; Kumar, *Kac-Moody
+    Groups* section 8).  ``fixed`` holds the i with s_i ch = ch: pi_i
+    returned ch itself, or made it.  Once it holds every vertex, ch is
+    W-invariant and every Extend up to the next Multiply is the identity,
+    so the walk goes on at the next level holding a point of R.  A run of
+    full levels gets there within h + 2 of them (h the Coxeter number),
+    whatever the distance between the points of R."""
     ch = GroupAlgebraElement.unit(datum)
-    for kind, payload in plan.steps:
-        if kind == "extend":
-            ch = demazure_pi(datum, payload[0], ch)
-        else:
+    n = len(datum.vertices)
+    fixed: set[int] = set()
+    for kind, payload in plan._walk(lambda: len(fixed) == n):
+        if kind == "multiply":
             ch = ga_e(weight_of_multiset(datum, payload)) * ch
+            fixed = set()
+        elif len(fixed) < n:
+            out = demazure_pi(datum, payload[0], ch)
+            fixed = (fixed if out is ch else set()) | {payload[0]}
+            ch = out
     return ch
 
 

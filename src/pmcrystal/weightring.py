@@ -267,6 +267,8 @@ def _height_of_key(datum: RootDatum, n: int):
 
 
 def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
+    """pi_i f.  When s_i f = f, which is exactly when pi_i f = f, f itself is
+    returned: ``char_by_plan`` tests s_i-invariance by identity."""
     n = _check_length(datum, f)
     a = _alpha_key(datum, i)
     guard = _repunit(n) << (DIGIT_BITS - 1)

@@ -1,14 +1,18 @@
 import random
+import time
 
 import pytest
 
+from pmcrystal import truncation
 from pmcrystal.cartan import build_root_datum
+from pmcrystal.cli import run
 from pmcrystal.crystal import (TensorElement, character_of_set, e_of,
                                extend_strings, highest_weight_monomial,
                                string_property, wt_of)
 from pmcrystal.monomial import mono_div, mono_mul, one
-from pmcrystal.product import (fundamental_crystal, multiset, product_crystal,
-                               r_support, y_of_multiset)
+from pmcrystal.product import (decompose, fundamental_crystal, multiset,
+                               product_crystal, r_support, weight_of_multiset,
+                               y_of_multiset)
 from pmcrystal.truncation import (ThresholdSet, boundary, build_plan,
                                   char_by_plan, down_closure, full_character,
                                   replay_plan, truncate, truncation_character,
@@ -279,3 +283,164 @@ def test_tensor_embedding_lemma():
                     assert phi_up is None
                 else:
                     assert phi_up == image[up]
+
+
+# -- the plan walk against the listing it replaced ---------------------------
+
+def ref_plan_steps(datum, r, j_target=None):
+    """(start, steps) by listing every window point, sorting the list by
+    (-level, vertex) and checking that each prefix is upward-closed."""
+    if j_target is None:
+        j_target = up_closure(datum, r.support())
+    if r.is_empty():
+        return j_target, ()
+    down_r = down_closure(datum, r.support())
+    start, window = [], []
+    for i in datum.vertices:
+        theta, delta = j_target.threshold(i), down_r.ceilings[i - 1]
+        if delta < theta:
+            start.append(theta)
+        else:
+            start.append(delta + 2)
+            window.extend((i, c) for c in range(delta, theta - 2, -2))
+    start_j = cur = ThresholdSet(tuple(start))
+    validate_threshold_set(datum, start_j)
+    mult = dict(r.points)
+    steps = []
+    for (i, k) in sorted(window, key=lambda pt: (-pt[1], pt[0])):
+        cur = cur.with_point(i, k)
+        validate_threshold_set(datum, cur)
+        steps.append(("extend", (i, k)))
+        m = mult.get((i, k))
+        if m:
+            steps.append(("multiply", multiset({(i, k): m})))
+    return start_j, tuple(steps)
+
+
+def ref_plan_json(start, steps):
+    return {"start": start.to_json(),
+            "steps": [{"extend": list(p)} if kind == "extend"
+                      else {"multiply": p.to_json()} for kind, p in steps]}
+
+
+def ref_char_by_plan(datum, steps):
+    """The fold that applies every step."""
+    ch = GroupAlgebraElement.unit(datum)
+    for kind, payload in steps:
+        if kind == "extend":
+            ch = demazure_pi(datum, payload[0], ch)
+        else:
+            ch = e(weight_of_multiset(datum, payload)) * ch
+    return ch
+
+
+def _seeded_plan_cases(seed=22, per_datum=12, cap=20000):
+    """(datum, R, J) over A1, A3, D4, E6 and GL4: 1-3 points of
+    multiplicity 1-2, levels from overlapping to 10^3 apart, and J either
+    up(Supp R) or lowered below it."""
+    rng = random.Random(seed)
+    for kind, rank in [("A", 1), ("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]:
+        datum = build_root_datum(kind, rank)
+        drawn = 0
+        while drawn < per_datum:
+            pts = {}
+            for _ in range(1 + drawn % 3):
+                i = rng.choice(datum.vertices)
+                level = rng.choice([0, 1, 2, 3, 5, 500])
+                pts[(i, datum.parity[i] + 2 * level)] = rng.randint(1, 2)
+            bound = 1
+            for (i, _), m in pts.items():
+                bound *= datum.weyl_dimension(tuple(m * x for x in datum.fundamentals[i]))
+            if bound > cap:
+                continue
+            drawn += 1
+            r = multiset(pts)
+            j = (up_closure(datum, r.support()) if drawn % 2
+                 else _random_containing_up_set(rng, datum, r))
+            yield datum, r, j
+
+
+SEEDED_PLAN_CASES = list(_seeded_plan_cases())
+
+
+def test_seeded_cases_span_the_gaps():
+    spans = [max(c for _, c in r.support()) - min(c for _, c in r.support())
+             for _, r, _ in SEEDED_PLAN_CASES]
+    assert min(spans) == 0 and max(spans) >= 999
+    lowered = sum(j != up_closure(datum, r.support()) for datum, r, j in SEEDED_PLAN_CASES)
+    assert 0 < lowered < len(SEEDED_PLAN_CASES)
+
+
+@pytest.mark.parametrize("case", range(len(SEEDED_PLAN_CASES)))
+def test_plan_walk_matches_reference_listing(case):
+    datum, r, j = SEEDED_PLAN_CASES[case]
+    start, steps = ref_plan_steps(datum, r, j)
+    plan = build_plan(datum, r, j)
+    assert plan.start == start
+    assert plan.steps == steps
+    assert plan.to_json() == ref_plan_json(start, steps)
+    assert char_by_plan(datum, plan) == ref_char_by_plan(datum, steps)
+
+
+def _golden_plan_inputs():
+    a3, d4 = build_root_datum("A", 3), build_root_datum("D", 4)
+    return [(a3, multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1}), None),
+            (d4, multiset({(1, 0): 1, (1, 6): 1, (2, 5): 1}), None)]
+
+
+@pytest.mark.parametrize("case", range(len(SEEDED_PLAN_CASES) + 2))
+def test_every_plan_prefix_is_upward_closed(case):
+    # build_plan validates only the start set; the walk order is what keeps
+    # every prefix upward-closed, and this checks it step by step
+    datum, r, j = (_golden_plan_inputs() + SEEDED_PLAN_CASES)[case]
+    plan = build_plan(datum, r, j)
+    cur = plan.start
+    validate_threshold_set(datum, cur)
+    for kind, payload in plan.steps:
+        if kind == "extend":
+            cur = cur.with_point(*payload)
+            validate_threshold_set(datum, cur)
+    assert cur == (j or up_closure(datum, r.support()))
+
+
+# -- the character route does not pay for the distance between points ------
+
+def _far_apart(gap):
+    return multiset({(1, 1): 1, (1, 1 + gap): 1, (2, 0): 2})
+
+
+def test_far_apart_results_do_not_depend_on_gap(a3):
+    results = {(tuple(sorted(decompose(a3, _far_apart(gap)).items())),
+                full_character(a3, _far_apart(gap)))
+               for gap in (10**3, 10**6, 10**8)}
+    assert len(results) == 1
+
+
+def test_char_by_plan_calls_do_not_depend_on_gap(a3, monkeypatch):
+    calls = []
+    real_pi = truncation.demazure_pi
+
+    def counting_pi(datum, i, f):
+        calls.append(i)
+        return real_pi(datum, i, f)
+    monkeypatch.setattr(truncation, "demazure_pi", counting_pi)
+    counts = []
+    for gap in (10**6, 10**8):
+        calls.clear()
+        ch = char_by_plan(a3, build_plan(a3, _far_apart(gap)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert ch == ref_char_by_plan(a3, ref_plan_steps(a3, _far_apart(10**3))[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--cartan", "A", "--rank", "3", "--R", "[[1,1,1],[1,100000001,1],[2,0,2]]"],
+    ["character", "--cartan", "A", "--rank", "3", "--R", "[[1,1,1],[1,100000001,1],[2,0,2]]"],
+    ["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]",
+     "--truncation", '{"thresholds":{"1":-199999,"2":-200000}}'],
+])
+def test_far_apart_cli_runs_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    assert run(argv) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert '"status": "ok"' in capsys.readouterr().out

@@ -93,6 +93,17 @@ def test_pi_fixes_invariants(a2):
     assert demazure_pi(a2, 1, e(a2.zero)) == e(a2.zero)
 
 
+def test_pi_returns_its_input_exactly_when_it_is_fixed(a2):
+    # char_by_plan reads s_i-invariance off ``demazure_pi(...) is f``
+    rng = random.Random(23)
+    for _ in range(20):
+        f = random_element(rng, a2)
+        for i in a2.vertices:
+            g = demazure_pi(a2, i, f)
+            assert (g is f) == (g == f)
+            assert demazure_pi(a2, i, g) is g
+
+
 def test_pi_kills_pairing_minus_one(a2):
     # <a_1^v, w> = -1 at w = -w1 + w2  (fundamental coords (-1, 1))
     assert demazure_pi(a2, 1, e((-1, 1))).is_zero()
