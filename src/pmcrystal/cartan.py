@@ -27,6 +27,16 @@ KINDS = ("A", "D", "E6", "E7", "E8", "GL")
 MAX_RANK = 32
 
 
+class LimitExceeded(RuntimeError):
+    """A computation grew past one of the size limits of the library: at
+    ``stage`` the size ``reached`` passed ``limit``.  Each limit is a module
+    constant next to the code it stops."""
+
+    def __init__(self, stage: str, limit: int, reached: int, message: str | None = None):
+        super().__init__(message or f"{stage} exceeded limit {limit} (reached {reached})")
+        self.stage, self.limit, self.reached = stage, limit, reached
+
+
 def w_add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -73,13 +83,18 @@ class RootDatum:
     Instances are shared via the lru_cache on :func:`build_root_datum`,
     which keeps the 64 most recently used, but are not immutable.  Its one
     cache, ``_irr_cache``, is created empty by ``__init__`` and filled
-    lazily with irreducible characters, at most
-    ``weightring.IRR_CACHE_MAX_TERMS`` terms in all, oldest entries evicted
-    first.  It is not locked; an entry depends on its key alone and dict
-    gets and sets are atomic in CPython, so racing threads at worst compute
-    an entry twice or evict one more than needed.  The monomials
-    z_{i,k}^power live outside the datum, in the fixed-size lru_cache
-    ``monomial._z_monomial_cached``.
+    lazily with the dominant-multiplicity tables of irreducible
+    representations that the Weyl peel uses, at most
+    ``weightring.IRR_CACHE_MAX_TERMS`` entries in all, oldest tables
+    evicted first.  It is not locked; an entry depends on its key alone and
+    dict gets and sets are atomic in CPython, so racing threads at worst
+    compute an entry twice or evict one more than needed.  Two things live
+    outside the datum, in fixed-size lru_caches keyed by it or by plain
+    values: the peel's packed positive roots and its memo of dominant
+    representatives (``weightring._root_tables``, the memo cleared at
+    ``weightring.DOMINANT_MEMO_MAX`` entries, racing threads at worst
+    computing an entry twice), and the monomials z_{i,k}^power
+    (``monomial._z_monomial_cached``).
     """
 
     def __init__(self, kind: str, rank: int):

@@ -4,9 +4,14 @@ Schur modules and DOT graph export over JSON.
 Every command prints a JSON envelope {"status", "result", "diagnostics"}
 and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
 --format ascii`` the diagram instead, and no other command takes --format.
-Validation problems exit 2 with a machine-readable diagnostic; an internal
-oracle disagreement exits 1; a crystal that grows past its element limit
-(``crystal.MAX_ELEMENTS``) exits 3 with status "limit-exceeded".  A rank
+Validation problems exit 2 with a machine-readable diagnostic.  An internal
+oracle disagreement exits 1 with status "internal-inconsistency"; its
+diagnostics are the message and {"diff": {weight: [enumeration,
+character]}} for every weight where the two routes differ.  A computation
+that grows past one of the library's limits (``cartan.LimitExceeded``:
+``crystal.MAX_ELEMENTS``, ``weightring.MAX_TERMS``,
+``truncation.MAX_PLAN_STEPS``) exits 3 with status "limit-exceeded"; its
+diagnostics are the message and {"stage", "limit", "reached"}.  A rank
 above ``cartan.MAX_RANK`` (32) exits 2 too, as ``RootDatum`` refuses it
 before building anything; ``schur`` and ``stable`` build the datum of their
 GL rank before any other route runs.  When stdout closes before the output
@@ -29,8 +34,8 @@ import json
 import os
 import sys
 
-from .cartan import build_root_datum, weight_str
-from .crystal import ClosureLimitError, graph_to_json, to_dot
+from .cartan import LimitExceeded, build_root_datum, weight_str
+from .crystal import graph_to_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
                       strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
@@ -130,8 +135,9 @@ def cmd_plan(args):
     r = _parse_multiset(datum, args.R)
     j = _parse_truncation(datum, args.truncation) if args.truncation else None
     plan = build_plan(datum, r, j)
+    listed = plan.to_json()  # first: a plan past MAX_PLAN_STEPS stops before the fold
     ch = char_by_plan(datum, plan)
-    return {"plan": plan.to_json(),
+    return {"plan": listed,
             "character": {weight_str(w): c for w, c in ch.items()}}
 
 
@@ -332,8 +338,8 @@ def _walk(obj, newline, write) -> None:
         write(json.dumps(obj))
 
 
-def _error(status: str, diagnostic: str, code: int) -> int:
-    print(_dumps({"status": status, "result": None, "diagnostics": [diagnostic]}))
+def _error(status: str, code: int, *diagnostics) -> int:
+    print(_dumps({"status": status, "result": None, "diagnostics": list(diagnostics)}))
     return code
 
 
@@ -352,13 +358,15 @@ def run(argv) -> int:
     try:
         result = args.func(args)
     except ConsistencyError as err:
-        return _error("internal-inconsistency", str(err), 1)
-    except ClosureLimitError as err:
-        return _error("limit-exceeded", str(err), 3)
+        diff = {weight_str(w): list(pair) for w, pair in err.diff.items()}
+        return _error("internal-inconsistency", 1, str(err), {"diff": diff})
+    except LimitExceeded as err:
+        return _error("limit-exceeded", 3, str(err),
+                      {"stage": err.stage, "limit": err.limit, "reached": err.reached})
     except json.JSONDecodeError as err:
-        return _error("error", f"bad JSON: {err}", 2)
+        return _error("error", 2, f"bad JSON: {err}")
     except (ValueError, OverflowError) as err:  # ValidationError; int(1e400)
-        return _error("error", str(err), 2)
+        return _error("error", 2, str(err))
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")
     else:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootDatum, Weight, w_add
+from .cartan import LimitExceeded, RootDatum, Weight, w_add
 from .monomial import (Monomial, MonomialCodec, column_stats, e_op, f_op,
                        make_monomial)
 from .weightring import GroupAlgebraElement
 
 
-class ClosureLimitError(RuntimeError):
+class ClosureLimitError(LimitExceeded):
     """A closure or a product fold grew past ``MAX_ELEMENTS``."""
 
 
@@ -122,7 +122,8 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
             if top:
                 tops.add(x)
             if len(seen) > limit:
-                raise ClosureLimitError(f"closure exceeded limit {limit}")
+                raise ClosureLimitError("crystal.closure", limit, len(seen),
+                                        f"closure exceeded limit {limit}")
         frontier = nxt
     elements = tuple(sorted(seen, key=sort_key))
     # edges were only recorded for elements processed in the frontier; the

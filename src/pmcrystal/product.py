@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub
+from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
 from . import crystal
 from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
                       highest_weights)
@@ -32,7 +32,12 @@ class NotExpressibleError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
+    """Two independent computations of the same quantity disagree: ``diff``
+    maps every weight where they differ to the pair of values."""
+
+    def __init__(self, message: str, diff: dict):
+        super().__init__(message)
+        self.diff = diff
 
 
 @dataclass(frozen=True, order=True)
@@ -129,7 +134,8 @@ def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
         for p in product:
             folded.update([p + q for q in offsets])
             if len(folded) > limit:
-                raise ClosureLimitError(f"product crystal exceeded limit {limit}")
+                raise ClosureLimitError("product.fold", limit, len(folded),
+                                        f"product crystal exceeded limit {limit}")
         product = folded
     return codec, product
 
@@ -208,8 +214,11 @@ def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:
 
     by_character = weyl_decompose(datum, truncation.full_character(datum, r))
     if by_character != counts:
+        diff = {w: (counts.get(w, 0), by_character.get(w, 0))
+                for w in sorted(counts.keys() | by_character.keys())
+                if counts.get(w, 0) != by_character.get(w, 0)}
         raise ConsistencyError(
-            "decomposition routes disagree: "
-            f"highest-weight enumeration gave {counts}, "
-            f"character route gave {by_character}")
+            "decomposition routes disagree at "
+            + ", ".join(f"{weight_str(w)}: enumeration {a}, character {b}"
+                        for w, (a, b) in diff.items()), diff)
     return counts

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootDatum
+from .cartan import LimitExceeded, RootDatum
 from .crystal import extend_strings
 from .monomial import LatticePoint, Monomial, mono_mul, one
 from .product import (PointMultiset, fold, fundamental_crystal, multiset,
@@ -33,6 +33,10 @@ from .product import (PointMultiset, fold, fundamental_crystal, multiset,
 from .weightring import GroupAlgebraElement, demazure_pi, e as ga_e, pi_longest
 
 INF = None  # an infinite threshold: the column meets J nowhere
+
+# The most steps a plan may list (``BuildPlan.steps``, ``to_json``); the
+# character fold walks its plan lazily and is not bound by it.
+MAX_PLAN_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,20 @@ class BuildPlan:
     window: tuple
     r: PointMultiset
 
+    def step_count(self) -> int:
+        """The number of steps, from the window: one Extend per level of
+        each column range, one Multiply per point of R."""
+        if not self.window:
+            return 0
+        return (sum((delta - theta) // 2 + 1 for _, theta, delta in self.window)
+                + len(self.r.points))
+
     @property
     def steps(self) -> tuple:
+        """Every step, listed; LimitExceeded past MAX_PLAN_STEPS."""
+        count = self.step_count()
+        if count > MAX_PLAN_STEPS:
+            raise LimitExceeded("truncation.plan_steps", MAX_PLAN_STEPS, count)
         return tuple(self._walk(lambda: False))
 
     def _walk(self, invariant):

@@ -15,7 +15,15 @@ image on e^w (w dominant) is the irreducible character ch V(w).
 Decomposition routines peel characters triangularly by height, which grows
 along the positive-root order: ``weyl_decompose`` peels a dominant term of
 greatest height, ``key_decompose`` a term of least height (Demazure
-characters have lowest term e^mu with coefficient one).
+characters have lowest term e^mu with coefficient one).  A W-invariant
+element is fixed by its dominant terms, so ``weyl_decompose`` checks
+W-invariance once and then peels on dominant keys alone, subtracting the
+dominant multiplicities of V(mu) that Freudenthal's formula gives
+(``dominant_multiplicities``); the Demazure-built ch V(mu)
+(``irreducible_character``) stays as the independent oracle.
+
+Limits.  A Demazure operator or a product that builds more than
+MAX_TERMS terms raises ``cartan.LimitExceeded``.
 
 Packed weights.  Inside this module a weight (w_1, ..., w_n) is the integer
 
@@ -57,24 +65,44 @@ that window and is checked where it could leave the legal range:
   the limit; they then raise ``ValueError`` instead of wrapping.
 - a product of legal keys has coordinates in [-2 BIAS, 2 BIAS); every key
   formed is tested before terms cancel.
-- the W-invariance test of ``pi_longest`` only looks keys up: a reflected
-  key with an illegal coordinate is never a stored key.
-- a peel subtracts ch V(mu) or ch D(mu), whose keys were built and tested
+- the W-invariance tests of ``pi_longest`` and ``weyl_decompose`` only
+  look keys up: a reflected key with an illegal coordinate is never a
+  stored key.
+- ``key_decompose`` subtracts ch D(mu), whose keys were built and tested
   by pi_i strings, from an element with legal keys.
+- the dominant weights of V(mu) step down from mu by positive roots, whose
+  coordinates are at most 2 in size, and each is tested.  Freudenthal's
+  strings step up by one root from a weight of V(mu), and the walk to the
+  dominant chamber reflects one wall at a time, each move within the
+  window; every key on the way is tested.  In a peel of a W-invariant
+  element with legal keys all of these stay legal but for weights within
+  2 of the edge of the range: the weights of V(mu) lie in conv(W mu), and
+  the orbit W mu is legal.
 """
 
 from __future__ import annotations
 
-from .cartan import RootDatum, Weight, add_into, weight_str
+from functools import lru_cache
+from itertools import repeat
+from operator import eq, mul, sub
+
+from .cartan import LimitExceeded, RootDatum, Weight, add_into, weight_str
 
 DIGIT_BITS = 32
 BIAS = 1 << (DIGIT_BITS - 2)
 _MASK = (1 << DIGIT_BITS) - 1
 
-# Bound on the terms held by one datum's irreducible-character cache; the
-# oldest entries are evicted first.  The benchmark's character workload
-# holds at most about 1.2e5 terms at once.
+# Bound on the entries held by one datum's cache of dominant-multiplicity
+# tables; the oldest tables are evicted first.
 IRR_CACHE_MAX_TERMS = 500_000
+# The most terms a Demazure operator or a product may build.  The
+# benchmark's largest character has 3,317 terms; pi_{w_o} on E8 from
+# e^(2 w_1 + w_8) reaches 228k terms after about 3.5 s and 523k after 8 s
+# (raw seconds, one core of a 2-core Xeon).
+MAX_TERMS = 200_000
+# Bound on one datum's memo of dominant representatives; a full memo is
+# cleared.
+DOMINANT_MEMO_MAX = 100_000
 
 
 def _repunit(n: int) -> int:
@@ -193,6 +221,8 @@ class GroupAlgebraElement:
             for w, b in other._keys.items():
                 k = w + delta
                 out[k] = get(k, 0) + a * b
+            if len(out) > MAX_TERMS:
+                raise LimitExceeded("weightring.multiply", MAX_TERMS, len(out))
         if any(k & guard for k in out):
             raise _overflow(n)
         return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
@@ -248,8 +278,18 @@ def _pairings(datum: RootDatum, i: int, keys, n: int) -> list[int]:
 def _reflection_fixes(keys: dict[int, int], a: int, pairings: list[int]) -> bool:
     """Whether s_i fixes the element with these keys, given A(i) and the
     pairings <a_i^vee, w> of its keys."""
-    get = keys.get
-    return all(get(k - m * a) == c for (k, c), m in zip(keys.items(), pairings))
+    # s_i w = w - <a_i^vee, w> a_i, compared term by term in C-level maps
+    reflected = map(sub, keys, map(mul, pairings, repeat(a)))
+    return all(map(eq, map(keys.get, reflected), keys.values()))
+
+
+def _moving_vertex(datum: RootDatum, keys: dict[int, int], n: int) -> int | None:
+    """A vertex i with s_i moving the element with these keys, or None when
+    the element is W-invariant."""
+    for i in datum.vertices:
+        if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
+            return i
+    return None
 
 
 def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
@@ -287,12 +327,16 @@ def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebr
                 raise _overflow(n)
             for s in range(k, end - a, -a):
                 out[s] = get(s, 0) + c
+            if len(out) > MAX_TERMS:
+                raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, len(out))
         elif m <= -2:
             end = k - (m + 1) * a
             if end & guard:
                 raise _overflow(n)
             for s in range(k + a, end + a, a):
                 out[s] = get(s, 0) - c
+            if len(out) > MAX_TERMS:
+                raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, len(out))
     return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
 
 
@@ -307,39 +351,169 @@ def apply_word(datum: RootDatum, word, f: GroupAlgebraElement) -> GroupAlgebraEl
 def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> GroupAlgebraElement:
     """Apply pi_{w_o}; optionally assert the result is Weyl-invariant."""
     out = apply_word(datum, datum.longest_word, f)
-    if check:
-        n, keys = datum.lattice_rank, out._keys
-        for i in datum.vertices:
-            if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
-                raise AssertionError("pi_{w_o} image is not Weyl-invariant")
+    if check and _moving_vertex(datum, out._keys, datum.lattice_rank) is not None:
+        raise AssertionError("pi_{w_o} image is not Weyl-invariant")
     return out
 
 
 def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
     """ch V(w) for dominant w, via the Demazure character formula at w_o.
-
-    Remembered in ``datum._irr_cache``, which holds at most
-    IRR_CACHE_MAX_TERMS terms and evicts its oldest entries first."""
+    Not cached: the Weyl peel reads only the dominant multiplicities
+    (``dominant_multiplicities``), and this stays its independent oracle."""
     w = tuple(w)
     if not datum.is_dominant(w):
         raise ValueError(f"{w} is not dominant")
+    out = apply_word(datum, datum.longest_word, e(w))
+    if out.coefficient(w) != 1:
+        raise AssertionError(f"ch V{weight_str(w)} has no simple top term")
+    return out
+
+
+@lru_cache(maxsize=64)
+def _root_tables(datum: RootDatum):
+    """Per datum, built on first use: for every positive root alpha its
+    packed delta, its simple-root coordinates and its pairings
+    (<a_j^vee, alpha>)_j; the shift and packed delta A(i) of every vertex;
+    and the memo of ``_dominant_key``."""
+    n = datum.lattice_rank
+    roots = []
+    for coords, root in datum.positive_roots:
+        delta = 0
+        for x in root:
+            delta = (delta << DIGIT_BITS) + x
+        roots.append((delta, coords, tuple(datum.pairing(j, root) for j in datum.vertices)))
+    walls = tuple((DIGIT_BITS * (n - i), _alpha_key(datum, i)) for i in datum.vertices)
+    return tuple(roots), walls, {}
+
+
+def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> int:
+    """The dominant weight in the W-orbit of a key whose true digits lie in
+    the guard window (see the module docstring); ValueError when a weight on
+    the way has an illegal coordinate.  Reflects at any wall with a negative
+    pairing; each step raises the weight in the positive-root order."""
+    if key & guard:
+        raise _overflow(n)
+    gl = datum.kind == "GL"
+    moved = True
+    while moved:
+        moved = False
+        for sh, a in walls:
+            m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
+            if m < 0:
+                key -= m * a
+                if key & guard:
+                    raise _overflow(n)
+                moved = True
+    return key
+
+
+def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
+    """The dominant multiplicities of V(lam) on packed keys, or None when
+    V(lam) has more than ``cap`` dominant weights.
+
+    The dominant weights mu of V(lam) are the dominant mu <= lam, reached
+    from lam by subtracting positive roots without leaving the dominant
+    chamber (Stembridge 1998); each carries the simple-root coordinates c
+    of lam - mu.  With (alpha, alpha) = 2 for every root, Freudenthal's
+    formula (Humphreys section 22.3) reads, in integers,
+
+        (lam - mu, lam + mu + 2 rho) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} (mu + k alpha, alpha) m(dom(mu + k alpha)),
+
+    where (lam - mu, nu) = sum_j c_j <a_j^vee, nu> and
+    (nu, alpha) = sum_j alpha_j <a_j^vee, nu>, for A/D/E and GL alike.  The
+    weights mu + k alpha of V(lam) form an interval in k, so each string
+    stops at the first zero.  dom(nu) lies strictly above mu in the
+    positive-root order, so taking mu by increasing height of lam - mu
+    finds every m(dom(nu)) already known."""
+    n = datum.lattice_rank
+    roots, walls, memo = _root_tables(datum)
+    guard = _repunit(n) << (DIGIT_BITS - 1)
+    top = _encode(lam)
+    p_lam = tuple(datum.pairing(j, lam) for j in datum.vertices)
+    found = {top: ((0,) * len(walls), p_lam)}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            c, p = found[key]
+            for delta, a, pa in roots:
+                q = tuple(x - y for x, y in zip(p, pa))
+                if min(q) < 0 or key - delta in found:
+                    continue
+                if (key - delta) & guard:
+                    raise _overflow(n)
+                found[key - delta] = (tuple(x + y for x, y in zip(c, a)), q)
+                nxt.append(key - delta)
+                if len(found) > cap:
+                    return None
+        frontier = nxt
+    order = sorted(found, key=lambda k: sum(found[k][0]))
+    mult = {top: 1}
+    get, memo_get = mult.get, memo.get
+    for key in order[1:]:
+        c, p = found[key]
+        total = 0
+        for delta, a, _ in roots:
+            t = 2 + sum(x * y for x, y in zip(a, p))   # (mu + alpha, alpha)
+            nu = key + delta
+            while True:
+                d = memo_get(nu)
+                if d is None:
+                    if len(memo) >= DOMINANT_MEMO_MAX:
+                        memo.clear()
+                    d = memo[nu] = _dominant_key(datum, nu, n, walls, guard)
+                m = get(d)
+                if not m:
+                    break
+                total += t * m
+                t += 2
+                nu += delta
+        norm = sum(x * (y + z + 2) for x, y, z in zip(c, p_lam, p))
+        m, rest = divmod(2 * total, norm)
+        if rest or m <= 0:
+            raise AssertionError(
+                f"Freudenthal's formula gives {2 * total}/{norm} at "
+                f"{_decode(key, n)} in V{weight_str(lam)}")
+        mult[key] = m
+    return mult
+
+
+def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
+    """``_freudenthal`` remembered in ``datum._irr_cache``, which holds at
+    most IRR_CACHE_MAX_TERMS entries in all and evicts its oldest tables
+    first; None, and nothing remembered, past ``cap`` dominant weights."""
     cache = datum._irr_cache
-    cached = cache.get(w)
-    if cached is None:
-        cached = apply_word(datum, datum.longest_word, e(w))
-        if cached.coefficient(w) != 1:
-            raise AssertionError(f"ch V{weight_str(w)} has no simple top term")
-        cache[w] = cached
+    table = cache.get(lam)
+    if table is None:
+        table = _freudenthal(datum, lam, cap)
+        if table is None:
+            return None
+        cache[lam] = table
         # list() snapshots the dict in one step, so racing threads see no
         # change of size during iteration
-        held = sum(len(ch._keys) for ch in list(cache.values()))
+        held = sum(map(len, list(cache.values())))
         for old in list(cache):
             if held <= IRR_CACHE_MAX_TERMS:
                 break
             gone = cache.pop(old, None)
             if gone is not None:
-                held -= len(gone._keys)
-    return cached
+                held -= len(gone)
+    return table
+
+
+def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
+    """The dominant part of ch V(w), w dominant: mu -> dim V(w)_mu for
+    every dominant weight mu of V(w), by Freudenthal's formula.
+    LimitExceeded past MAX_TERMS dominant weights."""
+    w = tuple(w)
+    if len(w) != datum.lattice_rank or not datum.is_dominant(w):
+        raise ValueError(f"{w} is not a dominant weight of {datum!r}")
+    table = _dominant_table(datum, w, MAX_TERMS)
+    if table is None:
+        raise LimitExceeded("weightring.dominant_multiplicities", MAX_TERMS, MAX_TERMS + 1)
+    n = datum.lattice_rank
+    return {_decode(k, n): c for k, c in table.items()}
 
 
 def demazure_character(datum: RootDatum, mu: Weight) -> GroupAlgebraElement:
@@ -358,36 +532,38 @@ class DecompositionError(ValueError):
 
 
 def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]:
-    """Write f as a sum of irreducible characters.
+    """Write a W-invariant f as a sum of irreducible characters.
 
-    Repeatedly subtracts c * ch V(mu) at a dominant term mu of greatest
+    A W-invariant element is fixed by its dominant terms, so only those are
+    peeled: repeatedly subtract c * m_mu, the dominant multiplicities of
+    V(mu) (``dominant_multiplicities``), at a dominant term mu of greatest
     height, hence maximal in the positive-root order.
-    Raises DecompositionError when f is not a nonnegative integral
-    combination.
+    Raises DecompositionError when f is not W-invariant or not a
+    nonnegative integral combination.
     """
     n = _check_length(datum, f)
+    keys = f._keys
+    i = _moving_vertex(datum, keys, n)
+    if i is not None:
+        raise DecompositionError(f"not Weyl-invariant: s_{i} moves it")
     height = _height_of_key(datum, n)
-    rem = dict(f._keys)
-    dominant = set(_dominant_keys(datum, rem, n))
+    rem = {k: keys[k] for k in _dominant_keys(datum, keys, n)}
+    # every dominant weight of a summand is a dominant term of f
+    cap = len(rem)
     out: dict[Weight, int] = {}
     while rem:
-        if not dominant:
-            raise DecompositionError(
-                "not a nonnegative integral combination: residue "
-                f"{GroupAlgebraElement._of(rem, n)!r}")
-        top = max(dominant, key=lambda k: (height(k), k))
+        top = max(rem, key=lambda k: (height(k), k))
         mu, c = _decode(top, n), rem[top]
         if c < 0:
             raise DecompositionError(
                 f"not a nonnegative integral combination: coefficient {c} at {mu}")
-        ch = irreducible_character(datum, mu)
-        add_into(rem, -c, ch._keys)
-        for k in _dominant_keys(datum, ch._keys, n):
-            if k in rem:
-                dominant.add(k)
-            else:
-                dominant.discard(k)
-        out[mu] = out.get(mu, 0) + c
+        table = _dominant_table(datum, mu, cap)
+        if table is None:
+            raise DecompositionError(
+                f"not a nonnegative integral combination: V{weight_str(mu)} has "
+                f"more dominant weights than the {cap} dominant terms")
+        add_into(rem, -c, table)
+        out[mu] = c
     return out
 
 

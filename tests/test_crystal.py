@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pmcrystal import crystal
@@ -269,3 +271,23 @@ def test_one_element_limit(capsys, monkeypatch, a2):
     assert not hasattr(product, "MAX_ELEMENTS")
     assert run(["graph", "--R", "[[1,1,1],[2,0,1]]"]) == 3
     assert '"limit-exceeded"' in capsys.readouterr().out
+
+
+def test_closure_limit_is_a_limit_exceeded(a2, capsys, monkeypatch):
+    from pmcrystal import crystal
+    from pmcrystal.cartan import LimitExceeded
+    from pmcrystal.cli import run
+    from pmcrystal.product import multiset, product_crystal
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
+    with pytest.raises(LimitExceeded) as err:
+        closure(a2, [y_monomial(a2, 1, 1, 2)])
+    assert isinstance(err.value, ClosureLimitError)
+    assert (err.value.stage, err.value.limit) == ("crystal.closure", 4)
+    assert err.value.reached > 4
+    with pytest.raises(LimitExceeded) as err:
+        product_crystal(a2, multiset({(1, 1): 1, (2, 0): 1}))
+    assert (err.value.stage, err.value.limit, err.value.reached) == ("product.fold", 4, 6)
+    assert run(["graph", "--R", "[[1,1,1],[2,0,1]]"]) == 3
+    message, detail = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert message == "product crystal exceeded limit 4"
+    assert detail == {"stage": "product.fold", "limit": 4, "reached": 6}

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -417,3 +418,28 @@ def test_truncation_elements_are_the_primitives(a3):
     g = product_crystal(a3, r)
     trunc = truncate(a3, r, up_closure(a3, r.support()))
     assert set(highest_weights(g)) == set(trunc)
+
+
+def test_route_disagreement_carries_the_diff(a3, capsys, monkeypatch):
+    from pmcrystal import weightring
+    from pmcrystal.cli import run
+    from pmcrystal.product import ConsistencyError
+    real = weightring.weyl_decompose
+
+    def skewed(datum, f):
+        dec = real(datum, f)
+        dec[(1, 0, 2)] += 1
+        dec[(0, 0, 0)] = 2
+        return dec
+    monkeypatch.setattr(weightring, "weyl_decompose", skewed)
+    r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
+    with pytest.raises(ConsistencyError) as err:
+        decompose(a3, r)
+    assert err.value.diff == {(0, 0, 0): (0, 2), (1, 0, 2): (1, 2)}
+    assert run(["decompose", "--cartan", "A", "--rank", "3",
+                "--R", "[[1,3,1],[3,1,1],[3,3,1]]"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "internal-inconsistency" and data["result"] is None
+    message, detail = data["diagnostics"]
+    assert "(1,0,2): enumeration 1, character 2" in message
+    assert detail == {"diff": {"(0,0,0)": [0, 2], "(1,0,2)": [1, 2]}}

@@ -1,10 +1,11 @@
+import json
 import random
 import time
 
 import pytest
 
 from pmcrystal import truncation
-from pmcrystal.cartan import build_root_datum
+from pmcrystal.cartan import LimitExceeded, build_root_datum
 from pmcrystal.cli import run
 from pmcrystal.crystal import (TensorElement, character_of_set, e_of,
                                extend_strings, highest_weight_monomial,
@@ -378,6 +379,7 @@ def test_plan_walk_matches_reference_listing(case):
     plan = build_plan(datum, r, j)
     assert plan.start == start
     assert plan.steps == steps
+    assert plan.step_count() == len(steps)
     assert plan.to_json() == ref_plan_json(start, steps)
     assert char_by_plan(datum, plan) == ref_char_by_plan(datum, steps)
 
@@ -444,3 +446,29 @@ def test_far_apart_cli_runs_at_once(capsys, argv):
     assert run(argv) == 0
     assert time.perf_counter() - t0 < 2.0
     assert '"status": "ok"' in capsys.readouterr().out
+
+
+def test_plan_step_limit(capsys, monkeypatch, a3):
+    # the step count is a sum over the window, known before any step is listed
+    plan = build_plan(a3, _far_apart(10**6))
+    assert plan.step_count() == 1_500_005
+    with pytest.raises(LimitExceeded) as err:
+        plan.steps
+    assert (err.value.stage, err.value.limit, err.value.reached) == (
+        "truncation.plan_steps", truncation.MAX_PLAN_STEPS, 1_500_005)
+    t0 = time.perf_counter()
+    assert run(["plan", "--cartan", "A", "--rank", "3",
+                "--R", "[[1,1,1],[1,1000001,1],[2,0,2]]"]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "limit-exceeded"
+    assert data["diagnostics"][1] == {"stage": "truncation.plan_steps",
+                                      "limit": truncation.MAX_PLAN_STEPS,
+                                      "reached": 1_500_005}
+    # the lazy fold is not bound by it
+    monkeypatch.setattr(truncation, "MAX_PLAN_STEPS", 3)
+    small = build_plan(a3, _far_apart(10))
+    assert small.step_count() > 3
+    with pytest.raises(LimitExceeded):
+        small.to_json()
+    assert char_by_plan(a3, small) == char_by_plan(a3, build_plan(a3, _far_apart(10**3)))

@@ -1,15 +1,17 @@
+import json
 import random
 
 import pytest
 
-from pmcrystal import weightring
-from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_sub
+from pmcrystal import cli, weightring
+from pmcrystal.cartan import LimitExceeded, RootDatum, build_root_datum, w_add, w_sub
 from pmcrystal.product import multiset, weight_of_multiset
-from pmcrystal.truncation import build_plan, full_character
+from pmcrystal.truncation import build_plan, full_character, truncation_character
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
                                   apply_word, demazure_character, demazure_pi,
-                                  e, irreducible_character, key_decompose,
-                                  laurent_str, pi_longest, weyl_decompose)
+                                  dominant_multiplicities, e, irreducible_character,
+                                  key_decompose, laurent_str, pi_longest,
+                                  weyl_decompose)
 from conftest import random_element
 
 
@@ -82,6 +84,19 @@ def ref_weyl_decompose(datum, terms):
                 del rem[w]
         out[mu] = c
     return out
+
+
+def brauer_klimyk(datum, terms):
+    """weyl_decompose(pi_{w_o} f) read straight off f: pi_{w_o} e^mu is the
+    Weyl character chi(mu), which is sign(w) ch V(w(mu + rho) - rho) for
+    w(mu + rho) dominant, and 0 when mu + rho is singular."""
+    out = {}
+    for mu, c in terms.items():
+        dom, word = datum.dominant_representative(w_add(mu, datum.rho))
+        if all(datum.pairing(i, dom) > 0 for i in datum.vertices):
+            lam = w_sub(dom, datum.rho)
+            out[lam] = out.get(lam, 0) + (-1) ** len(word) * c
+    return {lam: c for lam, c in out.items() if c}
 
 
 def x(*exps):
@@ -359,28 +374,193 @@ def test_errors_at_the_edges(a2):
         demazure_pi(a2, 1, e((1, 0, 0)))
 
 
+def ref_dominant_part(datum, lam):
+    return {w: c for w, c in ref_apply_word(datum, datum.longest_word, {lam: 1}).items()
+            if datum.is_dominant(w)}
+
+
 def test_irreducible_cache_is_bounded(monkeypatch):
-    cap = 30
+    # the cache holds the dominant-multiplicity tables of the peel
+    cap = 5
     monkeypatch.setattr(weightring, "IRR_CACHE_MAX_TERMS", cap)
     datum = RootDatum("A", 3)   # not the shared instance
     reference = build_root_datum("A", 3)
     inserted = []
-    # (1,1,1) and (2,1,0) alone have more terms than the cap and are not kept
+    # (2,2,0) and (2,0,2) alone have more entries than the cap and are not kept
     for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2), (1, 0, 1), (2, 0, 0),
-                (1, 1, 1), (1, 0, 0), (2, 1, 0), (0, 1, 0)]:
+                (2, 2, 0), (1, 0, 0), (2, 0, 2), (0, 1, 0)]:
         if lam not in datum._irr_cache:
             inserted.append(lam)
-        ch = irreducible_character(datum, lam)
-        assert ch.terms == ref_apply_word(reference, reference.longest_word, {lam: 1})
-        held = [len(c.terms) for c in datum._irr_cache.values()]
+        assert dominant_multiplicities(datum, lam) == ref_dominant_part(reference, lam)
+        held = [len(table) for table in datum._irr_cache.values()]
         kept = list(datum._irr_cache)
         # the newest entries that fit, oldest evicted first
         assert kept == inserted[len(inserted) - len(kept):]
         assert sum(held) <= cap
         if len(kept) < len(inserted):
             dropped = inserted[len(inserted) - len(kept) - 1]
-            assert sum(held) + len(irreducible_character(reference, dropped).terms) > cap
-    assert (1, 1, 1) not in datum._irr_cache and (2, 1, 0) not in datum._irr_cache
+            assert sum(held) + len(ref_dominant_part(reference, dropped)) > cap
+    assert (2, 2, 0) not in datum._irr_cache and (2, 0, 2) not in datum._irr_cache
     dec = weyl_decompose(datum, irreducible_character(datum, (1, 0, 0))
                          * irreducible_character(datum, (0, 0, 1)))
     assert dec == {(1, 0, 1): 1, (0, 0, 0): 1}
+
+
+# -- the dominant-only peel ------------------------------------------------------
+
+
+PEEL_KINDS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("D", 4),
+              ("D", 5), ("D", 6), ("E6", 6), ("E7", 7), ("GL", 2), ("GL", 3),
+              ("GL", 4), ("GL", 5)]
+
+
+def random_dominant(rng, datum, max_dim=600):
+    """A dominant weight: at most two fundamental weights (and a power of
+    det for GL), redrawn until dim V(lam) <= max_dim."""
+    while True:
+        lam = datum.zero
+        for _ in range(rng.randint(0, 2)):
+            lam = w_add(lam, datum.fundamentals[rng.choice(datum.vertices)])
+        if datum.det is not None:
+            k = rng.randint(-1, 1)
+            lam = w_add(lam, tuple(k * x for x in datum.det))
+        if datum.weyl_dimension(lam) <= max_dim:
+            return lam
+
+
+def random_invariant(rng, datum):
+    """A nonnegative combination of irreducible characters, one in two
+    times times a second, so that summands overlap."""
+    f = GroupAlgebraElement({})
+    for _ in range(rng.randint(1, 3)):
+        f = f + rng.randint(1, 3) * irreducible_character(datum, random_dominant(rng, datum))
+    if rng.random() < 0.5:
+        f = f * irreducible_character(datum, random_dominant(rng, datum, max_dim=60))
+    return f
+
+
+@pytest.mark.parametrize("kind,rank", PEEL_KINDS)
+def test_dominant_peel_matches_reference(kind, rank):
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(70 + 10 * rank + len(kind))
+    for _ in range(3):
+        f = random_invariant(rng, datum)
+        assert weyl_decompose(datum, f) == ref_weyl_decompose(datum, f.terms)
+
+
+@pytest.mark.parametrize("kind,rank", PEEL_KINDS)
+def test_dominant_multiplicities_match_demazure(kind, rank):
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(90 + 10 * rank + len(kind))
+    for _ in range(4):
+        lam = random_dominant(rng, datum, max_dim=2000)
+        assert dominant_multiplicities(datum, lam) == ref_dominant_part(datum, lam)
+
+
+@pytest.mark.parametrize("kind,rank,lam", [
+    ("A", 2, (7, 5)), ("A", 3, (2, 2, 2)), ("A", 4, (1, 1, 1, 1)),
+    ("GL", 4, (6, 3, 1, 0)), ("GL", 5, (3, 2, 1, 1, -1)), ("D", 4, (2, 2, 0, 0)),
+])
+def test_dominant_multiplicities_with_many_dominant_weights(kind, rank, lam):
+    # tables of 14 to 24 dominant weights, some reached only by subtracting
+    # a non-simple root
+    datum = build_root_datum(kind, rank)
+    assert dominant_multiplicities(datum, lam) == ref_dominant_part(datum, lam)
+
+
+@pytest.mark.parametrize("kind,rank,points", [
+    ("A", 6, {(1, 1): 1, (2, 2): 1, (3, 3): 1, (6, 30): 1}),
+    ("D", 6, {(1, 0): 1, (5, 22): 1, (5, 44): 1}),
+    ("E6", 6, {(1, 0): 1, (1, 30): 1, (6, 60): 1}),
+    ("E7", 7, {(1, 0): 1, (7, 1): 1, (7, 35): 1}),
+    ("GL", 5, {(1, 1): 1, (2, 14): 1, (4, 30): 2}),
+])
+def test_peel_against_brauer_klimyk(kind, rank, points):
+    # sizes where the Demazure-built oracle is too slow
+    datum = build_root_datum(kind, rank)
+    f = truncation_character(datum, multiset(points))
+    dec = weyl_decompose(datum, pi_longest(datum, f))
+    assert dec == brauer_klimyk(datum, f.terms)
+    assert len(dec) > 2
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("D", 4), ("E6", 6), ("GL", 3)])
+def test_peel_rejects_non_invariant_input(kind, rank):
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(31)
+    for _ in range(5):
+        f = irreducible_character(datum, random_dominant(rng, datum))
+        # a dominant weight off the W-orbits of f's terms, or one term
+        # missing from an orbit
+        extra = e(w_add(datum.fundamentals[1], datum.fundamentals[1]),
+                  rng.choice([-1, 1])) * e(datum.fundamentals[1])
+        for g in (f + extra, f - e(max(f.terms, key=datum.height))):
+            if g.is_zero() or g == pi_longest(datum, g, check=False):
+                continue
+            with pytest.raises(DecompositionError, match="Weyl-invariant"):
+                weyl_decompose(datum, g)
+
+
+def orbit_sum(datum, lam):
+    orbit, frontier = {lam}, [lam]
+    while frontier:
+        frontier = [datum.reflect(i, w) for w in frontier for i in datum.vertices]
+        frontier = [w for w in frontier if w not in orbit]
+        orbit.update(frontier)
+    return GroupAlgebraElement(dict.fromkeys(orbit, 1))
+
+
+def test_peel_stops_at_a_table_larger_than_its_input(gl3, monkeypatch):
+    # an invariant element with one dominant term cannot hold V(lam) with
+    # about 2500 dominant weights; the peel says so before enumerating them
+    calls = []
+    monkeypatch.setattr(weightring, "_freudenthal",
+                        lambda *args: calls.append(args) or None)
+    with pytest.raises(DecompositionError, match="more dominant weights"):
+        weyl_decompose(gl3, orbit_sum(gl3, (50, 0, -50)))
+    assert [cap for _, _, cap in calls] == [1]
+    monkeypatch.undo()
+    with pytest.raises(DecompositionError, match="more dominant weights"):
+        weyl_decompose(gl3, orbit_sum(gl3, (50, 0, -50)))
+    assert weyl_decompose(gl3, orbit_sum(gl3, (1, 0, -1)) + 3 * e((0, 0, 0))) == {
+        (1, 0, -1): 1, (0, 0, 0): 1}
+
+
+def test_dominant_multiplicities_rejects_bad_weights(a2, monkeypatch):
+    monkeypatch.setattr(weightring, "MAX_TERMS", 10)
+    with pytest.raises(LimitExceeded):
+        dominant_multiplicities(a2, (20, 20))
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        dominant_multiplicities(a2, (-1, 0))
+    with pytest.raises(ValueError):
+        dominant_multiplicities(a2, (1, 0, 0))
+
+
+# -- the term limit ----------------------------------------------------------------
+
+
+def test_term_limit(monkeypatch, a2):
+    three, eight = irreducible_character(a2, (1, 0)), irreducible_character(a2, (1, 1))
+    monkeypatch.setattr(weightring, "MAX_TERMS", 5)
+    with pytest.raises(LimitExceeded) as err:
+        demazure_pi(a2, 1, e((6, 0)))        # a string of 7 terms
+    assert (err.value.stage, err.value.limit, err.value.reached) == (
+        "weightring.demazure_pi", 5, 7)
+    with pytest.raises(LimitExceeded, match="multiply exceeded limit 5") as err:
+        three * eight
+    assert err.value.stage == "weightring.multiply" and err.value.reached > 5
+    # at the limit itself nothing is raised
+    assert len(demazure_pi(a2, 1, e((4, 0))).terms) == 5
+
+
+def test_term_limit_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(weightring, "MAX_TERMS", 10)
+    argv = ["character", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,0,1]]"]
+    assert cli.run(argv) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "limit-exceeded" and data["result"] is None
+    message, detail = data["diagnostics"]
+    assert "exceeded limit 10" in message
+    assert detail["limit"] == 10 and detail["reached"] > 10
+    assert detail["stage"] in ("weightring.demazure_pi", "weightring.multiply")
