@@ -160,7 +160,7 @@ def cmd_schur(args):
             seq = check_sequence(json.loads(args.sequence))
         except (ValueError, TypeError) as err:
             raise ValidationError(f"bad sequence: {err}") from err
-        n = args.rank if args.rank else max(len(seq), 1)
+        n = max(len(seq), 1) if args.rank is None else args.rank
         if n < len(seq):
             raise ValidationError(f"rank {n} is smaller than the sequence")
         dec = schur_decompose(seq, n)
@@ -176,7 +176,7 @@ def cmd_schur(args):
     if args.format == "ascii":
         return diagram_ascii(boxes)
     seq = sequence_of_diagram(boxes)
-    n = args.rank if args.rank else max(len(seq), 1)
+    n = max(len(seq), 1) if args.rank is None else args.rank
     dec = schur_decompose(seq, n)
     result = {"rank": n, "sequence": [list(p) for p in seq],
               "decomposition": {json.dumps(list(lam)): m
@@ -253,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("schur", help="Schur module of a sequence or diagram")
-    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--rank", type=int, help="GL rank (default: the number of rows)")
     p.add_argument("--sequence", help="JSON [[parts],...]")
     p.add_argument("--diagram", help="JSON [[row,col],...]")
     p.add_argument("--format", default="json", choices=["json", "ascii"])

@@ -16,14 +16,13 @@ generalised Littlewood-Richardson coefficients.
 
 Two independent oracles cross-check those coefficients: exhaustive
 enumeration of lattice skew tableaux (when the diagram has a skew
-presentation), and an exact symmetric-group computation that spans
-C[S_d] * y_T by left translates of the Young symmetrizer, row-reduces the
-span over Q, reads traces of left multiplication off the pivots, and pairs
-them against Murnaghan-Nakayama characters.  It keys S_d by Lehmer rank,
-translates through int tables per adjacent transposition (the lru_cache
-``_rank_tables``, one entry per d up to ``SPECHT_MAX_BOXES``; racing
-threads at worst build one twice), and eliminates fraction-free in place
-on int-keyed dict rows.
+presentation), and an exact symmetric-group computation of the generalised
+Specht module C[S_d] y_T.  As C[S_d] is the sum of the End(S^lam), the
+multiplicity of S^lam in it is the rank of rho_lam(y_T), taken in Young's
+seminormal form with integer arithmetic.  The seminormal data of each lam
+is built on first use, never at import, and kept in the lru_cache
+``seminormal``, one entry per partition of d up to ``SPECHT_MAX_BOXES``;
+racing threads at worst build one twice.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cartan import RootDatum, Weight, build_root_datum
 from .product import (PointMultiset, multiset, decompose, expand_label,
@@ -88,6 +87,28 @@ def conjugate(p: Partition) -> Partition:
     if not p:
         return ()
     return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+
+
+def partitions_of(d: int):
+    if d == 0:
+        yield ()
+        return
+
+    def gen(rest, biggest):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, biggest), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
+
+    yield from gen(d, d)
+
+
+def dominates(lam: Partition, mu: Partition) -> bool:
+    """lam >= mu in dominance order, for two partitions of one d."""
+    return all(a >= b for a, b in zip(itertools.accumulate(lam),
+                                      itertools.accumulate(mu)))
 
 
 # -- partition sequences and their diagrams -----------------------------------
@@ -409,193 +430,204 @@ def check_shape(lam, mu) -> tuple[Partition, Partition]:
     return lam, mu
 
 
-# -- symmetric group characters (Murnaghan-Nakayama) ---------------------------
+# -- the Specht oracle ----------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def sym_character(lam: Partition, mu: Partition) -> int:
-    """chi^lam on the class of cycle type mu, by border-strip recursion on
-    beta-numbers."""
-    if not mu:
-        return 1 if not lam else 0
-    k, rest = mu[0], mu[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
-    total = 0
-    for idx, b in enumerate(beta):
-        if b - k < 0 or (b - k) in beta_set:
-            continue
-        jumped = sum(1 for x in beta if b - k < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(b - k)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(x - (length - 1 - i) for i, x in enumerate(new_beta))
-        new_lam = tuple(x for x in new_lam if x > 0)
-        total += (-1) ** jumped * sym_character(new_lam, rest)
-    return total
+def standard_tableaux(lam: Partition) -> list[tuple[Box, ...]]:
+    """The standard tableaux of shape lam filled with 0..d-1, each as the
+    0-based (row, col) cell of every entry, in lexicographic order."""
+    out = []
+    filled = [0] * len(lam)
+    cells: list[Box] = []
 
-
-def partitions_of(d: int):
-    if d == 0:
-        yield ()
-        return
-
-    def gen(rest, biggest):
-        if rest == 0:
-            yield ()
+    def place():
+        if len(cells) == sum(lam):
+            out.append(tuple(cells))
             return
-        for first in range(min(rest, biggest), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
+        for row, length in enumerate(lam):
+            if filled[row] < length and (row == 0 or filled[row - 1] > filled[row]):
+                cells.append((row, filled[row]))
+                filled[row] += 1
+                place()
+                filled[row] -= 1
+                cells.pop()
 
-    yield from gen(d, d)
-
-
-def centraliser_order(mu: Partition) -> int:
-    z = 1
-    for part, group in itertools.groupby(mu):
-        m = len(list(group))
-        z *= part ** m
-        for t in range(1, m + 1):
-            z *= t
-    return z
+    place()
+    return out
 
 
-def class_representative(mu: Partition, d: int) -> tuple[int, ...]:
-    """A permutation of {0..d-1} (as an image tuple) with cycle type mu."""
-    img = list(range(d))
-    pos = 0
-    for part in mu:
-        for t in range(part):
-            img[pos + t] = pos + (t + 1) % part
-        pos += part
-    return tuple(img)
+class Seminormal:
+    """Young's seminormal form of S^lam on the standard tableaux T, with
+    contents c_T(v) = col - row and axial distance r = c_T(k+1) - c_T(k):
+    s_k e_T = +-e_T when r = +-1, and otherwise, for r > 0 and T' = s_k T,
+    s_k e_T = (1/r) e_T + e_T' and s_k e_T' = (1 - 1/r^2) e_T - (1/r) e_T'.
+
+    ``partner[k][i]`` is the index of s_k T_i (i when r = +-1) and
+    ``axial[k][i]`` its r; ``act[k][i]`` is (partner, diagonal,
+    off-diagonal) of the integer matrix L_k rho(s_k), L_k the lcm of the
+    r^2; ``form`` is the diagonal invariant form, D_T' = (1 - 1/r^2) D_T
+    for r > 0, scaled to coprime integers.
+    """
+
+    __slots__ = ("dim", "partner", "axial", "form", "act")
+
+    def __init__(self, lam: Partition):
+        tableaux = standard_tableaux(lam)
+        index = {t: i for i, t in enumerate(tableaux)}
+        self.dim = len(tableaux)
+        partners, axials, acts = [], [], []
+        for k in range(sum(lam) - 1):
+            partner, axial = [], []
+            for i, t in enumerate(tableaux):
+                (r0, c0), (r1, c1) = t[k], t[k + 1]
+                r = (c1 - r1) - (c0 - r0)
+                axial.append(r)
+                partner.append(i if abs(r) == 1 else
+                               index[t[:k] + (t[k + 1], t[k]) + t[k + 2:]])
+            scale = lcm(*(r * r for r in axial))
+            partners.append(tuple(partner))
+            axials.append(tuple(axial))
+            acts.append(tuple(
+                (j, scale // r, 0 if j == i else scale if r < 0
+                 else scale * (r * r - 1) // (r * r))
+                for i, (j, r) in enumerate(zip(partner, axial))))
+        self.partner, self.axial, self.act = tuple(partners), tuple(axials), tuple(acts)
+        form: list[Fraction | None] = [Fraction(1)] + [None] * (self.dim - 1)
+        todo = [0]
+        while todo:
+            i = todo.pop()
+            for partner, axial in zip(self.partner, self.axial):
+                j, r = partner[i], axial[i]
+                if j == i:
+                    continue
+                step = 1 - Fraction(1, r * r)
+                value = form[i] * step if r > 0 else form[i] / step
+                if form[j] is None:
+                    form[j] = value
+                    todo.append(j)
+                elif form[j] != value:
+                    raise AssertionError(f"the invariant form of {lam} is not "
+                                         f"well defined at tableau {j}")
+        den = lcm(*(x.denominator for x in form))
+        ints = [int(x * den) for x in form]
+        g = gcd(*ints)
+        self.form = tuple(x // g for x in ints)
+
+    def eigenspace(self, ks, sign: int) -> list[dict[int, int]]:
+        """A basis of the common sign-eigenspace of the s_k, k in ``ks``,
+        as integer vectors {tableau: coefficient}.
+
+        Each rho(s_k) is block diagonal with blocks of size one and two, so
+        every condition involves at most two coordinates: x_T = 0 when
+        r = -sign, and r x_T = (sign*r + 1) x_T' for a pair with r > 0.
+        The solutions are one vector per connected component of these
+        conditions, unless a condition forces the component to zero."""
+        edges: dict[int, list[tuple[int, int, int]]] = {}
+        dead = set()
+        for k in ks:
+            for i, (j, r) in enumerate(zip(self.partner[k], self.axial[k])):
+                if j == i:
+                    if r == -sign:
+                        dead.add(i)
+                elif r > 0:  # x_T' / x_T = r / (sign*r + 1)
+                    edges.setdefault(i, []).append((j, r, sign * r + 1))
+                    edges.setdefault(j, []).append((i, sign * r + 1, r))
+        basis = []
+        seen: set[int] = set()
+        for root in range(self.dim):
+            if root in seen:
+                continue
+            value = {root: (1, 1)}  # x_i = num / den
+            todo, alive = [root], True
+            while todo:
+                i = todo.pop()
+                alive = alive and i not in dead
+                num, den = value[i]
+                for j, a, b in edges.get(i, ()):
+                    if j not in value:
+                        value[j] = (num * a, den * b)
+                        todo.append(j)
+                    elif value[j][0] * den * b != num * a * value[j][1]:
+                        alive = False
+            seen.update(value)
+            if alive:
+                top = lcm(*(den for _, den in value.values()))
+                vec = {i: num * (top // den) for i, (num, den) in value.items()}
+                g = gcd(*vec.values())
+                basis.append({i: x // g for i, x in vec.items()})
+        return basis
+
+    def apply(self, k: int, vec: list[int]) -> list[int]:
+        """rho(s_k) vec, up to a positive scalar, with coprime entries."""
+        out = [a * vec[i] + b * vec[j] for i, (j, a, b) in enumerate(self.act[k])]
+        g = gcd(*out)
+        return [x // g for x in out] if g > 1 else out
 
 
-def perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+@lru_cache(maxsize=sum(1 for d in range(1, SPECHT_MAX_BOXES + 1)
+                       for _ in partitions_of(d)))
+def seminormal(lam: Partition) -> Seminormal:
+    """The seminormal form of S^lam, built on first use; one entry per
+    partition of d <= ``SPECHT_MAX_BOXES``.  Never mutated once built."""
+    return Seminormal(lam)
 
 
-def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
+def _rank(rows: list[list[int]]) -> int:
+    """The rank of an integer matrix, by fraction-free elimination."""
+    rank = 0
+    rows = [row for row in rows if any(row)]
+    while rows:
+        top = rows.pop()
+        p = next(k for k, x in enumerate(top) if x)
+        a = top[p]
+        rank += 1
+        reduced = []
+        for row in rows:
+            b = row[p]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, top)]
+                if not any(row):
+                    continue
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            reduced.append(row)
+        rows = reduced
+    return rank
 
 
-def invert(a: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for k, v in enumerate(a):
-        out[v] = k
-    return tuple(out)
-
-
-# -- the Specht brute-force oracle ---------------------------------------------
-
-
-def _group_perms(blocks: list[list[int]], d: int):
-    """All permutations of {0..d-1} permuting each block within itself."""
-    perms = [tuple(itertools.permutations(b)) for b in blocks]
-    for choice in itertools.product(*perms):
-        img = list(range(d))
-        for block, image in zip(blocks, choice):
-            for src, dst in zip(block, image):
-                img[src] = dst
-        yield tuple(img)
-
-
-def young_symmetriser(boxes) -> dict[tuple[int, ...], int]:
-    """y_T = sum over row-group r and column-group c of sgn(c) * (r o c),
-    for the tableau numbering the sorted cells 0..d-1.
-
-    Row symmetrisation with column signs matches the normalisation in
-    which a single-row diagram gives the trivial module."""
-    cells = sorted(boxes)
-    d = len(cells)
-    index = {cell: k for k, cell in enumerate(cells)}
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for cell in cells:
-        rows.setdefault(cell[0], []).append(index[cell])
-        cols.setdefault(cell[1], []).append(index[cell])
-    y: dict[tuple[int, ...], int] = {}
-    col_elems = [(perm_sign(c), c) for c in _group_perms(list(cols.values()), d)]
-    for r in _group_perms(list(rows.values()), d):
-        for sign, c in col_elems:
-            key = compose(r, c)
-            y[key] = y.get(key, 0) + sign
-    return {k: v for k, v in y.items() if v}
-
-
-@lru_cache(maxsize=SPECHT_MAX_BOXES + 1)
-def _rank_tables(d: int):
-    """S_d by Lehmer rank, the position in ``itertools.permutations(range(d))``
-    (so rank order is tuple order): the image words (bytes) by rank, the
-    rank of each word, and per adjacent transposition s_k the table
-    rank(perm) -> rank(s_k o perm).  Never mutated once built."""
-    words = tuple(bytes(perm) for perm in itertools.permutations(range(d)))
-    rank = {w: k for k, w in enumerate(words)}
-    # s_k o perm swaps the values k and k+1 of the image word
-    left = [tuple(rank[w.translate(swap)] for w in words)
-            for swap in (bytes.maketrans(bytes((k, k + 1)), bytes((k + 1, k)))
-                         for k in range(d - 1))]
-    return words, rank, left
-
-
-def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> None:
-    """vec <- a*vec - b*row in place, for a = row[p] and b = vec[p], so that
-    vec loses its entry at p; cancelled entries are dropped."""
-    a, b = row[p], vec[p]
-    if a != 1:
-        for k in vec:
-            vec[k] *= a
-    for k, v in row.items():
-        x = vec.get(k, 0) - b * v
-        if x:
-            vec[k] = x
-        else:
-            del vec[k]
-
-
-def _normalise(vec: dict[int, int]) -> None:
-    """Divide out the content and make the pivot (smallest key) positive."""
-    g = gcd(*vec.values())
-    if vec[min(vec)] < 0:
-        g = -g
-    if g != 1:
-        for k in vec:
-            vec[k] //= g
+def _bubble_swaps(word: list[int]) -> list[int]:
+    """The positions k of the adjacent swaps a bubble sort of ``word``
+    makes, in order: the permutation with image word ``word`` is
+    s_{k_m} o ... o s_{k_1}."""
+    word, swaps = list(word), []
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                swaps.append(k)
+    return swaps
 
 
 def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     """Decompose the generalised Specht module C[S_d] y_T of a diagram.
 
-    Spans the module by left translates of y_T, closing under the adjacent
-    transpositions (never straight back along the one a vector came by),
-    with permutations as Lehmer ranks and left translation by s_k one
-    lookup per key in a table of ``_rank_tables``, an lru_cache of one
-    entry per d up to ``SPECHT_MAX_BOXES``; concurrent calls share it
-    safely, racing threads at worst building a table twice.  Each new
-    vector is reduced in place, fraction-free, against a reduced echelon
-    basis of int-keyed integer rows (pivot at the smallest rank, content
-    divided out, so the basis does not depend on the order of insertion),
-    and then clears its pivot from the other rows.  The character is the
-    trace of left multiplication read off the pivots, paired against the
-    Murnaghan-Nakayama irreducible characters.  Exact integer arithmetic
-    throughout; traces, the identity trace (= the module dimension) and the
-    multiplicities are checked integral.
+    Cells are numbered 0..d-1 in sorted (row, col) order and y_T = R+ C-.
+    As C[S_d] is the sum of the End(S^lam), the multiplicity of S^lam is
+    rank rho_lam(y_T) = rank(B_R^T D B_C), for B_R a basis of the row
+    invariants U_R, B_C one of the column-sign space U_C and D the
+    invariant form, all in Young's seminormal form (``seminormal``).  U_R
+    is the common +1-eigenspace of the s_k joining two cells of a row; U_C
+    is rho(sigma) of the common -1-eigenspace of the s_k joining two cells
+    of a column in the (col, row) numbering, sigma the relabelling between
+    the numberings, applied as the swaps of a bubble sort.  Young's rule
+    skips lam unless it dominates the row shape and its conjugate the
+    column shape.  Exact integer arithmetic throughout.
+
+    The name is kept from the span kernel this one replaced, because the
+    CLI, the package's exports and the benchmark's tracer call it by that
+    name; the span kernel is now the tests' reference.  Neither uses the
+    crystal, Schur or LR routes.
     """
     boxes = frozenset(boxes)
     d = len(boxes)
@@ -603,55 +635,41 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
         raise ValueError(f"diagram has {d} boxes, over the ceiling {SPECHT_MAX_BOXES}")
     if d == 0:
         return {(): 1}
-    words, rank, left = _rank_tables(d)
-    y = {rank[bytes(perm)]: v for perm, v in young_symmetriser(boxes).items()}
-    rows: dict[int, dict[int, int]] = {}  # pivot -> row, mutually reduced
-    # (vector, the table it came by): that table leads back into the span
-    frontier = [(y, None)]
-    while frontier:
-        vec, back = frontier.pop()
-        red = dict(vec)
-        # a row has no entry at another row's pivot, so each pivot hit is
-        # eliminated once and brings in no further pivot
-        for p in [k for k in red if k in rows]:
-            _eliminate(red, rows[p], p)
-        if not red:
-            continue
-        _normalise(red)
-        pivot = min(red)
-        # every key of red is >= pivot, so the other rows keep their pivots
-        for row in rows.values():
-            if pivot in row:
-                _eliminate(row, red, pivot)
-                _normalise(row)
-        rows[pivot] = red
-        frontier.extend(({t[k]: v for k, v in vec.items()}, t)
-                        for t in left if t is not back)
-
-    def trace(h: tuple[int, ...]) -> int:
-        # the coefficient of h o pivot in h * row sits at h^-1 o pivot in row
-        h_inv = bytes.maketrans(bytes(range(d)), bytes(invert(h)))
-        total = sum((Fraction(row.get(rank[words[p].translate(h_inv)], 0), row[p])
-                     for p, row in rows.items()), Fraction(0))
-        if total.denominator != 1:
-            raise AssertionError(f"trace of {h} is not an integer")
-        return int(total)
-
-    classes = list(partitions_of(d))
-    module_char = {mu: trace(class_representative(mu, d)) for mu in classes}
-    if module_char[(1,) * d] != len(rows):
-        raise AssertionError("identity trace differs from the module dimension")
-
+    cells = sorted(boxes)
+    by_col = sorted(cells, key=lambda cell: (cell[1], cell[0]))
+    row_ks = [k for k in range(d - 1) if cells[k][0] == cells[k + 1][0]]
+    col_ks = [k for k in range(d - 1) if by_col[k][1] == by_col[k + 1][1]]
+    index = {cell: k for k, cell in enumerate(cells)}
+    swaps = _bubble_swaps([index[cell] for cell in by_col])
+    row_shape = tuple(sorted(map(len, diagram_rows(boxes).values()), reverse=True))
+    col_shape = tuple(sorted(map(len, diagram_columns(boxes).values()), reverse=True))
     out: dict[Partition, int] = {}
-    for lam in classes:
-        acc = Fraction(0)
-        for mu in classes:
-            acc += Fraction(module_char[mu] * sym_character(lam, mu),
-                            centraliser_order(mu))
-        if acc.denominator != 1 or acc < 0:
-            raise AssertionError(f"multiplicity of {lam} is {acc}")
-        if acc:
-            out[lam] = int(acc)
+    for lam in partitions_of(d):
+        if not (dominates(lam, row_shape) and dominates(conjugate(lam), col_shape)):
+            continue
+        rep = seminormal(lam)
+        rows = rep.eigenspace(row_ks, 1)
+        cols = rep.eigenspace(col_ks, -1)
+        if not rows or not cols:
+            continue
+        # rho(sigma) is orthogonal for D, <u, rho(sigma) v> = <rho(sigma)^-1 u, v>:
+        # move the smaller basis, U_C' by sigma or U_R by sigma^-1
+        order = swaps
+        if len(rows) < len(cols):
+            rows, cols, order = cols, rows, swaps[::-1]
+        moved = []
+        for sparse in cols:
+            vec = [0] * rep.dim
+            for i, x in sparse.items():
+                vec[i] = x
+            for k in order:
+                vec = rep.apply(k, vec)
+            moved.append(vec)
+        gram = [[sum(x * rep.form[i] * vec[i] for i, x in u.items()) for vec in moved]
+                for u in rows]
+        m = _rank(gram)
+        if m:
+            out[lam] = m
     return out
 
 

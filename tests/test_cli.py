@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal.cartan import build_root_datum
+from pmcrystal.cartan import MAX_RANK, build_root_datum
 from pmcrystal.cli import run
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset
@@ -395,6 +395,58 @@ def test_cli_fuzz(capsys):
     assert time.perf_counter() - start < 10.0
 
 
+def limit_argv(rng):
+    """A valid argv of decompose, character, truncate or plan at one of the
+    limits: a point added up to 10^8 levels away from the others, or a rank
+    up to MAX_RANK with one or two points on a vertex whose fundamental
+    crystal has at most 2 * rank elements."""
+    command = rng.choice(["decompose", "character", "truncate", "plan"])
+    if rng.random() < 0.5:
+        kind, rank = rng.choice(FUZZ_DATA)
+        datum = build_root_datum(kind, rank)
+        pts = fuzz_points(rng, datum)
+        i, c, _ = rng.choice(pts)
+        gap = rng.choice([-2, 2]) * rng.randint(1, 10 ** rng.randint(1, 8) // 2)
+        pts.append([i, c + gap, 1])
+    else:
+        kind = rng.choice(["A", "D", "GL"])
+        rank = rng.randint(MAX_RANK - 4, MAX_RANK)
+        datum = build_root_datum(kind, rank)
+        ends = {"A": [1, rank], "D": [1], "GL": [1, rank - 1]}[kind]
+        pts = {}
+        for _ in range(rng.randint(1, 2)):
+            i = rng.choice(ends)
+            pts[(i, datum.parity[i] + 2 * rng.randint(-2, 2))] = 1
+        pts = [[i, c, m] for (i, c), m in pts.items()]
+    argv = [command, "--cartan", kind, "--rank", str(rank), f"--R={json.dumps(pts)}"]
+    if command != "decompose" and rng.random() < 0.5:
+        lower = rng.choice([0, 0, 2])  # 2 leaves R outside J
+        j = up_closure(datum, [tuple(p[:2]) for p in pts]).to_json()
+        argv.append("--truncation=" + json.dumps(
+            {"thresholds": {k: t + lower for k, t in j["thresholds"].items()}}))
+    return argv
+
+
+def test_cli_fuzz_limits(capsys):
+    # far-apart points and ranks at the ceiling: every case ends with an
+    # answer, a validation error or a stated limit, in bounded time
+    rng = random.Random(67)
+    codes = []
+    for _ in range(30):
+        argv = limit_argv(rng)
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code in STATUS, (argv, out)
+        assert elapsed < 5.0, argv
+        data = json.loads(out)
+        assert data["status"] == STATUS[code], (argv, out)
+        assert (data["result"] is None) == (code != 0), argv
+        codes.append(code)
+    assert codes.count(0) > 15 and codes.count(2) and codes.count(3)
+
+
 # -- the shared parser and the rank ceiling -----------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -443,6 +495,22 @@ def test_rank_above_ceiling_exits_2_at_once(capsys, argv):
     assert code == 2 and data["status"] == "error" and data["result"] is None
     assert "MAX_RANK" in data["diagnostics"][0]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--diagram", "[[1,1]]", "--rank=0"],
+    ["schur", "--diagram", "[[1,1]]", "--rank=-3"],
+    ["schur", "--diagram", "[]", "--rank=0"],
+    ["schur", "--sequence", "[[1]]", "--rank=0"],
+    ["schur", "--sequence", "[]", "--rank=0"],
+])
+def test_schur_rank_below_one_exits_2(capsys, argv):
+    # an explicit --rank 0 was read as no rank, and ran at the rank of the
+    # diagram's rows
+    data = run_json(capsys, argv, expect_code=2)
+    assert data["status"] == "error" and data["result"] is None
+    assert data["diagnostics"][0] in ("GL needs rank >= 1",
+                                      f"rank {argv[-1][7:]} is smaller than the sequence")
 
 
 # -- the envelope emitter -----------------------------------------------------

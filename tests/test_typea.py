@@ -1,7 +1,9 @@
+import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -9,16 +11,18 @@ from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import highest_weights
 from pmcrystal.product import multiset, product_crystal
 from pmcrystal.truncation import build_plan, char_by_plan
-from pmcrystal.typea import (centraliser_order, check_sequence,
-                             class_representative, compose,
-                             diagram_of_sequence, flagged_schur_char, invert,
+from pmcrystal import typea
+from pmcrystal.typea import (Seminormal, check_sequence, conjugate,
+                             diagram_of_sequence, flagged_schur_char,
                              lr_skew_expand, multiset_of_sequence,
                              partitions_of, psi_embed, restrict_coeffs,
-                             schur_decompose, sequence_of_diagram,
+                             schur_decompose, seminormal, sequence_of_diagram,
                              sequence_of_multiset, skew_normalise,
                              specht_decompose_bruteforce, stable_bound,
-                             stable_coeffs, sym_character, young_symmetriser)
+                             stable_coeffs)
 from pmcrystal.weightring import e, laurent_str
+from specht_reference import (centraliser_order, lehmer_specht_decompose,
+                              ref_specht_decompose, sym_character)
 
 FIVE_BOX = frozenset({(1, 1), (2, 2), (3, 2), (2, 3), (4, 3)})
 STAIRCASE_SEQ = ((1,), (1,), (2, 1, 1))
@@ -244,104 +248,6 @@ def test_specht_disconnected_boxes():
     assert specht_decompose_bruteforce({(1, 2), (2, 1)}) == {(2,): 1, (1, 1): 1}
 
 
-# the Specht oracle as first written: permutation tuples as keys, tuple
-# composition for translates, and rows rebuilt on every elimination step;
-# kept as an independent reference for the Lehmer-ranked kernel
-
-
-def _ref_normalise_row(vec: dict) -> dict:
-    g = 0
-    for v in vec.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        vec = {k: v // g for k, v in vec.items()}
-    pivot = min(vec)
-    if vec[pivot] < 0:
-        vec = {k: -v for k, v in vec.items()}
-    return vec
-
-
-class _RefSpanBasis:
-    """A reduced row-echelon integer basis of a left ideal of Z[S_d],
-    with rows keyed by permutation tuples and pivots at the smallest key."""
-
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.pivots: dict[tuple[int, ...], int] = {}
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        for p in sorted(k for k in vec if k in self.pivots):
-            b = vec.get(p, 0)
-            if not b:
-                continue
-            row = self.rows[self.pivots[p]]
-            a = row[p]
-            vec = {k: a * vec.get(k, 0) - b * row.get(k, 0)
-                   for k in set(vec) | set(row)}
-            vec = {k: v for k, v in vec.items() if v}
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        vec = _ref_normalise_row(vec)
-        pivot = min(vec)
-        for idx, row in enumerate(self.rows):
-            coeff = row.get(pivot)
-            if coeff:
-                a = vec[pivot]
-                new = {k: a * row.get(k, 0) - coeff * vec.get(k, 0)
-                       for k in set(row) | set(vec)}
-                self.rows[idx] = _ref_normalise_row(
-                    {k: v for k, v in new.items() if v})
-        self.rows.append(vec)
-        self.pivots[pivot] = len(self.rows) - 1
-        return True
-
-    def trace_of_left_mult(self, h: tuple[int, ...]) -> int:
-        h_inv = invert(h)
-        total = Fraction(0)
-        for pivot, idx in self.pivots.items():
-            row = self.rows[idx]
-            total += Fraction(row.get(compose(h_inv, pivot), 0), row[pivot])
-        assert total.denominator == 1
-        return int(total)
-
-
-def ref_specht_decompose(boxes) -> dict:
-    boxes = frozenset(boxes)
-    d = len(boxes)
-    if d == 0:
-        return {(): 1}
-    gens = []
-    for k in range(d - 1):
-        img = list(range(d))
-        img[k], img[k + 1] = img[k + 1], img[k]
-        gens.append(tuple(img))
-    basis = _RefSpanBasis()
-    frontier = [young_symmetriser(boxes)]
-    while frontier:
-        vec = frontier.pop()
-        if not basis.insert(vec):
-            continue
-        for g in gens:
-            frontier.append({compose(g, perm): coeff for perm, coeff in vec.items()})
-    classes = list(partitions_of(d))
-    module_char = {mu: basis.trace_of_left_mult(class_representative(mu, d))
-                   for mu in classes}
-    assert module_char[(1,) * d] == len(basis.rows)
-    out = {}
-    for lam in classes:
-        acc = sum((Fraction(module_char[mu] * sym_character(lam, mu),
-                            centraliser_order(mu)) for mu in classes), Fraction(0))
-        assert acc.denominator == 1 and acc >= 0
-        if acc:
-            out[lam] = int(acc)
-    return out
-
-
 def sequences_up_to(total: int, length: int):
     """Every partition sequence of at most ``length`` steps and at most
     ``total`` boxes whose last partition is nonempty."""
@@ -379,6 +285,116 @@ def test_specht_matches_reference():
         seq = check_sequence(seq)
         assert specht_decompose_bruteforce(diagram_of_sequence(seq)) == \
             schur_decompose(seq, len(seq))
+
+
+def test_specht_matches_lehmer_kernel():
+    # the span kernel over Lehmer-ranked S_d, the library's kernel before
+    # the ranks in seminormal form: every diagram of at most 6 boxes, and
+    # seeded 7-box diagrams
+    small = {diagram_of_sequence(seq) for seq in sequences_up_to(6, 6)}
+    assert sum(len(boxes) == 6 for boxes in small) == 1013
+    for boxes in small:
+        assert specht_decompose_bruteforce(boxes) == lehmer_specht_decompose(boxes), \
+            sorted(boxes)
+    seven = sorted({diagram_of_sequence(seq) for seq in sequences_up_to(7, 7)
+                    if sum(map(sum, seq)) == 7}, key=sorted)
+    for boxes in random.Random(7).sample(seven, 40):
+        assert specht_decompose_bruteforce(boxes) == lehmer_specht_decompose(boxes), \
+            sorted(boxes)
+    # boxes anywhere, gapped columns and rows included, as schur --diagram
+    # takes them
+    rng = random.Random(3)
+    grid = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+    for _ in range(60):
+        boxes = frozenset(rng.sample(grid, rng.randint(1, 5)))
+        assert specht_decompose_bruteforce(boxes) == lehmer_specht_decompose(boxes), \
+            sorted(boxes)
+
+
+# the 8-box diagrams on which the span kernel took 0.5-11.4 s
+EIGHT_BOX_SEQUENCES = ([[3], [3, 2]], [[4], [2, 2]], [[2], [3, 3]],
+                       [[2], [2, 1], [2, 1]], [[2], [1, 1], [2, 1, 1]],
+                       [[1], [2, 2], [2, 1]], [[1], [2, 1], [2, 1, 1]],
+                       [[1], [1, 1], [2, 2, 1]])
+
+
+@pytest.mark.parametrize("seq", EIGHT_BOX_SEQUENCES)
+def test_specht_matches_schur_above_ceiling(monkeypatch, seq):
+    seq = check_sequence(seq)
+    boxes = diagram_of_sequence(seq)
+    assert len(boxes) == 8
+    monkeypatch.setattr(typea, "SPECHT_MAX_BOXES", 8)
+    assert specht_decompose_bruteforce(boxes) == schur_decompose(seq, len(seq))
+
+
+# -- Young's seminormal form --------------------------------------------------------
+
+
+def _rho(rep: Seminormal, k: int, vec: dict) -> dict:
+    """rho(s_k) on a sparse rational vector, straight from the seminormal
+    formulas for the axial distance r: s_k e_T = (1/r) e_T + e_T' and
+    s_k e_T' = (1 - 1/r^2) e_T - (1/r) e_T' for r > 0, +-e_T for r = +-1."""
+    out: dict = {}
+    for i, x in vec.items():
+        j, r = rep.partner[k][i], rep.axial[k][i]
+        if j == i:
+            assert abs(r) == 1
+            terms = [(i, r)]
+        elif r > 0:
+            assert rep.axial[k][j] == -r and rep.partner[k][j] == i
+            terms = [(i, Fraction(1, r)), (j, 1)]
+        else:  # T_i = s_k T_j, where the distance is -r > 0
+            terms = [(j, 1 - Fraction(1, r * r)), (i, Fraction(1, r))]
+        for t, c in terms:
+            out[t] = out.get(t, 0) + c * x
+    return {t: c for t, c in out.items() if c}
+
+
+def _hook_length_dim(lam) -> int:
+    cols = conjugate(lam)
+    hooks = math.prod(lam[r] - c + cols[c] - r - 1
+                      for r in range(len(lam)) for c in range(lam[r]))
+    return math.factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_seminormal_form_is_a_representation(d):
+    # the Coxeter relations of S_d, the invariance of the diagonal form
+    # (D rho(s_k) symmetric) and the hook-length dimension, for every lam
+    for lam in partitions_of(d):
+        rep = Seminormal(lam)
+        assert rep.dim == _hook_length_dim(lam)
+        assert min(rep.form) > 0
+        for i in range(rep.dim):
+            unit = {i: Fraction(1)}
+            images = [_rho(rep, k, unit) for k in range(d - 1)]
+            for k, image in enumerate(images):
+                assert _rho(rep, k, image) == unit
+                for j, c in image.items():
+                    back = _rho(rep, k, {j: Fraction(1)}).get(i, 0)
+                    assert rep.form[j] * c == rep.form[i] * back
+                # the integer action is rho(s_k) times a positive scalar
+                scaled = rep.apply(k, [int(t == i) for t in range(rep.dim)])
+                ratio = {Fraction(scaled[t]) / image.get(t, 0)
+                         for t in range(rep.dim) if scaled[t] or t in image}
+                assert len(ratio) == 1 and ratio.pop() > 0
+                if k + 1 < d - 1:
+                    assert _rho(rep, k, _rho(rep, k + 1, image)) == \
+                        _rho(rep, k + 1, _rho(rep, k, images[k + 1]))
+                for j in range(k + 2, d - 1):
+                    assert _rho(rep, j, image) == _rho(rep, k, images[j])
+
+
+def test_seminormal_cache_is_bounded_and_lazy():
+    # one entry per partition of 1..SPECHT_MAX_BOXES, and nothing built on
+    # import: the CLI imports typea on every command
+    count = sum(1 for d in range(1, typea.SPECHT_MAX_BOXES + 1) for _ in partitions_of(d))
+    assert count == 44 and seminormal.cache_info().maxsize == count
+    code = ("import pmcrystal.cli, pmcrystal.typea as t; "
+            "print(t.seminormal.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "0"
 
 
 # -- stability ----------------------------------------------------------------------
