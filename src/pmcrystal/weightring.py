@@ -10,7 +10,10 @@ acts Z-linearly by the three-case formula
 
 where a_i is the i-th simple root.  The operators are idempotent and braid,
 so composing along any reduced word of w_o yields the same projector; its
-image on e^w (w dominant) is the irreducible character ch V(w).
+image on e^w (w dominant) is the irreducible character ch V(w).  Moreover
+pi_i f = f exactly when s_i f = f, so with J the vertices whose reflections
+fix f, pi_{w_o} f = pi_{w_o w_J} f: ``pi_longest`` applies only a reduced
+word of the shortest element w_o w_J of the coset w_o W_J.
 
 Decomposition routines peel characters triangularly by height, which grows
 along the positive-root order: ``weyl_decompose`` peels a dominant term of
@@ -23,7 +26,8 @@ dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``irreducible_character``) stays as the independent oracle.
 
 Limits.  A Demazure operator or a product that builds more than
-MAX_TERMS terms raises ``cartan.LimitExceeded``.
+MAX_TERMS terms raises ``cartan.LimitExceeded``; a Demazure operator does
+so before it writes the string that would pass the limit.
 
 Packed weights.  Inside this module a weight (w_1, ..., w_n) is the integer
 
@@ -41,8 +45,8 @@ A(i) the packed delta sum_k (a_i)_k << DIGIT_BITS * (n - k) of a_i:
 
 - <a_i^vee, w> is one digit minus BIAS (fundamental coordinates) or the
   difference of digits i and i+1 (GL): shifts and masks;
-- w - t a_i is ``key - t * A(i)``, so a pi_i string is a ``range`` of keys,
-  and the reflection s_i w is ``key - <a_i^vee, w> * A(i)``;
+- w - t a_i is ``key - t * A(i)``, so one step along an a_i-string adds or
+  subtracts A(i), and the reflection s_i w is ``key - <a_i^vee, w> * A(i)``;
 - e^v * e^w is ``key(w) + key(v) - key(0)``.
 
 No silent overflow.  Integer sums of digits are exact; a result decodes
@@ -54,15 +58,18 @@ coordinates are legal: the lowest illegal digit receives no borrow from
 the legal digits below it and shows its top bit.  Each operation stays in
 that window and is checked where it could leave the legal range:
 
-- pi_i on e^w: every coordinate moves monotonically along the string, from
-  w (legal) to its far end (s_i w, or s_i w - a_i when the pairing is at
-  most -2), so the string is legal iff its far end is, and only the far end
-  is tested.  The far end differs from w by at most |<a_i^vee, w>| <= 2 BIAS
-  in a coordinate of GL (where it stays between w_i and w_(i+1)) and by at
-  most BIAS in a neighbour's coordinate otherwise, which stays inside the
-  window.  Every weight of pi_i(e^w) lies in conv(W w), whose coordinates
-  grow with sum_k mark_k |w_k|, so long words over large weights do reach
-  the limit; they then raise ``ValueError`` instead of wrapping.
+- pi_i: every coordinate moves monotonically along an a_i-string, so a
+  string of the image is legal iff its two ends are, and both are tested
+  before it is written.  Its top is a stored key w or the partner
+  s_i w - a_i of one (pairing at most -2), and its bottom is s_i of the
+  top: s_i w or w + a_i.  Each end differs from w by at most
+  |<a_i^vee, w>| <= 2 BIAS in a coordinate of GL (where it stays between
+  w_i and w_(i+1)) and by at most BIAS in a neighbour's coordinate
+  otherwise, which stays inside the window, as does the key of pairing 0
+  or 1 between them that names the string.  Every weight of pi_i(e^w)
+  lies in conv(W w), whose coordinates grow with sum_k mark_k |w_k|, so
+  long words over large weights do reach the limit; they then raise
+  ``ValueError`` instead of wrapping.
 - a product of legal keys has coordinates in [-2 BIAS, 2 BIAS); every key
   formed is tested before terms cancel.
 - the W-invariance tests of ``pi_longest`` and ``weyl_decompose`` only
@@ -86,7 +93,8 @@ from functools import lru_cache
 from itertools import repeat
 from operator import eq, mul, sub
 
-from .cartan import LimitExceeded, RootDatum, Weight, add_into, weight_str
+from .cartan import (LimitExceeded, RootDatum, Weight, add_into, w_add, w_scale,
+                     weight_str)
 
 DIGIT_BITS = 32
 BIAS = 1 << (DIGIT_BITS - 2)
@@ -97,8 +105,8 @@ _MASK = (1 << DIGIT_BITS) - 1
 IRR_CACHE_MAX_TERMS = 500_000
 # The most terms a Demazure operator or a product may build.  The
 # benchmark's largest character has 3,317 terms; pi_{w_o} on E8 from
-# e^(2 w_1 + w_8) reaches 228k terms after about 3.5 s and 523k after 8 s
-# (raw seconds, one core of a 2-core Xeon).
+# e^(2 w_1 + w_8) passes this limit after 2.8-3.1 s at 86 MB peak RSS
+# (raw seconds, one core of a 2-core Xeon, Python 3.11).
 MAX_TERMS = 200_000
 # Bound on one datum's memo of dominant representatives; a full memo is
 # cleared.
@@ -308,7 +316,17 @@ def _height_of_key(datum: RootDatum, n: int):
 
 def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
     """pi_i f.  When s_i f = f, which is exactly when pi_i f = f, f itself is
-    returned: ``char_by_plan`` tests s_i-invariance by identity."""
+    returned: ``char_by_plan`` tests s_i-invariance by identity.
+
+    Otherwise pi_i f is summed one alpha_i-string at a time.  A term c e^w
+    with pairing m = <a_i^vee, w> <= -2 has the image of -c e^(s_i w - a_i),
+    whose pairing is -m - 2 >= 0, and one with m = -1 has none; once every
+    term is folded onto a pairing q >= 0, it adds c at each weight of its
+    string with pairing in [-q, q].  The image at pairings +-p is therefore
+    the sum of the folded coefficients at pairings >= |p| on its string,
+    which one walk down from the string's top pairing writes as a running
+    suffix sum.  LimitExceeded is raised before a string would take the
+    output past MAX_TERMS terms, ``reached`` being the count it would bring."""
     n = _check_length(datum, f)
     a = _alpha_key(datum, i)
     guard = _repunit(n) << (DIGIT_BITS - 1)
@@ -318,25 +336,38 @@ def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebr
     # of a whole string
     if _reflection_fixes(keys, a, pairings):
         return f
+    # the folded terms, later overwritten by the image; and the top pairing
+    # of each string, keyed by its weight of pairing 0 or 1
     out: dict[int, int] = {}
-    get = out.get
+    tops: dict[int, int] = {}
+    get, top_of = out.get, tops.get
     for (k, c), m in zip(keys.items(), pairings):
-        if m >= 0:
-            end = k - m * a
-            if end & guard:
-                raise _overflow(n)
-            for s in range(k, end - a, -a):
-                out[s] = get(s, 0) + c
-            if len(out) > MAX_TERMS:
-                raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, len(out))
-        elif m <= -2:
-            end = k - (m + 1) * a
-            if end & guard:
-                raise _overflow(n)
-            for s in range(k + a, end + a, a):
-                out[s] = get(s, 0) - c
-            if len(out) > MAX_TERMS:
-                raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, len(out))
+        if m < 0:
+            if m == -1:
+                continue
+            k, m, c = k - (m + 1) * a, -m - 2, -c
+        out[k] = get(k, 0) + c
+        mid = k - (m >> 1) * a
+        if top_of(mid, -1) < m:
+            tops[mid] = m
+    size = 0
+    for mid, q in tops.items():
+        k = mid + (q >> 1) * a
+        r = k - q * a
+        if (k | r) & guard:
+            raise _overflow(n)
+        size += q + 1
+        if size > MAX_TERMS:
+            raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, size)
+        # the top holds a folded term; step the pairings q - 2, q - 4, ...
+        # down to 0 or 1 at k, and -q + 2, -q + 4, ... up to 0 or -1 at r
+        s = out[r] = out[k]
+        while q > 1:
+            k -= a
+            r += a
+            q -= 2
+            s += get(k, 0)
+            out[k] = out[r] = s
     return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
 
 
@@ -349,9 +380,24 @@ def apply_word(datum: RootDatum, word, f: GroupAlgebraElement) -> GroupAlgebraEl
 
 
 def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> GroupAlgebraElement:
-    """Apply pi_{w_o}; optionally assert the result is Weyl-invariant."""
-    out = apply_word(datum, datum.longest_word, f)
-    if check and _moving_vertex(datum, out._keys, datum.lattice_rank) is not None:
+    """Apply pi_{w_o}; optionally assert the result is Weyl-invariant.
+
+    With J = {i : s_i f = f}, every pi_i with i in J fixes f, hence so does
+    pi_{w_J}; as l(w_o) = l(w_o w_J) + l(w_J), pi_{w_o} f = pi_{w_o w_J} f.
+    The stabiliser of lam_J = sum_{i not in J} omega_i is W_J, so w_o w_J
+    is the shortest element taking lam_J to w_o lam_J = -(dominant
+    representative of -lam_J), and the ascent ``dominant_representative``
+    takes from w_o lam_J spells a reduced word for it.  The word is found
+    afresh on each call, in under a millisecond even on E8."""
+    n = _check_length(datum, f)
+    keys = f._keys
+    lam = datum.zero
+    for i in datum.vertices:
+        if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
+            lam = w_add(lam, datum.fundamentals[i])
+    low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
+    out = apply_word(datum, datum.dominant_representative(low)[1], f)
+    if check and _moving_vertex(datum, out._keys, n) is not None:
         raise AssertionError("pi_{w_o} image is not Weyl-invariant")
     return out
 

@@ -1,10 +1,13 @@
 import json
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from pmcrystal import cli, weightring
-from pmcrystal.cartan import LimitExceeded, RootDatum, build_root_datum, w_add, w_sub
+from pmcrystal.cartan import (LimitExceeded, RootDatum, build_root_datum, w_add, w_scale,
+                              w_sub)
 from pmcrystal.product import multiset, weight_of_multiset
 from pmcrystal.truncation import build_plan, full_character, truncation_character
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
@@ -12,7 +15,7 @@ from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
                                   dominant_multiplicities, e, irreducible_character,
                                   key_decompose, laurent_str, pi_longest,
                                   weyl_decompose)
-from conftest import random_element
+from conftest import random_element, random_weight
 
 
 # -- reference: the Demazure operators on tuple weights ------------------------
@@ -319,6 +322,119 @@ def test_packed_pi_cancelling_terms(kind, rank):
         assert demazure_pi(datum, i, f).terms == ref_demazure_pi(datum, i, f.terms)
 
 
+def on_line(datum, i, w, m):
+    """The weight of pairing m on the a_i-line through w (m of its parity)."""
+    t, odd = divmod(m - datum.pairing(i, w), 2)
+    assert not odd
+    return w_add(w, w_scale(t, datum.alphas[i]))
+
+
+STRING_KINDS = [("A", 1), ("A", 3), ("D", 4), ("E6", 6),
+                ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
+
+
+@pytest.mark.parametrize("kind,rank", STRING_KINDS)
+def test_string_sums_match_reference(kind, rank):
+    # long strings carrying several terms of both signs, which the
+    # five-term elements of the small box above never build
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(60 + 10 * len(kind) + rank)
+    for _ in range(30):
+        i = rng.choice(datum.vertices)
+        w = random_weight(rng, datum)
+        odd = datum.pairing(i, w) % 2
+        terms = {on_line(datum, i, w, rng.randrange(odd - 40, 41, 2)): rng.choice((-2, -1, 1, 3))
+                 for _ in range(rng.randint(2, 6))}
+        terms[random_weight(rng, datum)] = 1
+        f = GroupAlgebraElement(terms)
+        assert demazure_pi(datum, i, f).terms == ref_demazure_pi(datum, i, f.terms)
+    i = datum.vertices[-1]
+    for w in (datum.zero, datum.fundamentals[i]):      # even and odd lines
+        odd = datum.pairing(i, w) % 2
+
+        def at(m):
+            return on_line(datum, i, w, m + odd)
+
+        for terms in (
+            {at(40): 1, at(-42): 1},                # folded onto the top: zero
+            {at(40): 2, at(-42): 1, at(-4): 3},     # both signs on one weight
+            {at(40): 1, at(36): -1},                # sums cancel from 36 to -36
+            {at(38): 1, at(-40): -1, at(10): 2, at(-12): 2, at(0): 5},
+            {at(-40): 1, at(-2): -1, at(2): 1, at(-4): 7},   # -1 on the odd line
+        ):
+            f = GroupAlgebraElement(terms)
+            assert demazure_pi(datum, i, f).terms == ref_demazure_pi(datum, i, f.terms)
+    assert demazure_pi(datum, i, e(on_line(datum, i, datum.zero, 40))
+                       - e(on_line(datum, i, datum.zero, 36))).terms == {
+        on_line(datum, i, datum.zero, m): 1 for m in (40, 38, -38, -40)}
+
+
+def longest_word_of(datum, vertices):
+    """A reduced word for the longest element w_J of the parabolic subgroup
+    generated by these vertices: the ascent of -rho inside W_J."""
+    cur, word = w_scale(-1, datum.rho), []
+    while True:
+        i = next((i for i in vertices if datum.pairing(i, cur) < 0), None)
+        if i is None:
+            return tuple(word)
+        cur = datum.reflect(i, cur)
+        word.append(i)
+
+
+def small_orbit_element(rng, datum):
+    """A few terms on the W-orbits of 0 and of the fundamental weights of
+    dimension at most 200, so that pi_{w_o} of it stays small."""
+    small = [datum.zero] + [w for w in datum.fundamentals.values()
+                            if datum.weyl_dimension(w) <= 200]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        w = rng.choice(small)
+        for _ in range(rng.randint(0, 12)):
+            w = datum.reflect(rng.choice(datum.vertices), w)
+        if datum.det is not None:
+            w = w_add(w, w_scale(rng.randint(-2, 2), datum.det))
+        terms[w] = rng.choice((-3, -1, 1, 2))
+    return terms
+
+
+def fixed_vertices(datum, terms):
+    return {i for i in datum.vertices if ref_demazure_pi(datum, i, terms) == terms}
+
+
+LONGEST_KINDS = [("A", r) for r in range(1, 7)] + [("D", r) for r in (4, 5, 6)] + [
+    ("E6", 6), ("E7", 7)] + [("GL", r) for r in range(2, 6)]
+
+
+@pytest.mark.parametrize("kind,rank", LONGEST_KINDS)
+def test_pi_longest_along_the_coset_word(kind, rank, monkeypatch):
+    # pi_longest applies pi along w_o w_J only, J the vertices fixing its
+    # input; the image is the one the whole longest word gives
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(70 + 10 * len(kind) + rank)
+    subsets = [(), datum.vertices] + [
+        tuple(i for i in datum.vertices if rng.random() < 0.5) for _ in range(4)]
+    calls = []
+    real_pi = weightring.demazure_pi
+
+    def counting_pi(datum, i, f):
+        calls.append(i)
+        return real_pi(datum, i, f)
+
+    for j in subsets:
+        f_terms = ref_apply_word(datum, longest_word_of(datum, j),
+                                 small_orbit_element(rng, datum))
+        f = GroupAlgebraElement(f_terms)
+        fixed = fixed_vertices(datum, f_terms)
+        assert set(j) <= fixed
+        expected = ref_apply_word(datum, datum.longest_word, f_terms)
+        assert apply_word(datum, datum.longest_word, f).terms == expected
+        monkeypatch.setattr(weightring, "demazure_pi", counting_pi)
+        calls.clear()
+        assert pi_longest(datum, f).terms == expected
+        monkeypatch.undo()
+        assert len(calls) == len(datum.longest_word) - len(longest_word_of(datum, fixed))
+
+
 @pytest.mark.parametrize("kind,rank,points", [
     ("D", 4, {(1, 0): 1, (2, 1): 1, (3, 2): 1}),   # overlapping
     ("E6", 6, {(1, 0): 1, (6, 20): 1}),           # far apart
@@ -564,3 +680,22 @@ def test_term_limit_exits_3(monkeypatch, capsys):
     assert "exceeded limit 10" in message
     assert detail["limit"] == 10 and detail["reached"] > 10
     assert detail["stage"] in ("weightring.demazure_pi", "weightring.multiply")
+
+
+@pytest.mark.parametrize("kind,rank", [("A", "1"), ("GL", "2")])
+def test_long_string_is_refused_before_it_is_written(capsys, kind, rank):
+    # pi_{w_o} of e^(30000000 w_1) is one string of 30,000,001 terms
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.run(["character", "--cartan", kind, "--rank", rank,
+                        "--R", "[[1,1,30000000]]"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and elapsed < 1.0 and peak < 50 * 2**20
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "limit-exceeded"
+    assert data["diagnostics"][1] == {"stage": "weightring.demazure_pi",
+                                      "limit": weightring.MAX_TERMS, "reached": 30_000_001}
