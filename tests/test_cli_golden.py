@@ -1,6 +1,6 @@
 """Byte-for-byte CLI output: the README command-line examples, semisimple
-characters and a plan through pi_{w_o}, and two validation errors, against
-the files in tests/golden/."""
+characters and a plan through pi_{w_o}, graph JSON and DOT, truncations,
+and two validation errors, against the files in tests/golden/."""
 
 from pathlib import Path
 
@@ -21,6 +21,14 @@ CASES = {
     "plan_a3": (0, ["plan", "--cartan", "A", "--rank", "3", "--R", R]),
     "graph_a2_dot": (0, ["graph", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2]]",
                          "--format", "dot"]),
+    "graph_a2_json": (0, ["graph", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2]]"]),
+    # negative exponents, exponents of size 2 and weights with a det coordinate
+    "graph_gl3_json": (0, ["graph", "--cartan", "GL", "--rank", "3",
+                           "--R", "[[1,1,1],[2,2,1]]"]),
+    "graph_d4_dot": (0, ["graph", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,2,1]]",
+                         "--format", "dot"]),
+    "truncate_gl3": (0, ["truncate", "--cartan", "GL", "--rank", "3", "--R", "[[1,1,2],[2,2,1]]",
+                         "--truncation", '{"thresholds": {"1": -1, "2": 0}}']),
     "schur_sequence": (0, ["schur", "--sequence", "[[1],[1],[2,1,1]]"]),
     "schur_diagram": (0, ["schur", "--diagram", "[[1,1],[2,2],[3,2],[2,3],[4,3]]"]),
     "stable_coeffs": (0, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]",
