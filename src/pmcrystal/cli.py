@@ -23,7 +23,8 @@ has sorted keys.
 Envelopes are written by ``_dumps``, which gives the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's fallback
 to the pure-Python encoder: one walk writes the indentation and hands every
-string to the C ``encode_basestring_ascii``.
+string to the C ``encode_basestring_ascii``.  ``graph`` and ``truncate``
+hand it their monomials as JSON text, which it copies in re-indented.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import sys
 
 from .cartan import LimitExceeded, build_root_datum, weight_str
-from .crystal import graph_to_json, to_dot
+from .crystal import graph_to_json, monomials_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
                       strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
@@ -126,7 +127,7 @@ def cmd_truncate(args):
          else up_closure(datum, r.support()))
     elements = truncate(datum, r, j)
     return {"truncation": j.to_json(),
-            "elements": [p.to_json() for p in elements],
+            "elements": _JSONText(monomials_json(elements)),
             "count": len(elements)}
 
 
@@ -147,7 +148,7 @@ def cmd_graph(args):
     graph = product_crystal(datum, r)
     if args.format == "dot":
         return to_dot(graph)
-    return {"graph": graph_to_json(graph)}
+    return {"graph": _JSONText(graph_to_json(graph))}
 
 
 def cmd_schur(args):
@@ -272,6 +273,12 @@ _encode_str = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 
 
+class _JSONText(str):
+    """JSON text written at depth 0 as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it.  ``_walk`` copies it in with every newline
+    re-indented, which is exact: the string encoder never writes a raw one."""
+
+
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at
     close to C-encoder speed.  Dict keys must be strings: any other key
@@ -283,10 +290,10 @@ def _dumps(obj) -> str:
 
 def _walk(obj, newline, write) -> None:
     """Write ``obj`` indented two spaces a level below ``newline``.  Exact
-    ints and strings are written inline, so a leaf costs no call; any other
-    leaf (floats, int subclasses, unknown types) goes to the compact
-    ``json.dumps``, which writes it as the indenting encoder does or raises
-    the same TypeError."""
+    ints and strings are written inline, so a leaf costs no call; marked
+    ``_JSONText`` is copied in re-indented; any other leaf (floats, int
+    subclasses, unknown types) goes to the compact ``json.dumps``, which
+    writes it as the indenting encoder does or raises the same TypeError."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -324,6 +331,8 @@ def _walk(obj, newline, write) -> None:
                 _walk(item, inner, write)
             sep = "," + inner
         write(newline + "]")
+    elif type(obj) is _JSONText:
+        write(obj.replace("\n", newline))
     elif isinstance(obj, str):
         write(_encode_str(obj))
     elif obj is None:

@@ -9,13 +9,16 @@ the other builder: one pass over the packed keys of a product crystal (see
 ``monomial.MonomialCodec``), as ``product.fold`` makes them.  Every graph
 records its highest-weight elements from the e_i computed while it was
 built.  Both ``closure`` and ``product.fold`` stop at ``MAX_ELEMENTS``.
+``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each written
+from fragments memoised per call, one per weight and exponent entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from .cartan import LimitExceeded, RootDatum, Weight, w_add
+from .cartan import LimitExceeded, RootDatum, Weight, w_add, weight_str
 from .monomial import (Monomial, MonomialCodec, column_stats, e_op, f_op,
                        make_monomial)
 from .weightring import GroupAlgebraElement
@@ -321,29 +324,66 @@ def element_label(x) -> str:
     return f"{element_label(x.left)} (x) {element_label(x.right)}"
 
 
+class _Memo(dict):
+    """A dict that writes each missing key's value once, as ``render(key)``."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        self[key] = value = self.render(key)
+        return value
+
+
 def to_dot(graph: CrystalGraph) -> str:
     """Deterministic DOT rendering: vertices in sorted order, edges
-    labelled by their vertex index."""
+    labelled by their vertex index.  A monomial's label is written from
+    pieces memoised per call, one ``e(w)*`` per weight and one ``y[i,c]^e``
+    per exponent entry; ``element_label`` writes the other labels."""
     index = {x: k for k, x in enumerate(graph.elements)}
+    prefix = _Memo(lambda w: f"e{weight_str(w)}*")
+    piece = _Memo(lambda entry: "y[%d,%d]" % entry[0] if entry[1] == 1
+                  else "y[%d,%d]^%d" % (*entry[0], entry[1]))
     lines = ["digraph crystal {"]
-    for x in graph.elements:
-        lines.append(f'  n{index[x]} [label="{element_label(x)}"];')
-    for x, i, y in graph.f_edges:
-        lines.append(f'  n{index[x]} -> n{index[y]} [label="{i}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for k, x in enumerate(graph.elements):
+        label = (prefix[x.weight] + "*".join(map(piece.__getitem__, x.exponents))
+                 if isinstance(x, Monomial) and x.exponents else element_label(x))
+        lines.append(f'  n{k} [label="{label}"];')
+    lines.extend('  n%d -> n%d [label="%d"];' % (index[x], index[y], i)
+                 for x, i, y in graph.f_edges)
+    return "\n".join(lines) + "\n}\n"
 
 
-def graph_to_json(graph: CrystalGraph) -> dict:
+def _json_list(items, newline: str) -> str:
+    """A JSON array of already written ``items``, indented two spaces a
+    level below ``newline``, as ``json.dumps(..., indent=2)`` writes it."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+
+
+def monomials_json(elements, newline: str = "\n") -> str:
+    """The text of ``json.dumps([x.to_json() for x in elements], indent=2,
+    sort_keys=True)``, indented below ``newline``; an element that is no
+    monomial is written as {"label": element_label(x)}.  Each weight and
+    each exponent entry is written once per call."""
+    node, key, entry, field = (newline + "  " * k for k in (1, 2, 3, 4))
+    weight = _Memo(lambda w: _json_list(list(map(str, w)), key))
+    exponent = _Memo(lambda item: '{%s"c": %d,%s"e": %d,%s"i": %d%s}' % (
+        field, item[0][1], field, item[1], field, item[0][0], entry))
+    head, middle, tail = "{" + key + '"exponents": ', "," + key + '"weight": ', node + "}"
+    return _json_list([
+        head + _json_list(list(map(exponent.__getitem__, x.exponents)), key)
+        + middle + weight[x.weight] + tail if isinstance(x, Monomial)
+        else "{" + key + '"label": ' + encode_basestring_ascii(element_label(x)) + tail
+        for x in elements], newline)
+
+
+def graph_to_json(graph: CrystalGraph) -> str:
+    """The text of ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
+    sort_keys=True)``: nodes as ``monomials_json`` writes them, edges as
+    {"source", "target", "i"} with source and target node indices."""
     index = {x: k for k, x in enumerate(graph.elements)}
-    nodes = []
-    for x in graph.elements:
-        if isinstance(x, Monomial):
-            nodes.append(x.to_json())
-        else:
-            nodes.append({"label": element_label(x)})
-    return {
-        "nodes": nodes,
-        "edges": [{"source": index[x], "target": index[y], "i": i}
-                  for x, i, y in graph.f_edges],
-    }
+    edge = '{\n      "i": %d,\n      "source": %d,\n      "target": %d\n    }'
+    edges = [edge % (i, index[x], index[y]) for x, i, y in graph.f_edges]
+    return ('{\n  "edges": ' + _json_list(edges, "\n  ") + ',\n  "nodes": '
+            + monomials_json(graph.elements, "\n  ") + "\n}")

@@ -561,7 +561,7 @@ def nesting(value) -> int:
 
 
 def test_emitter_matches_indented_json_dumps():
-    from pmcrystal.cli import _dumps
+    from pmcrystal.cli import _JSONText, _dumps
     rng = random.Random(2019)
     depths = []
     for n in range(300):
@@ -573,6 +573,26 @@ def test_emitter_matches_indented_json_dumps():
     assert max(depths) >= 7 and min(depths) == 0
     for empty in ({}, [], (), {"": {}}, [[], ()]):
         assert _dumps(empty) == json.dumps(empty, indent=2, sort_keys=True)
+    # marked JSON text, nested 0-3 levels deep in dicts and lists, is copied
+    # in re-indented: the bytes of json.dumps with the parsed text in its place
+    texts = [json.dumps(emit_value(rng, 3, spine=n % 2 == 0), indent=2, sort_keys=True)
+             for n in range(60)] + ["[]", "{}"]
+    shapes = [0, 0]  # lists and tuples, dicts
+    for text in texts:
+        for depth in range(4):
+            marked, parsed = _JSONText(text), json.loads(text)
+            for _ in range(depth):
+                siblings = emit_value(rng, 2, spine=True)
+                if isinstance(siblings, dict):
+                    key = emit_string(rng)
+                    marked, parsed = {**siblings, key: marked}, {**siblings, key: parsed}
+                else:
+                    at = rng.randrange(len(siblings) + 1)
+                    marked = [*siblings[:at], marked, *siblings[at:]]
+                    parsed = [*siblings[:at], parsed, *siblings[at:]]
+                shapes[isinstance(siblings, dict)] += 1
+            assert _dumps(marked) == json.dumps(parsed, indent=2, sort_keys=True), marked
+    assert min(shapes) > 20
     with pytest.raises(TypeError):
         _dumps({"a": [1, {2, 3}]})
     with pytest.raises(TypeError):

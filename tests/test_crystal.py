@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,12 +7,13 @@ from pmcrystal import crystal
 from pmcrystal.cartan import build_root_datum, w_add
 from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, character_of_set,
                                check_crystal_axioms, closure, demazure_crystal,
-                               e_of, extend_strings, f_of, graph_over, highest_weights,
-                               highest_weight_monomial, sort_key, string_property,
-                               tensor_crystal, to_dot, wt_of)
+                               e_of, element_label, extend_strings, f_of, graph_over,
+                               graph_to_json, highest_weights, highest_weight_monomial,
+                               sort_key, string_property, tensor_crystal, to_dot, wt_of)
 from pmcrystal.monomial import (Monomial, MonomialCodec, make_monomial, mono_mul,
                                 one, y_monomial)
 from pmcrystal.weightring import e, irreducible_character
+from conftest import random_multiset, random_weight
 
 
 def test_closure_sl3_fundamental(a2):
@@ -164,6 +166,66 @@ def test_dot_single_node(a2):
     g = closure(a2, [one(a2)])
     text = to_dot(g)
     assert text.count("->") == 0 and text.count("[label=") == 1
+
+
+def ref_graph_to_json(graph: CrystalGraph) -> dict:
+    """The graph as one dict per node, exponent and edge: the reference the
+    text of ``graph_to_json`` must encode."""
+    index = {x: k for k, x in enumerate(graph.elements)}
+    return {"nodes": [x.to_json() if isinstance(x, Monomial) else {"label": element_label(x)}
+                      for x in graph.elements],
+            "edges": [{"source": index[x], "target": index[y], "i": i}
+                      for x, i, y in graph.f_edges]}
+
+
+def ref_to_dot(graph: CrystalGraph) -> str:
+    """DOT with every label written by ``element_label``: the reference for
+    ``to_dot``."""
+    index = {x: k for k, x in enumerate(graph.elements)}
+    lines = ["digraph crystal {"]
+    for x in graph.elements:
+        lines.append(f'  n{index[x]} [label="{element_label(x)}"];')
+    for x, i, y in graph.f_edges:
+        lines.append(f'  n{index[x]} -> n{index[y]} [label="{i}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+RENDER_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E6", 6),
+               ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
+
+
+def render_cases(seed):
+    """Seeded product crystals over RENDER_DATA, with overlapping and with
+    far-apart points, the one-element M(empty set), monomials with a weight
+    and no exponents, and a tensor graph whose nodes are labels."""
+    from pmcrystal.product import multiset, product_crystal
+    rng = random.Random(seed)
+    for kind, rank in RENDER_DATA:
+        datum = build_root_datum(kind, rank)
+        for _ in range(3):
+            yield product_crystal(datum, random_multiset(rng, datum, cap=400))
+            r = random_multiset(rng, datum, max_points=2, cap=30)
+            yield product_crystal(datum, r + r.shifted(10**6))
+        yield product_crystal(datum, multiset({}))
+        yield closure(datum, [make_monomial(random_weight(rng, datum), {})])
+    a2 = build_root_datum("A", 2)
+    yield tensor_crystal(a2, closure(a2, [y_monomial(a2, 1, 1)]),
+                         closure(a2, [y_monomial(a2, 2, 0, 2)]))
+
+
+def test_renderers_match_references():
+    seen = {"far": 0, "empty": 0, "label": 0}
+    for g in render_cases(15):
+        assert graph_to_json(g) == json.dumps(ref_graph_to_json(g), indent=2, sort_keys=True)
+        assert to_dot(g) == ref_to_dot(g)
+        first = g.elements[0]
+        if isinstance(first, Monomial):
+            seen["far"] += max((c for (_, c), _ in first.exponents), default=0) > 10**5
+            seen["empty"] += not first.exponents and not g.f_edges
+        else:
+            seen["label"] += 1
+    assert seen == {"far": 30, "empty": 20, "label": 1}
 
 
 def test_single_primitive_closure_is_irreducible(a3):
