@@ -2,23 +2,17 @@
 modules."""
 
 from .cartan import RootDatum, build_root_datum
-from .crystal import (CrystalGraph, TensorElement, character_of_set,
-                      check_crystal_axioms, closure, demazure_crystal,
-                      extend_strings, highest_weights, string_property,
-                      tensor_crystal, to_dot)
-from .monomial import Monomial, column_stats, e_op, f_op, make_monomial, z_monomial
+from .crystal import CrystalGraph, closure, highest_weights, to_dot
+from .monomial import Monomial, column_stats, e_op, f_op, make_monomial
 from .product import (PointMultiset, decompose, fundamental_crystal, multiset,
                       multiset_from_pairs, product_crystal, r_support, s_label)
-from .truncation import (BuildPlan, ThresholdSet, boundary, build_plan,
-                         char_by_plan, down_closure, full_character,
-                         replay_plan, truncate, up_closure)
-from .typea import (diagram_of_sequence, flagged_schur_char, lr_skew_expand,
-                    multiset_of_sequence, psi_embed, restrict_coeffs,
-                    schur_char, sequence_of_multiset, skew_normalise,
-                    specht_decompose_bruteforce, stable_bound, stable_coeffs)
-from .weightring import (GroupAlgebraElement, apply_word, demazure_character,
-                         demazure_pi, e, irreducible_character, key_decompose,
-                         weyl_decompose)
+from .truncation import (BuildPlan, ThresholdSet, build_plan, char_by_plan,
+                         down_closure, full_character, truncate, up_closure)
+from .typea import (flagged_schur_char, lr_skew_expand, restrict_coeffs,
+                    schur_char, skew_normalise, specht_decompose_bruteforce,
+                    stable_bound, stable_coeffs)
+from .weightring import (GroupAlgebraElement, apply_word, demazure_pi, e,
+                         irreducible_character, weyl_decompose)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -106,11 +106,6 @@ def make_monomial(weight: Weight, exponents: dict[LatticePoint, int]) -> Monomia
                     tuple(sorted((pt, ex) for pt, ex in exponents.items() if ex != 0)))
 
 
-def monomial_from_json(data: dict) -> Monomial:
-    exps = {(d["i"], d["c"]): d["e"] for d in data["exponents"]}
-    return make_monomial(tuple(data["weight"]), exps)
-
-
 def one(datum: RootDatum) -> Monomial:
     return Monomial(datum.zero, ())
 
@@ -141,10 +136,6 @@ def _z_monomial_cached(datum: RootDatum, i: int, k: int, power: int) -> Monomial
     return make_monomial(w_scale(power, datum.alphas[i]), exps)
 
 
-def z_monomial(datum: RootDatum, i: int, k: int) -> Monomial:
-    return _z_monomial_cached(datum, i, k, 1)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     # both exponent tuples are sorted by point: merge, do not re-sort
     ea, eb = a.exponents, b.exponents
@@ -169,29 +160,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out.extend(ea[ia:])
     out.extend(eb[ib:])
     return Monomial(w_add(a.weight, b.weight), tuple(out))
-
-
-def mono_pow(a: Monomial, k: int) -> Monomial:
-    if k == 0:
-        return Monomial((0,) * len(a.weight), ())
-    return Monomial(w_scale(k, a.weight),
-                    tuple((pt, k * ex) for pt, ex in a.exponents))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return mono_mul(a, mono_pow(b, -1))
-
-
-def validate_monomial(datum: RootDatum, p: Monomial) -> None:
-    """Check the two membership conditions of the monomial crystal."""
-    for (i, c), _ in p.exponents:
-        require_lattice_point(datum, i, c)
-    for i in datum.vertices:
-        col = sum(ex for (pi, _), ex in p.exponents if pi == i)
-        if datum.pairing(i, p.weight) != col:
-            raise ValueError(
-                f"weight/exponent mismatch in column {i}: "
-                f"<a_{i}^v, wt> = {datum.pairing(i, p.weight)} but column sums to {col}")
 
 
 def column_stats(p: Monomial, i: int) -> tuple[int, int, int | None, int | None]:

@@ -89,9 +89,14 @@ def strict_int(x) -> int:
 
 
 def multiset_from_pairs(pairs) -> PointMultiset:
+    """The multiset of [i, c, m] (or [i, c], m = 1) entries, the m of
+    repeated points summed; every m is checked before any is summed, so a
+    negative one cannot cancel against another."""
     out: dict[LatticePoint, int] = {}
     for entry in pairs:
         i, c, m = map(strict_int, entry if len(entry) == 3 else (*entry, 1))
+        if m < 0:
+            raise ValueError(f"negative multiplicity at {(i, c)}")
         out[(i, c)] = out.get((i, c), 0) + m
     return multiset(out)
 

@@ -25,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import LimitExceeded, RootDatum
-from .crystal import extend_strings
-from .monomial import LatticePoint, Monomial, mono_mul, one
+from .monomial import Monomial
 from .product import (PointMultiset, fold, fundamental_crystal, multiset,
-                      r_support, validate_points, weight_of_multiset,
-                      y_of_multiset)
+                      r_support, validate_points, weight_of_multiset)
 from .weightring import GroupAlgebraElement, demazure_pi, e as ga_e, pi_longest
 
 INF = None  # an infinite threshold: the column meets J nowhere
@@ -114,19 +112,10 @@ def down_closure(datum: RootDatum, points) -> DownwardSet:
     return DownwardSet(tuple(out))
 
 
-def boundary(datum: RootDatum, j: ThresholdSet) -> frozenset[LatticePoint]:
-    """The lowest point of every column of J; defined only when all
-    thresholds are finite."""
-    for i in datum.vertices:
-        if j.threshold(i) is None:
-            raise ValueError(f"column {i} has no boundary (infinite threshold)")
-    return frozenset((i, j.threshold(i)) for i in datum.vertices)
-
-
 def truncate(datum: RootDatum, r: PointMultiset,
              j: ThresholdSet) -> tuple[Monomial, ...]:
-    """M(R, J): the monomials of M(R) whose R-support lies in J, in sort_key
-    order.  Any p = x_1 * ... * x_m over the fundamental factors has
+    """M(R, J): the monomials of M(R) whose R-support lies in J, sorted by
+    weight, then exponents.  Any p = x_1 * ... * x_m over the fundamental factors has
     S(p) = S(x_1) + ... + S(x_m), so p lies in M(R, J) iff every S(x_k)
     lies in J: M(R, J) is the ``fold`` of the truncated factors, and M(R)
     is never built."""
@@ -231,19 +220,6 @@ def build_plan(datum: RootDatum, r: PointMultiset,
     start_j = ThresholdSet(tuple(start))
     validate_threshold_set(datum, start_j)
     return BuildPlan(start_j, tuple(window), r)
-
-
-def replay_plan(datum: RootDatum, plan: BuildPlan) -> frozenset[Monomial]:
-    """Execute a plan's set semantics: Extend(i, k) extends i-strings,
-    Multiply(Q) multiplies by y_Q."""
-    xs = frozenset([one(datum)])
-    for kind, payload in plan.steps:
-        if kind == "extend":
-            xs = extend_strings(datum, payload[0], xs)
-        else:
-            yq = y_of_multiset(datum, payload)
-            xs = frozenset(mono_mul(yq, p) for p in xs)
-    return xs
 
 
 def char_by_plan(datum: RootDatum, plan: BuildPlan) -> GroupAlgebraElement:

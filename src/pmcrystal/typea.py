@@ -3,10 +3,12 @@ Schur characters, stability, and two independent representation-theoretic
 oracles.
 
 A partition sequence (l^(1), ..., l^(r)) with len(l^(i)) <= i determines
-both a column-convex diagram D (shift the diagram down a row, adjoin the
-next Young diagram on fresh columns) and a point multiset R together with
-an upward-closed set J (the i-th strip of J holds one point per column
-length occurring in l^(i)).  The flagged character recurrence
+a column-convex diagram D (shift the diagram down a row, adjoin the next
+Young diagram on fresh columns); ``sequence_of_diagram`` reads one back.
+It also determines a point multiset R with an upward-closed set J, whose
+truncation character is the flagged one; that correspondence is checked
+in the tests (``tests/reference.py``), and no command needs it.  The
+flagged character recurrence
 
     ch_0 = 1,   ch_i = e^{l^(i)} * pi_1 ... pi_{i-1} (ch_{i-1})
 
@@ -32,10 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cartan import RootDatum, Weight, build_root_datum
-from .product import (PointMultiset, multiset, decompose, expand_label,
-                      s_label, strict_int)
-from .truncation import ThresholdSet
+from .cartan import Weight, build_root_datum
+from .product import PointMultiset, decompose, strict_int
 from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
                          pi_longest, weyl_decompose)
 
@@ -70,17 +70,6 @@ def weight_partition(w: Weight) -> Partition:
     if any(a < b for a, b in zip(w, w[1:])) or (w and w[-1] < 0):
         raise ValueError(f"{w} is not a polynomial dominant weight")
     return tuple(x for x in w if x > 0)
-
-
-def column_mults(p: Partition) -> dict[int, int]:
-    """Number of columns of each length: length j occurs p_j - p_{j+1}
-    times."""
-    out = {}
-    for j in range(1, len(p) + 1):
-        nxt = p[j] if j < len(p) else 0
-        if p[j - 1] - nxt:
-            out[j] = p[j - 1] - nxt
-    return out
 
 
 def conjugate(p: Partition) -> Partition:
@@ -123,20 +112,6 @@ def check_sequence(seq) -> tuple[Partition, ...]:
                              f"{len(p)} > {i}")
         out.append(p)
     return tuple(out)
-
-
-def diagram_of_sequence(seq) -> frozenset[Box]:
-    """Shift the running diagram down one row, then adjoin the Young
-    diagram of the next partition on fresh columns, longest row on row 1."""
-    seq = check_sequence(seq)
-    boxes: set[Box] = set()
-    for p in seq:
-        boxes = {(r + 1, c) for (r, c) in boxes}
-        base = max((c for (_, c) in boxes), default=0)
-        for r, parts in enumerate(p, start=1):
-            for c in range(1, parts + 1):
-                boxes.add((r, base + c))
-    return frozenset(boxes)
 
 
 def check_diagram(boxes) -> frozenset[Box]:
@@ -224,67 +199,6 @@ def diagram_ascii(boxes) -> str:
         lines.append("".join("[]" if (r, c) in boxes else "  "
                              for c in range(1, cmax + 1)).rstrip())
     return "\n".join(lines)
-
-
-# -- sequences <-> multisets ---------------------------------------------------
-
-
-def sequence_strips(seq) -> list[dict[int, int]]:
-    """Per step i, the column multiplicities of l^(i): vertex j carries
-    multiplicity (#columns of length j), living at grid point (j, j-2i)."""
-    seq = check_sequence(seq)
-    return [column_mults(p) for p in seq]
-
-
-def multiset_of_sequence(seq, n: int | None = None) -> tuple[PointMultiset, ThresholdSet, int]:
-    """The (R, J) pair of a partition sequence, over GL_n.
-
-    J's column-j threshold after all r steps is j - 2r (the union of
-    strips), with column 1 of the i-th strip at height 1 - 2i.  Returns
-    (R, J, n) where n defaults to the smallest rank whose vertex set
-    carries both R and J's finite columns.
-    """
-    seq = check_sequence(seq)
-    r = len(seq)
-    mult: dict[tuple[int, int], int] = {}
-    for i, strip in enumerate(sequence_strips(seq), start=1):
-        for j, m in strip.items():
-            pt = (j, j - 2 * i)
-            mult[pt] = mult.get(pt, 0) + m
-    rr = multiset(mult)
-    min_n = max(r, rr.max_vertex() + 1, 1)
-    if n is None:
-        n = min_n
-    elif n < min_n:
-        raise ValueError(f"rank {n} too small; sequence needs GL_{min_n}")
-    thresholds = tuple(min(2 - j, j - 2 * r) for j in range(1, n))
-    return rr, ThresholdSet(thresholds), n
-
-
-def sequence_of_multiset(rr: PointMultiset) -> tuple[Partition, ...]:
-    """Read a partition sequence back off a multiset, after the even
-    vertical shift placing every point (j, c) at or below c = -j."""
-    if rr.is_empty():
-        return ()
-    shift = 0
-    for (j, c), _ in rr.points:
-        over = c + j
-        if over > shift:
-            shift = over + (over % 2)
-    shifted = rr.shifted(-shift)
-    strips: dict[int, dict[int, int]] = {}
-    for (j, c), m in shifted.points:
-        i = (j - c) // 2
-        strips.setdefault(i, {})[j] = m
-    r = max(strips)
-    seq = []
-    for i in range(1, r + 1):
-        mults = strips.get(i, {})
-        top = max(mults, default=0)
-        parts = tuple(sum(m for j, m in mults.items() if j >= k)
-                      for k in range(1, top + 1))
-        seq.append(parts)
-    return check_sequence(seq)
 
 
 # -- Schur characters ----------------------------------------------------------
@@ -674,17 +588,6 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
 
 
 # -- stability over I_infinity --------------------------------------------------
-
-
-def psi_embed(datum_n: RootDatum, datum_m: RootDatum, rr: PointMultiset, p):
-    """Send an element of M(GL_n, R) to M(GL_m, R) by preserving its
-    S-label (n <= m)."""
-    if datum_n.kind != "GL" or datum_m.kind != "GL":
-        raise ValueError("psi embeddings are a GL construction")
-    if datum_n.rank > datum_m.rank:
-        raise ValueError("psi goes from smaller rank to larger")
-    s = s_label(datum_n, rr, p)
-    return expand_label(datum_m, rr, s)
 
 
 def stable_bound(rr: PointMultiset) -> int:

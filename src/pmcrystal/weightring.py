@@ -15,11 +15,9 @@ pi_i f = f exactly when s_i f = f, so with J the vertices whose reflections
 fix f, pi_{w_o} f = pi_{w_o w_J} f: ``pi_longest`` applies only a reduced
 word of the shortest element w_o w_J of the coset w_o W_J.
 
-Decomposition routines peel characters triangularly by height, which grows
-along the positive-root order: ``weyl_decompose`` peels a dominant term of
-greatest height, ``key_decompose`` a term of least height (Demazure
-characters have lowest term e^mu with coefficient one).  A W-invariant
-element is fixed by its dominant terms, so ``weyl_decompose`` checks
+``weyl_decompose`` peels a character triangularly by height, which grows
+along the positive-root order: it subtracts at a dominant term of greatest
+height.  A W-invariant element is fixed by its dominant terms, so it checks
 W-invariance once and then peels on dominant keys alone, subtracting the
 dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``dominant_multiplicities``); the Demazure-built ch V(mu)
@@ -75,8 +73,6 @@ that window and is checked where it could leave the legal range:
 - the W-invariance tests of ``pi_longest`` and ``weyl_decompose`` only
   look keys up: a reflected key with an illegal coordinate is never a
   stored key.
-- ``key_decompose`` subtracts ch D(mu), whose keys were built and tested
-  by pi_i strings, from an element with legal keys.
 - the dominant weights of V(mu) step down from mu by positive roots, whose
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
   strings step up by one root from a weight of V(mu), and the walk to the
@@ -291,13 +287,12 @@ def _reflection_fixes(keys: dict[int, int], a: int, pairings: list[int]) -> bool
     return all(map(eq, map(keys.get, reflected), keys.values()))
 
 
-def _moving_vertex(datum: RootDatum, keys: dict[int, int], n: int) -> int | None:
-    """A vertex i with s_i moving the element with these keys, or None when
-    the element is W-invariant."""
+def _moving_vertices(datum: RootDatum, keys: dict[int, int], n: int):
+    """The vertices i with s_i moving the element with these keys, in
+    vertex order and lazily: none when the element is W-invariant."""
     for i in datum.vertices:
         if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
-            return i
-    return None
+            yield i
 
 
 def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
@@ -390,14 +385,12 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     takes from w_o lam_J spells a reduced word for it.  The word is found
     afresh on each call, in under a millisecond even on E8."""
     n = _check_length(datum, f)
-    keys = f._keys
     lam = datum.zero
-    for i in datum.vertices:
-        if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
-            lam = w_add(lam, datum.fundamentals[i])
+    for i in _moving_vertices(datum, f._keys, n):
+        lam = w_add(lam, datum.fundamentals[i])
     low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
     out = apply_word(datum, datum.dominant_representative(low)[1], f)
-    if check and _moving_vertex(datum, out._keys, n) is not None:
+    if check and next(_moving_vertices(datum, out._keys, n), None) is not None:
         raise AssertionError("pi_{w_o} image is not Weyl-invariant")
     return out
 
@@ -562,17 +555,6 @@ def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
     return {_decode(k, n): c for k, c in table.items()}
 
 
-def demazure_character(datum: RootDatum, mu: Weight) -> GroupAlgebraElement:
-    """The key polynomial ch D(mu): lowest term e^mu, all others above it
-    in the positive-root order."""
-    mu = tuple(mu)
-    dom, word = datum.dominant_representative(mu)
-    out = apply_word(datum, word, e(dom))
-    if out.coefficient(mu) != 1:
-        raise AssertionError(f"ch D{weight_str(mu)} has no simple bottom term")
-    return out
-
-
 class DecompositionError(ValueError):
     """The element is not the expected nonnegative combination."""
 
@@ -589,7 +571,7 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     """
     n = _check_length(datum, f)
     keys = f._keys
-    i = _moving_vertex(datum, keys, n)
+    i = next(_moving_vertices(datum, keys, n), None)
     if i is not None:
         raise DecompositionError(f"not Weyl-invariant: s_{i} moves it")
     height = _height_of_key(datum, n)
@@ -611,34 +593,6 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
         add_into(rem, -c, table)
         out[mu] = c
     return out
-
-
-def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]:
-    """Write f as a sum of Demazure characters (key polynomials).
-
-    Repeatedly peels at a term of least height, hence minimal in the
-    positive-root order.  For an element that is a nonnegative sum of key
-    polynomials this terminates with the exact multiset of keys; otherwise
-    DecompositionError is raised (negative coefficient, or the iteration
-    guard trips).
-    """
-    n = _check_length(datum, f)
-    height = _height_of_key(datum, n)
-    rem = dict(f._keys)
-    out: dict[Weight, int] = {}
-    guard = sum(abs(c) for c in rem.values()) + 10
-    while rem:
-        guard -= 1
-        if guard < 0:
-            raise DecompositionError("key decomposition did not terminate; "
-                                     "input is not key-positive")
-        low = min(rem, key=lambda k: (height(k), k))
-        mu, c = _decode(low, n), rem[low]
-        if c < 0:
-            raise DecompositionError(f"negative key coefficient {c} at {mu}")
-        add_into(rem, -c, demazure_character(datum, mu)._keys)
-        out[mu] = out.get(mu, 0) + c
-    return {w: c for w, c in out.items() if c}
 
 
 def laurent_str(datum: RootDatum, f: GroupAlgebraElement) -> str:

@@ -8,24 +8,24 @@ import random
 import time
 
 from pmcrystal.cartan import build_root_datum
-from pmcrystal.crystal import (character_of_set, check_crystal_axioms,
-                               extend_strings, highest_weights,
-                               string_property)
-from pmcrystal.monomial import mono_mul, mono_pow, y_monomial, z_monomial
+from pmcrystal.crystal import highest_weights
+from pmcrystal.monomial import mono_mul, y_monomial
 from pmcrystal.product import (decompose, multiset, product_crystal,
                                y_of_multiset)
-from pmcrystal.truncation import (boundary, build_plan, replay_plan,
-                                  truncate, up_closure,
+from pmcrystal.truncation import (build_plan, truncate, up_closure,
                                   validate_threshold_set)
-from pmcrystal.typea import (diagram_of_sequence, flagged_schur_char,
-                             lr_skew_expand, multiset_of_sequence,
+from pmcrystal.typea import (flagged_schur_char, lr_skew_expand,
                              partitions_of, restrict_coeffs, schur_decompose,
                              sequence_of_diagram, skew_normalise,
                              specht_decompose_bruteforce, stable_bound,
                              stable_coeffs, weight_partition)
-from pmcrystal.weightring import (apply_word, demazure_pi, e, key_decompose,
-                                  laurent_str, pi_longest, weyl_decompose)
+from pmcrystal.weightring import (apply_word, demazure_pi, e, laurent_str,
+                                  pi_longest, weyl_decompose)
 from conftest import random_element, random_multiset
+from reference import (boundary, character_of_set, check_crystal_axioms,
+                       diagram_of_sequence, extend_strings, key_decompose,
+                       mono_pow, multiset_of_sequence, replay_plan, string_property,
+                       z_monomial)
 from test_typea import random_sequence
 
 

@@ -266,6 +266,25 @@ def test_non_integers_exit_2(capsys, argv, value):
     assert "is not an integer" in data["diagnostics"][0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["character", "--R", "[[1,1,1],[1,1,-1]]"],
+    ["stable", "--R", "[[1,1,1],[1,1,-1]]"],
+    ["decompose", "--R", "[[2,0],[1,1,-1],[1,1,2]]"],
+])
+def test_cancelling_negative_multiplicity_exits_2(capsys, argv):
+    # each entry is checked before repeated points are summed, so a negative
+    # multiplicity cannot cancel against a positive one into a valid R
+    code = run(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error"
+    assert "negative multiplicity at (1, 1)" in data["diagnostics"][0]
+    # a zero multiplicity stays legal, and adds nothing
+    assert run(["character", "--R", "[[1,1,0],[2,0]]"]) == 0
+    with_zero = capsys.readouterr().out
+    assert run(["character", "--R", "[[2,0]]"]) == 0
+    assert capsys.readouterr().out == with_zero
+
+
 # -- seeded argv fuzzing ------------------------------------------------------
 
 FUZZ_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("GL", 2),

@@ -138,3 +138,97 @@ def test_no_indented_json_dumps():
                ast.walk(ast.parse("json.dumps(x, indent=2, sort_keys=True)")))
     assert not any(_indented_dumps(n) for n in
                    ast.walk(ast.parse("json.dumps(x, sort_keys=True)")))
+
+
+# Kept in src/ although neither the CLI nor the benchmark reaches them.
+KEPT = (
+    ("product", "y_of_multiset",
+     "its import binds product.mono_mul, which bench/tracing.py wraps directly"),
+    ("weightring", "dominant_multiplicities",
+     "the checked public entry to the Freudenthal tables"),
+)
+
+
+def _unreachable(sources: dict, roots) -> list:
+    """``module.name`` of every top-level function and class in ``sources``
+    (module name -> text; ``__init__`` is read for its imports only) that
+    no chain of references reaches from ``roots`` or from the statements a
+    module runs on import.  A name resolves through the relative imports of
+    its module, and ``alias.name`` through a module bound by
+    ``from . import alias``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defs = {(module, node.name): node for module, tree in trees.items()
+            if module != "__init__" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    imports = {(module, alias.asname or alias.name): (node.module, alias.name)
+               for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+
+    def resolve(module, name):
+        while (module, name) not in defs:
+            module, name = imports.get((module, name), (None, None))
+            if module is None:
+                return None
+        return module, name
+
+    def references(module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(module, sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                bound = imports.get((module, sub.value.id))
+                if bound is not None and bound[0] is None:  # a sibling module
+                    yield resolve(bound[1], sub.attr)
+
+    todo = [resolve(module, name) for module, name in roots]
+    todo += [ref for module, tree in trees.items() for node in tree.body
+             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             for ref in references(module, node)]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key is not None and key not in seen:
+            seen.add(key)
+            todo.extend(references(key[0], defs[key]))
+    return sorted(f"{module}.{name}" for module, name in defs.keys() - seen)
+
+
+def test_src_names_reachable():
+    # src/ holds what the CLI and the benchmark run; a definition only the
+    # tests reach belongs in tests/reference.py
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    bench = SRC.parents[1] / "bench"
+    tracing = ast.parse((bench / "tracing.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tracing.body if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in ("MODULES", "SPANS", "COUNTS")}
+    direct = {(node.value.id, node.attr) for node in ast.walk(tracing)
+              if isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in tables["MODULES"]}
+    calls = {name.rpartition(".")[::2] for name, _, _, _ in
+             _library_calls(ast.parse((bench / "worker.py").read_text()))}
+    roots = [("cli", "main"),  # the console script
+             *tables["SPANS"], *tables["COUNTS"], *direct,
+             *((module or "__init__", name) for module, name in calls)]
+    assert len(calls) >= 5
+    kept = [(module, name) for module, name, _ in KEPT]
+    assert _unreachable(sources, roots + kept) == []
+    # and every exemption is still needed
+    assert _unreachable(sources, roots) == sorted(f"{m}.{n}" for m, n in kept)
+    # the check itself follows names, imports and module attributes, and
+    # finds a definition nothing reaches
+    sample = {
+        "__init__": "from .a import used\n",
+        "a": "def used():\n    return helper()\n\n"
+             "def helper():\n    pass\n\n"
+             "class Dead:\n    def method(self):\n        return helper()\n\n"
+             "def also_used():\n    pass\n",
+        "cli": "from . import a\nfrom .a import used as u\n\n"
+               "def main():\n    u()\n    return a.also_used\n\n"
+               "if __name__ == '__main__':\n    main()\n",
+    }
+    assert _unreachable(sample, []) == ["a.Dead"]
+    assert _unreachable(sample, [("__init__", "used")]) == ["a.Dead"]
+    assert _unreachable({**sample, "cli": "def main():\n    pass\n"}, [("cli", "main")]) \
+        == ["a.Dead", "a.also_used", "a.helper", "a.used"]

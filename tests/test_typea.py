@@ -13,14 +13,14 @@ from pmcrystal.product import multiset, product_crystal
 from pmcrystal.truncation import build_plan, char_by_plan
 from pmcrystal import typea
 from pmcrystal.typea import (Seminormal, check_sequence, conjugate,
-                             diagram_of_sequence, flagged_schur_char,
-                             lr_skew_expand, multiset_of_sequence,
-                             partitions_of, psi_embed, restrict_coeffs,
+                             flagged_schur_char, lr_skew_expand,
+                             partitions_of, restrict_coeffs,
                              schur_decompose, seminormal, sequence_of_diagram,
-                             sequence_of_multiset, skew_normalise,
-                             specht_decompose_bruteforce, stable_bound,
-                             stable_coeffs)
+                             skew_normalise, specht_decompose_bruteforce,
+                             stable_bound, stable_coeffs)
 from pmcrystal.weightring import e, laurent_str
+from reference import (diagram_of_sequence, multiset_of_sequence, psi_embed,
+                       sequence_of_multiset)
 from specht_reference import (centraliser_order, lehmer_specht_decompose,
                               ref_specht_decompose, sym_character)
 
