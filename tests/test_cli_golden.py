@@ -27,6 +27,7 @@ CASES = {
                            "--R", "[[1,1,1],[2,2,1]]"]),
     "graph_d4_dot": (0, ["graph", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,2,1]]",
                          "--format", "dot"]),
+    "graph_d4_json": (0, ["graph", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,2,1]]"]),
     "truncate_gl3": (0, ["truncate", "--cartan", "GL", "--rank", "3", "--R", "[[1,1,2],[2,2,1]]",
                          "--truncation", '{"thresholds": {"1": -1, "2": 0}}']),
     "schur_sequence": (0, ["schur", "--sequence", "[[1],[1],[2,1,1]]"]),
