@@ -262,8 +262,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stable", help="stable coefficients of a multiset")
     p.add_argument("--R", required=True)
-    p.add_argument("--bound", action="store_true", help="report only the bound")
-    p.add_argument("--coeffs", action="store_true")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--bound", action="store_true", help="report only the bound")
+    only.add_argument("--coeffs", action="store_true",
+                      help="print the coefficients (the default)")
     p.add_argument("--restrict", type=int)
     p.set_defaults(func=cmd_stable)
     return parser

@@ -5,11 +5,12 @@ and ``monomial.e_op``, breadth first, and sorts what it found once at the
 end by (weight, exponents), so that element order, edge order and DOT
 output are reproducible run to run.  ``graph_over`` is the other builder:
 one pass over the packed keys of a product crystal (see
-``monomial.MonomialCodec``), as ``product.fold`` makes them.  Every graph
-records its highest-weight elements from the e_i computed while it was
-built.  Both ``closure`` and ``product.fold`` stop at ``MAX_ELEMENTS``.
-``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each written
-from fragments memoised per call, one per weight and exponent entry.
+``monomial.MonomialCodec``), as ``product.fold`` makes them.  Only the
+builders map elements to positions; an f-edge is a triple of positions.
+Every graph records its highest-weight elements from the e_i computed
+while it was built.  Both ``closure`` and ``product.fold`` stop at
+``MAX_ELEMENTS``.  ``graph_to_json`` returns JSON text and ``to_dot`` DOT
+text, each from fragments memoised per call, one per weight and exponent.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _order = attrgetter("weight", "exponents")  # the order of every graph's element
 class CrystalGraph:
     datum: RootDatum
     elements: tuple
-    f_edges: tuple  # ((x, i, y), ...) meaning f_i(x) = y, sorted
+    f_edges: tuple  # ((k, i, l), ...) meaning f_i(elements[k]) = elements[l], sorted
     highest: tuple  # the elements every e_i kills, in element order
 
     def __len__(self):
@@ -74,10 +75,10 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
                                         f"closure exceeded limit {limit}")
         frontier = nxt
     elements = tuple(sorted(seen, key=_order))
+    at = {x: k for k, x in enumerate(elements)}
     # edges were only recorded for elements processed in the frontier; the
     # frontier eventually visits everything in `seen`, so this is complete
-    f_edges = tuple(sorted(((x, i, y) for (x, i), y in edges.items()),
-                           key=lambda t: (t[0].weight, t[0].exponents, t[1])))
+    f_edges = tuple(sorted((at[x], i, at[y]) for (x, i), y in edges.items()))
     return CrystalGraph(datum, elements, f_edges,
                         tuple(x for x in elements if x in tops))
 
@@ -90,11 +91,11 @@ def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
     set; ValueError when one is missing."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
-    index = {key: x for x, (_, _, key) in zip(elems, rows)}
+    index = {key: k for k, (_, _, key) in enumerate(rows)}
     columns = [(i, shift, mask, {}) for i, shift, mask in codec.columns]
     edges = []
     highest = []
-    for key, x in index.items():
+    for key, k in index.items():
         top = True
         for i, shift, mask, memo in columns:
             col = (key >> shift) & mask
@@ -107,16 +108,16 @@ def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
             phi, f_delta, eps, e_delta = step
             if phi:
                 # a delta leaving the window leaves the set
-                y = None if f_delta is None else index.get(key + f_delta)
-                if y is None:
+                target = None if f_delta is None else index.get(key + f_delta)
+                if target is None:
                     raise ValueError("element set is not closed under f")
-                edges.append((x, i, y))
+                edges.append((k, i, target))
             if eps:
                 top = False
                 if e_delta is None or key + e_delta not in index:
                     raise ValueError("element set is not closed under e")
         if top:
-            highest.append(x)
+            highest.append(elems[k])
     return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
 
 
@@ -146,7 +147,6 @@ def to_dot(graph: CrystalGraph) -> str:
     labelled by their vertex index.  A label is written from pieces
     memoised per call, one ``e(w)*`` per weight and one ``y[i,c]^e`` per
     exponent entry; ``element_label`` writes a monomial with no exponents."""
-    index = {x: k for k, x in enumerate(graph.elements)}
     prefix = _Memo(lambda w: f"e{weight_str(w)}*")
     piece = _Memo(lambda entry: "y[%d,%d]" % entry[0] if entry[1] == 1
                   else "y[%d,%d]^%d" % (*entry[0], entry[1]))
@@ -155,8 +155,7 @@ def to_dot(graph: CrystalGraph) -> str:
         label = (prefix[x.weight] + "*".join(map(piece.__getitem__, x.exponents))
                  if x.exponents else element_label(x))
         lines.append(f'  n{k} [label="{label}"];')
-    lines.extend('  n%d -> n%d [label="%d"];' % (index[x], index[y], i)
-                 for x, i, y in graph.f_edges)
+    lines.extend('  n%d -> n%d [label="%d"];' % (s, t, i) for s, i, t in graph.f_edges)
     return "\n".join(lines) + "\n}\n"
 
 
@@ -185,8 +184,7 @@ def graph_to_json(graph: CrystalGraph) -> str:
     """The text of ``json.dumps({"nodes": [...], "edges": [...]}, indent=2,
     sort_keys=True)``: nodes as ``monomials_json`` writes them, edges as
     {"source", "target", "i"} with source and target node indices."""
-    index = {x: k for k, x in enumerate(graph.elements)}
     edge = '{\n      "i": %d,\n      "source": %d,\n      "target": %d\n    }'
-    edges = [edge % (i, index[x], index[y]) for x, i, y in graph.f_edges]
+    edges = [edge % (i, source, target) for source, i, target in graph.f_edges]
     return ('{\n  "edges": ' + _json_list(edges, "\n  ") + ',\n  "nodes": '
             + monomials_json(graph.elements, "\n  ") + "\n}")

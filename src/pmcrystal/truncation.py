@@ -127,7 +127,7 @@ def truncate(datum: RootDatum, r: PointMultiset,
                 if j.contains_all(r_support(datum, multiset({(i, c): m}), x))]
                for (i, c), m in r.points]
     codec, keys = fold(datum, factors)
-    return tuple(sorted(Monomial(*codec.decode(key)) for key in keys))
+    return tuple(Monomial(*row) for row in sorted(map(codec.decode, keys)))
 
 
 # -- build plans -----------------------------------------------------------

@@ -9,7 +9,8 @@ and the two decomposition routes run.  What only the tests need lives here:
   ``TensorElement``, and Kashiwara's tensor rule, so that M(R+Q, J) can be
   embedded in {b_mu} (x) M(R, J);
 - ``ref_graph_over``, the one-pass crystal graph of a closed set, which is
-  also the tensor product ``tensor_crystal``;
+  also the tensor product ``tensor_crystal``, and ``edge_triples``, which
+  reads a graph's positional f-edges back as elements;
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
@@ -134,12 +135,19 @@ def element_label(x) -> str:
     return f"{element_label(x.left)} (x) {element_label(x.right)}"
 
 
+def edge_triples(graph: CrystalGraph) -> tuple:
+    """The f-edges of ``graph`` as (x, i, y) with f_i(x) = y, in edge order."""
+    elems = graph.elements
+    return tuple((elems[k], i, elems[target]) for k, i, target in graph.f_edges)
+
+
 def ref_graph_over(datum: RootDatum, elements) -> CrystalGraph:
     """The crystal graph on an e/f-closed set through the generic crystal
     queries, one pass in sort_key order: the reference ``crystal.closure``
     must match on closed sets.  ValueError when the set is not closed."""
     elements = set(elements)
     elems = tuple(sorted(elements, key=sort_key))
+    at = {x: k for k, x in enumerate(elems)}
     edges = []
     highest = []
     for x in elems:
@@ -149,7 +157,7 @@ def ref_graph_over(datum: RootDatum, elements) -> CrystalGraph:
             if down is not None:
                 if down not in elements:
                     raise ValueError("element set is not closed under f")
-                edges.append((x, i, down))
+                edges.append((at[x], i, at[down]))
             up = e_of(datum, x, i)
             if up is not None:
                 top = False

@@ -23,7 +23,7 @@ from pmcrystal.weightring import (apply_word, demazure_pi, e, laurent_str,
                                   pi_longest, weyl_decompose)
 from conftest import random_element, random_multiset
 from reference import (boundary, character_of_set, check_crystal_axioms,
-                       diagram_of_sequence, extend_strings, key_decompose,
+                       diagram_of_sequence, edge_triples, extend_strings, key_decompose,
                        mono_pow, multiset_of_sequence, replay_plan, string_property,
                        z_monomial)
 from test_typea import random_sequence
@@ -40,7 +40,7 @@ def test_criterion_1_sl3_examples(a2):
     m2 = mono_mul(y11, mono_pow(z_monomial(a2, 1, -1), -1))
     m3 = mono_mul(m2, mono_pow(z_monomial(a2, 2, -2), -1))
     assert set(g1.elements) == {y11, m2, m3}
-    assert set(g1.f_edges) == {(y11, 1, m2), (m2, 2, m3)}
+    assert set(edge_triples(g1)) == {(y11, 1, m2), (m2, 2, m3)}
 
     g2 = product_crystal(a2, multiset({(1, 1): 2}))
     sq = y_monomial(a2, 1, 1, 2)

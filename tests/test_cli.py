@@ -138,6 +138,12 @@ def test_options_that_would_do_nothing_exit_2(capsys, argv):
     assert data["status"] == "error" and data["diagnostics"]
 
 
+def test_stable_bound_and_coeffs_exclude_each_other(capsys):
+    # the bound alone and the coefficients cannot both be printed
+    assert run(["stable", "--R", "[[1,1,1]]", "--bound", "--coeffs"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_stable_commands(capsys):
     data = run_json(capsys, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]", "--bound"])
     assert data["result"]["stable_bound"] == 6

@@ -12,8 +12,9 @@ from pmcrystal.monomial import (Monomial, MonomialCodec, make_monomial, mono_mul
 from pmcrystal.weightring import e, irreducible_character
 from conftest import random_multiset, random_weight
 from reference import (character_of_set, check_crystal_axioms, demazure_crystal, e_of,
-                       element_label, extend_strings, f_of, highest_weight_monomial,
-                       ref_graph_over, string_property, tensor_crystal)
+                       edge_triples, element_label, extend_strings, f_of,
+                       highest_weight_monomial, ref_graph_over, string_property,
+                       tensor_crystal)
 
 
 def test_closure_sl3_fundamental(a2):
@@ -92,7 +93,7 @@ def test_string_property(a2):
     assert ok and witness is None
     # drop the top of a length-two string: the remainder violates
     for i in a2.vertices:
-        for x, edge_i, y in ambient.f_edges:
+        for x, edge_i, y in edge_triples(ambient):
             if edge_i != i:
                 continue
             if e_of(a2, x, i) is None and f_of(a2, y, i) is None:
@@ -173,7 +174,7 @@ def ref_graph_to_json(graph: CrystalGraph) -> dict:
     index = {x: k for k, x in enumerate(graph.elements)}
     return {"nodes": [x.to_json() for x in graph.elements],
             "edges": [{"source": index[x], "target": index[y], "i": i}
-                      for x, i, y in graph.f_edges]}
+                      for x, i, y in edge_triples(graph)]}
 
 
 def ref_to_dot(graph: CrystalGraph) -> str:
@@ -183,7 +184,7 @@ def ref_to_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {"]
     for x in graph.elements:
         lines.append(f'  n{index[x]} [label="{element_label(x)}"];')
-    for x, i, y in graph.f_edges:
+    for x, i, y in edge_triples(graph):
         lines.append(f'  n{index[x]} -> n{index[y]} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -212,12 +213,27 @@ def render_cases(seed):
 def test_renderers_match_references():
     seen = {"far": 0, "empty": 0}
     for g in render_cases(15):
+        # edges are sorted triples of positions, which the references read back
+        assert g.f_edges == tuple(sorted(g.f_edges))
+        assert all(type(k) is type(i) is type(t) is int for k, i, t in g.f_edges)
         assert graph_to_json(g) == json.dumps(ref_graph_to_json(g), indent=2, sort_keys=True)
         assert to_dot(g) == ref_to_dot(g)
         first = g.elements[0]
         seen["far"] += max((c for (_, c), _ in first.exponents), default=0) > 10**5
         seen["empty"] += not first.exponents and not g.f_edges
     assert seen == {"far": 30, "empty": 20}
+
+
+def test_writers_never_hash_a_monomial(monkeypatch):
+    graphs = list(render_cases(17))
+
+    def refuse(self):
+        raise AssertionError("a writer hashed a monomial")
+
+    monkeypatch.setattr(Monomial, "__hash__", refuse)
+    for g in graphs:
+        to_dot(g)
+        graph_to_json(g)
 
 
 def test_single_primitive_closure_is_irreducible(a3):
@@ -250,7 +266,7 @@ def test_character_of_singleton(a2):
 
 def assert_same_graph(got, want):
     assert got.elements == want.elements
-    assert got.f_edges == want.f_edges
+    assert edge_triples(got) == edge_triples(want)
     assert got.highest == want.highest
 
 

@@ -13,7 +13,8 @@ from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, ex
                                s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset, random_point
-from reference import check_crystal_axioms, e_of, f_of, sort_key, validate_monomial
+from reference import (check_crystal_axioms, e_of, edge_triples, f_of, sort_key,
+                       validate_monomial)
 
 
 def test_fundamental_sizes(a2, a3):
@@ -72,7 +73,7 @@ def assert_matches_naive_fold(datum, r):
     assert all(y in naive for ys in ups.values() for y in ys if y is not None)
     g = product_crystal(datum, r)
     assert g.elements == elements
-    assert g.f_edges == tuple(t for t in downs if t[2] is not None)
+    assert edge_triples(g) == tuple(t for t in downs if t[2] is not None)
     assert highest_weights(g) == tuple(
         x for x in elements if all(y is None for y in ups[x]))
 
