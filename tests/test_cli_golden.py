@@ -42,6 +42,11 @@ CASES = {
                          "--R", "[[1,0,1],[6,4,1]]"]),
     "plan_d4": (0, ["plan", "--cartan", "D", "--rank", "4",
                     "--R", "[[1,0,1],[1,6,1],[2,5,1]]"]),
+    # far-apart points: the fold meets a W-invariant character at a Multiply
+    "character_d4_far_apart": (0, ["character", "--cartan", "D", "--rank", "4",
+                                   "--R", "[[1,0,1],[3,30,1],[4,60,1]]"]),
+    "plan_a3_far_apart": (0, ["plan", "--cartan", "A", "--rank", "3",
+                              "--R", "[[1,1,1],[1,21,1],[2,0,2]]"]),
     # a root datum that does not exist, and a truncation that misses R
     "error_bad_rank": (2, ["decompose", "--cartan", "D", "--rank", "3", "--R", "[]"]),
     "error_truncation_misses_r": (2, ["truncate", "--cartan", "A", "--rank", "2",
