@@ -16,8 +16,14 @@ so folding the plan gives the truncation's character without enumerating
 any crystal, and pi_{w_o} of that is the character of all of M(R).
 
 A plan is stored as its window, one level range per column, and its steps
-are generated; the character fold skips every Extend that follows a
-W-invariant character (see ``char_by_plan``).
+are generated.  pi_i is linear over s_i-invariants: pi_i (g f) = g pi_i f
+when s_i g = g (Demazure 1974; Kumar, *Kac-Moody Groups* section 8).  So
+the character fold carries a product g * h with g W-invariant: a Multiply
+that follows a W-invariant h folds it into g, the Demazure operators act
+on h alone, every Extend that follows a W-invariant h is skipped, and
+pi_{w_o} of the product is g * pi_{w_o} h (see ``char_by_plan``).  The
+product is formed once, at the end, so an oversized character may stop
+there, as LimitExceeded at stage ``weightring.multiply``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from .cartan import LimitExceeded, RootDatum
 from .monomial import Monomial
 from .product import (PointMultiset, fold, fundamental_crystal, multiset,
                       r_support, validate_points, weight_of_multiset)
-from .weightring import GroupAlgebraElement, demazure_pi, e as ga_e, pi_longest
+from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_pi,
+                         e as ga_e, pi_longest)
 
 INF = None  # an infinite threshold: the column meets J nowhere
 
@@ -222,29 +229,47 @@ def build_plan(datum: RootDatum, r: PointMultiset,
     return BuildPlan(start_j, tuple(window), r)
 
 
-def char_by_plan(datum: RootDatum, plan: BuildPlan) -> GroupAlgebraElement:
-    """Fold the inductive character rules over a plan: start from 1, apply
-    pi_i for Extend(i, k), multiply by e^{wt Q} for Multiply(Q).
+def _fold(datum: RootDatum, plan: BuildPlan):
+    """The fold of ``char_by_plan`` as (g, h): its character is g * h, g is
+    W-invariant, and g is None while it is still the unit.
 
-    pi_i f = f exactly when s_i f = f (Demazure 1974; Kumar, *Kac-Moody
-    Groups* section 8).  ``fixed`` holds the i with s_i ch = ch: pi_i
-    returned ch itself, or made it.  Once it holds every vertex, ch is
-    W-invariant and every Extend up to the next Multiply is the identity,
-    so the walk goes on at the next level holding a point of R.  A run of
-    full levels gets there within h + 2 of them (h the Coxeter number),
-    whatever the distance between the points of R."""
-    ch = GroupAlgebraElement.unit(datum)
+    ``fixed`` holds the i with s_i h = h: pi_i returned h itself, or made
+    it.  As s_i g = g, these are also the i with s_i (g h) = g h.  A
+    Multiply that finds every vertex fixed folds h into g and restarts h
+    at 1; once ``fixed`` holds every vertex, every Extend up to the next
+    Multiply is the identity, so the walk goes on at the next level holding
+    a point of R."""
+    unit = GroupAlgebraElement.unit(datum)
+    g, h = None, unit
     n = len(datum.vertices)
     fixed: set[int] = set()
     for kind, payload in plan._walk(lambda: len(fixed) == n):
         if kind == "multiply":
-            ch = ga_e(weight_of_multiset(datum, payload)) * ch
+            if len(fixed) == n:
+                g, h = (h if g is None else g * h), unit
+            h = ga_e(weight_of_multiset(datum, payload)) * h
             fixed = set()
         elif len(fixed) < n:
-            out = demazure_pi(datum, payload[0], ch)
-            fixed = (fixed if out is ch else set()) | {payload[0]}
-            ch = out
-    return ch
+            out = demazure_pi(datum, payload[0], h)
+            fixed = (fixed if out is h else set()) | {payload[0]}
+            h = out
+    return g, h
+
+
+def char_by_plan(datum: RootDatum, plan: BuildPlan) -> GroupAlgebraElement:
+    """Fold the inductive character rules over a plan: start from 1, apply
+    pi_i for Extend(i, k), multiply by e^{wt Q} for Multiply(Q).
+
+    pi_i f = f exactly when s_i f = f, and pi_i (g f) = g pi_i f when
+    s_i g = g (Demazure 1974; Kumar, *Kac-Moody Groups* section 8).  The
+    fold (``_fold``) therefore carries the character as g * h, g the
+    W-invariant part split off at each Multiply that follows a W-invariant
+    character, and applies pi_i to h alone; it skips every Extend that
+    follows a W-invariant h.  A run of full levels makes h W-invariant
+    within the Coxeter number plus 2 of them, whatever the distance between
+    the points of R."""
+    g, h = _fold(datum, plan)
+    return h if g is None else g * h
 
 
 def truncation_character(datum: RootDatum, r: PointMultiset,
@@ -254,5 +279,16 @@ def truncation_character(datum: RootDatum, r: PointMultiset,
 
 def full_character(datum: RootDatum, r: PointMultiset,
                    check: bool = True) -> GroupAlgebraElement:
-    """ch M(R) = pi_{w_o} applied to any truncation character."""
-    return pi_longest(datum, truncation_character(datum, r), check=check)
+    """ch M(R) = pi_{w_o} applied to any truncation character.  With the
+    truncation character g * h of the plan fold (``_fold``), g W-invariant,
+    pi_{w_o} (g h) = g pi_{w_o} h, so pi_{w_o} acts on h alone.  ``check``
+    asserts that pi_{w_o} h is W-invariant (``pi_longest``) and so is the
+    product returned."""
+    g, h = _fold(datum, build_plan(datum, r))
+    ch = pi_longest(datum, h, check=check)
+    if g is None:
+        return ch
+    ch = g * ch
+    if check:
+        _assert_weyl_invariant(datum, ch)
+    return ch

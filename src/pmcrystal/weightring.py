@@ -390,9 +390,15 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
         lam = w_add(lam, datum.fundamentals[i])
     low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
     out = apply_word(datum, datum.dominant_representative(low)[1], f)
-    if check and next(_moving_vertices(datum, out._keys, n), None) is not None:
-        raise AssertionError("pi_{w_o} image is not Weyl-invariant")
+    if check:
+        _assert_weyl_invariant(datum, out)
     return out
+
+
+def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
+    """The check on a pi_{w_o} image: AssertionError unless W fixes f."""
+    if next(_moving_vertices(datum, f._keys, datum.lattice_rank), None) is not None:
+        raise AssertionError("pi_{w_o} image is not Weyl-invariant")
 
 
 def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:

@@ -5,11 +5,12 @@ import tracemalloc
 
 import pytest
 
-from pmcrystal import cli, weightring
+from pmcrystal import cli, truncation, weightring
 from pmcrystal.cartan import (LimitExceeded, RootDatum, build_root_datum, w_add, w_scale,
                               w_sub)
 from pmcrystal.product import multiset, weight_of_multiset
-from pmcrystal.truncation import build_plan, full_character, truncation_character
+from pmcrystal.truncation import (build_plan, char_by_plan, full_character,
+                                  truncation_character)
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
                                   apply_word, demazure_pi, dominant_multiplicities,
                                   e, irreducible_character, laurent_str, pi_longest,
@@ -63,15 +64,20 @@ def ref_mul(a, b):
     return {w: c for w, c in out.items() if c}
 
 
-def ref_full_character(datum, r):
-    """char_by_plan and pi_{w_o} folded on tuple weights."""
+def ref_truncation_character(datum, r):
+    """char_by_plan folded on tuple weights, every step applied."""
     ch = {datum.zero: 1}
     for kind, payload in build_plan(datum, r).steps:
         if kind == "extend":
             ch = ref_demazure_pi(datum, payload[0], ch)
         else:
             ch = ref_mul({weight_of_multiset(datum, payload): 1}, ch)
-    return ref_apply_word(datum, datum.longest_word, ch)
+    return ch
+
+
+def ref_full_character(datum, r):
+    """char_by_plan and pi_{w_o} folded on tuple weights."""
+    return ref_apply_word(datum, datum.longest_word, ref_truncation_character(datum, r))
 
 
 def ref_weyl_decompose(datum, terms):
@@ -447,6 +453,99 @@ def test_character_route_matches_reference(kind, rank, points):
     ch = full_character(datum, r)
     assert ch.terms == expected
     assert weyl_decompose(datum, ch) == ref_weyl_decompose(datum, expected)
+
+
+# -- the plan fold splits off its W-invariant factor ---------------------------
+
+
+def _seeded_split_cases(seed=41, per_datum=6, cap=1000):
+    """(datum, R, far) over A3, D4, E6 and GL4: 2 up to ``most`` points,
+    each either 30-60 levels below the one before (far) or on one of the
+    three lowest levels of its column (overlapping), the tensor bound under
+    ``cap``."""
+    rng = random.Random(seed)
+    for kind, rank, most in [("A", 3, 4), ("D", 4, 3), ("E6", 6, 2), ("GL", 4, 4)]:
+        datum = build_root_datum(kind, rank)
+        drawn = 0
+        while drawn < per_datum:
+            far = drawn % 2 == 0
+            pts, level = {}, 0
+            for _ in range(2 + drawn // 2 % (most - 1)):
+                i = rng.choice(datum.vertices)
+                level = level - rng.randint(15, 30) if far else rng.randint(0, 2)
+                pt = (i, datum.parity[i] + 2 * level)
+                pts[pt] = pts.get(pt, 0) + 1
+            bound = 1
+            for (i, _), m in pts.items():
+                bound *= datum.weyl_dimension(tuple(m * x for x in datum.fundamentals[i]))
+            if bound <= cap:
+                drawn += 1
+                yield datum, multiset(pts), far
+
+
+SPLIT_CASES = list(_seeded_split_cases())
+
+
+@pytest.mark.parametrize("case", range(len(SPLIT_CASES)))
+def test_split_fold_matches_reference(case):
+    datum, r, far = SPLIT_CASES[case]
+    g, _ = truncation._fold(datum, build_plan(datum, r))
+    # far-apart points split off a factor other than 1; overlapping ones
+    # never make the character W-invariant before a Multiply
+    assert (g is not None and g != GroupAlgebraElement.unit(datum)) if far else g is None
+    expected = ref_truncation_character(datum, r)
+    assert char_by_plan(datum, build_plan(datum, r)).terms == expected
+    assert truncation_character(datum, r).terms == expected
+    assert full_character(datum, r).terms == ref_apply_word(datum, datum.longest_word,
+                                                             expected)
+
+
+def test_seeded_split_cases_span_the_data():
+    assert {datum.kind for datum, _, _ in SPLIT_CASES} == {"A", "D", "E6", "GL"}
+    sizes = {len(r.points) for _, r, far in SPLIT_CASES if far}
+    assert sizes == {2, 3, 4}
+
+
+def test_split_fold_shrinks_the_operator_inputs(monkeypatch):
+    # every Demazure operator of full_character, in the fold and in
+    # pi_{w_o}; the fold that never splits hands the same 62 calls 37,785
+    # terms in all, the largest 2,847
+    sizes = []
+    real_pi = weightring.demazure_pi
+
+    def counting_pi(datum, i, f):
+        sizes.append(len(f.terms))
+        return real_pi(datum, i, f)
+    monkeypatch.setattr(truncation, "demazure_pi", counting_pi)
+    monkeypatch.setattr(weightring, "demazure_pi", counting_pi)
+    e6 = build_root_datum("E6", 6)
+    full_character(e6, multiset({(2, 1): 1, (3, 31): 1}))
+    assert (len(sizes), max(sizes), sum(sizes)) == (62, 243, 5273)
+
+
+def test_full_character_checks_the_product(monkeypatch):
+    # with pi_i the identity in the fold, the factor split off is e^{wt Q}
+    # and not W-invariant; pi_{w_o} h still is, so only the check on the
+    # product returned can see it
+    monkeypatch.setattr(truncation, "demazure_pi", lambda datum, i, f: f)
+    a3 = build_root_datum("A", 3)
+    r = multiset({(1, 41): 1, (2, 0): 1})
+    g, h = truncation._fold(a3, build_plan(a3, r))
+    assert g == e(weight_of_multiset(a3, multiset({(1, 41): 1})))
+    pi_longest(a3, h, check=True)
+    with pytest.raises(AssertionError, match="not Weyl-invariant"):
+        full_character(a3, r, check=True)
+    with pytest.raises(DecompositionError):
+        weyl_decompose(a3, full_character(a3, r, check=False))
+
+
+def test_oversized_split_character_stops_at_the_product(monkeypatch):
+    # both factors stay under the limit; their product, ch M(R), does not
+    monkeypatch.setattr(weightring, "MAX_TERMS", 1000)
+    e6 = build_root_datum("E6", 6)
+    with pytest.raises(LimitExceeded) as err:
+        full_character(e6, multiset({(2, 1): 1, (3, 31): 1}))
+    assert err.value.stage == "weightring.multiply"
 
 
 # -- the edges of the packed range -------------------------------------------------
