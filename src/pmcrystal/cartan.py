@@ -71,30 +71,16 @@ def _edge_list(kind: str, rank: int) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(1, rank - 1)]
     if kind == "D":
         return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
-    if kind in ("E6", "E7", "E8"):
-        chain = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
-        return [(a, b) for a, b in zip(chain, chain[1:])] + [(2, 4)]
-    raise ValueError(f"unknown kind {kind!r}")
+    # E6, E7, E8: RootDatum.__init__ has refused every other kind
+    chain = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
+    return [(a, b) for a, b in zip(chain, chain[1:])] + [(2, 4)]
 
 
 class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
     Instances are shared via the lru_cache on :func:`build_root_datum`,
-    which keeps the 64 most recently used, but are not immutable.  Its one
-    cache, ``_irr_cache``, is created empty by ``__init__`` and filled
-    lazily with the dominant-multiplicity tables of irreducible
-    representations that the Weyl peel uses, at most
-    ``weightring.IRR_CACHE_MAX_TERMS`` entries in all, oldest tables
-    evicted first.  It is not locked; an entry depends on its key alone and
-    dict gets and sets are atomic in CPython, so racing threads at worst
-    compute an entry twice or evict one more than needed.  Two things live
-    outside the datum, in fixed-size lru_caches keyed by it or by plain
-    values: the peel's packed positive roots and its memo of dominant
-    representatives (``weightring._root_tables``, the memo cleared at
-    ``weightring.DOMINANT_MEMO_MAX`` entries, racing threads at worst
-    computing an entry twice), and the monomials z_{i,k}^power
-    (``monomial._z_monomial_cached``).
+    which keeps the 64 most recently used; a datum holds no cache.
     """
 
     def __init__(self, kind: str, rank: int):
@@ -172,7 +158,6 @@ class RootDatum:
         # the simple-root coordinates of 2 rho (alpha_i has height 2)
         self._height = self.rho if kind == "GL" else tuple(
             map(sum, zip(*(c for c, _ in self.positive_roots))))
-        self._irr_cache: dict[Weight, object] = {}
 
     # -- basic structure ---------------------------------------------------
 

@@ -54,14 +54,14 @@ class ValidationError(ValueError):
     pass
 
 
-def _parse_multiset(datum, text):
+def _datum_and_multiset(args):
+    datum = build_root_datum(args.cartan, args.rank)
     try:
-        pairs = json.loads(text)
-        r = multiset_from_pairs(pairs)
+        r = multiset_from_pairs(json.loads(args.R))
         validate_points(datum, r)
-        return r
     except (ValueError, TypeError, KeyError) as err:
-        raise ValidationError(f"bad point multiset {text!r}: {err}") from err
+        raise ValidationError(f"bad point multiset {args.R!r}: {err}") from err
+    return datum, r
 
 
 def _parse_truncation(datum, text):
@@ -98,17 +98,20 @@ def _decomposition_json(datum, dec):
     return {"by_partition": by_partition, "summands": detail}
 
 
+def _partition_map(counts):
+    """{partition: m} as JSON keys, in partition order."""
+    return {json.dumps(list(lam)): m for lam, m in sorted(counts.items())}
+
+
 def cmd_decompose(args):
     from .product import decompose
-    datum = build_root_datum(args.cartan, args.rank)
-    r = _parse_multiset(datum, args.R)
+    datum, r = _datum_and_multiset(args)
     dec = decompose(datum, r)
     return {"decomposition": _decomposition_json(datum, dec)}
 
 
 def cmd_character(args):
-    datum = build_root_datum(args.cartan, args.rank)
-    r = _parse_multiset(datum, args.R)
+    datum, r = _datum_and_multiset(args)
     if args.truncation:
         j = _parse_truncation(datum, args.truncation)
         ch = truncation_character(datum, r, j)
@@ -121,8 +124,7 @@ def cmd_character(args):
 
 
 def cmd_truncate(args):
-    datum = build_root_datum(args.cartan, args.rank)
-    r = _parse_multiset(datum, args.R)
+    datum, r = _datum_and_multiset(args)
     j = (_parse_truncation(datum, args.truncation) if args.truncation
          else up_closure(datum, r.support()))
     elements = truncate(datum, r, j)
@@ -132,8 +134,7 @@ def cmd_truncate(args):
 
 
 def cmd_plan(args):
-    datum = build_root_datum(args.cartan, args.rank)
-    r = _parse_multiset(datum, args.R)
+    datum, r = _datum_and_multiset(args)
     j = _parse_truncation(datum, args.truncation) if args.truncation else None
     plan = build_plan(datum, r, j)
     listed = plan.to_json()  # first: a plan past MAX_PLAN_STEPS stops before the fold
@@ -143,8 +144,7 @@ def cmd_plan(args):
 
 
 def cmd_graph(args):
-    datum = build_root_datum(args.cartan, args.rank)
-    r = _parse_multiset(datum, args.R)
+    datum, r = _datum_and_multiset(args)
     graph = product_crystal(datum, r)
     if args.format == "dot":
         return to_dot(graph)
@@ -168,8 +168,7 @@ def cmd_schur(args):
         datum = build_root_datum("GL", n)
         return {"rank": n,
                 "flagged_character": laurent_str(datum, flagged_schur_char(seq, n)),
-                "decomposition": {json.dumps(list(lam)): m
-                                  for lam, m in sorted(dec.items())}}
+                "decomposition": _partition_map(dec)}
     try:
         boxes = check_diagram(json.loads(args.diagram))
     except (ValueError, TypeError) as err:
@@ -180,17 +179,14 @@ def cmd_schur(args):
     n = max(len(seq), 1) if args.rank is None else args.rank
     dec = schur_decompose(seq, n)
     result = {"rank": n, "sequence": [list(p) for p in seq],
-              "decomposition": {json.dumps(list(lam)): m
-                                for lam, m in sorted(dec.items())}}
+              "decomposition": _partition_map(dec)}
     skew = skew_normalise(boxes)
     if skew is not None:
         lam, mu = skew
         result["skew_shape"] = {"lambda": list(lam), "mu": list(mu)}
-        result["skew_lr"] = {json.dumps(list(p)): m
-                             for p, m in sorted(lr_skew_expand(lam, mu).items())}
+        result["skew_lr"] = _partition_map(lr_skew_expand(lam, mu))
     if len(boxes) <= SPECHT_MAX_BOXES:
-        result["specht"] = {json.dumps(list(p)): m for p, m in
-                            sorted(specht_decompose_bruteforce(boxes).items())}
+        result["specht"] = _partition_map(specht_decompose_bruteforce(boxes))
     return result
 
 
@@ -209,8 +205,7 @@ def cmd_stable(args):
     if args.restrict is not None:
         coeffs = restrict_coeffs(coeffs, args.restrict)
     return {"stable_bound": stable_bound(r),
-            "coefficients": {json.dumps(list(lam)): m
-                             for lam, m in sorted(coeffs.items())}}
+            "coefficients": _partition_map(coeffs)}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -374,8 +369,6 @@ def run(argv) -> int:
     except LimitExceeded as err:
         return _error("limit-exceeded", 3, str(err),
                       {"stage": err.stage, "limit": err.limit, "reached": err.reached})
-    except json.JSONDecodeError as err:
-        return _error("error", 2, f"bad JSON: {err}")
     except (ValueError, OverflowError) as err:  # ValidationError; int(1e400)
         return _error("error", 2, str(err))
     if isinstance(result, str):

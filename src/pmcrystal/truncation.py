@@ -37,8 +37,6 @@ from .product import (PointMultiset, fold, fundamental_crystal, multiset,
 from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_pi,
                          e as ga_e, pi_longest)
 
-INF = None  # an infinite threshold: the column meets J nowhere
-
 # The most steps a plan may list (``BuildPlan.steps``, ``to_json``); the
 # character fold walks its plan lazily and is not bound by it.
 MAX_PLAN_STEPS = 100_000
@@ -106,7 +104,7 @@ def up_closure(datum: RootDatum, points) -> ThresholdSet:
     out = []
     for jv in datum.vertices:
         vals = [c + datum.dist[i, jv] for (i, c) in pts]
-        out.append(min(vals) if vals else INF)
+        out.append(min(vals) if vals else None)
     return ThresholdSet(tuple(out))
 
 
@@ -212,13 +210,13 @@ def build_plan(datum: RootDatum, r: PointMultiset,
     if r.is_empty():
         return BuildPlan(j_target, (), r)
 
+    # J_target holds Supp R and is upward-closed on a connected diagram, so
+    # no column is empty
     down_r = down_closure(datum, r.support())
     start, window = [], []
     for i in datum.vertices:
         theta = j_target.threshold(i)
         delta = down_r.ceilings[i - 1]
-        if theta is None:
-            raise ValueError("J_target has an empty column over a nonempty R")
         if delta < theta:
             start.append(theta)
         else:  # parity forces theta = delta mod 2 here

@@ -246,6 +246,11 @@ def _column_intervals(boxes, pos):
 
 
 def _skew_shape_from(boxes, pos):
+    """lam/mu when, with rows relabelled by ``pos``, every column is an
+    interval and the columns sort with tops and bottoms weakly decreasing;
+    else None.  Then the columns of each row are a prefix (bottom at or
+    below it) meeting a suffix (top at or above it), nonempty as every row
+    holds a box, so lam and mu weakly decrease."""
     intervals = _column_intervals(boxes, pos)
     if intervals is None:
         return None
@@ -259,18 +264,11 @@ def _skew_shape_from(boxes, pos):
             return None
         a_prev, b_prev = a, b
         placed.update((rr, col_pos) for rr in range(a, b + 1))
-    nrows = len(pos)
     lam, mu = [], []
-    for rr in range(1, nrows + 1):
-        cs = sorted(c for (r2, c) in placed if r2 == rr)
-        if not cs or cs[-1] - cs[0] + 1 != len(cs):
-            return None
-        lam.append(cs[-1])
-        mu.append(cs[0] - 1)
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        return None
-    if any(a < b for a, b in zip(mu, mu[1:])):
-        return None
+    for rr in range(1, len(pos) + 1):
+        cs = [c for (r2, c) in placed if r2 == rr]
+        lam.append(max(cs))
+        mu.append(min(cs) - 1)
     return tuple(lam), tuple(x for x in mu if x)
 
 
@@ -564,8 +562,6 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
         rep = seminormal(lam)
         rows = rep.eigenspace(row_ks, 1)
         cols = rep.eigenspace(col_ks, -1)
-        if not rows or not cols:
-            continue
         # rho(sigma) is orthogonal for D, <u, rho(sigma) v> = <rho(sigma)^-1 u, v>:
         # move the smaller basis, U_C' by sigma or U_R by sigma^-1
         order = swaps

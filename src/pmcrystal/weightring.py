@@ -419,7 +419,11 @@ def _root_tables(datum: RootDatum):
     """Per datum, built on first use: for every positive root alpha its
     packed delta, its simple-root coordinates and its pairings
     (<a_j^vee, alpha>)_j; the shift and packed delta A(i) of every vertex;
-    and the memo of ``_dominant_key``."""
+    the memo of ``_dominant_key``, cleared at DOMINANT_MEMO_MAX entries;
+    and the dominant-multiplicity tables of ``_dominant_table``.  Neither
+    cache is locked: an entry depends on its key alone and dict gets and
+    sets are atomic in CPython, so racing threads at worst compute an
+    entry twice or evict one more table than needed."""
     n = datum.lattice_rank
     roots = []
     for coords, root in datum.positive_roots:
@@ -428,7 +432,7 @@ def _root_tables(datum: RootDatum):
             delta = (delta << DIGIT_BITS) + x
         roots.append((delta, coords, tuple(datum.pairing(j, root) for j in datum.vertices)))
     walls = tuple((DIGIT_BITS * (n - i), _alpha_key(datum, i)) for i in datum.vertices)
-    return tuple(roots), walls, {}
+    return tuple(roots), walls, {}, {}
 
 
 def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> int:
@@ -472,7 +476,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
     positive-root order, so taking mu by increasing height of lam - mu
     finds every m(dom(nu)) already known."""
     n = datum.lattice_rank
-    roots, walls, memo = _root_tables(datum)
+    roots, walls, memo, _ = _root_tables(datum)
     guard = _repunit(n) << (DIGIT_BITS - 1)
     top = _encode(lam)
     p_lam = tuple(datum.pairing(j, lam) for j in datum.vertices)
@@ -525,10 +529,11 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
 
 
 def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
-    """``_freudenthal`` remembered in ``datum._irr_cache``, which holds at
-    most IRR_CACHE_MAX_TERMS entries in all and evicts its oldest tables
-    first; None, and nothing remembered, past ``cap`` dominant weights."""
-    cache = datum._irr_cache
+    """``_freudenthal`` remembered in the datum's ``_root_tables``, which
+    hold at most IRR_CACHE_MAX_TERMS entries in all and evict the oldest
+    table first; None, and nothing remembered, past ``cap`` dominant
+    weights."""
+    cache = _root_tables(datum)[3]
     table = cache.get(lam)
     if table is None:
         table = _freudenthal(datum, lam, cap)

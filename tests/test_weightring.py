@@ -600,22 +600,23 @@ def test_irreducible_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(weightring, "IRR_CACHE_MAX_TERMS", cap)
     datum = RootDatum("A", 3)   # not the shared instance
     reference = build_root_datum("A", 3)
+    tables = weightring._root_tables(datum)[3]
     inserted = []
     # (2,2,0) and (2,0,2) alone have more entries than the cap and are not kept
     for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2), (1, 0, 1), (2, 0, 0),
                 (2, 2, 0), (1, 0, 0), (2, 0, 2), (0, 1, 0)]:
-        if lam not in datum._irr_cache:
+        if lam not in tables:
             inserted.append(lam)
         assert dominant_multiplicities(datum, lam) == ref_dominant_part(reference, lam)
-        held = [len(table) for table in datum._irr_cache.values()]
-        kept = list(datum._irr_cache)
+        held = [len(table) for table in tables.values()]
+        kept = list(tables)
         # the newest entries that fit, oldest evicted first
         assert kept == inserted[len(inserted) - len(kept):]
         assert sum(held) <= cap
         if len(kept) < len(inserted):
             dropped = inserted[len(inserted) - len(kept) - 1]
             assert sum(held) + len(ref_dominant_part(reference, dropped)) > cap
-    assert (2, 2, 0) not in datum._irr_cache and (2, 0, 2) not in datum._irr_cache
+    assert (2, 2, 0) not in tables and (2, 0, 2) not in tables
     dec = weyl_decompose(datum, irreducible_character(datum, (1, 0, 0))
                          * irreducible_character(datum, (0, 0, 1)))
     assert dec == {(1, 0, 1): 1, (0, 0, 0): 1}
