@@ -14,8 +14,8 @@ D and E, the parity of a vertex is its graph distance from vertex 1, mod 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 Weight = tuple[int, ...]
 
@@ -270,15 +270,18 @@ class RootDatum:
         computation."""
         if not self.is_dominant(w):
             raise ValueError(f"{w} is not dominant")
-        num = Fraction(1)
-        shifted = w_add(w, self.rho)
+        # the product over positive roots alpha of (w + rho, alpha) / (rho, alpha),
+        # in alpha's simple-root coordinates c: sum_i c_i <a_i^vee, w + rho> over
+        # sum_i c_i, as rho pairs to 1 with every simple coroot
+        shifted = [self.pairing(i, w_add(w, self.rho)) for i in self.vertices]
+        num = den = 1
         for coords, _root in self.positive_roots:
-            pair_l = sum(c * self.pairing(i, shifted) for c, i in zip(coords, self.vertices))
-            pair_r = sum(c * self.pairing(i, self.rho) for c, i in zip(coords, self.vertices))
-            num *= Fraction(pair_l, pair_r)
-        if num.denominator != 1:
+            num *= sum(map(mul, coords, shifted))
+            den *= sum(coords)
+        dim, rest = divmod(num, den)
+        if rest:
             raise AssertionError(f"Weyl dimension of {w} is not an integer")
-        return int(num)
+        return dim
 
 
 @lru_cache(maxsize=64)

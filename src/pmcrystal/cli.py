@@ -7,7 +7,9 @@ and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
 Validation problems exit 2 with a machine-readable diagnostic.  An internal
 oracle disagreement exits 1 with status "internal-inconsistency"; its
 diagnostics are the message and {"diff": {weight: [enumeration,
-character]}} for every weight where the two routes differ.  A computation
+character]}} for every weight where the two routes differ, or for
+``schur`` {"diff": {partition: [schur, oracle]}} for the first oracle it
+prints (``skew_lr``, then ``specht``) that differs from its decomposition.  A computation
 that grows past one of the library's limits (``cartan.LimitExceeded``:
 ``crystal.MAX_ELEMENTS``, ``weightring.MAX_TERMS``,
 ``truncation.MAX_PLAN_STEPS``) exits 3 with status "limit-exceeded"; its
@@ -184,10 +186,19 @@ def cmd_schur(args):
     if skew is not None:
         lam, mu = skew
         result["skew_shape"] = {"lambda": list(lam), "mu": list(mu)}
-        result["skew_lr"] = _partition_map(lr_skew_expand(lam, mu))
+        result["skew_lr"] = _partition_map(_agreeing(dec, "skew_lr", lr_skew_expand(lam, mu)))
     if len(boxes) <= SPECHT_MAX_BOXES:
-        result["specht"] = _partition_map(specht_decompose_bruteforce(boxes))
+        result["specht"] = _partition_map(
+            _agreeing(dec, "specht", specht_decompose_bruteforce(boxes)))
     return result
+
+
+def _agreeing(dec, name, oracle):
+    """The oracle's decomposition, or ConsistencyError naming every
+    partition where it differs from the Schur route's ``dec``."""
+    if oracle != dec:
+        raise ConsistencyError.between(f"schur and {name}", ("schur", name), dec, oracle)
+    return oracle
 
 
 def cmd_stable(args):

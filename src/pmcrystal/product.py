@@ -39,6 +39,17 @@ class ConsistencyError(RuntimeError):
         super().__init__(message)
         self.diff = diff
 
+    @classmethod
+    def between(cls, what: str, names: tuple[str, str], first: dict, second: dict):
+        """The error for two differing maps of counts, ``what`` their two
+        sources and ``names`` each one's name in the message."""
+        diff = {w: (first.get(w, 0), second.get(w, 0))
+                for w in sorted(first.keys() | second.keys())
+                if first.get(w, 0) != second.get(w, 0)}
+        return cls(f"{what} disagree at " + ", ".join(
+            f"{weight_str(w)}: {names[0]} {a}, {names[1]} {b}" for w, (a, b) in diff.items()),
+            diff)
+
 
 @dataclass(frozen=True, order=True)
 class PointMultiset:
@@ -121,8 +132,17 @@ def y_of_multiset(datum: RootDatum, r: PointMultiset) -> Monomial:
 
 
 def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
-    """M(i,c)^n: the closure of the highest-weight monomial y_{i,c}^n."""
-    return closure(datum, [y_monomial(datum, i, c, n)])
+    """M(i,c)^n: the closure of the highest-weight monomial y_{i,c}^n, a
+    copy of B(n w_i).  Past ``crystal.MAX_ELEMENTS`` elements it raises the
+    closure's ClosureLimitError before the closure runs, ``reached`` being
+    the exact dim V(n w_i)."""
+    top = y_monomial(datum, i, c, n)
+    limit = crystal.MAX_ELEMENTS
+    size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
+    if size > limit:
+        raise ClosureLimitError("crystal.closure", limit, size,
+                                f"closure exceeded limit {limit}")
+    return closure(datum, [top])
 
 
 def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
@@ -219,11 +239,6 @@ def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:
 
     by_character = weyl_decompose(datum, truncation.full_character(datum, r))
     if by_character != counts:
-        diff = {w: (counts.get(w, 0), by_character.get(w, 0))
-                for w in sorted(counts.keys() | by_character.keys())
-                if counts.get(w, 0) != by_character.get(w, 0)}
-        raise ConsistencyError(
-            "decomposition routes disagree at "
-            + ", ".join(f"{weight_str(w)}: enumeration {a}, character {b}"
-                        for w, (a, b) in diff.items()), diff)
+        raise ConsistencyError.between("decomposition routes", ("enumeration", "character"),
+                                       counts, by_character)
     return counts

@@ -157,7 +157,8 @@ def row_relabellings(boxes, max_rows: int):
 
 def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     """Recover a partition sequence from a column-convex diagram (sorting
-    columns), searching row permutations first when columns have gaps.
+    columns), searching row permutations first when columns have gaps:
+    every row order up to 8 rows, ValueError above that.
 
     The Specht/Schur decomposition is invariant under row and column
     permutations, so any convexifying row order is as good as another.
@@ -275,7 +276,9 @@ def _skew_shape_from(boxes, pos):
 def skew_normalise(boxes):
     """Search row orders (plus the induced column sort) for a skew
     presentation lam/mu of the diagram; return the lexicographically
-    smallest such pair, or None."""
+    smallest such pair, or None.  Every row order is tried up to 7 rows;
+    above that only two are, the given order and rows sorted by length, so
+    a skew diagram with its rows permuted may come back None."""
     boxes = frozenset(boxes)
     if not boxes:
         return (), ()

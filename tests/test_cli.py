@@ -622,3 +622,53 @@ def test_emitter_matches_indented_json_dumps():
         _dumps({"a": [1, {2, 3}]})
     with pytest.raises(TypeError):
         _dumps({"a": {1: "b"}})
+
+
+@pytest.mark.parametrize("argv, reached", [
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2000]]"], 2003001),
+    (["truncate", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2000]]"], 2003001),
+    (["graph", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2000]]"], 2003001),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2000000000]]"],
+     2000000003000000001),
+    (["stable", "--R", "[[1,1,2000000000]]"], 2000000001),
+])
+def test_oversized_fundamental_crystal_exits_3_at_once(capsys, argv, reached):
+    # the closure of y^2000 in A2 once ran for 49 s and 1.35 GB before it
+    # stopped at MAX_ELEMENTS; dim V(n w_1) is known before it starts
+    start = time.perf_counter()
+    data = run_json(capsys, argv, expect_code=3)
+    assert time.perf_counter() - start < 2.0
+    assert data["diagnostics"] == ["closure exceeded limit 1000000",
+                                   {"limit": 1000000, "reached": reached,
+                                    "stage": "crystal.closure"}]
+
+
+@pytest.mark.parametrize("oracle", ["specht_decompose_bruteforce", "lr_skew_expand"])
+def test_schur_oracle_disagreement_exits_1(capsys, monkeypatch, oracle):
+    from pmcrystal import cli
+    right = getattr(cli, oracle)
+
+    def wrong(*args):
+        out = dict(right(*args))
+        out[(2, 2, 1)] += 1
+        out[(9,)] = 1
+        return out
+
+    monkeypatch.setattr(cli, oracle, wrong)
+    data = run_json(capsys, ["schur", "--diagram", "[[1,1],[2,2],[3,2],[2,3],[4,3]]"],
+                    expect_code=1)
+    name = "specht" if oracle == "specht_decompose_bruteforce" else "skew_lr"
+    assert data["status"] == "internal-inconsistency" and data["result"] is None
+    assert data["diagnostics"][0] == (f"schur and {name} disagree at (2,2,1): schur 2, "
+                                      f"{name} 3, (9): schur 0, {name} 1")
+    assert data["diagnostics"][1] == {"diff": {"(2,2,1)": [2, 3], "(9)": [0, 1]}}
+
+
+@pytest.mark.parametrize("diagram, message", [
+    ("[[1,1],[3,1],[1,2],[2,2],[2,3],[3,3]]", "no row order makes this diagram column-convex"),
+    ("[[1,1],[3,1],[2,2],[4,2],[5,3],[6,3],[7,4],[8,4],[9,4]]",
+     "diagram has gapped columns and too many rows to search for a convexifying row order"),
+])
+def test_schur_diagram_without_a_convex_row_order_exits_2(capsys, diagram, message):
+    data = run_json(capsys, ["schur", "--diagram", diagram], expect_code=2)
+    assert data["diagnostics"] == [message]

@@ -334,3 +334,14 @@ def test_closure_limit_is_a_limit_exceeded(a2, capsys, monkeypatch):
     message, detail = json.loads(capsys.readouterr().out)["diagnostics"]
     assert message == "product crystal exceeded limit 4"
     assert detail == {"stage": "product.fold", "limit": 4, "reached": 6}
+
+
+def test_closure_from_a_lowest_seed(a2):
+    # from the lowest element every neighbour is found by an e_i step
+    top = closure(a2, [y_monomial(a2, 1, 1, 2)])
+    lowest = [x for x in top.elements if all(f_of(a2, x, i) is None for i in a2.vertices)]
+    assert len(lowest) == 1 and lowest[0] not in top.highest
+    up = closure(a2, lowest)
+    assert up.elements == top.elements
+    assert up.f_edges == top.f_edges
+    assert up.highest == top.highest

@@ -444,3 +444,33 @@ def test_route_disagreement_carries_the_diff(a3, capsys, monkeypatch):
     message, detail = data["diagnostics"]
     assert "(1,0,2): enumeration 1, character 2" in message
     assert detail == {"diff": {"(0,0,0)": [0, 2], "(1,0,2)": [1, 2]}}
+
+
+def test_fundamental_crystal_size_is_weyl_dimension():
+    # M(i,c)^n is a copy of B(n w_i), so its closure has dim V(n w_i) elements
+    rng = random.Random(19)
+    for kind, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E6", 6),
+                       ("GL", 3), ("GL", 4), ("GL", 5)]:
+        datum = build_root_datum(kind, rank)
+        done = 0
+        while done < 3:
+            i, n = rng.choice(datum.vertices), rng.randint(1, 3)
+            dim = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
+            if dim > 3000:   # redrawn, to keep the closures small
+                continue
+            c = datum.parity[i] + 2 * rng.randint(-2, 2)
+            assert len(fundamental_crystal(datum, i, c, n)) == dim
+            done += 1
+
+
+def test_oversized_fundamental_crystal_is_refused_before_its_closure(a2, monkeypatch):
+    from pmcrystal import crystal, product
+    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 9)
+    assert len(fundamental_crystal(a2, 1, 1, 2)) == 6
+    monkeypatch.setattr(product, "closure", lambda *args: pytest.fail("closure ran"))
+    with pytest.raises(ClosureLimitError) as err:
+        fundamental_crystal(a2, 1, 1, 3)   # dim V(3 w_1) = 10
+    assert (err.value.stage, err.value.limit, err.value.reached) == ("crystal.closure", 9, 10)
+    assert str(err.value) == "closure exceeded limit 9"
+    with pytest.raises(ValueError, match="parity"):   # the point is checked first
+        fundamental_crystal(a2, 1, 2, 3)

@@ -540,3 +540,13 @@ def test_skew_consistency_random():
         assert lr_skew_expand(*shape) == specht_decompose_bruteforce(boxes)
         seen += 1
     assert seen >= 5
+
+
+def test_skew_normalise_above_seven_rows():
+    # eight rows: only the given order and the order by length are tried
+    lam, mu = (5, 4, 4, 4, 3, 2, 1, 1), (4, 3, 3, 1, 1, 1)
+    mu8 = mu + (0, 0)
+    boxes = frozenset((r + 1, c) for r in range(8) for c in range(mu8[r] + 1, lam[r] + 1))
+    assert typea.row_relabellings(boxes, 7) is None
+    assert skew_normalise(boxes) == (lam, mu)
+    assert lr_skew_expand(lam, mu) == schur_decompose(sequence_of_diagram(boxes), 8)

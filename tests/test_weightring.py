@@ -799,3 +799,20 @@ def test_long_string_is_refused_before_it_is_written(capsys, kind, rank):
     assert data["status"] == "limit-exceeded"
     assert data["diagnostics"][1] == {"stage": "weightring.demazure_pi",
                                       "limit": weightring.MAX_TERMS, "reached": 30_000_001}
+
+
+def test_dominant_memo_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(weightring, "DOMINANT_MEMO_MAX", 3)
+    datum = RootDatum("A", 3)   # not the shared instance: a fresh memo
+    reference = build_root_datum("A", 3)
+    memo = weightring._root_tables(datum)[2]
+    walks = []
+    dominant_key = weightring._dominant_key
+    monkeypatch.setattr(weightring, "_dominant_key",
+                        lambda *args: walks.append(args[1]) or dominant_key(*args))
+    for lam in [(2, 1, 0), (1, 1, 1), (3, 0, 1), (2, 0, 2)]:
+        assert dominant_multiplicities(datum, lam) == ref_dominant_part(reference, lam)
+        assert 0 < len(memo) <= 3
+    assert len(set(walks)) > 3   # more keys than the memo holds: it was cleared
+    f = irreducible_character(reference, (2, 0, 1)) * irreducible_character(reference, (0, 1, 1))
+    assert weyl_decompose(datum, f) == ref_weyl_decompose(reference, f.terms)
