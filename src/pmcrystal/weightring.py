@@ -21,7 +21,10 @@ height.  A W-invariant element is fixed by its dominant terms, so it checks
 W-invariance once and then peels on dominant keys alone, subtracting the
 dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``dominant_multiplicities``); the Demazure-built ch V(mu)
-(``irreducible_character``) stays as the independent oracle.
+(``irreducible_character``) stays as the independent oracle.  Once holds
+across calls too: an element records a W-invariance scan that passed
+(``GroupAlgebraElement``), so a character that ``pi_longest`` or
+``truncation.full_character`` checked is not scanned again by the peel.
 
 Limits.  A Demazure operator or a product that builds more than
 MAX_TERMS terms raises ``cartan.LimitExceeded``; a Demazure operator does
@@ -136,9 +139,20 @@ def _overflow(n: int) -> ValueError:
 
 class GroupAlgebraElement:
     """A sparse element of Z[P]: a map weight -> nonzero integer, held as
-    packed keys of weights of one length (see the module docstring)."""
+    packed keys of weights of one length (see the module docstring).
 
-    __slots__ = ("_keys", "_n")
+    Elements are immutable: no operation changes ``_keys`` once built.  So
+    an element can carry the verdict of a W-invariance scan:
+    ``_invariant_under`` is None until a complete scan under a root datum
+    finds no reflection moving the element, and is that datum from then on
+    (compared by identity).  The W-invariance checks of ``pi_longest``,
+    ``full_character`` and ``weyl_decompose`` read it, so each element is
+    scanned at most once under each datum it is checked against; a scan
+    that finds a moving reflection records nothing.  The slot is not
+    locked: it only ever goes from None to a datum after a completed scan,
+    so racing threads at worst scan twice."""
+
+    __slots__ = ("_keys", "_n", "_invariant_under")
 
     def __init__(self, terms: dict[Weight, int] | None = None):
         keys: dict[int, int] = {}
@@ -153,12 +167,14 @@ class GroupAlgebraElement:
             keys[_encode(w)] = c
         self._keys = keys
         self._n = n
+        self._invariant_under = None
 
     @classmethod
     def _of(cls, keys: dict[int, int], n: int | None) -> "GroupAlgebraElement":
         out = object.__new__(cls)
         out._keys = keys
         out._n = n
+        out._invariant_under = None
         return out
 
     @classmethod
@@ -295,6 +311,18 @@ def _moving_vertices(datum: RootDatum, keys: dict[int, int], n: int):
             yield i
 
 
+def _first_moving_vertex(datum: RootDatum, f: GroupAlgebraElement, n: int) -> int | None:
+    """The first vertex i with s_i moving f, or None when W fixes f.  A
+    scan that finds none records datum on f, and f's record of datum
+    stands in for the scan (see ``GroupAlgebraElement``)."""
+    if f._invariant_under is datum:
+        return None
+    i = next(_moving_vertices(datum, f._keys, n), None)
+    if i is None:
+        f._invariant_under = datum
+    return i
+
+
 def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
     out = list(keys)
     for i in datum.vertices:
@@ -383,11 +411,22 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     is the shortest element taking lam_J to w_o lam_J = -(dominant
     representative of -lam_J), and the ascent ``dominant_representative``
     takes from w_o lam_J spells a reduced word for it.  The word is found
-    afresh on each call, in under a millisecond even on E8."""
+    afresh on each call, in under a millisecond even on E8.
+
+    Finding J scans every vertex; when none moves f, f is W-invariant, the
+    word is empty and f is returned, its scan recorded so that the check
+    reads the record.  An f recorded as W-invariant under this datum is
+    not scanned at all.  With ``check``, AssertionError unless the image
+    is W-invariant; the image is scanned once, and the record it leaves
+    spares a later ``weyl_decompose`` its own scan."""
     n = _check_length(datum, f)
     lam = datum.zero
-    for i in _moving_vertices(datum, f._keys, n):
-        lam = w_add(lam, datum.fundamentals[i])
+    if f._invariant_under is not datum:
+        moving = list(_moving_vertices(datum, f._keys, n))
+        if not moving:
+            f._invariant_under = datum
+        for i in moving:
+            lam = w_add(lam, datum.fundamentals[i])
     low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
     out = apply_word(datum, datum.dominant_representative(low)[1], f)
     if check:
@@ -397,7 +436,7 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
 
 def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
     """The check on a pi_{w_o} image: AssertionError unless W fixes f."""
-    if next(_moving_vertices(datum, f._keys, datum.lattice_rank), None) is not None:
+    if _first_moving_vertex(datum, f, datum.lattice_rank) is not None:
         raise AssertionError("pi_{w_o} image is not Weyl-invariant")
 
 
@@ -578,11 +617,14 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     V(mu) (``dominant_multiplicities``), at a dominant term mu of greatest
     height, hence maximal in the positive-root order.
     Raises DecompositionError when f is not W-invariant or not a
-    nonnegative integral combination.
+    nonnegative integral combination.  The W-invariance scan is skipped
+    when f records a passed scan under this datum (``pi_longest``,
+    ``truncation.full_character``), and a passing scan is recorded on f;
+    a record under another datum does not count.
     """
     n = _check_length(datum, f)
     keys = f._keys
-    i = next(_moving_vertices(datum, keys, n), None)
+    i = _first_moving_vertex(datum, f, n)
     if i is not None:
         raise DecompositionError(f"not Weyl-invariant: s_{i} moves it")
     height = _height_of_key(datum, n)

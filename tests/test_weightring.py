@@ -8,7 +8,7 @@ import pytest
 from pmcrystal import cli, truncation, weightring
 from pmcrystal.cartan import (LimitExceeded, RootDatum, build_root_datum, w_add, w_scale,
                               w_sub)
-from pmcrystal.product import multiset, weight_of_multiset
+from pmcrystal.product import decompose, multiset, weight_of_multiset
 from pmcrystal.truncation import (build_plan, char_by_plan, full_character,
                                   truncation_character)
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
@@ -537,6 +537,99 @@ def test_full_character_checks_the_product(monkeypatch):
         full_character(a3, r, check=True)
     with pytest.raises(DecompositionError):
         weyl_decompose(a3, full_character(a3, r, check=False))
+
+
+# -- the W-invariance verdict an element carries -----------------------------------
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The keys of every W-invariance scan, in call order."""
+    seen = []
+    real = weightring._moving_vertices
+
+    def counting(datum, keys, n):
+        seen.append(keys)
+        return real(datum, keys, n)
+    monkeypatch.setattr(weightring, "_moving_vertices", counting)
+    return seen
+
+
+def scans_of(scans, f):
+    return sum(keys is f._keys for keys in scans)
+
+
+# characters pi_{w_o} h alone (split False) and products g * pi_{w_o} h
+@pytest.mark.parametrize("kind,rank,points,split", [
+    ("A", 3, {(1, 1): 1, (2, 0): 1}, False), ("GL", 3, {(1, 1): 1, (2, 2): 1}, False),
+    ("A", 3, {(1, 41): 1, (2, 0): 1}, True), ("A", 2, {(1, -3): 1, (1, 3): 1}, True)])
+def test_checked_character_is_scanned_once(kind, rank, points, split, scans, monkeypatch):
+    datum, r = build_root_datum(kind, rank), multiset(points)
+    g, _ = truncation._fold(datum, build_plan(datum, r))
+    assert (g is not None) == split
+    ch = full_character(datum, r, check=True)
+    dec = weyl_decompose(datum, ch)
+    assert scans_of(scans, ch) == 1
+    assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
+    # unchecked, the peel makes the one scan
+    del scans[:]
+    ch = full_character(datum, r, check=False)
+    assert scans_of(scans, ch) == 0
+    assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
+    assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
+    # decompose hands the peel the checked character
+    checked = []
+    real = weightring.weyl_decompose
+    monkeypatch.setattr(weightring, "weyl_decompose",
+                        lambda datum, f: checked.append(f) or real(datum, f))
+    del scans[:]
+    assert decompose(datum, r) == dec
+    assert len(checked) == 1 and scans_of(scans, checked[0]) == 1
+
+
+def test_pi_longest_scans_its_input_and_image_once(a3, scans):
+    f = e((1, 0, 2))
+    out = pi_longest(a3, f, check=True)
+    assert scans_of(scans, f) == 1 and scans_of(scans, out) == 1
+    # a W-invariant input is its own image: the J scan is the check
+    del scans[:]
+    ch = irreducible_character(a3, (1, 0, 2))
+    assert pi_longest(a3, ch, check=True) is ch
+    assert scans_of(scans, ch) == 1
+    assert pi_longest(a3, ch, check=True) is ch and weyl_decompose(a3, ch) == {(1, 0, 2): 1}
+    assert scans_of(scans, ch) == 1
+
+
+def test_verdict_is_per_datum(a3, gl3):
+    # A3's ch V(omega_1) in fundamental coordinates is not S_3-invariant in
+    # GL3's coordinates, though both lattices have rank 3
+    ch = irreducible_character(a3, (1, 0, 0))
+    assert weyl_decompose(a3, ch) == {(1, 0, 0): 1}
+    assert ch._invariant_under is a3
+    with pytest.raises(DecompositionError, match="Weyl-invariant"):
+        weyl_decompose(gl3, ch)
+    assert ch._invariant_under is a3
+
+
+def test_failed_scan_leaves_no_verdict(a3, monkeypatch):
+    # a J scan that finds moving reflections
+    f = e((1, 0, 0))
+    out = pi_longest(a3, f, check=False)
+    assert f._invariant_under is None and out._invariant_under is None
+    with pytest.raises(DecompositionError, match="Weyl-invariant"):
+        weyl_decompose(a3, f)
+    assert f._invariant_under is None
+    # the product check of the demazure-identity mutant
+    monkeypatch.setattr(truncation, "demazure_pi", lambda datum, i, f: f)
+    products = []
+    real = truncation._assert_weyl_invariant
+    monkeypatch.setattr(truncation, "_assert_weyl_invariant",
+                        lambda datum, f: products.append(f) or real(datum, f))
+    with pytest.raises(AssertionError, match="not Weyl-invariant"):
+        full_character(a3, multiset({(1, 41): 1, (2, 0): 1}), check=True)
+    assert [p._invariant_under for p in products] == [None]
+    with pytest.raises(DecompositionError, match="Weyl-invariant"):
+        weyl_decompose(a3, products[0])
 
 
 def test_oversized_split_character_stops_at_the_product(monkeypatch):
