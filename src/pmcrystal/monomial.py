@@ -244,8 +244,8 @@ class MonomialCodec:
     Each factor is a nonempty crystal closure, so all its elements share one
     invariant and every product carries their sum.  The window is the union
     of the factors' supports, and the bound the sum over the factors of
-    their largest |exponent|.  Decoded columns and weights are memoised on
-    the codec, which is meant to live for one computation.
+    their largest |exponent|.  Decoded columns, weights and z-deltas are
+    memoised on the codec, which is meant to live for one computation.
     """
 
     def __init__(self, datum: RootDatum, factors):
@@ -275,6 +275,7 @@ class MonomialCodec:
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[tuple, Weight] = {}
+        self._deltas: dict[tuple[int, int, int], int | None] = {}
 
     def offset(self, p: Monomial) -> int:
         """The exponents of p as a signed sum of digits (no bias):
@@ -331,12 +332,18 @@ class MonomialCodec:
     def z_delta(self, i: int, k: int, power: int) -> int | None:
         """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a
         point outside the window (then p * z_{i,k}^power is not in the
-        encoded set)."""
+        encoded set).  Memoised on the codec, None included."""
+        memo = self._deltas
+        args = (i, k, power)
+        if args in memo:
+            return memo[args]
         out = 0
         for pt, ex in z_exponents(self.datum, i, k).items():
             shift = self.shift.get(pt)
             if shift is None:
-                return None
+                out = None
+                break
             out += power * ex << shift
+        memo[args] = out
         return out
 

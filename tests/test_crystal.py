@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pmcrystal import crystal
+from pmcrystal import crystal, monomial
 from pmcrystal.cartan import build_root_datum, w_add
 from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
                                graph_to_json, highest_weights, to_dot)
@@ -62,6 +62,19 @@ def test_graph_over_rejects_sets_not_closed(a2):
         keys = {codec.zero + codec.offset(p) for p in elements}
         with pytest.raises(ValueError, match=f"not closed under {op}"):
             graph_over(a2, keys, codec)
+
+
+def test_z_delta_is_memoised_with_its_misses(a2, monkeypatch):
+    elements = closure(a2, [y_monomial(a2, 1, 1, 2)]).elements
+    args = [(i, k, power) for i in a2.vertices for k in range(-3, 6) for power in (-1, 1)]
+    first = [MonomialCodec(a2, [elements]).z_delta(*a) for a in args]
+    # z-deltas that leave the window are answers too
+    assert None in first and any(d is not None for d in first)
+    codec = MonomialCodec(a2, [elements])
+    assert [codec.z_delta(*a) for a in args] == first
+    calls = []
+    monkeypatch.setattr(monomial, "z_exponents", lambda *a: calls.append(a) or {})
+    assert [codec.z_delta(*a) for a in args] == first and calls == []
 
 
 def test_graph_over_keeps_weights_apart(a2, gl3):
