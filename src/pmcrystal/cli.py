@@ -66,14 +66,30 @@ def _datum_and_multiset(args):
     return datum, r
 
 
+def _keyed_once(pairs):
+    """A JSON object as a dict, refusing a key given twice (``json.loads``
+    alone keeps the last value)."""
+    out = {}
+    for key, val in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} is given twice")
+        out[key] = val
+    return out
+
+
 def _parse_truncation(datum, text):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_keyed_once)
         thresholds = [None] * len(datum.vertices)
+        spelled: dict[int, str] = {}
         for key, val in data["thresholds"].items():
             col = int(key)
             if col not in datum.vertices:
                 raise ValueError(f"column {key} is not a vertex")
+            if col in spelled:
+                raise ValueError(f"column {col} is given twice, as "
+                                 f"{spelled[col]!r} and {key!r}")
+            spelled[col] = key
             thresholds[col - 1] = strict_int(val)
         j = ThresholdSet(tuple(thresholds))
         validate_threshold_set(datum, j)

@@ -251,6 +251,23 @@ def test_malformed_integers_exit_2(capsys, argv):
     assert list(data) == sorted(data)
 
 
+@pytest.mark.parametrize("other", ["01", "+1", " 1", "1 ", "\u0661", "1"])
+@pytest.mark.parametrize("command", ["truncate", "character", "plan"])
+def test_truncation_column_given_twice_exits_2(capsys, command, other):
+    # "01" once overwrote column 1's threshold 1 with 3, so J missed R
+    base = ["--cartan", "A", "--rank", "3", "--R", A3_R]
+    pairs = '"1": 1, "2": 2, "3": 1'
+    assert run([command, *base, "--truncation", '{"thresholds": {%s}}' % pairs]) == 0
+    if command == "truncate":
+        assert json.loads(capsys.readouterr().out)["result"]["count"] == 1
+    capsys.readouterr()
+    text = '{"thresholds": {%s, %s: 3}}' % (pairs, json.dumps(other))
+    assert run([command, *base, "--truncation", text]) == 2
+    diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostic.endswith("key '1' is given twice" if other == "1" else
+                               f"column 1 is given twice, as '1' and {other!r}")
+
+
 GL4_R = "[[1,3,1],[3,1,1],[3,3,1]]"
 
 
