@@ -140,6 +140,98 @@ def test_no_indented_json_dumps():
                    ast.walk(ast.parse("json.dumps(x, sort_keys=True)")))
 
 
+_DICT_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault",
+                  "__setitem__", "__delitem__", "__ior__"}
+
+
+def _scopes(tree):
+    """(function name or None, statements) for the module's top-level
+    statements and for the body of every function."""
+    yield None, [node for node in tree.body if not isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.body
+
+
+def _key_writes(tree) -> list[int]:
+    """Lines that change an element's ``_keys`` dict, directly or through
+    a name bound to it: a store, ``del`` or augmented assignment into it, a
+    mutating dict method called on it, ``add_into`` with it as the target;
+    and a rebinding of ``_keys`` outside the constructors."""
+    found = set()
+    for name, body in _scopes(tree):
+        nodes = [sub for node in body for sub in ast.walk(node)]
+        aliases: set[str] = set()
+
+        def held(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "_keys") \
+                or (isinstance(node, ast.Name) and node.id in aliases)
+        grown = True
+        while grown:
+            bound = {target.id for node in nodes
+                     if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                     and held(node.value)
+                     for target in (node.targets if isinstance(node, ast.Assign)
+                                    else [node.target])
+                     if isinstance(target, ast.Name)}
+            grown = not bound <= aliases
+            aliases |= bound
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = held(node.value)
+            elif isinstance(node, ast.AugAssign):
+                hit = held(node.target)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                hit = (isinstance(func, ast.Attribute) and func.attr in _DICT_MUTATORS
+                       and held(func.value)) or (
+                    getattr(func, "id", getattr(func, "attr", None)) == "add_into"
+                    and bool(node.args) and held(node.args[0]))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = node.attr == "_keys" and name not in ("__init__", "_of")
+            else:
+                hit = False
+            if hit:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_elements_are_immutable():
+    # a GroupAlgebraElement carries the verdict of its W-invariance scan,
+    # which only stands while its _keys never change after construction
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{line}" for path in paths
+             for line in _key_writes(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    # the check itself sees every spelling, directly and through a local name
+    writes = ["{k}[w] = 1", "del {k}[w]", "{k}[w] += 1", "{k}[w] -= c",
+              "{k}.pop(w)", "{k}.popitem()", "{k}.clear()", "{k}.update(other)",
+              "{k}.setdefault(w, 0)", "{k}.__setitem__(w, 1)", "{k}.__delitem__(w)",
+              "add_into({k}, 1, other)", "cartan.add_into({k}, -c, other)"]
+    for write in writes:
+        for text in (write.format(k="f._keys"),
+                     "def g(f):\n    keys = f._keys\n    " + write.format(k="keys"),
+                     "def g(f):\n    keys: dict = f._keys\n    more = keys\n    "
+                     + write.format(k="more"),
+                     "def g(f):\n    if (keys := f._keys):\n        "
+                     + write.format(k="keys")):
+            assert _key_writes(ast.parse(text)), text
+    for text in ("def g(f):\n    keys = f._keys\n    keys |= other",
+                 "def g(f):\n    f._keys = {}", "def g(f):\n    del f._keys",
+                 "def g(f):\n    f._keys |= other"):
+        assert _key_writes(ast.parse(text)), text
+    # and passes reads, copies, other dicts and the constructors
+    for text in ("def g(f):\n    keys = dict(f._keys)\n    keys[w] = 1",
+                 "def g(f):\n    out = {}\n    add_into(out, 1, f._keys)",
+                 "def g(f):\n    keys = f._keys\n    return keys.get(w), keys[w]",
+                 "def g(f):\n    keys = f._keys\n\ndef h():\n    keys = {}\n    keys[w] = 1",
+                 "def __init__(self):\n    self._keys = {}",
+                 "def _of(cls):\n    out._keys = keys"):
+        assert not _key_writes(ast.parse(text)), text
+
+
 # Kept in src/ although neither the CLI nor the benchmark reaches them.
 KEPT = (
     ("product", "y_of_multiset",
