@@ -281,11 +281,9 @@ def full_character(datum: RootDatum, r: PointMultiset,
     truncation character g * h of the plan fold (``_fold``), g W-invariant,
     pi_{w_o} (g h) = g pi_{w_o} h, so pi_{w_o} acts on h alone.  ``check``
     asserts that pi_{w_o} h is W-invariant (``pi_longest``) and so is the
-    product returned.  Each of the two scans is recorded on the element it
-    passed (see ``weightring.GroupAlgebraElement``), so ``weyl_decompose``
-    does not scan the checked character again; with check=False nothing
-    is scanned here but pi_longest's search for the reflections that fix
-    pi_{w_o}'s input."""
+    product returned.  A check that passes is recorded on the element it
+    scanned (see ``weightring.GroupAlgebraElement``), so ``weyl_decompose``
+    does not scan the checked character again."""
     g, h = _fold(datum, build_plan(datum, r))
     ch = pi_longest(datum, h, check=check)
     if g is None:

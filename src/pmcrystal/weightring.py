@@ -21,10 +21,10 @@ height.  A W-invariant element is fixed by its dominant terms, so it checks
 W-invariance once and then peels on dominant keys alone, subtracting the
 dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``dominant_multiplicities``); the Demazure-built ch V(mu)
-(``irreducible_character``) stays as the independent oracle.  Once holds
-across calls too: an element records a W-invariance scan that passed
-(``GroupAlgebraElement``), so a character that ``pi_longest`` or
-``truncation.full_character`` checked is not scanned again by the peel.
+(``irreducible_character``) stays as the independent oracle.  The check
+is made once across calls too: an element records a W-invariance scan
+that passed (``GroupAlgebraElement``), so the peel does not scan again a
+character that ``pi_longest`` or ``truncation.full_character`` checked.
 
 Limits.  A Demazure operator or a product that builds more than
 MAX_TERMS terms raises ``cartan.LimitExceeded``; a Demazure operator does
@@ -413,12 +413,11 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     takes from w_o lam_J spells a reduced word for it.  The word is found
     afresh on each call, in under a millisecond even on E8.
 
-    Finding J scans every vertex; when none moves f, f is W-invariant, the
-    word is empty and f is returned, its scan recorded so that the check
-    reads the record.  An f recorded as W-invariant under this datum is
-    not scanned at all.  With ``check``, AssertionError unless the image
-    is W-invariant; the image is scanned once, and the record it leaves
-    spares a later ``weyl_decompose`` its own scan."""
+    Finding J scans every vertex.  When none moves f, f is its own image
+    and the scan is recorded on f (``GroupAlgebraElement``), so the check
+    reads the record; an f recorded under this datum is not scanned.  With
+    ``check``, AssertionError unless the image is W-invariant; a check that
+    passes is recorded on the image, sparing ``weyl_decompose`` its scan."""
     n = _check_length(datum, f)
     lam = datum.zero
     if f._invariant_under is not datum:

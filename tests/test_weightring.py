@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -630,6 +632,35 @@ def test_failed_scan_leaves_no_verdict(a3, monkeypatch):
     assert [p._invariant_under for p in products] == [None]
     with pytest.raises(DecompositionError, match="Weyl-invariant"):
         weyl_decompose(a3, products[0])
+
+
+def test_racing_threads_share_one_verdict(a3):
+    # the slot is set without a lock, only after a completed scan: threads
+    # racing on one element at worst scan it twice, and none takes an
+    # element some reflection moves for W-invariant
+    ch = irreducible_character(a3, (2, 1, 2))
+    moved = ch + e((1, 0, 0))
+    results, refused = [], []
+
+    def peel():
+        results.append(weyl_decompose(a3, ch))
+        try:
+            weyl_decompose(a3, moved)
+        except DecompositionError:
+            refused.append(True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=peel) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [{(2, 1, 2): 1}] * 8 and len(refused) == 8
+    assert ch._invariant_under is a3 and moved._invariant_under is None
 
 
 def test_oversized_split_character_stops_at_the_product(monkeypatch):
