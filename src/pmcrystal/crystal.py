@@ -5,12 +5,15 @@ and ``monomial.e_op``, breadth first, and sorts what it found once at the
 end by (weight, exponents), so that element order, edge order and DOT
 output are reproducible run to run.  ``graph_over`` is the other builder:
 one pass over the packed keys of a product crystal (see
-``monomial.MonomialCodec``), as ``product.fold`` makes them.  Only the
-builders map elements to positions; an f-edge is a triple of positions.
-Every graph records its highest-weight elements from the e_i computed
-while it was built.  Both ``closure`` and ``product.fold`` stop at
-``MAX_ELEMENTS``.  ``graph_to_json`` returns JSON text and ``to_dot`` DOT
-text, each from fragments memoised per call, one per weight and exponent.
+``monomial.MonomialCodec``), as ``product.fold`` makes them.  It looks up
+every f_i(x) in the set and checks closure under e by counting, with no
+lookup per e-edge.  Only the builders map elements to positions; an
+f-edge is a triple of positions.  Every graph records its highest-weight
+elements, those that every e_i kills (eps_i = 0 for ``graph_over``), from
+what was computed while it was built.  Both ``closure`` and
+``product.fold`` stop at ``MAX_ELEMENTS``.  ``graph_to_json`` returns JSON
+text and ``to_dot`` DOT text, each from fragments memoised per call, one
+per weight and exponent.
 """
 
 from __future__ import annotations
@@ -86,26 +89,33 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
 def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
     """The crystal graph on an e/f-closed set of products, given as
     ``codec``'s keys: one pass in which column i of a key is one shift and
-    mask away, and f_i/e_i add a delta memoised per (i, column) for this
-    call.  Every f_i(x) and e_i(x) is computed once and looked up in the
-    set; ValueError when one is missing."""
+    mask away, and f_i adds a delta memoised per (i, column) for this
+    call.  Every f_i(x) is computed once and looked up in the set;
+    ValueError when one is missing.  Closure under e is checked by
+    counting: in an f-closed set, f_i maps the elements with phi_i > 0
+    injectively into those with eps_i > 0, because e_i f_i = id and
+    eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed exactly when the
+    two counts agree for every i; ValueError after the pass when they do
+    not."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: k for k, (_, _, key) in enumerate(rows)}
-    columns = [(i, shift, mask, {}) for i, shift, mask in codec.columns]
+    del rows
+    columns = [(j, i, shift, mask, {}) for j, (i, shift, mask) in enumerate(codec.columns)]
+    # per column: the elements with phi_i > 0 less those with eps_i > 0
+    excess = [0] * len(columns)
     edges = []
     highest = []
     for key, k in index.items():
         top = True
-        for i, shift, mask, memo in columns:
+        for j, i, shift, mask, memo in columns:
             col = (key >> shift) & mask
             step = memo.get(col)
             if step is None:
-                phi, eps, best_f, best_e = codec.column_stats(i, col)
-                step = memo[col] = (
-                    phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
-                    eps, codec.z_delta(i, best_e, 1) if eps else None)
-            phi, f_delta, eps, e_delta = step
+                phi, eps, best_f, _ = codec.column_stats(i, col)
+                step = memo[col] = (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
+                                    eps, (phi > 0) - (eps > 0))
+            phi, f_delta, eps, gap = step
             if phi:
                 # a delta leaving the window leaves the set
                 target = None if f_delta is None else index.get(key + f_delta)
@@ -114,10 +124,12 @@ def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
                 edges.append((k, i, target))
             if eps:
                 top = False
-                if e_delta is None or key + e_delta not in index:
-                    raise ValueError("element set is not closed under e")
+            if gap:
+                excess[j] += gap
         if top:
             highest.append(elems[k])
+    if any(excess):
+        raise ValueError("element set is not closed under e")
     return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
 
 

@@ -61,7 +61,7 @@ def require_lattice_point(datum: RootDatum, i: int, c: int) -> None:
                          f"vertex {i} has parity {datum.parity[i]}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Monomial:
     """An element of the monomial crystal: e^weight * prod y_{i,c}^{e}."""
 

@@ -46,6 +46,14 @@ A(i) the packed delta sum_k (a_i)_k << DIGIT_BITS * (n - k) of a_i:
 
 - <a_i^vee, w> is one digit minus BIAS (fundamental coordinates) or the
   difference of digits i and i+1 (GL): shifts and masks;
+- w is dominant by one mask test (``_sign_masks``).  A legal digit x + BIAS
+  lies in [0, 2 BIAS), so x >= 0 exactly when its bit DIGIT_BITS-2 is set,
+  and in fundamental coordinates a key is dominant when all n of these
+  bits are.  For GL, (key >> DIGIT_BITS) - (key & low) + L, with low the
+  mask of the n-1 low digits and L = 2^(DIGIT_BITS-1) in each of them, has
+  the digits d_k - d_(k+1) + L in [1, 2^DIGIT_BITS) for k < n, so no digit
+  borrows, and <a_k^vee, w> >= 0 exactly when bit DIGIT_BITS-1 of its k-th
+  digit from the top is set.  Both tests hold for legal keys only;
 - w - t a_i is ``key - t * A(i)``, so one step along an a_i-string adds or
   subtracts A(i), and the reflection s_i w is ``key - <a_i^vee, w> * A(i)``;
 - e^v * e^w is ``key(w) + key(v) - key(0)``.
@@ -90,7 +98,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import eq, mul, sub
+from operator import add, eq, lt, mul, sub
 
 from .cartan import (LimitExceeded, RootDatum, Weight, add_into, w_add, w_scale,
                      weight_str)
@@ -323,11 +331,23 @@ def _first_moving_vertex(datum: RootDatum, f: GroupAlgebraElement, n: int) -> in
     return i
 
 
+def _sign_masks(datum: RootDatum, n: int) -> tuple[int, int]:
+    """(low, signs) of the sign-bit dominance test of legal keys (see the
+    module docstring): a key is dominant exactly when ``key & signs ==
+    signs`` in fundamental coordinates, and when ``((key >> DIGIT_BITS) -
+    (key & low) + signs) & signs == signs`` for GL."""
+    if datum.kind != "GL":
+        return 0, _repunit(n) << (DIGIT_BITS - 2)
+    return (1 << DIGIT_BITS * (n - 1)) - 1, _repunit(n - 1) << (DIGIT_BITS - 1)
+
+
 def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
-    out = list(keys)
-    for i in datum.vertices:
-        out = [k for k, m in zip(out, _pairings(datum, i, out, n)) if m >= 0]
-    return out
+    """The dominant keys among legal ``keys``, in iteration order, by one
+    sign-bit test each."""
+    low, signs = _sign_masks(datum, n)
+    if datum.kind != "GL":
+        return [k for k in keys if k & signs == signs]
+    return [k for k in keys if ((k >> DIGIT_BITS) - (k & low) + signs) & signs == signs]
 
 
 def _height_of_key(datum: RootDatum, n: int):
@@ -456,12 +476,13 @@ def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
 def _root_tables(datum: RootDatum):
     """Per datum, built on first use: for every positive root alpha its
     packed delta, its simple-root coordinates and its pairings
-    (<a_j^vee, alpha>)_j; the shift and packed delta A(i) of every vertex;
-    the memo of ``_dominant_key``, cleared at DOMINANT_MEMO_MAX entries;
-    and the dominant-multiplicity tables of ``_dominant_table``.  Neither
-    cache is locked: an entry depends on its key alone and dict gets and
-    sets are atomic in CPython, so racing threads at worst compute an
-    entry twice or evict one more table than needed."""
+    (<a_j^vee, alpha>)_j; the walls: the masks of the sign-bit dominance
+    test (``_sign_masks``) and the shift and packed delta A(i) of every
+    vertex; the memo of ``_dominant_key``, cleared at DOMINANT_MEMO_MAX
+    entries; and the dominant-multiplicity tables of ``_dominant_table``.
+    Neither cache is locked: an entry depends on its key alone and dict
+    gets and sets are atomic in CPython, so racing threads at worst compute
+    an entry twice or evict one more table than needed."""
     n = datum.lattice_rank
     roots = []
     for coords, root in datum.positive_roots:
@@ -470,27 +491,27 @@ def _root_tables(datum: RootDatum):
             delta = (delta << DIGIT_BITS) + x
         roots.append((delta, coords, tuple(datum.pairing(j, root) for j in datum.vertices)))
     walls = tuple((DIGIT_BITS * (n - i), _alpha_key(datum, i)) for i in datum.vertices)
-    return tuple(roots), walls, {}, {}
+    return tuple(roots), (*_sign_masks(datum, n), walls), {}, {}
 
 
 def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> int:
     """The dominant weight in the W-orbit of a key whose true digits lie in
     the guard window (see the module docstring); ValueError when a weight on
-    the way has an illegal coordinate.  Reflects at any wall with a negative
-    pairing; each step raises the weight in the positive-root order."""
+    the way has an illegal coordinate.  While the sign-bit test (``walls``
+    from ``_root_tables``) finds a negative pairing, a pass over the walls
+    in vertex order reflects at each wall whose pairing is negative when it
+    is reached; each step raises the weight in the positive-root order."""
     if key & guard:
         raise _overflow(n)
     gl = datum.kind == "GL"
-    moved = True
-    while moved:
-        moved = False
-        for sh, a in walls:
+    low, signs, deltas = walls
+    while (((key >> DIGIT_BITS) - (key & low) + signs) if gl else key) & signs != signs:
+        for sh, a in deltas:
             m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
             if m < 0:
                 key -= m * a
                 if key & guard:
                     raise _overflow(n)
-                moved = True
     return key
 
 
@@ -518,20 +539,24 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
     guard = _repunit(n) << (DIGIT_BITS - 1)
     top = _encode(lam)
     p_lam = tuple(datum.pairing(j, lam) for j in datum.vertices)
-    found = {top: ((0,) * len(walls), p_lam)}
+    p_rho = tuple(x + 2 for x in p_lam)   # pairings of lam + 2 rho
+    found = {top: ((0,) * len(p_lam), p_lam)}
     frontier = [top]
     while frontier:
         nxt = []
         for key in frontier:
             c, p = found[key]
             for delta, a, pa in roots:
-                q = tuple(x - y for x, y in zip(p, pa))
-                if min(q) < 0 or key - delta in found:
+                # skip mu - alpha outside the dominant chamber or found before
+                if any(map(lt, p, pa)):
                     continue
-                if (key - delta) & guard:
+                nu = key - delta
+                if nu in found:
+                    continue
+                if nu & guard:
                     raise _overflow(n)
-                found[key - delta] = (tuple(x + y for x, y in zip(c, a)), q)
-                nxt.append(key - delta)
+                found[nu] = (tuple(map(add, c, a)), tuple(map(sub, p, pa)))
+                nxt.append(nu)
                 if len(found) > cap:
                     return None
         frontier = nxt
@@ -542,7 +567,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
         c, p = found[key]
         total = 0
         for delta, a, _ in roots:
-            t = 2 + sum(x * y for x, y in zip(a, p))   # (mu + alpha, alpha)
+            t = 0   # found at the first weight of V(lam) on the string, as >= 2
             nu = key + delta
             while True:
                 d = memo_get(nu)
@@ -553,10 +578,12 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
                 m = get(d)
                 if not m:
                     break
+                if not t:
+                    t = 2 + sum(map(mul, a, p))   # (mu + alpha, alpha)
                 total += t * m
                 t += 2
                 nu += delta
-        norm = sum(x * (y + z + 2) for x, y, z in zip(c, p_lam, p))
+        norm = sum(map(mul, c, map(add, p_rho, p)))
         m, rest = divmod(2 * total, norm)
         if rest or m <= 0:
             raise AssertionError(

@@ -1,10 +1,34 @@
 import random
+import signal
 
 import pytest
 
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.product import multiset
 from pmcrystal.weightring import GroupAlgebraElement
+
+
+TEST_SECONDS = 60  # the longest a test may run before it fails
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail a test that runs longer than TEST_SECONDS, so that a hang ends
+    as a failed test; no bound where the platform lacks SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran longer than {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -64,6 +64,59 @@ def test_graph_over_rejects_sets_not_closed(a2):
             graph_over(a2, keys, codec)
 
 
+def drop_one(datum, graph, gone):
+    """Run graph_over on the element set of a product crystal less one
+    element, in the codec window of the whole set, so that the missing
+    element lies inside it.  Expects "not closed under f" when the element
+    has an incoming f-edge, "not closed under e" when it is highest with
+    an outgoing edge, and the graph on the rest when it is isolated;
+    returns "f", "e" or None accordingly."""
+    elements = graph.elements
+    codec = MonomialCodec(datum, [elements])
+    keys = [codec.zero + codec.offset(p) for p in elements]
+    assert_same_graph(graph_over(datum, keys, codec), graph)
+    k = elements.index(gone)
+    rest = keys[:k] + keys[k + 1:]
+    if any(target == k for _, _, target in graph.f_edges):
+        op = "f"
+    elif any(source == k for source, _, _ in graph.f_edges):
+        op = "e"
+    else:
+        got = graph_over(datum, rest, codec)
+        assert got.elements == elements[:k] + elements[k + 1:]
+        assert got.f_edges == tuple((s - (s > k), i, t - (t > k)) for s, i, t in graph.f_edges)
+        assert got.highest == tuple(x for x in graph.highest if x != gone)
+        return None
+    with pytest.raises(ValueError, match=f"not closed under {op}"):
+        graph_over(datum, rest, codec)
+    return op
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("GL", 3)])
+def test_graph_over_finds_one_missing_element(kind, rank):
+    # e-closure is checked by counting, after every f-edge is looked up
+    from pmcrystal.product import product_crystal
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(31 + 7 * rank + len(kind))
+    seen = set()
+    for draw in range(8):
+        graph = product_crystal(datum, random_multiset(rng, datum, cap=400))
+        # every other draw removes a highest-weight element
+        seen.add(drop_one(datum, graph, rng.choice(graph.highest if draw % 2
+                                                   else graph.elements)))
+    assert {"f", "e"} <= seen
+
+
+def test_graph_over_drops_an_isolated_element(a2):
+    # y_{2,4}^-1, the lowest element of M(1,1), times y_{2,4} is 1: an
+    # element with no edge
+    from pmcrystal.product import multiset, product_crystal
+    graph = product_crystal(a2, multiset({(1, 1): 1, (2, 4): 1}))
+    assert drop_one(a2, graph, one(a2)) is None
+    assert graph.highest[0] == one(a2)
+    assert drop_one(a2, graph, graph.highest[1]) == "e"
+
+
 def test_z_delta_is_memoised_with_its_misses(a2, monkeypatch):
     elements = closure(a2, [y_monomial(a2, 1, 1, 2)]).elements
     args = [(i, k, power) for i in a2.vertices for k in range(-3, 6) for power in (-1, 1)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -800,12 +801,48 @@ def test_dominant_multiplicities_match_demazure(kind, rank):
 @pytest.mark.parametrize("kind,rank,lam", [
     ("A", 2, (7, 5)), ("A", 3, (2, 2, 2)), ("A", 4, (1, 1, 1, 1)),
     ("GL", 4, (6, 3, 1, 0)), ("GL", 5, (3, 2, 1, 1, -1)), ("D", 4, (2, 2, 0, 0)),
+    ("E7", 7, (2, 0, 0, 0, 0, 0, 0)),
 ])
 def test_dominant_multiplicities_with_many_dominant_weights(kind, rank, lam):
     # tables of 14 to 24 dominant weights, some reached only by subtracting
-    # a non-simple root
+    # a non-simple root; and the 5 of an E7 module of dimension 7371
     datum = build_root_datum(kind, rank)
     assert dominant_multiplicities(datum, lam) == ref_dominant_part(datum, lam)
+
+
+def pairing_filter(datum, keys, n):
+    """The dominant keys, found by testing every pairing <a_i^vee, w> >= 0."""
+    out = list(keys)
+    for i in datum.vertices:
+        out = [k for k, m in zip(out, weightring._pairings(datum, i, out, n)) if m >= 0]
+    return out
+
+
+@pytest.mark.parametrize("kind,rank", [
+    ("A", 1), ("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E6", 6), ("E7", 7), ("E8", 8),
+    ("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)])
+def test_sign_bit_dominance_matches_pairings(kind, rank):
+    datum = build_root_datum(kind, rank)
+    n = datum.lattice_rank
+    rng = random.Random(40 + 10 * rank + len(kind))
+    edges = (-BIAS, -1, 0, BIAS - 1)   # the ends of the legal range, and of the signs
+    coords = edges + (-2, 1, 2, BIAS - 2)
+    weights = set(itertools.product(edges, repeat=n)) if n <= 4 else set()
+    for _ in range(400):
+        w = [rng.choice(coords) for _ in range(n)]
+        if rng.random() < 0.5:   # dominant more often than by chance
+            w = sorted(w, reverse=True) if kind == "GL" else [x if x >= 0 else -x - 1 for x in w]
+        weights.add(tuple(w))
+    weights = sorted(weights, key=lambda w: rng.random())
+    keys = [weightring._encode(w) for w in weights]
+    want = pairing_filter(datum, keys, n)
+    assert weightring._dominant_keys(datum, keys, n) == want
+    assert want == [weightring._encode(w) for w in weights if datum.is_dominant(w)]
+    # both outcomes are met, at the edges of the range too (GL_1 has no
+    # wall: every weight is dominant)
+    assert 0 < len(want) < len(keys) or (not datum.vertices and want == keys)
+    assert any(-BIAS in weightring._decode(k, n) for k in want) == (kind == "GL")
+    assert any(BIAS - 1 in weightring._decode(k, n) for k in want)
 
 
 @pytest.mark.parametrize("kind,rank,points", [
