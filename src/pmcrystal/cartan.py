@@ -233,37 +233,35 @@ class RootDatum:
 
     def _close_positive_roots(self) -> tuple[tuple[tuple[int, ...], Weight], ...]:
         """All positive roots as (simple-root coordinates, weight vector),
-        computed by closing the simple roots under all reflections."""
+        sorted, found by adding simple roots one at a time.
+
+        Every kind here is simply laced (GL on the A_{n-1} diagram), so all
+        roots have one length and <alpha_i^vee, beta> lies in {-1, 0, 1} for
+        a positive root beta != alpha_i.  The alpha_i-string through beta,
+        beta - r alpha_i, ..., beta + q alpha_i, has r - q = <alpha_i^vee,
+        beta> and at most two roots, so beta + alpha_i is a root exactly when
+        <alpha_i^vee, beta> = -1.  Every positive root is reached from a
+        simple root by such steps (Humphreys, *Introduction to Lie Algebras
+        and Representation Theory*, section 10.2, Corollary to Lemma A), so
+        closing the simple roots under them finds every positive root and no
+        other vector."""
         m = self.num_vertices
-        seen: dict[Weight, tuple[int, ...]] = {}
-        frontier = []
+        roots: dict[tuple[int, ...], Weight] = {}
         for idx, i in enumerate(self.vertices):
-            coords = tuple(1 if k == idx else 0 for k in range(m))
-            seen[self.alphas[i]] = coords
-            frontier.append(self.alphas[i])
+            roots[(0,) * idx + (1,) + (0,) * (m - idx - 1)] = self.alphas[i]
+        frontier = list(roots)
         while frontier:
             nxt = []
-            for root in frontier:
-                coords = seen[root]
-                for i in self.vertices:
-                    refl = self.reflect(i, root)
-                    if refl in seen:
-                        continue
-                    pair = sum(
-                        c * self._cartan_entry(i, j)
-                        for c, j in zip(coords, self.vertices)
-                    )
-                    new_coords = list(coords)
-                    new_coords[i - 1] -= pair
-                    seen[refl] = tuple(new_coords)
-                    nxt.append(refl)
+            for coords in frontier:
+                root = roots[coords]
+                for idx, i in enumerate(self.vertices):
+                    if self.pairing(i, root) == -1:
+                        up = coords[:idx] + (coords[idx] + 1,) + coords[idx + 1:]
+                        if up not in roots:
+                            roots[up] = w_add(root, self.alphas[i])
+                            nxt.append(up)
             frontier = nxt
-        pos = sorted(
-            (coords, root)
-            for root, coords in seen.items()
-            if all(c >= 0 for c in coords)
-        )
-        return tuple(pos)
+        return tuple(sorted(roots.items()))
 
     def weyl_dimension(self, w: Weight) -> int:
         """Weyl dimension formula; an oracle independent of any character

@@ -18,7 +18,7 @@ per weight and exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 from .cartan import LimitExceeded, RootDatum, weight_str
@@ -34,12 +34,14 @@ MAX_ELEMENTS = 10**6  # the element limit of every closure and product fold
 _order = attrgetter("weight", "exponents")  # the order of every graph's elements
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
-    datum: RootDatum
-    elements: tuple
-    f_edges: tuple  # ((k, i, l), ...) meaning f_i(elements[k]) = elements[l], sorted
-    highest: tuple  # the elements every e_i kills, in element order
+class CrystalGraph(namedtuple("CrystalGraph", "datum elements f_edges highest")):
+    """A crystal graph: its ``elements`` (sorted), ``f_edges`` ((k, i, l), ...)
+    meaning f_i(elements[k]) = elements[l] (sorted), and ``highest``, the
+    elements every e_i kills, in element order.  ``len`` counts elements,
+    so the namedtuple helpers ``_make`` and ``_replace``, which check the
+    length, refuse a graph that has other than four."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.elements)

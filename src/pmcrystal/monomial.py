@@ -45,8 +45,7 @@ f_i/e_i add a fixed integer delta.  Its invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
 
@@ -61,12 +60,48 @@ def require_lattice_point(datum: RootDatum, i: int, c: int) -> None:
                          f"vertex {i} has parity {datum.parity[i]}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Monomial:
-    """An element of the monomial crystal: e^weight * prod y_{i,c}^{e}."""
+_set = object.__setattr__
 
+
+@total_ordering
+class Monomial:
+    """An element of the monomial crystal: e^weight * prod y_{i,c}^{e}.
+
+    An immutable value with two slots, ``weight`` and ``exponents`` (sorted,
+    values nonzero), equal, hashed and ordered as the pair of them."""
+
+    __slots__ = ("weight", "exponents")
     weight: Weight
-    exponents: tuple[tuple[LatticePoint, int], ...]  # sorted, values nonzero
+    exponents: tuple[tuple[LatticePoint, int], ...]
+
+    def __init__(self, weight: Weight, exponents: tuple[tuple[LatticePoint, int], ...]):
+        _set(self, "weight", weight)
+        _set(self, "exponents", exponents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Monomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Monomial")
+
+    def __reduce__(self):
+        return Monomial, (self.weight, self.exponents)
+
+    def __repr__(self):
+        return f"Monomial(weight={self.weight!r}, exponents={self.exponents!r})"
+
+    def __hash__(self):
+        return hash((self.weight, self.exponents))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weight == other.weight and self.exponents == other.exponents
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.weight, self.exponents) < (other.weight, other.exponents)
+        return NotImplemented
 
     def exponent(self, i: int, c: int) -> int:
         for (pi, pc), ex in self.exponents:

@@ -16,7 +16,7 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
 from . import crystal
@@ -51,12 +51,11 @@ class ConsistencyError(RuntimeError):
             diff)
 
 
-@dataclass(frozen=True, order=True)
-class PointMultiset:
-    """A finite multiset of lattice points: ((point, multiplicity), ...)
-    sorted, multiplicities positive."""
+class PointMultiset(namedtuple("PointMultiset", "points")):
+    """A finite multiset of lattice points: ``points`` is ((point,
+    multiplicity), ...) sorted, multiplicities positive."""
 
-    points: tuple[tuple[LatticePoint, int], ...]
+    __slots__ = ()
 
     def support(self) -> tuple[LatticePoint, ...]:
         return tuple(pt for pt, _ in self.points)

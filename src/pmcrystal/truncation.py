@@ -28,7 +28,7 @@ there, as LimitExceeded at stage ``weightring.multiply``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import LimitExceeded, RootDatum
 from .monomial import Monomial
@@ -42,12 +42,11 @@ from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_p
 MAX_PLAN_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
-    """An upward-closed subset of the grid, one threshold per column
-    (None meaning the column is empty)."""
+class ThresholdSet(namedtuple("ThresholdSet", "thresholds")):
+    """An upward-closed subset of the grid, one threshold per column:
+    ``thresholds`` holds an int or None (the column is empty) per vertex."""
 
-    thresholds: tuple  # entry per vertex, int or None
+    __slots__ = ()
 
     def threshold(self, i: int):
         return self.thresholds[i - 1]
@@ -69,12 +68,11 @@ class ThresholdSet:
                                if t is not None}}
 
 
-@dataclass(frozen=True)
-class DownwardSet:
+class DownwardSet(namedtuple("DownwardSet", "ceilings")):
     """The downward-closed analogue: column i holds the points at or below
     ceilings[i-1] (None meaning the column is empty)."""
 
-    ceilings: tuple
+    __slots__ = ()
 
     def contains(self, i: int, c: int) -> bool:
         t = self.ceilings[i - 1]
@@ -137,19 +135,17 @@ def truncate(datum: RootDatum, r: PointMultiset,
 
 # -- build plans -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BuildPlan:
+class BuildPlan(namedtuple("BuildPlan", "start window r")):
     """A plan that builds M(R, J_target) from {1}, stored as its window:
     J_0 = J_target minus down(Supp R), then (i, theta_i, delta_i) for each
     column i meeting K = J_target meets down(Supp R) in theta_i, theta_i + 2,
     ..., delta_i.  The walk adjoins K level by level from the top, columns
     in vertex order, multiplying each point of R in right after its Extend.
     Every point above a point of K has a higher level, so it lies in J_0 or
-    earlier in the walk: every prefix is upward-closed."""
+    earlier in the walk: every prefix is upward-closed.  Fields ``start``
+    (J_0, a ThresholdSet), ``window`` and ``r`` (R, a PointMultiset)."""
 
-    start: ThresholdSet
-    window: tuple
-    r: PointMultiset
+    __slots__ = ()
 
     def step_count(self) -> int:
         """The number of steps, from the window: one Extend per level of

@@ -30,7 +30,6 @@ racing threads at worst build one twice.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -407,6 +406,7 @@ class Seminormal:
                  else scale * (r * r - 1) // (r * r))
                 for i, (j, r) in enumerate(zip(partner, axial))))
         self.partner, self.axial, self.act = tuple(partners), tuple(axials), tuple(acts)
+        from fractions import Fraction  # imported here so that start-up skips it
         form: list[Fraction | None] = [Fraction(1)] + [None] * (self.dim - 1)
         todo = [0]
         while todo:

@@ -20,7 +20,7 @@ along the positive-root order: it subtracts at a dominant term of greatest
 height.  A W-invariant element is fixed by its dominant terms, so it checks
 W-invariance once and then peels on dominant keys alone, subtracting the
 dominant multiplicities of V(mu) that Freudenthal's formula gives
-(``dominant_multiplicities``); the Demazure-built ch V(mu)
+(``_dominant_table``); the Demazure-built ch V(mu)
 (``irreducible_character``) stays as the independent oracle.  The check
 is made once across calls too: an element records a W-invariance scan
 that passed (``GroupAlgebraElement``), so the peel does not scan again a
@@ -462,7 +462,7 @@ def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
 def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
     """ch V(w) for dominant w, via the Demazure character formula at w_o.
     Not cached: the Weyl peel reads only the dominant multiplicities
-    (``dominant_multiplicities``), and this stays its independent oracle."""
+    (``_dominant_table``), and this stays its independent oracle."""
     w = tuple(w)
     if not datum.is_dominant(w):
         raise ValueError(f"{w} is not dominant")
@@ -617,20 +617,6 @@ def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] |
     return table
 
 
-def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
-    """The dominant part of ch V(w), w dominant: mu -> dim V(w)_mu for
-    every dominant weight mu of V(w), by Freudenthal's formula.
-    LimitExceeded past MAX_TERMS dominant weights."""
-    w = tuple(w)
-    if len(w) != datum.lattice_rank or not datum.is_dominant(w):
-        raise ValueError(f"{w} is not a dominant weight of {datum!r}")
-    table = _dominant_table(datum, w, MAX_TERMS)
-    if table is None:
-        raise LimitExceeded("weightring.dominant_multiplicities", MAX_TERMS, MAX_TERMS + 1)
-    n = datum.lattice_rank
-    return {_decode(k, n): c for k, c in table.items()}
-
-
 class DecompositionError(ValueError):
     """The element is not the expected nonnegative combination."""
 
@@ -640,7 +626,7 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
 
     A W-invariant element is fixed by its dominant terms, so only those are
     peeled: repeatedly subtract c * m_mu, the dominant multiplicities of
-    V(mu) (``dominant_multiplicities``), at a dominant term mu of greatest
+    V(mu) (``_dominant_table``), at a dominant term mu of greatest
     height, hence maximal in the positive-root order.
     Raises DecompositionError when f is not W-invariant or not a
     nonnegative integral combination.  The W-invariance scan is skipped

@@ -14,6 +14,9 @@ and the two decomposition routes run.  What only the tests need lives here:
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
+- ``ref_positive_roots``, the positive roots closed under all reflections;
+- ``dominant_multiplicities``, the checked entry to the Freudenthal tables
+  of the Weyl peel;
 - the key polynomials ``demazure_character`` and ``key_decompose``;
 - the type-A correspondence between partition sequences, diagrams and
   (R, J) pairs, and the psi embeddings of the stability argument;
@@ -23,7 +26,9 @@ and the two decomposition routes run.  What only the tests need lives here:
 
 from dataclasses import dataclass
 
-from pmcrystal.cartan import RootDatum, Weight, add_into, w_add, w_scale, weight_str
+from pmcrystal import weightring
+from pmcrystal.cartan import (LimitExceeded, RootDatum, Weight, add_into, w_add, w_scale,
+                              weight_str)
 from pmcrystal.crystal import CrystalGraph
 from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op,
                                 make_monomial, mono_mul, one, require_lattice_point,
@@ -33,6 +38,38 @@ from pmcrystal.product import (PointMultiset, expand_label, multiset, s_label,
 from pmcrystal.truncation import BuildPlan, ThresholdSet
 from pmcrystal.typea import Box, Partition, check_sequence
 from pmcrystal.weightring import DecompositionError, GroupAlgebraElement, apply_word, e
+
+# -- root data -----------------------------------------------------------------
+
+
+def ref_positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ...]:
+    """All positive roots as (simple-root coordinates, weight vector), sorted,
+    computed by closing the simple roots under all reflections: the closure
+    ``RootDatum`` ran before it built the positive roots by simple steps."""
+    m = datum.num_vertices
+    seen: dict[Weight, tuple[int, ...]] = {}
+    frontier = []
+    for idx, i in enumerate(datum.vertices):
+        seen[datum.alphas[i]] = tuple(1 if k == idx else 0 for k in range(m))
+        frontier.append(datum.alphas[i])
+    while frontier:
+        nxt = []
+        for root in frontier:
+            coords = seen[root]
+            for i in datum.vertices:
+                refl = datum.reflect(i, root)
+                if refl in seen:
+                    continue
+                pair = sum(c * datum.pairing(i, datum.alphas[j])
+                           for c, j in zip(coords, datum.vertices))
+                new_coords = list(coords)
+                new_coords[i - 1] -= pair
+                seen[refl] = tuple(new_coords)
+                nxt.append(refl)
+        frontier = nxt
+    return tuple(sorted((coords, root) for root, coords in seen.items()
+                        if all(c >= 0 for c in coords)))
+
 
 # -- monomials -----------------------------------------------------------------
 
@@ -328,6 +365,25 @@ def replay_plan(datum: RootDatum, plan: BuildPlan) -> frozenset[Monomial]:
             yq = y_of_multiset(datum, payload)
             xs = frozenset(mono_mul(yq, p) for p in xs)
     return xs
+
+
+# -- dominant multiplicities ----------------------------------------------------
+
+
+def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
+    """The dominant part of ch V(w), w dominant: mu -> dim V(w)_mu for
+    every dominant weight mu of V(w), from the Freudenthal tables the Weyl
+    peel reads (``weightring._dominant_table``).  LimitExceeded past
+    ``weightring.MAX_TERMS`` dominant weights, read at call time."""
+    w = tuple(w)
+    if len(w) != datum.lattice_rank or not datum.is_dominant(w):
+        raise ValueError(f"{w} is not a dominant weight of {datum!r}")
+    limit = weightring.MAX_TERMS
+    table = weightring._dominant_table(datum, w, limit)
+    if table is None:
+        raise LimitExceeded("weightring.dominant_multiplicities", limit, limit + 1)
+    n = datum.lattice_rank
+    return {weightring._decode(k, n): c for k, c in table.items()}
 
 
 # -- key polynomials ------------------------------------------------------------

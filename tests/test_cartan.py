@@ -4,6 +4,7 @@ import pytest
 
 from pmcrystal.cartan import MAX_RANK, RootDatum, build_root_datum, w_add, w_sub
 from conftest import random_weight
+from reference import ref_positive_roots
 
 
 def test_a2_cartan_matrix(a2):
@@ -100,6 +101,17 @@ def test_longest_word_length_is_root_count(kind, rank, roots):
     # positive roots are closed independently from the greedy descent
     assert len(datum.positive_roots) == roots
     assert len(datum.longest_word) == roots
+
+
+@pytest.mark.parametrize("kind,rank", [("A", r) for r in range(1, 9)]
+                         + [("D", r) for r in range(4, 9)]
+                         + [("E6", 6), ("E7", 7), ("E8", 8)]
+                         + [("GL", r) for r in range(1, 8)]
+                         + [("A", 32), ("D", 32), ("GL", 32)])
+def test_positive_roots_match_reflection_closure(kind, rank):
+    # simple steps at -1 pairings against the closure under all reflections
+    datum = build_root_datum(kind, rank)
+    assert datum.positive_roots == ref_positive_roots(datum)
 
 
 def test_longest_word_is_reduced_descent(a2):

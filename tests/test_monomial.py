@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from pmcrystal.cartan import build_root_datum, w_add
-from pmcrystal.monomial import (column_stats, e_op, f_op, make_monomial,
-                                mono_mul, one, y_monomial)
+from pmcrystal.monomial import (Monomial, MonomialCodec, column_stats, e_op, f_op,
+                                make_monomial, mono_mul, one, y_monomial)
 from reference import (mono_div, mono_pow, monomial_from_json, validate_monomial,
                        z_monomial)
 
@@ -102,3 +104,37 @@ def test_json_roundtrip(a2):
 def test_rendering(a2):
     assert str(one(a2)) == "e(0,0)"
     assert str(y_monomial(a2, 1, 1)) == "e(1,0)*y[1,1]"
+
+
+def test_monomial_is_an_immutable_two_slot_value():
+    m = Monomial((1, 0), (((1, 0), 1),))
+    same = Monomial(tuple([1, 0]), (((1, 0), 1),))
+    other = Monomial((1, 0), (((1, 2), 1),))
+    assert m == same and m is not same and hash(m) == hash(same)
+    # equal, hashed and ordered as the pair (weight, exponents)
+    assert hash(m) == hash((m.weight, m.exponents))
+    assert m < other and m <= other and other > m and other >= m and m <= same
+    assert sorted([other, m, Monomial((0, 1), ())]) == [Monomial((0, 1), ()), m, other]
+    # a value of its own, not a tuple: it equals no pair and no other type
+    assert m != (m.weight, m.exponents) and not isinstance(m, tuple)
+    with pytest.raises(TypeError):
+        m < (m.weight, m.exponents)
+    assert repr(m) == "Monomial(weight=(1, 0), exponents=(((1, 0), 1),))"
+    assert Monomial.__slots__ == ("weight", "exponents") and not hasattr(m, "__dict__")
+    for name in ("weight", "exponents", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+    with pytest.raises(AttributeError):
+        del m.weight
+    assert m.weight == (1, 0)
+    assert copy.copy(m) == m and pickle.loads(pickle.dumps(m)) == m
+
+
+def test_codec_digits_hold_every_exponent(a2):
+    # a digit stores e + half for |e| <= bound + 1 inside its width: half is
+    # at least bound + 2, and 2 * half fits the width
+    for bound in range(65):
+        seed = make_monomial((bound, 0), {(1, 1): bound})
+        codec = MonomialCodec(a2, [(seed,)])
+        assert codec.bound == bound
+        assert codec.half >= bound + 2 and 2 * codec.half <= 1 << codec.width

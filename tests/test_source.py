@@ -3,7 +3,16 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from pmcrystal.cartan import build_root_datum
+from pmcrystal.crystal import CrystalGraph
+from pmcrystal.product import PointMultiset
+from pmcrystal.truncation import BuildPlan, DownwardSet, ThresholdSet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmcrystal"
 
@@ -17,6 +26,68 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# Modules that ``import pmcrystal.cli`` must not load: every command runs in a
+# fresh process, which pays for each one (dataclasses alone pulls in inspect,
+# ast, dis and tokenize; fractions pulls in decimal).
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
+                    "decimal", "typing")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # -S keeps site-packages' start-up hooks out of the count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import pmcrystal.cli; print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                           capture_output=True, text=True, check=True, timeout=30).stdout.split()
+    assert "pmcrystal.cli" in added and "pmcrystal.typea" in added
+    assert [name for name in STARTUP_EXCLUDED if name in added] == []
+
+
+def _records():
+    """(a, a value equal to a, a value different from a, repr of a, a field)
+    for each immutable record class of the library."""
+    a2 = build_root_datum("A", 2)
+    r, r2 = PointMultiset((((1, 0), 1),)), PointMultiset((((1, 0), 2),))
+    j = ThresholdSet((0, 1))
+    return [
+        (r, PointMultiset(tuple([((1, 0), 1)])), r2,
+         "PointMultiset(points=(((1, 0), 1),))", "points"),
+        (j, ThresholdSet(tuple([0, 1])), ThresholdSet((0, None)),
+         "ThresholdSet(thresholds=(0, 1))", "thresholds"),
+        (DownwardSet((0, None)), DownwardSet(tuple([0, None])), DownwardSet((2, 1)),
+         "DownwardSet(ceilings=(0, None))", "ceilings"),
+        (BuildPlan(j, (), r), BuildPlan(ThresholdSet((0, 1)), (), r), BuildPlan(j, (), r2),
+         "BuildPlan(start=ThresholdSet(thresholds=(0, 1)), window=(), "
+         "r=PointMultiset(points=(((1, 0), 1),)))", "window"),
+        (CrystalGraph(a2, ("x", "y"), ((0, 1, 1),), ("x",)),
+         CrystalGraph(a2, ("x", "y"), ((0, 1, 1),), ("x",)),
+         CrystalGraph(a2, ("x",), (), ("x",)),
+         "CrystalGraph(datum=RootDatum(A, 2), elements=('x', 'y'), "
+         "f_edges=((0, 1, 1),), highest=('x',))", "highest"),
+    ]
+
+
+def test_records_are_immutable_values():
+    # equality, hashing, repr and immutability by fields, as the frozen
+    # dataclasses they replaced gave them
+    records = _records()
+    for a, same, other, text, field in records:
+        assert a == same and a is not same and hash(a) == hash(same)
+        assert a != other
+        assert repr(a) == text
+        value = getattr(a, field)
+        for name in (field, "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) is value
+    # PointMultiset keeps its order, and CrystalGraph's len counts elements
+    r, _, r2, _, _ = records[0]
+    assert r < r2 and sorted([r2, r]) == [r, r2]
+    assert len(records[-1][0]) == 2
 
 
 def _unbounded_cache(node) -> bool:
@@ -236,8 +307,6 @@ def test_elements_are_immutable():
 KEPT = (
     ("product", "y_of_multiset",
      "its import binds product.mono_mul, which bench/tracing.py wraps directly"),
-    ("weightring", "dominant_multiplicities",
-     "the checked public entry to the Freudenthal tables"),
 )
 
 

@@ -12,8 +12,8 @@ from pmcrystal.crystal import highest_weights
 from pmcrystal.product import multiset, product_crystal
 from pmcrystal.truncation import build_plan, char_by_plan
 from pmcrystal import typea
-from pmcrystal.typea import (Seminormal, check_sequence, conjugate,
-                             flagged_schur_char, lr_skew_expand,
+from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
+                             diagram_ascii, flagged_schur_char, lr_skew_expand,
                              partitions_of, restrict_coeffs,
                              schur_decompose, seminormal, sequence_of_diagram,
                              skew_normalise, specht_decompose_bruteforce,
@@ -197,6 +197,20 @@ def test_lr_skew_expand():
     assert lr_skew_expand((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
     assert lr_skew_expand((3, 2, 2, 1), (2, 1)) == {
         (2, 1, 1, 1): 1, (3, 1, 1): 1, (2, 2, 1): 2, (3, 2): 1}
+    # mu as long as lam, or equal to lam in a row, is still contained in it
+    assert check_shape((2, 2), (1, 1)) == ((2, 2), (1, 1))
+    assert lr_skew_expand((2, 2), (1, 1)) == {(1, 1): 1}
+    assert lr_skew_expand((2, 1), (2,)) == {(1,): 1}
+    for lam, mu in [((2,), (1, 1)), ((2, 1), (3,))]:
+        with pytest.raises(ValueError, match="not contained"):
+            check_shape(lam, mu)
+
+
+def test_diagram_ascii():
+    # one line per row up to the last, each cut after its last box
+    assert diagram_ascii(frozenset({(1, 1), (2, 2), (2, 3)})) == "[]\n  [][]"
+    assert diagram_ascii(frozenset({(2, 1), (1, 3)})) == "    []\n[]"
+    assert diagram_ascii(frozenset()) == "(empty diagram)"
 
 
 # -- symmetric group characters ---------------------------------------------------

@@ -15,11 +15,10 @@ from pmcrystal.product import decompose, multiset, weight_of_multiset
 from pmcrystal.truncation import (build_plan, char_by_plan, full_character,
                                   truncation_character)
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
-                                  apply_word, demazure_pi, dominant_multiplicities,
-                                  e, irreducible_character, laurent_str, pi_longest,
-                                  weyl_decompose)
+                                  apply_word, demazure_pi, e, irreducible_character,
+                                  laurent_str, pi_longest, weyl_decompose)
 from conftest import random_element, random_weight
-from reference import demazure_character, key_decompose
+from reference import demazure_character, dominant_multiplicities, key_decompose
 
 
 # -- reference: the Demazure operators on tuple weights ------------------------
