@@ -44,8 +44,9 @@ from pmcrystal.weightring import DecompositionError, GroupAlgebraElement, apply_
 
 def ref_positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight], ...]:
     """All positive roots as (simple-root coordinates, weight vector), sorted,
-    computed by closing the simple roots under all reflections: the closure
-    ``RootDatum`` ran before it built the positive roots by simple steps."""
+    computed by closing the simple roots under all reflections and keeping
+    the roots with nonnegative coordinates: an independent check of the
+    simple steps by which ``RootDatum`` builds them."""
     m = datum.num_vertices
     seen: dict[Weight, tuple[int, ...]] = {}
     frontier = []
