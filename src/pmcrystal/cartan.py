@@ -17,24 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
+from . import limits
+
 Weight = tuple[int, ...]
 
 KINDS = ("A", "D", "E6", "E7", "E8", "GL")
-
-# the largest rank a RootDatum accepts: A/D/GL 32 build in well under a
-# second, 64 takes seconds and A128 most of a minute, so a larger rank is
-# refused at once rather than left to run without bound
-MAX_RANK = 32
-
-
-class LimitExceeded(RuntimeError):
-    """A computation grew past one of the size limits of the library: at
-    ``stage`` the size ``reached`` passed ``limit``.  Each limit is a module
-    constant next to the code it stops."""
-
-    def __init__(self, stage: str, limit: int, reached: int, message: str | None = None):
-        super().__init__(message or f"{stage} exceeded limit {limit} (reached {reached})")
-        self.stage, self.limit, self.reached = stage, limit, reached
 
 
 def w_add(a: Weight, b: Weight) -> Weight:
@@ -79,8 +66,8 @@ def _edge_list(kind: str, rank: int) -> list[tuple[int, int]]:
 class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
-    Instances are shared via the lru_cache on :func:`build_root_datum`,
-    which keeps the 64 most recently used; a datum holds no cache.
+    Instances are shared via the bounded lru_cache on
+    :func:`build_root_datum`; a datum holds no cache.
     """
 
     def __init__(self, kind: str, rank: int):
@@ -94,8 +81,8 @@ class RootDatum:
             raise ValueError("type D needs rank >= 4")
         if kind in ("E6", "E7", "E8") and rank != int(kind[1]):
             raise ValueError(f"type {kind} has fixed rank {kind[1]}")
-        if rank > MAX_RANK:
-            raise ValueError(f"rank {rank} exceeds the ceiling MAX_RANK = {MAX_RANK}")
+        if rank > limits.MAX_RANK:
+            raise ValueError(f"rank {rank} exceeds the ceiling MAX_RANK = {limits.MAX_RANK}")
 
         self.kind = kind
         self.rank = rank
@@ -282,11 +269,19 @@ class RootDatum:
         return dim
 
 
-@lru_cache(maxsize=64)
 def build_root_datum(kind: str, rank: int) -> RootDatum:
     """Construct (and cache) the root datum for the given kind and rank.
 
     ``rank`` counts Dynkin vertices for the semisimple kinds and the size n
-    for GL_n (so GL_n has n-1 vertices).
+    for GL_n (so GL_n has n-1 vertices).  A rank above ``limits.MAX_RANK``
+    skips the cache, so ``RootDatum`` refuses it even if it was cached under
+    a higher limit.
     """
+    if rank > limits.MAX_RANK:
+        return RootDatum(kind, rank)
+    return _cached_root_datum(kind, rank)
+
+
+@lru_cache(maxsize=limits.ROOT_DATA_CACHED)
+def _cached_root_datum(kind: str, rank: int) -> RootDatum:
     return RootDatum(kind, rank)

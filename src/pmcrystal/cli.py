@@ -9,14 +9,13 @@ oracle disagreement exits 1 with status "internal-inconsistency"; its
 diagnostics are the message and {"diff": {weight: [enumeration,
 character]}} for every weight where the two routes differ, or for
 ``schur`` {"diff": {partition: [schur, oracle]}} for the first oracle it
-prints (``skew_lr``, then ``specht``) that differs from its decomposition.  A computation
-that grows past one of the library's limits (``cartan.LimitExceeded``:
-``crystal.MAX_ELEMENTS``, ``weightring.MAX_TERMS``,
-``truncation.MAX_PLAN_STEPS``) exits 3 with status "limit-exceeded"; its
+prints (``skew_lr``, then ``specht``) that differs from its
+decomposition.  A computation that grows past one of the library's limits
+(``limits.LimitExceeded``) exits 3 with status "limit-exceeded"; its
 diagnostics are the message and {"stage", "limit", "reached"}.  A rank
-above ``cartan.MAX_RANK`` (32) exits 2 too, as ``RootDatum`` refuses it
-before building anything; ``schur`` and ``stable`` build the datum of their
-GL rank before any other route runs.  When stdout closes before the output
+above ``limits.MAX_RANK`` exits 2 too, as ``RootDatum`` refuses it before
+building anything; ``schur`` and ``stable`` build the datum of their GL
+rank before any other route runs.  When stdout closes before the output
 is written (as under ``| head``), the command stops without a traceback and
 exits 141, the code a shell gives a process that SIGPIPE ended.  All output
 orderings are deterministic, and every envelope, error envelopes included,
@@ -37,15 +36,16 @@ import json
 import os
 import sys
 
-from .cartan import LimitExceeded, build_root_datum, weight_str
+from . import limits
+from .cartan import build_root_datum, weight_str
 from .crystal import graph_to_json, monomials_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
                       strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
                          truncate, truncation_character, up_closure,
                          validate_threshold_set)
-from .typea import (SPECHT_MAX_BOXES, diagram_ascii, lr_skew_expand,
-                    restrict_coeffs, schur_decompose, sequence_of_diagram,
+from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
+                    schur_decompose, sequence_of_diagram,
                     check_diagram, check_sequence, skew_normalise,
                     specht_decompose_bruteforce, stable_bound, stable_coeffs,
                     flagged_schur_char, min_rank)
@@ -155,7 +155,7 @@ def cmd_plan(args):
     datum, r = _datum_and_multiset(args)
     j = _parse_truncation(datum, args.truncation) if args.truncation else None
     plan = build_plan(datum, r, j)
-    listed = plan.to_json()  # first: a plan past MAX_PLAN_STEPS stops before the fold
+    listed = plan.to_json()  # first: a plan past limits.MAX_PLAN_STEPS stops before the fold
     ch = char_by_plan(datum, plan)
     return {"plan": listed,
             "character": {weight_str(w): c for w, c in ch.items()}}
@@ -203,7 +203,7 @@ def cmd_schur(args):
         lam, mu = skew
         result["skew_shape"] = {"lambda": list(lam), "mu": list(mu)}
         result["skew_lr"] = _partition_map(_agreeing(dec, "skew_lr", lr_skew_expand(lam, mu)))
-    if len(boxes) <= SPECHT_MAX_BOXES:
+    if len(boxes) <= limits.SPECHT_MAX_BOXES:
         result["specht"] = _partition_map(
             _agreeing(dec, "specht", specht_decompose_bruteforce(boxes)))
     return result
@@ -376,7 +376,7 @@ def _error(status: str, code: int, *diagnostics) -> int:
     return code
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=limits.PARSERS_CACHED)
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.  ``parse_args``
     leaves it unchanged, so every call of ``run`` can share it."""
@@ -393,7 +393,7 @@ def run(argv) -> int:
     except ConsistencyError as err:
         diff = {weight_str(w): list(pair) for w, pair in err.diff.items()}
         return _error("internal-inconsistency", 1, str(err), {"diff": diff})
-    except LimitExceeded as err:
+    except limits.LimitExceeded as err:
         return _error("limit-exceeded", 3, str(err),
                       {"stage": err.stage, "limit": err.limit, "reached": err.reached})
     except (ValueError, OverflowError) as err:  # ValidationError; int(1e400)

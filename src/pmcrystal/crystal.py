@@ -11,7 +11,7 @@ lookup per e-edge.  Only the builders map elements to positions; an
 f-edge is a triple of positions.  Every graph records its highest-weight
 elements, those that every e_i kills (eps_i = 0 for ``graph_over``), from
 what was computed while it was built.  Both ``closure`` and
-``product.fold`` stop at ``MAX_ELEMENTS``.  ``graph_to_json`` returns JSON
+``product.fold`` stop at ``limits.MAX_ELEMENTS``.  ``graph_to_json`` returns JSON
 text and ``to_dot`` DOT text, each from fragments memoised per call, one
 per weight and exponent.
 """
@@ -21,15 +21,13 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .cartan import LimitExceeded, RootDatum, weight_str
+from . import limits
+from .cartan import RootDatum, weight_str
 from .monomial import Monomial, MonomialCodec, e_op, f_op
 
 
-class ClosureLimitError(LimitExceeded):
-    """A closure or a product fold grew past ``MAX_ELEMENTS``."""
-
-
-MAX_ELEMENTS = 10**6  # the element limit of every closure and product fold
+class ClosureLimitError(limits.LimitExceeded):
+    """A closure or a product fold grew past ``limits.MAX_ELEMENTS``."""
 
 _order = attrgetter("weight", "exponents")  # the order of every graph's elements
 
@@ -50,8 +48,8 @@ class CrystalGraph(namedtuple("CrystalGraph", "datum elements f_edges highest"))
 def closure(datum: RootDatum, seeds) -> CrystalGraph:
     """Smallest set of monomials containing ``seeds`` closed under every
     e_i and f_i, together with its f-edges; ClosureLimitError past
-    ``MAX_ELEMENTS``."""
-    limit = MAX_ELEMENTS
+    ``limits.MAX_ELEMENTS``."""
+    limit = limits.MAX_ELEMENTS
     seen = set(seeds)
     frontier = list(seen)
     edges = {}

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 
+from . import limits
 from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
 
 LatticePoint = tuple[int, int]
@@ -164,7 +165,7 @@ def z_exponents(datum: RootDatum, i: int, k: int) -> dict[LatticePoint, int]:
     return out
 
 
-@lru_cache(maxsize=4096)  # the z_{i,k}^power of every root datum
+@lru_cache(maxsize=limits.Z_MONOMIALS_CACHED)
 def _z_monomial_cached(datum: RootDatum, i: int, k: int, power: int) -> Monomial:
     require_lattice_point(datum, i, k)
     exps = {pt: power * ex for pt, ex in z_exponents(datum, i, k).items()}

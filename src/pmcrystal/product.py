@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import limits
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
-from . import crystal
 from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
                       highest_weights)
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
@@ -132,11 +132,11 @@ def y_of_multiset(datum: RootDatum, r: PointMultiset) -> Monomial:
 
 def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
     """M(i,c)^n: the closure of the highest-weight monomial y_{i,c}^n, a
-    copy of B(n w_i).  Past ``crystal.MAX_ELEMENTS`` elements it raises the
+    copy of B(n w_i).  Past ``limits.MAX_ELEMENTS`` elements it raises the
     closure's ClosureLimitError before the closure runs, ``reached`` being
     the exact dim V(n w_i)."""
     top = y_monomial(datum, i, c, n)
-    limit = crystal.MAX_ELEMENTS
+    limit = limits.MAX_ELEMENTS
     size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
     if size > limit:
         raise ClosureLimitError("crystal.closure", limit, size,
@@ -148,8 +148,8 @@ def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
     """The products x_1 * ... * x_m, x_k from factors[k], as codec keys:
     folded pairwise with deduplication (a product of monomials is a sum of
     keys).  The working set never shrinks, so ClosureLimitError is raised as
-    soon as it passes ``crystal.MAX_ELEMENTS``."""
-    limit = crystal.MAX_ELEMENTS
+    soon as it passes ``limits.MAX_ELEMENTS``."""
+    limit = limits.MAX_ELEMENTS
     codec = MonomialCodec(datum, factors)
     product = {codec.zero}
     for factor in factors:

@@ -30,16 +30,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cartan import LimitExceeded, RootDatum
+from . import limits
+from .cartan import RootDatum
 from .monomial import Monomial
 from .product import (PointMultiset, fold, fundamental_crystal, multiset,
                       r_support, validate_points, weight_of_multiset)
 from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_pi,
                          e as ga_e, pi_longest)
-
-# The most steps a plan may list (``BuildPlan.steps``, ``to_json``); the
-# character fold walks its plan lazily and is not bound by it.
-MAX_PLAN_STEPS = 100_000
 
 
 class ThresholdSet(namedtuple("ThresholdSet", "thresholds")):
@@ -157,10 +154,10 @@ class BuildPlan(namedtuple("BuildPlan", "start window r")):
 
     @property
     def steps(self) -> tuple:
-        """Every step, listed; LimitExceeded past MAX_PLAN_STEPS."""
+        """Every step, listed; LimitExceeded past ``limits.MAX_PLAN_STEPS``."""
         count = self.step_count()
-        if count > MAX_PLAN_STEPS:
-            raise LimitExceeded("truncation.plan_steps", MAX_PLAN_STEPS, count)
+        if count > limits.MAX_PLAN_STEPS:
+            raise limits.LimitExceeded("truncation.plan_steps", limits.MAX_PLAN_STEPS, count)
         return tuple(self._walk(lambda: False))
 
     def _walk(self, invariant):

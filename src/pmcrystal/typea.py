@@ -23,8 +23,8 @@ Specht module C[S_d] y_T.  As C[S_d] is the sum of the End(S^lam), the
 multiplicity of S^lam in it is the rank of rho_lam(y_T), taken in Young's
 seminormal form with integer arithmetic.  The seminormal data of each lam
 is built on first use, never at import, and kept in the lru_cache
-``seminormal``, one entry per partition of d up to ``SPECHT_MAX_BOXES``;
-racing threads at worst build one twice.
+``seminormal``, one entry per partition of d up to
+``limits.SPECHT_MAX_BOXES`` (thread safety: see ``limits``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import itertools
 from functools import lru_cache
 from math import gcd, lcm
 
+from . import limits
 from .cartan import Weight, build_root_datum
 from .product import PointMultiset, decompose, strict_int
 from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
@@ -40,10 +41,6 @@ from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]  # (row, col), 1-based, matrix convention
-
-# the most boxes ``specht_decompose_bruteforce`` takes; ``cli schur`` adds
-# the Specht decomposition up to this size
-SPECHT_MAX_BOXES = 7
 
 
 # -- partitions ---------------------------------------------------------------
@@ -157,7 +154,7 @@ def row_relabellings(boxes, max_rows: int):
 def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     """Recover a partition sequence from a column-convex diagram (sorting
     columns), searching row permutations first when columns have gaps:
-    every row order up to 8 rows, ValueError above that.
+    every row order up to ``limits.CONVEXIFY_MAX_ROWS`` rows, ValueError above.
 
     The Specht/Schur decomposition is invariant under row and column
     permutations, so any convexifying row order is as good as another.
@@ -166,7 +163,7 @@ def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     if not boxes:
         return ()
     if not is_column_convex(boxes):
-        relabellings = row_relabellings(boxes, 8)
+        relabellings = row_relabellings(boxes, limits.CONVEXIFY_MAX_ROWS)
         if relabellings is None:
             raise ValueError("diagram has gapped columns and too many rows "
                              "to search for a convexifying row order")
@@ -275,13 +272,13 @@ def _skew_shape_from(boxes, pos):
 def skew_normalise(boxes):
     """Search row orders (plus the induced column sort) for a skew
     presentation lam/mu of the diagram; return the lexicographically
-    smallest such pair, or None.  Every row order is tried up to 7 rows;
-    above that only two are, the given order and rows sorted by length, so
-    a skew diagram with its rows permuted may come back None."""
+    smallest such pair, or None.  Every row order is tried up to
+    ``limits.SKEW_MAX_ROWS`` rows, above that only the given order and rows
+    sorted by length, so a skew diagram with rows permuted may give None."""
     boxes = frozenset(boxes)
     if not boxes:
         return (), ()
-    relabellings = row_relabellings(boxes, 7)
+    relabellings = row_relabellings(boxes, limits.SKEW_MAX_ROWS)
     if relabellings is None:  # keep the row order, or sort rows by length
         rows = diagram_rows(boxes)
         by_length = sorted(rows, key=lambda r: (-len(rows[r]), r))
@@ -406,25 +403,27 @@ class Seminormal:
                  else scale * (r * r - 1) // (r * r))
                 for i, (j, r) in enumerate(zip(partner, axial))))
         self.partner, self.axial, self.act = tuple(partners), tuple(axials), tuple(acts)
-        from fractions import Fraction  # imported here so that start-up skips it
-        form: list[Fraction | None] = [Fraction(1)] + [None] * (self.dim - 1)
+        form: list[tuple[int, int] | None] = [(1, 1)] + [None] * (self.dim - 1)  # (num, den)
         todo = [0]
         while todo:
             i = todo.pop()
+            num, den = form[i]
             for partner, axial in zip(self.partner, self.axial):
                 j, r = partner[i], axial[i]
                 if j == i:
                     continue
-                step = 1 - Fraction(1, r * r)
-                value = form[i] * step if r > 0 else form[i] / step
+                # D_T' / D_T = a / b, which is 1 - 1/r^2 for r > 0
+                a, b = (r * r - 1, r * r) if r > 0 else (r * r, r * r - 1)
+                g = gcd(num * a, den * b)
+                value = (num * a // g, den * b // g)
                 if form[j] is None:
                     form[j] = value
                     todo.append(j)
                 elif form[j] != value:
                     raise AssertionError(f"the invariant form of {lam} is not "
                                          f"well defined at tableau {j}")
-        den = lcm(*(x.denominator for x in form))
-        ints = [int(x * den) for x in form]
+        top = lcm(*(den for _, den in form))
+        ints = [num * (top // den) for num, den in form]
         g = gcd(*ints)
         self.form = tuple(x // g for x in ints)
 
@@ -479,11 +478,11 @@ class Seminormal:
         return [x // g for x in out] if g > 1 else out
 
 
-@lru_cache(maxsize=sum(1 for d in range(1, SPECHT_MAX_BOXES + 1)
+@lru_cache(maxsize=sum(1 for d in range(1, limits.SPECHT_MAX_BOXES + 1)
                        for _ in partitions_of(d)))
 def seminormal(lam: Partition) -> Seminormal:
     """The seminormal form of S^lam, built on first use; one entry per
-    partition of d <= ``SPECHT_MAX_BOXES``.  Never mutated once built."""
+    partition of d <= ``limits.SPECHT_MAX_BOXES``, never mutated once built."""
     return Seminormal(lam)
 
 
@@ -546,8 +545,8 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     """
     boxes = frozenset(boxes)
     d = len(boxes)
-    if d > SPECHT_MAX_BOXES:
-        raise ValueError(f"diagram has {d} boxes, over the ceiling {SPECHT_MAX_BOXES}")
+    if d > limits.SPECHT_MAX_BOXES:
+        raise ValueError(f"diagram has {d} boxes, over the ceiling {limits.SPECHT_MAX_BOXES}")
     if d == 0:
         return {(): 1}
     cells = sorted(boxes)

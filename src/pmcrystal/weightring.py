@@ -27,8 +27,8 @@ that passed (``GroupAlgebraElement``), so the peel does not scan again a
 character that ``pi_longest`` or ``truncation.full_character`` checked.
 
 Limits.  A Demazure operator or a product that builds more than
-MAX_TERMS terms raises ``cartan.LimitExceeded``; a Demazure operator does
-so before it writes the string that would pass the limit.
+``limits.MAX_TERMS`` terms raises ``limits.LimitExceeded``; a Demazure
+operator does so before it writes the string that would pass the limit.
 
 Packed weights.  Inside this module a weight (w_1, ..., w_n) is the integer
 
@@ -100,24 +100,12 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, eq, lt, mul, sub
 
-from .cartan import (LimitExceeded, RootDatum, Weight, add_into, w_add, w_scale,
-                     weight_str)
+from . import limits
+from .cartan import RootDatum, Weight, add_into, w_add, w_scale, weight_str
 
 DIGIT_BITS = 32
 BIAS = 1 << (DIGIT_BITS - 2)
 _MASK = (1 << DIGIT_BITS) - 1
-
-# Bound on the entries held by one datum's cache of dominant-multiplicity
-# tables; the oldest tables are evicted first.
-IRR_CACHE_MAX_TERMS = 500_000
-# The most terms a Demazure operator or a product may build.  The
-# benchmark's largest character has 3,317 terms; pi_{w_o} on E8 from
-# e^(2 w_1 + w_8) passes this limit after 2.8-3.1 s at 86 MB peak RSS
-# (raw seconds, one core of a 2-core Xeon, Python 3.11).
-MAX_TERMS = 200_000
-# Bound on one datum's memo of dominant representatives; a full memo is
-# cleared.
-DOMINANT_MEMO_MAX = 100_000
 
 
 def _repunit(n: int) -> int:
@@ -157,8 +145,8 @@ class GroupAlgebraElement:
     ``full_character`` and ``weyl_decompose`` read it, so each element is
     scanned at most once under each datum it is checked against; a scan
     that finds a moving reflection records nothing.  The slot is not
-    locked: it only ever goes from None to a datum after a completed scan,
-    so racing threads at worst scan twice."""
+    locked (see ``limits``): it only goes from None to a datum, after a
+    completed scan."""
 
     __slots__ = ("_keys", "_n", "_invariant_under")
 
@@ -242,6 +230,7 @@ class GroupAlgebraElement:
         if n is None:
             return GroupAlgebraElement._of({}, None)
         zero, guard = BIAS * _repunit(n), _repunit(n) << (DIGIT_BITS - 1)
+        limit = limits.MAX_TERMS
         out: dict[int, int] = {}
         get = out.get
         for v, a in self._keys.items():
@@ -249,8 +238,8 @@ class GroupAlgebraElement:
             for w, b in other._keys.items():
                 k = w + delta
                 out[k] = get(k, 0) + a * b
-            if len(out) > MAX_TERMS:
-                raise LimitExceeded("weightring.multiply", MAX_TERMS, len(out))
+            if len(out) > limit:
+                raise limits.LimitExceeded("weightring.multiply", limit, len(out))
         if any(k & guard for k in out):
             raise _overflow(n)
         return GroupAlgebraElement._of({k: c for k, c in out.items() if c}, n)
@@ -369,7 +358,8 @@ def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebr
     the sum of the folded coefficients at pairings >= |p| on its string,
     which one walk down from the string's top pairing writes as a running
     suffix sum.  LimitExceeded is raised before a string would take the
-    output past MAX_TERMS terms, ``reached`` being the count it would bring."""
+    output past ``limits.MAX_TERMS`` terms, ``reached`` being the count it
+    would bring."""
     n = _check_length(datum, f)
     a = _alpha_key(datum, i)
     guard = _repunit(n) << (DIGIT_BITS - 1)
@@ -393,15 +383,15 @@ def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebr
         mid = k - (m >> 1) * a
         if top_of(mid, -1) < m:
             tops[mid] = m
-    size = 0
+    size, limit = 0, limits.MAX_TERMS
     for mid, q in tops.items():
         k = mid + (q >> 1) * a
         r = k - q * a
         if (k | r) & guard:
             raise _overflow(n)
         size += q + 1
-        if size > MAX_TERMS:
-            raise LimitExceeded("weightring.demazure_pi", MAX_TERMS, size)
+        if size > limit:
+            raise limits.LimitExceeded("weightring.demazure_pi", limit, size)
         # the top holds a folded term; step the pairings q - 2, q - 4, ...
         # down to 0 or 1 at k, and -q + 2, -q + 4, ... up to 0 or -1 at r
         s = out[r] = out[k]
@@ -472,17 +462,16 @@ def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=limits.ROOT_DATA_CACHED)
 def _root_tables(datum: RootDatum):
     """Per datum, built on first use: for every positive root alpha its
     packed delta, its simple-root coordinates and its pairings
     (<a_j^vee, alpha>)_j; the walls: the masks of the sign-bit dominance
     test (``_sign_masks``) and the shift and packed delta A(i) of every
-    vertex; the memo of ``_dominant_key``, cleared at DOMINANT_MEMO_MAX
-    entries; and the dominant-multiplicity tables of ``_dominant_table``.
-    Neither cache is locked: an entry depends on its key alone and dict
-    gets and sets are atomic in CPython, so racing threads at worst compute
-    an entry twice or evict one more table than needed."""
+    vertex; the memo of ``_dominant_key``, cleared at
+    ``limits.DOMINANT_MEMO_MAX`` entries; and the dominant-multiplicity
+    tables of ``_dominant_table``.  Neither cache is locked (see
+    ``limits``)."""
     n = datum.lattice_rank
     roots = []
     for coords, root in datum.positive_roots:
@@ -562,7 +551,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
         frontier = nxt
     order = sorted(found, key=lambda k: sum(found[k][0]))
     mult = {top: 1}
-    get, memo_get = mult.get, memo.get
+    get, memo_get, memo_max = mult.get, memo.get, limits.DOMINANT_MEMO_MAX
     for key in order[1:]:
         c, p = found[key]
         total = 0
@@ -572,7 +561,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
             while True:
                 d = memo_get(nu)
                 if d is None:
-                    if len(memo) >= DOMINANT_MEMO_MAX:
+                    if len(memo) >= memo_max:
                         memo.clear()
                     d = memo[nu] = _dominant_key(datum, nu, n, walls, guard)
                 m = get(d)
@@ -595,8 +584,8 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
 
 def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
     """``_freudenthal`` remembered in the datum's ``_root_tables``, which
-    hold at most IRR_CACHE_MAX_TERMS entries in all and evict the oldest
-    table first; None, and nothing remembered, past ``cap`` dominant
+    hold at most ``limits.IRR_CACHE_MAX_TERMS`` entries in all and evict the
+    oldest table first; None, and nothing remembered, past ``cap`` dominant
     weights."""
     cache = _root_tables(datum)[3]
     table = cache.get(lam)
@@ -605,11 +594,11 @@ def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] |
         if table is None:
             return None
         cache[lam] = table
-        # list() snapshots the dict in one step, so racing threads see no
-        # change of size during iteration
+        # list() snapshots the dict in one step, so a racing thread (see
+        # ``limits``) cannot change its size during the iteration
         held = sum(map(len, list(cache.values())))
         for old in list(cache):
-            if held <= IRR_CACHE_MAX_TERMS:
+            if held <= limits.IRR_CACHE_MAX_TERMS:
                 break
             gone = cache.pop(old, None)
             if gone is not None:

@@ -26,9 +26,8 @@ and the two decomposition routes run.  What only the tests need lives here:
 
 from dataclasses import dataclass
 
-from pmcrystal import weightring
-from pmcrystal.cartan import (LimitExceeded, RootDatum, Weight, add_into, w_add, w_scale,
-                              weight_str)
+from pmcrystal import limits, weightring
+from pmcrystal.cartan import RootDatum, Weight, add_into, w_add, w_scale, weight_str
 from pmcrystal.crystal import CrystalGraph
 from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op,
                                 make_monomial, mono_mul, one, require_lattice_point,
@@ -375,14 +374,14 @@ def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
     """The dominant part of ch V(w), w dominant: mu -> dim V(w)_mu for
     every dominant weight mu of V(w), from the Freudenthal tables the Weyl
     peel reads (``weightring._dominant_table``).  LimitExceeded past
-    ``weightring.MAX_TERMS`` dominant weights, read at call time."""
+    ``limits.MAX_TERMS`` dominant weights, read at call time."""
     w = tuple(w)
     if len(w) != datum.lattice_rank or not datum.is_dominant(w):
         raise ValueError(f"{w} is not a dominant weight of {datum!r}")
-    limit = weightring.MAX_TERMS
+    limit = limits.MAX_TERMS
     table = weightring._dominant_table(datum, w, limit)
     if table is None:
-        raise LimitExceeded("weightring.dominant_multiplicities", limit, limit + 1)
+        raise limits.LimitExceeded("weightring.dominant_multiplicities", limit, limit + 1)
     n = datum.lattice_rank
     return {weightring._decode(k, n): c for k, c in table.items()}
 

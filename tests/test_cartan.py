@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pmcrystal.cartan import MAX_RANK, RootDatum, build_root_datum, w_add, w_sub
+from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_sub
+from pmcrystal.limits import MAX_RANK
 from conftest import random_weight
 from reference import ref_positive_roots
 

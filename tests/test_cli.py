@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal.cartan import MAX_RANK, build_root_datum
+from pmcrystal.cartan import build_root_datum
+from pmcrystal.limits import MAX_RANK
 from pmcrystal.cli import run
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset
@@ -191,12 +192,51 @@ def test_round_trip_schema(capsys):
 
 @pytest.mark.parametrize("command", ["decompose", "graph"])
 def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
-    from pmcrystal import crystal
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 5)  # |M(R)| = 6 below
+    from pmcrystal import limits
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 5)  # |M(R)| = 6 below
     data = run_json(capsys, [command, "--cartan", "A", "--rank", "2",
                              "--R", "[[1,1,2]]"], expect_code=3)
     assert data["status"] == "limit-exceeded" and data["result"] is None
     assert "limit 5" in data["diagnostics"][0]
+
+
+# One case per limit, each patched in ``limits`` alone: (name, value, argv,
+# exit code, last diagnostic).  The 8-box diagram is the skew shape
+# (3,3,2,1)/(1); the 3-row one has a gap in its first column.
+LIMIT_CASES = [
+    ("MAX_ELEMENTS", 5, ["graph", "--cartan", "A", "--rank", "2", "--R", "[[1,1,2]]"], 3,
+     {"stage": "crystal.closure", "limit": 5, "reached": 6}),
+    ("MAX_TERMS", 10, ["character", "--cartan", "D", "--rank", "4",
+                       "--R", "[[1,0,1],[3,0,1]]"], 3,
+     {"stage": "weightring.demazure_pi", "limit": 10, "reached": 11}),
+    ("MAX_PLAN_STEPS", 3, ["plan", "--cartan", "A", "--rank", "3",
+                           "--R", "[[1,3,1],[3,1,1],[3,3,1]]"], 3,
+     {"stage": "truncation.plan_steps", "limit": 3, "reached": 7}),
+    ("MAX_RANK", 2, ["decompose", "--cartan", "A", "--rank", "3", "--R", "[]"], 2,
+     "rank 3 exceeds the ceiling MAX_RANK = 2"),
+    ("CONVEXIFY_MAX_ROWS", 2, ["schur", "--diagram", "[[1,1],[2,2],[3,1]]"], 2,
+     "diagram has gapped columns and too many rows to search for a convexifying row order"),
+    ("SPECHT_MAX_BOXES", 8, ["schur", "--diagram",
+                             "[[1,1],[1,2],[2,1],[2,2],[2,3],[3,2],[3,3],[4,3]]"], 0, None),
+]
+
+
+@pytest.mark.parametrize("name,value,argv,code,diagnostic", LIMIT_CASES,
+                         ids=[case[0] for case in LIMIT_CASES])
+def test_each_limit_through_the_cli(capsys, monkeypatch, name, value, argv, code, diagnostic):
+    # every reader reads the limit when it runs: no copy taken at import
+    # (as cli once kept of SPECHT_MAX_BOXES) and no cached root datum
+    # escapes a lowered MAX_RANK
+    from pmcrystal import limits
+    before = run_json(capsys, argv)["result"]
+    monkeypatch.setattr(limits, name, value)
+    data = run_json(capsys, argv, expect_code=code)
+    if code == 0:
+        assert "specht" not in before and data["result"]["specht"] == before["decomposition"]
+        assert data["result"]["decomposition"] == before["decomposition"]
+    else:
+        assert data["status"] == ("limit-exceeded" if code == 3 else "error")
+        assert data["diagnostics"][-1] == diagnostic
 
 
 def test_closed_stdout_exits_quietly(capsys):

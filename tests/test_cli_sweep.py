@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal.cartan import MAX_RANK, build_root_datum
+from pmcrystal.cartan import build_root_datum
+from pmcrystal.limits import MAX_RANK
 from pmcrystal.cli import run
 
 DIGESTS = Path(__file__).parent / "golden" / "cli_sweep.sha256"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pmcrystal import crystal, monomial
+from pmcrystal import limits, monomial
 from pmcrystal.cartan import build_root_datum, w_add
 from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
                                graph_to_json, highest_weights, to_dot)
@@ -38,7 +38,7 @@ def test_closure_sl3_square(a2):
 
 def test_closure_trivial_and_limit(a2, monkeypatch):
     assert len(closure(a2, [one(a2)])) == 1
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
     with pytest.raises(ClosureLimitError):
         closure(a2, [y_monomial(a2, 1, 1, 3)])
 
@@ -370,7 +370,7 @@ def test_one_element_limit(capsys, monkeypatch, a2):
     r = multiset({(1, 1): 1, (2, 0): 1})  # factors of 3 elements, |M(R)| = 8
     j = up_closure(a2, [(1, -9), (2, -10)])  # M(R, J) = M(R)
     assert len(product_crystal(a2, r)) == len(truncate(a2, r, j)) == 8
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
     with pytest.raises(ClosureLimitError, match="closure exceeded limit 4"):
         closure(a2, [y_monomial(a2, 1, 1, 2)])
     with pytest.raises(ClosureLimitError, match="product crystal exceeded limit 4"):
@@ -383,11 +383,10 @@ def test_one_element_limit(capsys, monkeypatch, a2):
 
 
 def test_closure_limit_is_a_limit_exceeded(a2, capsys, monkeypatch):
-    from pmcrystal import crystal
-    from pmcrystal.cartan import LimitExceeded
+    from pmcrystal.limits import LimitExceeded
     from pmcrystal.cli import run
     from pmcrystal.product import multiset, product_crystal
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 4)
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
     with pytest.raises(LimitExceeded) as err:
         closure(a2, [y_monomial(a2, 1, 1, 2)])
     assert isinstance(err.value, ClosureLimitError)

@@ -49,13 +49,13 @@ def test_product_closure_random():
 
 
 def test_product_crystal_fold_limit(a3, monkeypatch):
-    from pmcrystal import crystal
+    from pmcrystal import limits
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     size = len(product_crystal(a3, r))
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", size - 1)
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", size - 1)
     with pytest.raises(ClosureLimitError):
         product_crystal(a3, r)
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", size)
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", size)
     assert len(product_crystal(a3, r)) == size
 
 
@@ -464,8 +464,8 @@ def test_fundamental_crystal_size_is_weyl_dimension():
 
 
 def test_oversized_fundamental_crystal_is_refused_before_its_closure(a2, monkeypatch):
-    from pmcrystal import crystal, product
-    monkeypatch.setattr(crystal, "MAX_ELEMENTS", 9)
+    from pmcrystal import limits, product
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 9)
     assert len(fundamental_crystal(a2, 1, 1, 2)) == 6
     monkeypatch.setattr(product, "closure", lambda *args: pytest.fail("closure ran"))
     with pytest.raises(ClosureLimitError) as err:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,20 @@ def test_cli_import_loads_no_heavy_modules():
                            capture_output=True, text=True, check=True, timeout=30).stdout.split()
     assert "pmcrystal.cli" in added and "pmcrystal.typea" in added
     assert [name for name in STARTUP_EXCLUDED if name in added] == []
+
+
+def test_schur_on_seven_boxes_loads_no_fractions():
+    # the Specht oracle builds its invariant form from integer pairs, so its
+    # first call in a fresh process imports neither fractions nor decimal
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pmcrystal.cli as cli; "
+            "code = cli.run(['schur', '--diagram', sys.argv[2]]); "
+            "print(code, *[m for m in ('fractions', 'decimal') if m in sys.modules], "
+            "file=sys.stderr)")
+    diagram = "[[1,1],[1,2],[2,1],[2,2],[2,3],[3,2],[3,3]]"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent), diagram],
+                          capture_output=True, text=True, check=True, timeout=30)
+    assert proc.stderr.split() == ["0"]
+    assert "specht" in json.loads(proc.stdout)["result"]
 
 
 def _records():
@@ -119,6 +134,72 @@ def test_no_unbounded_caches():
         assert any(_unbounded_cache(n) for n in ast.walk(ast.parse(text)))
     assert not any(_unbounded_cache(n) for n in
                    ast.walk(ast.parse("@lru_cache(maxsize=64)\ndef f(): pass")))
+
+
+def _limits_outside_limits(tree) -> list[int]:
+    """Lines that define a limit or a cache bound, or copy a limit, outside
+    ``limits``: a module-level assignment to a name containing MAX; an
+    lru_cache whose maxsize is not read as ``limits.X``; a row cap of
+    ``row_relabellings`` not read so; a name imported from ``limits`` other
+    than LimitExceeded, a copy taken at import."""
+    def reads_limits(node):
+        return node is not None and any(
+            isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "limits"
+            for sub in ast.walk(node))
+    found = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+        if any("MAX" in name.id for target in targets for name in ast.walk(target)
+               if isinstance(name, ast.Name)):
+            found.add(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a bare @lru_cache takes the default bound, 128
+            found.update(dec.lineno for dec in node.decorator_list
+                         if getattr(dec, "id", getattr(dec, "attr", None)) == "lru_cache")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("lru_cache", "row_relabellings"):
+                at, keyword = (0, "maxsize") if name == "lru_cache" else (1, "max_rows")
+                given = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == keyword]
+                if not reads_limits(given[0] if given else None):
+                    found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("limits"):
+            if any(alias.name != "LimitExceeded" for alias in node.names):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_limits_live_in_limits():
+    # every limit and cache bound is defined once, in limits.py, which
+    # imports nothing, and read from there when it is used
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "limits.py" in paths
+    found = [f"{path.name}:{line}" for path in paths if path.name != "limits.py"
+             for line in _limits_outside_limits(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    tree = ast.parse((SRC / "limits.py").read_text())
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
+    # the check itself sees every spelling
+    for text in ("MAX_TERMS = 10", "SPECHT_MAX_BOXES: int = 7", "A, B_MAX = 1, 2",
+                 "MAX_RANK += 1", "@lru_cache(maxsize=64)\ndef f(): pass",
+                 "@functools.lru_cache(1)\ndef f(): pass", "@lru_cache\ndef f(): pass",
+                 "@lru_cache()\ndef f(): pass", "@lru_cache(maxsize=SIZE)\ndef f(): pass",
+                 "row_relabellings(boxes, 8)", "row_relabellings(boxes, max_rows=7)",
+                 "row_relabellings(boxes, CAP)", "from .limits import SPECHT_MAX_BOXES",
+                 "from pmcrystal.limits import LimitExceeded, MAX_RANK"):
+        assert _limits_outside_limits(ast.parse(text)), text
+    # and passes reads from limits, and MAX names inside functions
+    for text in ("@lru_cache(maxsize=limits.ROOT_DATA_CACHED)\ndef f(): pass",
+                 "@functools.lru_cache(limits.PARSERS_CACHED)\ndef f(): pass",
+                 "@lru_cache(maxsize=sum(1 for d in range(limits.SPECHT_MAX_BOXES)))\n"
+                 "def f(): pass",
+                 "row_relabellings(boxes, limits.SKEW_MAX_ROWS)",
+                 "row_relabellings(boxes, max_rows=limits.CONVEXIFY_MAX_ROWS)",
+                 "from . import limits", "from .limits import LimitExceeded",
+                 "def f():\n    MAX = limits.MAX_TERMS", "limit = limits.MAX_TERMS"):
+        assert not _limits_outside_limits(ast.parse(text)), text
 
 
 def test_bench_tracer_hooks_resolve():

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from pmcrystal import truncation
-from pmcrystal.cartan import LimitExceeded, build_root_datum
+from pmcrystal import limits, truncation
+from pmcrystal.cartan import build_root_datum
+from pmcrystal.limits import LimitExceeded
 from pmcrystal.cli import run
 from pmcrystal.monomial import mono_mul, one
 from pmcrystal.product import (decompose, fundamental_crystal, multiset,
@@ -454,7 +455,7 @@ def test_plan_step_limit(capsys, monkeypatch, a3):
     with pytest.raises(LimitExceeded) as err:
         plan.steps
     assert (err.value.stage, err.value.limit, err.value.reached) == (
-        "truncation.plan_steps", truncation.MAX_PLAN_STEPS, 1_500_005)
+        "truncation.plan_steps", limits.MAX_PLAN_STEPS, 1_500_005)
     t0 = time.perf_counter()
     assert run(["plan", "--cartan", "A", "--rank", "3",
                 "--R", "[[1,1,1],[1,1000001,1],[2,0,2]]"]) == 3
@@ -462,10 +463,10 @@ def test_plan_step_limit(capsys, monkeypatch, a3):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "limit-exceeded"
     assert data["diagnostics"][1] == {"stage": "truncation.plan_steps",
-                                      "limit": truncation.MAX_PLAN_STEPS,
+                                      "limit": limits.MAX_PLAN_STEPS,
                                       "reached": 1_500_005}
     # the lazy fold is not bound by it
-    monkeypatch.setattr(truncation, "MAX_PLAN_STEPS", 3)
+    monkeypatch.setattr(limits, "MAX_PLAN_STEPS", 3)
     small = build_plan(a3, _far_apart(10))
     assert small.step_count() > 3
     with pytest.raises(LimitExceeded):

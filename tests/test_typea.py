@@ -11,7 +11,7 @@ from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import highest_weights
 from pmcrystal.product import multiset, product_crystal
 from pmcrystal.truncation import build_plan, char_by_plan
-from pmcrystal import typea
+from pmcrystal import limits, typea
 from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
                              diagram_ascii, flagged_schur_char, lr_skew_expand,
                              partitions_of, restrict_coeffs,
@@ -337,7 +337,7 @@ def test_specht_matches_schur_above_ceiling(monkeypatch, seq):
     seq = check_sequence(seq)
     boxes = diagram_of_sequence(seq)
     assert len(boxes) == 8
-    monkeypatch.setattr(typea, "SPECHT_MAX_BOXES", 8)
+    monkeypatch.setattr(limits, "SPECHT_MAX_BOXES", 8)
     assert specht_decompose_bruteforce(boxes) == schur_decompose(seq, len(seq))
 
 
@@ -402,7 +402,7 @@ def test_seminormal_form_is_a_representation(d):
 def test_seminormal_cache_is_bounded_and_lazy():
     # one entry per partition of 1..SPECHT_MAX_BOXES, and nothing built on
     # import: the CLI imports typea on every command
-    count = sum(1 for d in range(1, typea.SPECHT_MAX_BOXES + 1) for _ in partitions_of(d))
+    count = sum(1 for d in range(1, limits.SPECHT_MAX_BOXES + 1) for _ in partitions_of(d))
     assert count == 44 and seminormal.cache_info().maxsize == count
     code = ("import pmcrystal.cli, pmcrystal.typea as t; "
             "print(t.seminormal.cache_info().currsize)")

@@ -8,9 +8,9 @@ import tracemalloc
 
 import pytest
 
-from pmcrystal import cli, truncation, weightring
-from pmcrystal.cartan import (LimitExceeded, RootDatum, build_root_datum, w_add, w_scale,
-                              w_sub)
+from pmcrystal import cli, limits, truncation, weightring
+from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_scale, w_sub
+from pmcrystal.limits import LimitExceeded
 from pmcrystal.product import decompose, multiset, weight_of_multiset
 from pmcrystal.truncation import (build_plan, char_by_plan, full_character,
                                   truncation_character)
@@ -665,7 +665,7 @@ def test_racing_threads_share_one_verdict(a3):
 
 def test_oversized_split_character_stops_at_the_product(monkeypatch):
     # both factors stay under the limit; their product, ch M(R), does not
-    monkeypatch.setattr(weightring, "MAX_TERMS", 1000)
+    monkeypatch.setattr(limits, "MAX_TERMS", 1000)
     e6 = build_root_datum("E6", 6)
     with pytest.raises(LimitExceeded) as err:
         full_character(e6, multiset({(2, 1): 1, (3, 31): 1}))
@@ -721,7 +721,7 @@ def ref_dominant_part(datum, lam):
 def test_irreducible_cache_is_bounded(monkeypatch):
     # the cache holds the dominant-multiplicity tables of the peel
     cap = 5
-    monkeypatch.setattr(weightring, "IRR_CACHE_MAX_TERMS", cap)
+    monkeypatch.setattr(limits, "IRR_CACHE_MAX_TERMS", cap)
     datum = RootDatum("A", 3)   # not the shared instance
     reference = build_root_datum("A", 3)
     tables = weightring._root_tables(datum)[3]
@@ -903,7 +903,7 @@ def test_peel_stops_at_a_table_larger_than_its_input(gl3, monkeypatch):
 
 
 def test_dominant_multiplicities_rejects_bad_weights(a2, monkeypatch):
-    monkeypatch.setattr(weightring, "MAX_TERMS", 10)
+    monkeypatch.setattr(limits, "MAX_TERMS", 10)
     with pytest.raises(LimitExceeded):
         dominant_multiplicities(a2, (20, 20))
     monkeypatch.undo()
@@ -918,7 +918,7 @@ def test_dominant_multiplicities_rejects_bad_weights(a2, monkeypatch):
 
 def test_term_limit(monkeypatch, a2):
     three, eight = irreducible_character(a2, (1, 0)), irreducible_character(a2, (1, 1))
-    monkeypatch.setattr(weightring, "MAX_TERMS", 5)
+    monkeypatch.setattr(limits, "MAX_TERMS", 5)
     with pytest.raises(LimitExceeded) as err:
         demazure_pi(a2, 1, e((6, 0)))        # a string of 7 terms
     assert (err.value.stage, err.value.limit, err.value.reached) == (
@@ -931,7 +931,7 @@ def test_term_limit(monkeypatch, a2):
 
 
 def test_term_limit_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(weightring, "MAX_TERMS", 10)
+    monkeypatch.setattr(limits, "MAX_TERMS", 10)
     argv = ["character", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,0,1]]"]
     assert cli.run(argv) == 3
     data = json.loads(capsys.readouterr().out)
@@ -958,11 +958,11 @@ def test_long_string_is_refused_before_it_is_written(capsys, kind, rank):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "limit-exceeded"
     assert data["diagnostics"][1] == {"stage": "weightring.demazure_pi",
-                                      "limit": weightring.MAX_TERMS, "reached": 30_000_001}
+                                      "limit": limits.MAX_TERMS, "reached": 30_000_001}
 
 
 def test_dominant_memo_is_cleared_when_full(monkeypatch):
-    monkeypatch.setattr(weightring, "DOMINANT_MEMO_MAX", 3)
+    monkeypatch.setattr(limits, "DOMINANT_MEMO_MAX", 3)
     datum = RootDatum("A", 3)   # not the shared instance: a fresh memo
     reference = build_root_datum("A", 3)
     memo = weightring._root_tables(datum)[2]
