@@ -9,8 +9,8 @@ from .product import (PointMultiset, decompose, fundamental_crystal, multiset,
 from .truncation import (BuildPlan, ThresholdSet, build_plan, char_by_plan,
                          down_closure, full_character, truncate, up_closure)
 from .typea import (flagged_schur_char, lr_skew_expand, restrict_coeffs,
-                    schur_char, skew_normalise, specht_decompose_bruteforce,
-                    stable_bound, stable_coeffs)
+                    skew_normalise, specht_decompose_bruteforce, stable_bound,
+                    stable_coeffs)
 from .weightring import (GroupAlgebraElement, apply_word, demazure_pi, e,
                          irreducible_character, weyl_decompose)
 

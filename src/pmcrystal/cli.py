@@ -48,7 +48,7 @@ from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
                     schur_decompose, sequence_of_diagram,
                     check_diagram, check_sequence, skew_normalise,
                     specht_decompose_bruteforce, stable_bound, stable_coeffs,
-                    flagged_schur_char, min_rank)
+                    flagged_schur_char, min_rank, straighten)
 from .weightring import laurent_str
 
 
@@ -182,11 +182,10 @@ def cmd_schur(args):
         n = max(len(seq), 1) if args.rank is None else args.rank
         if n < len(seq):
             raise ValidationError(f"rank {n} is smaller than the sequence")
-        dec = schur_decompose(seq, n)
         datum = build_root_datum("GL", n)
-        return {"rank": n,
-                "flagged_character": laurent_str(datum, flagged_schur_char(seq, n)),
-                "decomposition": _partition_map(dec)}
+        ch = flagged_schur_char(seq, n)
+        return {"rank": n, "flagged_character": laurent_str(datum, ch),
+                "decomposition": _partition_map(straighten(ch, n))}
     try:
         boxes = check_diagram(json.loads(args.diagram))
     except (ValueError, TypeError) as err:

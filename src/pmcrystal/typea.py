@@ -12,9 +12,20 @@ flagged character recurrence
 
     ch_0 = 1,   ch_i = e^{l^(i)} * pi_1 ... pi_{i-1} (ch_{i-1})
 
-computes the flagged Schur module character; applying pi_{w_o} gives the
-full Schur module character, whose Weyl decomposition yields the diagram's
-generalised Littlewood-Richardson coefficients.
+computes the flagged Schur module character; pi_{w_o} of it is the full
+Schur module character, whose Weyl decomposition yields the diagram's
+generalised Littlewood-Richardson coefficients.  That decomposition is
+read off the flagged character term by term (``straighten``), and the
+full character is never built: pi_{w_o} is Weyl's symmetriser (Demazure
+1974), so with rho = (n-1, ..., 1, 0)
+
+    pi_{w_o}(e^mu) = sgn(sigma) ch V(sigma(mu + rho) - rho),
+
+sigma the permutation sorting mu + rho strictly decreasing, and
+pi_{w_o}(e^mu) = 0 when mu + rho has a repeated entry (the Weyl character
+formula, Humphreys, Introduction to Lie Algebras, section 24; for GL_n
+the Jacobi-Trudi quotient a_{mu+delta} / a_delta of Macdonald, Symmetric
+Functions, I.3).
 
 Two independent oracles cross-check those coefficients: exhaustive
 enumeration of lattice skew tableaux (when the diagram has a skew
@@ -32,12 +43,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, lt, sub
 
 from . import limits
 from .cartan import Weight, build_root_datum
 from .product import PointMultiset, decompose, strict_int
-from .weightring import (GroupAlgebraElement, apply_word, e as ga_e,
-                         pi_longest, weyl_decompose)
+from .weightring import DecompositionError, GroupAlgebraElement, apply_word, e as ga_e
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]  # (row, col), 1-based, matrix convention
@@ -215,58 +226,89 @@ def flagged_schur_char(seq, n: int) -> GroupAlgebraElement:
     return ch
 
 
-def schur_char(seq, n: int) -> GroupAlgebraElement:
-    """pi_{w_o} of the flagged character: the full Schur module
-    character."""
-    datum = build_root_datum("GL", n)
-    return pi_longest(datum, flagged_schur_char(seq, n))
+def straighten(f: GroupAlgebraElement, n: int) -> dict[Partition, int]:
+    """The GL_n decomposition of pi_{w_o}(f), read off the terms of f by
+    straightening: with rho = (n-1, ..., 1, 0),
+
+        pi_{w_o}(e^mu) = sgn(sigma) ch V(sigma(mu + rho) - rho),
+
+    sigma sorting mu + rho strictly decreasing, and 0 when mu + rho has a
+    repeated entry (Demazure 1974; Humphreys section 24; Macdonald I.3).
+    Multiplicities that cancel to zero are dropped.  Raises
+    DecompositionError at a negative multiplicity, and ValueError when a
+    weight of f has length other than n or a highest weight is not
+    polynomial."""
+    rho = tuple(range(n - 1, -1, -1))
+    out: dict[Weight, int] = {}
+    for mu, c in f.terms.items():
+        if len(mu) != n:
+            raise ValueError(f"weight {mu} is not a GL_{n} weight")
+        v = tuple(map(add, mu, rho))
+        if len(set(v)) < n:
+            continue
+        if sum(itertools.starmap(lt, itertools.combinations(v, 2))) & 1:
+            c = -c  # sgn(sigma) is -1 to the number of pairs i < j with v_i < v_j
+        lam = tuple(map(sub, sorted(v, reverse=True), rho))
+        out[lam] = out.get(lam, 0) + c
+    dec = {}
+    for lam, m in out.items():
+        if m < 0:
+            raise DecompositionError(
+                f"not a nonnegative integral combination: coefficient {m} at {lam}")
+        if m:
+            dec[weight_partition(lam)] = m
+    return dec
 
 
 def schur_decompose(seq, n: int) -> dict[Partition, int]:
-    datum = build_root_datum("GL", n)
-    dec = weyl_decompose(datum, schur_char(seq, n))
-    return {weight_partition(w): m for w, m in dec.items()}
+    """The GL_n decomposition of the Schur module of ``seq``: its flagged
+    character, straightened (``straighten``).  The GL_n root datum is
+    built first, so a rank it refuses fails with its own message before
+    the sequence is checked."""
+    build_root_datum("GL", n)
+    return straighten(flagged_schur_char(seq, n), n)
 
 
 # -- skew presentations and Littlewood-Richardson ------------------------------
 
 
-def _column_intervals(boxes, pos):
-    cols = diagram_columns(boxes)
+def _column_intervals(columns, pos):
+    """Each column's rows, relabelled by ``pos``, as (top, bottom), or None
+    when some column is not an interval."""
     out = []
-    for c in sorted(cols):
-        rows = sorted(pos[r] for r in cols[c])
-        if rows[-1] - rows[0] + 1 != len(rows):
+    for rs in columns:
+        rows = list(map(pos.__getitem__, rs))
+        top, bottom = min(rows), max(rows)
+        if bottom - top + 1 != len(rows):
             return None
-        out.append((rows[0], rows[-1]))
+        out.append((top, bottom))
     return out
 
 
-def _skew_shape_from(boxes, pos):
+def _skew_shape_from(columns, pos):
     """lam/mu when, with rows relabelled by ``pos``, every column is an
     interval and the columns sort with tops and bottoms weakly decreasing;
     else None.  Then the columns of each row are a prefix (bottom at or
     below it) meeting a suffix (top at or above it), nonempty as every row
-    holds a box, so lam and mu weakly decrease."""
-    intervals = _column_intervals(boxes, pos)
+    holds a box, so lam and mu weakly decrease; one pass over the sorted
+    columns reads both, lam from the last column on each row and mu from
+    the first."""
+    intervals = _column_intervals(columns, pos)
     if intervals is None:
         return None
-    order = sorted(range(len(intervals)),
-                   key=lambda k: (-intervals[k][1], -intervals[k][0]))
-    a_prev, b_prev = None, None
-    placed: set[Box] = set()
-    for col_pos, k in enumerate(order, start=1):
-        a, b = intervals[k]
-        if a_prev is not None and (a > a_prev or b > b_prev):
+    intervals.sort(key=lambda ab: (-ab[1], -ab[0]))
+    rows = len(pos)
+    a_prev = b_prev = rows
+    lam, mu = [0] * (rows + 1), [0] * (rows + 1)
+    for col_pos, (a, b) in enumerate(intervals, start=1):
+        if a > a_prev or b > b_prev:
             return None
         a_prev, b_prev = a, b
-        placed.update((rr, col_pos) for rr in range(a, b + 1))
-    lam, mu = [], []
-    for rr in range(1, len(pos) + 1):
-        cs = [c for (r2, c) in placed if r2 == rr]
-        lam.append(max(cs))
-        mu.append(min(cs) - 1)
-    return tuple(lam), tuple(x for x in mu if x)
+        for rr in range(a, b + 1):
+            if not lam[rr]:
+                mu[rr] = col_pos - 1
+            lam[rr] = col_pos
+    return tuple(lam[1:]), tuple(x for x in mu[1:] if x)
 
 
 def skew_normalise(boxes):
@@ -274,7 +316,8 @@ def skew_normalise(boxes):
     presentation lam/mu of the diagram; return the lexicographically
     smallest such pair, or None.  Every row order is tried up to
     ``limits.SKEW_MAX_ROWS`` rows, above that only the given order and rows
-    sorted by length, so a skew diagram with rows permuted may give None."""
+    sorted by length, so a skew diagram with rows permuted may give None.
+    The columns are read once, not once per row order."""
     boxes = frozenset(boxes)
     if not boxes:
         return (), ()
@@ -284,9 +327,10 @@ def skew_normalise(boxes):
         by_length = sorted(rows, key=lambda r: (-len(rows[r]), r))
         relabellings = [{r: k for k, r in enumerate(order, start=1)}
                         for order in (sorted(rows), by_length)]
+    columns = [rs for _, rs in sorted(diagram_columns(boxes).items())]
     best = None
     for pos in relabellings:
-        shape = _skew_shape_from(boxes, pos)
+        shape = _skew_shape_from(columns, pos)
         if shape is not None and (best is None or shape < best):
             best = shape
     return best

@@ -20,6 +20,9 @@ and the two decomposition routes run.  What only the tests need lives here:
 - the key polynomials ``demazure_character`` and ``key_decompose``;
 - the type-A correspondence between partition sequences, diagrams and
   (R, J) pairs, and the psi embeddings of the stability argument;
+- the Schur route the library's straightening replaced: ``schur_char``
+  builds pi_{w_o} of the flagged character and ``ref_schur_decompose``
+  peels it;
 - monomial helpers: ``z_monomial``, ``mono_pow``, ``mono_div``,
   ``monomial_from_json`` and ``validate_monomial``.
 """
@@ -27,7 +30,8 @@ and the two decomposition routes run.  What only the tests need lives here:
 from dataclasses import dataclass
 
 from pmcrystal import limits, weightring
-from pmcrystal.cartan import RootDatum, Weight, add_into, w_add, w_scale, weight_str
+from pmcrystal.cartan import (RootDatum, Weight, add_into, build_root_datum, w_add, w_scale,
+                              weight_str)
 from pmcrystal.crystal import CrystalGraph
 from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op,
                                 make_monomial, mono_mul, one, require_lattice_point,
@@ -35,7 +39,8 @@ from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op
 from pmcrystal.product import (PointMultiset, expand_label, multiset, s_label,
                                y_of_multiset)
 from pmcrystal.truncation import BuildPlan, ThresholdSet
-from pmcrystal.typea import Box, Partition, check_sequence
+from pmcrystal.typea import (Box, Partition, check_sequence, flagged_schur_char,
+                             weight_partition)
 from pmcrystal.weightring import DecompositionError, GroupAlgebraElement, apply_word, e
 
 # -- root data -----------------------------------------------------------------
@@ -428,6 +433,21 @@ def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]
 
 
 # -- type A: partition sequences, diagrams and (R, J) pairs --------------------
+
+
+def schur_char(seq, n: int) -> GroupAlgebraElement:
+    """pi_{w_o} of the flagged character: the full Schur module
+    character."""
+    datum = build_root_datum("GL", n)
+    return weightring.pi_longest(datum, flagged_schur_char(seq, n))
+
+
+def ref_schur_decompose(seq, n: int) -> dict[Partition, int]:
+    """The Schur module's GL_n decomposition by the Weyl peel of its full
+    character, the route ``typea.schur_decompose`` straightens past."""
+    datum = build_root_datum("GL", n)
+    dec = weightring.weyl_decompose(datum, schur_char(seq, n))
+    return {weight_partition(w): m for w, m in dec.items()}
 
 
 def diagram_of_sequence(seq) -> frozenset[Box]:

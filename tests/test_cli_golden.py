@@ -2,10 +2,12 @@
 characters and a plan through pi_{w_o}, graph JSON and DOT, truncations,
 and two validation errors, against the files in tests/golden/."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from pmcrystal import weightring
 from pmcrystal.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,3 +62,20 @@ def test_cli_output_matches_golden(capsys, name):
     code, argv = CASES[name]
     assert run(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):
+    # both schur routes straighten the flagged character: they never build
+    # pi_{w_o} of it or peel a character, wherever those are imported
+    for name in ("pi_longest", "weyl_decompose"):
+        original = getattr(weightring, name)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"schur called {name}")
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("pmcrystal")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, refuse)
+    for case in ("schur_sequence", "schur_diagram"):
+        test_cli_output_matches_golden(capsys, case)

@@ -17,10 +17,10 @@ from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
                              partitions_of, restrict_coeffs,
                              schur_decompose, seminormal, sequence_of_diagram,
                              skew_normalise, specht_decompose_bruteforce,
-                             stable_bound, stable_coeffs)
-from pmcrystal.weightring import e, laurent_str
+                             stable_bound, stable_coeffs, straighten)
+from pmcrystal.weightring import DecompositionError, e, laurent_str
 from reference import (diagram_of_sequence, multiset_of_sequence, psi_embed,
-                       sequence_of_multiset)
+                       ref_schur_decompose, sequence_of_multiset)
 from specht_reference import (centraliser_order, lehmer_specht_decompose,
                               ref_specht_decompose, sym_character)
 
@@ -174,6 +174,63 @@ def test_schur_single_column():
 def test_schur_rejects_small_rank():
     with pytest.raises(ValueError):
         flagged_schur_char(STAIRCASE_SEQ, 2)
+
+
+def all_sequences(total: int, length: int):
+    """Every partition sequence of 1 to ``length`` steps and at most
+    ``total`` boxes, empty steps anywhere, the last one included."""
+    def grow(i, rest, seq):
+        if seq:
+            yield tuple(seq)
+        if i > length:
+            return
+        for size in range(rest + 1):
+            for p in partitions_of(size):
+                if len(p) <= i:
+                    yield from grow(i + 1, rest - size, seq + [p])
+    yield from grow(1, total, [])
+
+
+def test_straightening_matches_reference():
+    # the straightened flagged character against pi_{w_o} of it, peeled:
+    # every sequence of at most 5 boxes in at most 4 steps, at ranks len to
+    # len + 2
+    cases = [(seq, n) for seq in all_sequences(5, 4) for n in range(len(seq), len(seq) + 3)]
+    assert len(cases) == 1386
+    for seq, n in cases:
+        assert schur_decompose(seq, n) == ref_schur_decompose(seq, n), (seq, n)
+    # seeded 6- to 10-box sequences with empty steps, at GL ranks up to 8
+    rng = random.Random(24)
+    above, gapped = 0, 0
+    for _ in range(40):
+        boxes = rng.randint(6, 10)
+        length = rng.randint(2, 7)
+        cuts = sorted(rng.randint(0, boxes) for _ in range(length - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [boxes])]
+        seq = check_sequence(rng.choice([p for p in partitions_of(size) if len(p) <= i])
+                             for i, size in enumerate(sizes, start=1))
+        n = rng.randint(len(seq), 8)
+        above += n > len(seq)
+        gapped += () in seq
+        assert schur_decompose(seq, n) == ref_schur_decompose(seq, n), (seq, n)
+    assert above >= 10 and gapped >= 10
+
+
+def test_straighten_terms():
+    # mu + rho with a repeated entry straightens to 0; a term whose sort is
+    # odd cancels one whose sort is even; a sort of even length keeps the sign
+    assert straighten(e((0, 1)), 2) == {}
+    assert straighten(e((2, 0)) + e((-1, 3)), 2) == {}
+    assert straighten(e((0, 0, 3)), 3) == {(1, 1, 1): 1}
+    assert straighten(e((3, 1, 0)) + e((0, 0, 3)), 3) == {(3, 1): 1, (1, 1, 1): 1}
+
+
+def test_straighten_refuses_a_negative_multiplicity():
+    # pi_{w_o}(e^(-1,1)) = -ch V(0,0) in GL_2
+    with pytest.raises(DecompositionError, match="coefficient -1"):
+        straighten(e((-1, 1)), 2)
+    with pytest.raises(ValueError, match="not a GL_3 weight"):
+        straighten(e((1, 0)), 3)
 
 
 # -- skew shapes and Littlewood-Richardson ---------------------------------------
