@@ -99,6 +99,17 @@ def test_schur_sequence(capsys):
         "[4, 1, 1]": 1, "[3, 2, 1]": 2, "[2, 2, 2]": 1}
 
 
+def test_schur_sequence_at_a_rank_whose_full_character_passes_max_terms(capsys):
+    # pi_{w_o} of this flagged character in GL_13 has more than
+    # limits.MAX_TERMS terms, so peeling it exited 3; the decomposition is
+    # the GL_3 one, as every highest weight has at most 3 rows
+    data = run_json(capsys, ["schur", "--sequence", "[[3],[2,1],[2,1,1]]", "--rank", "13"])
+    expected = {"[5, 3, 2]": 1, "[5, 4, 1]": 1, "[6, 2, 2]": 1, "[6, 3, 1]": 2, "[7, 2, 1]": 1}
+    assert data["result"]["decomposition"] == expected
+    assert run_json(capsys, ["schur", "--sequence", "[[3],[2,1],[2,1,1]]"])[
+        "result"]["decomposition"] == expected
+
+
 def test_schur_diagram(capsys):
     diagram = "[[1,1],[2,2],[3,2],[2,3],[4,3]]"
     data = run_json(capsys, ["schur", "--diagram", diagram])
