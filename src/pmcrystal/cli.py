@@ -48,8 +48,8 @@ from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
                     schur_decompose, sequence_of_diagram,
                     check_diagram, check_sequence, skew_normalise,
                     specht_decompose_bruteforce, stable_bound, stable_coeffs,
-                    flagged_schur_char, min_rank, straighten)
-from .weightring import laurent_str
+                    flagged_schur_char, min_rank, weight_partition)
+from .weightring import laurent_str, straighten
 
 
 class ValidationError(ValueError):
@@ -184,8 +184,9 @@ def cmd_schur(args):
             raise ValidationError(f"rank {n} is smaller than the sequence")
         datum = build_root_datum("GL", n)
         ch = flagged_schur_char(seq, n)
+        dec = {weight_partition(w): m for w, m in straighten(datum, ch).items()}
         return {"rank": n, "flagged_character": laurent_str(datum, ch),
-                "decomposition": _partition_map(straighten(ch, n))}
+                "decomposition": _partition_map(dec)}
     try:
         boxes = check_diagram(json.loads(args.diagram))
     except (ValueError, TypeError) as err:

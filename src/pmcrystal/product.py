@@ -226,17 +226,19 @@ def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[Latt
 def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:
     """Multiplicities of each B(lambda) inside M(R), computed two
     independent ways (highest-weight enumeration on the closed graph, and
-    Weyl decomposition of the Demazure-stabilised truncation character).
+    the plan fold g * h straightened: ``weightring.straighten`` of h, then
+    of g times that when g is not the unit, by the Brauer-Klimyk rule).
     Raises ConsistencyError when the routes disagree."""
-    from . import truncation
-    from .weightring import weyl_decompose
+    from . import truncation, weightring
 
     graph = product_crystal(datum, r)
     counts: dict[Weight, int] = {}
     for p in highest_weights(graph):
         counts[p.weight] = counts.get(p.weight, 0) + 1
 
-    by_character = weyl_decompose(datum, truncation.full_character(datum, r))
+    g, h = truncation._fold(datum, truncation.build_plan(datum, r))
+    ch = weightring.straighten(datum, h)
+    by_character = (ch if g is None else weightring.straighten(datum, ch * g)).terms
     if by_character != counts:
         raise ConsistencyError.between("decomposition routes", ("enumeration", "character"),
                                        counts, by_character)

@@ -15,17 +15,8 @@ flagged character recurrence
 computes the flagged Schur module character; pi_{w_o} of it is the full
 Schur module character, whose Weyl decomposition yields the diagram's
 generalised Littlewood-Richardson coefficients.  That decomposition is
-read off the flagged character term by term (``straighten``), and the
-full character is never built: pi_{w_o} is Weyl's symmetriser (Demazure
-1974), so with rho = (n-1, ..., 1, 0)
-
-    pi_{w_o}(e^mu) = sgn(sigma) ch V(sigma(mu + rho) - rho),
-
-sigma the permutation sorting mu + rho strictly decreasing, and
-pi_{w_o}(e^mu) = 0 when mu + rho has a repeated entry (the Weyl character
-formula, Humphreys, Introduction to Lie Algebras, section 24; for GL_n
-the Jacobi-Trudi quotient a_{mu+delta} / a_delta of Macdonald, Symmetric
-Functions, I.3).
+read off the flagged character term by term (``weightring.straighten``,
+with rho = (n-1, ..., 1, 0)), and the full character is never built.
 
 Two independent oracles cross-check those coefficients: exhaustive
 enumeration of lattice skew tableaux (when the diagram has a skew
@@ -43,12 +34,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, lt, sub
 
 from . import limits
 from .cartan import Weight, build_root_datum
 from .product import PointMultiset, decompose, strict_int
-from .weightring import DecompositionError, GroupAlgebraElement, apply_word, e as ga_e
+from .weightring import GroupAlgebraElement, apply_word, e as ga_e, straighten
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]  # (row, col), 1-based, matrix convention
@@ -226,47 +216,14 @@ def flagged_schur_char(seq, n: int) -> GroupAlgebraElement:
     return ch
 
 
-def straighten(f: GroupAlgebraElement, n: int) -> dict[Partition, int]:
-    """The GL_n decomposition of pi_{w_o}(f), read off the terms of f by
-    straightening: with rho = (n-1, ..., 1, 0),
-
-        pi_{w_o}(e^mu) = sgn(sigma) ch V(sigma(mu + rho) - rho),
-
-    sigma sorting mu + rho strictly decreasing, and 0 when mu + rho has a
-    repeated entry (Demazure 1974; Humphreys section 24; Macdonald I.3).
-    Multiplicities that cancel to zero are dropped.  Raises
-    DecompositionError at a negative multiplicity, and ValueError when a
-    weight of f has length other than n or a highest weight is not
-    polynomial."""
-    rho = tuple(range(n - 1, -1, -1))
-    out: dict[Weight, int] = {}
-    for mu, c in f.terms.items():
-        if len(mu) != n:
-            raise ValueError(f"weight {mu} is not a GL_{n} weight")
-        v = tuple(map(add, mu, rho))
-        if len(set(v)) < n:
-            continue
-        if sum(itertools.starmap(lt, itertools.combinations(v, 2))) & 1:
-            c = -c  # sgn(sigma) is -1 to the number of pairs i < j with v_i < v_j
-        lam = tuple(map(sub, sorted(v, reverse=True), rho))
-        out[lam] = out.get(lam, 0) + c
-    dec = {}
-    for lam, m in out.items():
-        if m < 0:
-            raise DecompositionError(
-                f"not a nonnegative integral combination: coefficient {m} at {lam}")
-        if m:
-            dec[weight_partition(lam)] = m
-    return dec
-
-
 def schur_decompose(seq, n: int) -> dict[Partition, int]:
     """The GL_n decomposition of the Schur module of ``seq``: its flagged
-    character, straightened (``straighten``).  The GL_n root datum is
-    built first, so a rank it refuses fails with its own message before
-    the sequence is checked."""
-    build_root_datum("GL", n)
-    return straighten(flagged_schur_char(seq, n), n)
+    character, straightened (``weightring.straighten``).  The GL_n root
+    datum is built first, so a rank it refuses fails with its own message
+    before the sequence is checked."""
+    datum = build_root_datum("GL", n)
+    dec = straighten(datum, flagged_schur_char(seq, n))
+    return {weight_partition(w): m for w, m in dec.items()}
 
 
 # -- skew presentations and Littlewood-Richardson ------------------------------

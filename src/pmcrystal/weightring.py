@@ -92,6 +92,17 @@ that window and is checked where it could leave the legal range:
   element with legal keys all of these stay legal but for weights within
   2 of the edge of the range: the weights of V(mu) lie in conv(W mu), and
   the orbit W mu is legal.
+
+Straightening.  pi_{w_o} is Weyl's symmetriser (Demazure 1974; Humphreys
+section 24; for GL_n Macdonald I.3): pi_{w_o}(e^mu) is
+(-1)^l(w) ch V(w(mu + rho) - rho) for w(mu + rho) dominant, and 0 when
+mu + rho lies on a wall.  So ``straighten`` reads the decomposition of
+pi_{w_o} f off the terms of f and never builds pi_{w_o} f; as
+pi_{w_o}(g f) = g pi_{w_o} f for W-invariant g, straightening
+g * sum m_lam e^lam decomposes g * sum m_lam ch V(lam) (the Brauer-Klimyk
+rule).  rho moves a coordinate by at most n - 1 (GL) or 1, so a legal key
+plus rho, and a walked legal key minus rho, stay inside the guard window:
+both are tested, as is every key of the walk.
 """
 
 from __future__ import annotations
@@ -483,25 +494,29 @@ def _root_tables(datum: RootDatum):
     return tuple(roots), (*_sign_masks(datum, n), walls), {}, {}
 
 
-def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> int:
+def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> tuple[int, int]:
     """The dominant weight in the W-orbit of a key whose true digits lie in
-    the guard window (see the module docstring); ValueError when a weight on
-    the way has an illegal coordinate.  While the sign-bit test (``walls``
-    from ``_root_tables``) finds a negative pairing, a pass over the walls
-    in vertex order reflects at each wall whose pairing is negative when it
-    is reached; each step raises the weight in the positive-root order."""
+    the guard window (see the module docstring), and the number of
+    reflections walked, whose parity is that of the length of w with w(key)
+    dominant; ValueError when a weight on the way has an illegal coordinate.
+    While the sign-bit test (``walls`` from ``_root_tables``) finds a
+    negative pairing, a pass over the walls in vertex order reflects at each
+    wall whose pairing is negative when it is reached; each step raises the
+    weight in the positive-root order."""
     if key & guard:
         raise _overflow(n)
     gl = datum.kind == "GL"
     low, signs, deltas = walls
+    count = 0
     while (((key >> DIGIT_BITS) - (key & low) + signs) if gl else key) & signs != signs:
         for sh, a in deltas:
             m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
             if m < 0:
                 key -= m * a
+                count += 1
                 if key & guard:
                     raise _overflow(n)
-    return key
+    return key, count
 
 
 def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
@@ -563,7 +578,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
                 if d is None:
                     if len(memo) >= memo_max:
                         memo.clear()
-                    d = memo[nu] = _dominant_key(datum, nu, n, walls, guard)
+                    d = memo[nu] = _dominant_key(datum, nu, n, walls, guard)[0]
                 m = get(d)
                 if not m:
                     break
@@ -647,6 +662,31 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
         add_into(rem, -c, table)
         out[mu] = c
     return out
+
+
+def straighten(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
+    """pi_{w_o}(f) as sum_lam m_lam e^lam, m_lam the multiplicity of V(lam)
+    (see "Straightening" in the module docstring): a term c e^mu adds
+    (-1)^l(w) c at lam = w(mu + rho) - rho, w the walk of ``_dominant_key``,
+    and nothing when lam is not dominant.  Zero multiplicities are dropped;
+    DecompositionError at a negative one."""
+    n = _check_length(datum, f)
+    walls = _root_tables(datum)[1]
+    guard = _repunit(n) << (DIGIT_BITS - 1)
+    rho = _encode(datum.rho) - BIAS * _repunit(n)
+    out: dict[int, int] = {}
+    for key, c in f._keys.items():
+        key, count = _dominant_key(datum, key + rho, n, walls, guard)
+        key -= rho
+        if key & guard:
+            raise _overflow(n)
+        out[key] = out.get(key, 0) + (-c if count & 1 else c)
+    dec = {key: out[key] for key in _dominant_keys(datum, out, n) if out[key]}
+    for key, m in dec.items():
+        if m < 0:
+            raise DecompositionError(
+                f"not a nonnegative integral combination: coefficient {m} at {_decode(key, n)}")
+    return GroupAlgebraElement._of(dec, n)
 
 
 def laurent_str(datum: RootDatum, f: GroupAlgebraElement) -> str:

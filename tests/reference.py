@@ -20,7 +20,7 @@ and the two decomposition routes run.  What only the tests need lives here:
 - the key polynomials ``demazure_character`` and ``key_decompose``;
 - the type-A correspondence between partition sequences, diagrams and
   (R, J) pairs, and the psi embeddings of the stability argument;
-- the Schur route the library's straightening replaced: ``schur_char``
+- the Schur route ``weightring.straighten`` replaced: ``schur_char``
   builds pi_{w_o} of the flagged character and ``ref_schur_decompose``
   peels it;
 - monomial helpers: ``z_monomial``, ``mono_pow``, ``mono_div``,

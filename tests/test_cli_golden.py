@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal import weightring
+from pmcrystal import truncation, weightring
 from pmcrystal.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,18 +64,33 @@ def test_cli_output_matches_golden(capsys, name):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):
-    # both schur routes straighten the flagged character: they never build
-    # pi_{w_o} of it or peel a character, wherever those are imported
-    for name in ("pi_longest", "weyl_decompose"):
-        original = getattr(weightring, name)
+def refuse_everywhere(monkeypatch, home, names):
+    """Patch each function ``home.name`` to raise, in every pmcrystal
+    module that binds it."""
+    for name in names:
+        original = getattr(home, name)
 
         def refuse(*args, name=name, **kwargs):
-            raise AssertionError(f"schur called {name}")
+            raise AssertionError(f"called {name}")
 
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("pmcrystal")
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, refuse)
+
+
+def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):
+    # both schur routes straighten the flagged character: they never build
+    # pi_{w_o} of it or peel a character, wherever those are imported
+    refuse_everywhere(monkeypatch, weightring, ("pi_longest", "weyl_decompose"))
     for case in ("schur_sequence", "schur_diagram"):
+        test_cli_output_matches_golden(capsys, case)
+
+
+def test_decompose_straightens_the_plan_fold(capsys, monkeypatch):
+    # decompose's character route straightens the plan fold: it never
+    # builds pi_{w_o} of it, the full character, or a peel
+    refuse_everywhere(monkeypatch, weightring, ("pi_longest", "weyl_decompose"))
+    refuse_everywhere(monkeypatch, truncation, ("full_character",))
+    for case in ("decompose_a3", "decompose_gl6", "stable_coeffs"):
         test_cli_output_matches_golden(capsys, case)

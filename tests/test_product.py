@@ -425,14 +425,11 @@ def test_route_disagreement_carries_the_diff(a3, capsys, monkeypatch):
     from pmcrystal import weightring
     from pmcrystal.cli import run
     from pmcrystal.product import ConsistencyError
-    real = weightring.weyl_decompose
+    real = weightring.straighten
 
     def skewed(datum, f):
-        dec = real(datum, f)
-        dec[(1, 0, 2)] += 1
-        dec[(0, 0, 0)] = 2
-        return dec
-    monkeypatch.setattr(weightring, "weyl_decompose", skewed)
+        return real(datum, f) + weightring.e((1, 0, 2)) + weightring.e((0, 0, 0), 2)
+    monkeypatch.setattr(weightring, "straighten", skewed)
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     with pytest.raises(ConsistencyError) as err:
         decompose(a3, r)
@@ -444,6 +441,15 @@ def test_route_disagreement_carries_the_diff(a3, capsys, monkeypatch):
     message, detail = data["diagnostics"]
     assert "(1,0,2): enumeration 1, character 2" in message
     assert detail == {"diff": {"(0,0,0)": [0, 2], "(1,0,2)": [1, 2]}}
+
+
+def test_decompose_never_builds_the_full_character(a3, monkeypatch):
+    # a Demazure step of pi_{w_o} on the plan fold reaches 23 terms here;
+    # the straightening reads 2 highest weights off its 2 terms
+    from pmcrystal import limits
+    monkeypatch.setattr(limits, "MAX_TERMS", 20)
+    r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
+    assert decompose(a3, r) == {(1, 0, 2): 1, (1, 1, 0): 1}
 
 
 def test_fundamental_crystal_size_is_weyl_dimension():

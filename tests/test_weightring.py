@@ -11,13 +11,13 @@ import pytest
 from pmcrystal import cli, limits, truncation, weightring
 from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_scale, w_sub
 from pmcrystal.limits import LimitExceeded
-from pmcrystal.product import decompose, multiset, weight_of_multiset
+from pmcrystal.product import multiset, weight_of_multiset
 from pmcrystal.truncation import (build_plan, char_by_plan, full_character,
                                   truncation_character)
 from pmcrystal.weightring import (BIAS, DecompositionError, GroupAlgebraElement,
                                   apply_word, demazure_pi, e, irreducible_character,
-                                  laurent_str, pi_longest, weyl_decompose)
-from conftest import random_element, random_weight
+                                  laurent_str, pi_longest, straighten, weyl_decompose)
+from conftest import random_element, random_multiset, random_weight
 from reference import demazure_character, dominant_multiplicities, key_decompose
 
 
@@ -565,7 +565,7 @@ def scans_of(scans, f):
 @pytest.mark.parametrize("kind,rank,points,split", [
     ("A", 3, {(1, 1): 1, (2, 0): 1}, False), ("GL", 3, {(1, 1): 1, (2, 2): 1}, False),
     ("A", 3, {(1, 41): 1, (2, 0): 1}, True), ("A", 2, {(1, -3): 1, (1, 3): 1}, True)])
-def test_checked_character_is_scanned_once(kind, rank, points, split, scans, monkeypatch):
+def test_checked_character_is_scanned_once(kind, rank, points, split, scans):
     datum, r = build_root_datum(kind, rank), multiset(points)
     g, _ = truncation._fold(datum, build_plan(datum, r))
     assert (g is not None) == split
@@ -579,14 +579,6 @@ def test_checked_character_is_scanned_once(kind, rank, points, split, scans, mon
     assert scans_of(scans, ch) == 0
     assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
     assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
-    # decompose hands the peel the checked character
-    checked = []
-    real = weightring.weyl_decompose
-    monkeypatch.setattr(weightring, "weyl_decompose",
-                        lambda datum, f: checked.append(f) or real(datum, f))
-    del scans[:]
-    assert decompose(datum, r) == dec
-    assert len(checked) == 1 and scans_of(scans, checked[0]) == 1
 
 
 def test_pi_longest_scans_its_input_and_image_once(a3, scans):
@@ -670,6 +662,70 @@ def test_oversized_split_character_stops_at_the_product(monkeypatch):
     with pytest.raises(LimitExceeded) as err:
         full_character(e6, multiset({(2, 1): 1, (3, 31): 1}))
     assert err.value.stage == "weightring.multiply"
+
+
+# -- straightening -----------------------------------------------------------------
+
+
+STRAIGHTEN_KINDS = ([("A", r) for r in range(1, 7)] + [("D", r) for r in (4, 5, 6)]
+                    + [("E6", 6), ("E7", 7), ("E8", 8)] + [("GL", r) for r in range(2, 7)])
+
+
+@pytest.mark.parametrize("kind,rank", STRAIGHTEN_KINDS)
+def test_straighten_is_the_peel_on_invariants(kind, rank):
+    # pi_{w_o} f = f for W-invariant f, so straightening a full character
+    # decomposes it as the peel does
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(40 + rank + len(kind))
+    for _ in range(4):
+        ch = full_character(datum, random_multiset(rng, datum, max_points=4,
+                                                   c_lo=-6, c_hi=6, cap=3000))
+        assert straighten(datum, ch).terms == weyl_decompose(datum, ch)
+
+
+@pytest.mark.parametrize("kind,rank,points", [
+    ("E7", 7, {(1, 0): 1, (7, 1): 1, (7, 35): 1}),
+    ("E7", 7, {(7, 1): 2, (1, 30): 1}),
+    ("E8", 8, {(8, 0): 1, (8, 40): 1}),
+])
+def test_straighten_is_the_peel_far_apart(kind, rank, points):
+    # far-apart multisets too large to enumerate
+    datum = build_root_datum(kind, rank)
+    ch = full_character(datum, multiset(points))
+    dec = straighten(datum, ch).terms
+    assert dec == weyl_decompose(datum, ch) and len(dec) > 2
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 3), ("D", 4), ("E6", 6), ("GL", 3)])
+def test_straighten_matches_brauer_klimyk_term_by_term(kind, rank):
+    # elements that are not W-invariant: straighten is pi_{w_o} then the
+    # peel, read term by term, refusing a negative multiplicity
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(26)
+    signs = set()
+    for _ in range(40):
+        f = random_element(rng, datum, terms=4)
+        want = brauer_klimyk(datum, f.terms)
+        signs.add(min(want.values(), default=0) < 0)
+        if min(want.values(), default=0) < 0:
+            with pytest.raises(DecompositionError, match="not a nonnegative"):
+                straighten(datum, f)
+        else:
+            assert straighten(datum, f).terms == want
+    assert signs == {False, True}
+
+
+def test_straighten_off_gl():
+    a1 = build_root_datum("A", 1)
+    # pi_{w_o} e^(-2) = -ch V(0), and -1 + rho = 0 lies on the wall
+    with pytest.raises(DecompositionError, match="coefficient -1 at \\(0,\\)"):
+        straighten(a1, e((-2,)))
+    assert straighten(a1, e((-1,))).is_zero()
+    assert straighten(a1, e((-1,)) + e((3,))) == e((3,))
+    # the top of the packed range plus rho leaves it
+    with pytest.raises(ValueError, match="packed range"):
+        straighten(a1, e((BIAS - 1,)))
+    assert straighten(a1, e((BIAS - 2,))) == e((BIAS - 2,))
 
 
 # -- the edges of the packed range -------------------------------------------------
