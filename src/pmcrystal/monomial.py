@@ -32,15 +32,14 @@ f_i/e_i add a fixed integer delta.  Its invariants:
   [1, 2H - 1], so no sum or delta carries across a digit boundary, and
   the exponents of a key are its digits minus H.  The bound is the sum
   over the factors of their largest |exponent|.
-* Weight.  Write s_i for the column sums.  For the semisimple kinds
-  (fundamental coordinates) D(s) = s, and for GL_n (epsilon basis)
-  D(s)_k = n * sum_{i > k} s_i - sum_i i * s_i, with scale 1 and n.  The
-  invariant I(p) = scale * wt(p) - D(s(p)) is unchanged by multiplying
-  with any z_{i,k}^{+-1}, so it is constant on a crystal closure and
-  additive over products: every encoded monomial carries the one
-  invariant I, the sum of the factors' invariants.  The weight
-  wt(p) = (I + D(s(p))) / scale is therefore a function of the column
-  sums, which the digits give, and a key determines its monomial.
+* Weight digits.  Above the columns sit lattice_rank more digits of the
+  same width, coordinate 1 most significant, each a weight coordinate plus
+  H: weights add under products as exponents do, and z_{i,k}^power adds
+  power * alpha_i, so a key determines its monomial whatever the factors
+  are.  Every encoded weight has each |coordinate| at most the weight
+  bound, the sum over the factors of their largest |coordinate|, and a
+  z-step moves a coordinate by at most 2, so with H also at least weight
+  bound + 3 no key formed by ``crystal.graph_over`` carries across a digit.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache, total_ordering
 
 from . import limits
-from .cartan import RootDatum, Weight, w_add, w_scale, w_sub, weight_str
+from .cartan import RootDatum, Weight, w_add, w_scale, weight_str
 
 LatticePoint = tuple[int, int]
 
@@ -247,53 +246,26 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
     return mono_mul(p, _z_monomial_cached(datum, i, best_e, 1))
 
 
-def _derived_weight(datum: RootDatum, sums) -> Weight:
-    """D(s): scale times the weight of a monomial with column sums ``sums``
-    (one per vertex) and invariant 0; see the module docstring."""
-    if datum.det is None:
-        return tuple(sums)
-    n = datum.rank
-    total = sum(i * s for i, s in zip(datum.vertices, sums))
-    out = [0] * n
-    suffix = 0
-    for k in range(n - 1, -1, -1):
-        out[k] = n * suffix - total
-        if k:
-            suffix += sums[k - 1]
-    return tuple(out)
-
-
-def _weight_invariant(datum: RootDatum, p: Monomial) -> Weight:
-    """I(p) = scale * wt(p) - D(column sums of p), unchanged by every
-    e_i/f_i step."""
-    sums = [0] * len(datum.vertices)
-    for (i, _), ex in p.exponents:
-        sums[i - 1] += ex
-    scale = datum.rank if datum.det is not None else 1
-    return w_sub(w_scale(scale, p.weight), _derived_weight(datum, sums))
-
-
 class MonomialCodec:
     """Packs the products x_1 * ... * x_m, x_k from factors[k], into
     integers (see the module docstring for the layout and its invariants).
 
-    Each factor is a nonempty crystal closure, so all its elements share one
-    invariant and every product carries their sum.  The window is the union
-    of the factors' supports, and the bound the sum over the factors of
-    their largest |exponent|.  Decoded columns, weights and z-deltas are
-    memoised on the codec, which is meant to live for one computation.
+    The window is the union of the factors' supports; the bound and the
+    weight bound are the sums over the factors of their largest |exponent|
+    and their largest |weight coordinate|.  Decoded columns, weights and
+    z-deltas are memoised on the codec, which is meant to live for one
+    computation.
     """
 
     def __init__(self, datum: RootDatum, factors):
         self.datum = datum
         self.bound = bound = sum(
             max((abs(ex) for p in f for _, ex in p.exponents), default=0) for f in factors)
-        self.half = 1 << (bound + 1).bit_length()  # at least bound + 2
-        self.width = width = (bound + 1).bit_length() + 1
-        self.scale = datum.rank if datum.det is not None else 1
-        self.invariant = (0,) * datum.lattice_rank
-        for factor in factors:
-            self.invariant = w_add(self.invariant, _weight_invariant(datum, factor[0]))
+        self.weight_bound = weight_bound = sum(
+            max((abs(w) for p in f for w in p.weight), default=0) for f in factors)
+        least = max(bound + 1, weight_bound + 2)
+        self.half = 1 << least.bit_length()  # at least bound + 2 and weight_bound + 3
+        self.width = width = least.bit_length() + 1
         cs: dict[int, set[int]] = {}
         for i, c in {pt for f in factors for p in f for pt, _ in p.exponents}:
             require_lattice_point(datum, i, c)
@@ -307,16 +279,27 @@ class MonomialCodec:
             for c in col:
                 self.shift[(i, c)] = shift
                 shift += width
-        # the key of the monomial with no exponents: the bias H in every digit
+        # the weight digits above the columns, coordinate 1 most significant
+        self.wbase = shift
+        self._wshifts = tuple(range((datum.lattice_rank - 1) * width, -1, -width))
+        shift += datum.lattice_rank * width
+        # the key of the monomial 1 with weight 0: the bias H in every digit
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
-        self._weights: dict[tuple, Weight] = {}
+        self._weights: dict[int, Weight] = {}
         self._deltas: dict[tuple[int, int, int], int | None] = {}
 
+    def _pack_weight(self, weight: Weight) -> int:
+        """The weight as a signed sum of weight digits (no bias)."""
+        return sum(w << s for w, s in zip(weight, self._wshifts)) << self.wbase
+
     def offset(self, p: Monomial) -> int:
-        """The exponents of p as a signed sum of digits (no bias):
-        key(p * q) = key(p) + offset(q)."""
-        out = 0
+        """The exponents and the weight of p as a signed sum of digits (no
+        bias): key(p * q) = key(p) + offset(q)."""
+        if max(map(abs, p.weight)) > self.weight_bound:
+            raise ValueError(f"weight {p.weight} exceeds the codec weight bound "
+                             f"{self.weight_bound}")
+        out = self._pack_weight(p.weight)
         for pt, ex in p.exponents:
             if abs(ex) > self.bound:
                 raise ValueError(f"exponent {ex} at {pt} exceeds the codec bound {self.bound}")
@@ -327,8 +310,8 @@ class MonomialCodec:
         return out
 
     def _column(self, i: int, col: int) -> tuple:
-        """(((i, c), exponent) nonzero entries by c ascending, column sum)
-        of the packed column ``col`` of vertex i."""
+        """The ((i, c), exponent) nonzero entries, by c ascending, of the
+        packed column ``col`` of vertex i."""
         memo = self._decoded[i - 1]
         out = memo.get(col)
         if out is None:
@@ -341,29 +324,27 @@ class MonomialCodec:
                 if ex:
                     entries.append(((i, c), ex))
                 rest >>= width
-            out = memo[col] = (tuple(entries), sum(ex for _, ex in entries))
+            out = memo[col] = tuple(entries)
         return out
 
     def decode(self, key: int) -> tuple[Weight, tuple]:
         """The weight and the exponent tuple of the monomial with this key."""
         exponents: list = []
-        sums = []
         for (i, shift, mask), memo in zip(self.columns, self._decoded):
             col = (key >> shift) & mask
-            entries, total = memo.get(col) or self._column(i, col)
-            exponents += entries
-            sums.append(total)
-        sums = tuple(sums)
-        weight = self._weights.get(sums)
+            entries = memo.get(col)
+            exponents += self._column(i, col) if entries is None else entries
+        digits = key >> self.wbase
+        weight = self._weights.get(digits)
         if weight is None:
-            weight = self._weights[sums] = tuple(
-                (a + b) // self.scale
-                for a, b in zip(self.invariant, _derived_weight(self.datum, sums)))
+            digit, half = (1 << self.width) - 1, self.half
+            weight = self._weights[digits] = tuple(
+                ((digits >> s) & digit) - half for s in self._wshifts)
         return weight, tuple(exponents)
 
     def column_stats(self, i: int, col: int) -> tuple[int, int, int | None, int | None]:
         """column_stats of the packed column ``col`` of vertex i."""
-        return _scan_column([(c, ex) for (_, c), ex in self._column(i, col)[0]])
+        return _scan_column([(c, ex) for (_, c), ex in self._column(i, col)])
 
     def z_delta(self, i: int, k: int, power: int) -> int | None:
         """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a
@@ -373,7 +354,7 @@ class MonomialCodec:
         args = (i, k, power)
         if args in memo:
             return memo[args]
-        out = 0
+        out = self._pack_weight(w_scale(power, self.datum.alphas[i]))
         for pt, ex in z_exponents(self.datum, i, k).items():
             shift = self.shift.get(pt)
             if shift is None:
@@ -382,4 +363,3 @@ class MonomialCodec:
             out += power * ex << shift
         memo[args] = out
         return out
-

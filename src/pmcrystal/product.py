@@ -147,8 +147,9 @@ def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGrap
 def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
     """The products x_1 * ... * x_m, x_k from factors[k], as codec keys:
     folded pairwise with deduplication (a product of monomials is a sum of
-    keys).  The working set never shrinks, so ClosureLimitError is raised as
-    soon as it passes ``limits.MAX_ELEMENTS``."""
+    keys, weights included, so the factors may be any sets of monomials).
+    The working set never shrinks, so ClosureLimitError is raised as soon
+    as it passes ``limits.MAX_ELEMENTS``."""
     limit = limits.MAX_ELEMENTS
     codec = MonomialCodec(datum, factors)
     product = {codec.zero}

@@ -131,10 +131,55 @@ def test_monomial_is_an_immutable_two_slot_value():
 
 
 def test_codec_digits_hold_every_exponent(a2):
-    # a digit stores e + half for |e| <= bound + 1 inside its width: half is
-    # at least bound + 2, and 2 * half fits the width
+    # a digit stores e + half for |e| <= bound + 1, and a weight coordinate
+    # w + half for |w| <= weight_bound + 2, inside its width: half is at
+    # least bound + 2 and weight_bound + 3, and 2 * half fits the width
     for bound in range(65):
-        seed = make_monomial((bound, 0), {(1, 1): bound})
-        codec = MonomialCodec(a2, [(seed,)])
-        assert codec.bound == bound
-        assert codec.half >= bound + 2 and 2 * codec.half <= 1 << codec.width
+        for seed, bounds in [(make_monomial((bound, 0), {(1, 1): bound}), (bound, bound)),
+                             (make_monomial((0, 0), {(1, 1): bound}), (bound, 0)),
+                             (make_monomial((0, -bound), {}), (0, bound))]:
+            codec = MonomialCodec(a2, [(seed,)])
+            assert (codec.bound, codec.weight_bound) == bounds
+            # the least power of two that holds both
+            assert codec.half >= max(codec.bound + 2, codec.weight_bound + 3) > codec.half // 2
+            assert 2 * codec.half <= 1 << codec.width
+            assert codec.decode(codec.zero + codec.offset(seed)) == (seed.weight, seed.exponents)
+        with pytest.raises(ValueError, match="exceeds the codec bound"):
+            codec.offset(make_monomial((0, 0), {(1, 1): 1}))
+        with pytest.raises(ValueError, match="exceeds the codec weight bound"):
+            codec.offset(make_monomial((0, bound + 1), {}))
+
+
+def test_codec_weight_digits_sit_above_the_columns(gl3):
+    # one digit per window point, by vertex then c, then one per weight
+    # coordinate, coordinate 1 most significant
+    p = make_monomial((1, -2, 3), {(1, 1): 1, (2, 0): -1})
+    codec = MonomialCodec(gl3, [(p,)])
+    w = codec.width
+    assert codec.columns == [(1, 0, (1 << w) - 1), (2, w, (1 << w) - 1)]
+    assert codec.offset(p) == 1 - (1 << w) + ((1 << 4 * w) - (2 << 3 * w) + (3 << 2 * w))
+    assert codec.decode(codec.zero + codec.offset(p)) == (p.weight, p.exponents)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("D", 4), ("GL", 3)])
+def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
+    # p is no closure: its weight sits on the weight bound in every
+    # coordinate, and f_i p, e_i p move one coordinate 2 past it (1 for GL),
+    # for bounds on both sides of every power of two up to 32; each step,
+    # formed as a key plus a z-delta, decodes to f_op / e_op
+    datum = build_root_datum(kind, rank)
+    for bound in range(1, 35):
+        for sign in (1, -1):
+            for i in datum.vertices:
+                c = datum.parity[i]
+                # phi_i = eps_i = 1, and both steps multiply by z_{i,c}^{-+1}
+                p = make_monomial((sign * bound,) * datum.lattice_rank,
+                                  {(i, c): -1, (i, c + 2): 1})
+                window = make_monomial(datum.zero, {(j, c + 1): 1 for j in datum.neighbours[i]})
+                codec = MonomialCodec(datum, [(p, window)])
+                assert codec.weight_bound == bound
+                key = codec.zero + codec.offset(p)
+                for step, power in ((f_op, -1), (e_op, 1)):
+                    want = step(datum, p, i)
+                    got = codec.decode(key + codec.z_delta(i, c, power))
+                    assert got == (want.weight, want.exponents)

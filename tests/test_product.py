@@ -6,9 +6,9 @@ import pytest
 
 from pmcrystal.cartan import build_root_datum, w_add, w_scale, w_sub
 from pmcrystal.crystal import ClosureLimitError, highest_weights
-from pmcrystal.monomial import Monomial, mono_mul, one, y_monomial
+from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
-                               fundamental_crystal, multiset,
+                               fold, fundamental_crystal, multiset,
                                multiset_from_pairs, product_crystal, r_support,
                                s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
@@ -87,6 +87,30 @@ def test_packed_product_matches_naive_fold():
                   for _ in range(5)]
     for datum, r in cases:
         assert_matches_naive_fold(datum, r)
+
+
+def test_fold_keeps_products_that_differ_only_in_weight(gl3):
+    # a and a * det have the same exponents, so the factors share no
+    # weight invariant; each product keeps its own weight
+    a = make_monomial((1, 0, 0), {(1, 1): 1})
+    c = make_monomial((1, 1, 0), {(2, 0): 1})
+    codec, keys = fold(gl3, [[a, Monomial(w_add(a.weight, gl3.det), a.exponents)], [c]])
+    exponents = (((1, 1), 1), ((2, 0), 1))
+    assert sorted(map(codec.decode, keys)) == [((2, 1, 0), exponents), ((3, 2, 1), exponents)]
+
+
+def test_fold_with_an_empty_factor_is_empty(a2):
+    # an empty factor adds nothing to either bound, and leaves no product
+    codec, keys = fold(a2, [[y_monomial(a2, 1, 1)], []])
+    assert keys == set() and (codec.bound, codec.weight_bound) == (1, 1)
+
+
+def test_fold_weight_digits_at_every_width(gl3):
+    # no exponents: the weight alone sets the digit width, and k crosses
+    # the widths of half = 4, 8, ..., 128
+    for k in range(-69, 70):
+        codec, keys = fold(gl3, [[Monomial((k, k, k), ())], [Monomial((0, 0, 0), ())]])
+        assert [codec.decode(key) for key in keys] == [((k, k, k), ())]
 
 
 def test_product_crystal_far_apart_points(a2):
