@@ -39,7 +39,7 @@ import sys
 from . import limits
 from .cartan import build_root_datum, weight_str
 from .crystal import graph_to_json, monomials_json, to_dot
-from .product import (ConsistencyError, multiset_from_pairs, product_crystal,
+from .product import (ConsistencyError, multiset_from_pairs, product_graph,
                       strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
                          truncate, truncation_character, up_closure,
@@ -163,7 +163,7 @@ def cmd_plan(args):
 
 def cmd_graph(args):
     datum, r = _datum_and_multiset(args)
-    graph = product_crystal(datum, r)
+    graph = product_graph(datum, r)
     if args.format == "dot":
         return to_dot(graph)
     return {"graph": _JSONText(graph_to_json(graph))}

@@ -1,4 +1,4 @@
-"""Crystal graphs of monomials: the closure, the packed pass and the writers.
+"""Crystal graphs of monomials: the closure, the packed passes and the writers.
 
 ``closure`` builds the graph of a set of monomials under ``monomial.f_op``
 and ``monomial.e_op``, breadth first, and sorts what it found once at the
@@ -7,13 +7,17 @@ output are reproducible run to run.  ``graph_over`` is the other builder:
 one pass over the packed keys of a product crystal (see
 ``monomial.MonomialCodec``), as ``product.fold`` makes them.  It looks up
 every f_i(x) in the set and checks closure under e by counting, with no
-lookup per e-edge.  Only the builders map elements to positions; an
-f-edge is a triple of positions.  Every graph records its highest-weight
-elements, those that every e_i kills (eps_i = 0 for ``graph_over``), from
-what was computed while it was built.  Both ``closure`` and
-``product.fold`` stop at ``limits.MAX_ELEMENTS``.  ``graph_to_json`` returns JSON
-text and ``to_dot`` DOT text, each from fragments memoised per call, one
-per weight and exponent.
+lookup per e-edge.  ``walk`` is that pass with no graph: it checks the
+same closure and returns only the keys every e_i kills, with nothing
+decoded, ordered or placed; ``product.product_crystal`` runs it, and
+``product.product_graph`` runs ``graph_over``.  Both passes take each
+column's step from ``_step``.  Only the builders map elements to
+positions; an f-edge is a triple of positions.  Every graph records its
+highest-weight elements, those that every e_i kills (eps_i = 0 for
+``graph_over``), from what was computed while it was built.  Both
+``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
+``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each from
+fragments memoised per call, one per weight and exponent.
 """
 
 from __future__ import annotations
@@ -86,22 +90,73 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
                         tuple(x for x in elements if x in tops))
 
 
+def _columns(codec: MonomialCodec) -> list:
+    """(j, i, shift, mask, memo) for column j of ``codec``'s keys, vertex
+    i: the column of a key is ``(key >> shift) & mask``, and ``memo`` maps
+    a column to its ``_step``, for one pass."""
+    return [(j, i, shift, mask, {}) for j, (i, shift, mask) in enumerate(codec.columns)]
+
+
+def _step(codec: MonomialCodec, i: int, col: int) -> tuple:
+    """(phi_i, f-delta, eps_i, gap) of the packed column ``col`` of vertex
+    i: the f-delta is key(f_i x) - key(x), None when phi_i = 0 or when the
+    step leaves the window (and with it the set), and the gap is
+    (phi_i > 0) - (eps_i > 0), what the column adds to the e-closure
+    count."""
+    phi, eps, best_f, _ = codec.column_stats(i, col)
+    return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
+            eps, (phi > 0) - (eps > 0))
+
+
+def walk(datum: RootDatum, keys: set, codec: MonomialCodec) -> list:
+    """The keys of the set ``keys`` that every e_i kills, after checking
+    that the set is closed under every f_i and e_i: the pass of
+    ``graph_over`` with no decoding, ordering or edges.  Every f_i(x) is
+    looked up in the set (ValueError "not closed under f" when one is
+    missing), and closure under e is checked by the same count (ValueError
+    "not closed under e" after the pass).  The keys come in the set's
+    iteration order."""
+    columns = _columns(codec)
+    excess = [0] * len(columns)
+    highest = []
+    for key in keys:
+        top = True
+        for j, i, shift, mask, memo in columns:
+            col = (key >> shift) & mask
+            step = memo.get(col)
+            if step is None:
+                step = memo[col] = _step(codec, i, col)
+            phi, f_delta, eps, gap = step
+            # a delta leaving the window leaves the set
+            if phi and (f_delta is None or key + f_delta not in keys):
+                raise ValueError("element set is not closed under f")
+            if eps:
+                top = False
+            if gap:
+                excess[j] += gap
+        if top:
+            highest.append(key)
+    if any(excess):
+        raise ValueError("element set is not closed under e")
+    return highest
+
+
 def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
     """The crystal graph on an e/f-closed set of products, given as
     ``codec``'s keys: one pass in which column i of a key is one shift and
     mask away, and f_i adds a delta memoised per (i, column) for this
-    call.  Every f_i(x) is computed once and looked up in the set;
-    ValueError when one is missing.  Closure under e is checked by
+    call (``_step``).  Every f_i(x) is computed once and looked up in the
+    set; ValueError when one is missing.  Closure under e is checked by
     counting: in an f-closed set, f_i maps the elements with phi_i > 0
     injectively into those with eps_i > 0, because e_i f_i = id and
     eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed exactly when the
     two counts agree for every i; ValueError after the pass when they do
-    not."""
+    not.  ``walk`` is this pass without the graph."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: k for k, (_, _, key) in enumerate(rows)}
     del rows
-    columns = [(j, i, shift, mask, {}) for j, (i, shift, mask) in enumerate(codec.columns)]
+    columns = _columns(codec)
     # per column: the elements with phi_i > 0 less those with eps_i > 0
     excess = [0] * len(columns)
     edges = []
@@ -112,9 +167,7 @@ def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
             col = (key >> shift) & mask
             step = memo.get(col)
             if step is None:
-                phi, eps, best_f, _ = codec.column_stats(i, col)
-                step = memo[col] = (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
-                                    eps, (phi > 0) - (eps > 0))
+                step = memo[col] = _step(codec, i, col)
             phi, f_delta, eps, gap = step
             if phi:
                 # a delta leaving the window leaves the set

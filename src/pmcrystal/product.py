@@ -12,6 +12,12 @@ wt(p) = wt(R) - sum S[i,c] alpha_i, any label spends exactly
 height(wt R - wt p) in entries weighted by height(alpha_i); that integer
 budget bounds the peel, and re-expanding the label is the one membership
 verdict.
+
+M(R) comes in two forms, both the ``fold`` of the fundamental subcrystals
+with its closure under every e_i/f_i asserted: ``product_crystal`` walks
+the packed keys (``crystal.walk``) and decodes only the highest-weight
+elements, which is all ``decompose`` reads; ``product_graph`` builds the
+whole crystal graph (``crystal.graph_over``) for the ``graph`` command.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from collections import namedtuple
 from . import limits
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
 from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
-                      highest_weights)
+                      highest_weights, walk)
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
                        mono_mul, one, require_lattice_point, y_monomial,
                        z_exponents)
@@ -165,14 +171,44 @@ def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
     return codec, product
 
 
-def product_crystal(datum: RootDatum, r: PointMultiset) -> CrystalGraph:
-    """M(R): the ``fold`` of the fundamental subcrystals; its closure under
-    every e_i/f_i is asserted rather than trusted."""
+class ProductCrystal(namedtuple("ProductCrystal", "datum codec elements highest")):
+    """M(R) as a packed set: ``elements`` is the set of ``codec``'s keys of
+    its elements, and ``highest`` its highest-weight elements, those every
+    e_i kills, decoded, in the order of a ``CrystalGraph``'s elements.
+    ``len`` counts elements."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def _folded(datum: RootDatum, r: PointMultiset) -> tuple[MonomialCodec, set[int]]:
+    """The ``fold`` of the fundamental subcrystals over the points of R."""
     validate_points(datum, r)
-    codec, product = fold(datum, [fundamental_crystal(datum, i, c, m).elements
-                                  for (i, c), m in r.points])
+    return fold(datum, [fundamental_crystal(datum, i, c, m).elements
+                        for (i, c), m in r.points])
+
+
+def product_crystal(datum: RootDatum, r: PointMultiset) -> ProductCrystal:
+    """M(R) on packed keys: the ``fold`` of the fundamental subcrystals.
+    ``crystal.walk`` asserts its closure under every e_i/f_i rather than
+    trusting it, and finds the highest-weight keys, the only ones decoded.
+    ``product_graph`` is M(R) with its crystal graph."""
+    codec, keys = _folded(datum, r)
     # raises if the product set is not closed
-    return graph_over(datum, product, codec)
+    highest = sorted(map(codec.decode, walk(datum, keys, codec)))  # in element order
+    return ProductCrystal(datum, codec, keys,
+                          tuple(Monomial(weight, exponents) for weight, exponents in highest))
+
+
+def product_graph(datum: RootDatum, r: PointMultiset) -> CrystalGraph:
+    """M(R) as a crystal graph: the ``fold`` of the fundamental subcrystals,
+    every element decoded and every f-edge placed by ``graph_over``, which
+    asserts closure under every e_i/f_i."""
+    codec, keys = _folded(datum, r)
+    # raises if the product set is not closed
+    return graph_over(datum, keys, codec)
 
 
 def expand_label(datum: RootDatum, r: PointMultiset, s: PointMultiset) -> Monomial:
@@ -226,15 +262,17 @@ def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[Latt
 
 def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:
     """Multiplicities of each B(lambda) inside M(R), computed two
-    independent ways (highest-weight enumeration on the closed graph, and
-    the plan fold g * h straightened: ``weightring.straighten`` of h, then
-    of g times that when g is not the unit, by the Brauer-Klimyk rule).
-    Raises ConsistencyError when the routes disagree."""
+    independent ways (highest-weight enumeration: the weights of the
+    elements that the walk of ``product_crystal`` finds highest, with no
+    graph built; and the plan fold g * h straightened:
+    ``weightring.straighten`` of h, then of g times that when g is not the
+    unit, by the Brauer-Klimyk rule).  Raises ConsistencyError when the
+    routes disagree."""
     from . import truncation, weightring
 
-    graph = product_crystal(datum, r)
+    crystal = product_crystal(datum, r)
     counts: dict[Weight, int] = {}
-    for p in highest_weights(graph):
+    for p in highest_weights(crystal):
         counts[p.weight] = counts.get(p.weight, 0) + 1
 
     g, h = truncation._fold(datum, truncation.build_plan(datum, r))

@@ -10,7 +10,7 @@ import time
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import highest_weights
 from pmcrystal.monomial import mono_mul, y_monomial
-from pmcrystal.product import (decompose, multiset, product_crystal,
+from pmcrystal.product import (decompose, multiset, product_graph,
                                y_of_multiset)
 from pmcrystal.truncation import (build_plan, truncate, up_closure,
                                   validate_threshold_set)
@@ -34,7 +34,7 @@ def report(num, text):
 
 
 def test_criterion_1_sl3_examples(a2):
-    g1 = product_crystal(a2, multiset({(1, 1): 1}))
+    g1 = product_graph(a2, multiset({(1, 1): 1}))
     assert len(g1) == 3
     y11 = y_monomial(a2, 1, 1)
     m2 = mono_mul(y11, mono_pow(z_monomial(a2, 1, -1), -1))
@@ -42,7 +42,7 @@ def test_criterion_1_sl3_examples(a2):
     assert set(g1.elements) == {y11, m2, m3}
     assert set(edge_triples(g1)) == {(y11, 1, m2), (m2, 2, m3)}
 
-    g2 = product_crystal(a2, multiset({(1, 1): 2}))
+    g2 = product_graph(a2, multiset({(1, 1): 2}))
     sq = y_monomial(a2, 1, 1, 2)
     listed = [sq]
     listed.append(mono_mul(sq, mono_pow(z_monomial(a2, 1, -1), -1)))
@@ -180,7 +180,7 @@ def test_criterion_8_lemma_property_suite():
     while checked < 50:
         datum = rng.choice(data)
         r = random_multiset(rng, datum, max_points=3, max_mult=2, cap=1200)
-        graph = product_crystal(datum, r)
+        graph = product_graph(datum, r)
         extra = list(r.support())
         for _ in range(rng.randint(0, 2)):
             i = rng.choice(datum.vertices)
@@ -259,6 +259,6 @@ def test_criterion_10_crystal_axioms(a2, a3):
     for _ in range(3):
         crystals.append((d4, random_multiset(rng, d4, cap=900)))
     for datum, r in crystals:
-        check_crystal_axioms(product_crystal(datum, r))
+        check_crystal_axioms(product_graph(datum, r))
     report(10, f"upper-seminormal axioms plus seminormality verified "
                f"exhaustively on {len(crystals)} product crystals")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal import truncation, weightring
+from pmcrystal import crystal, truncation, weightring
 from pmcrystal.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,4 +93,14 @@ def test_decompose_straightens_the_plan_fold(capsys, monkeypatch):
     refuse_everywhere(monkeypatch, weightring, ("pi_longest", "weyl_decompose"))
     refuse_everywhere(monkeypatch, truncation, ("full_character",))
     for case in ("decompose_a3", "decompose_gl6", "stable_coeffs"):
+        test_cli_output_matches_golden(capsys, case)
+
+
+def test_decompose_walks_without_the_graph(capsys, monkeypatch):
+    # decompose's enumeration route walks the packed keys of M(R): it never
+    # builds the crystal graph, wherever graph_over is imported
+    refuse_everywhere(monkeypatch, crystal, ("graph_over",))
+    cases = [name for name in CASES if name.startswith("decompose_")] + ["stable_coeffs"]
+    assert len(cases) == 3
+    for case in cases:
         test_cli_output_matches_golden(capsys, case)

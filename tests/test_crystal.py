@@ -6,7 +6,7 @@ import pytest
 from pmcrystal import limits, monomial
 from pmcrystal.cartan import build_root_datum, w_add
 from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
-                               graph_to_json, highest_weights, to_dot)
+                               graph_to_json, highest_weights, to_dot, walk)
 from pmcrystal.monomial import (Monomial, MonomialCodec, make_monomial, mono_mul,
                                 one, y_monomial)
 from pmcrystal.weightring import e, irreducible_character
@@ -62,11 +62,13 @@ def test_graph_over_rejects_sets_not_closed(a2):
         keys = {codec.zero + codec.offset(p) for p in elements}
         with pytest.raises(ValueError, match=f"not closed under {op}"):
             graph_over(a2, keys, codec)
+        with pytest.raises(ValueError, match=f"not closed under {op}"):
+            walk(a2, keys, codec)
 
 
 def drop_one(datum, graph, gone):
-    """Run graph_over on the element set of a product crystal less one
-    element, in the codec window of the whole set, so that the missing
+    """Run graph_over and walk on the element set of a product crystal less
+    one element, in the codec window of the whole set, so that the missing
     element lies inside it.  Expects "not closed under f" when the element
     has an incoming f-edge, "not closed under e" when it is highest with
     an outgoing edge, and the graph on the rest when it is isolated;
@@ -75,6 +77,7 @@ def drop_one(datum, graph, gone):
     codec = MonomialCodec(datum, [elements])
     keys = [codec.zero + codec.offset(p) for p in elements]
     assert_same_graph(graph_over(datum, keys, codec), graph)
+    assert walked(datum, set(keys), codec) == graph.highest
     k = elements.index(gone)
     rest = keys[:k] + keys[k + 1:]
     if any(target == k for _, _, target in graph.f_edges):
@@ -86,21 +89,29 @@ def drop_one(datum, graph, gone):
         assert got.elements == elements[:k] + elements[k + 1:]
         assert got.f_edges == tuple((s - (s > k), i, t - (t > k)) for s, i, t in graph.f_edges)
         assert got.highest == tuple(x for x in graph.highest if x != gone)
+        assert walked(datum, set(rest), codec) == got.highest
         return None
     with pytest.raises(ValueError, match=f"not closed under {op}"):
         graph_over(datum, rest, codec)
+    with pytest.raises(ValueError, match=f"not closed under {op}"):
+        walk(datum, set(rest), codec)
     return op
+
+
+def walked(datum, keys, codec):
+    """The highest keys that walk finds, decoded, in element order."""
+    return tuple(Monomial(*row) for row in sorted(map(codec.decode, walk(datum, keys, codec))))
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("GL", 3)])
 def test_graph_over_finds_one_missing_element(kind, rank):
     # e-closure is checked by counting, after every f-edge is looked up
-    from pmcrystal.product import product_crystal
+    from pmcrystal.product import product_graph
     datum = build_root_datum(kind, rank)
     rng = random.Random(31 + 7 * rank + len(kind))
     seen = set()
     for draw in range(8):
-        graph = product_crystal(datum, random_multiset(rng, datum, cap=400))
+        graph = product_graph(datum, random_multiset(rng, datum, cap=400))
         # every other draw removes a highest-weight element
         seen.add(drop_one(datum, graph, rng.choice(graph.highest if draw % 2
                                                    else graph.elements)))
@@ -110,8 +121,8 @@ def test_graph_over_finds_one_missing_element(kind, rank):
 def test_graph_over_drops_an_isolated_element(a2):
     # y_{2,4}^-1, the lowest element of M(1,1), times y_{2,4} is 1: an
     # element with no edge
-    from pmcrystal.product import multiset, product_crystal
-    graph = product_crystal(a2, multiset({(1, 1): 1, (2, 4): 1}))
+    from pmcrystal.product import multiset, product_graph
+    graph = product_graph(a2, multiset({(1, 1): 1, (2, 4): 1}))
     assert drop_one(a2, graph, one(a2)) is None
     assert graph.highest[0] == one(a2)
     assert drop_one(a2, graph, graph.highest[1]) == "e"
@@ -214,10 +225,10 @@ def test_tensor_character_multiplicative(a2):
 
 
 def test_axiom_checker_on_product_crystals(a2, a3):
-    from pmcrystal.product import multiset, product_crystal
+    from pmcrystal.product import multiset, product_graph
     for datum, r in [(a2, multiset({(1, 1): 2})),
                      (a3, multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1}))]:
-        check_crystal_axioms(product_crystal(datum, r))
+        check_crystal_axioms(product_graph(datum, r))
 
 
 def test_dot_deterministic(a2):
@@ -264,15 +275,15 @@ def render_cases(seed):
     """Seeded product crystals over RENDER_DATA, with overlapping and with
     far-apart points, the one-element M(empty set), and monomials with a
     weight and no exponents."""
-    from pmcrystal.product import multiset, product_crystal
+    from pmcrystal.product import multiset, product_graph
     rng = random.Random(seed)
     for kind, rank in RENDER_DATA:
         datum = build_root_datum(kind, rank)
         for _ in range(3):
-            yield product_crystal(datum, random_multiset(rng, datum, cap=400))
+            yield product_graph(datum, random_multiset(rng, datum, cap=400))
             r = random_multiset(rng, datum, max_points=2, cap=30)
-            yield product_crystal(datum, r + r.shifted(10**6))
-        yield product_crystal(datum, multiset({}))
+            yield product_graph(datum, r + r.shifted(10**6))
+        yield product_graph(datum, multiset({}))
         yield closure(datum, [make_monomial(random_weight(rng, datum), {})])
 
 
@@ -337,7 +348,7 @@ def assert_same_graph(got, want):
 
 
 def test_closure_matches_reference_pass():
-    from pmcrystal.product import fundamental_crystal, multiset, product_crystal
+    from pmcrystal.product import fundamental_crystal, multiset, product_graph
     cases = [("A", 3, {(1, 1): 1, (3, 1): 1, (2, 2): 1}),
              ("D", 4, {(1, 0): 1, (2, 1): 1, (4, 2): 1}),
              ("E6", 6, {(1, 0): 1, (6, 2): 1}),
@@ -350,7 +361,7 @@ def test_closure_matches_reference_pass():
             assert_same_graph(fund, ref_graph_over(datum, fund.elements))
             assert_same_graph(closure(datum, reversed(fund.elements)), fund)
         # the element set of a product crystal, and its packed pass
-        packed = product_crystal(datum, multiset(points))
+        packed = product_graph(datum, multiset(points))
         ref = ref_graph_over(datum, packed.elements)
         assert_same_graph(closure(datum, packed.elements), ref)
         assert_same_graph(packed, ref)

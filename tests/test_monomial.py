@@ -36,6 +36,22 @@ def test_z_parity_rejected(a2):
         y_monomial(a2, 2, 1)
 
 
+def test_y_monomial_refuses_negative_powers(a2):
+    # n = -1 is the first power refused; n = 0 is the monomial 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        y_monomial(a2, 1, 1, -1)
+    assert y_monomial(a2, 1, 1, 0) == one(a2)
+
+
+def test_monomial_order_is_strict():
+    # __lt__ is irreflexive: no monomial is less than itself or an equal one
+    m = Monomial((1, 0), (((1, 0), 1),))
+    same = Monomial(tuple([1, 0]), (((1, 0), 1),))
+    assert not m < m and not m < same and not same < m and not m > same
+    assert m <= same and m >= same
+    assert sorted([same, m]) == [same, m]
+
+
 def test_column_stats_basic(a2):
     p = y_monomial(a2, 1, 1)
     assert column_stats(p, 1) == (1, 0, 1, None)

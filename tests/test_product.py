@@ -9,8 +9,8 @@ from pmcrystal.crystal import ClosureLimitError, highest_weights
 from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
                                fold, fundamental_crystal, multiset,
-                               multiset_from_pairs, product_crystal, r_support,
-                               s_label, weight_of_multiset, y_of_multiset)
+                               multiset_from_pairs, product_crystal, product_graph,
+                               r_support, s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset, random_point
 from reference import (check_crystal_axioms, e_of, edge_triples, f_of, sort_key,
@@ -32,7 +32,7 @@ def test_product_crystal_sl3_small_cases(a2):
 
 def test_product_equals_elementwise_product(a2):
     r = multiset({(1, 1): 1, (2, 0): 1})
-    g = product_crystal(a2, r)
+    g = product_graph(a2, r)
     f1 = fundamental_crystal(a2, 1, 1, 1).elements
     f2 = fundamental_crystal(a2, 2, 0, 1).elements
     assert set(g.elements) == {mono_mul(p, q) for p in f1 for q in f2}
@@ -44,7 +44,7 @@ def test_product_closure_random():
         datum = build_root_datum(kind, rank)
         for _ in range(4):
             r = random_multiset(rng, datum, max_points=4, max_mult=2, cap=2500)
-            g = product_crystal(datum, r)  # graph_over asserts e/f closure
+            g = product_graph(datum, r)  # graph_over asserts e/f closure
             check_crystal_axioms(g)
 
 
@@ -59,8 +59,34 @@ def test_product_crystal_fold_limit(a3, monkeypatch):
     assert len(product_crystal(a3, r)) == size
 
 
+WALK_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5),
+             ("D", 6), ("E6", 6), ("E7", 7), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
+
+
+def test_product_crystal_walks_to_the_graphs_highest_weights():
+    # product_crystal decodes only the keys the walk finds highest; the
+    # graph of the same fold has the same elements and highest weights
+    rng = random.Random(29)
+    far = 0
+    for kind, rank in WALK_DATA:
+        datum = build_root_datum(kind, rank)
+        near, apart = (8000, 56) if kind == "E7" else (1500, 40)
+        cases = [random_multiset(rng, datum, cap=near) for _ in range(2)]
+        r = random_multiset(rng, datum, max_points=2, cap=apart)
+        cases.append(r + r.shifted(10**6))
+        for r in cases:
+            packed, graph = product_crystal(datum, r), product_graph(datum, r)
+            assert packed.highest == graph.highest
+            assert len(packed) == len(graph) == len(packed.elements)
+            assert sorted(map(packed.codec.decode, packed.elements)) == [
+                (x.weight, x.exponents) for x in graph.elements]
+            levels = [c for (_, c), _ in r.points]
+            far += max(levels) - min(levels) > 10**5
+    assert far == len(WALK_DATA)
+
+
 def assert_matches_naive_fold(datum, r):
-    """product_crystal(datum, r) against a mono_mul fold, with every f_i/e_i
+    """product_graph(datum, r) against a mono_mul fold, with every f_i/e_i
     taken by f_of/e_of."""
     naive = {one(datum)}
     for (i, c), m in r.points:
@@ -71,7 +97,7 @@ def assert_matches_naive_fold(datum, r):
     ups = {x: [e_of(datum, x, i) for i in datum.vertices] for x in elements}
     assert all(y in naive for _, _, y in downs if y is not None)
     assert all(y in naive for ys in ups.values() for y in ys if y is not None)
-    g = product_crystal(datum, r)
+    g = product_graph(datum, r)
     assert g.elements == elements
     assert edge_triples(g) == tuple(t for t in downs if t[2] is not None)
     assert highest_weights(g) == tuple(
@@ -145,7 +171,7 @@ def test_s_label_trivial(a3):
 def test_s_label_tracks_f_steps(a3):
     rng = random.Random(11)
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
-    g = product_crystal(a3, r)
+    g = product_graph(a3, r)
     for _ in range(30):
         p = rng.choice(g.elements)
         i = rng.choice(a3.vertices)
@@ -163,7 +189,7 @@ def test_s_label_tracks_f_steps(a3):
 
 def test_s_label_bijective_on_crystal(a2):
     r = multiset({(1, 1): 2, (2, 0): 1})
-    g = product_crystal(a2, r)
+    g = product_graph(a2, r)
     labels = {s_label(a2, r, p) for p in g.elements}
     assert len(labels) == len(g)
     for p in g.elements:
@@ -377,7 +403,7 @@ def test_minimal_support_raising(a3):
     # i-string drops it from the support
     from reference import eps_of
     r = multiset({(1, 3): 1, (3, 3): 2})
-    g = product_crystal(a3, r)
+    g = product_graph(a3, r)
     checked = 0
     for p in g.elements:
         supp = r_support(a3, r, p)

@@ -10,7 +10,7 @@ from pmcrystal.limits import LimitExceeded
 from pmcrystal.cli import run
 from pmcrystal.monomial import mono_mul, one
 from pmcrystal.product import (decompose, fundamental_crystal, multiset,
-                               product_crystal, r_support, weight_of_multiset,
+                               product_graph, r_support, weight_of_multiset,
                                y_of_multiset)
 from pmcrystal.truncation import (ThresholdSet, build_plan, char_by_plan,
                                   down_closure, full_character, truncate,
@@ -65,7 +65,7 @@ def test_truncate_sl4_three_point_multiset(a3):
 
 def test_truncate_everything(a2):
     r = multiset({(1, 1): 2})
-    g = product_crystal(a2, r)
+    g = product_graph(a2, r)
     j = ThresholdSet(tuple(t - 20 for t in up_closure(a2, r.support()).thresholds))
     assert set(truncate(a2, r, j)) == set(g.elements)
 
@@ -103,7 +103,7 @@ def test_truncate_is_the_filtered_product_crystal(monkeypatch):
     for kind, rank, levels in ORACLE_CASES:
         datum = build_root_datum(kind, rank)
         r = multiset({(i, datum.parity[i] + 2 * k): m for (i, k), m in levels.items()})
-        graph = product_crystal(datum, r)
+        graph = product_graph(datum, r)
         factor_elements = [fundamental_crystal(datum, i, c, m).elements
                            for (i, c), m in r.points]
         # up(Supp R), then widened by one and by two lower points
@@ -179,7 +179,7 @@ def test_full_character_matches_crystal_random():
         for _ in range(3):
             r = random_multiset(rng, datum, max_points=2, cap=900)
             assert full_character(datum, r) == \
-                character_of_set(datum, product_crystal(datum, r).elements)
+                character_of_set(datum, product_graph(datum, r).elements)
 
 
 def _random_containing_up_set(rng, datum, r):
@@ -231,7 +231,7 @@ def test_truncations_have_string_property_and_commute():
         datum = build_root_datum(kind, rank)
         for _ in range(4):
             r = random_multiset(rng, datum, max_points=2, cap=900)
-            g = product_crystal(datum, r)
+            g = product_graph(datum, r)
             j = _random_containing_up_set(rng, datum, r)
             xs = truncate(datum, r, j)
             ok, witness = string_property(datum, xs, g)

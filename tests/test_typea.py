@@ -9,7 +9,7 @@ import pytest
 
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import highest_weights
-from pmcrystal.product import multiset, product_crystal
+from pmcrystal.product import multiset, product_crystal, product_graph
 from pmcrystal.truncation import build_plan, char_by_plan
 from pmcrystal import limits, typea
 from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
@@ -556,7 +556,7 @@ def test_psi_embed_preserves_labels():
     gl5 = build_root_datum("GL", 5)
     r = multiset({(1, 1): 1, (2, 2): 1})
     from pmcrystal.product import s_label, y_of_multiset
-    g = product_crystal(gl3, r)
+    g = product_graph(gl3, r)
     images = set()
     for p in g.elements:
         q = psi_embed(gl3, gl5, r, p)
@@ -566,7 +566,7 @@ def test_psi_embed_preserves_labels():
     assert y_of_multiset(gl5, r) in images
     assert len(images) == len(g)
     # converse: zero weight beyond rank 3 characterises the image exactly
-    big = product_crystal(gl5, r)
+    big = product_graph(gl5, r)
     flat = {q for q in big.elements if all(q.weight[k] == 0 for k in range(3, 5))}
     assert flat == images
 
@@ -576,7 +576,7 @@ def test_psi_functorial():
     gl4 = build_root_datum("GL", 4)
     gl6 = build_root_datum("GL", 6)
     r = multiset({(1, 1): 2})
-    for p in product_crystal(gl3, r).elements:
+    for p in product_graph(gl3, r).elements:
         assert psi_embed(gl4, gl6, r, psi_embed(gl3, gl4, r, p)) == \
             psi_embed(gl3, gl6, r, p)
 
