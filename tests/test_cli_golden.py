@@ -1,6 +1,6 @@
 """Byte-for-byte CLI output: the README command-line examples, semisimple
 characters and a plan through pi_{w_o}, graph JSON and DOT, truncations,
-and two validation errors, against the files in tests/golden/."""
+Schur modules and validation errors, against the files in tests/golden/."""
 
 import sys
 from pathlib import Path
@@ -12,6 +12,7 @@ from pmcrystal.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 R = "[[1,3,1],[3,1,1],[3,3,1]]"
+SCHUR_DIAGRAM = "[[1,1],[2,2],[3,2],[2,3],[4,3]]"
 CASES = {
     "decompose_a3": (0, ["decompose", "--cartan", "A", "--rank", "3", "--R", R]),
     "decompose_gl6": (0, ["decompose", "--cartan", "GL", "--rank", "6",
@@ -33,7 +34,13 @@ CASES = {
     "truncate_gl3": (0, ["truncate", "--cartan", "GL", "--rank", "3", "--R", "[[1,1,2],[2,2,1]]",
                          "--truncation", '{"thresholds": {"1": -1, "2": 0}}']),
     "schur_sequence": (0, ["schur", "--sequence", "[[1],[1],[2,1,1]]"]),
-    "schur_diagram": (0, ["schur", "--diagram", "[[1,1],[2,2],[3,2],[2,3],[4,3]]"]),
+    "schur_diagram": (0, ["schur", "--diagram", SCHUR_DIAGRAM]),
+    # a rank far above the sequence length
+    "schur_sequence_rank32": (0, ["schur", "--sequence", "[[1],[1],[2,1,1]]",
+                                  "--rank", "32"]),
+    # gapped columns, convexified by a row order other than the given one
+    "schur_diagram_gapped": (0, ["schur", "--diagram",
+                                 "[[1,1],[3,1],[2,2],[4,2],[5,3],[6,3],[5,4]]"]),
     "stable_coeffs": (0, ["stable", "--R", "[[1,5,1],[3,1,1],[4,6,1]]",
                           "--coeffs", "--restrict", "5"]),
     # semisimple characters: negative fundamental coordinates, pi_{w_o} and
@@ -54,6 +61,17 @@ CASES = {
     "error_truncation_misses_r": (2, ["truncate", "--cartan", "A", "--rank", "2",
                                       "--R", "[[1,1,1]]", "--truncation",
                                       '{"thresholds": {"1": 3, "2": 2}}']),
+    # schur --diagram ranks refused: by the GL datum, then by the sequence
+    "error_schur_rank_over_ceiling": (2, ["schur", "--diagram", SCHUR_DIAGRAM,
+                                          "--rank", "33"]),
+    "error_schur_rank_below_sequence": (2, ["schur", "--diagram", SCHUR_DIAGRAM,
+                                            "--rank", "1"]),
+    "error_schur_rank_zero": (2, ["schur", "--diagram", SCHUR_DIAGRAM, "--rank", "0"]),
+    # eight rows, gapped columns and none of the 8! row orders convex
+    "error_schur_no_convex_row_order": (2, ["schur", "--diagram",
+                                            "[[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7],"
+                                            "[8,8],[2,1],[3,2],[4,3],[5,4],[6,5],[7,6],"
+                                            "[8,7],[1,8],[1,9],[3,9],[5,9]]"]),
 }
 
 
