@@ -182,8 +182,9 @@ def cmd_schur(args):
         n = max(len(seq), 1) if args.rank is None else args.rank
         if n < len(seq):
             raise ValidationError(f"rank {n} is smaller than the sequence")
-        datum = build_root_datum("GL", n)
-        ch = flagged_schur_char(seq, n)
+        build_root_datum("GL", n)  # refuses a rank out of range
+        datum = build_root_datum("GL", max(len(seq), 1))  # gives GL_n's answer
+        ch = flagged_schur_char(seq, datum.rank)
         dec = {weight_partition(w): m for w, m in straighten(datum, ch).items()}
         return {"rank": n, "flagged_character": laurent_str(datum, ch),
                 "decomposition": _partition_map(dec)}
@@ -195,7 +196,10 @@ def cmd_schur(args):
         return diagram_ascii(boxes)
     seq = sequence_of_diagram(boxes)
     n = max(len(seq), 1) if args.rank is None else args.rank
-    dec = schur_decompose(seq, n)
+    build_root_datum("GL", n)  # refuses a rank out of range
+    if n < len(seq):
+        raise ValidationError(f"rank {n} < sequence length {len(seq)}")
+    dec = schur_decompose(seq)
     result = {"rank": n, "sequence": [list(p) for p in seq],
               "decomposition": _partition_map(dec)}
     skew = skew_normalise(boxes)

@@ -15,8 +15,10 @@ flagged character recurrence
 computes the flagged Schur module character; pi_{w_o} of it is the full
 Schur module character, whose Weyl decomposition yields the diagram's
 generalised Littlewood-Richardson coefficients.  That decomposition is
-read off the flagged character term by term (``weightring.straighten``,
-with rho = (n-1, ..., 1, 0)), and the full character is never built.
+read off the flagged character term by term (``weightring.straighten``)
+in GL_r, r the sequence length, and the full character is never built.
+Every GL_n, n >= r, gives the same: a flagged weight mu is >= 0 and 0 past
+r, so mu + rho ends in rho's own tail, which the dominant walk never moves.
 
 Two independent oracles cross-check those coefficients: exhaustive
 enumeration of lattice skew tableaux (when the diagram has a skew
@@ -137,15 +139,10 @@ def diagram_rows(boxes) -> dict[int, list[int]]:
     return {r: sorted(cs) for r, cs in rows.items()}
 
 
-def is_column_convex(boxes) -> bool:
-    return all(rs[-1] - rs[0] + 1 == len(rs)
-               for rs in diagram_columns(boxes).values())
-
-
 def row_relabellings(boxes, max_rows: int):
     """Every map of the diagram's n rows onto 1..n, as dicts in
     lexicographic order of the images, or None over ``max_rows`` rows."""
-    rows = sorted(diagram_rows(boxes))
+    rows = sorted({r for r, _ in boxes})
     if len(rows) > max_rows:
         return None
     return (dict(zip(rows, perm))
@@ -163,28 +160,25 @@ def sequence_of_diagram(boxes) -> tuple[Partition, ...]:
     boxes = check_diagram(boxes)
     if not boxes:
         return ()
-    if not is_column_convex(boxes):
+    columns = list(diagram_columns(boxes).values())
+    intervals = _column_intervals(columns, {r: r for r, _ in boxes})
+    if intervals is None:
         relabellings = row_relabellings(boxes, limits.CONVEXIFY_MAX_ROWS)
         if relabellings is None:
             raise ValueError("diagram has gapped columns and too many rows "
                              "to search for a convexifying row order")
-        for relabel in relabellings:
-            moved = frozenset((relabel[r], c) for (r, c) in boxes)
-            if is_column_convex(moved):
-                boxes = moved
+        for pos in relabellings:
+            intervals = _column_intervals(columns, pos)
+            if intervals is not None:
                 break
         else:
             raise ValueError("no row order makes this diagram column-convex")
-    cols = diagram_columns(boxes)
-    r = max(rs[-1] for rs in cols.values())
+    r = max(bottom for _, bottom in intervals)
     lengths_at: dict[int, list[int]] = {}
-    for rs in cols.values():
-        step = r - rs[0] + 1
-        lengths_at.setdefault(step, []).append(len(rs))
-    seq = []
-    for i in range(1, r + 1):
-        seq.append(conjugate(tuple(sorted(lengths_at.get(i, []), reverse=True))))
-    return check_sequence(seq)
+    for top, bottom in intervals:
+        lengths_at.setdefault(r - top + 1, []).append(bottom - top + 1)
+    return check_sequence(conjugate(tuple(sorted(lengths_at.get(i, []), reverse=True)))
+                          for i in range(1, r + 1))
 
 
 def diagram_ascii(boxes) -> str:
@@ -216,13 +210,14 @@ def flagged_schur_char(seq, n: int) -> GroupAlgebraElement:
     return ch
 
 
-def schur_decompose(seq, n: int) -> dict[Partition, int]:
-    """The GL_n decomposition of the Schur module of ``seq``: its flagged
-    character, straightened (``weightring.straighten``).  The GL_n root
-    datum is built first, so a rank it refuses fails with its own message
-    before the sequence is checked."""
-    datum = build_root_datum("GL", n)
-    dec = straighten(datum, flagged_schur_char(seq, n))
+def schur_decompose(seq) -> dict[Partition, int]:
+    """The Schur module of ``seq`` decomposed: its flagged character
+    straightened in GL_r, r = max(len(seq), 1).  Every GL_n, n >= r, gives
+    the same: a flagged weight is >= 0 and 0 past r, so mu + rho ends in
+    rho's own tail, which the dominant walk never moves."""
+    seq = check_sequence(seq)
+    r = max(len(seq), 1)
+    dec = straighten(build_root_datum("GL", r), flagged_schur_char(seq, r))
     return {weight_partition(w): m for w, m in dec.items()}
 
 

@@ -15,12 +15,12 @@ mutant at a time: the mutated file, written back by ``ast.unparse``, goes
 into a copy of ``src``, ``tests`` and ``bench`` in a scratch directory,
 and the tests run there under ``--timeout`` seconds.  A mutant is killed
 when the tests fail or time out, and survives when they pass.  The score
-and every survivor, as file:line:column: mutation, are printed at the
-end; the exit status is 1 when a mutant survives.  Before any mutant
-runs, every file unparsed unmutated must pass, or the run stops with
-status 2.  The copy goes in a fresh ``tempfile`` directory (``TMPDIR``
-moves it), and each file to mutate must be named relative to the
-checkout and lie inside it.
+and every survivor, as file:line:column: mutation in function, are
+printed at the end; the exit status is 1 when a mutant survives.  Before
+any mutant runs, every file unparsed unmutated must pass, or the run
+stops with status 2.  The copy goes in a fresh ``tempfile`` directory
+(``TMPDIR`` moves it), and each file to mutate must be named relative to
+the checkout and lie inside it.
 
 pytest collects only test_*.py, so the suite never runs this file.
 """
@@ -47,12 +47,32 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or"}
 
 
+def enclosing_functions(tree: ast.AST) -> dict[ast.AST, str]:
+    """The dotted name of the innermost function or class around each node
+    ("<module>" outside all of them), a def's own name included."""
+    owner: dict[ast.AST, str] = {}
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if name == "<module>" else f"{name}.{child.name}"
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return owner
+
+
 def sites(path: str, source: str) -> list[tuple]:
     """Every mutation site of the file: (path, line, column, node, how,
-    label), node the position of the mutated node in ``ast.walk`` order and
-    ``how`` the comparison's operator index or an integer literal's step."""
+    label), node the position of the mutated node in ``ast.walk`` order,
+    ``how`` the comparison's operator index or an integer literal's step,
+    and the label naming the function that holds the site."""
     out = []
-    for node_index, node in enumerate(ast.walk(ast.parse(source))):
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    for node_index, node in enumerate(ast.walk(tree)):
         kind = type(getattr(node, "op", None))
         if isinstance(node, ast.Compare):
             found = [(k, f"{SYMBOLS[type(op)]} -> {SYMBOLS[COMPARES[type(op)]]}")
@@ -66,8 +86,8 @@ def sites(path: str, source: str) -> list[tuple]:
             found = [(step, f"{node.value} -> {node.value + step}") for step in (1, -1)]
         else:
             continue
-        out += [(path, node.lineno, node.col_offset + 1, node_index, how, label)
-                for how, label in found]
+        out += [(path, node.lineno, node.col_offset + 1, node_index, how,
+                 f"{label} in {owner[node]}") for how, label in found]
     return out
 
 

@@ -22,11 +22,15 @@ and the two decomposition routes run.  What only the tests need lives here:
   (R, J) pairs, and the psi embeddings of the stability argument;
 - the Schur route ``weightring.straighten`` replaced: ``schur_char``
   builds pi_{w_o} of the flagged character and ``ref_schur_decompose``
-  peels it;
+  peels it; ``ref_schur_at_rank`` straightens it in GL_n, as the library
+  did before it straightened in GL_r alone;
+- ``ref_sequence_of_diagram``, the convexifying search that relabels the
+  boxes and re-reads the columns for every row order;
 - monomial helpers: ``z_monomial``, ``mono_pow``, ``mono_div``,
   ``monomial_from_json`` and ``validate_monomial``.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from pmcrystal import limits, weightring
@@ -36,11 +40,11 @@ from pmcrystal.crystal import CrystalGraph
 from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op,
                                 make_monomial, mono_mul, one, require_lattice_point,
                                 z_exponents)
-from pmcrystal.product import (PointMultiset, expand_label, multiset, s_label,
+from pmcrystal.product import (PointMultiset, expand_label, multiset, s_label, validate_points,
                                y_of_multiset)
 from pmcrystal.truncation import BuildPlan, ThresholdSet
-from pmcrystal.typea import (Box, Partition, check_sequence, flagged_schur_char,
-                             weight_partition)
+from pmcrystal.typea import (Box, Partition, check_diagram, check_sequence, conjugate,
+                             flagged_schur_char, min_rank, weight_partition)
 from pmcrystal.weightring import DecompositionError, GroupAlgebraElement, apply_word, e
 
 # -- root data -----------------------------------------------------------------
@@ -450,6 +454,59 @@ def ref_schur_decompose(seq, n: int) -> dict[Partition, int]:
     return {weight_partition(w): m for w, m in dec.items()}
 
 
+def ref_schur_at_rank(seq, n: int) -> dict[Partition, int]:
+    """The Schur module's GL_n decomposition, its flagged character folded
+    and straightened in GL_n itself."""
+    datum = build_root_datum("GL", n)
+    dec = weightring.straighten(datum, flagged_schur_char(seq, n))
+    return {weight_partition(w): m for w, m in dec.items()}
+
+
+def ref_columns(boxes) -> dict[int, list[int]]:
+    """Each column of a diagram: its rows, sorted."""
+    cols: dict[int, list[int]] = {}
+    for r, c in boxes:
+        cols.setdefault(c, []).append(r)
+    return {c: sorted(rs) for c, rs in cols.items()}
+
+
+def ref_is_column_convex(boxes) -> bool:
+    """Every column of the diagram is an interval of rows."""
+    return all(rs[-1] - rs[0] + 1 == len(rs) for rs in ref_columns(boxes).values())
+
+
+def ref_sequence_of_diagram(boxes) -> tuple[Partition, ...]:
+    """``typea.sequence_of_diagram`` by the search it replaced: for every
+    row order, in lexicographic order of the images of the sorted rows,
+    relabel the boxes and read their columns afresh."""
+    boxes = check_diagram(boxes)
+    if not boxes:
+        return ()
+    if not ref_is_column_convex(boxes):
+        rows = sorted({r for r, _ in boxes})
+        if len(rows) > limits.CONVEXIFY_MAX_ROWS:
+            raise ValueError("diagram has gapped columns and too many rows "
+                             "to search for a convexifying row order")
+        for perm in itertools.permutations(range(1, len(rows) + 1)):
+            relabel = dict(zip(rows, perm))
+            moved = frozenset((relabel[r], c) for (r, c) in boxes)
+            if ref_is_column_convex(moved):
+                boxes = moved
+                break
+        else:
+            raise ValueError("no row order makes this diagram column-convex")
+    cols = ref_columns(boxes)
+    r = max(rs[-1] for rs in cols.values())
+    lengths_at: dict[int, list[int]] = {}
+    for rs in cols.values():
+        step = r - rs[0] + 1
+        lengths_at.setdefault(step, []).append(len(rs))
+    seq = []
+    for i in range(1, r + 1):
+        seq.append(conjugate(tuple(sorted(lengths_at.get(i, []), reverse=True))))
+    return check_sequence(seq)
+
+
 def diagram_of_sequence(seq) -> frozenset[Box]:
     """Shift the running diagram down one row, then adjoin the Young
     diagram of the next partition on fresh columns, longest row on row 1."""
@@ -509,9 +566,12 @@ def multiset_of_sequence(seq, n: int | None = None) -> tuple[PointMultiset, Thre
 
 def sequence_of_multiset(rr: PointMultiset) -> tuple[Partition, ...]:
     """Read a partition sequence back off a multiset, after the even
-    vertical shift placing every point (j, c) at or below c = -j."""
+    vertical shift placing every point (j, c) at or below c = -j.  A
+    multiset that ``validate_points`` refuses on the smallest GL rank
+    carrying it raises its ValueError."""
     if rr.is_empty():
         return ()
+    validate_points(build_root_datum("GL", min_rank(rr)), rr)
     shift = 0
     for (j, c), _ in rr.points:
         over = c + j

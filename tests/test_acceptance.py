@@ -130,13 +130,13 @@ def test_criterion_6_diagram_oracles(gl3):
     assert (lam, mu) == ((3, 2, 2, 1), (2, 1))
     assert lr_skew_expand(lam, mu) == expected5
     assert specht_decompose_bruteforce(five) == expected5
-    assert schur_decompose(sequence_of_diagram(five), 4) == expected5
+    assert schur_decompose(sequence_of_diagram(five)) == expected5
 
     stair_seq = ((1,), (1,), (2, 1, 1))
     stair = diagram_of_sequence(stair_seq)
     expected6 = {(4, 1, 1): 1, (3, 2, 1): 2, (2, 2, 2): 1}
     assert specht_decompose_bruteforce(stair) == expected6
-    assert schur_decompose(stair_seq, 3) == expected6
+    assert schur_decompose(stair_seq) == expected6
     flagged = flagged_schur_char(stair_seq, 3)
     assert flagged == (e((4, 1, 1)) + e((2, 3, 1)) + 2 * e((3, 2, 1))
                        + e((3, 1, 2)) + e((2, 2, 2)))
@@ -234,7 +234,7 @@ def test_criterion_9_main_theorem_desk_scale():
     for seq in sequences:
         r, _, n = multiset_of_sequence(seq)
         coeffs = stable_coeffs(r)
-        assert coeffs == schur_decompose(seq, len(seq))
+        assert coeffs == schur_decompose(seq)
         boxes = diagram_of_sequence(seq)
         if len(boxes) <= 7:
             assert specht_decompose_bruteforce(boxes) == coeffs

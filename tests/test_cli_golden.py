@@ -2,6 +2,7 @@
 characters and a plan through pi_{w_o}, graph JSON and DOT, truncations,
 Schur modules and validation errors, against the files in tests/golden/."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -82,19 +83,24 @@ def test_cli_output_matches_golden(capsys, name):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def replace_everywhere(monkeypatch, home, name, replacement):
+    """Patch the function ``home.name`` to ``replacement``, in every
+    pmcrystal module that binds it."""
+    original = getattr(home, name)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("pmcrystal")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
 def refuse_everywhere(monkeypatch, home, names):
     """Patch each function ``home.name`` to raise, in every pmcrystal
     module that binds it."""
     for name in names:
-        original = getattr(home, name)
-
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"called {name}")
 
-        for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("pmcrystal")
-                    and getattr(module, name, None) is original):
-                monkeypatch.setattr(module, name, refuse)
+        replace_everywhere(monkeypatch, home, name, refuse)
 
 
 def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):
@@ -103,6 +109,33 @@ def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):
     refuse_everywhere(monkeypatch, weightring, ("pi_longest", "weyl_decompose"))
     for case in ("schur_sequence", "schur_diagram"):
         test_cli_output_matches_golden(capsys, case)
+
+
+def test_schur_straightens_at_the_sequence_length(capsys, monkeypatch):
+    # at --rank 32 both schur routes straighten in GL_r alone, r the
+    # sequence length, and print what they print at the default rank
+    ranks = []
+    original = weightring.straighten
+
+    def recording(datum, f):
+        ranks.append(datum.rank)
+        return original(datum, f)
+
+    replace_everywhere(monkeypatch, weightring, "straighten", recording)
+    test_cli_output_matches_golden(capsys, "schur_sequence_rank32")
+    assert ranks == [3]
+    _, argv = CASES["schur_diagram_gapped"]
+    assert run(argv + ["--rank", "32"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    expected = json.loads((GOLDEN / "schur_diagram_gapped.out").read_text())["result"]
+    assert result == dict(expected, rank=32)
+    assert ranks == [3, 6]
+    # the empty sequence and the empty diagram straighten in GL_1 (exit 0:
+    # the empty diagram's oracles agree)
+    for argv in (["--sequence", "[]"], ["--diagram", "[]"]):
+        assert run(["schur", *argv, "--rank", "32"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["decomposition"] == {"[]": 1}
+    assert ranks == [3, 6, 1, 1]
 
 
 def test_decompose_straightens_the_plan_fold(capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,8 @@ from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
                              stable_bound, stable_coeffs, weight_partition)
 from pmcrystal.weightring import DecompositionError, e, laurent_str, straighten
 from reference import (diagram_of_sequence, multiset_of_sequence, psi_embed,
-                       ref_schur_decompose, sequence_of_multiset)
+                       ref_is_column_convex, ref_schur_at_rank, ref_schur_decompose,
+                       ref_sequence_of_diagram, sequence_of_multiset)
 from specht_reference import (centraliser_order, lehmer_specht_decompose,
                               ref_specht_decompose, sym_character)
 
@@ -75,6 +78,44 @@ def test_sequence_of_diagram_roundtrip():
 
 def test_sequence_of_diagram_convexifies():
     assert sequence_of_diagram(FIVE_BOX) == ((), (1, 1), (1, 1), (1,))
+
+
+def grid_diagrams(rows: int, cols: int, max_boxes: int):
+    """Every diagram of 1 to ``max_boxes`` boxes in a rows x cols grid."""
+    grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    for k in range(1, max_boxes + 1):
+        yield from map(frozenset, itertools.combinations(grid, k))
+
+
+def sequence_or_refusal(read, boxes):
+    try:
+        return read(boxes)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("grid, count, searched, refused",
+                         [((4, 4, 7), 26_332, 16_990, 1_248), ((5, 4, 5), 21_699, 14_524, 0)])
+def test_sequence_of_diagram_matches_the_relabelling_search(grid, count, searched, refused):
+    # the row orders tested on one reading of the columns pick the same
+    # convexifying order as relabelling the boxes for each order, and refuse
+    # the same diagrams with the same message
+    diagrams = list(grid_diagrams(*grid))
+    assert len(diagrams) == count
+    outcomes = Counter()
+    for boxes in diagrams:
+        expected = sequence_or_refusal(ref_sequence_of_diagram, boxes)
+        assert sequence_or_refusal(sequence_of_diagram, boxes) == expected, sorted(boxes)
+        outcomes["refused" if isinstance(expected, str) else
+                 "convex" if ref_is_column_convex(boxes) else "searched"] += 1
+    assert (outcomes["searched"], outcomes["refused"]) == (searched, refused)
+
+
+def test_row_relabellings_are_the_bijections_onto_1_to_n_in_lexicographic_order():
+    boxes = {(2, 1), (5, 1), (9, 3), (5, 2)}
+    orders = [tuple(pos[r] for r in (2, 5, 9)) for pos in typea.row_relabellings(boxes, 3)]
+    assert orders == list(itertools.permutations((1, 2, 3)))
+    assert typea.row_relabellings(boxes, 2) is None
 
 
 def test_sequence_of_diagram_rejects_non_positive_or_non_integer_boxes():
@@ -132,6 +173,15 @@ def test_gl6_strip_reading():
     assert sequence_of_multiset(r) == ((), (), (1,), (1, 1, 1, 1), (), (1, 1, 1))
 
 
+def test_sequence_of_multiset_refuses_what_validate_points_refuses():
+    # (1, 0) is off the GL grid: it was once read as ((1,),), as (1, 1) is
+    assert sequence_of_multiset(multiset({(1, 1): 1})) == ((1,),)
+    with pytest.raises(ValueError, match=r"point \(1,0\) violates parity"):
+        sequence_of_multiset(multiset({(1, 0): 1}))
+    with pytest.raises(ValueError, match=r"point \(3,2\) violates parity"):
+        sequence_of_multiset(multiset({(1, 1): 1, (3, 2): 1}))
+
+
 # -- characters ------------------------------------------------------------------
 
 
@@ -161,14 +211,15 @@ def test_flagged_equals_plan_character():
 
 
 def test_schur_decompose_staircase():
-    assert schur_decompose(STAIRCASE_SEQ, 3) == {
+    assert schur_decompose(STAIRCASE_SEQ) == {
         (4, 1, 1): 1, (3, 2, 1): 2, (2, 2, 2): 1}
 
 
 def test_schur_single_column():
     # a single column of k boxes carries the k-th fundamental representation
-    assert schur_decompose(((), (1, 1)), 2) == {(1, 1): 1}
-    assert schur_decompose(((), (), (1, 1, 1)), 3) == {(1, 1, 1): 1}
+    assert schur_decompose(((), (1, 1))) == {(1, 1): 1}
+    assert schur_decompose(((), (), (1, 1, 1))) == {(1, 1, 1): 1}
+    assert schur_decompose(()) == {(): 1}
 
 
 def test_schur_rejects_small_rank():
@@ -191,29 +242,50 @@ def all_sequences(total: int, length: int):
     yield from grow(1, total, [])
 
 
+def random_long_sequence(rng):
+    """A partition sequence of 2 to 7 steps and 6 to 10 boxes, empty steps
+    likely."""
+    boxes = rng.randint(6, 10)
+    length = rng.randint(2, 7)
+    cuts = sorted(rng.randint(0, boxes) for _ in range(length - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [boxes])]
+    return check_sequence(rng.choice([p for p in partitions_of(size) if len(p) <= i])
+                          for i, size in enumerate(sizes, start=1))
+
+
 def test_straightening_matches_reference():
-    # the straightened flagged character against pi_{w_o} of it, peeled:
-    # every sequence of at most 5 boxes in at most 4 steps, at ranks len to
-    # len + 2
+    # the straightened flagged character against pi_{w_o} of it, peeled in
+    # GL_n: every sequence of at most 5 boxes in at most 4 steps, at ranks
+    # n = len to len + 2
     cases = [(seq, n) for seq in all_sequences(5, 4) for n in range(len(seq), len(seq) + 3)]
     assert len(cases) == 1386
     for seq, n in cases:
-        assert schur_decompose(seq, n) == ref_schur_decompose(seq, n), (seq, n)
+        assert schur_decompose(seq) == ref_schur_decompose(seq, n), (seq, n)
     # seeded 6- to 10-box sequences with empty steps, at GL ranks up to 8
     rng = random.Random(24)
     above, gapped = 0, 0
     for _ in range(40):
-        boxes = rng.randint(6, 10)
-        length = rng.randint(2, 7)
-        cuts = sorted(rng.randint(0, boxes) for _ in range(length - 1))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [boxes])]
-        seq = check_sequence(rng.choice([p for p in partitions_of(size) if len(p) <= i])
-                             for i, size in enumerate(sizes, start=1))
+        seq = random_long_sequence(rng)
         n = rng.randint(len(seq), 8)
         above += n > len(seq)
         gapped += () in seq
-        assert schur_decompose(seq, n) == ref_schur_decompose(seq, n), (seq, n)
+        assert schur_decompose(seq) == ref_schur_decompose(seq, n), (seq, n)
     assert above >= 10 and gapped >= 10
+
+
+def test_schur_decompose_is_the_same_at_every_rank():
+    # straightened in GL_r alone, r the sequence length, against the fold
+    # and straightening in GL_n itself: every sequence of at most 5 boxes in
+    # at most 4 steps at ranks len to len + 2, and seeded 6- to 10-box
+    # sequences at GL12 and GL32
+    for seq in all_sequences(5, 4):
+        for n in range(len(seq), len(seq) + 3):
+            assert schur_decompose(seq) == ref_schur_at_rank(seq, n), (seq, n)
+    rng = random.Random(29)
+    for _ in range(10):
+        seq = random_long_sequence(rng)
+        for n in (12, 32):
+            assert schur_decompose(seq) == ref_schur_at_rank(seq, n), (seq, n)
 
 
 def straightened(f, n):
@@ -360,8 +432,7 @@ def test_specht_matches_reference():
         assert specht_decompose_bruteforce(boxes) == ref_specht_decompose(boxes)
     for seq in TYPEA_SEQUENCES:
         seq = check_sequence(seq)
-        assert specht_decompose_bruteforce(diagram_of_sequence(seq)) == \
-            schur_decompose(seq, len(seq))
+        assert specht_decompose_bruteforce(diagram_of_sequence(seq)) == schur_decompose(seq)
 
 
 def test_specht_matches_lehmer_kernel():
@@ -401,7 +472,7 @@ def test_specht_matches_schur_above_ceiling(monkeypatch, seq):
     boxes = diagram_of_sequence(seq)
     assert len(boxes) == 8
     monkeypatch.setattr(limits, "SPECHT_MAX_BOXES", 8)
-    assert specht_decompose_bruteforce(boxes) == schur_decompose(seq, len(seq))
+    assert specht_decompose_bruteforce(boxes) == schur_decompose(seq)
 
 
 # -- Young's seminormal form --------------------------------------------------------
@@ -588,17 +659,16 @@ def test_main_theorem_small_cases():
     for seq in [((1,),), ((), (1, 1)), ((1,), (2,)), ((2,), (1, 1))]:
         r, _, n = multiset_of_sequence(seq)
         coeffs = stable_coeffs(r)
-        assert coeffs == schur_decompose(seq, len(seq))
+        assert coeffs == schur_decompose(seq)
         boxes = diagram_of_sequence(seq)
         if len(boxes) <= 7:
             assert specht_decompose_bruteforce(boxes) == coeffs
 
 
 def test_diagrams_of_sequences_are_column_convex():
-    from pmcrystal.typea import is_column_convex
     rng = random.Random(29)
     for _ in range(15):
-        assert is_column_convex(diagram_of_sequence(random_sequence(rng)))
+        assert ref_is_column_convex(diagram_of_sequence(random_sequence(rng)))
 
 
 def test_skew_consistency_random():
@@ -626,4 +696,4 @@ def test_skew_normalise_above_seven_rows():
     boxes = frozenset((r + 1, c) for r in range(8) for c in range(mu8[r] + 1, lam[r] + 1))
     assert typea.row_relabellings(boxes, 7) is None
     assert skew_normalise(boxes) == (lam, mu)
-    assert lr_skew_expand(lam, mu) == schur_decompose(sequence_of_diagram(boxes), 8)
+    assert lr_skew_expand(lam, mu) == schur_decompose(sequence_of_diagram(boxes))
