@@ -6,7 +6,7 @@ from .crystal import CrystalGraph, closure, highest_weights, to_dot
 from .monomial import Monomial, column_stats, e_op, f_op, make_monomial
 from .product import (PointMultiset, ProductCrystal, decompose, fundamental_crystal,
                       multiset, multiset_from_pairs, product_crystal, product_graph,
-                      r_support, s_label)
+                      s_label)
 from .truncation import (BuildPlan, ThresholdSet, build_plan, char_by_plan,
                          down_closure, full_character, truncate, up_closure)
 from .typea import (flagged_schur_char, lr_skew_expand, restrict_coeffs,

@@ -179,26 +179,24 @@ def cmd_schur(args):
             seq = check_sequence(json.loads(args.sequence))
         except (ValueError, TypeError) as err:
             raise ValidationError(f"bad sequence: {err}") from err
-        n = max(len(seq), 1) if args.rank is None else args.rank
-        if n < len(seq):
-            raise ValidationError(f"rank {n} is smaller than the sequence")
-        build_root_datum("GL", n)  # refuses a rank out of range
+    else:
+        try:
+            boxes = check_diagram(json.loads(args.diagram))
+        except (ValueError, TypeError) as err:
+            raise ValidationError(f"bad diagram: {err}") from err
+        if args.format == "ascii":
+            return diagram_ascii(boxes)
+        seq = sequence_of_diagram(boxes)
+    n = max(len(seq), 1) if args.rank is None else args.rank
+    build_root_datum("GL", n)  # refuses a rank out of range
+    if n < len(seq):
+        raise ValidationError(f"rank {n} < sequence length {len(seq)}")
+    if args.sequence is not None:
         datum = build_root_datum("GL", max(len(seq), 1))  # gives GL_n's answer
         ch = flagged_schur_char(seq, datum.rank)
         dec = {weight_partition(w): m for w, m in straighten(datum, ch).items()}
         return {"rank": n, "flagged_character": laurent_str(datum, ch),
                 "decomposition": _partition_map(dec)}
-    try:
-        boxes = check_diagram(json.loads(args.diagram))
-    except (ValueError, TypeError) as err:
-        raise ValidationError(f"bad diagram: {err}") from err
-    if args.format == "ascii":
-        return diagram_ascii(boxes)
-    seq = sequence_of_diagram(boxes)
-    n = max(len(seq), 1) if args.rank is None else args.rank
-    build_root_datum("GL", n)  # refuses a rank out of range
-    if n < len(seq):
-        raise ValidationError(f"rank {n} < sequence length {len(seq)}")
     dec = schur_decompose(seq)
     result = {"rank": n, "sequence": [list(p) for p in seq],
               "decomposition": _partition_map(dec)}

@@ -11,7 +11,7 @@ which visits only the levels where the residual is nonzero.  Since
 wt(p) = wt(R) - sum S[i,c] alpha_i, any label spends exactly
 height(wt R - wt p) in entries weighted by height(alpha_i); that integer
 budget bounds the peel, and re-expanding the label is the one membership
-verdict.
+verdict.  S-labels serve the tests and the benchmark's tracer only.
 
 M(R) comes in two forms, both the ``fold`` of the fundamental subcrystals
 with its closure under every e_i/f_i asserted: ``product_crystal`` walks
@@ -252,12 +252,6 @@ def s_label(datum: RootDatum, r: PointMultiset, p: Monomial) -> PointMultiset:
     if expand_label(datum, r, out) != p:
         raise NotExpressibleError("re-expansion mismatch")
     return out
-
-
-def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[LatticePoint]:
-    """Supp_R(p) = Supp R united with the support of p's S-label."""
-    s = s_label(datum, r, p)
-    return frozenset(r.support()) | frozenset(s.support())
 
 
 def decompose(datum: RootDatum, r: PointMultiset) -> dict[Weight, int]:

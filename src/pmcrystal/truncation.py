@@ -5,9 +5,15 @@ and (i,c) <= (j,c+1) for j ~ i; concretely (i,c) <= (j,c') iff
 c' - c >= d(i,j), the graph distance.  An upward-closed set is therefore a
 per-column threshold: column i contains the points at or above theta_i.
 
-A truncation M(R, J) keeps the monomials of M(R) whose R-support stays
-inside J.  Build plans reconstruct a truncation from {1} using only two
-moves, each with a character-level counterpart:
+A truncation M(R, J) keeps the p = y_R z_S^{-1} in M(R) with Supp R and
+Supp S in J; for an upward-closed J holding Supp R, that is Supp p in J.
+z_{i,k} touches only points >= (i,k), so Supp p lies in up(Supp R, Supp S);
+at a minimal (i,k) of Supp S no z_{i,k-2} or z_{j,k-1} is in S, so p has
+exponent R(i,k) - S(i,k) there and (i,k) lies in Supp p or Supp R; every
+point of Supp S lies above such a point.
+
+Build plans reconstruct a truncation from {1} using only two moves, each
+with a character-level counterpart:
 
     Extend(i, k):   J grows by one point       ->  apply pi_i
     Multiply(Q):    R grows by Q on boundary   ->  multiply by e^{wt Q}
@@ -34,7 +40,7 @@ from . import limits
 from .cartan import RootDatum
 from .monomial import Monomial
 from .product import (PointMultiset, fold, fundamental_crystal, multiset,
-                      r_support, validate_points, weight_of_multiset)
+                      validate_points, weight_of_multiset)
 from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_pi,
                          e as ga_e, pi_longest)
 
@@ -114,17 +120,18 @@ def down_closure(datum: RootDatum, points) -> DownwardSet:
 
 def truncate(datum: RootDatum, r: PointMultiset,
              j: ThresholdSet) -> tuple[Monomial, ...]:
-    """M(R, J): the monomials of M(R) whose R-support lies in J, sorted by
-    weight, then exponents.  Any p = x_1 * ... * x_m over the fundamental factors has
-    S(p) = S(x_1) + ... + S(x_m), so p lies in M(R, J) iff every S(x_k)
-    lies in J: M(R, J) is the ``fold`` of the truncated factors, and M(R)
-    is never built."""
+    """M(R, J): the monomials of M(R) whose support lies in J, sorted by
+    weight, then exponents; for this J that is the R-support condition (see
+    the module docstring).  Any p = x_1 * ... * x_m over the fundamental
+    factors has S(p) = S(x_1) + ... + S(x_m), so p lies in M(R, J) iff every
+    S(x_k) lies in J, that is iff every x_k has its support in J: M(R, J) is
+    the ``fold`` of the factors so filtered, and M(R) is never built."""
     validate_points(datum, r)
     validate_threshold_set(datum, j)
     if not j.contains_all(r.support()):
         raise ValueError("J must contain the support of R")
     factors = [[x for x in fundamental_crystal(datum, i, c, m).elements
-                if j.contains_all(r_support(datum, multiset({(i, c): m}), x))]
+                if j.contains_all(x.support())]
                for (i, c), m in r.points]
     codec, keys = fold(datum, factors)
     return tuple(Monomial(*row) for row in sorted(map(codec.decode, keys)))

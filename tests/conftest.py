@@ -1,5 +1,6 @@
 import random
 import signal
+import sys
 
 import pytest
 
@@ -91,3 +92,23 @@ def random_multiset(rng: random.Random, datum, max_points=3, max_mult=2,
                 tuple(m * x for x in datum.fundamentals[i]))
         if bound <= cap:
             return multiset(out)
+
+
+def replace_everywhere(monkeypatch, home, name, replacement):
+    """Patch the function ``home.name`` to ``replacement``, in every
+    pmcrystal module that binds it."""
+    original = getattr(home, name)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("pmcrystal")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def refuse_everywhere(monkeypatch, home, names):
+    """Patch each function ``home.name`` to raise, in every pmcrystal
+    module that binds it."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"called {name}")
+
+        replace_everywhere(monkeypatch, home, name, refuse)

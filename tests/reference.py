@@ -11,6 +11,8 @@ and the two decomposition routes run.  What only the tests need lives here:
 - ``ref_graph_over``, the one-pass crystal graph of a closed set, which is
   also the tensor product ``tensor_crystal``, and ``edge_triples``, which
   reads a graph's positional f-edges back as elements;
+- ``r_support``, the paper's definition of M(R, J) by S-labels, the
+  oracle for ``truncation.truncate``'s filter by support;
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
@@ -352,6 +354,13 @@ def demazure_crystal(datum: RootDatum, lam: Weight, word, baseline: int = 0) -> 
     for i in reversed(tuple(word)):
         xs = extend_strings(datum, i, xs)
     return xs
+
+
+def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[LatticePoint]:
+    """Supp_R(p) = Supp R united with the support of p's S-label: the
+    paper's condition for p to lie in M(R, J) is that J holds it."""
+    s = s_label(datum, r, p)
+    return frozenset(r.support()) | frozenset(s.support())
 
 
 def boundary(datum: RootDatum, j: ThresholdSet) -> frozenset[LatticePoint]:

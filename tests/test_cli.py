@@ -14,6 +14,7 @@ from pmcrystal.limits import MAX_RANK
 from pmcrystal.cli import run
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset
+from reference import diagram_of_sequence
 
 
 def run_json(capsys, argv, expect_code=0):
@@ -602,8 +603,22 @@ def test_schur_rank_below_one_exits_2(capsys, argv):
     # diagram's rows
     data = run_json(capsys, argv, expect_code=2)
     assert data["status"] == "error" and data["result"] is None
-    assert data["diagnostics"][0] in ("GL needs rank >= 1",
-                                      f"rank {argv[-1][7:]} is smaller than the sequence")
+    assert data["diagnostics"] == ["GL needs rank >= 1"]
+
+
+def test_schur_refuses_a_rank_alike_for_both_inputs(capsys):
+    # one rank check serves --sequence and --diagram: the GL datum first,
+    # then the sequence length
+    seq = [[1], [1], [2, 1, 1]]
+    diagram = json.dumps(sorted(map(list, diagram_of_sequence(seq))))
+    assert len(run_json(capsys, ["schur", "--diagram", diagram])["result"]["sequence"]) == 3
+    for rank in (0, 2, MAX_RANK + 1):
+        by_input = [run_json(capsys, ["schur", flag, text, "--rank", str(rank)], expect_code=2)
+                    for flag, text in (("--sequence", json.dumps(seq)), ("--diagram", diagram))]
+        assert by_input[0] == by_input[1], rank
+    assert by_input[0]["diagnostics"][0].startswith(f"rank {MAX_RANK + 1}")
+    assert run_json(capsys, ["schur", "--sequence", json.dumps(seq), "--rank", "2"],
+                    expect_code=2)["diagnostics"] == ["rank 2 < sequence length 3"]
 
 
 # -- the envelope emitter -----------------------------------------------------

@@ -3,13 +3,13 @@ characters and a plan through pi_{w_o}, graph JSON and DOT, truncations,
 Schur modules and validation errors, against the files in tests/golden/."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from pmcrystal import crystal, truncation, weightring
 from pmcrystal.cli import run
+from conftest import refuse_everywhere, replace_everywhere
 
 GOLDEN = Path(__file__).parent / "golden"
 R = "[[1,3,1],[3,1,1],[3,3,1]]"
@@ -81,26 +81,6 @@ def test_cli_output_matches_golden(capsys, name):
     code, argv = CASES[name]
     assert run(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-
-
-def replace_everywhere(monkeypatch, home, name, replacement):
-    """Patch the function ``home.name`` to ``replacement``, in every
-    pmcrystal module that binds it."""
-    original = getattr(home, name)
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("pmcrystal")
-                and getattr(module, name, None) is original):
-            monkeypatch.setattr(module, name, replacement)
-
-
-def refuse_everywhere(monkeypatch, home, names):
-    """Patch each function ``home.name`` to raise, in every pmcrystal
-    module that binds it."""
-    for name in names:
-        def refuse(*args, name=name, **kwargs):
-            raise AssertionError(f"called {name}")
-
-        replace_everywhere(monkeypatch, home, name, refuse)
 
 
 def test_schur_needs_neither_pi_longest_nor_the_peel(capsys, monkeypatch):

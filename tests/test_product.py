@@ -10,11 +10,11 @@ from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomia
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
                                fold, fundamental_crystal, multiset,
                                multiset_from_pairs, product_crystal, product_graph,
-                               r_support, s_label, weight_of_multiset, y_of_multiset)
+                               s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset, random_point
-from reference import (check_crystal_axioms, e_of, edge_triples, f_of, sort_key,
-                       validate_monomial)
+from reference import (check_crystal_axioms, e_of, edge_triples, f_of, r_support,
+                       sort_key, validate_monomial)
 
 
 def test_fundamental_sizes(a2, a3):
@@ -445,6 +445,18 @@ def test_decompose_compute_truncation_example(a3):
     assert decompose(a3, r) == {(1, 0, 2): 1, (1, 1, 0): 1}
 
 
+def test_multiset_entries():
+    # a negative multiplicity is refused and a zero one dropped, an [i, c]
+    # entry counts once, and a shift must keep parity
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        multiset({(1, 1): -1})
+    assert multiset({(1, 1): 0, (3, 3): 2}).points == (((3, 3), 2),)
+    assert multiset_from_pairs([[1, 3], [1, 3, 1]]) == multiset({(1, 3): 2})
+    with pytest.raises(ValueError, match="even"):
+        multiset({(1, 1): 1}).shifted(1)
+    assert multiset({}).max_vertex() == 0
+
+
 def test_multiset_json(a3):
     r = multiset_from_pairs([[1, 3, 1], [3, 1, 2]])
     assert r.to_json() == [[1, 3, 1], [3, 1, 2]]
@@ -477,20 +489,21 @@ def test_route_disagreement_carries_the_diff(a3, capsys, monkeypatch):
     from pmcrystal.product import ConsistencyError
     real = weightring.straighten
 
-    def skewed(datum, f):
-        return real(datum, f) + weightring.e((1, 0, 2)) + weightring.e((0, 0, 0), 2)
+    def skewed(datum, f):  # one weight added, one raised, one dropped
+        return (real(datum, f) + weightring.e((1, 0, 2)) + weightring.e((0, 0, 0), 2)
+                - weightring.e((1, 1, 0)))
     monkeypatch.setattr(weightring, "straighten", skewed)
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     with pytest.raises(ConsistencyError) as err:
         decompose(a3, r)
-    assert err.value.diff == {(0, 0, 0): (0, 2), (1, 0, 2): (1, 2)}
+    assert err.value.diff == {(0, 0, 0): (0, 2), (1, 0, 2): (1, 2), (1, 1, 0): (1, 0)}
     assert run(["decompose", "--cartan", "A", "--rank", "3",
                 "--R", "[[1,3,1],[3,1,1],[3,3,1]]"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "internal-inconsistency" and data["result"] is None
     message, detail = data["diagnostics"]
     assert "(1,0,2): enumeration 1, character 2" in message
-    assert detail == {"diff": {"(0,0,0)": [0, 2], "(1,0,2)": [1, 2]}}
+    assert detail == {"diff": {"(0,0,0)": [0, 2], "(1,0,2)": [1, 2], "(1,1,0)": [1, 0]}}
 
 
 def test_decompose_never_builds_the_full_character(a3, monkeypatch):
@@ -521,6 +534,8 @@ def test_fundamental_crystal_size_is_weyl_dimension():
 
 def test_oversized_fundamental_crystal_is_refused_before_its_closure(a2, monkeypatch):
     from pmcrystal import limits, product
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", 10)
+    assert len(fundamental_crystal(a2, 1, 1, 3)) == 10   # at the limit
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 9)
     assert len(fundamental_crystal(a2, 1, 1, 2)) == 6
     monkeypatch.setattr(product, "closure", lambda *args: pytest.fail("closure ran"))

@@ -4,23 +4,22 @@ import time
 
 import pytest
 
-from pmcrystal import limits, truncation
+from pmcrystal import crystal, limits, product, truncation
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.limits import LimitExceeded
 from pmcrystal.cli import run
 from pmcrystal.monomial import mono_mul, one
-from pmcrystal.product import (decompose, fundamental_crystal, multiset,
-                               product_graph, r_support, weight_of_multiset,
+from pmcrystal.product import (decompose, multiset, product_graph, weight_of_multiset,
                                y_of_multiset)
 from pmcrystal.truncation import (ThresholdSet, build_plan, char_by_plan,
                                   down_closure, full_character, truncate,
                                   truncation_character, up_closure,
                                   validate_threshold_set)
 from pmcrystal.weightring import GroupAlgebraElement, demazure_pi, e, weyl_decompose
-from conftest import random_multiset
+from conftest import random_multiset, refuse_everywhere
 from reference import (TensorElement, boundary, character_of_set, e_of, extend_strings,
-                       highest_weight_monomial, key_decompose, mono_div, replay_plan,
-                       string_property, wt_of)
+                       highest_weight_monomial, key_decompose, mono_div, r_support,
+                       replay_plan, string_property, wt_of)
 
 
 def test_up_closure_examples(a3):
@@ -88,41 +87,55 @@ ORACLE_CASES = [
 ]
 
 
+def widened_js(rng, datum, r):
+    """up(Supp R), then widened by one and by two lower points."""
+    js = [up_closure(datum, r.support())]
+    lowest = min((c - datum.parity[i]) // 2 for i, c in r.support())
+    extra = list(r.support())
+    for _ in range(2):
+        i = rng.choice(datum.vertices)
+        extra.append((i, datum.parity[i] + 2 * (lowest - rng.randint(1, 5))))
+        js.append(up_closure(datum, extra))
+    return js
+
+
 def test_truncate_is_the_filtered_product_crystal(monkeypatch):
     # the definition: the elements of M(R) whose R-support lies in J, in
-    # element order; truncate labels only elements of the fundamental factors
-    from pmcrystal import product
-    labelled = []
-    real_s_label = product.s_label
-
-    def recording_s_label(datum, r, p):
-        labelled.append(p)
-        return real_s_label(datum, r, p)
-    monkeypatch.setattr(product, "s_label", recording_s_label)
+    # element order; truncate filters the fundamental factors by support,
+    # so it labels no element and never builds M(R)
     rng = random.Random(21)
+    cases = []
     for kind, rank, levels in ORACLE_CASES:
         datum = build_root_datum(kind, rank)
         r = multiset({(i, datum.parity[i] + 2 * k): m for (i, k), m in levels.items()})
         graph = product_graph(datum, r)
-        factor_elements = [fundamental_crystal(datum, i, c, m).elements
-                           for (i, c), m in r.points]
-        # up(Supp R), then widened by one and by two lower points
-        js = [up_closure(datum, r.support())]
-        lowest = min(k for _, k in levels)
-        extra = list(r.support())
-        for _ in range(2):
-            i = rng.choice(datum.vertices)
-            extra.append((i, datum.parity[i] + 2 * (lowest - rng.randint(1, 5))))
-            js.append(up_closure(datum, extra))
-        for j in js:
-            expected = tuple(p for p in graph.elements
-                             if j.contains_all(r_support(datum, r, p)))
-            labelled.clear()
-            assert truncate(datum, r, j) == expected
-            assert len(labelled) == sum(map(len, factor_elements))
-            assert set(labelled) <= set().union(*factor_elements)
-        if len(r.points) > 1:
-            assert len(labelled) < len(graph.elements)
+        for j in widened_js(rng, datum, r):
+            cases.append((datum, r, j, tuple(p for p in graph.elements
+                                             if j.contains_all(r_support(datum, r, p)))))
+    refuse_everywhere(monkeypatch, product, ("s_label", "product_graph", "product_crystal"))
+    refuse_everywhere(monkeypatch, crystal, ("graph_over", "walk"))
+    for datum, r, j, expected in cases:
+        assert truncate(datum, r, j) == expected
+
+
+@pytest.mark.parametrize("kind, rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6),
+    ("E6", 6), ("E7", 7), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)])
+def test_support_in_j_is_r_support_in_j(kind, rank):
+    # for an upward-closed J holding Supp R, Supp_R(p) lies in J iff Supp p
+    # does: the condition truncate filters by, element by element on M(R)
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"{kind}{rank}")
+    verdicts = set()
+    for _ in range(3):
+        r = random_multiset(rng, datum, cap=1500)
+        graph = product_graph(datum, r)
+        for j in widened_js(rng, datum, r):
+            for p in graph.elements:
+                verdict = j.contains_all(r_support(datum, r, p))
+                assert verdict == j.contains_all(p.support()), (r, j, p)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_truncate_requires_containment(a2):
@@ -472,3 +485,8 @@ def test_plan_step_limit(capsys, monkeypatch, a3):
     with pytest.raises(LimitExceeded):
         small.to_json()
     assert char_by_plan(a3, small) == char_by_plan(a3, build_plan(a3, _far_apart(10**3)))
+    # a plan of exactly the limit is listed, and an empty plan has no steps
+    monkeypatch.setattr(limits, "MAX_PLAN_STEPS", small.step_count())
+    assert len(small.steps) == small.step_count()
+    empty = build_plan(a3, multiset({}))
+    assert empty.step_count() == 0 and empty.steps == ()

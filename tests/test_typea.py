@@ -14,8 +14,8 @@ from pmcrystal.crystal import highest_weights
 from pmcrystal.product import multiset, product_crystal, product_graph
 from pmcrystal.truncation import build_plan, char_by_plan
 from pmcrystal import limits, typea
-from pmcrystal.typea import (Seminormal, check_sequence, check_shape, conjugate,
-                             diagram_ascii, flagged_schur_char, lr_skew_expand,
+from pmcrystal.typea import (Seminormal, check_partition, check_sequence, check_shape,
+                             conjugate, diagram_ascii, flagged_schur_char, lr_skew_expand,
                              partitions_of, restrict_coeffs,
                              schur_decompose, seminormal, sequence_of_diagram,
                              skew_normalise, specht_decompose_bruteforce,
@@ -225,6 +225,16 @@ def test_schur_single_column():
 def test_schur_rejects_small_rank():
     with pytest.raises(ValueError):
         flagged_schur_char(STAIRCASE_SEQ, 2)
+
+
+def test_partitions_refuse_a_rise_and_a_negative_tail():
+    # positive parts that rise; entries that never rise but end below 0
+    with pytest.raises(ValueError, match="is not a partition"):
+        check_partition((1, 2))
+    with pytest.raises(ValueError, match="not a polynomial dominant weight"):
+        weight_partition((1, -1))
+    assert check_partition((2, 1)) == (2, 1)
+    assert weight_partition((2, 1, 0)) == (2, 1)
 
 
 def all_sequences(total: int, length: int):
