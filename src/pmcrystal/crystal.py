@@ -3,16 +3,17 @@
 ``closure`` builds the graph of a set of monomials under ``monomial.f_op``
 and ``monomial.e_op``, breadth first, and sorts what it found once at the
 end by (weight, exponents), so that element order, edge order and DOT
-output are reproducible run to run.  ``graph_over`` is the other builder:
+output are reproducible run to run; no command runs it (the tests' oracle
+and the benchmark's tracer keep it).  ``graph_over`` is the other builder:
 one pass over the packed keys of a product crystal (see
 ``monomial.MonomialCodec``), as ``product.fold`` makes them.  It looks up
 every f_i(x) in the set and checks closure under e by counting, with no
 lookup per e-edge.  ``walk`` is that pass with no graph: it checks the
 same closure and returns only the keys every e_i kills, with nothing
-decoded, ordered or placed; ``product.product_crystal`` runs it, and
-``product.product_graph`` runs ``graph_over``.  Both passes take each
-column's step from ``_step``.  Only the builders map elements to
-positions; an f-edge is a triple of positions.  Every graph records its
+decoded, ordered or placed; ``discover`` is that pass adding every f_i(x)
+it misses, from one highest-weight key.  All three take each column's
+step from ``_step``.  Only the builders map elements to positions; an
+f-edge is a triple of positions.  Every graph records its
 highest-weight elements, those that every e_i kills (eps_i = 0 for
 ``graph_over``), from what was computed while it was built.  Both
 ``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
@@ -27,7 +28,7 @@ from operator import attrgetter
 
 from . import limits
 from .cartan import RootDatum, weight_str
-from .monomial import Monomial, MonomialCodec, e_op, f_op
+from .monomial import Monomial, MonomialCodec, _scan_column, e_op, f_op
 
 
 class ClosureLimitError(limits.LimitExceeded):
@@ -103,9 +104,41 @@ def _step(codec: MonomialCodec, i: int, col: int) -> tuple:
     step leaves the window (and with it the set), and the gap is
     (phi_i > 0) - (eps_i > 0), what the column adds to the e-closure
     count."""
-    phi, eps, best_f, _ = codec.column_stats(i, col)
+    phi, eps, best_f, _ = _scan_column([(c, ex) for (_, c), ex in codec._column(i, col)])
     return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
             eps, (phi > 0) - (eps > 0))
+
+
+def discover(datum: RootDatum, seed: int, codec: MonomialCodec, bound: int) -> list:
+    """The keys reached from the highest-weight key ``seed`` by f-steps,
+    breadth first; AssertionError when a step leaves the window, when a
+    column value has an |exponent| above ``bound`` (checked once per value,
+    before any step from it, so no key carries across a digit), or when
+    the keys are not closed under e (by the count of ``graph_over``)."""
+    columns = _columns(codec)
+    excess = [0] * len(columns)
+    found, seen = [seed], {seed}
+    for key in found:  # found grows while it is read
+        for j, i, shift, mask, memo in columns:
+            col = (key >> shift) & mask
+            step = memo.get(col)
+            if step is None:
+                if any(abs(ex) > bound for _, ex in codec._column(i, col)):
+                    raise AssertionError(f"an exponent passes the bound {bound}")
+                step = memo[col] = _step(codec, i, col)
+            phi, f_delta, _, gap = step
+            if phi:
+                if f_delta is None:
+                    raise AssertionError(f"an f_{i} step leaves the window {codec.positions}")
+                down = key + f_delta
+                if down not in seen:
+                    seen.add(down)
+                    found.append(down)
+            if gap:
+                excess[j] += gap
+    if any(excess):
+        raise AssertionError("the f-steps from the seed reach a set not closed under e")
+    return found
 
 
 def walk(datum: RootDatum, keys: set, codec: MonomialCodec) -> list:

@@ -30,7 +30,7 @@ class LimitExceeded(RuntimeError):
 # second, 64 takes seconds and A128 most of a minute, so a larger rank is
 # refused at once rather than left to run without bound.
 MAX_RANK = 32
-MAX_ELEMENTS = 10**6  # the element limit of every closure and product fold
+MAX_ELEMENTS = 10**6  # the element limit of every closure, fundamental crystal and fold
 # The most terms a Demazure operator or a product may build.  The
 # benchmark's largest character has 3,317 terms; pi_{w_o} on E8 from
 # e^(2 w_1 + w_8) passes this limit after 2.8-3.1 s at 86 MB peak RSS

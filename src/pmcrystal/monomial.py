@@ -14,32 +14,38 @@ graphs of the small SL_3 examples edge by edge; see the tests.  The
 exponents of z_{i,k} are written out once, in ``z_exponents``.
 
 Packed monomials.  ``MonomialCodec`` packs the products of the factors of
-a product crystal into integers, so that a product is an integer sum and
-f_i/e_i add a fixed integer delta.  Its invariants:
+a product crystal M(R) into integers, so that a product is an integer sum
+and f_i/e_i add a fixed integer delta.  Its invariants:
 
-* Window.  Every encoded point lies in a finite window: the union of the
-  factors' supports, and no other points, so the key size depends on the
-  supports and not on how far apart they lie.  Columns are laid out one
-  after another in vertex order, each column's positions by c ascending,
-  one fixed-width digit each, so column i is one shift and one mask away.
-  Every monomial of the encoded set is 0 off the window, while a delta
-  changes each point it touches by +-1; a delta that touches a point
-  outside the window therefore leaves the set.
+* Window.  Every encoded point lies in a finite window, known from R:
+  M(i,c)^n, a copy of B(n w_i), runs from y_{i,c}^n down to y_{i*,c-h}^-n
+  (Kashiwara 2003; Nakajima 2003), h the Coxeter number, -w_o w_i =
+  w_{i*}, so its support lies in the (j, l) with c - h + d(i*, j) <= l <=
+  c - d(i, j), and the window is the union of these over the points of R.
+  Columns are laid out one after another in vertex order, each column's
+  positions by c ascending, one fixed-width digit each, so column i is one
+  shift and one mask away.  A delta changes each point it touches by +-1,
+  so one that touches a point outside the window leaves the encoded set;
+  ``crystal.discover`` raises AssertionError if a factor's step does.
 * Digit width.  Every encoded exponent has |e| <= bound, and f_i/e_i
   change each exponent by at most 1, so every exponent the codec ever
   meets has |e| <= bound + 1.  A digit stores e + H with H a power of two
   at least bound + 2, in width log2(2H) bits; the stored value stays in
   [1, 2H - 1], so no sum or delta carries across a digit boundary, and
-  the exponents of a key are its digits minus H.  The bound is the sum
-  over the factors of their largest |exponent|.
+  the exponents of a key are its digits minus H.  The bound is sum n a_i
+  over the points (i, c) of R, a_i the coefficient of alpha_i in the
+  highest root theta; ``crystal.discover`` checks |e| <= n a_i at run
+  time, once per column value.
 * Weight digits.  Above the columns sit lattice_rank more digits of the
   same width, coordinate 1 most significant, each a weight coordinate plus
   H: weights add under products as exponents do, and z_{i,k}^power adds
   power * alpha_i, so a key determines its monomial whatever the factors
-  are.  Every encoded weight has each |coordinate| at most the weight
-  bound, the sum over the factors of their largest |coordinate|, and a
-  z-step moves a coordinate by at most 2, so with H also at least weight
-  bound + 3 no key formed by ``crystal.graph_over`` carries across a digit.
+  are.  The weight bound is sum n a_i too, with no check: a weight of
+  V(n w_i) lies in the hull of the W-orbit of n w_i, and |<alpha_j^vee,
+  u n w_i>| = |<beta^vee, n w_i>| <= <theta^vee, n w_i> = n a_i, beta =
+  +-u^-1 alpha_j positive (a GL coordinate lies in [0, n]).  A z-step
+  moves a coordinate by at most 2, so with H also at least weight bound +
+  3 no key formed by ``crystal.graph_over`` carries across a digit.
 """
 
 from __future__ import annotations
@@ -102,12 +108,6 @@ class Monomial:
         if other.__class__ is self.__class__:
             return (self.weight, self.exponents) < (other.weight, other.exponents)
         return NotImplemented
-
-    def exponent(self, i: int, c: int) -> int:
-        for (pi, pc), ex in self.exponents:
-            if (pi, pc) == (i, c):
-                return ex
-        return 0
 
     def column(self, i: int) -> list[tuple[int, int]]:
         """[(c, exponent)] for column i, by c ascending (the exponent tuple
@@ -247,28 +247,20 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
 
 
 class MonomialCodec:
-    """Packs the products x_1 * ... * x_m, x_k from factors[k], into
-    integers (see the module docstring for the layout and its invariants).
-
-    The window is the union of the factors' supports; the bound and the
-    weight bound are the sums over the factors of their largest |exponent|
-    and their largest |weight coordinate|.  Decoded columns, weights and
-    z-deltas are memoised on the codec, which is meant to live for one
-    computation.
+    """Packs monomials into integers, one digit per point of ``window``,
+    each |exponent| at most ``bound`` and |weight coordinate| at most
+    ``weight_bound`` (see the module docstring for the layout and its
+    invariants).  Decoded columns, weights and z-deltas are memoised on the
+    codec, which is meant to live for one computation.
     """
 
-    def __init__(self, datum: RootDatum, factors):
-        self.datum = datum
-        self.bound = bound = sum(
-            max((abs(ex) for p in f for _, ex in p.exponents), default=0) for f in factors)
-        self.weight_bound = weight_bound = sum(
-            max((abs(w) for p in f for w in p.weight), default=0) for f in factors)
+    def __init__(self, datum: RootDatum, window, bound: int, weight_bound: int):
+        self.datum, self.bound, self.weight_bound = datum, bound, weight_bound
         least = max(bound + 1, weight_bound + 2)
         self.half = 1 << least.bit_length()  # at least bound + 2 and weight_bound + 3
         self.width = width = least.bit_length() + 1
         cs: dict[int, set[int]] = {}
-        for i, c in {pt for f in factors for p in f for pt, _ in p.exponents}:
-            require_lattice_point(datum, i, c)
+        for i, c in window:
             cs.setdefault(i, set()).add(c)
         self.positions = [tuple(sorted(cs.get(i, ()))) for i in datum.vertices]
         self.shift: dict[LatticePoint, int] = {}
@@ -341,10 +333,6 @@ class MonomialCodec:
             weight = self._weights[digits] = tuple(
                 ((digits >> s) & digit) - half for s in self._wshifts)
         return weight, tuple(exponents)
-
-    def column_stats(self, i: int, col: int) -> tuple[int, int, int | None, int | None]:
-        """column_stats of the packed column ``col`` of vertex i."""
-        return _scan_column([(c, ex) for (_, c), ex in self._column(i, col)])
 
     def z_delta(self, i: int, k: int, power: int) -> int | None:
         """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a

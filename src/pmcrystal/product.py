@@ -13,11 +13,12 @@ height(wt R - wt p) in entries weighted by height(alpha_i); that integer
 budget bounds the peel, and re-expanding the label is the one membership
 verdict.  S-labels serve the tests and the benchmark's tracer only.
 
-M(R) comes in two forms, both the ``fold`` of the fundamental subcrystals
+M(R) comes in two forms, both the ``fold`` of the fundamental subcrystals,
+each discovered from the key of y_{i,c}^n in a codec built from R alone,
 with its closure under every e_i/f_i asserted: ``product_crystal`` walks
-the packed keys (``crystal.walk``) and decodes only the highest-weight
-elements, which is all ``decompose`` reads; ``product_graph`` builds the
-whole crystal graph (``crystal.graph_over``) for the ``graph`` command.
+the keys (``crystal.walk``) and decodes only the highest-weight elements,
+which is all ``decompose`` reads; ``product_graph`` builds the whole
+crystal graph (``crystal.graph_over``) for the ``graph`` command.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import namedtuple
 
 from . import limits
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
-from .crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
+from .crystal import (ClosureLimitError, CrystalGraph, discover, graph_over,
                       highest_weights, walk)
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
                        mono_mul, one, require_lattice_point, y_monomial,
@@ -136,31 +137,55 @@ def y_of_multiset(datum: RootDatum, r: PointMultiset) -> Monomial:
     return p
 
 
-def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
-    """M(i,c)^n: the closure of the highest-weight monomial y_{i,c}^n, a
-    copy of B(n w_i).  Past ``limits.MAX_ELEMENTS`` elements it raises the
-    closure's ClosureLimitError before the closure runs, ``reached`` being
-    the exact dim V(n w_i)."""
-    top = y_monomial(datum, i, c, n)
+def product_codec(datum: RootDatum, r: PointMultiset) -> MonomialCodec:
+    """The codec of M(R), from R alone (see the ``monomial`` module
+    docstring): the window is the union over the points (i, c) of R of the
+    (j, l) with c - h + d(i*, j) <= l <= c - d(i, j), h the Coxeter number,
+    and both bounds are sum n a_i, n the multiplicity of (i, c) and a_i the
+    coefficient of alpha_i in the highest root, the last positive root."""
+    window: set[LatticePoint] = set()
+    bound = 0
+    if r.points:  # so the diagram has a vertex
+        h = 2 * len(datum.positive_roots) // len(datum.vertices)
+        # -w_o w_i = w_{i*}: w_o takes sum_i i w_i to a weight pairing to -i
+        # with alpha_{i*}^vee
+        w = tuple(map(sum, zip(*(w_scale(i, datum.fundamentals[i]) for i in datum.vertices))))
+        for i in datum.longest_word:
+            w = datum.reflect(i, w)
+        dual = {-datum.pairing(j, w): j for j in datum.vertices}
+    for (i, c), n in r.points:
+        window.update((j, l) for j in datum.vertices for l in range(
+            c - h + datum.dist[dual[i], j], c - datum.dist[i, j] + 1, 2))
+        bound += n * datum.positive_roots[-1][0][i - 1]
+    return MonomialCodec(datum, window, bound, bound)
+
+
+def fundamental_keys(datum: RootDatum, codec: MonomialCodec, i: int, c: int,
+                     n: int) -> list[int]:
+    """M(i,c)^n, a copy of B(n w_i), as ``codec``'s keys, discovered from
+    y_{i,c}^n with every |exponent| at most n a_i.  Past
+    ``limits.MAX_ELEMENTS`` elements it raises ClosureLimitError at stage
+    ``crystal.closure`` first, ``reached`` being the exact dim V(n w_i)."""
+    seed = codec.zero + codec.offset(y_monomial(datum, i, c, n))  # checks the point
     limit = limits.MAX_ELEMENTS
     size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
     if size > limit:
         raise ClosureLimitError("crystal.closure", limit, size,
                                 f"closure exceeded limit {limit}")
-    return closure(datum, [top])
+    return discover(datum, seed, codec, n * datum.positive_roots[-1][0][i - 1])
 
 
-def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
-    """The products x_1 * ... * x_m, x_k from factors[k], as codec keys:
-    folded pairwise with deduplication (a product of monomials is a sum of
-    keys, weights included, so the factors may be any sets of monomials).
+def fold(codec: MonomialCodec, factors) -> set[int]:
+    """The products x_1 * ... * x_m, x_k from the key set factors[k], as
+    ``codec``'s keys: folded pairwise with deduplication, a product of
+    monomials being a sum of offsets from ``codec.zero``, weights included.
     The working set never shrinks, so ClosureLimitError is raised as soon
     as it passes ``limits.MAX_ELEMENTS``."""
     limit = limits.MAX_ELEMENTS
-    codec = MonomialCodec(datum, factors)
-    product = {codec.zero}
+    zero = codec.zero
+    product = {zero}
     for factor in factors:
-        offsets = [codec.offset(q) for q in factor]
+        offsets = [q - zero for q in factor]
         folded: set[int] = set()
         for p in product:
             folded.update([p + q for q in offsets])
@@ -168,7 +193,7 @@ def fold(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
                 raise ClosureLimitError("product.fold", limit, len(folded),
                                         f"product crystal exceeded limit {limit}")
         product = folded
-    return codec, product
+    return product
 
 
 class ProductCrystal(namedtuple("ProductCrystal", "datum codec elements highest")):
@@ -184,10 +209,11 @@ class ProductCrystal(namedtuple("ProductCrystal", "datum codec elements highest"
 
 
 def _folded(datum: RootDatum, r: PointMultiset) -> tuple[MonomialCodec, set[int]]:
-    """The ``fold`` of the fundamental subcrystals over the points of R."""
+    """The codec of M(R) and the ``fold`` of its fundamental subcrystals."""
     validate_points(datum, r)
-    return fold(datum, [fundamental_crystal(datum, i, c, m).elements
-                        for (i, c), m in r.points])
+    codec = product_codec(datum, r)
+    return codec, fold(codec, [fundamental_keys(datum, codec, i, c, m)
+                               for (i, c), m in r.points])
 
 
 def product_crystal(datum: RootDatum, r: PointMultiset) -> ProductCrystal:

@@ -39,7 +39,7 @@ from collections import namedtuple
 from . import limits
 from .cartan import RootDatum
 from .monomial import Monomial
-from .product import (PointMultiset, fold, fundamental_crystal, multiset,
+from .product import (PointMultiset, fold, fundamental_keys, multiset, product_codec,
                       validate_points, weight_of_multiset)
 from .weightring import (GroupAlgebraElement, _assert_weyl_invariant, demazure_pi,
                          e as ga_e, pi_longest)
@@ -60,11 +60,6 @@ class ThresholdSet(namedtuple("ThresholdSet", "thresholds")):
 
     def contains_all(self, points) -> bool:
         return all(self.contains(i, c) for (i, c) in points)
-
-    def with_point(self, i: int, k: int) -> "ThresholdSet":
-        new = list(self.thresholds)
-        new[i - 1] = k
-        return ThresholdSet(tuple(new))
 
     def to_json(self) -> dict:
         return {"thresholds": {str(i + 1): t for i, t in enumerate(self.thresholds)
@@ -125,16 +120,19 @@ def truncate(datum: RootDatum, r: PointMultiset,
     the module docstring).  Any p = x_1 * ... * x_m over the fundamental
     factors has S(p) = S(x_1) + ... + S(x_m), so p lies in M(R, J) iff every
     S(x_k) lies in J, that is iff every x_k has its support in J: M(R, J) is
-    the ``fold`` of the factors so filtered, and M(R) is never built."""
+    the ``fold`` of the factors so filtered, and M(R) is never built: a
+    factor key is kept when its digits outside J all hold the bias."""
     validate_points(datum, r)
     validate_threshold_set(datum, j)
     if not j.contains_all(r.support()):
         raise ValueError("J must contain the support of R")
-    factors = [[x for x in fundamental_crystal(datum, i, c, m).elements
-                if j.contains_all(x.support())]
+    codec = product_codec(datum, r)
+    outside = sum(((1 << codec.width) - 1) << shift
+                  for (i, c), shift in codec.shift.items() if not j.contains(i, c))
+    bias = codec.zero & outside
+    factors = [[key for key in fundamental_keys(datum, codec, i, c, m) if key & outside == bias]
                for (i, c), m in r.points]
-    codec, keys = fold(datum, factors)
-    return tuple(Monomial(*row) for row in sorted(map(codec.decode, keys)))
+    return tuple(Monomial(*row) for row in sorted(map(codec.decode, fold(codec, factors))))
 
 
 # -- build plans -----------------------------------------------------------

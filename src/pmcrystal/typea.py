@@ -78,10 +78,6 @@ def conjugate(p: Partition) -> Partition:
 
 
 def partitions_of(d: int):
-    if d == 0:
-        yield ()
-        return
-
     def gen(rest, biggest):
         if rest == 0:
             yield ()
@@ -260,7 +256,7 @@ def _skew_shape_from(columns, pos):
             if not lam[rr]:
                 mu[rr] = col_pos - 1
             lam[rr] = col_pos
-    return tuple(lam[1:]), tuple(x for x in mu[1:] if x)
+    return tuple(lam[1:]), tuple(x for x in mu if x)
 
 
 def skew_normalise(boxes):
@@ -300,7 +296,7 @@ def lr_skew_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
         cells.extend((r, c) for c in range(lam[r] - 1, left - 1, -1))
     out: dict[Partition, int] = {}
     filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (len(lam) + 1)  # counts[v-1] = #v placed so far
+    counts = [0] * len(lam)  # counts[v-1] = #v placed so far
 
     def place(k: int):
         if k == len(cells):
@@ -543,10 +539,8 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     d = len(boxes)
     if d > limits.SPECHT_MAX_BOXES:
         raise ValueError(f"diagram has {d} boxes, over the ceiling {limits.SPECHT_MAX_BOXES}")
-    if d == 0:
-        return {(): 1}
     cells = sorted(boxes)
-    by_col = sorted(cells, key=lambda cell: (cell[1], cell[0]))
+    by_col = sorted(cells, key=lambda cell: cell[1])  # stable: rows ascending
     row_ks = [k for k in range(d - 1) if cells[k][0] == cells[k + 1][0]]
     col_ks = [k for k in range(d - 1) if by_col[k][1] == by_col[k + 1][1]]
     index = {cell: k for k, cell in enumerate(cells)}

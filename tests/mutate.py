@@ -16,7 +16,9 @@ into a copy of ``src``, ``tests`` and ``bench`` in a scratch directory,
 and the tests run there under ``--timeout`` seconds.  A mutant is killed
 when the tests fail or time out, and survives when they pass.  The score
 and every survivor, as file:line:column: mutation in function, are
-printed at the end; the exit status is 1 when a mutant survives.  Before
+printed at the end; the exit status is 1 when a mutant survives.
+``--functions`` keeps only the sites inside the named functions (as the
+survivors name them, ``MonomialCodec.__init__`` for a method).  Before
 any mutant runs, every file unparsed unmutated must pass, or the run
 stops with status 2.  The copy goes in a fresh ``tempfile`` directory
 (``TMPDIR`` moves it), and each file to mutate must be named relative to
@@ -144,6 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=100, help="mutants to run")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
+    parser.add_argument("--functions", nargs="+", help="mutate only the sites in these")
     args = parser.parse_args(argv)
     for path in args.files:
         if os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == os.pardir:
@@ -153,7 +156,8 @@ def main(argv=None) -> int:
     for path in args.files:
         with open(path) as fh:
             originals[path] = fh.read()
-    every = [site for path, source in originals.items() for site in sites(path, source)]
+    every = [site for path, source in originals.items() for site in sites(path, source)
+             if not args.functions or site[5].rsplit(" in ", 1)[1] in args.functions]
     chosen = sorted(random.Random(args.seed).sample(every, min(args.count, len(every))))
     print(f"{len(every)} sites, {len(chosen)} sampled with seed {args.seed}", flush=True)
     with tempfile.TemporaryDirectory() as work:

@@ -12,7 +12,8 @@ and the two decomposition routes run.  What only the tests need lives here:
   also the tensor product ``tensor_crystal``, and ``edge_triples``, which
   reads a graph's positional f-edges back as elements;
 - ``r_support``, the paper's definition of M(R, J) by S-labels, the
-  oracle for ``truncation.truncate``'s filter by support;
+  oracle for ``truncation.truncate``'s filter by support, and
+  ``with_point``, a threshold set with one column moved;
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
@@ -29,7 +30,12 @@ and the two decomposition routes run.  What only the tests need lives here:
 - ``ref_sequence_of_diagram``, the convexifying search that relabels the
   boxes and re-reads the columns for every row order;
 - monomial helpers: ``z_monomial``, ``mono_pow``, ``mono_div``,
-  ``monomial_from_json`` and ``validate_monomial``.
+  ``monomial_from_json`` and ``validate_monomial``;
+- the fundamental crystals by the ``Monomial`` closure,
+  ``fundamental_crystal``, the oracle of ``product.fundamental_keys``; and
+  ``codec_of``/``fold_monomials``, a codec over the union of the supports
+  of any monomial sets and their fold, as the library packed its factors
+  before its window came from R.
 """
 
 import itertools
@@ -38,12 +44,12 @@ from dataclasses import dataclass
 from pmcrystal import limits, weightring
 from pmcrystal.cartan import (RootDatum, Weight, add_into, build_root_datum, w_add, w_scale,
                               weight_str)
-from pmcrystal.crystal import CrystalGraph
-from pmcrystal.monomial import (LatticePoint, Monomial, column_stats, e_op, f_op,
-                                make_monomial, mono_mul, one, require_lattice_point,
-                                z_exponents)
-from pmcrystal.product import (PointMultiset, expand_label, multiset, s_label, validate_points,
-                               y_of_multiset)
+from pmcrystal.crystal import ClosureLimitError, CrystalGraph, closure
+from pmcrystal.monomial import (LatticePoint, Monomial, MonomialCodec, column_stats, e_op,
+                                f_op, make_monomial, mono_mul, one, require_lattice_point,
+                                y_monomial, z_exponents)
+from pmcrystal.product import (PointMultiset, expand_label, fold, multiset, s_label,
+                               validate_points, y_of_multiset)
 from pmcrystal.truncation import BuildPlan, ThresholdSet
 from pmcrystal.typea import (Box, Partition, check_diagram, check_sequence, conjugate,
                              flagged_schur_char, min_rank, weight_partition)
@@ -117,6 +123,41 @@ def validate_monomial(datum: RootDatum, p: Monomial) -> None:
             raise ValueError(
                 f"weight/exponent mismatch in column {i}: "
                 f"<a_{i}^v, wt> = {datum.pairing(i, p.weight)} but column sums to {col}")
+
+
+def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
+    """M(i,c)^n: the ``crystal.closure`` of the highest-weight monomial
+    y_{i,c}^n, a copy of B(n w_i).  Past ``limits.MAX_ELEMENTS`` elements
+    it raises the closure's ClosureLimitError before the closure runs,
+    ``reached`` being the exact dim V(n w_i)."""
+    top = y_monomial(datum, i, c, n)
+    limit = limits.MAX_ELEMENTS
+    size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
+    if size > limit:
+        raise ClosureLimitError("crystal.closure", limit, size,
+                                f"closure exceeded limit {limit}")
+    return closure(datum, [top])
+
+
+def codec_of(datum: RootDatum, factors) -> MonomialCodec:
+    """The codec of the products of the monomial sets ``factors``: its
+    window is the union of their supports, its bound and weight bound the
+    sums over the factors of their largest |exponent| and their largest
+    |weight coordinate|."""
+    window = {pt for f in factors for p in f for pt, _ in p.exponents}
+    for i, c in window:
+        require_lattice_point(datum, i, c)
+    return MonomialCodec(
+        datum, window,
+        sum(max((abs(ex) for p in f for _, ex in p.exponents), default=0) for f in factors),
+        sum(max((abs(w) for p in f for w in p.weight), default=0) for f in factors))
+
+
+def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
+    """``product.fold`` of the monomial sets ``factors``, in ``codec_of``
+    them: the codec and the keys of the products."""
+    codec = codec_of(datum, factors)
+    return codec, fold(codec, [[codec.zero + codec.offset(p) for p in f] for f in factors])
 
 
 # -- crystal queries over monomials and formal tensors -------------------------
@@ -361,6 +402,11 @@ def r_support(datum: RootDatum, r: PointMultiset, p: Monomial) -> frozenset[Latt
     paper's condition for p to lie in M(R, J) is that J holds it."""
     s = s_label(datum, r, p)
     return frozenset(r.support()) | frozenset(s.support())
+
+
+def with_point(j: ThresholdSet, i: int, k: int) -> ThresholdSet:
+    """J with column i starting at k."""
+    return ThresholdSet(j.thresholds[:i - 1] + (k,) + j.thresholds[i:])
 
 
 def boundary(datum: RootDatum, j: ThresholdSet) -> frozenset[LatticePoint]:

@@ -25,7 +25,7 @@ from conftest import random_element, random_multiset
 from reference import (boundary, character_of_set, check_crystal_axioms,
                        diagram_of_sequence, edge_triples, extend_strings, key_decompose,
                        mono_pow, multiset_of_sequence, replay_plan, string_property,
-                       z_monomial)
+                       with_point, z_monomial)
 from test_typea import random_sequence
 
 
@@ -192,7 +192,7 @@ def test_criterion_8_lemma_property_suite():
         for i in datum.vertices:
             k = j.threshold(i) - 2
             if all(j.threshold(v) <= k + 1 for v in datum.neighbours[i]):
-                j_ext = j.with_point(i, k)
+                j_ext = with_point(j, i, k)
                 validate_threshold_set(datum, j_ext)
                 assert set(truncate(datum, r, j_ext)) == \
                     set(extend_strings(datum, i, xs))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pmcrystal import crystal, truncation, weightring
+from pmcrystal import crystal, monomial, truncation, weightring
 from pmcrystal.cli import run
 from conftest import refuse_everywhere, replace_everywhere
 
@@ -134,4 +134,15 @@ def test_decompose_walks_without_the_graph(capsys, monkeypatch):
     cases = [name for name in CASES if name.startswith("decompose_")] + ["stable_coeffs"]
     assert len(cases) == 3
     for case in cases:
+        test_cli_output_matches_golden(capsys, case)
+
+
+def test_commands_run_no_monomial_closure(capsys, monkeypatch):
+    # decompose, graph and truncate discover their factors on packed keys:
+    # no Monomial closure, f_op, e_op or mono_mul runs, wherever bound
+    refuse_everywhere(monkeypatch, crystal, ("closure",))
+    refuse_everywhere(monkeypatch, monomial, ("f_op", "e_op", "mono_mul"))
+    cases = [name for name in CASES if name.startswith(("decompose_", "graph_", "truncate_"))]
+    assert len(cases) == 9
+    for case in cases + ["stable_coeffs"]:
         test_cli_output_matches_golden(capsys, case)

@@ -8,19 +8,25 @@ from pmcrystal.cartan import build_root_datum, w_add, w_scale, w_sub
 from pmcrystal.crystal import ClosureLimitError, highest_weights
 from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
-                               fold, fundamental_crystal, multiset,
-                               multiset_from_pairs, product_crystal, product_graph,
+                               fundamental_keys, multiset, multiset_from_pairs,
+                               product_codec, product_crystal, product_graph,
                                s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset, random_point
-from reference import (check_crystal_axioms, e_of, edge_triples, f_of, r_support,
-                       sort_key, validate_monomial)
+from reference import (check_crystal_axioms, e_of, edge_triples, f_of, fold_monomials,
+                       fundamental_crystal, r_support, sort_key, validate_monomial)
+
+
+def fundamental(datum, i, c, n):
+    """M(i,c)^n as the keys that the library discovers, in the codec of
+    R = {(i,c)^n}."""
+    return fundamental_keys(datum, product_codec(datum, multiset({(i, c): n})), i, c, n)
 
 
 def test_fundamental_sizes(a2, a3):
-    assert len(fundamental_crystal(a2, 1, 1, 1)) == 3
-    assert len(fundamental_crystal(a2, 1, 1, 0)) == 1
-    assert len(fundamental_crystal(a3, 2, 0, 1)) == 6  # |B(w2)| = C(4,2)
+    assert len(fundamental(a2, 1, 1, 1)) == 3
+    assert len(fundamental(a2, 1, 1, 0)) == 1
+    assert len(fundamental(a3, 2, 0, 1)) == 6  # |B(w2)| = C(4,2)
 
 
 def test_product_crystal_sl3_small_cases(a2):
@@ -120,14 +126,15 @@ def test_fold_keeps_products_that_differ_only_in_weight(gl3):
     # weight invariant; each product keeps its own weight
     a = make_monomial((1, 0, 0), {(1, 1): 1})
     c = make_monomial((1, 1, 0), {(2, 0): 1})
-    codec, keys = fold(gl3, [[a, Monomial(w_add(a.weight, gl3.det), a.exponents)], [c]])
+    codec, keys = fold_monomials(gl3, [[a, Monomial(w_add(a.weight, gl3.det), a.exponents)],
+                                       [c]])
     exponents = (((1, 1), 1), ((2, 0), 1))
     assert sorted(map(codec.decode, keys)) == [((2, 1, 0), exponents), ((3, 2, 1), exponents)]
 
 
 def test_fold_with_an_empty_factor_is_empty(a2):
     # an empty factor adds nothing to either bound, and leaves no product
-    codec, keys = fold(a2, [[y_monomial(a2, 1, 1)], []])
+    codec, keys = fold_monomials(a2, [[y_monomial(a2, 1, 1)], []])
     assert keys == set() and (codec.bound, codec.weight_bound) == (1, 1)
 
 
@@ -135,7 +142,8 @@ def test_fold_weight_digits_at_every_width(gl3):
     # no exponents: the weight alone sets the digit width, and k crosses
     # the widths of half = 4, 8, ..., 128
     for k in range(-69, 70):
-        codec, keys = fold(gl3, [[Monomial((k, k, k), ())], [Monomial((0, 0, 0), ())]])
+        codec, keys = fold_monomials(gl3, [[Monomial((k, k, k), ())],
+                                           [Monomial((0, 0, 0), ())]])
         assert [codec.decode(key) for key in keys] == [((k, k, k), ())]
 
 
@@ -466,12 +474,12 @@ def test_multiset_json(a3):
 def test_fundamental_sizes_exceptional_types():
     # dimension checks across the supported kinds: D_4, D_5 and E_6 vectors
     d4 = build_root_datum("D", 4)
-    assert len(fundamental_crystal(d4, 1, d4.parity[1], 1)) == 8
+    assert len(fundamental(d4, 1, d4.parity[1], 1)) == 8
     d5 = build_root_datum("D", 5)
-    assert len(fundamental_crystal(d5, 1, d5.parity[1], 1)) == 10
+    assert len(fundamental(d5, 1, d5.parity[1], 1)) == 10
     e6 = build_root_datum("E6", 6)
-    assert len(fundamental_crystal(e6, 1, e6.parity[1], 1)) == 27
-    assert len(fundamental_crystal(e6, 1, e6.parity[1], 1)) == \
+    assert len(fundamental(e6, 1, e6.parity[1], 1)) == 27
+    assert len(fundamental(e6, 1, e6.parity[1], 1)) == \
         e6.weyl_dimension(e6.fundamentals[1])
 
 
@@ -528,20 +536,20 @@ def test_fundamental_crystal_size_is_weyl_dimension():
             if dim > 3000:   # redrawn, to keep the closures small
                 continue
             c = datum.parity[i] + 2 * rng.randint(-2, 2)
-            assert len(fundamental_crystal(datum, i, c, n)) == dim
+            assert len(fundamental(datum, i, c, n)) == dim
             done += 1
 
 
 def test_oversized_fundamental_crystal_is_refused_before_its_closure(a2, monkeypatch):
     from pmcrystal import limits, product
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 10)
-    assert len(fundamental_crystal(a2, 1, 1, 3)) == 10   # at the limit
+    assert len(fundamental(a2, 1, 1, 3)) == 10   # at the limit
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 9)
-    assert len(fundamental_crystal(a2, 1, 1, 2)) == 6
-    monkeypatch.setattr(product, "closure", lambda *args: pytest.fail("closure ran"))
+    assert len(fundamental(a2, 1, 1, 2)) == 6
+    monkeypatch.setattr(product, "discover", lambda *args: pytest.fail("discovery ran"))
     with pytest.raises(ClosureLimitError) as err:
-        fundamental_crystal(a2, 1, 1, 3)   # dim V(3 w_1) = 10
+        fundamental(a2, 1, 1, 3)   # dim V(3 w_1) = 10
     assert (err.value.stage, err.value.limit, err.value.reached) == ("crystal.closure", 9, 10)
     assert str(err.value) == "closure exceeded limit 9"
     with pytest.raises(ValueError, match="parity"):   # the point is checked first
-        fundamental_crystal(a2, 1, 2, 3)
+        fundamental(a2, 1, 2, 3)

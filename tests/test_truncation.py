@@ -19,7 +19,7 @@ from pmcrystal.weightring import GroupAlgebraElement, demazure_pi, e, weyl_decom
 from conftest import random_multiset, refuse_everywhere
 from reference import (TensorElement, boundary, character_of_set, e_of, extend_strings,
                        highest_weight_monomial, key_decompose, mono_div, r_support,
-                       replay_plan, string_property, wt_of)
+                       replay_plan, string_property, with_point, wt_of)
 
 
 def test_up_closure_examples(a3):
@@ -215,7 +215,7 @@ def test_extension_lemma_random():
             for i in datum.vertices:
                 k = j.threshold(i) - 2
                 if all(j.threshold(v) <= k + 1 for v in datum.neighbours[i]):
-                    j_bigger = j.with_point(i, k)
+                    j_bigger = with_point(j, i, k)
                     validate_threshold_set(datum, j_bigger)
                     lhs = set(truncate(datum, r, j_bigger))
                     rhs = set(extend_strings(datum, i, truncate(datum, r, j)))
@@ -322,7 +322,7 @@ def ref_plan_steps(datum, r, j_target=None):
     mult = dict(r.points)
     steps = []
     for (i, k) in sorted(window, key=lambda pt: (-pt[1], pt[0])):
-        cur = cur.with_point(i, k)
+        cur = with_point(cur, i, k)
         validate_threshold_set(datum, cur)
         steps.append(("extend", (i, k)))
         m = mult.get((i, k))
@@ -413,7 +413,7 @@ def test_every_plan_prefix_is_upward_closed(case):
     validate_threshold_set(datum, cur)
     for kind, payload in plan.steps:
         if kind == "extend":
-            cur = cur.with_point(*payload)
+            cur = with_point(cur, *payload)
             validate_threshold_set(datum, cur)
     assert cur == (j or up_closure(datum, r.support()))
 
