@@ -93,6 +93,9 @@ def _parse_truncation(datum, text):
             thresholds[col - 1] = strict_int(val)
         j = ThresholdSet(tuple(thresholds))
         validate_threshold_set(datum, j)
+        for key in data:
+            if key != "thresholds":
+                raise ValueError(f"unknown key {key!r}: the only key is 'thresholds'")
         return j
     except (ValueError, TypeError, KeyError, AttributeError) as err:
         raise ValidationError(f"bad truncation {text!r}: {err}") from err

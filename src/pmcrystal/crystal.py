@@ -6,16 +6,16 @@ end by (weight, exponents), so that element order, edge order and DOT
 output are reproducible run to run; no command runs it (the tests' oracle
 and the benchmark's tracer keep it).  ``graph_over`` is the other builder:
 one pass over the packed keys of a product crystal (see
-``monomial.MonomialCodec``), as ``product.fold`` makes them.  It looks up
-every f_i(x) in the set and checks closure under e by counting, with no
-lookup per e-edge.  ``walk`` is that pass with no graph: it checks the
-same closure and returns only the keys every e_i kills, with nothing
-decoded, ordered or placed; ``discover`` is that pass adding every f_i(x)
-it misses, from one highest-weight key.  All three take each column's
-step from ``_step``.  Only the builders map elements to positions; an
-f-edge is a triple of positions.  Every graph records its
-highest-weight elements, those that every e_i kills (eps_i = 0 for
-``graph_over``), from what was computed while it was built.  Both
+``monomial.MonomialCodec``), as ``product.fold`` makes them, in the
+codec's datum.  It looks up every f_i(x) in the set and checks closure
+under e by counting, with no lookup per e-edge.  ``walk`` is that pass
+with no graph: it checks the same closure and returns only the keys every
+e_i kills, with nothing decoded, ordered or placed; ``discover`` is that
+pass adding every f_i(x) it misses, from one highest-weight key.  All
+three take each column's step from ``_step``.  Only the builders map
+elements to positions; an f-edge is a triple of positions.  Every graph
+records its highest-weight elements, those that every e_i kills (eps_i = 0
+for ``graph_over``), from what was computed while it was built.  Both
 ``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
 ``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each from
 fragments memoised per call, one per weight and exponent.
@@ -109,7 +109,7 @@ def _step(codec: MonomialCodec, i: int, col: int) -> tuple:
             eps, (phi > 0) - (eps > 0))
 
 
-def discover(datum: RootDatum, seed: int, codec: MonomialCodec, bound: int) -> list:
+def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
     """The keys reached from the highest-weight key ``seed`` by f-steps,
     breadth first; AssertionError when a step leaves the window, when a
     column value has an |exponent| above ``bound`` (checked once per value,
@@ -141,7 +141,7 @@ def discover(datum: RootDatum, seed: int, codec: MonomialCodec, bound: int) -> l
     return found
 
 
-def walk(datum: RootDatum, keys: set, codec: MonomialCodec) -> list:
+def walk(keys: set, codec: MonomialCodec) -> list:
     """The keys of the set ``keys`` that every e_i kills, after checking
     that the set is closed under every f_i and e_i: the pass of
     ``graph_over`` with no decoding, ordering or edges.  Every f_i(x) is
@@ -174,17 +174,17 @@ def walk(datum: RootDatum, keys: set, codec: MonomialCodec) -> list:
     return highest
 
 
-def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
-    """The crystal graph on an e/f-closed set of products, given as
-    ``codec``'s keys: one pass in which column i of a key is one shift and
-    mask away, and f_i adds a delta memoised per (i, column) for this
-    call (``_step``).  Every f_i(x) is computed once and looked up in the
-    set; ValueError when one is missing.  Closure under e is checked by
-    counting: in an f-closed set, f_i maps the elements with phi_i > 0
-    injectively into those with eps_i > 0, because e_i f_i = id and
-    eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed exactly when the
-    two counts agree for every i; ValueError after the pass when they do
-    not.  ``walk`` is this pass without the graph."""
+def graph_over(keys, codec: MonomialCodec) -> CrystalGraph:
+    """The crystal graph over ``codec.datum`` on an e/f-closed set of
+    products, given as ``codec``'s keys: one pass in which column i of a
+    key is one shift and mask away, and f_i adds a delta memoised per (i,
+    column) for this call (``_step``).  Every f_i(x) is computed once and
+    looked up in the set; ValueError when one is missing.  Closure under e
+    is checked by counting: in an f-closed set, f_i maps the elements with
+    phi_i > 0 injectively into those with eps_i > 0, because e_i f_i = id
+    and eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed exactly when
+    the two counts agree for every i; ValueError after the pass when they
+    do not.  ``walk`` is this pass without the graph."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: k for k, (_, _, key) in enumerate(rows)}
@@ -216,7 +216,7 @@ def graph_over(datum: RootDatum, keys, codec: MonomialCodec) -> CrystalGraph:
             highest.append(elems[k])
     if any(excess):
         raise ValueError("element set is not closed under e")
-    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
+    return CrystalGraph(codec.datum, elems, tuple(edges), tuple(highest))
 
 
 def highest_weights(graph: CrystalGraph) -> tuple:

@@ -27,25 +27,22 @@ and f_i/e_i add a fixed integer delta.  Its invariants:
   shift and one mask away.  A delta changes each point it touches by +-1,
   so one that touches a point outside the window leaves the encoded set;
   ``crystal.discover`` raises AssertionError if a factor's step does.
-* Digit width.  Every encoded exponent has |e| <= bound, and f_i/e_i
-  change each exponent by at most 1, so every exponent the codec ever
-  meets has |e| <= bound + 1.  A digit stores e + H with H a power of two
-  at least bound + 2, in width log2(2H) bits; the stored value stays in
-  [1, 2H - 1], so no sum or delta carries across a digit boundary, and
-  the exponents of a key are its digits minus H.  The bound is sum n a_i
-  over the points (i, c) of R, a_i the coefficient of alpha_i in the
-  highest root theta; ``crystal.discover`` checks |e| <= n a_i at run
-  time, once per column value.
-* Weight digits.  Above the columns sit lattice_rank more digits of the
-  same width, coordinate 1 most significant, each a weight coordinate plus
-  H: weights add under products as exponents do, and z_{i,k}^power adds
-  power * alpha_i, so a key determines its monomial whatever the factors
-  are.  The weight bound is sum n a_i too, with no check: a weight of
-  V(n w_i) lies in the hull of the W-orbit of n w_i, and |<alpha_j^vee,
-  u n w_i>| = |<beta^vee, n w_i>| <= <theta^vee, n w_i> = n a_i, beta =
-  +-u^-1 alpha_j positive (a GL coordinate lies in [0, n]).  A z-step
-  moves a coordinate by at most 2, so with H also at least weight bound +
-  3 no key formed by ``crystal.graph_over`` carries across a digit.
+* Digits.  Above the columns sit lattice_rank more digits, coordinate 1
+  most significant, one per weight coordinate: weights add under products
+  as exponents do, and z_{i,k}^power adds power * alpha_i, so a key
+  determines its monomial whatever the factors are.  Every encoded exponent
+  and weight coordinate e has |e| <= bound, the one bound sum n a_i over
+  the points (i, c) of R, a_i the coefficient of alpha_i in the highest
+  root theta.  A z-step moves an exponent by at most 1 and a weight
+  coordinate by at most 2, so a digit stores e + H with H the least power
+  of two at least bound + 3, in width log2(2H) bits; the stored value stays
+  in [1, 2H - 1], no sum or delta carries across a digit boundary, and a
+  key's exponents and weight are its digits minus H.  The weight half of
+  the bound is proven: a weight of V(n w_i) lies in the hull of the
+  W-orbit of n w_i, and |<alpha_j^vee, u n w_i>| = |<beta^vee, n w_i>| <=
+  <theta^vee, n w_i> = n a_i, beta = +-u^-1 alpha_j positive (a GL
+  coordinate lies in [0, n]).  The exponent half is checked:
+  ``crystal.discover`` asserts |e| <= n a_i once per column value.
 """
 
 from __future__ import annotations
@@ -248,17 +245,16 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
 
 class MonomialCodec:
     """Packs monomials into integers, one digit per point of ``window``,
-    each |exponent| at most ``bound`` and |weight coordinate| at most
-    ``weight_bound`` (see the module docstring for the layout and its
-    invariants).  Decoded columns, weights and z-deltas are memoised on the
-    codec, which is meant to live for one computation.
+    each |exponent| and |weight coordinate| at most ``bound`` (see the
+    module docstring for the layout and its invariants).  Decoded columns,
+    weights and z-deltas are memoised on the codec, which is meant to live
+    for one computation.
     """
 
-    def __init__(self, datum: RootDatum, window, bound: int, weight_bound: int):
-        self.datum, self.bound, self.weight_bound = datum, bound, weight_bound
-        least = max(bound + 1, weight_bound + 2)
-        self.half = 1 << least.bit_length()  # at least bound + 2 and weight_bound + 3
-        self.width = width = least.bit_length() + 1
+    def __init__(self, datum: RootDatum, window, bound: int):
+        self.datum, self.bound = datum, bound
+        self.width = width = (bound + 2).bit_length() + 1
+        self.half = 1 << width - 1  # the least power of two at least bound + 3
         cs: dict[int, set[int]] = {}
         for i, c in window:
             cs.setdefault(i, set()).add(c)
@@ -288,13 +284,10 @@ class MonomialCodec:
     def offset(self, p: Monomial) -> int:
         """The exponents and the weight of p as a signed sum of digits (no
         bias): key(p * q) = key(p) + offset(q)."""
-        if max(map(abs, p.weight)) > self.weight_bound:
-            raise ValueError(f"weight {p.weight} exceeds the codec weight bound "
-                             f"{self.weight_bound}")
+        if max(map(abs, (*p.weight, *(ex for _, ex in p.exponents)))) > self.bound:
+            raise ValueError(f"{p} exceeds the codec bound {self.bound}")
         out = self._pack_weight(p.weight)
         for pt, ex in p.exponents:
-            if abs(ex) > self.bound:
-                raise ValueError(f"exponent {ex} at {pt} exceeds the codec bound {self.bound}")
             shift = self.shift.get(pt)
             if shift is None:
                 raise ValueError(f"point {pt} lies outside the codec window")

@@ -141,7 +141,7 @@ def product_codec(datum: RootDatum, r: PointMultiset) -> MonomialCodec:
     """The codec of M(R), from R alone (see the ``monomial`` module
     docstring): the window is the union over the points (i, c) of R of the
     (j, l) with c - h + d(i*, j) <= l <= c - d(i, j), h the Coxeter number,
-    and both bounds are sum n a_i, n the multiplicity of (i, c) and a_i the
+    and the bound is sum n a_i, n the multiplicity of (i, c) and a_i the
     coefficient of alpha_i in the highest root, the last positive root."""
     window: set[LatticePoint] = set()
     bound = 0
@@ -157,22 +157,22 @@ def product_codec(datum: RootDatum, r: PointMultiset) -> MonomialCodec:
         window.update((j, l) for j in datum.vertices for l in range(
             c - h + datum.dist[dual[i], j], c - datum.dist[i, j] + 1, 2))
         bound += n * datum.positive_roots[-1][0][i - 1]
-    return MonomialCodec(datum, window, bound, bound)
+    return MonomialCodec(datum, window, bound)
 
 
-def fundamental_keys(datum: RootDatum, codec: MonomialCodec, i: int, c: int,
-                     n: int) -> list[int]:
+def fundamental_keys(codec: MonomialCodec, i: int, c: int, n: int) -> list[int]:
     """M(i,c)^n, a copy of B(n w_i), as ``codec``'s keys, discovered from
     y_{i,c}^n with every |exponent| at most n a_i.  Past
     ``limits.MAX_ELEMENTS`` elements it raises ClosureLimitError at stage
     ``crystal.closure`` first, ``reached`` being the exact dim V(n w_i)."""
+    datum = codec.datum
     seed = codec.zero + codec.offset(y_monomial(datum, i, c, n))  # checks the point
     limit = limits.MAX_ELEMENTS
     size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
     if size > limit:
         raise ClosureLimitError("crystal.closure", limit, size,
                                 f"closure exceeded limit {limit}")
-    return discover(datum, seed, codec, n * datum.positive_roots[-1][0][i - 1])
+    return discover(seed, codec, n * datum.positive_roots[-1][0][i - 1])
 
 
 def fold(codec: MonomialCodec, factors) -> set[int]:
@@ -212,8 +212,7 @@ def _folded(datum: RootDatum, r: PointMultiset) -> tuple[MonomialCodec, set[int]
     """The codec of M(R) and the ``fold`` of its fundamental subcrystals."""
     validate_points(datum, r)
     codec = product_codec(datum, r)
-    return codec, fold(codec, [fundamental_keys(datum, codec, i, c, m)
-                               for (i, c), m in r.points])
+    return codec, fold(codec, [fundamental_keys(codec, i, c, m) for (i, c), m in r.points])
 
 
 def product_crystal(datum: RootDatum, r: PointMultiset) -> ProductCrystal:
@@ -223,7 +222,7 @@ def product_crystal(datum: RootDatum, r: PointMultiset) -> ProductCrystal:
     ``product_graph`` is M(R) with its crystal graph."""
     codec, keys = _folded(datum, r)
     # raises if the product set is not closed
-    highest = sorted(map(codec.decode, walk(datum, keys, codec)))  # in element order
+    highest = sorted(map(codec.decode, walk(keys, codec)))  # in element order
     return ProductCrystal(datum, codec, keys,
                           tuple(Monomial(weight, exponents) for weight, exponents in highest))
 
@@ -234,7 +233,7 @@ def product_graph(datum: RootDatum, r: PointMultiset) -> CrystalGraph:
     asserts closure under every e_i/f_i."""
     codec, keys = _folded(datum, r)
     # raises if the product set is not closed
-    return graph_over(datum, keys, codec)
+    return graph_over(keys, codec)
 
 
 def expand_label(datum: RootDatum, r: PointMultiset, s: PointMultiset) -> Monomial:

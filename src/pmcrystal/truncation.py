@@ -130,7 +130,7 @@ def truncate(datum: RootDatum, r: PointMultiset,
     outside = sum(((1 << codec.width) - 1) << shift
                   for (i, c), shift in codec.shift.items() if not j.contains(i, c))
     bias = codec.zero & outside
-    factors = [[key for key in fundamental_keys(datum, codec, i, c, m) if key & outside == bias]
+    factors = [[key for key in fundamental_keys(codec, i, c, m) if key & outside == bias]
                for (i, c), m in r.points]
     return tuple(Monomial(*row) for row in sorted(map(codec.decode, fold(codec, factors))))
 

@@ -141,16 +141,15 @@ def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGrap
 
 def codec_of(datum: RootDatum, factors) -> MonomialCodec:
     """The codec of the products of the monomial sets ``factors``: its
-    window is the union of their supports, its bound and weight bound the
-    sums over the factors of their largest |exponent| and their largest
+    window is the union of their supports, its bound the larger of the sums
+    over the factors of their largest |exponent| and of their largest
     |weight coordinate|."""
     window = {pt for f in factors for p in f for pt, _ in p.exponents}
     for i, c in window:
         require_lattice_point(datum, i, c)
-    return MonomialCodec(
-        datum, window,
+    return MonomialCodec(datum, window, max(
         sum(max((abs(ex) for p in f for _, ex in p.exponents), default=0) for f in factors),
-        sum(max((abs(w) for p in f for w in p.weight), default=0) for f in factors))
+        sum(max((abs(w) for p in f for w in p.weight), default=0) for f in factors)))
 
 
 def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:

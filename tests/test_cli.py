@@ -12,7 +12,8 @@ import pytest
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.limits import MAX_RANK
 from pmcrystal.cli import run
-from pmcrystal.truncation import up_closure
+from pmcrystal.product import multiset_from_pairs
+from pmcrystal.truncation import truncate, up_closure
 from conftest import random_multiset
 from reference import diagram_of_sequence
 
@@ -318,6 +319,20 @@ def test_truncation_column_given_twice_exits_2(capsys, command, other):
     diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
     assert diagnostic.endswith("key '1' is given twice" if other == "1" else
                                f"column 1 is given twice, as '1' and {other!r}")
+
+
+@pytest.mark.parametrize("command", ["truncate", "character", "plan"])
+def test_truncation_key_other_than_thresholds_exits_2(capsys, command):
+    # a key beside "thresholds" was once ignored, and the run exited 0
+    base = ["--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]"]
+    assert run([command, *base, "--truncation", '{"thresholds": {"1": 1, "2": 2}}']) == 0
+    capsys.readouterr()
+    for key, text in [("extra", '{"thresholds": {"1": 1, "2": 2}, "extra": 1}'),
+                      ("Thresholds", '{"Thresholds": {}, "thresholds": {"1": 1, "2": 2}}'),
+                      ("", '{"thresholds": {"1": 1, "2": 2}, "": null}')]:
+        assert run([command, *base, "--truncation", text]) == 2
+        diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostic.endswith(f"unknown key {key!r}: the only key is 'thresholds'")
 
 
 GL4_R = "[[1,3,1],[3,1,1],[3,3,1]]"
@@ -724,6 +739,37 @@ def test_oversized_fundamental_crystal_exits_3_at_once(capsys, argv, reached):
     assert data["diagnostics"] == ["closure exceeded limit 1000000",
                                    {"limit": 1000000, "reached": reached,
                                     "stage": "crystal.closure"}]
+
+
+@pytest.mark.parametrize("stage", ["crystal.closure", "product.fold"])
+@pytest.mark.parametrize("command", [["graph"], ["graph", "--format", "dot"],
+                                     ["truncate", "--truncation",
+                                      '{"thresholds": {"1": -9, "2": -10, "3": -9}}']])
+def test_every_error_comes_before_the_first_byte(capsys, monkeypatch, command, stage):
+    # a limit met while a factor is discovered, or while the factors are
+    # folded, leaves stdout one JSON error envelope and nothing else: no
+    # DOT text, no part of the graph or of the elements before it
+    from pmcrystal import limits
+    from pmcrystal.product import product_graph
+    R = "[[1,3,1],[3,1,1],[3,3,1]]"
+    datum = build_root_datum("A", 3)
+    r = multiset_from_pairs(json.loads(R))
+    largest = max(datum.weyl_dimension(datum.fundamentals[i]) for (i, _), _ in r.points)
+    assert largest < len(product_graph(datum, r))
+    argv = [command[0], "--cartan", "A", "--rank", "3", "--R", R, *command[1:]]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out) > 1000
+    if command[0] == "truncate":  # J holds the window, so M(R, J) is M(R)
+        assert truncate(datum, r, up_closure(datum, [(1, -9), (2, -10), (3, -9)])) \
+            == product_graph(datum, r).elements
+    monkeypatch.setattr(limits, "MAX_ELEMENTS", largest - (stage == "crystal.closure"))
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)  # the whole of stdout is one JSON value
+    assert captured.out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert "digraph" not in captured.out and not captured.err
+    assert data["status"] == "limit-exceeded" and data["result"] is None
+    assert data["diagnostics"][-1]["stage"] == stage
 
 
 @pytest.mark.parametrize("oracle", ["specht_decompose_bruteforce", "lr_skew_expand"])

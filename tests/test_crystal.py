@@ -60,9 +60,9 @@ def test_graph_over_rejects_sets_not_closed(a2):
         codec = codec_of(a2, [tuple(elements)])
         keys = {codec.zero + codec.offset(p) for p in elements}
         with pytest.raises(ValueError, match=f"not closed under {op}"):
-            graph_over(a2, keys, codec)
+            graph_over(keys, codec)
         with pytest.raises(ValueError, match=f"not closed under {op}"):
-            walk(a2, keys, codec)
+            walk(keys, codec)
 
 
 def drop_one(datum, graph, gone):
@@ -75,7 +75,7 @@ def drop_one(datum, graph, gone):
     elements = graph.elements
     codec = codec_of(datum, [elements])
     keys = [codec.zero + codec.offset(p) for p in elements]
-    assert_same_graph(graph_over(datum, keys, codec), graph)
+    assert_same_graph(graph_over(keys, codec), graph)
     assert walked(datum, set(keys), codec) == graph.highest
     k = elements.index(gone)
     rest = keys[:k] + keys[k + 1:]
@@ -84,22 +84,22 @@ def drop_one(datum, graph, gone):
     elif any(source == k for source, _, _ in graph.f_edges):
         op = "e"
     else:
-        got = graph_over(datum, rest, codec)
+        got = graph_over(rest, codec)
         assert got.elements == elements[:k] + elements[k + 1:]
         assert got.f_edges == tuple((s - (s > k), i, t - (t > k)) for s, i, t in graph.f_edges)
         assert got.highest == tuple(x for x in graph.highest if x != gone)
         assert walked(datum, set(rest), codec) == got.highest
         return None
     with pytest.raises(ValueError, match=f"not closed under {op}"):
-        graph_over(datum, rest, codec)
+        graph_over(rest, codec)
     with pytest.raises(ValueError, match=f"not closed under {op}"):
-        walk(datum, set(rest), codec)
+        walk(set(rest), codec)
     return op
 
 
 def walked(datum, keys, codec):
     """The highest keys that walk finds, decoded, in element order."""
-    return tuple(Monomial(*row) for row in sorted(map(codec.decode, walk(datum, keys, codec))))
+    return tuple(Monomial(*row) for row in sorted(map(codec.decode, walk(keys, codec))))
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("GL", 3)])

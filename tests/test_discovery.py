@@ -10,7 +10,7 @@ import pytest
 from pmcrystal import crystal, monomial, product
 from pmcrystal.cartan import build_root_datum, w_scale
 from pmcrystal.crystal import closure, graph_over
-from pmcrystal.monomial import MonomialCodec, y_monomial
+from pmcrystal.monomial import MonomialCodec, make_monomial, y_monomial
 from pmcrystal.product import (decompose, fundamental_keys, multiset, product_codec,
                                product_crystal, product_graph)
 from pmcrystal.truncation import truncate, up_closure
@@ -51,9 +51,9 @@ def test_discovery_matches_the_closure(kind, rank):
     for i, n, dim in small_fundamentals(datum):
         c = datum.parity[i] + 2 * rng.randint(-4, 4)
         codec = product_codec(datum, multiset({(i, c): n}))
-        keys = fundamental_keys(datum, codec, i, c, n)
+        keys = fundamental_keys(codec, i, c, n)
         assert len(keys) == len(set(keys)) == dim
-        got = graph_over(datum, keys, codec)
+        got = graph_over(keys, codec)
         want = closure(datum, [y_monomial(datum, i, c, n)])
         assert got.elements == want.elements
         assert got.f_edges == want.f_edges
@@ -72,7 +72,7 @@ def test_discovery_matches_the_closure(kind, rank):
         most = n * theta[i - 1]
         assert max(abs(ex) for x in got.elements for _, ex in x.exponents) == most
         assert max(abs(w) for x in got.elements for w in x.weight) == most
-        assert codec.bound == codec.weight_bound == most
+        assert codec.bound == most
         assert 1 << codec.width == 2 * codec.half
         assert codec.width == codec_of(datum, [want.elements]).width
 
@@ -87,7 +87,34 @@ def test_window_is_the_union_of_the_factor_windows():
         codec = product_codec(datum, r)
         parts = [product_codec(datum, multiset({pt: m})) for pt, m in r.points]
         assert set(codec.shift) == set().union(*(set(p.shift) for p in parts))
-        assert codec.bound == codec.weight_bound == sum(p.bound for p in parts)
+        assert codec.bound == sum(p.bound for p in parts)
+
+
+@pytest.mark.parametrize("kind,rank", DATA)
+def test_one_bound_keeps_the_digits_of_two_equal_bounds(kind, rank):
+    # product_codec on seeded R: half is the least power of two at least
+    # bound + 3 and the width one bit more, the digits that two equal
+    # bounds gave; offset takes a weight coordinate and an exponent on the
+    # bound, of either sign, and refuses each one past it
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"one bound:{kind}{rank}")
+    for _ in range(6):
+        r = random_multiset(rng, datum, max_points=4, max_mult=3, cap=10**9)
+        codec = product_codec(datum, r)
+        bound = codec.bound
+        assert codec.half == 1 << (bound + 2).bit_length()
+        assert codec.width == (bound + 2).bit_length() + 1
+        (pt, _), j = rng.choice(r.points), rng.randrange(datum.lattice_rank)
+        for sign in (1, -1):
+            weight = [0] * datum.lattice_rank
+            weight[j] = sign * bound
+            p = make_monomial(weight, {pt: sign * bound})
+            assert codec.decode(codec.zero + codec.offset(p)) == (p.weight, p.exponents)
+            with pytest.raises(ValueError, match="exceeds the codec bound"):
+                codec.offset(make_monomial(weight, {pt: sign * (bound + 1)}))
+            weight[j] = sign * (bound + 1)
+            with pytest.raises(ValueError, match="exceeds the codec bound"):
+                codec.offset(make_monomial(weight, {pt: sign * bound}))
 
 
 def test_empty_vertex_set_and_empty_r():
@@ -96,7 +123,7 @@ def test_empty_vertex_set_and_empty_r():
         datum = build_root_datum(kind, rank)
         empty = multiset({})
         codec = product_codec(datum, empty)
-        assert codec.shift == {} and codec.bound == codec.weight_bound == 0
+        assert codec.shift == {} and codec.bound == 0
         one = monomial.one(datum)
         assert decompose(datum, empty) == {datum.zero: 1}
         assert product_graph(datum, empty).elements == (one,)
@@ -114,7 +141,7 @@ def test_a_narrower_window_raises(monkeypatch):
     def narrower(datum, r):
         codec = real(datum, r)
         window = set(codec.shift) - {min(codec.shift, key=lambda pt: pt[1])}
-        return MonomialCodec(datum, window, codec.bound, codec.weight_bound)
+        return MonomialCodec(datum, window, codec.bound)
 
     replace_everywhere(monkeypatch, product, "product_codec", narrower)
     for build in (product_crystal, product_graph):
@@ -134,9 +161,9 @@ def test_a_smaller_bound_raises(monkeypatch):
     seen = []
     real = crystal.discover
 
-    def tighter(datum, seed, codec, bound):
+    def tighter(seed, codec, bound):
         seen.append(bound)
-        return real(datum, seed, codec, bound - 1)
+        return real(seed, codec, bound - 1)
 
     replace_everywhere(monkeypatch, crystal, "discover", tighter)
     with pytest.raises(AssertionError, match="passes the bound 1"):
@@ -154,7 +181,7 @@ def test_commands_match_a_fold_of_closures(kind, rank):
         r = random_multiset(rng, datum, max_points=3, cap=3000)
         codec, keys = fold_monomials(datum, [fundamental_crystal(datum, i, c, m).elements
                                              for (i, c), m in r.points])
-        want = graph_over(datum, keys, codec)
+        want = graph_over(keys, codec)
         got = product_graph(datum, r)
         assert got.elements == want.elements
         assert got.f_edges == want.f_edges and got.highest == want.highest

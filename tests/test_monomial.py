@@ -147,23 +147,24 @@ def test_monomial_is_an_immutable_two_slot_value():
 
 
 def test_codec_digits_hold_every_exponent(a2):
-    # a digit stores e + half for |e| <= bound + 1, and a weight coordinate
-    # w + half for |w| <= weight_bound + 2, inside its width: half is at
-    # least bound + 2 and weight_bound + 3, and 2 * half fits the width
+    # one bound for exponents and weight coordinates: a digit stores e +
+    # half for |e| <= bound + 2 (a z-step moves an exponent by 1 and a
+    # weight coordinate by 2), inside its width: half is the least power of
+    # two at least bound + 3, and 2 * half is 2^width; codec_of takes the
+    # larger of its two sums, so each seed puts the bound on either side
     for bound in range(65):
-        for seed, bounds in [(make_monomial((bound, 0), {(1, 1): bound}), (bound, bound)),
-                             (make_monomial((0, 0), {(1, 1): bound}), (bound, 0)),
-                             (make_monomial((0, -bound), {}), (0, bound))]:
+        for seed in [make_monomial((bound, 0), {(1, 1): -bound}),
+                     make_monomial((0, 0), {(1, 1): bound}),
+                     make_monomial((0, -bound), {})]:
             codec = codec_of(a2, [(seed,)])
-            assert (codec.bound, codec.weight_bound) == bounds
-            # the least power of two that holds both
-            assert codec.half >= max(codec.bound + 2, codec.weight_bound + 3) > codec.half // 2
-            assert 2 * codec.half <= 1 << codec.width
+            assert codec.bound == bound
+            assert codec.half >= bound + 3 > codec.half // 2
+            assert 2 * codec.half == 1 << codec.width
             assert codec.decode(codec.zero + codec.offset(seed)) == (seed.weight, seed.exponents)
         with pytest.raises(ValueError, match="exceeds the codec bound"):
-            codec.offset(make_monomial((0, 0), {(1, 1): 1}))
-        with pytest.raises(ValueError, match="exceeds the codec weight bound"):
-            codec.offset(make_monomial((0, bound + 1), {}))
+            codec.offset(make_monomial((0, 0), {(1, 1): bound + 1}))
+        with pytest.raises(ValueError, match="exceeds the codec bound"):
+            codec.offset(make_monomial((0, -bound - 1), {}))
 
 
 def test_codec_weight_digits_sit_above_the_columns(gl3):
@@ -179,7 +180,7 @@ def test_codec_weight_digits_sit_above_the_columns(gl3):
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("D", 4), ("GL", 3)])
 def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
-    # p is no closure: its weight sits on the weight bound in every
+    # p is no closure: its weight sits on the codec bound in every
     # coordinate, and f_i p, e_i p move one coordinate 2 past it (1 for GL),
     # for bounds on both sides of every power of two up to 32; each step,
     # formed as a key plus a z-delta, decodes to f_op / e_op
@@ -193,7 +194,7 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
                                   {(i, c): -1, (i, c + 2): 1})
                 window = make_monomial(datum.zero, {(j, c + 1): 1 for j in datum.neighbours[i]})
                 codec = codec_of(datum, [(p, window)])
-                assert codec.weight_bound == bound
+                assert codec.bound == bound
                 key = codec.zero + codec.offset(p)
                 for step, power in ((f_op, -1), (e_op, 1)):
                     want = step(datum, p, i)

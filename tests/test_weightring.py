@@ -986,6 +986,18 @@ def test_term_limit(monkeypatch, a2):
     assert len(demazure_pi(a2, 1, e((4, 0))).terms) == 5
 
 
+def test_term_limit_counts_strings_of_one_term(monkeypatch, a2):
+    # a term of pairing 0 is a string of its own, one term of the image:
+    # pi_1(e^0 + e^(1,0)) = e^0 + e^(1,0) + e^(-1,1), and the count that
+    # the limit reads holds all three
+    f = e((0, 0)) + e((1, 0))
+    assert demazure_pi(a2, 1, f) == f + e((-1, 1))
+    monkeypatch.setattr(limits, "MAX_TERMS", 2)
+    with pytest.raises(LimitExceeded) as err:
+        demazure_pi(a2, 1, f)
+    assert (err.value.limit, err.value.reached) == (2, 3)
+
+
 def test_term_limit_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(limits, "MAX_TERMS", 10)
     argv = ["character", "--cartan", "D", "--rank", "4", "--R", "[[1,0,1],[3,0,1]]"]
@@ -1015,6 +1027,22 @@ def test_long_string_is_refused_before_it_is_written(capsys, kind, rank):
     assert data["status"] == "limit-exceeded"
     assert data["diagnostics"][1] == {"stage": "weightring.demazure_pi",
                                       "limit": limits.MAX_TERMS, "reached": 30_000_001}
+
+
+def test_freudenthal_refuses_a_quotient_that_is_no_positive_integer(monkeypatch):
+    # the formula's quotient at 0 in the adjoint A2 module is 2 * 6 / 6;
+    # with 2 alpha_1 read as dominant (1,1) its alpha_1 string holds one
+    # more term, and the quotient is 20/6, and with every string ended at
+    # once the sum is 0: each is refused, at 0 in V(1,1)
+    real = weightring._dominant_key
+    top, doubled = weightring._encode((1, 1)), weightring._encode((4, -2))
+    for wrong, quotient in [(lambda key: (top, 0) if key == doubled else None, "20/6"),
+                            (lambda key: (0, 0), "0/6")]:
+        datum = RootDatum("A", 2)   # not the shared instance: a fresh memo
+        monkeypatch.setattr(weightring, "_dominant_key",
+                            lambda datum, key, *rest: wrong(key) or real(datum, key, *rest))
+        with pytest.raises(AssertionError, match=rf"gives {quotient} at \(0, 0\) in V\(1,1\)$"):
+            weightring._freudenthal(datum, (1, 1), 10)
 
 
 def test_dominant_memo_is_cleared_when_full(monkeypatch):
