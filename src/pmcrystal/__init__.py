@@ -8,7 +8,7 @@ from .product import (PointMultiset, ProductCrystal, decompose, fundamental_keys
                       multiset, multiset_from_pairs, product_codec, product_crystal,
                       product_graph, s_label)
 from .truncation import (BuildPlan, ThresholdSet, build_plan, char_by_plan,
-                         down_closure, full_character, truncate, up_closure)
+                         full_character, truncate, up_closure)
 from .typea import (flagged_schur_char, lr_skew_expand, restrict_coeffs,
                     skew_normalise, specht_decompose_bruteforce, stable_bound,
                     stable_coeffs)

@@ -66,6 +66,10 @@ def _edge_list(kind: str, rank: int) -> list[tuple[int, int]]:
 class RootDatum:
     """A based root datum with its structure precomputed at construction.
 
+    ``rank`` is the length of every weight, for every kind: the number of
+    Dynkin vertices for A, D and E, and n for GL_n, whose diagram has the
+    n - 1 ``vertices`` of A_{n-1}.
+
     Instances are shared via the bounded lru_cache on
     :func:`build_root_datum`; a datum holds no cache.
     """
@@ -86,10 +90,7 @@ class RootDatum:
 
         self.kind = kind
         self.rank = rank
-        # number of Dynkin vertices and the rank of the weight lattice
-        self.num_vertices = rank - 1 if kind == "GL" else rank
-        self.lattice_rank = rank
-        self.vertices: tuple[int, ...] = tuple(range(1, self.num_vertices + 1))
+        self.vertices: tuple[int, ...] = tuple(range(1, rank if kind == "GL" else rank + 1))
 
         edges = _edge_list(kind, rank)
         nbrs: dict[int, list[int]] = {i: [] for i in self.vertices}
@@ -99,14 +100,13 @@ class RootDatum:
         self.neighbours: dict[int, tuple[int, ...]] = {
             i: tuple(sorted(v)) for i, v in nbrs.items()
         }
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
 
         self.dist = self._all_distances()
         if kind in ("A", "GL"):
             self.parity: dict[int, int] = {i: i % 2 for i in self.vertices}
         else:
             self.parity = {i: self.dist[1, i] % 2 for i in self.vertices}
-        if any(self.parity[a] == self.parity[b] for a, b in self.edges):
+        if any(self.parity[a] == self.parity[b] for a, b in edges):
             raise AssertionError("two-colouring failed")
 
         if kind == "GL":
@@ -118,10 +118,8 @@ class RootDatum:
             self.fundamentals = {
                 i: tuple(1 if j < i else 0 for j in range(n)) for i in self.vertices
             }
-            self.det: Weight | None = (1,) * n
             self.rho: Weight = tuple(range(n - 1, -1, -1))
         else:
-            m = self.num_vertices
             self.alphas = {
                 i: tuple(self._cartan_entry(j, i) for j in self.vertices)
                 for i in self.vertices
@@ -130,10 +128,9 @@ class RootDatum:
                 i: tuple(1 if j == i else 0 for j in self.vertices)
                 for i in self.vertices
             }
-            self.det = None
-            self.rho = (1,) * m
+            self.rho = (1,) * rank
 
-        self.zero: Weight = (0,) * self.lattice_rank
+        self.zero: Weight = (0,) * rank
         # the ascent from -rho to the dominant chamber is reduced of length
         # #positive-roots, so it is a reduced word for w_o
         self.longest_word: tuple[int, ...] = self.dominant_representative(
@@ -232,7 +229,7 @@ class RootDatum:
         and Representation Theory*, section 10.2, Corollary to Lemma A), so
         closing the simple roots under them finds every positive root and no
         other vector."""
-        m = self.num_vertices
+        m = len(self.vertices)
         roots: dict[tuple[int, ...], Weight] = {}
         for idx, i in enumerate(self.vertices):
             roots[(0,) * idx + (1,) + (0,) * (m - idx - 1)] = self.alphas[i]

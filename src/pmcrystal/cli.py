@@ -4,13 +4,14 @@ Schur modules and DOT graph export over JSON.
 Every command prints a JSON envelope {"status", "result", "diagnostics"}
 and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
 --format ascii`` the diagram instead, and no other command takes --format.
-Validation problems exit 2 with a machine-readable diagnostic.  An internal
-oracle disagreement exits 1 with status "internal-inconsistency"; its
-diagnostics are the message and {"diff": {weight: [enumeration,
-character]}} for every weight where the two routes differ, or for
-``schur`` {"diff": {partition: [schur, oracle]}} for the first oracle it
-prints (``skew_lr``, then ``specht``) that differs from its
-decomposition.  A computation that grows past one of the library's limits
+Validation problems exit 2 with a machine-readable diagnostic, and so does
+an option that would do nothing: ``--rank`` with ``--format ascii``, or
+``--restrict`` with ``stable --bound``.  An internal oracle disagreement
+exits 1 with status "internal-inconsistency"; its diagnostics are the
+message and {"diff": {weight: [enumeration, character]}} for every weight
+where the two routes differ, or for ``schur`` {"diff": {partition: [schur,
+oracle]}} for the first oracle it prints (``skew_lr``, then ``specht``)
+that differs from its decomposition.  A computation that grows past one of the library's limits
 (``limits.LimitExceeded``) exits 3 with status "limit-exceeded"; its
 diagnostics are the message and {"stage", "limit", "reached"}.  A rank
 above ``limits.MAX_RANK`` exits 2 too, as ``RootDatum`` refuses it before
@@ -42,8 +43,7 @@ from .crystal import graph_to_json, monomials_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_graph,
                       strict_int, validate_points)
 from .truncation import (ThresholdSet, build_plan, char_by_plan, full_character,
-                         truncate, truncation_character, up_closure,
-                         validate_threshold_set)
+                         truncate, up_closure, validate_threshold_set)
 from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
                     schur_decompose, sequence_of_diagram,
                     check_diagram, check_sequence, skew_normalise,
@@ -135,7 +135,7 @@ def cmd_character(args):
     datum, r = _datum_and_multiset(args)
     if args.truncation:
         j = _parse_truncation(datum, args.truncation)
-        ch = truncation_character(datum, r, j)
+        ch = char_by_plan(datum, build_plan(datum, r, j))
     else:
         ch = full_character(datum, r)
     result = {"terms": {weight_str(w): c for w, c in ch.items()}}
@@ -188,6 +188,8 @@ def cmd_schur(args):
         except (ValueError, TypeError) as err:
             raise ValidationError(f"bad diagram: {err}") from err
         if args.format == "ascii":
+            if args.rank is not None:
+                raise ValidationError("--format ascii draws the diagram and takes no --rank")
             return diagram_ascii(boxes)
         seq = sequence_of_diagram(boxes)
     n = max(len(seq), 1) if args.rank is None else args.rank
@@ -227,11 +229,13 @@ def cmd_stable(args):
         raise ValidationError(f"--restrict must be at least 0, not {args.restrict}")
     try:
         r = multiset_from_pairs(json.loads(args.R))
-        datum = build_root_datum("GL", max(min_rank(r), 2))
+        datum = build_root_datum("GL", min_rank(r))
         validate_points(datum, r)  # parity check against the GL colouring
     except (ValueError, TypeError) as err:
         raise ValidationError(f"bad point multiset {args.R!r}: {err}") from err
     if args.bound:
+        if args.restrict is not None:
+            raise ValidationError("--bound reports only the bound and takes no --restrict")
         return {"stable_bound": stable_bound(r)}
     coeffs = stable_coeffs(r)
     if args.restrict is not None:

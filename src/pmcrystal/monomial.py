@@ -27,7 +27,7 @@ and f_i/e_i add a fixed integer delta.  Its invariants:
   shift and one mask away.  A delta changes each point it touches by +-1,
   so one that touches a point outside the window leaves the encoded set;
   ``crystal.discover`` raises AssertionError if a factor's step does.
-* Digits.  Above the columns sit lattice_rank more digits, coordinate 1
+* Digits.  Above the columns sit ``datum.rank`` more digits, coordinate 1
   most significant, one per weight coordinate: weights add under products
   as exponents do, and z_{i,k}^power adds power * alpha_i, so a key
   determines its monomial whatever the factors are.  Every encoded exponent
@@ -269,8 +269,8 @@ class MonomialCodec:
                 shift += width
         # the weight digits above the columns, coordinate 1 most significant
         self.wbase = shift
-        self._wshifts = tuple(range((datum.lattice_rank - 1) * width, -1, -width))
-        shift += datum.lattice_rank * width
+        self._wshifts = tuple(range((datum.rank - 1) * width, -1, -width))
+        shift += datum.rank * width
         # the key of the monomial 1 with weight 0: the bias H in every digit
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]

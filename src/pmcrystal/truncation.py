@@ -4,6 +4,9 @@ The grid I x. Z is ordered by the transitive closure of (i,c) <= (i,c+2)
 and (i,c) <= (j,c+1) for j ~ i; concretely (i,c) <= (j,c') iff
 c' - c >= d(i,j), the graph distance.  An upward-closed set is therefore a
 per-column threshold: column i contains the points at or above theta_i.
+Likewise down(X) holds, in column i, the points at or below the ceiling
+delta_i = max over (j,c) in X of c - d(j,i); ``build_plan`` reads it for
+X = Supp R.
 
 A truncation M(R, J) keeps the p = y_R z_S^{-1} in M(R) with Supp R and
 Supp S in J; for an upward-closed J holding Supp R, that is Supp p in J.
@@ -66,17 +69,6 @@ class ThresholdSet(namedtuple("ThresholdSet", "thresholds")):
                                if t is not None}}
 
 
-class DownwardSet(namedtuple("DownwardSet", "ceilings")):
-    """The downward-closed analogue: column i holds the points at or below
-    ceilings[i-1] (None meaning the column is empty)."""
-
-    __slots__ = ()
-
-    def contains(self, i: int, c: int) -> bool:
-        t = self.ceilings[i - 1]
-        return t is not None and c <= t
-
-
 def validate_threshold_set(datum: RootDatum, j: ThresholdSet) -> None:
     if len(j.thresholds) != len(datum.vertices):
         raise ValueError("threshold vector length does not match vertex count")
@@ -102,15 +94,6 @@ def up_closure(datum: RootDatum, points) -> ThresholdSet:
         vals = [c + datum.dist[i, jv] for (i, c) in pts]
         out.append(min(vals) if vals else None)
     return ThresholdSet(tuple(out))
-
-
-def down_closure(datum: RootDatum, points) -> DownwardSet:
-    pts = list(points)
-    out = []
-    for jv in datum.vertices:
-        vals = [c - datum.dist[i, jv] for (i, c) in pts]
-        out.append(max(vals) if vals else None)
-    return DownwardSet(tuple(out))
 
 
 def truncate(datum: RootDatum, r: PointMultiset,
@@ -209,12 +192,12 @@ def build_plan(datum: RootDatum, r: PointMultiset,
         return BuildPlan(j_target, (), r)
 
     # J_target holds Supp R and is upward-closed on a connected diagram, so
-    # no column is empty
-    down_r = down_closure(datum, r.support())
+    # no column is empty; down(Supp R) reaches delta_i in column i
+    support = r.support()
     start, window = [], []
     for i in datum.vertices:
         theta = j_target.threshold(i)
-        delta = down_r.ceilings[i - 1]
+        delta = max(c - datum.dist[jv, i] for jv, c in support)
         if delta < theta:
             start.append(theta)
         else:  # parity forces theta = delta mod 2 here
@@ -266,11 +249,6 @@ def char_by_plan(datum: RootDatum, plan: BuildPlan) -> GroupAlgebraElement:
     the points of R."""
     g, h = _fold(datum, plan)
     return h if g is None else g * h
-
-
-def truncation_character(datum: RootDatum, r: PointMultiset,
-                         j_target: ThresholdSet | None = None) -> GroupAlgebraElement:
-    return char_by_plan(datum, build_plan(datum, r, j_target))
 
 
 def full_character(datum: RootDatum, r: PointMultiset,

@@ -278,7 +278,7 @@ def e(w: Weight, coeff: int = 1) -> GroupAlgebraElement:
 
 
 def _check_length(datum: RootDatum, f: GroupAlgebraElement) -> int:
-    n = datum.lattice_rank
+    n = datum.rank
     if f._keys and f._n != n:
         raise ValueError(f"weights of length {f._n} in a datum of rank {n}")
     return n
@@ -456,7 +456,7 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
 
 def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
     """The check on a pi_{w_o} image: AssertionError unless W fixes f."""
-    if _first_moving_vertex(datum, f, datum.lattice_rank) is not None:
+    if _first_moving_vertex(datum, f, datum.rank) is not None:
         raise AssertionError("pi_{w_o} image is not Weyl-invariant")
 
 
@@ -483,7 +483,7 @@ def _root_tables(datum: RootDatum):
     ``limits.DOMINANT_MEMO_MAX`` entries; and the dominant-multiplicity
     tables of ``_dominant_table``.  Neither cache is locked (see
     ``limits``)."""
-    n = datum.lattice_rank
+    n = datum.rank
     roots = []
     for coords, root in datum.positive_roots:
         delta = 0
@@ -538,7 +538,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
     stops at the first zero.  dom(nu) lies strictly above mu in the
     positive-root order, so taking mu by increasing height of lam - mu
     finds every m(dom(nu)) already known."""
-    n = datum.lattice_rank
+    n = datum.rank
     roots, walls, memo, _ = _root_tables(datum)
     guard = _repunit(n) << (DIGIT_BITS - 1)
     top = _encode(lam)

@@ -58,7 +58,7 @@ def gl4():
 
 
 def random_weight(rng: random.Random, datum, lo=-3, hi=3):
-    return tuple(rng.randint(lo, hi) for _ in range(datum.lattice_rank))
+    return tuple(rng.randint(lo, hi) for _ in range(datum.rank))
 
 
 def random_element(rng: random.Random, datum, terms=3, lo=-3, hi=3):

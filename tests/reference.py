@@ -12,8 +12,9 @@ and the two decomposition routes run.  What only the tests need lives here:
   also the tensor product ``tensor_crystal``, and ``edge_triples``, which
   reads a graph's positional f-edges back as elements;
 - ``r_support``, the paper's definition of M(R, J) by S-labels, the
-  oracle for ``truncation.truncate``'s filter by support, and
-  ``with_point``, a threshold set with one column moved;
+  oracle for ``truncation.truncate``'s filter by support, ``with_point``,
+  a threshold set with one column moved, and ``down_closure``, down(X) as
+  a ``DownwardSet`` of per-column ceilings, as ``build_plan`` reads it;
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
@@ -39,6 +40,7 @@ and the two decomposition routes run.  What only the tests need lives here:
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from pmcrystal import limits, weightring
@@ -63,7 +65,7 @@ def ref_positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight]
     computed by closing the simple roots under all reflections and keeping
     the roots with nonnegative coordinates: an independent check of the
     simple steps by which ``RootDatum`` builds them."""
-    m = datum.num_vertices
+    m = len(datum.vertices)
     seen: dict[Weight, tuple[int, ...]] = {}
     frontier = []
     for idx, i in enumerate(datum.vertices):
@@ -408,6 +410,27 @@ def with_point(j: ThresholdSet, i: int, k: int) -> ThresholdSet:
     return ThresholdSet(j.thresholds[:i - 1] + (k,) + j.thresholds[i:])
 
 
+class DownwardSet(namedtuple("DownwardSet", "ceilings")):
+    """The downward-closed analogue of ``ThresholdSet``: column i holds the
+    points at or below ceilings[i-1] (None meaning the column is empty)."""
+
+    __slots__ = ()
+
+    def contains(self, i: int, c: int) -> bool:
+        t = self.ceilings[i - 1]
+        return t is not None and c <= t
+
+
+def down_closure(datum: RootDatum, points) -> DownwardSet:
+    """down(X): ceilings delta_j = max over (i,c) in X of c - d(i,j)."""
+    pts = list(points)
+    out = []
+    for jv in datum.vertices:
+        vals = [c - datum.dist[i, jv] for (i, c) in pts]
+        out.append(max(vals) if vals else None)
+    return DownwardSet(tuple(out))
+
+
 def boundary(datum: RootDatum, j: ThresholdSet) -> frozenset[LatticePoint]:
     """The lowest point of every column of J; defined only when all
     thresholds are finite."""
@@ -439,13 +462,13 @@ def dominant_multiplicities(datum: RootDatum, w: Weight) -> dict[Weight, int]:
     peel reads (``weightring._dominant_table``).  LimitExceeded past
     ``limits.MAX_TERMS`` dominant weights, read at call time."""
     w = tuple(w)
-    if len(w) != datum.lattice_rank or not datum.is_dominant(w):
+    if len(w) != datum.rank or not datum.is_dominant(w):
         raise ValueError(f"{w} is not a dominant weight of {datum!r}")
     limit = limits.MAX_TERMS
     table = weightring._dominant_table(datum, w, limit)
     if table is None:
         raise limits.LimitExceeded("weightring.dominant_multiplicities", limit, limit + 1)
-    n = datum.lattice_rank
+    n = datum.rank
     return {weightring._decode(k, n): c for k, c in table.items()}
 
 

@@ -17,10 +17,10 @@ def test_gl4_epsilon_basis(gl4):
     assert gl4.fundamentals[1] == (1, 0, 0, 0)
     assert gl4.fundamentals[2] == (1, 1, 0, 0)
     assert gl4.fundamentals[3] == (1, 1, 1, 0)
-    assert gl4.det == (1, 1, 1, 1)
     assert gl4.alphas[2] == (0, 1, -1, 0)
     # (w_1, ..., w_{n-1}, det) is a lattice basis: e_i are integer combinations
     assert w_sub(gl4.fundamentals[2], gl4.fundamentals[1]) == (0, 1, 0, 0)
+    assert w_sub((1,) * gl4.rank, gl4.fundamentals[3]) == (0, 0, 0, 1)
 
 
 def test_d4_shape(d4):
@@ -38,10 +38,18 @@ def test_invalid_data_rejected(kind, rank):
         build_root_datum(kind, rank)
 
 
+@pytest.mark.parametrize("kind", ["E6", "E7", "E8"])
+def test_exceptional_rank_is_named(kind):
+    with pytest.raises(ValueError, match=f"type {kind} has fixed rank {kind[1]}$"):
+        build_root_datum(kind, 5)
+
+
 def test_rank_ceiling_is_inclusive():
     # the largest accepted rank still builds
     datum = RootDatum("GL", MAX_RANK)
     assert datum.rank == MAX_RANK and len(datum.vertices) == MAX_RANK - 1
+    # and is shared through the datum cache, as every rank below it is
+    assert build_root_datum("GL", MAX_RANK) is build_root_datum("GL", MAX_RANK)
     with pytest.raises(ValueError, match="MAX_RANK"):
         RootDatum("GL", MAX_RANK + 1)
 
@@ -50,15 +58,18 @@ def test_rank_ceiling_is_inclusive():
                                        ("E7", 7), ("E8", 8), ("GL", 5)])
 def test_parity_is_proper_colouring(kind, rank):
     datum = build_root_datum(kind, rank)
-    for a, b in datum.edges:
+    edges = [(a, b) for a in datum.vertices for b in datum.neighbours[a]]
+    assert len(edges) == 2 * (len(datum.vertices) - 1)  # a tree, each edge both ways
+    for a, b in edges:
         assert datum.parity[a] != datum.parity[b]
 
 
 def test_pairing_basics(a2, gl4):
     assert a2.pairing(1, a2.fundamentals[1]) == 1
     assert a2.pairing(1, a2.alphas[2]) == -1
+    det = (1,) * gl4.rank
     for i in gl4.vertices:
-        assert gl4.pairing(i, gl4.det) == 0
+        assert gl4.pairing(i, det) == 0
 
 
 def test_simple_reflection(a2, gl3):

@@ -146,10 +146,33 @@ def test_format_only_where_honoured(capsys, argv):
     ["schur", "--sequence", "[[1]]", "--format", "ascii"],
     ["stable", "--R", "[[1,1,1]]", "--coeffs", "--restrict", "-1"],
     ["stable", "--R", "[[1,1,1]]", "--bound", "--restrict", "-1"],
+    ["stable", "--R", "[[1,1,1]]", "--bound", "--restrict", "1"],
+    ["schur", "--diagram", "[[1,1],[2,1]]", "--format", "ascii", "--rank", "1"],
+    ["schur", "--diagram", "[[1,1],[2,1]]", "--format", "ascii", "--rank", "0"],
+    ["schur", "--diagram", "[[1,1],[2,1]]", "--format", "ascii", "--rank", "99"],
 ])
 def test_options_that_would_do_nothing_exit_2(capsys, argv):
     data = run_json(capsys, argv, expect_code=2)
     assert data["status"] == "error" and data["diagnostics"]
+
+
+def test_stable_restrict_zero_keeps_the_empty_partition(capsys):
+    # --restrict accepts 0: only the empty partition has length <= 0
+    data = run_json(capsys, ["stable", "--R", "[]", "--restrict", "0"])
+    assert data["result"]["coefficients"] == {"[]": 1}
+    data = run_json(capsys, ["stable", "--R", "[[1,1,1]]", "--restrict", "0"])
+    assert data["result"]["coefficients"] == {}
+
+
+def test_schur_rank_defaults_to_the_sequence_length_or_1(capsys):
+    assert run_json(capsys, ["schur", "--sequence", "[]"])["result"]["rank"] == 1
+    assert run_json(capsys, ["schur", "--diagram", "[]"])["result"]["rank"] == 1
+    assert run_json(capsys, ["schur", "--sequence", "[[1],[1]]"])["result"]["rank"] == 2
+
+
+def test_cartan_defaults_to_a2(capsys):
+    argv = ["decompose", "--R", "[[1,1,1],[2,0,1]]"]
+    assert run_json(capsys, argv) == run_json(capsys, argv + ["--cartan", "A", "--rank", "2"])
 
 
 def test_stable_bound_and_coeffs_exclude_each_other(capsys):
@@ -386,6 +409,9 @@ FUZZ_VALUES = ["1e400", "-1e400", "2.5", "-0.5", "0.0", "true", "false", "null",
                '{"1": 1}', '{"thresholds": []}', "-1", "0"]
 FUZZ_KEYS = ['"0"', '"9"', '"-1"', '"x"', '"1.5"', '""']
 STATUS = {0: "ok", 2: "error", 3: "limit-exceeded"}
+# half of the diagram draws take the JSON route; a --rank does nothing with
+# --format ascii, so that draw exits 2
+DIAGRAM_FORMATS = [["json"], ["json"], ["ascii"], ["ascii", "--rank", "0"]]
 
 
 def fuzz_points(rng, datum):
@@ -397,8 +423,10 @@ def fuzz_points(rng, datum):
 
 
 def fuzz_argv(rng):
-    """A valid argv for one of the seven subcommands, as (fixed options,
-    {option: JSON value})."""
+    """An argv for one of the seven subcommands, as (fixed options,
+    {option: JSON value}): valid, but now and then with an option that
+    would do nothing (``stable --bound --restrict``, ``schur --format ascii
+    --rank``), which exits 2."""
     command = rng.choice(["decompose", "character", "truncate", "plan", "graph",
                           "schur", "stable"])
     if command == "stable":
@@ -406,12 +434,13 @@ def fuzz_argv(rng):
         gl = build_root_datum("GL", 4)
         pts = [[i, c, m] for (i, c), m in
                random_multiset(rng, gl, max_points=3, c_lo=-1, c_hi=1).points]
-        return [command, "--coeffs", "--restrict", "3"], {"--R": pts}
+        only = "--bound" if rng.random() < 0.2 else "--coeffs"
+        return [command, only, "--restrict", "3"], {"--R": pts}
     if command == "schur":
         boxes = rng.sample([(r, c) for r in range(1, 4) for c in range(1, 4)],
                            rng.randint(1, 6))
         if rng.random() < 0.5:
-            return ([command, "--format", rng.choice(["json", "ascii"])],
+            return ([command, "--format"] + rng.choice(DIAGRAM_FORMATS),
                     {"--diagram": [list(b) for b in sorted(boxes)]})
         seq, left = [], 6
         for k in range(1, rng.randint(1, 3) + 1):
@@ -481,7 +510,7 @@ def mutate(rng, value):
 def test_cli_fuzz(capsys):
     rng = random.Random(61)
     start = time.perf_counter()
-    codes = []
+    codes, refused = [], set()
     for _ in range(400):
         fixed, values = fuzz_argv(rng)
         texts = {opt: json.dumps(v) for opt, v in values.items()}
@@ -494,6 +523,8 @@ def test_cli_fuzz(capsys):
         out = capsys.readouterr().out
         assert code in STATUS, (argv, out)
         codes.append(code)
+        if code == 2 and "takes no" in out:  # an option that would do nothing
+            refused.add(argv[0])
         if code == 0 and ("dot" in argv or "ascii" in argv):
             continue
         data = json.loads(out)
@@ -501,6 +532,7 @@ def test_cli_fuzz(capsys):
         assert data["status"] == STATUS[code], (argv, out)
         assert (data["result"] is None) == (code != 0), argv
     assert codes.count(0) > 50 and codes.count(2) > 100
+    assert refused == {"schur", "stable"}
     assert time.perf_counter() - start < 10.0
 
 

@@ -144,7 +144,8 @@ def test_graph_over_keeps_weights_apart(a2, gl3):
     # equal exponents, different weights: a det shift in GL, and a weight
     # that is not the column sums
     base = closure(gl3, [y_monomial(gl3, 1, 1)]).elements
-    shifted = tuple(make_monomial(w_add(p.weight, gl3.det), dict(p.exponents))
+    det = (1,) * gl3.rank
+    shifted = tuple(make_monomial(w_add(p.weight, det), dict(p.exponents))
                     for p in base)
     g = closure(gl3, base + shifted)
     assert len(g) == 6 and len(g.f_edges) == 4

@@ -104,9 +104,9 @@ def test_one_bound_keeps_the_digits_of_two_equal_bounds(kind, rank):
         bound = codec.bound
         assert codec.half == 1 << (bound + 2).bit_length()
         assert codec.width == (bound + 2).bit_length() + 1
-        (pt, _), j = rng.choice(r.points), rng.randrange(datum.lattice_rank)
+        (pt, _), j = rng.choice(r.points), rng.randrange(datum.rank)
         for sign in (1, -1):
-            weight = [0] * datum.lattice_rank
+            weight = [0] * datum.rank
             weight[j] = sign * bound
             p = make_monomial(weight, {pt: sign * bound})
             assert codec.decode(codec.zero + codec.offset(p)) == (p.weight, p.exponents)

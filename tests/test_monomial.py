@@ -190,7 +190,7 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
             for i in datum.vertices:
                 c = datum.parity[i]
                 # phi_i = eps_i = 1, and both steps multiply by z_{i,c}^{-+1}
-                p = make_monomial((sign * bound,) * datum.lattice_rank,
+                p = make_monomial((sign * bound,) * datum.rank,
                                   {(i, c): -1, (i, c + 2): 1})
                 window = make_monomial(datum.zero, {(j, c + 1): 1 for j in datum.neighbours[i]})
                 codec = codec_of(datum, [(p, window)])

@@ -13,8 +13,9 @@ from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, ex
                                s_label, weight_of_multiset, y_of_multiset)
 from pmcrystal.truncation import up_closure
 from conftest import random_multiset, random_point
-from reference import (check_crystal_axioms, e_of, edge_triples, f_of, fold_monomials,
-                       fundamental_crystal, r_support, sort_key, validate_monomial)
+from reference import (check_crystal_axioms, down_closure, e_of, edge_triples, f_of,
+                       fold_monomials, fundamental_crystal, r_support, sort_key,
+                       validate_monomial)
 
 
 def fundamental(datum, i, c, n):
@@ -126,7 +127,8 @@ def test_fold_keeps_products_that_differ_only_in_weight(gl3):
     # weight invariant; each product keeps its own weight
     a = make_monomial((1, 0, 0), {(1, 1): 1})
     c = make_monomial((1, 1, 0), {(2, 0): 1})
-    codec, keys = fold_monomials(gl3, [[a, Monomial(w_add(a.weight, gl3.det), a.exponents)],
+    det = (1,) * gl3.rank
+    codec, keys = fold_monomials(gl3, [[a, Monomial(w_add(a.weight, det), a.exponents)],
                                        [c]])
     exponents = (((1, 1), 1), ((2, 0), 1))
     assert sorted(map(codec.decode, keys)) == [((2, 1, 0), exponents), ((3, 2, 1), exponents)]
@@ -266,8 +268,8 @@ def perturbations(rng, datum, r, p):
     i, c = random_point(rng, datum)
     yield Monomial(w_add(p.weight, datum.fundamentals[i]), p.exponents)
     yield mono_mul(p, y_monomial(datum, i, c))
-    if datum.det is not None:
-        yield Monomial(w_add(p.weight, datum.det), p.exponents)
+    if datum.kind == "GL":
+        yield Monomial(w_add(p.weight, (1,) * datum.rank), p.exponents)
 
 
 def test_s_label_rejects_perturbed_labels():
@@ -293,7 +295,7 @@ def test_s_label_empty_r(a3, gl4):
             with pytest.raises(NotExpressibleError):
                 s_label(datum, multiset({}), Monomial(w, ()))
     with pytest.raises(NotExpressibleError):
-        s_label(gl4, multiset({}), Monomial(gl4.det, ()))
+        s_label(gl4, multiset({}), Monomial((1,) * gl4.rank, ()))
 
 
 def test_s_label_budget_bounds_the_sweep(a3):
@@ -397,7 +399,6 @@ def test_s_label_cost_ignores_distance(a3):
 
 
 def test_fundamental_support_bound(a3):
-    from pmcrystal.truncation import down_closure
     for (i, c, n) in [(1, 1, 2), (2, 0, 1), (3, 3, 2)]:
         r = multiset({(i, c): n})
         down = down_closure(a3, [(i, c - 2)])

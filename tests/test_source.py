@@ -13,7 +13,7 @@ import pytest
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import CrystalGraph
 from pmcrystal.product import PointMultiset
-from pmcrystal.truncation import BuildPlan, DownwardSet, ThresholdSet
+from pmcrystal.truncation import BuildPlan, ThresholdSet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmcrystal"
 
@@ -71,8 +71,6 @@ def _records():
          "PointMultiset(points=(((1, 0), 1),))", "points"),
         (j, ThresholdSet(tuple([0, 1])), ThresholdSet((0, None)),
          "ThresholdSet(thresholds=(0, 1))", "thresholds"),
-        (DownwardSet((0, None)), DownwardSet(tuple([0, None])), DownwardSet((2, 1)),
-         "DownwardSet(ceilings=(0, None))", "ceilings"),
         (BuildPlan(j, (), r), BuildPlan(ThresholdSet((0, 1)), (), r), BuildPlan(j, (), r2),
          "BuildPlan(start=ThresholdSet(thresholds=(0, 1)), window=(), "
          "r=PointMultiset(points=(((1, 0), 1),)))", "window"),

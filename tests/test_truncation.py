@@ -12,14 +12,13 @@ from pmcrystal.monomial import mono_mul, one
 from pmcrystal.product import (decompose, multiset, product_graph, weight_of_multiset,
                                y_of_multiset)
 from pmcrystal.truncation import (ThresholdSet, build_plan, char_by_plan,
-                                  down_closure, full_character, truncate,
-                                  truncation_character, up_closure,
+                                  full_character, truncate, up_closure,
                                   validate_threshold_set)
 from pmcrystal.weightring import GroupAlgebraElement, demazure_pi, e, weyl_decompose
 from conftest import random_multiset, refuse_everywhere
-from reference import (TensorElement, boundary, character_of_set, e_of, extend_strings,
-                       highest_weight_monomial, key_decompose, mono_div, r_support,
-                       replay_plan, string_property, with_point, wt_of)
+from reference import (TensorElement, boundary, character_of_set, down_closure, e_of,
+                       extend_strings, highest_weight_monomial, key_decompose, mono_div,
+                       r_support, replay_plan, string_property, with_point, wt_of)
 
 
 def test_up_closure_examples(a3):
@@ -260,7 +259,7 @@ def test_truncation_characters_are_key_positive():
         datum = build_root_datum(kind, rank)
         for _ in range(4):
             r = random_multiset(rng, datum, max_points=2, cap=900)
-            dec = key_decompose(datum, truncation_character(datum, r))
+            dec = key_decompose(datum, char_by_plan(datum, build_plan(datum, r)))
             assert all(c > 0 for c in dec.values())
 
 
