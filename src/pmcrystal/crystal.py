@@ -9,14 +9,14 @@ one pass over the packed keys of a product crystal (see
 ``monomial.MonomialCodec``), as ``product.fold`` makes them, in the
 codec's datum.  It looks up every f_i(x) in the set and checks closure
 under e by counting, with no lookup per e-edge.  ``walk`` is that pass
-with no graph: it checks the same closure and returns only the keys every
-e_i kills, with nothing decoded, ordered or placed; ``discover`` is that
-pass adding every f_i(x) it misses, from one highest-weight key.  All
-three take each column's step from ``_step``.  Only the builders map
-elements to positions; an f-edge is a triple of positions.  Every graph
-records its highest-weight elements, those that every e_i kills (eps_i = 0
-for ``graph_over``), from what was computed while it was built.  Both
-``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
+with no graph: it returns only the keys every e_i kills; ``discover`` is
+that pass adding every f_i(x) it misses, from one highest-weight key.  All
+three read each column's step off its digits (``_step``); only
+``MonomialCodec.decode`` decodes one, at the output edge.  Only the
+builders map elements to positions; an f-edge is a triple of positions.
+Every graph records its highest-weight elements, those that every e_i
+kills (eps_i = 0 for ``graph_over``), from what was computed while it was
+built.  Both ``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
 ``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each from
 fragments memoised per call, one per weight and exponent.
 """
@@ -28,7 +28,7 @@ from operator import attrgetter
 
 from . import limits
 from .cartan import RootDatum, weight_str
-from .monomial import Monomial, MonomialCodec, _scan_column, e_op, f_op
+from .monomial import Monomial, MonomialCodec, e_op, f_op
 
 
 class ClosureLimitError(limits.LimitExceeded):
@@ -99,22 +99,37 @@ def _columns(codec: MonomialCodec) -> list:
 
 
 def _step(codec: MonomialCodec, i: int, col: int) -> tuple:
-    """(phi_i, f-delta, eps_i, gap) of the packed column ``col`` of vertex
-    i: the f-delta is key(f_i x) - key(x), None when phi_i = 0 or when the
-    step leaves the window (and with it the set), and the gap is
-    (phi_i > 0) - (eps_i > 0), what the column adds to the e-closure
-    count."""
-    phi, eps, best_f, _ = _scan_column([(c, ex) for (_, c), ex in codec._column(i, col)])
+    """(phi_i, f-delta, eps_i, gap, top) of the packed column ``col`` of
+    vertex i, read off its digits by c ascending, s their running sum:
+    phi_i is the column's sum less the least s before a nonzero digit, F_i
+    the largest c attaining it, eps_i the largest -s after one (each >= 0).
+    The f-delta is key(f_i x) - key(x), None when phi_i = 0 or the step
+    leaves the window (and the set); the gap, (phi_i > 0) - (eps_i > 0), is
+    what the column adds to the e-closure count; top is the largest |exponent|."""
+    width, half, digit = codec.width, codec.half, (1 << codec.width) - 1
+    below = least = low = top = best_f = 0
+    for c in codec.positions[i - 1]:
+        ex = (col & digit) - half
+        col >>= width
+        if ex:
+            if below <= least:
+                least, best_f = below, c
+            below += ex
+            if below < low:
+                low = below
+            if ex > top or -ex > top:
+                top = abs(ex)
+    phi, eps = max(below - least, 0), -low
     return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
-            eps, (phi > 0) - (eps > 0))
+            eps, (phi > 0) - (eps > 0), top)
 
 
 def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
     """The keys reached from the highest-weight key ``seed`` by f-steps,
     breadth first; AssertionError when a step leaves the window, when a
-    column value has an |exponent| above ``bound`` (checked once per value,
-    before any step from it, so no key carries across a digit), or when
-    the keys are not closed under e (by the count of ``graph_over``)."""
+    column value has an |exponent| above ``bound`` (``_step``'s top, once
+    per value, before any step from it, so no key carries across a digit),
+    or when the keys are not closed under e (the count of ``graph_over``)."""
     columns = _columns(codec)
     excess = [0] * len(columns)
     found, seen = [seed], {seed}
@@ -123,10 +138,10 @@ def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
             col = (key >> shift) & mask
             step = memo.get(col)
             if step is None:
-                if any(abs(ex) > bound for _, ex in codec._column(i, col)):
-                    raise AssertionError(f"an exponent passes the bound {bound}")
                 step = memo[col] = _step(codec, i, col)
-            phi, f_delta, _, gap = step
+                if step[4] > bound:
+                    raise AssertionError(f"an exponent passes the bound {bound}")
+            phi, f_delta, _, gap, _ = step
             if phi:
                 if f_delta is None:
                     raise AssertionError(f"an f_{i} step leaves the window {codec.positions}")
@@ -142,13 +157,9 @@ def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
 
 
 def walk(keys: set, codec: MonomialCodec) -> list:
-    """The keys of the set ``keys`` that every e_i kills, after checking
-    that the set is closed under every f_i and e_i: the pass of
-    ``graph_over`` with no decoding, ordering or edges.  Every f_i(x) is
-    looked up in the set (ValueError "not closed under f" when one is
-    missing), and closure under e is checked by the same count (ValueError
-    "not closed under e" after the pass).  The keys come in the set's
-    iteration order."""
+    """The keys of the set ``keys`` that every e_i kills, in its iteration
+    order: the pass of ``graph_over``, with the same ValueError when the set
+    is not closed under f or e, and no decoding, ordering or edges."""
     columns = _columns(codec)
     excess = [0] * len(columns)
     highest = []
@@ -156,12 +167,14 @@ def walk(keys: set, codec: MonomialCodec) -> list:
         top = True
         for j, i, shift, mask, memo in columns:
             col = (key >> shift) & mask
-            step = memo.get(col)
-            if step is None:
-                step = memo[col] = _step(codec, i, col)
-            phi, f_delta, eps, gap = step
-            # a delta leaving the window leaves the set
-            if phi and (f_delta is None or key + f_delta not in keys):
+            try:
+                f_delta, eps, gap = memo[col]
+            except KeyError:
+                phi, f_delta, eps, gap, _ = _step(codec, i, col)
+                if phi and f_delta is None:
+                    raise ValueError("element set is not closed under f") from None
+                memo[col] = f_delta, eps, gap
+            if f_delta and key + f_delta not in keys:
                 raise ValueError("element set is not closed under f")
             if eps:
                 top = False
@@ -201,7 +214,7 @@ def graph_over(keys, codec: MonomialCodec) -> CrystalGraph:
             step = memo.get(col)
             if step is None:
                 step = memo[col] = _step(codec, i, col)
-            phi, f_delta, eps, gap = step
+            phi, f_delta, eps, gap, _ = step
             if phi:
                 # a delta leaving the window leaves the set
                 target = None if f_delta is None else index.get(key + f_delta)

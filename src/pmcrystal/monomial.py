@@ -42,7 +42,8 @@ and f_i/e_i add a fixed integer delta.  Its invariants:
   W-orbit of n w_i, and |<alpha_j^vee, u n w_i>| = |<beta^vee, n w_i>| <=
   <theta^vee, n w_i> = n a_i, beta = +-u^-1 alpha_j positive (a GL
   coordinate lies in [0, n]).  The exponent half is checked:
-  ``crystal.discover`` asserts |e| <= n a_i once per column value.
+  ``crystal.discover`` asserts |e| <= n a_i once per column value, read
+  off its digits.
 """
 
 from __future__ import annotations
@@ -203,29 +204,19 @@ def column_stats(p: Monomial, i: int) -> tuple[int, int, int | None, int | None]
     (None when phi_i = 0); E_i the smallest k maximising the negated lower
     sum (None when eps_i = 0).
     """
-    return _scan_column(p.column(i))
-
-
-def _scan_column(col) -> tuple[int, int, int | None, int | None]:
-    """column_stats of the column [(c, exponent)], c ascending."""
-    if not col:
-        return 0, 0, None, None
-    phi = 0
+    col = p.column(i)
+    phi = running = 0
     best_f = None
-    running = 0
     for c, ex in reversed(col):  # descending c; running = sum_{l >= c}
         running += ex
         if running > phi:
-            phi = running
-            best_f = c
-    eps = 0
+            phi, best_f = running, c
+    eps = running = 0
     best_e = None
-    running = 0
     for c, ex in col:  # ascending c; running = sum_{l <= c}
         running += ex
         if -running > eps:
-            eps = -running
-            best_e = c
+            eps, best_e = -running, c
     return phi, eps, best_f, best_e
 
 
@@ -247,8 +238,9 @@ class MonomialCodec:
     """Packs monomials into integers, one digit per point of ``window``,
     each |exponent| and |weight coordinate| at most ``bound`` (see the
     module docstring for the layout and its invariants).  Decoded columns,
-    weights and z-deltas are memoised on the codec, which is meant to live
-    for one computation.
+    which serve only ``decode`` (``crystal`` reads its steps off the
+    digits), weights and z-deltas are memoised on the codec, which is meant
+    to live for one computation.
     """
 
     def __init__(self, datum: RootDatum, window, bound: int):
@@ -296,20 +288,15 @@ class MonomialCodec:
 
     def _column(self, i: int, col: int) -> tuple:
         """The ((i, c), exponent) nonzero entries, by c ascending, of the
-        packed column ``col`` of vertex i."""
-        memo = self._decoded[i - 1]
-        out = memo.get(col)
-        if out is None:
-            width, half = self.width, self.half
-            digit = (1 << width) - 1
-            entries = []
-            rest = col
-            for c in self.positions[i - 1]:
-                ex = (rest & digit) - half
-                if ex:
-                    entries.append(((i, c), ex))
-                rest >>= width
-            out = memo[col] = tuple(entries)
+        packed column ``col`` of vertex i, memoised for ``decode``, which
+        reads the memo first."""
+        width, half, digit = self.width, self.half, (1 << self.width) - 1
+        entries = []
+        for k, c in enumerate(self.positions[i - 1]):
+            ex = (col >> k * width & digit) - half
+            if ex:
+                entries.append(((i, c), ex))
+        out = self._decoded[i - 1][col] = tuple(entries)
         return out
 
     def decode(self, key: int) -> tuple[Weight, tuple]:

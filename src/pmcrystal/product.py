@@ -105,12 +105,20 @@ def strict_int(x) -> int:
     return int(x)
 
 
+def strict_list(x):
+    """x, refusing what iterates as a list without being one: a dict (its
+    keys) or a string (its characters)."""
+    if isinstance(x, (dict, str)):
+        raise ValueError(f"{x!r} is not a list")
+    return x
+
+
 def multiset_from_pairs(pairs) -> PointMultiset:
     """The multiset of [i, c, m] (or [i, c], m = 1) entries, the m of
     repeated points summed; every m is checked before any is summed, so a
     negative one cannot cancel against another."""
     out: dict[LatticePoint, int] = {}
-    for entry in pairs:
+    for entry in map(strict_list, strict_list(pairs)):
         i, c, m = map(strict_int, entry if len(entry) == 3 else (*entry, 1))
         if m < 0:
             raise ValueError(f"negative multiplicity at {(i, c)}")

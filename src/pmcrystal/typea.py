@@ -39,7 +39,7 @@ from math import gcd, lcm
 
 from . import limits
 from .cartan import Weight, build_root_datum
-from .product import PointMultiset, decompose, strict_int
+from .product import PointMultiset, decompose, strict_int, strict_list
 from .weightring import GroupAlgebraElement, apply_word, e as ga_e, straighten
 
 Partition = tuple[int, ...]
@@ -50,7 +50,7 @@ Box = tuple[int, int]  # (row, col), 1-based, matrix convention
 
 
 def check_partition(p) -> Partition:
-    p = tuple(strict_int(x) for x in p)
+    p = tuple(map(strict_int, strict_list(p)))
     if any(x <= 0 for x in p) or any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"{p} is not a partition")
     return p
@@ -100,7 +100,7 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
 def check_sequence(seq) -> tuple[Partition, ...]:
     out = []
-    for i, p in enumerate(seq, start=1):
+    for i, p in enumerate(strict_list(seq), start=1):
         p = check_partition(p)
         if len(p) > i:
             raise ValueError(f"partition #{i} of the sequence has length "
@@ -112,7 +112,7 @@ def check_sequence(seq) -> tuple[Partition, ...]:
 def check_diagram(boxes) -> frozenset[Box]:
     """The (row, col) boxes of a diagram, every row and column an integer
     >= 1 and no box listed twice."""
-    pairs = [(strict_int(r), strict_int(c)) for r, c in boxes]
+    pairs = [(strict_int(r), strict_int(c)) for r, c in map(strict_list, strict_list(boxes))]
     boxes = frozenset(pairs)
     if len(boxes) != len(pairs):
         raise ValueError("a diagram lists each box once")

@@ -13,6 +13,11 @@ runs use that bytecode.  For each end-to-end metric in the change's
 ``BENCHMARK.json`` the script prints the parent's and the change's medians,
 the interquartile range of the parent's runs and the number of pairs the
 change won.  The exit status is 1 when any run fails or is not ``correct``.
+With ``--out PATH`` it also writes the pair set as JSON (``record``): the
+workload, seed, seconds and pairs, each checkout's path and ``git
+rev-parse HEAD`` (null outside a git checkout), each pair's end-to-end
+metrics per side with the side that went first, in run order, and the
+summary rows.
 
 Standard library only.  pytest collects only test_*.py, so the suite never
 runs this file; ``tests/test_pairs.py`` tests its arithmetic.
@@ -77,6 +82,38 @@ def summary(metrics: list[dict], runs: dict[str, list]) -> list[tuple]:
     return rows
 
 
+def git_head(path: str) -> str | None:
+    """``git rev-parse HEAD`` in the checkout, or None when it is not one
+    (or git is missing)."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=path,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def record(args, sides: dict, metrics: list[dict], runs: dict, rows: list[tuple]) -> dict:
+    """The pair set as a JSON-ready dict, with each run's values of the
+    end-to-end ``metrics``; a run that failed or was not ``correct`` has
+    null values."""
+    def values(result):
+        return result and {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+
+    return {
+        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "pairs": args.pairs,
+        "checkouts": {side: {"path": path, "head": git_head(path)}
+                      for side, path in sides.items()},
+        "runs": [{"first": "parent" if k % 2 == 0 else "change",
+                  "parent": values(p), "change": values(c)}
+                 for k, (p, c) in enumerate(zip(runs["parent"], runs["change"]))],
+        "summary": [dict(zip(("metric", "better", "parent_median", "change_median",
+                              "parent_iqr", "change_wins", "pairs"), row))
+                    for row in rows],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the parent's checkout")
@@ -85,6 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--out", help="write the pair set as JSON to this path")
     args = parser.parse_args(argv)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
@@ -101,9 +139,14 @@ def main(argv=None) -> int:
             runs[side].append(result if result is not None and result["correct"] else None)
             wall = result and result["metrics"]["wall_s"]["value"]
             print(f"pair {k + 1} {side:6} wall_s {wall}", flush=True)
+    rows = summary(metrics, runs)
     print(f"{'metric':12} {'better':6} {'parent':>10} {'change':>10} {'parent IQR':>10} wins")
-    for name, better, p, c, spread, won, n in summary(metrics, runs):
+    for name, better, p, c, spread, won, n in rows:
         print(f"{name:12} {better:6} {p:10.5g} {c:10.5g} {spread:10.4g} {won}/{n}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(record(args, sides, metrics, runs, rows), fh, indent=2)
+            fh.write("\n")
     if not ok:
         print("a run failed or was not correct", file=sys.stderr)
     return 0 if ok else 1

@@ -36,7 +36,9 @@ and the two decomposition routes run.  What only the tests need lives here:
   ``fundamental_crystal``, the oracle of ``product.fundamental_keys``; and
   ``codec_of``/``fold_monomials``, a codec over the union of the supports
   of any monomial sets and their fold, as the library packed its factors
-  before its window came from R.
+  before its window came from R; and ``ref_step``, the step of one packed
+  column from its decoded entries, the oracle of ``crystal._step``, which
+  reads the digits.
 """
 
 import itertools
@@ -160,6 +162,17 @@ def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
     codec = codec_of(datum, factors)
     return codec, fold(codec, [[codec.zero + codec.offset(p) for p in f] for f in factors])
 
+
+
+def ref_step(codec: MonomialCodec, i: int, col: int) -> tuple:
+    """``crystal._step`` from the decoded entries of the packed column
+    ``col`` of vertex i (``codec._column``): their ``column_stats`` phi_i,
+    eps_i and F_i, the f-delta ``z_delta`` at F_i - 2, the gap and the
+    largest |exponent|."""
+    entries = codec._column(i, col)
+    phi, eps, best_f, _ = column_stats(Monomial(codec.datum.zero, entries), i)
+    return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
+            eps, (phi > 0) - (eps > 0), max((abs(ex) for _, ex in entries), default=0))
 
 # -- crystal queries over monomials and formal tensors -------------------------
 

@@ -14,6 +14,7 @@ from pmcrystal.limits import MAX_RANK
 from pmcrystal.cli import run
 from pmcrystal.product import multiset_from_pairs
 from pmcrystal.truncation import truncate, up_closure
+from pmcrystal.typea import check_diagram, check_sequence
 from conftest import random_multiset
 from reference import diagram_of_sequence
 
@@ -377,6 +378,35 @@ def test_non_integers_exit_2(capsys, argv, value):
     data = json.loads(capsys.readouterr().out)
     assert code == 2 and data["status"] == "error"
     assert "is not an integer" in data["diagnostics"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--cartan", "A", "--rank", "2", "--R", "{}"],
+    ["decompose", "--cartan", "A", "--rank", "2", "--R", '""'],
+    ["decompose", "--cartan", "A", "--rank", "2", "--R", '[{}]'],
+    ["decompose", "--cartan", "A", "--rank", "2", "--R", '["110"]'],
+    ["stable", "--R", "{}"],
+    ["graph", "--cartan", "A", "--rank", "2", "--R", "{}"],
+    ["schur", "--sequence", "{}"],
+    ["schur", "--sequence", "[{}]"],
+    ["schur", "--sequence", '[""]'],
+    ["schur", "--diagram", "{}"],
+    ["schur", "--diagram", '""'],
+    ["schur", "--diagram", '[{}]'],
+])
+def test_objects_and_strings_for_lists_exit_2(capsys, argv):
+    # a dict iterates as its keys and a string as its characters, so an
+    # empty one used to read as an empty list and exit 0 with that answer
+    code = run(argv)
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error"
+    assert "is not a list" in data["diagnostics"][0]
+
+
+def test_tuples_stay_lists():
+    assert multiset_from_pairs(((1, 3, 1), [2, 0])) == multiset_from_pairs([[1, 3, 1], [2, 0, 1]])
+    assert check_sequence(((), (1,), [2, 1])) == ((), (1,), (2, 1))
+    assert check_diagram(((1, 1), [1, 2])) == frozenset({(1, 1), (1, 2)})
 
 
 @pytest.mark.parametrize("argv", [

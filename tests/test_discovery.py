@@ -1,9 +1,12 @@
 """The fundamental crystals discovered on packed keys (``crystal.discover``,
 run by ``product.fundamental_keys``) against the ``Monomial`` closure, the
-codec that ``product.product_codec`` builds from R alone, and the commands
-built on both against a fold of the closures."""
+codec that ``product.product_codec`` builds from R alone, the step that the
+packed passes read off a column's digits (``crystal._step``) against its
+decoded-entry oracle, and the commands built on both against a fold of the
+closures."""
 
 import random
+import sys
 
 import pytest
 
@@ -15,7 +18,8 @@ from pmcrystal.product import (decompose, fundamental_keys, multiset, product_co
                                product_crystal, product_graph)
 from pmcrystal.truncation import truncate, up_closure
 from conftest import random_multiset, random_point, replace_everywhere
-from reference import codec_of, fold_monomials, fundamental_crystal, ref_positive_roots
+from reference import (codec_of, fold_monomials, fundamental_crystal, ref_positive_roots,
+                       ref_step)
 
 DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6),
         ("E6", 6), ("E7", 7), ("E8", 8), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
@@ -169,6 +173,96 @@ def test_a_smaller_bound_raises(monkeypatch):
     with pytest.raises(AssertionError, match="passes the bound 1"):
         product_crystal(datum, r)
     assert seen == [2]
+
+
+@pytest.mark.parametrize("kind,rank", DATA)
+def test_digit_pass_matches_its_oracle(kind, rank):
+    # every column value of the keys of seeded product crystals gives the
+    # same (phi, f-delta, eps, gap, largest |exponent|) read off its digits
+    # as from its decoded entries
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"digits:{kind}{rank}")
+    for _ in range(3):
+        crystal_ = product_crystal(datum, random_multiset(rng, datum, max_points=3, cap=3000))
+        codec = crystal_.codec
+        values = {(i, (key >> shift) & mask)
+                  for key in crystal_.elements for i, shift, mask in codec.columns}
+        for i, col in values:
+            assert crystal._step(codec, i, col) == ref_step(codec, i, col)
+
+
+def column_of(codec, exponents):
+    """The packed column of vertex 1 with these exponents, by c ascending."""
+    return sum(ex + codec.half << k * codec.width for k, ex in enumerate(exponents))
+
+
+@pytest.mark.parametrize("exponents, phi, f_at, eps", [
+    ([0, 1, -1, 1, 0, 0], 1, 5, 0),      # two positions tie for phi: F is the higher
+    ([0, -1, 1, -1, 0, 0], 0, None, 1),   # two tie for eps
+    ([0, 1, 0, 0, 1, 0], 2, 1, 0),        # zero digits between nonzero ones
+    ([0, 1, 0, -1, 0, 1], 1, 9, 0),       # ... and a tie across them
+    ([0, 2, -3, 0, 0, 0], 0, None, 1),    # a negative sum: phi is 0
+    ([0, 3, -3, 0, 0, 0], 0, None, 0),    # exponents on the bound
+    ([0, 0, 0, 0, 0, 0], 0, None, 0),     # the empty column
+    ([1, 0, 0, 0, 0, 0], 1, None, 0),     # the F - 2 step leaves the window
+])
+def test_digit_pass_on_hand_built_columns(exponents, phi, f_at, eps):
+    # A1, one column at c = -1, 1, ..., 9: F is the largest c attaining
+    # the largest upper sum, and the f-delta is z_{1,F-2}^-1's
+    datum = build_root_datum("A", 1)
+    codec = MonomialCodec(datum, {(1, c) for c in range(-1, 10, 2)}, 3)
+    col = column_of(codec, exponents)
+    step = crystal._step(codec, 1, col)
+    assert step == ref_step(codec, 1, col)
+    f_delta = None if f_at is None else codec.z_delta(1, f_at - 2, -1)
+    assert step == (phi, f_delta, eps, (phi > 0) - (eps > 0), max(map(abs, exponents)))
+    assert (f_delta is None) == (f_at is None or f_at == -1)
+
+
+def test_discover_at_the_bound_and_one_past_it():
+    # a column value whose largest |exponent| is the bound passes; one
+    # whose largest is the bound + 1 raises before any step from it
+    datum = build_root_datum("A", 1)
+    codec = product_codec(datum, multiset({(1, 1): 4}))
+    assert codec.bound == 4
+    for n in (3, 4):
+        seed = codec.zero + codec.offset(y_monomial(datum, 1, 1, n))
+        assert len(crystal.discover(seed, codec, n)) == n + 1
+        with pytest.raises(AssertionError, match=f"passes the bound {n - 1}"):
+            crystal.discover(seed, codec, n - 1)
+
+
+def test_the_packed_passes_decode_no_column(monkeypatch):
+    # discover and walk read every step off the digits: with the decoded
+    # entries refused everywhere, they still run; with them refused
+    # everywhere but decode, at the output edge, decompose and the graph
+    # still answer
+    real = MonomialCodec._column
+
+    def refused(self, i, col):
+        raise AssertionError("a packed pass decoded a column")
+
+    def only_in_decode(self, i, col):
+        if sys._getframe(1).f_code.co_name != "decode":
+            raise AssertionError("a packed pass decoded a column")
+        return real(self, i, col)
+
+    rng = random.Random(53)
+    cases = []
+    for kind, rank in [("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]:
+        datum = build_root_datum(kind, rank)
+        cases.append((datum, random_multiset(rng, datum, max_points=3, cap=3000)))
+    want = [decompose(datum, r) for datum, r in cases]
+    tops = [len(product_crystal(datum, r).highest) for datum, r in cases]
+    graphs = [product_graph(datum, r) for datum, r in cases]
+    monkeypatch.setattr(MonomialCodec, "_column", refused)
+    for (datum, r), top in zip(cases, tops):
+        codec = product_codec(datum, r)
+        factors = [fundamental_keys(codec, i, c, m) for (i, c), m in r.points]
+        assert len(crystal.walk(product.fold(codec, factors), codec)) == top
+    monkeypatch.setattr(MonomialCodec, "_column", only_in_decode)
+    assert [decompose(datum, r) for datum, r in cases] == want
+    assert [product_graph(datum, r) for datum, r in cases] == graphs
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("D", 4), ("E6", 6), ("GL", 4)])

@@ -67,3 +67,57 @@ def test_sides_alternate_and_a_bad_run_exits_1(tmp_path, monkeypatch, capsys, fa
     row = capsys.readouterr().out.splitlines()[-1].split()
     # the fourth run (the parent's second) is dropped when it fails
     assert row[0] == "wall_s" and row[-1] == ("2/3" if failing is None else "1/2")
+
+
+def test_out_writes_the_pair_set(tmp_path, monkeypatch, capsys):
+    # --out: the arguments, each checkout's path and HEAD (null outside a
+    # git checkout), each pair's end-to-end values per side in run order
+    # with the side that went first, and the summary rows
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"},
+                        {"name": "peak_rss_mb", "better": "lower"}]}))
+    values = {"parent": [1.0, 1.2, 1.1], "change": [0.9, 1.0, 1.3]}
+    order = []
+
+    def run_bench(path, args, env):
+        side = path.rsplit("/", 1)[1]
+        order.append(side)
+        if len(order) == 6:
+            return None
+        k = order.count(side) - 1
+        result = fake_run({"wall_s": values[side][k], "peak_rss_mb": 20.0 + k})
+        result["metrics"]["trace.wall_s"] = {"value": 9.0, "unit": "s"}  # not end to end
+        return result
+
+    monkeypatch.setattr(pairs, "compile_checkout", lambda path, env: None)
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    monkeypatch.setattr(pairs, "git_head", lambda path: "abc123" if path.endswith("change") else None)
+    out = tmp_path / "pairs.json"
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert pairs.main([parent, change, "--workload", "emit", "--seed", "3",
+                       "--seconds", "2", "--pairs", "3", "--out", str(out)]) == 1
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert data["workload"] == "emit" and data["seed"] == 3
+    assert data["seconds"] == 2.0 and data["pairs"] == 3
+    assert data["checkouts"] == {"parent": {"path": parent, "head": None},
+                                 "change": {"path": change, "head": "abc123"}}
+    assert data["runs"] == [
+        {"first": "parent", "parent": {"wall_s": 1.0, "peak_rss_mb": 20.0},
+         "change": {"wall_s": 0.9, "peak_rss_mb": 20.0}},
+        {"first": "change", "parent": {"wall_s": 1.2, "peak_rss_mb": 21.0},
+         "change": {"wall_s": 1.0, "peak_rss_mb": 21.0}},
+        {"first": "parent", "parent": {"wall_s": 1.1, "peak_rss_mb": 22.0},
+         "change": None}]
+    assert data["summary"] == [
+        {"metric": "wall_s", "better": "lower", "parent_median": 1.1,
+         "change_median": 0.95, "parent_iqr": pytest.approx(0.1), "change_wins": 2,
+         "pairs": 2},
+        {"metric": "peak_rss_mb", "better": "lower", "parent_median": 20.5,
+         "change_median": 20.5, "parent_iqr": 0.5, "change_wins": 0, "pairs": 2}]
+
+
+def test_git_head_is_none_outside_a_checkout(tmp_path):
+    assert pairs.git_head(str(tmp_path)) is None
