@@ -77,12 +77,19 @@ def _keyed_once(pairs):
     return out
 
 
+def _json_object(x) -> dict:
+    """x when it is a JSON object; ValueError naming x otherwise."""
+    if not isinstance(x, dict):
+        raise ValueError(f"{x!r} is not an object")
+    return x
+
+
 def _parse_truncation(datum, text):
     try:
-        data = json.loads(text, object_pairs_hook=_keyed_once)
+        data = _json_object(json.loads(text, object_pairs_hook=_keyed_once))
         thresholds = [None] * len(datum.vertices)
         spelled: dict[int, str] = {}
-        for key, val in data["thresholds"].items():
+        for key, val in _json_object(data["thresholds"]).items():
             col = int(key)
             if col not in datum.vertices:
                 raise ValueError(f"column {key} is not a vertex")
@@ -285,7 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("schur", help="Schur module of a sequence or diagram")
-    p.add_argument("--rank", type=int, help="GL rank (default: the number of rows)")
+    p.add_argument("--rank", type=int, help="GL rank (default: the sequence length, at least 1)")
     p.add_argument("--sequence", help="JSON [[parts],...]")
     p.add_argument("--diagram", help="JSON [[row,col],...]")
     p.add_argument("--format", default="json", choices=["json", "ascii"])

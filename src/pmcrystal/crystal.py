@@ -11,8 +11,9 @@ codec's datum.  It looks up every f_i(x) in the set and checks closure
 under e by counting, with no lookup per e-edge.  ``walk`` is that pass
 with no graph: it returns only the keys every e_i kills; ``discover`` is
 that pass adding every f_i(x) it misses, from one highest-weight key.  All
-three read each column's step off its digits (``_step``); only
-``MonomialCodec.decode`` decodes one, at the output edge.  Only the
+three read each column's step from the codec's memo, which
+``MonomialCodec.step`` fills once per column value of the codec; only
+``MonomialCodec.decode`` decodes a column, at the output edge.  Only the
 builders map elements to positions; an f-edge is a triple of positions.
 Every graph records its highest-weight elements, those that every e_i
 kills (eps_i = 0 for ``graph_over``), from what was computed while it was
@@ -91,57 +92,22 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
                         tuple(x for x in elements if x in tops))
 
 
-def _columns(codec: MonomialCodec) -> list:
-    """(j, i, shift, mask, memo) for column j of ``codec``'s keys, vertex
-    i: the column of a key is ``(key >> shift) & mask``, and ``memo`` maps
-    a column to its ``_step``, for one pass."""
-    return [(j, i, shift, mask, {}) for j, (i, shift, mask) in enumerate(codec.columns)]
-
-
-def _step(codec: MonomialCodec, i: int, col: int) -> tuple:
-    """(phi_i, f-delta, eps_i, gap, top) of the packed column ``col`` of
-    vertex i, read off its digits by c ascending, s their running sum:
-    phi_i is the column's sum less the least s before a nonzero digit, F_i
-    the largest c attaining it, eps_i the largest -s after one (each >= 0).
-    The f-delta is key(f_i x) - key(x), None when phi_i = 0 or the step
-    leaves the window (and the set); the gap, (phi_i > 0) - (eps_i > 0), is
-    what the column adds to the e-closure count; top is the largest |exponent|."""
-    width, half, digit = codec.width, codec.half, (1 << codec.width) - 1
-    below = least = low = top = best_f = 0
-    for c in codec.positions[i - 1]:
-        ex = (col & digit) - half
-        col >>= width
-        if ex:
-            if below <= least:
-                least, best_f = below, c
-            below += ex
-            if below < low:
-                low = below
-            if ex > top or -ex > top:
-                top = abs(ex)
-    phi, eps = max(below - least, 0), -low
-    return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
-            eps, (phi > 0) - (eps > 0), top)
-
-
 def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
     """The keys reached from the highest-weight key ``seed`` by f-steps,
     breadth first; AssertionError when a step leaves the window, when a
-    column value has an |exponent| above ``bound`` (``_step``'s top, once
-    per value, before any step from it, so no key carries across a digit),
-    or when the keys are not closed under e (the count of ``graph_over``)."""
-    columns = _columns(codec)
+    column has an |exponent| above ``bound`` (its step's top, tested on
+    every visit, as another factor may have stepped it, and before any step
+    from it, so no key carries across a digit), or when the keys are not
+    closed under e (the count of ``graph_over``)."""
+    columns = list(enumerate(zip(codec.columns, codec.steps)))
     excess = [0] * len(columns)
     found, seen = [seed], {seed}
     for key in found:  # found grows while it is read
-        for j, i, shift, mask, memo in columns:
+        for j, ((i, shift, mask), memo) in columns:
             col = (key >> shift) & mask
-            step = memo.get(col)
-            if step is None:
-                step = memo[col] = _step(codec, i, col)
-                if step[4] > bound:
-                    raise AssertionError(f"an exponent passes the bound {bound}")
-            phi, f_delta, _, gap, _ = step
+            phi, f_delta, _, gap, top = memo.get(col) or codec.step(i, col)
+            if top > bound:
+                raise AssertionError(f"an exponent passes the bound {bound}")
             if phi:
                 if f_delta is None:
                     raise AssertionError(f"an f_{i} step leaves the window {codec.positions}")
@@ -160,21 +126,18 @@ def walk(keys: set, codec: MonomialCodec) -> list:
     """The keys of the set ``keys`` that every e_i kills, in its iteration
     order: the pass of ``graph_over``, with the same ValueError when the set
     is not closed under f or e, and no decoding, ordering or edges."""
-    columns = _columns(codec)
+    columns = list(enumerate(zip(codec.columns, codec.steps)))
     excess = [0] * len(columns)
     highest = []
     for key in keys:
         top = True
-        for j, i, shift, mask, memo in columns:
+        for j, ((i, shift, mask), memo) in columns:
             col = (key >> shift) & mask
             try:
-                f_delta, eps, gap = memo[col]
+                phi, f_delta, eps, gap, _ = memo[col]
             except KeyError:
-                phi, f_delta, eps, gap, _ = _step(codec, i, col)
-                if phi and f_delta is None:
-                    raise ValueError("element set is not closed under f") from None
-                memo[col] = f_delta, eps, gap
-            if f_delta and key + f_delta not in keys:
+                phi, f_delta, eps, gap, _ = codec.step(i, col)
+            if phi and (f_delta is None or key + f_delta not in keys):
                 raise ValueError("element set is not closed under f")
             if eps:
                 top = False
@@ -191,30 +154,27 @@ def graph_over(keys, codec: MonomialCodec) -> CrystalGraph:
     """The crystal graph over ``codec.datum`` on an e/f-closed set of
     products, given as ``codec``'s keys: one pass in which column i of a
     key is one shift and mask away, and f_i adds a delta memoised per (i,
-    column) for this call (``_step``).  Every f_i(x) is computed once and
-    looked up in the set; ValueError when one is missing.  Closure under e
-    is checked by counting: in an f-closed set, f_i maps the elements with
-    phi_i > 0 injectively into those with eps_i > 0, because e_i f_i = id
-    and eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed exactly when
-    the two counts agree for every i; ValueError after the pass when they
-    do not.  ``walk`` is this pass without the graph."""
+    column) on the codec (``MonomialCodec.step``).  Every f_i(x) is computed
+    once and looked up in the set; ValueError when one is missing.  Closure
+    under e is checked by counting: in an f-closed set, f_i maps the
+    elements with phi_i > 0 injectively into those with eps_i > 0, because
+    e_i f_i = id and eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed
+    exactly when the two counts agree for every i; ValueError after the
+    pass when they do not.  ``walk`` is this pass without the graph."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: k for k, (_, _, key) in enumerate(rows)}
     del rows
-    columns = _columns(codec)
+    columns = list(enumerate(zip(codec.columns, codec.steps)))
     # per column: the elements with phi_i > 0 less those with eps_i > 0
     excess = [0] * len(columns)
     edges = []
     highest = []
     for key, k in index.items():
         top = True
-        for j, i, shift, mask, memo in columns:
+        for j, ((i, shift, mask), memo) in columns:
             col = (key >> shift) & mask
-            step = memo.get(col)
-            if step is None:
-                step = memo[col] = _step(codec, i, col)
-            phi, f_delta, eps, gap, _ = step
+            phi, f_delta, eps, gap, _ = memo.get(col) or codec.step(i, col)
             if phi:
                 # a delta leaving the window leaves the set
                 target = None if f_delta is None else index.get(key + f_delta)

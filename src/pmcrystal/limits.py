@@ -10,7 +10,8 @@ imports nothing.
 
 Thread safety.  The ``lru_cache``s are safe to share between threads in
 CPython.  No other cache is locked (the memo and Freudenthal tables of
-``weightring._root_tables``, the W-invariance verdict an element records):
+``weightring._root_tables``, the W-invariance verdict an element records,
+the memos a ``monomial.MonomialCodec`` holds for its computation):
 each entry depends on its key alone, is written by one dict or slot store,
 atomic in CPython, and is never changed once built, so racing threads at
 worst compute an entry twice or evict one more than needed.

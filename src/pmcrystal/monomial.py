@@ -15,7 +15,9 @@ exponents of z_{i,k} are written out once, in ``z_exponents``.
 
 Packed monomials.  ``MonomialCodec`` packs the products of the factors of
 a product crystal M(R) into integers, so that a product is an integer sum
-and f_i/e_i add a fixed integer delta.  Its invariants:
+and f_i/e_i add a fixed integer delta.  It owns this format, which no other
+module reads, and the step of each column value (``MonomialCodec.step``),
+memoised for the packed passes of ``crystal``.  Its invariants:
 
 * Window.  Every encoded point lies in a finite window, known from R:
   M(i,c)^n, a copy of B(n w_i), runs from y_{i,c}^n down to y_{i*,c-h}^-n
@@ -42,8 +44,8 @@ and f_i/e_i add a fixed integer delta.  Its invariants:
   W-orbit of n w_i, and |<alpha_j^vee, u n w_i>| = |<beta^vee, n w_i>| <=
   <theta^vee, n w_i> = n a_i, beta = +-u^-1 alpha_j positive (a GL
   coordinate lies in [0, n]).  The exponent half is checked:
-  ``crystal.discover`` asserts |e| <= n a_i once per column value, read
-  off its digits.
+  ``crystal.discover`` asserts |e| <= n a_i on every column it visits,
+  read off its digits by ``MonomialCodec.step``.
 """
 
 from __future__ import annotations
@@ -237,10 +239,10 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
 class MonomialCodec:
     """Packs monomials into integers, one digit per point of ``window``,
     each |exponent| and |weight coordinate| at most ``bound`` (see the
-    module docstring for the layout and its invariants).  Decoded columns,
-    which serve only ``decode`` (``crystal`` reads its steps off the
-    digits), weights and z-deltas are memoised on the codec, which is meant
-    to live for one computation.
+    module docstring for the layout and its invariants).  Its memos, for
+    the one computation it is meant to live for: decoded columns, which
+    serve only ``decode``; ``steps``, one dict per vertex, which ``step``
+    fills and the packed passes read first; weights; and z-deltas.
     """
 
     def __init__(self, datum: RootDatum, window, bound: int):
@@ -266,6 +268,7 @@ class MonomialCodec:
         # the key of the monomial 1 with weight 0: the bias H in every digit
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
+        self.steps: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[int, Weight] = {}
         self._deltas: dict[tuple[int, int, int], int | None] = {}
 
@@ -331,3 +334,36 @@ class MonomialCodec:
             out += power * ex << shift
         memo[args] = out
         return out
+
+    def step(self, i: int, col: int) -> tuple:
+        """(phi_i, f-delta, eps_i, gap, top) of the packed column ``col`` of
+        vertex i, read off its digits by c ascending, s their running sum:
+        phi_i is the column's sum less the least s before a nonzero digit,
+        F_i the largest c attaining it, eps_i the largest -s after one (each
+        >= 0).  The f-delta is key(f_i x) - key(x), None when phi_i = 0 or
+        the step leaves the window (and the set); the gap, (phi_i > 0) -
+        (eps_i > 0), is what the column adds to the e-closure count; top is
+        the largest |exponent|.  Stored in ``steps[i - 1]``, read first."""
+        width, half, digit = self.width, self.half, (1 << self.width) - 1
+        below = least = low = top = best_f = 0
+        rest = col
+        for c in self.positions[i - 1]:
+            ex = (rest & digit) - half
+            rest >>= width
+            if ex:
+                if below <= least:
+                    least, best_f = below, c
+                below += ex
+                if below < low:
+                    low = below
+                if ex > top or -ex > top:
+                    top = abs(ex)
+        phi, eps = max(below - least, 0), -low
+        out = self.steps[i - 1][col] = (phi, self.z_delta(i, best_f - 2, -1) if phi else None,
+                                        eps, (phi > 0) - (eps > 0), top)
+        return out
+
+    def points_mask(self, select) -> int:
+        """The mask of the digits of the window points (i, c) with select(i, c)."""
+        digit = (1 << self.width) - 1
+        return sum(digit << shift for (i, c), shift in self.shift.items() if select(i, c))

@@ -97,18 +97,19 @@ def multiset(mult: dict[LatticePoint, int]) -> PointMultiset:
 
 
 def strict_int(x) -> int:
-    """int(x), refusing what int() takes without it being an integer: a
-    bool, a string, or a float with a fractional part (or an infinite or NaN
-    one)."""
-    if isinstance(x, (bool, str)) or (isinstance(x, float) and not x.is_integer()):
+    """int(x) for an int but not a bool, or a float with no fractional part
+    (so neither infinite nor NaN); ValueError naming anything else."""
+    if isinstance(x, bool) or not (isinstance(x, int)
+                                   or isinstance(x, float) and x.is_integer()):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
 
 def strict_list(x):
-    """x, refusing what iterates as a list without being one: a dict (its
-    keys) or a string (its characters)."""
-    if isinstance(x, (dict, str)):
+    """x, refusing by name each JSON value but an array: an object (which
+    iterates as its keys), a string (as its characters), a number, a bool
+    or null.  A tuple, a set or a generator passes."""
+    if x is None or isinstance(x, (dict, str, int, float)):
         raise ValueError(f"{x!r} is not a list")
     return x
 

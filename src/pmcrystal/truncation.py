@@ -110,8 +110,7 @@ def truncate(datum: RootDatum, r: PointMultiset,
     if not j.contains_all(r.support()):
         raise ValueError("J must contain the support of R")
     codec = product_codec(datum, r)
-    outside = sum(((1 << codec.width) - 1) << shift
-                  for (i, c), shift in codec.shift.items() if not j.contains(i, c))
+    outside = codec.points_mask(lambda i, c: not j.contains(i, c))
     bias = codec.zero & outside
     factors = [[key for key in fundamental_keys(codec, i, c, m) if key & outside == bias]
                for (i, c), m in r.points]

@@ -311,24 +311,20 @@ def _reflection_fixes(keys: dict[int, int], a: int, pairings: list[int]) -> bool
     return all(map(eq, map(keys.get, reflected), keys.values()))
 
 
-def _moving_vertices(datum: RootDatum, keys: dict[int, int], n: int):
-    """The vertices i with s_i moving the element with these keys, in
-    vertex order and lazily: none when the element is W-invariant."""
+def _moving_vertices(datum: RootDatum, f: GroupAlgebraElement) -> list[int]:
+    """The vertices i with s_i moving f, in vertex order: [] when W fixes
+    f.  f's record of datum stands in for the scan, and a scan of every
+    vertex that finds none records datum on f (see ``GroupAlgebraElement``)."""
+    if f._invariant_under is datum:
+        return []
+    keys, n = f._keys, datum.rank
+    moving = []
     for i in datum.vertices:
         if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
-            yield i
-
-
-def _first_moving_vertex(datum: RootDatum, f: GroupAlgebraElement, n: int) -> int | None:
-    """The first vertex i with s_i moving f, or None when W fixes f.  A
-    scan that finds none records datum on f, and f's record of datum
-    stands in for the scan (see ``GroupAlgebraElement``)."""
-    if f._invariant_under is datum:
-        return None
-    i = next(_moving_vertices(datum, f._keys, n), None)
-    if i is None:
+            moving.append(i)
+    if not moving:
         f._invariant_under = datum
-    return i
+    return moving
 
 
 def _sign_masks(datum: RootDatum, n: int) -> tuple[int, int]:
@@ -439,14 +435,10 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     reads the record; an f recorded under this datum is not scanned.  With
     ``check``, AssertionError unless the image is W-invariant; a check that
     passes is recorded on the image, sparing ``weyl_decompose`` its scan."""
-    n = _check_length(datum, f)
+    _check_length(datum, f)
     lam = datum.zero
-    if f._invariant_under is not datum:
-        moving = list(_moving_vertices(datum, f._keys, n))
-        if not moving:
-            f._invariant_under = datum
-        for i in moving:
-            lam = w_add(lam, datum.fundamentals[i])
+    for i in _moving_vertices(datum, f):
+        lam = w_add(lam, datum.fundamentals[i])
     low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
     out = apply_word(datum, datum.dominant_representative(low)[1], f)
     if check:
@@ -456,7 +448,7 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
 
 def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
     """The check on a pi_{w_o} image: AssertionError unless W fixes f."""
-    if _first_moving_vertex(datum, f, datum.rank) is not None:
+    if _moving_vertices(datum, f):
         raise AssertionError("pi_{w_o} image is not Weyl-invariant")
 
 
@@ -640,9 +632,9 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     """
     n = _check_length(datum, f)
     keys = f._keys
-    i = _first_moving_vertex(datum, f, n)
-    if i is not None:
-        raise DecompositionError(f"not Weyl-invariant: s_{i} moves it")
+    moving = _moving_vertices(datum, f)
+    if moving:
+        raise DecompositionError(f"not Weyl-invariant: s_{moving[0]} moves it")
     height = _height_of_key(datum, n)
     rem = {k: keys[k] for k in _dominant_keys(datum, keys, n)}
     # every dominant weight of a summand is a dominant term of f

@@ -37,8 +37,9 @@ and the two decomposition routes run.  What only the tests need lives here:
   ``codec_of``/``fold_monomials``, a codec over the union of the supports
   of any monomial sets and their fold, as the library packed its factors
   before its window came from R; and ``ref_step``, the step of one packed
-  column from its decoded entries, the oracle of ``crystal._step``, which
-  reads the digits.
+  column from its decoded entries, the oracle of ``MonomialCodec.step``,
+  which reads the digits and which the codec memoises for the packed
+  passes.
 """
 
 import itertools
@@ -165,10 +166,12 @@ def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
 
 
 def ref_step(codec: MonomialCodec, i: int, col: int) -> tuple:
-    """``crystal._step`` from the decoded entries of the packed column
-    ``col`` of vertex i (``codec._column``): their ``column_stats`` phi_i,
-    eps_i and F_i, the f-delta ``z_delta`` at F_i - 2, the gap and the
-    largest |exponent|."""
+    """``codec.step(i, col)`` from the decoded entries of the packed
+    column ``col`` of vertex i (``codec._column``): their ``column_stats``
+    phi_i, eps_i and F_i, the f-delta ``z_delta`` at F_i - 2, the gap and
+    the largest |exponent|.  The codec owns the step and its memo, one
+    dict per vertex for its computation; this oracle neither reads nor
+    fills that memo."""
     entries = codec._column(i, col)
     phi, eps, best_f, _ = column_stats(Monomial(codec.datum.zero, entries), i)
     return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,

@@ -403,10 +403,40 @@ def test_objects_and_strings_for_lists_exit_2(capsys, argv):
     assert "is not a list" in data["diagnostics"][0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[1]"], "1 is not a list"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "null"], "None is not a list"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "5"], "5 is not a list"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1,1,null]]"],
+     "None is not an integer"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1,1,[1]]]"],
+     "[1] is not an integer"),
+    (["schur", "--diagram", "[1]"], "1 is not a list"),
+    (["schur", "--sequence", "[[null]]"], "None is not an integer"),
+    (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation", "[]"],
+     "[] is not an object"),
+    (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation", "null"],
+     "None is not an object"),
+    (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation",
+      '{"thresholds": [1]}'], "[1] is not an object"),
+])
+def test_wrong_typed_json_is_refused_by_name(capsys, argv, message):
+    # these exited 2 before too, but with Python's own TypeError text:
+    # "object of type 'int' has no len()", "cannot unpack non-iterable int
+    # object", "int() argument must be ...", "list indices must be ..."
+    code = run(argv)
+    diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert code == 2 and diagnostic.endswith(message)
+
+
 def test_tuples_stay_lists():
     assert multiset_from_pairs(((1, 3, 1), [2, 0])) == multiset_from_pairs([[1, 3, 1], [2, 0, 1]])
     assert check_sequence(((), (1,), [2, 1])) == ((), (1,), (2, 1))
     assert check_diagram(((1, 1), [1, 2])) == frozenset({(1, 1), (1, 2)})
+    # so do the Python iterables that no JSON value is, which the library
+    # passes itself: a set of boxes, a generator of partitions
+    assert check_diagram(frozenset({(1, 1), (1, 2)})) == frozenset({(1, 1), (1, 2)})
+    assert check_sequence(p for p in ((), (1,))) == ((), (1,))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,7 @@
 """The fundamental crystals discovered on packed keys (``crystal.discover``,
 run by ``product.fundamental_keys``) against the ``Monomial`` closure, the
 codec that ``product.product_codec`` builds from R alone, the step that the
-packed passes read off a column's digits (``crystal._step``) against its
+packed passes read off a column's digits (``MonomialCodec.step``) against its
 decoded-entry oracle, and the commands built on both against a fold of the
 closures."""
 
@@ -188,7 +188,7 @@ def test_digit_pass_matches_its_oracle(kind, rank):
         values = {(i, (key >> shift) & mask)
                   for key in crystal_.elements for i, shift, mask in codec.columns}
         for i, col in values:
-            assert crystal._step(codec, i, col) == ref_step(codec, i, col)
+            assert codec.step(i, col) == ref_step(codec, i, col)
 
 
 def column_of(codec, exponents):
@@ -212,7 +212,7 @@ def test_digit_pass_on_hand_built_columns(exponents, phi, f_at, eps):
     datum = build_root_datum("A", 1)
     codec = MonomialCodec(datum, {(1, c) for c in range(-1, 10, 2)}, 3)
     col = column_of(codec, exponents)
-    step = crystal._step(codec, 1, col)
+    step = codec.step(1, col)
     assert step == ref_step(codec, 1, col)
     f_delta = None if f_at is None else codec.z_delta(1, f_at - 2, -1)
     assert step == (phi, f_delta, eps, (phi > 0) - (eps > 0), max(map(abs, exponents)))
@@ -221,15 +221,59 @@ def test_digit_pass_on_hand_built_columns(exponents, phi, f_at, eps):
 
 def test_discover_at_the_bound_and_one_past_it():
     # a column value whose largest |exponent| is the bound passes; one
-    # whose largest is the bound + 1 raises before any step from it
+    # whose largest is the bound + 1 raises before any step from it, on a
+    # fresh codec and on one whose memo a discovery at the full bound
+    # already filled: the memo is shared, so the bound is tested on every
+    # visit, and no value is stepped again
     datum = build_root_datum("A", 1)
-    codec = product_codec(datum, multiset({(1, 1): 4}))
-    assert codec.bound == 4
     for n in (3, 4):
+        codec = product_codec(datum, multiset({(1, 1): 4}))
+        assert codec.bound == 4
         seed = codec.zero + codec.offset(y_monomial(datum, 1, 1, n))
-        assert len(crystal.discover(seed, codec, n)) == n + 1
         with pytest.raises(AssertionError, match=f"passes the bound {n - 1}"):
             crystal.discover(seed, codec, n - 1)
+        codec = product_codec(datum, multiset({(1, 1): 4}))
+        assert len(crystal.discover(seed, codec, n)) == n + 1
+        stepped = [dict(memo) for memo in codec.steps]
+        assert sum(map(len, stepped)) == n + 1
+        with pytest.raises(AssertionError, match=f"passes the bound {n - 1}"):
+            crystal.discover(seed, codec, n - 1)
+        assert codec.steps == stepped
+
+
+@pytest.mark.parametrize("kind,rank", DATA)
+def test_each_column_value_is_stepped_once_per_codec(monkeypatch, kind, rank):
+    # the codec owns the step memo and every packed pass reads it first, so
+    # over all the factors that discover finds and the walk or graph after
+    # them, a codec steps each (vertex, column value) exactly once, and
+    # its memo holds exactly what it stepped
+    calls = []
+    real = MonomialCodec.step
+
+    def counted(self, i, col):
+        calls.append((self, i, col))
+        return real(self, i, col)
+
+    monkeypatch.setattr(MonomialCodec, "step", counted)
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"once:{kind}{rank}")
+    total = 0
+    for _ in range(3):
+        r = random_multiset(rng, datum, max_points=3, cap=3000)
+        j = up_closure(datum, [*r.support(), random_point(rng, datum, -3, 3)])
+        for build in (product_crystal, product_graph, lambda datum, r: truncate(datum, r, j)):
+            del calls[:]
+            build(datum, r)
+            if not calls:
+                continue
+            codec = calls[0][0]
+            assert all(self is codec for self, _, _ in calls)
+            values = [(i, col) for _, i, col in calls]
+            assert len(set(values)) == len(values)
+            assert sorted(values) == sorted((i, col) for i, memo in zip(datum.vertices, codec.steps)
+                                            for col in memo)
+            total += len(values)
+    assert total
 
 
 def test_the_packed_passes_decode_no_column(monkeypatch):

@@ -200,6 +200,34 @@ def test_limits_live_in_limits():
         assert not _limits_outside_limits(ast.parse(text)), text
 
 
+_CODEC_LAYOUT = {"width", "half", "shift", "wbase"}
+
+
+def _layout_reads(tree) -> list[int]:
+    """Lines that read a codec's digit layout: an attribute ``width``,
+    ``half``, ``shift`` or ``wbase``, spelled out or through ``getattr``."""
+    return sorted({node.lineno for node in ast.walk(tree) if (
+        isinstance(node, ast.Attribute) and node.attr in _CODEC_LAYOUT) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value in _CODEC_LAYOUT)})
+
+
+def test_codec_layout_stays_in_monomial():
+    # the codec owns its packed format: outside monomial, a packed pass
+    # asks the codec for a column's step or a mask and never reads the
+    # digit widths or positions itself
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "monomial.py" in paths
+    found = [f"{path.name}:{line}" for path in paths if path.name != "monomial.py"
+             for line in _layout_reads(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    # the check itself sees both spellings, and monomial does read them
+    assert _layout_reads(ast.parse("m = (1 << codec.width) - 1\nx = getattr(c, 'shift')")) \
+        == [1, 2]
+    assert _layout_reads(ast.parse((SRC / "monomial.py").read_text()))
+
+
 def test_bench_tracer_hooks_resolve():
     # bench/tracing.py wraps library functions by (module, name); one that
     # a refactor renamed or moved would only fail when the bench installs
