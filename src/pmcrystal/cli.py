@@ -4,9 +4,10 @@ Schur modules and DOT graph export over JSON.
 Every command prints a JSON envelope {"status", "result", "diagnostics"}
 and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
 --format ascii`` the diagram instead, and no other command takes --format.
-Validation problems exit 2 with a machine-readable diagnostic, and so does
-an option that would do nothing: ``--rank`` with ``--format ascii``, or
-``--restrict`` with ``stable --bound``.  An internal oracle disagreement
+Bad input raises a ``ValueError`` naming it and exits 2 with a
+machine-readable diagnostic, as does an option that would do nothing:
+``--rank`` with ``--format ascii``, or ``--restrict`` with
+``stable --bound``.  An internal oracle disagreement
 exits 1 with status "internal-inconsistency"; its diagnostics are the
 message and {"diff": {weight: [enumeration, character]}} for every weight
 where the two routes differ, or for ``schur`` {"diff": {partition: [schur,
@@ -52,17 +53,13 @@ from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
 from .weightring import laurent_str, straighten
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _datum_and_multiset(args):
     datum = build_root_datum(args.cartan, args.rank)
     try:
         r = multiset_from_pairs(json.loads(args.R))
         validate_points(datum, r)
     except (ValueError, TypeError, KeyError) as err:
-        raise ValidationError(f"bad point multiset {args.R!r}: {err}") from err
+        raise ValueError(f"bad point multiset {args.R!r}: {err}") from err
     return datum, r
 
 
@@ -89,8 +86,13 @@ def _parse_truncation(datum, text):
         data = _json_object(json.loads(text, object_pairs_hook=_keyed_once))
         thresholds = [None] * len(datum.vertices)
         spelled: dict[int, str] = {}
+        if "thresholds" not in data:
+            raise ValueError("no 'thresholds' key")
         for key, val in _json_object(data["thresholds"]).items():
-            col = int(key)
+            try:
+                col = int(key)
+            except ValueError:
+                raise ValueError(f"column {key!r} is not an integer") from None
             if col not in datum.vertices:
                 raise ValueError(f"column {key} is not a vertex")
             if col in spelled:
@@ -105,7 +107,7 @@ def _parse_truncation(datum, text):
                 raise ValueError(f"unknown key {key!r}: the only key is 'thresholds'")
         return j
     except (ValueError, TypeError, KeyError, AttributeError) as err:
-        raise ValidationError(f"bad truncation {text!r}: {err}") from err
+        raise ValueError(f"bad truncation {text!r}: {err}") from err
 
 
 def _decomposition_json(datum, dec):
@@ -181,28 +183,28 @@ def cmd_graph(args):
 
 def cmd_schur(args):
     if (args.sequence is None) == (args.diagram is None):
-        raise ValidationError("schur needs exactly one of --sequence/--diagram")
+        raise ValueError("schur needs exactly one of --sequence/--diagram")
     if args.sequence is not None:
         if args.format == "ascii":
-            raise ValidationError("--format ascii draws a --diagram, not a --sequence")
+            raise ValueError("--format ascii draws a --diagram, not a --sequence")
         try:
             seq = check_sequence(json.loads(args.sequence))
         except (ValueError, TypeError) as err:
-            raise ValidationError(f"bad sequence: {err}") from err
+            raise ValueError(f"bad sequence: {err}") from err
     else:
         try:
             boxes = check_diagram(json.loads(args.diagram))
         except (ValueError, TypeError) as err:
-            raise ValidationError(f"bad diagram: {err}") from err
+            raise ValueError(f"bad diagram: {err}") from err
         if args.format == "ascii":
             if args.rank is not None:
-                raise ValidationError("--format ascii draws the diagram and takes no --rank")
+                raise ValueError("--format ascii draws the diagram and takes no --rank")
             return diagram_ascii(boxes)
         seq = sequence_of_diagram(boxes)
     n = max(len(seq), 1) if args.rank is None else args.rank
     build_root_datum("GL", n)  # refuses a rank out of range
     if n < len(seq):
-        raise ValidationError(f"rank {n} < sequence length {len(seq)}")
+        raise ValueError(f"rank {n} < sequence length {len(seq)}")
     if args.sequence is not None:
         datum = build_root_datum("GL", max(len(seq), 1))  # gives GL_n's answer
         ch = flagged_schur_char(seq, datum.rank)
@@ -233,16 +235,16 @@ def _agreeing(dec, name, oracle):
 
 def cmd_stable(args):
     if args.restrict is not None and args.restrict < 0:
-        raise ValidationError(f"--restrict must be at least 0, not {args.restrict}")
+        raise ValueError(f"--restrict must be at least 0, not {args.restrict}")
     try:
         r = multiset_from_pairs(json.loads(args.R))
         datum = build_root_datum("GL", min_rank(r))
         validate_points(datum, r)  # parity check against the GL colouring
     except (ValueError, TypeError) as err:
-        raise ValidationError(f"bad point multiset {args.R!r}: {err}") from err
+        raise ValueError(f"bad point multiset {args.R!r}: {err}") from err
     if args.bound:
         if args.restrict is not None:
-            raise ValidationError("--bound reports only the bound and takes no --restrict")
+            raise ValueError("--bound reports only the bound and takes no --restrict")
         return {"stable_bound": stable_bound(r)}
     coeffs = stable_coeffs(r)
     if args.restrict is not None:
@@ -412,7 +414,7 @@ def run(argv) -> int:
     except limits.LimitExceeded as err:
         return _error("limit-exceeded", 3, str(err),
                       {"stage": err.stage, "limit": err.limit, "reached": err.reached})
-    except (ValueError, OverflowError) as err:  # ValidationError; int(1e400)
+    except (ValueError, OverflowError) as err:  # bad input; int(1e400)
         return _error("error", 2, str(err))
     if isinstance(result, str):
         sys.stdout.write(result if result.endswith("\n") else result + "\n")

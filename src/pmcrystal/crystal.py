@@ -31,10 +31,6 @@ from . import limits
 from .cartan import RootDatum, weight_str
 from .monomial import Monomial, MonomialCodec, e_op, f_op
 
-
-class ClosureLimitError(limits.LimitExceeded):
-    """A closure or a product fold grew past ``limits.MAX_ELEMENTS``."""
-
 _order = attrgetter("weight", "exponents")  # the order of every graph's elements
 
 
@@ -53,8 +49,8 @@ class CrystalGraph(namedtuple("CrystalGraph", "datum elements f_edges highest"))
 
 def closure(datum: RootDatum, seeds) -> CrystalGraph:
     """Smallest set of monomials containing ``seeds`` closed under every
-    e_i and f_i, together with its f-edges; ClosureLimitError past
-    ``limits.MAX_ELEMENTS``."""
+    e_i and f_i, together with its f-edges; LimitExceeded at stage
+    ``crystal.closure`` past ``limits.MAX_ELEMENTS``."""
     limit = limits.MAX_ELEMENTS
     seen = set(seeds)
     frontier = list(seen)
@@ -80,8 +76,8 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
             if top:
                 tops.add(x)
             if len(seen) > limit:
-                raise ClosureLimitError("crystal.closure", limit, len(seen),
-                                        f"closure exceeded limit {limit}")
+                raise limits.LimitExceeded("crystal.closure", limit, len(seen),
+                                           f"closure exceeded limit {limit}")
         frontier = nxt
     elements = tuple(sorted(seen, key=_order))
     at = {x: k for k, x in enumerate(elements)}

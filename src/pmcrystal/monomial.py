@@ -242,7 +242,7 @@ class MonomialCodec:
     module docstring for the layout and its invariants).  Its memos, for
     the one computation it is meant to live for: decoded columns, which
     serve only ``decode``; ``steps``, one dict per vertex, which ``step``
-    fills and the packed passes read first; weights; and z-deltas.
+    fills and the packed passes read first; weights; and f-deltas by (i, k).
     """
 
     def __init__(self, datum: RootDatum, window, bound: int):
@@ -270,7 +270,7 @@ class MonomialCodec:
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self.steps: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[int, Weight] = {}
-        self._deltas: dict[tuple[int, int, int], int | None] = {}
+        self._deltas: dict[tuple[int, int], int | None] = {}
 
     def _pack_weight(self, weight: Weight) -> int:
         """The weight as a signed sum of weight digits (no bias)."""
@@ -317,22 +317,21 @@ class MonomialCodec:
                 ((digits >> s) & digit) - half for s in self._wshifts)
         return weight, tuple(exponents)
 
-    def z_delta(self, i: int, k: int, power: int) -> int | None:
-        """key(p * z_{i,k}^power) - key(p), or None when z_{i,k} touches a
-        point outside the window (then p * z_{i,k}^power is not in the
-        encoded set).  Memoised on the codec, None included."""
+    def f_delta(self, i: int, k: int) -> int | None:
+        """key(p * z_{i,k}^-1) - key(p), or None when z_{i,k} touches a
+        point outside the window (then p * z_{i,k}^-1 is not in the encoded
+        set).  Memoised on the codec by (i, k), None included."""
         memo = self._deltas
-        args = (i, k, power)
-        if args in memo:
-            return memo[args]
-        out = self._pack_weight(w_scale(power, self.datum.alphas[i]))
+        if (i, k) in memo:
+            return memo[i, k]
+        out = -self._pack_weight(self.datum.alphas[i])
         for pt, ex in z_exponents(self.datum, i, k).items():
             shift = self.shift.get(pt)
             if shift is None:
                 out = None
                 break
-            out += power * ex << shift
-        memo[args] = out
+            out -= ex << shift
+        memo[i, k] = out
         return out
 
     def step(self, i: int, col: int) -> tuple:
@@ -359,7 +358,7 @@ class MonomialCodec:
                 if ex > top or -ex > top:
                     top = abs(ex)
         phi, eps = max(below - least, 0), -low
-        out = self.steps[i - 1][col] = (phi, self.z_delta(i, best_f - 2, -1) if phi else None,
+        out = self.steps[i - 1][col] = (phi, self.f_delta(i, best_f - 2) if phi else None,
                                         eps, (phi > 0) - (eps > 0), top)
         return out
 

@@ -27,8 +27,7 @@ from collections import namedtuple
 
 from . import limits
 from .cartan import RootDatum, Weight, add_into, w_add, w_scale, w_sub, weight_str
-from .crystal import (ClosureLimitError, CrystalGraph, discover, graph_over,
-                      highest_weights, walk)
+from .crystal import CrystalGraph, discover, graph_over, highest_weights, walk
 from .monomial import (LatticePoint, Monomial, MonomialCodec, make_monomial,
                        mono_mul, one, require_lattice_point, y_monomial,
                        z_exponents)
@@ -120,6 +119,8 @@ def multiset_from_pairs(pairs) -> PointMultiset:
     negative one cannot cancel against another."""
     out: dict[LatticePoint, int] = {}
     for entry in map(strict_list, strict_list(pairs)):
+        if len(entry) not in (2, 3):
+            raise ValueError(f"{entry!r} is not [i, c] or [i, c, m]")
         i, c, m = map(strict_int, entry if len(entry) == 3 else (*entry, 1))
         if m < 0:
             raise ValueError(f"negative multiplicity at {(i, c)}")
@@ -172,15 +173,15 @@ def product_codec(datum: RootDatum, r: PointMultiset) -> MonomialCodec:
 def fundamental_keys(codec: MonomialCodec, i: int, c: int, n: int) -> list[int]:
     """M(i,c)^n, a copy of B(n w_i), as ``codec``'s keys, discovered from
     y_{i,c}^n with every |exponent| at most n a_i.  Past
-    ``limits.MAX_ELEMENTS`` elements it raises ClosureLimitError at stage
+    ``limits.MAX_ELEMENTS`` elements it raises LimitExceeded at stage
     ``crystal.closure`` first, ``reached`` being the exact dim V(n w_i)."""
     datum = codec.datum
     seed = codec.zero + codec.offset(y_monomial(datum, i, c, n))  # checks the point
     limit = limits.MAX_ELEMENTS
     size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
     if size > limit:
-        raise ClosureLimitError("crystal.closure", limit, size,
-                                f"closure exceeded limit {limit}")
+        raise limits.LimitExceeded("crystal.closure", limit, size,
+                                   f"closure exceeded limit {limit}")
     return discover(seed, codec, n * datum.positive_roots[-1][0][i - 1])
 
 
@@ -188,8 +189,8 @@ def fold(codec: MonomialCodec, factors) -> set[int]:
     """The products x_1 * ... * x_m, x_k from the key set factors[k], as
     ``codec``'s keys: folded pairwise with deduplication, a product of
     monomials being a sum of offsets from ``codec.zero``, weights included.
-    The working set never shrinks, so ClosureLimitError is raised as soon
-    as it passes ``limits.MAX_ELEMENTS``."""
+    The working set never shrinks, so LimitExceeded is raised at stage
+    ``product.fold`` as soon as it passes ``limits.MAX_ELEMENTS``."""
     limit = limits.MAX_ELEMENTS
     zero = codec.zero
     product = {zero}
@@ -199,8 +200,8 @@ def fold(codec: MonomialCodec, factors) -> set[int]:
         for p in product:
             folded.update([p + q for q in offsets])
             if len(folded) > limit:
-                raise ClosureLimitError("product.fold", limit, len(folded),
-                                        f"product crystal exceeded limit {limit}")
+                raise limits.LimitExceeded("product.fold", limit, len(folded),
+                                           f"product crystal exceeded limit {limit}")
         product = folded
     return product
 

@@ -217,7 +217,7 @@ def _fold(datum: RootDatum, plan: BuildPlan):
     at 1; once ``fixed`` holds every vertex, every Extend up to the next
     Multiply is the identity, so the walk goes on at the next level holding
     a point of R."""
-    unit = GroupAlgebraElement.unit(datum)
+    unit = ga_e(datum.zero)
     g, h = None, unit
     n = len(datum.vertices)
     fixed: set[int] = set()
@@ -255,12 +255,14 @@ def full_character(datum: RootDatum, r: PointMultiset,
     """ch M(R) = pi_{w_o} applied to any truncation character.  With the
     truncation character g * h of the plan fold (``_fold``), g W-invariant,
     pi_{w_o} (g h) = g pi_{w_o} h, so pi_{w_o} acts on h alone.  ``check``
-    asserts that pi_{w_o} h is W-invariant (``pi_longest``) and so is the
-    product returned.  A check that passes is recorded on the element it
-    scanned (see ``weightring.GroupAlgebraElement``), so ``weyl_decompose``
-    does not scan the checked character again."""
+    asserts that pi_{w_o} h and the product returned are W-invariant.  A
+    check that passes is recorded on the element it scanned (see
+    ``weightring.GroupAlgebraElement``), so ``weyl_decompose`` does not
+    scan the checked character again."""
     g, h = _fold(datum, build_plan(datum, r))
-    ch = pi_longest(datum, h, check=check)
+    ch = pi_longest(datum, h)
+    if check:
+        _assert_weyl_invariant(datum, ch)
     if g is None:
         return ch
     ch = g * ch

@@ -110,9 +110,14 @@ def check_sequence(seq) -> tuple[Partition, ...]:
 
 
 def check_diagram(boxes) -> frozenset[Box]:
-    """The (row, col) boxes of a diagram, every row and column an integer
-    >= 1 and no box listed twice."""
-    pairs = [(strict_int(r), strict_int(c)) for r, c in map(strict_list, strict_list(boxes))]
+    """The (row, col) boxes of a diagram, every box a pair, every row and
+    column an integer >= 1 and no box listed twice."""
+    pairs = []
+    for box in map(strict_list, strict_list(boxes)):
+        if len(box) != 2:
+            raise ValueError(f"{box!r} is not a [row, col] pair")
+        r, c = box
+        pairs.append((strict_int(r), strict_int(c)))
     boxes = frozenset(pairs)
     if len(boxes) != len(pairs):
         raise ValueError("a diagram lists each box once")
@@ -199,7 +204,7 @@ def flagged_schur_char(seq, n: int) -> GroupAlgebraElement:
     if n < len(seq):
         raise ValueError(f"rank {n} < sequence length {len(seq)}")
     datum = build_root_datum("GL", n)
-    ch = GroupAlgebraElement.unit(datum)
+    ch = ga_e(datum.zero)
     for i, p in enumerate(seq, start=1):
         ch = apply_word(datum, range(1, i), ch)
         ch = ga_e(partition_weight(p, n)) * ch

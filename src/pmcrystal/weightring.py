@@ -24,7 +24,7 @@ dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``irreducible_character``) stays as the independent oracle.  The check
 is made once across calls too: an element records a W-invariance scan
 that passed (``GroupAlgebraElement``), so the peel does not scan again a
-character that ``pi_longest`` or ``truncation.full_character`` checked.
+character that ``truncation.full_character`` checked.
 
 Limits.  A Demazure operator or a product that builds more than
 ``limits.MAX_TERMS`` terms raises ``limits.LimitExceeded``; a Demazure
@@ -81,9 +81,8 @@ that window and is checked where it could leave the legal range:
   ``ValueError`` instead of wrapping.
 - a product of legal keys has coordinates in [-2 BIAS, 2 BIAS); every key
   formed is tested before terms cancel.
-- the W-invariance tests of ``pi_longest`` and ``weyl_decompose`` only
-  look keys up: a reflected key with an illegal coordinate is never a
-  stored key.
+- the W-invariance scans (``_moving_vertices``) only look keys up: a
+  reflected key with an illegal coordinate is never a stored key.
 - the dominant weights of V(mu) step down from mu by positive roots, whose
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
   strings step up by one root from a weight of V(mu), and the walk to the
@@ -152,12 +151,10 @@ class GroupAlgebraElement:
     an element can carry the verdict of a W-invariance scan:
     ``_invariant_under`` is None until a complete scan under a root datum
     finds no reflection moving the element, and is that datum from then on
-    (compared by identity).  The W-invariance checks of ``pi_longest``,
-    ``full_character`` and ``weyl_decompose`` read it, so each element is
-    scanned at most once under each datum it is checked against; a scan
-    that finds a moving reflection records nothing.  The slot is not
-    locked (see ``limits``): it only goes from None to a datum, after a
-    completed scan."""
+    (compared by identity).  Every scan (``_moving_vertices``) reads it, so
+    each element is scanned at most once under each datum; a scan that
+    finds a moving reflection records nothing.  The slot is not locked (see
+    ``limits``): it only goes from None to a datum, after a completed scan."""
 
     __slots__ = ("_keys", "_n", "_invariant_under")
 
@@ -183,10 +180,6 @@ class GroupAlgebraElement:
         out._n = n
         out._invariant_under = None
         return out
-
-    @classmethod
-    def unit(cls, datum: RootDatum) -> "GroupAlgebraElement":
-        return cls({datum.zero: 1})
 
     @property
     def terms(self) -> dict[Weight, int]:
@@ -419,8 +412,8 @@ def apply_word(datum: RootDatum, word, f: GroupAlgebraElement) -> GroupAlgebraEl
     return f
 
 
-def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> GroupAlgebraElement:
-    """Apply pi_{w_o}; optionally assert the result is Weyl-invariant.
+def pi_longest(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
+    """pi_{w_o} f.
 
     With J = {i : s_i f = f}, every pi_i with i in J fixes f, hence so does
     pi_{w_J}; as l(w_o) = l(w_o w_J) + l(w_J), pi_{w_o} f = pi_{w_o w_J} f.
@@ -431,19 +424,14 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement, check: bool = True) -> 
     afresh on each call, in under a millisecond even on E8.
 
     Finding J scans every vertex.  When none moves f, f is its own image
-    and the scan is recorded on f (``GroupAlgebraElement``), so the check
-    reads the record; an f recorded under this datum is not scanned.  With
-    ``check``, AssertionError unless the image is W-invariant; a check that
-    passes is recorded on the image, sparing ``weyl_decompose`` its scan."""
+    and the scan is recorded on f (``GroupAlgebraElement``); an f recorded
+    under this datum is not scanned."""
     _check_length(datum, f)
     lam = datum.zero
     for i in _moving_vertices(datum, f):
         lam = w_add(lam, datum.fundamentals[i])
     low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
-    out = apply_word(datum, datum.dominant_representative(low)[1], f)
-    if check:
-        _assert_weyl_invariant(datum, out)
-    return out
+    return apply_word(datum, datum.dominant_representative(low)[1], f)
 
 
 def _assert_weyl_invariant(datum: RootDatum, f: GroupAlgebraElement) -> None:
@@ -626,9 +614,9 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     height, hence maximal in the positive-root order.
     Raises DecompositionError when f is not W-invariant or not a
     nonnegative integral combination.  The W-invariance scan is skipped
-    when f records a passed scan under this datum (``pi_longest``,
-    ``truncation.full_character``), and a passing scan is recorded on f;
-    a record under another datum does not count.
+    when f records a passed scan under this datum (``pi_longest``'s J
+    search, ``truncation.full_character``), and a passing scan is recorded
+    on f; a record under another datum does not count.
     """
     n = _check_length(datum, f)
     keys = f._keys

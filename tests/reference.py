@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from pmcrystal import limits, weightring
 from pmcrystal.cartan import (RootDatum, Weight, add_into, build_root_datum, w_add, w_scale,
                               weight_str)
-from pmcrystal.crystal import ClosureLimitError, CrystalGraph, closure
+from pmcrystal.crystal import CrystalGraph, closure
 from pmcrystal.monomial import (LatticePoint, Monomial, MonomialCodec, column_stats, e_op,
                                 f_op, make_monomial, mono_mul, one, require_lattice_point,
                                 y_monomial, z_exponents)
@@ -133,14 +133,15 @@ def validate_monomial(datum: RootDatum, p: Monomial) -> None:
 def fundamental_crystal(datum: RootDatum, i: int, c: int, n: int) -> CrystalGraph:
     """M(i,c)^n: the ``crystal.closure`` of the highest-weight monomial
     y_{i,c}^n, a copy of B(n w_i).  Past ``limits.MAX_ELEMENTS`` elements
-    it raises the closure's ClosureLimitError before the closure runs,
-    ``reached`` being the exact dim V(n w_i)."""
+    it raises the closure's ``limits.LimitExceeded`` (stage
+    ``crystal.closure``) before the closure runs, ``reached`` being the
+    exact dim V(n w_i)."""
     top = y_monomial(datum, i, c, n)
     limit = limits.MAX_ELEMENTS
     size = datum.weyl_dimension(w_scale(n, datum.fundamentals[i]))
     if size > limit:
-        raise ClosureLimitError("crystal.closure", limit, size,
-                                f"closure exceeded limit {limit}")
+        raise limits.LimitExceeded("crystal.closure", limit, size,
+                                   f"closure exceeded limit {limit}")
     return closure(datum, [top])
 
 
@@ -168,13 +169,13 @@ def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
 def ref_step(codec: MonomialCodec, i: int, col: int) -> tuple:
     """``codec.step(i, col)`` from the decoded entries of the packed
     column ``col`` of vertex i (``codec._column``): their ``column_stats``
-    phi_i, eps_i and F_i, the f-delta ``z_delta`` at F_i - 2, the gap and
+    phi_i, eps_i and F_i, the f-delta ``f_delta`` at F_i - 2, the gap and
     the largest |exponent|.  The codec owns the step and its memo, one
     dict per vertex for its computation; this oracle neither reads nor
     fills that memo."""
     entries = codec._column(i, col)
     phi, eps, best_f, _ = column_stats(Monomial(codec.datum.zero, entries), i)
-    return (phi, codec.z_delta(i, best_f - 2, -1) if phi else None,
+    return (phi, codec.f_delta(i, best_f - 2) if phi else None,
             eps, (phi > 0) - (eps > 0), max((abs(ex) for _, ex in entries), default=0))
 
 # -- crystal queries over monomials and formal tensors -------------------------
@@ -534,9 +535,11 @@ def key_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int]
 
 def schur_char(seq, n: int) -> GroupAlgebraElement:
     """pi_{w_o} of the flagged character: the full Schur module
-    character."""
+    character; AssertionError unless it is W-invariant."""
     datum = build_root_datum("GL", n)
-    return weightring.pi_longest(datum, flagged_schur_char(seq, n))
+    ch = weightring.pi_longest(datum, flagged_schur_char(seq, n))
+    weightring._assert_weyl_invariant(datum, ch)
+    return ch
 
 
 def ref_schur_decompose(seq, n: int) -> dict[Partition, int]:

@@ -419,11 +419,24 @@ def test_objects_and_strings_for_lists_exit_2(capsys, argv):
      "None is not an object"),
     (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation",
       '{"thresholds": [1]}'], "[1] is not an object"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1]]"],
+     "[1] is not [i, c] or [i, c, m]"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1,1]]"],
+     "[1, 1, 1, 1] is not [i, c] or [i, c, m]"),
+    (["decompose", "--cartan", "A", "--rank", "2", "--R", "[[]]"],
+     "[] is not [i, c] or [i, c, m]"),
+    (["schur", "--diagram", "[[1,2,3]]"], "[1, 2, 3] is not a [row, col] pair"),
+    (["schur", "--diagram", "[[1]]"], "[1] is not a [row, col] pair"),
+    (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation", "{}"],
+     "no 'thresholds' key"),
+    (["character", "--cartan", "A", "--rank", "2", "--R", "[[1,1,1]]", "--truncation",
+      '{"thresholds": {"x": 1}}'], "column 'x' is not an integer"),
 ])
 def test_wrong_typed_json_is_refused_by_name(capsys, argv, message):
-    # these exited 2 before too, but with Python's own TypeError text:
+    # these exited 2 before too, but with Python's own text:
     # "object of type 'int' has no len()", "cannot unpack non-iterable int
-    # object", "int() argument must be ...", "list indices must be ..."
+    # object", "int() argument must be ...", "list indices must be ...",
+    # "not enough values to unpack", "'thresholds'" (a KeyError's repr)
     code = run(argv)
     diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
     assert code == 2 and diagnostic.endswith(message)

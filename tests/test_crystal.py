@@ -5,8 +5,8 @@ import pytest
 
 from pmcrystal import limits, monomial
 from pmcrystal.cartan import build_root_datum, w_add
-from pmcrystal.crystal import (ClosureLimitError, CrystalGraph, closure, graph_over,
-                               graph_to_json, highest_weights, to_dot, walk)
+from pmcrystal.crystal import (CrystalGraph, closure, graph_over, graph_to_json,
+                               highest_weights, to_dot, walk)
 from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.weightring import e, irreducible_character
 from conftest import random_multiset, random_weight
@@ -38,8 +38,9 @@ def test_closure_sl3_square(a2):
 def test_closure_trivial_and_limit(a2, monkeypatch):
     assert len(closure(a2, [one(a2)])) == 1
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
-    with pytest.raises(ClosureLimitError):
+    with pytest.raises(limits.LimitExceeded) as err:
         closure(a2, [y_monomial(a2, 1, 1, 3)])
+    assert err.value.stage == "crystal.closure"
 
 
 def test_highest_weights_empty(a2):
@@ -127,17 +128,17 @@ def test_graph_over_drops_an_isolated_element(a2):
     assert drop_one(a2, graph, graph.highest[1]) == "e"
 
 
-def test_z_delta_is_memoised_with_its_misses(a2, monkeypatch):
+def test_f_delta_is_memoised_with_its_misses(a2, monkeypatch):
     elements = closure(a2, [y_monomial(a2, 1, 1, 2)]).elements
-    args = [(i, k, power) for i in a2.vertices for k in range(-3, 6) for power in (-1, 1)]
-    first = [codec_of(a2, [elements]).z_delta(*a) for a in args]
-    # z-deltas that leave the window are answers too
+    args = [(i, k) for i in a2.vertices for k in range(-3, 6)]
+    first = [codec_of(a2, [elements]).f_delta(*a) for a in args]
+    # f-deltas that leave the window are answers too
     assert None in first and any(d is not None for d in first)
     codec = codec_of(a2, [elements])
-    assert [codec.z_delta(*a) for a in args] == first
+    assert [codec.f_delta(*a) for a in args] == first
     calls = []
     monkeypatch.setattr(monomial, "z_exponents", lambda *a: calls.append(a) or {})
-    assert [codec.z_delta(*a) for a in args] == first and calls == []
+    assert [codec.f_delta(*a) for a in args] == first and calls == []
 
 
 def test_graph_over_keeps_weights_apart(a2, gl3):
@@ -382,12 +383,15 @@ def test_one_element_limit(capsys, monkeypatch, a2):
     j = up_closure(a2, [(1, -9), (2, -10)])  # M(R, J) = M(R)
     assert len(product_crystal(a2, r)) == len(truncate(a2, r, j)) == 8
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
-    with pytest.raises(ClosureLimitError, match="closure exceeded limit 4"):
+    with pytest.raises(limits.LimitExceeded, match="closure exceeded limit 4") as err:
         closure(a2, [y_monomial(a2, 1, 1, 2)])
-    with pytest.raises(ClosureLimitError, match="product crystal exceeded limit 4"):
+    assert err.value.stage == "crystal.closure"
+    with pytest.raises(limits.LimitExceeded, match="product crystal exceeded limit 4") as err:
         product_crystal(a2, r)
-    with pytest.raises(ClosureLimitError, match="product crystal exceeded limit 4"):
+    assert err.value.stage == "product.fold"
+    with pytest.raises(limits.LimitExceeded, match="product crystal exceeded limit 4") as err:
         truncate(a2, r, j)
+    assert err.value.stage == "product.fold"
     assert not hasattr(product, "MAX_ELEMENTS")
     assert run(["graph", "--R", "[[1,1,1],[2,0,1]]"]) == 3
     assert '"limit-exceeded"' in capsys.readouterr().out
@@ -400,7 +404,7 @@ def test_closure_limit_is_a_limit_exceeded(a2, capsys, monkeypatch):
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 4)
     with pytest.raises(LimitExceeded) as err:
         closure(a2, [y_monomial(a2, 1, 1, 2)])
-    assert isinstance(err.value, ClosureLimitError)
+    assert type(err.value) is LimitExceeded
     assert (err.value.stage, err.value.limit) == ("crystal.closure", 4)
     assert err.value.reached > 4
     with pytest.raises(LimitExceeded) as err:

@@ -214,7 +214,7 @@ def test_digit_pass_on_hand_built_columns(exponents, phi, f_at, eps):
     col = column_of(codec, exponents)
     step = codec.step(1, col)
     assert step == ref_step(codec, 1, col)
-    f_delta = None if f_at is None else codec.z_delta(1, f_at - 2, -1)
+    f_delta = None if f_at is None else codec.f_delta(1, f_at - 2)
     assert step == (phi, f_delta, eps, (phi > 0) - (eps > 0), max(map(abs, exponents)))
     assert (f_delta is None) == (f_at is None or f_at == -1)
 

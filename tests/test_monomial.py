@@ -183,7 +183,7 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
     # p is no closure: its weight sits on the codec bound in every
     # coordinate, and f_i p, e_i p move one coordinate 2 past it (1 for GL),
     # for bounds on both sides of every power of two up to 32; each step,
-    # formed as a key plus a z-delta, decodes to f_op / e_op
+    # formed as a key plus or minus an f-delta, decodes to f_op / e_op
     datum = build_root_datum(kind, rank)
     for bound in range(1, 35):
         for sign in (1, -1):
@@ -196,7 +196,7 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
                 codec = codec_of(datum, [(p, window)])
                 assert codec.bound == bound
                 key = codec.zero + codec.offset(p)
-                for step, power in ((f_op, -1), (e_op, 1)):
+                for step, sign in ((f_op, 1), (e_op, -1)):
                     want = step(datum, p, i)
-                    got = codec.decode(key + codec.z_delta(i, c, power))
+                    got = codec.decode(key + sign * codec.f_delta(i, c))
                     assert got == (want.weight, want.exponents)

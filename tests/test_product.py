@@ -5,7 +5,7 @@ import time
 import pytest
 
 from pmcrystal.cartan import build_root_datum, w_add, w_scale, w_sub
-from pmcrystal.crystal import ClosureLimitError, highest_weights
+from pmcrystal.crystal import highest_weights
 from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomial
 from pmcrystal.product import (NotExpressibleError, PointMultiset, decompose, expand_label,
                                fundamental_keys, multiset, multiset_from_pairs,
@@ -60,8 +60,9 @@ def test_product_crystal_fold_limit(a3, monkeypatch):
     r = multiset({(1, 3): 1, (3, 1): 1, (3, 3): 1})
     size = len(product_crystal(a3, r))
     monkeypatch.setattr(limits, "MAX_ELEMENTS", size - 1)
-    with pytest.raises(ClosureLimitError):
+    with pytest.raises(limits.LimitExceeded) as err:
         product_crystal(a3, r)
+    assert err.value.stage == "product.fold"
     monkeypatch.setattr(limits, "MAX_ELEMENTS", size)
     assert len(product_crystal(a3, r)) == size
 
@@ -548,7 +549,7 @@ def test_oversized_fundamental_crystal_is_refused_before_its_closure(a2, monkeyp
     monkeypatch.setattr(limits, "MAX_ELEMENTS", 9)
     assert len(fundamental(a2, 1, 1, 2)) == 6
     monkeypatch.setattr(product, "discover", lambda *args: pytest.fail("discovery ran"))
-    with pytest.raises(ClosureLimitError) as err:
+    with pytest.raises(limits.LimitExceeded) as err:
         fundamental(a2, 1, 1, 3)   # dim V(3 w_1) = 10
     assert (err.value.stage, err.value.limit, err.value.reached) == ("crystal.closure", 9, 10)
     assert str(err.value) == "closure exceeded limit 9"

@@ -195,9 +195,8 @@ def test_flagged_schur_char_staircase(gl3):
 
 
 def test_flagged_schur_char_empty():
-    from pmcrystal.weightring import GroupAlgebraElement
     datum = build_root_datum("GL", 2)
-    assert flagged_schur_char((), 2) == GroupAlgebraElement.unit(datum)
+    assert flagged_schur_char((), 2) == e(datum.zero)
 
 
 def test_flagged_equals_plan_character():
@@ -536,6 +535,9 @@ def test_seminormal_form_is_a_representation(d):
                 ratio = {Fraction(scaled[t]) / image.get(t, 0)
                          for t in range(rep.dim) if scaled[t] or t in image}
                 assert len(ratio) == 1 and ratio.pop() > 0
+                # with coprime entries, whatever the input's scale
+                assert math.gcd(*scaled) == 1
+                assert rep.apply(k, [2 * int(t == i) for t in range(rep.dim)]) == scaled
                 if k + 1 < d - 1:
                     assert _rho(rep, k, _rho(rep, k + 1, image)) == \
                         _rho(rep, k + 1, _rho(rep, k, images[k + 1]))

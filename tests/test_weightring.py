@@ -272,6 +272,18 @@ def test_laurent_rendering(gl4):
     f = x(3, 2, 2, 0) + x(2, 1, 0, 0)
     assert laurent_str(gl4, f) == "x1^3*x2^2*x3^2 + x1^2*x2"
     assert laurent_str(gl4, e(gl4.zero)) == "1"
+    # coefficients 1, -1 and any other, and the constant term
+    assert laurent_str(gl4, x(1, 0, 0, 0) - 2 * x(0, 1, 0, 0) - e(gl4.zero)) == "x1 - 2*x2 - 1"
+
+
+def test_element_negation_coefficient_and_repr():
+    f = e((1, 0)) - e((0, 1)) + 3 * e((-1, 1))
+    assert -f == (-1) * f and (f + -f).is_zero()
+    assert f.coefficient((0, 1)) == -1
+    # an absent weight, or one of another length, has coefficient 0
+    assert f.coefficient((1, 1)) == 0 and f.coefficient((1, 0, 0)) == 0
+    assert repr(f) == "3*e(-1,1) - e(0,1) + e(1,0)"
+    assert repr(e((0, 0), 0)) == "0"
 
 
 def test_tensor_product_multiplicities_nonnegative(a2):
@@ -307,7 +319,7 @@ def test_packed_pi_matches_reference(kind, rank):
     assert seen == {"-1", "<=-2", ">=0"}
     first = datum.fundamentals[1]
     f = e(first) + e(first, -2) * e(first) + 3 * e(tuple(-x for x in first))
-    assert (pi_longest(datum, f, check=False).terms
+    assert (pi_longest(datum, f).terms
             == ref_apply_word(datum, datum.longest_word, f.terms))
 
 
@@ -493,7 +505,7 @@ def test_split_fold_matches_reference(case):
     g, _ = truncation._fold(datum, build_plan(datum, r))
     # far-apart points split off a factor other than 1; overlapping ones
     # never make the character W-invariant before a Multiply
-    assert (g is not None and g != GroupAlgebraElement.unit(datum)) if far else g is None
+    assert (g is not None and g != e(datum.zero)) if far else g is None
     expected = ref_truncation_character(datum, r)
     assert char_by_plan(datum, build_plan(datum, r)).terms == expected
     assert char_by_plan(datum, build_plan(datum, r)).terms == expected
@@ -533,7 +545,7 @@ def test_full_character_checks_the_product(monkeypatch):
     r = multiset({(1, 41): 1, (2, 0): 1})
     g, h = truncation._fold(a3, build_plan(a3, r))
     assert g == e(weight_of_multiset(a3, multiset({(1, 41): 1})))
-    pi_longest(a3, h, check=True)
+    weightring._assert_weyl_invariant(a3, pi_longest(a3, h))
     with pytest.raises(AssertionError, match="not Weyl-invariant"):
         full_character(a3, r, check=True)
     with pytest.raises(DecompositionError):
@@ -582,17 +594,22 @@ def test_checked_character_is_scanned_once(kind, rank, points, split, scans):
     assert weyl_decompose(datum, ch) == dec and scans_of(scans, ch) == 1
 
 
-def test_pi_longest_scans_its_input_and_image_once(a3, scans):
+def test_pi_longest_scans_its_input_once(a3, scans):
+    # the J scan reads the input; pi_longest checks nothing on its image
     f = e((1, 0, 2))
-    out = pi_longest(a3, f, check=True)
-    assert scans_of(scans, f) == 1 and scans_of(scans, out) == 1
-    # a W-invariant input is its own image: the J scan is the check
+    out = pi_longest(a3, f)
+    assert scans_of(scans, f) == 1 and scans_of(scans, out) == 0
+    # a W-invariant input is its own image, and the J scan records it
     del scans[:]
     ch = irreducible_character(a3, (1, 0, 2))
-    assert pi_longest(a3, ch, check=True) is ch
+    assert pi_longest(a3, ch) is ch
     assert scans_of(scans, ch) == 1
-    assert pi_longest(a3, ch, check=True) is ch and weyl_decompose(a3, ch) == {(1, 0, 2): 1}
+    assert pi_longest(a3, ch) is ch and weyl_decompose(a3, ch) == {(1, 0, 2): 1}
     assert scans_of(scans, ch) == 1
+    # full_character's check scans the image once and records it
+    del scans[:]
+    ch = full_character(a3, multiset({(1, 1): 1, (2, 0): 1}), check=True)
+    assert scans_of(scans, ch) == 1 and ch._invariant_under is a3
 
 
 def test_verdict_is_per_datum(a3, gl3):
@@ -609,7 +626,7 @@ def test_verdict_is_per_datum(a3, gl3):
 def test_failed_scan_leaves_no_verdict(a3, monkeypatch):
     # a J scan that finds moving reflections
     f = e((1, 0, 0))
-    out = pi_longest(a3, f, check=False)
+    out = pi_longest(a3, f)
     assert f._invariant_under is None and out._invariant_under is None
     with pytest.raises(DecompositionError, match="Weyl-invariant"):
         weyl_decompose(a3, f)
@@ -622,9 +639,10 @@ def test_failed_scan_leaves_no_verdict(a3, monkeypatch):
                         lambda datum, f: products.append(f) or real(datum, f))
     with pytest.raises(AssertionError, match="not Weyl-invariant"):
         full_character(a3, multiset({(1, 41): 1, (2, 0): 1}), check=True)
-    assert [p._invariant_under for p in products] == [None]
+    # pi_{w_o} h passes and records a3; the product g * pi_{w_o} h fails
+    assert [p._invariant_under for p in products] == [a3, None]
     with pytest.raises(DecompositionError, match="Weyl-invariant"):
-        weyl_decompose(a3, products[0])
+        weyl_decompose(a3, products[1])
 
 
 def test_racing_threads_share_one_verdict(a3):
@@ -927,7 +945,7 @@ def test_peel_rejects_non_invariant_input(kind, rank):
         extra = e(w_add(datum.fundamentals[1], datum.fundamentals[1]),
                   rng.choice([-1, 1])) * e(datum.fundamentals[1])
         for g in (f + extra, f - e(max(f.terms, key=datum.height))):
-            if g.is_zero() or g == pi_longest(datum, g, check=False):
+            if g.is_zero() or g == pi_longest(datum, g):
                 continue
             with pytest.raises(DecompositionError, match="Weyl-invariant"):
                 weyl_decompose(datum, g)
@@ -974,6 +992,7 @@ def test_dominant_multiplicities_rejects_bad_weights(a2, monkeypatch):
 
 def test_term_limit(monkeypatch, a2):
     three, eight = irreducible_character(a2, (1, 0)), irreducible_character(a2, (1, 1))
+    product = three * eight
     monkeypatch.setattr(limits, "MAX_TERMS", 5)
     with pytest.raises(LimitExceeded) as err:
         demazure_pi(a2, 1, e((6, 0)))        # a string of 7 terms
@@ -984,6 +1003,8 @@ def test_term_limit(monkeypatch, a2):
     assert err.value.stage == "weightring.multiply" and err.value.reached > 5
     # at the limit itself nothing is raised
     assert len(demazure_pi(a2, 1, e((4, 0))).terms) == 5
+    monkeypatch.setattr(limits, "MAX_TERMS", len(product.terms))
+    assert three * eight == product
 
 
 def test_term_limit_counts_strings_of_one_term(monkeypatch, a2):
