@@ -11,7 +11,8 @@ imports nothing.
 Thread safety.  The ``lru_cache``s are safe to share between threads in
 CPython.  No other cache is locked (the memo and Freudenthal tables of
 ``weightring._root_tables``, the W-invariance verdict an element records,
-the memos a ``monomial.MonomialCodec`` holds for its computation):
+the memos a ``monomial.MonomialCodec`` holds for its computation, the
+eigenspace bases a ``typea.Seminormal`` form memoises):
 each entry depends on its key alone, is written by one dict or slot store,
 atomic in CPython, and is never changed once built, so racing threads at
 worst compute an entry twice or evict one more than needed.
@@ -59,7 +60,10 @@ SKEW_MAX_ROWS = 7
 # Cache bounds: the root data of ``cartan.build_root_datum`` and of
 # ``weightring._root_tables``; the z_{i,k}^power of every datum
 # (``monomial._z_monomial_cached``); the one parser of ``cli._parser``.
-# ``typea.seminormal`` keeps one entry per partition of 1..SPECHT_MAX_BOXES.
+# ``typea.seminormal`` keeps one entry per partition of 1..SPECHT_MAX_BOXES,
+# and each entry memoises at most 2^d eigenspace bases, one per subset of
+# its d-1 swaps and sign: 2,962 in all; ``typea._partitions_with_conjugates``
+# keeps one entry per d up to SPECHT_MAX_BOXES.
 ROOT_DATA_CACHED = 64
 Z_MONOMIALS_CACHED = 4096
 PARSERS_CACHED = 1

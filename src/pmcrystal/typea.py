@@ -28,7 +28,9 @@ multiplicity of S^lam in it is the rank of rho_lam(y_T), taken in Young's
 seminormal form with integer arithmetic.  The seminormal data of each lam
 is built on first use, never at import, and kept in the lru_cache
 ``seminormal``, one entry per partition of d up to
-``limits.SPECHT_MAX_BOXES`` (thread safety: see ``limits``).
+``limits.SPECHT_MAX_BOXES``; each entry memoises the eigenspace bases it
+has computed, at most 2^d, since row and column compositions of d recur
+from one diagram to the next (thread safety: see ``limits``).
 """
 
 from __future__ import annotations
@@ -374,15 +376,18 @@ class Seminormal:
     ``axial[k][i]`` its r; ``act[k][i]`` is (partner, diagonal,
     off-diagonal) of the integer matrix L_k rho(s_k), L_k the lcm of the
     r^2; ``form`` is the diagonal invariant form, D_T' = (1 - 1/r^2) D_T
-    for r > 0, scaled to coprime integers.
+    for r > 0, scaled to coprime integers.  ``bases`` memoises
+    ``eigenspace`` by (tuple(ks), sign), at most 2^d entries; it is the
+    only part of a form that changes after ``__init__``.
     """
 
-    __slots__ = ("dim", "partner", "axial", "form", "act")
+    __slots__ = ("dim", "partner", "axial", "form", "act", "bases")
 
     def __init__(self, lam: Partition):
         tableaux = standard_tableaux(lam)
         index = {t: i for i, t in enumerate(tableaux)}
         self.dim = len(tableaux)
+        self.bases: dict[tuple[tuple[int, ...], int], tuple[dict[int, int], ...]] = {}
         partners, axials, acts = [], [], []
         for k in range(sum(lam) - 1):
             partner, axial = [], []
@@ -424,15 +429,19 @@ class Seminormal:
         g = gcd(*ints)
         self.form = tuple(x // g for x in ints)
 
-    def eigenspace(self, ks, sign: int) -> list[dict[int, int]]:
+    def eigenspace(self, ks, sign: int) -> tuple[dict[int, int], ...]:
         """A basis of the common sign-eigenspace of the s_k, k in ``ks``,
-        as integer vectors {tableau: coefficient}.
+        as integer vectors {tableau: coefficient}, memoised on this form by
+        (tuple(ks), sign): stored once, never mutated.
 
         Each rho(s_k) is block diagonal with blocks of size one and two, so
         every condition involves at most two coordinates: x_T = 0 when
         r = -sign, and r x_T = (sign*r + 1) x_T' for a pair with r > 0.
         The solutions are one vector per connected component of these
         conditions, unless a condition forces the component to zero."""
+        key = (tuple(ks), sign)
+        if key in self.bases:
+            return self.bases[key]
         edges: dict[int, list[tuple[int, int, int]]] = {}
         dead = set()
         for k in ks:
@@ -466,21 +475,33 @@ class Seminormal:
                 vec = {i: num * (top // den) for i, (num, den) in value.items()}
                 g = gcd(*vec.values())
                 basis.append({i: x // g for i, x in vec.items()})
+        basis = self.bases[key] = tuple(basis)
         return basis
 
-    def apply(self, k: int, vec: list[int]) -> list[int]:
-        """rho(s_k) vec, up to a positive scalar, with coprime entries."""
-        out = [a * vec[i] + b * vec[j] for i, (j, a, b) in enumerate(self.act[k])]
-        g = gcd(*out)
-        return [x // g for x in out] if g > 1 else out
+    def move(self, vec: list[int], order) -> list[int]:
+        """rho(s_{k_m} ... s_{k_1}) vec for ``order`` = (k_1, ..., k_m), up
+        to a positive scalar, with coprime entries: the integer matrices
+        L_k rho(s_k) one swap at a time, and one gcd at the end."""
+        for k in order:
+            vec = [a * vec[i] + b * vec[j] for i, (j, a, b) in enumerate(self.act[k])]
+        g = gcd(*vec)
+        return [x // g for x in vec] if g > 1 else vec
 
 
 @lru_cache(maxsize=sum(1 for d in range(1, limits.SPECHT_MAX_BOXES + 1)
                        for _ in partitions_of(d)))
 def seminormal(lam: Partition) -> Seminormal:
     """The seminormal form of S^lam, built on first use; one entry per
-    partition of d <= ``limits.SPECHT_MAX_BOXES``, never mutated once built."""
+    partition of d <= ``limits.SPECHT_MAX_BOXES``.  After it is built, an
+    entry changes only by adding bases to its eigenspace memo, each written
+    once and never changed."""
     return Seminormal(lam)
+
+
+@lru_cache(maxsize=limits.SPECHT_MAX_BOXES)
+def _partitions_with_conjugates(d: int) -> tuple[tuple[Partition, Partition], ...]:
+    """Each partition of d with its conjugate, built once per d."""
+    return tuple((lam, conjugate(lam)) for lam in partitions_of(d))
 
 
 def _rank(rows: list[list[int]]) -> int:
@@ -527,13 +548,18 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     As C[S_d] is the sum of the End(S^lam), the multiplicity of S^lam is
     rank rho_lam(y_T) = rank(B_R^T D B_C), for B_R a basis of the row
     invariants U_R, B_C one of the column-sign space U_C and D the
-    invariant form, all in Young's seminormal form (``seminormal``).  U_R
-    is the common +1-eigenspace of the s_k joining two cells of a row; U_C
-    is rho(sigma) of the common -1-eigenspace of the s_k joining two cells
-    of a column in the (col, row) numbering, sigma the relabelling between
-    the numberings, applied as the swaps of a bubble sort.  Young's rule
-    skips lam unless it dominates the row shape and its conjugate the
-    column shape.  Exact integer arithmetic throughout.
+    invariant form, all in Young's seminormal form (``seminormal``, whose
+    eigenspace bases are memoised).  U_R is the common +1-eigenspace of
+    the s_k joining two cells of a row; U_C is rho(sigma) of the common
+    -1-eigenspace of the s_k joining two cells of a column in the column
+    numbering, sigma the relabelling between the numberings.  The column
+    numbering takes the columns in the order of their top cells in the row
+    numbering, rows ascending within a column: the column-sign space does
+    not depend on the order of the columns, and this one keeps sigma
+    short.  sigma moves each basis vector as the swaps of a bubble sort,
+    with one gcd normalisation per vector at the end (``Seminormal.move``).
+    Young's rule skips lam unless it dominates the row shape and its
+    conjugate the column shape.  Exact integer arithmetic throughout.
 
     The name is kept from the span kernel this one replaced, because the
     CLI, the package's exports and the benchmark's tracer call it by that
@@ -545,7 +571,10 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     if d > limits.SPECHT_MAX_BOXES:
         raise ValueError(f"diagram has {d} boxes, over the ceiling {limits.SPECHT_MAX_BOXES}")
     cells = sorted(boxes)
-    by_col = sorted(cells, key=lambda cell: cell[1])  # stable: rows ascending
+    top: dict[int, int] = {}
+    for k, (_, c) in enumerate(cells):
+        top.setdefault(c, k)
+    by_col = sorted(cells, key=lambda cell: top[cell[1]])  # stable: rows ascending
     row_ks = [k for k in range(d - 1) if cells[k][0] == cells[k + 1][0]]
     col_ks = [k for k in range(d - 1) if by_col[k][1] == by_col[k + 1][1]]
     index = {cell: k for k, cell in enumerate(cells)}
@@ -553,8 +582,8 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
     row_shape = tuple(sorted(map(len, diagram_rows(boxes).values()), reverse=True))
     col_shape = tuple(sorted(map(len, diagram_columns(boxes).values()), reverse=True))
     out: dict[Partition, int] = {}
-    for lam in partitions_of(d):
-        if not (dominates(lam, row_shape) and dominates(conjugate(lam), col_shape)):
+    for lam, lam_t in _partitions_with_conjugates(d):
+        if not (dominates(lam, row_shape) and dominates(lam_t, col_shape)):
             continue
         rep = seminormal(lam)
         rows = rep.eigenspace(row_ks, 1)
@@ -569,9 +598,7 @@ def specht_decompose_bruteforce(boxes) -> dict[Partition, int]:
             vec = [0] * rep.dim
             for i, x in sparse.items():
                 vec[i] = x
-            for k in order:
-                vec = rep.apply(k, vec)
-            moved.append(vec)
+            moved.append(rep.move(vec, order))
         gram = [[sum(x * rep.form[i] * vec[i] for i, x in u.items()) for vec in moved]
                 for u in rows]
         m = _rank(gram)

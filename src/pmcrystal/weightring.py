@@ -49,11 +49,13 @@ A(i) the packed delta sum_k (a_i)_k << DIGIT_BITS * (n - k) of a_i:
 - w is dominant by one mask test (``_sign_masks``).  A legal digit x + BIAS
   lies in [0, 2 BIAS), so x >= 0 exactly when its bit DIGIT_BITS-2 is set,
   and in fundamental coordinates a key is dominant when all n of these
-  bits are.  For GL, (key >> DIGIT_BITS) - (key & low) + L, with low the
-  mask of the n-1 low digits and L = 2^(DIGIT_BITS-1) in each of them, has
-  the digits d_k - d_(k+1) + L in [1, 2^DIGIT_BITS) for k < n, so no digit
-  borrows, and <a_k^vee, w> >= 0 exactly when bit DIGIT_BITS-1 of its k-th
-  digit from the top is set.  Both tests hold for legal keys only;
+  bits are.  For GL, (key >> DIGIT_BITS) - key + L, with L =
+  2^(DIGIT_BITS-1) in each of the n-1 low digits, has there the digits
+  d_k - d_(k+1) + L in [1, 2^DIGIT_BITS) for k < n, so none of them
+  borrows; the top digit's -d_1 borrows only above them, and ``&`` on a
+  negative int reads two's complement, so the n-1 low digits are exact.
+  Then <a_k^vee, w> >= 0 exactly when bit DIGIT_BITS-1 of the k-th of
+  these digits from the top is set.  Both tests hold for legal keys only;
 - w - t a_i is ``key - t * A(i)``, so one step along an a_i-string adds or
   subtracts A(i), and the reflection s_i w is ``key - <a_i^vee, w> * A(i)``;
 - e^v * e^w is ``key(w) + key(v) - key(0)``.
@@ -320,23 +322,23 @@ def _moving_vertices(datum: RootDatum, f: GroupAlgebraElement) -> list[int]:
     return moving
 
 
-def _sign_masks(datum: RootDatum, n: int) -> tuple[int, int]:
-    """(low, signs) of the sign-bit dominance test of legal keys (see the
-    module docstring): a key is dominant exactly when ``key & signs ==
+def _sign_masks(datum: RootDatum, n: int) -> int:
+    """The mask ``signs`` of the sign-bit dominance test of legal keys (see
+    the module docstring): a key is dominant exactly when ``key & signs ==
     signs`` in fundamental coordinates, and when ``((key >> DIGIT_BITS) -
-    (key & low) + signs) & signs == signs`` for GL."""
+    key + signs) & signs == signs`` for GL."""
     if datum.kind != "GL":
-        return 0, _repunit(n) << (DIGIT_BITS - 2)
-    return (1 << DIGIT_BITS * (n - 1)) - 1, _repunit(n - 1) << (DIGIT_BITS - 1)
+        return _repunit(n) << (DIGIT_BITS - 2)
+    return _repunit(n - 1) << (DIGIT_BITS - 1)
 
 
 def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
     """The dominant keys among legal ``keys``, in iteration order, by one
     sign-bit test each."""
-    low, signs = _sign_masks(datum, n)
+    signs = _sign_masks(datum, n)
     if datum.kind != "GL":
         return [k for k in keys if k & signs == signs]
-    return [k for k in keys if ((k >> DIGIT_BITS) - (k & low) + signs) & signs == signs]
+    return [k for k in keys if ((k >> DIGIT_BITS) - k + signs) & signs == signs]
 
 
 def _height_of_key(datum: RootDatum, n: int):
@@ -471,7 +473,7 @@ def _root_tables(datum: RootDatum):
             delta = (delta << DIGIT_BITS) + x
         roots.append((delta, coords, tuple(datum.pairing(j, root) for j in datum.vertices)))
     walls = tuple((DIGIT_BITS * (n - i), _alpha_key(datum, i)) for i in datum.vertices)
-    return tuple(roots), (*_sign_masks(datum, n), walls), {}, {}
+    return tuple(roots), (_sign_masks(datum, n), walls), {}, {}
 
 
 def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> tuple[int, int]:
@@ -486,9 +488,9 @@ def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> tupl
     if key & guard:
         raise _overflow(n)
     gl = datum.kind == "GL"
-    low, signs, deltas = walls
+    signs, deltas = walls
     count = 0
-    while (((key >> DIGIT_BITS) - (key & low) + signs) if gl else key) & signs != signs:
+    while (((key >> DIGIT_BITS) - key + signs) if gl else key) & signs != signs:
         for sh, a in deltas:
             m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
             if m < 0:

@@ -468,6 +468,26 @@ def test_specht_matches_lehmer_kernel():
             sorted(boxes)
 
 
+@pytest.mark.parametrize("seq", TYPEA_SEQUENCES)
+def test_specht_is_the_same_under_column_permutations_and_memo_state(seq):
+    # the oracle reads the columns in the order of their top cells and
+    # memoises eigenspace bases: neither the columns' order nor what the
+    # memo holds changes the answer.  Every column permutation, or a
+    # seeded 200 of them where there are more than 720.
+    boxes = diagram_of_sequence(check_sequence(seq))
+    want = lehmer_specht_decompose(boxes)
+    cols = sorted({c for _, c in boxes})
+    perms = list(itertools.permutations(cols))
+    if len(perms) > 720:
+        perms = random.Random(len(boxes)).sample(perms, 200)
+    for perm in perms:
+        relabel = dict(zip(cols, perm))
+        permuted = frozenset((r, relabel[c]) for r, c in boxes)
+        seminormal.cache_clear()
+        assert specht_decompose_bruteforce(permuted) == want, (seq, perm)   # cold
+        assert specht_decompose_bruteforce(permuted) == want, (seq, perm)   # warm
+
+
 # the 8-box diagrams on which the span kernel took 0.5-11.4 s
 EIGHT_BOX_SEQUENCES = ([[3], [3, 2]], [[4], [2, 2]], [[2], [3, 3]],
                        [[2], [2, 1], [2, 1]], [[2], [1, 1], [2, 1, 1]],
@@ -507,6 +527,13 @@ def _rho(rep: Seminormal, k: int, vec: dict) -> dict:
     return {t: c for t, c in out.items() if c}
 
 
+def _is_positive_multiple(vec: list[int], sparse: dict) -> bool:
+    """Whether the dense ``vec`` is a positive multiple of ``sparse``."""
+    ratio = {Fraction(vec[t]) / sparse.get(t, 0)
+             for t in range(len(vec)) if vec[t] or t in sparse}
+    return len(ratio) == 1 and ratio.pop() > 0
+
+
 def _hook_length_dim(lam) -> int:
     cols = conjugate(lam)
     hooks = math.prod(lam[r] - c + cols[c] - r - 1
@@ -531,14 +558,16 @@ def test_seminormal_form_is_a_representation(d):
                     back = _rho(rep, k, {j: Fraction(1)}).get(i, 0)
                     assert rep.form[j] * c == rep.form[i] * back
                 # the integer action is rho(s_k) times a positive scalar
-                scaled = rep.apply(k, [int(t == i) for t in range(rep.dim)])
-                ratio = {Fraction(scaled[t]) / image.get(t, 0)
-                         for t in range(rep.dim) if scaled[t] or t in image}
-                assert len(ratio) == 1 and ratio.pop() > 0
+                scaled = rep.move([int(t == i) for t in range(rep.dim)], (k,))
+                assert _is_positive_multiple(scaled, image)
                 # with coprime entries, whatever the input's scale
                 assert math.gcd(*scaled) == 1
-                assert rep.apply(k, [2 * int(t == i) for t in range(rep.dim)]) == scaled
+                assert rep.move([2 * int(t == i) for t in range(rep.dim)], (k,)) == scaled
                 if k + 1 < d - 1:
+                    # a move applies its swaps in order: s_(k+1) after s_k
+                    both = rep.move([3 * int(t == i) for t in range(rep.dim)], (k, k + 1))
+                    assert _is_positive_multiple(both, _rho(rep, k + 1, image))
+                    assert math.gcd(*both) == 1
                     assert _rho(rep, k, _rho(rep, k + 1, image)) == \
                         _rho(rep, k + 1, _rho(rep, k, images[k + 1]))
                 for j in range(k + 2, d - 1):
@@ -550,11 +579,39 @@ def test_seminormal_cache_is_bounded_and_lazy():
     # import: the CLI imports typea on every command
     count = sum(1 for d in range(1, limits.SPECHT_MAX_BOXES + 1) for _ in partitions_of(d))
     assert count == 44 and seminormal.cache_info().maxsize == count
+    # nor any eigenspace basis, which each form memoises, nor the
+    # partitions of any d
     code = ("import pmcrystal.cli, pmcrystal.typea as t; "
-            "print(t.seminormal.cache_info().currsize)")
+            "print(t.seminormal.cache_info().currsize, "
+            "t._partitions_with_conjugates.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
+
+
+def test_eigenspace_memo_is_bounded_and_faithful():
+    # every diagram of at most 6 boxes and the seeded 7-box sample: each
+    # form then holds at most 2^d bases, one per (subset of the d-1 swaps,
+    # sign), and each equals the basis a fresh form computes
+    seminormal.cache_clear()
+    diagrams = {diagram_of_sequence(seq) for seq in sequences_up_to(6, 6)}
+    seven = sorted({diagram_of_sequence(seq) for seq in sequences_up_to(7, 7)
+                    if sum(map(sum, seq)) == 7}, key=sorted)
+    for boxes in itertools.chain(diagrams, random.Random(7).sample(seven, 40)):
+        specht_decompose_bruteforce(boxes)
+    assert seminormal.cache_info().currsize == 44
+    held = 0
+    for d in range(1, limits.SPECHT_MAX_BOXES + 1):
+        for lam in partitions_of(d):
+            rep, fresh = seminormal(lam), Seminormal(lam)
+            assert fresh.bases == {}
+            assert len(rep.bases) <= 2 ** d
+            for (ks, sign), basis in rep.bases.items():
+                assert ks == tuple(sorted(set(ks))) and set(ks) <= set(range(d - 1))
+                assert sign in (1, -1)
+                assert basis == fresh.eigenspace(ks, sign)
+            held += len(rep.bases)
+    assert 0 < held <= 2962
 
 
 # -- stability ----------------------------------------------------------------------

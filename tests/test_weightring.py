@@ -918,6 +918,33 @@ def test_sign_bit_dominance_matches_pairings(kind, rank):
     assert any(BIAS - 1 in weightring._decode(k, n) for k in want)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gl_sign_bit_dominance_matches_tuples(n):
+    # the GL test subtracts the whole key, top digit included: against the
+    # tuple order on seeded weights with negative coordinates and
+    # coordinates at +-(BIAS - 1); the walk to the chamber sorts the tuple
+    # with one reflection per inversion
+    datum = build_root_datum("GL", n)
+    rng = random.Random(70 + n)
+    coords = (-(BIAS - 1), -BIAS // 2, -2, -1, 0, 1, 2, BIAS // 2, BIAS - 1)
+    weights = set()
+    for _ in range(300):
+        w = [rng.choice(coords) for _ in range(n)]
+        weights.add(tuple(sorted(w, reverse=True)) if rng.random() < 0.4 else tuple(w))
+    weights = sorted(weights, key=lambda w: rng.random())
+    keys = [weightring._encode(w) for w in weights]
+    dominant = [w for w in weights if all(a >= b for a, b in zip(w, w[1:]))]
+    assert 0 < len(dominant) < len(weights)
+    assert {-(BIAS - 1), BIAS - 1} <= {x for w in dominant for x in w}
+    assert weightring._dominant_keys(datum, keys, n) == [weightring._encode(w) for w in dominant]
+    walls = weightring._root_tables(datum)[1]
+    guard = weightring._repunit(n) << (weightring.DIGIT_BITS - 1)
+    for w, key in zip(weights, keys):
+        inversions = sum(a < b for a, b in itertools.combinations(w, 2))
+        assert weightring._dominant_key(datum, key, n, walls, guard) == (
+            weightring._encode(sorted(w, reverse=True)), inversions)
+
+
 @pytest.mark.parametrize("kind,rank,points", [
     ("A", 6, {(1, 1): 1, (2, 2): 1, (3, 3): 1, (6, 30): 1}),
     ("D", 6, {(1, 0): 1, (5, 22): 1, (5, 44): 1}),
