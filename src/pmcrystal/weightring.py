@@ -459,7 +459,7 @@ def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
 def _root_tables(datum: RootDatum):
     """Per datum, built on first use: for every positive root alpha its
     packed delta, its simple-root coordinates and its pairings
-    (<a_j^vee, alpha>)_j; the walls: the masks of the sign-bit dominance
+    (<a_j^vee, alpha>)_j; the walls: the mask of the sign-bit dominance
     test (``_sign_masks``) and the shift and packed delta A(i) of every
     vertex; the memo of ``_dominant_key``, cleared at
     ``limits.DOMINANT_MEMO_MAX`` entries; and the dominant-multiplicity

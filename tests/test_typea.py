@@ -488,6 +488,35 @@ def test_specht_is_the_same_under_column_permutations_and_memo_state(seq):
         assert specht_decompose_bruteforce(permuted) == want, (seq, perm)   # warm
 
 
+def test_specht_builds_only_the_forms_young_admits():
+    # the dominance filter skips every lam that Young's rule rules out, so
+    # a cold cache gains one seminormal form per admitted lam and no other
+    for boxes in (FIVE_BOX, {(1, c) for c in range(1, 8)}, {(r, 1) for r in range(1, 8)},
+                  diagram_of_sequence(STAIRCASE_SEQ)):
+        rows = tuple(sorted(Counter(r for r, _ in boxes).values(), reverse=True))
+        cols = tuple(sorted(Counter(c for _, c in boxes).values(), reverse=True))
+        admitted = [lam for lam in partitions_of(len(boxes))
+                    if typea.dominates(lam, rows) and typea.dominates(conjugate(lam), cols)]
+        seminormal.cache_clear()
+        specht_decompose_bruteforce(boxes)
+        assert len(admitted) < sum(1 for _ in partitions_of(len(boxes)))
+        assert seminormal.cache_info().currsize == len(admitted)
+
+
+def test_bubble_swaps_sort_every_word():
+    # the swaps sort the word one adjacent inversion at a time, the pair at
+    # positions 0 and 1 included: with columns in top-cell order the
+    # oracle's words start at 0, so its diagrams never need that last swap
+    for n in range(6):
+        for word in itertools.permutations(range(n)):
+            swaps, moved = typea._bubble_swaps(word), list(word)
+            for k in swaps:
+                assert moved[k] > moved[k + 1]
+                moved[k], moved[k + 1] = moved[k + 1], moved[k]
+            assert moved == sorted(word)
+            assert len(swaps) == sum(a > b for a, b in itertools.combinations(word, 2))
+
+
 # the 8-box diagrams on which the span kernel took 0.5-11.4 s
 EIGHT_BOX_SEQUENCES = ([[3], [3, 2]], [[4], [2, 2]], [[2], [3, 3]],
                        [[2], [2, 1], [2, 1]], [[2], [1, 1], [2, 1, 1]],
