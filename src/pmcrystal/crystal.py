@@ -194,10 +194,6 @@ def highest_weights(graph: CrystalGraph) -> tuple:
     return graph.highest
 
 
-def element_label(x: Monomial) -> str:
-    return "1" if x.is_one() else str(x)
-
-
 class _Memo(dict):
     """A dict that writes each missing key's value once, as ``render(key)``."""
 
@@ -213,14 +209,15 @@ def to_dot(graph: CrystalGraph) -> str:
     """Deterministic DOT rendering: vertices in sorted order, edges
     labelled by their vertex index.  A label is written from pieces
     memoised per call, one ``e(w)*`` per weight and one ``y[i,c]^e`` per
-    exponent entry; ``element_label`` writes a monomial with no exponents."""
+    exponent entry.  A monomial with no exponents is "1" at weight 0 and
+    e(w) elsewhere."""
     prefix = _Memo(lambda w: f"e{weight_str(w)}*")
     piece = _Memo(lambda entry: "y[%d,%d]" % entry[0] if entry[1] == 1
                   else "y[%d,%d]^%d" % (*entry[0], entry[1]))
     lines = ["digraph crystal {"]
     for k, x in enumerate(graph.elements):
         label = (prefix[x.weight] + "*".join(map(piece.__getitem__, x.exponents))
-                 if x.exponents else element_label(x))
+                 if x.exponents else "1" if x.is_one() else str(x))
         lines.append(f'  n{k} [label="{label}"];')
     lines.extend('  n%d -> n%d [label="%d"];' % (s, t, i) for s, i, t in graph.f_edges)
     return "\n".join(lines) + "\n}\n"

@@ -9,10 +9,11 @@ cache bound is read when its cache is made, at import.  This module
 imports nothing.
 
 Thread safety.  The ``lru_cache``s are safe to share between threads in
-CPython.  No other cache is locked (the memo and Freudenthal tables of
-``weightring._root_tables``, the W-invariance verdict an element records,
-the memos a ``monomial.MonomialCodec`` holds for its computation, the
-eigenspace bases a ``typea.Seminormal`` form memoises):
+CPython.  No other cache is locked (the ``memo`` of dominant
+representatives and the ``dominant`` Freudenthal tables of a
+``weightring._root_tables`` record, the W-invariance verdict an element
+records, the memos a ``monomial.MonomialCodec`` holds for its
+computation, the eigenspace bases a ``typea.Seminormal`` form memoises):
 each entry depends on its key alone, is written by one dict or slot store,
 atomic in CPython, and is never changed once built, so racing threads at
 worst compute an entry twice or evict one more than needed.
@@ -45,10 +46,11 @@ MAX_PLAN_STEPS = 100_000
 # the Specht decomposition up to this size.
 SPECHT_MAX_BOXES = 7
 # Bound on the entries held by one datum's cache of dominant-multiplicity
-# tables; the oldest tables are evicted first.
+# tables (``dominant`` of ``weightring._root_tables``); the oldest tables
+# are evicted first.
 IRR_CACHE_MAX_TERMS = 500_000
-# Bound on one datum's memo of dominant representatives; a full memo is
-# cleared.
+# Bound on one datum's memo of dominant representatives (``memo`` of
+# ``weightring._root_tables``); a full memo is cleared.
 DOMINANT_MEMO_MAX = 100_000
 # ``typea.row_relabellings`` tries all n! row orders: all 8! take 0.07-0.17 s
 # in ``sequence_of_diagram``, which refuses a gapped diagram with more rows,
@@ -57,8 +59,9 @@ DOMINANT_MEMO_MAX = 100_000
 CONVEXIFY_MAX_ROWS = 8
 SKEW_MAX_ROWS = 7
 
-# Cache bounds: the root data of ``cartan.build_root_datum`` and of
-# ``weightring._root_tables``; the z_{i,k}^power of every datum
+# Cache bounds: the root data of ``cartan.build_root_datum`` and the
+# records of ``weightring._root_tables`` (with their ``memo`` and
+# ``dominant`` caches, bounded above); the z_{i,k}^power of every datum
 # (``monomial._z_monomial_cached``); the one parser of ``cli._parser``.
 # ``typea.seminormal`` keeps one entry per partition of 1..SPECHT_MAX_BOXES,
 # and each entry memoises at most 2^d eigenspace bases, one per subset of

@@ -46,11 +46,12 @@ A(i) the packed delta sum_k (a_i)_k << DIGIT_BITS * (n - k) of a_i:
 
 - <a_i^vee, w> is one digit minus BIAS (fundamental coordinates) or the
   difference of digits i and i+1 (GL): shifts and masks;
-- w is dominant by one mask test (``_sign_masks``).  A legal digit x + BIAS
-  lies in [0, 2 BIAS), so x >= 0 exactly when its bit DIGIT_BITS-2 is set,
-  and in fundamental coordinates a key is dominant when all n of these
-  bits are.  For GL, (key >> DIGIT_BITS) - key + L, with L =
-  2^(DIGIT_BITS-1) in each of the n-1 low digits, has there the digits
+- w is dominant by one mask test (``signs``, see ``_root_tables``).  A
+  legal digit x + BIAS lies in [0, 2 BIAS), so x >= 0 exactly when its bit
+  DIGIT_BITS-2 is set, and in fundamental coordinates a key is dominant
+  when all n of these bits (``signs``) are.  For GL, with ``signs`` L =
+  2^(DIGIT_BITS-1) in each of the n-1 low digits, (key >> DIGIT_BITS) -
+  key + L has there the digits
   d_k - d_(k+1) + L in [1, 2^DIGIT_BITS) for k < n, so none of them
   borrows; the top digit's -d_1 borrows only above them, and ``&`` on a
   negative int reads two's complement, so the n-1 low digits are exact.
@@ -108,6 +109,7 @@ both are tested, as is every key of the walk.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import add, eq, lt, mul, sub
@@ -132,6 +134,14 @@ def _encode(w) -> int:
             raise ValueError(
                 f"weight coordinate {x} outside the packed range [{-BIAS}, {BIAS})")
         key = (key << DIGIT_BITS) + x + BIAS
+    return key
+
+
+def _delta(w) -> int:
+    """The packed delta of w: the key of v + w less the key of v."""
+    key = 0
+    for x in w:
+        key = (key << DIGIT_BITS) + x
     return key
 
 
@@ -279,14 +289,33 @@ def _check_length(datum: RootDatum, f: GroupAlgebraElement) -> int:
     return n
 
 
-def _alpha_key(datum: RootDatum, i: int) -> int:
-    """The packed delta A(i) of the simple root a_i."""
-    if i not in datum.neighbours:
-        raise ValueError(f"vertex {i} not in diagram")
-    key = 0
-    for x in datum.alphas[i]:
-        key = (key << DIGIT_BITS) + x
-    return key
+_RootTables = namedtuple("_RootTables", "roots signs walls guard rho height memo dominant")
+
+
+@lru_cache(maxsize=limits.ROOT_DATA_CACHED)
+def _root_tables(datum: RootDatum) -> _RootTables:
+    """Every packed constant of a datum, built on first use: ``roots``, for
+    every positive root alpha its packed delta, its simple-root coordinates
+    and its pairings (<a_j^vee, alpha>)_j; ``signs``, the mask of the
+    sign-bit dominance test (``_dominant_keys``); ``walls``, the shift of
+    the pairing digit and the packed delta A(i) of every vertex i, in vertex
+    order; ``guard``, the top bit of every digit; ``rho``, the packed delta
+    of rho; ``height``, the (shift, coefficient) parts of a function on keys
+    ordered like ``datum.height`` on their weights; ``memo``, the memo of
+    ``_dominant_key``, cleared at ``limits.DOMINANT_MEMO_MAX`` entries; and
+    ``dominant``, the dominant-multiplicity tables of ``_dominant_table``.
+    Neither cache is locked (see ``limits``)."""
+    n = datum.rank
+    return _RootTables(
+        roots=tuple((_delta(root), coords, tuple(datum.pairing(j, root) for j in datum.vertices))
+                    for coords, root in datum.positive_roots),
+        signs=_repunit(n - 1) << (DIGIT_BITS - 1) if datum.kind == "GL"
+        else _repunit(n) << (DIGIT_BITS - 2),
+        walls=tuple((DIGIT_BITS * (n - i), _delta(datum.alphas[i])) for i in datum.vertices),
+        guard=_repunit(n) << (DIGIT_BITS - 1),
+        rho=_delta(datum.rho),
+        height=tuple((DIGIT_BITS * (n - 1 - j), h) for j, h in enumerate(datum._height) if h),
+        memo={}, dominant={})
 
 
 def _pairings(datum: RootDatum, i: int, keys, n: int) -> list[int]:
@@ -313,39 +342,20 @@ def _moving_vertices(datum: RootDatum, f: GroupAlgebraElement) -> list[int]:
     if f._invariant_under is datum:
         return []
     keys, n = f._keys, datum.rank
-    moving = []
-    for i in datum.vertices:
-        if not _reflection_fixes(keys, _alpha_key(datum, i), _pairings(datum, i, keys, n)):
-            moving.append(i)
+    moving = [i for i, (_, a) in zip(datum.vertices, _root_tables(datum).walls)
+              if not _reflection_fixes(keys, a, _pairings(datum, i, keys, n))]
     if not moving:
         f._invariant_under = datum
     return moving
 
 
-def _sign_masks(datum: RootDatum, n: int) -> int:
-    """The mask ``signs`` of the sign-bit dominance test of legal keys (see
-    the module docstring): a key is dominant exactly when ``key & signs ==
-    signs`` in fundamental coordinates, and when ``((key >> DIGIT_BITS) -
-    key + signs) & signs == signs`` for GL."""
-    if datum.kind != "GL":
-        return _repunit(n) << (DIGIT_BITS - 2)
-    return _repunit(n - 1) << (DIGIT_BITS - 1)
-
-
-def _dominant_keys(datum: RootDatum, keys, n: int) -> list[int]:
+def _dominant_keys(datum: RootDatum, keys) -> list[int]:
     """The dominant keys among legal ``keys``, in iteration order, by one
-    sign-bit test each."""
-    signs = _sign_masks(datum, n)
+    sign-bit test each (see the module docstring)."""
+    signs = _root_tables(datum).signs
     if datum.kind != "GL":
         return [k for k in keys if k & signs == signs]
     return [k for k in keys if ((k >> DIGIT_BITS) - k + signs) & signs == signs]
-
-
-def _height_of_key(datum: RootDatum, n: int):
-    """A function on keys ordered like ``datum.height`` on their weights
-    (it differs from it by a constant)."""
-    parts = [(DIGIT_BITS * (n - 1 - j), h) for j, h in enumerate(datum._height) if h]
-    return lambda k: sum(h * ((k >> sh) & _MASK) for sh, h in parts)
 
 
 def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -363,8 +373,10 @@ def demazure_pi(datum: RootDatum, i: int, f: GroupAlgebraElement) -> GroupAlgebr
     output past ``limits.MAX_TERMS`` terms, ``reached`` being the count it
     would bring."""
     n = _check_length(datum, f)
-    a = _alpha_key(datum, i)
-    guard = _repunit(n) << (DIGIT_BITS - 1)
+    if i not in datum.neighbours:
+        raise ValueError(f"vertex {i} not in diagram")
+    tables = _root_tables(datum)
+    a, guard = tables.walls[i - 1][1], tables.guard
     keys = f._keys
     pairings = _pairings(datum, i, keys, n)
     # pi_i fixes every s_i-invariant element: one lookup per term instead
@@ -455,43 +467,22 @@ def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
     return out
 
 
-@lru_cache(maxsize=limits.ROOT_DATA_CACHED)
-def _root_tables(datum: RootDatum):
-    """Per datum, built on first use: for every positive root alpha its
-    packed delta, its simple-root coordinates and its pairings
-    (<a_j^vee, alpha>)_j; the walls: the mask of the sign-bit dominance
-    test (``_sign_masks``) and the shift and packed delta A(i) of every
-    vertex; the memo of ``_dominant_key``, cleared at
-    ``limits.DOMINANT_MEMO_MAX`` entries; and the dominant-multiplicity
-    tables of ``_dominant_table``.  Neither cache is locked (see
-    ``limits``)."""
-    n = datum.rank
-    roots = []
-    for coords, root in datum.positive_roots:
-        delta = 0
-        for x in root:
-            delta = (delta << DIGIT_BITS) + x
-        roots.append((delta, coords, tuple(datum.pairing(j, root) for j in datum.vertices)))
-    walls = tuple((DIGIT_BITS * (n - i), _alpha_key(datum, i)) for i in datum.vertices)
-    return tuple(roots), (_sign_masks(datum, n), walls), {}, {}
-
-
-def _dominant_key(datum: RootDatum, key: int, n: int, walls, guard: int) -> tuple[int, int]:
+def _dominant_key(datum: RootDatum, key: int, n: int, tables: _RootTables) -> tuple[int, int]:
     """The dominant weight in the W-orbit of a key whose true digits lie in
     the guard window (see the module docstring), and the number of
     reflections walked, whose parity is that of the length of w with w(key)
     dominant; ValueError when a weight on the way has an illegal coordinate.
-    While the sign-bit test (``walls`` from ``_root_tables``) finds a
-    negative pairing, a pass over the walls in vertex order reflects at each
-    wall whose pairing is negative when it is reached; each step raises the
-    weight in the positive-root order."""
+    While the sign-bit test (``tables.signs``) finds a negative pairing, a
+    pass over ``tables.walls`` in vertex order reflects at each wall whose
+    pairing is negative when it is reached; each step raises the weight in
+    the positive-root order."""
+    signs, walls, guard = tables.signs, tables.walls, tables.guard
     if key & guard:
         raise _overflow(n)
     gl = datum.kind == "GL"
-    signs, deltas = walls
     count = 0
     while (((key >> DIGIT_BITS) - key + signs) if gl else key) & signs != signs:
-        for sh, a in deltas:
+        for sh, a in walls:
             m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
             if m < 0:
                 key -= m * a
@@ -521,8 +512,8 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
     positive-root order, so taking mu by increasing height of lam - mu
     finds every m(dom(nu)) already known."""
     n = datum.rank
-    roots, walls, memo, _ = _root_tables(datum)
-    guard = _repunit(n) << (DIGIT_BITS - 1)
+    tables = _root_tables(datum)
+    roots, guard, memo = tables.roots, tables.guard, tables.memo
     top = _encode(lam)
     p_lam = tuple(datum.pairing(j, lam) for j in datum.vertices)
     p_rho = tuple(x + 2 for x in p_lam)   # pairings of lam + 2 rho
@@ -560,7 +551,7 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
                 if d is None:
                     if len(memo) >= memo_max:
                         memo.clear()
-                    d = memo[nu] = _dominant_key(datum, nu, n, walls, guard)[0]
+                    d = memo[nu] = _dominant_key(datum, nu, n, tables)[0]
                 m = get(d)
                 if not m:
                     break
@@ -580,11 +571,11 @@ def _freudenthal(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | No
 
 
 def _dominant_table(datum: RootDatum, lam: Weight, cap: int) -> dict[int, int] | None:
-    """``_freudenthal`` remembered in the datum's ``_root_tables``, which
-    hold at most ``limits.IRR_CACHE_MAX_TERMS`` entries in all and evict the
-    oldest table first; None, and nothing remembered, past ``cap`` dominant
-    weights."""
-    cache = _root_tables(datum)[3]
+    """``_freudenthal`` remembered in the ``dominant`` tables of the datum's
+    ``_root_tables``, which hold at most ``limits.IRR_CACHE_MAX_TERMS``
+    entries in all and evict the oldest table first; None, and nothing
+    remembered, past ``cap`` dominant weights."""
+    cache = _root_tables(datum).dominant
     table = cache.get(lam)
     if table is None:
         table = _freudenthal(datum, lam, cap)
@@ -625,13 +616,13 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     moving = _moving_vertices(datum, f)
     if moving:
         raise DecompositionError(f"not Weyl-invariant: s_{moving[0]} moves it")
-    height = _height_of_key(datum, n)
-    rem = {k: keys[k] for k in _dominant_keys(datum, keys, n)}
+    parts = _root_tables(datum).height
+    rem = {k: keys[k] for k in _dominant_keys(datum, keys)}
     # every dominant weight of a summand is a dominant term of f
     cap = len(rem)
     out: dict[Weight, int] = {}
     while rem:
-        top = max(rem, key=lambda k: (height(k), k))
+        top = max(rem, key=lambda k: (sum(h * ((k >> sh) & _MASK) for sh, h in parts), k))
         mu, c = _decode(top, n), rem[top]
         if c < 0:
             raise DecompositionError(
@@ -653,17 +644,16 @@ def straighten(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
     and nothing when lam is not dominant.  Zero multiplicities are dropped;
     DecompositionError at a negative one."""
     n = _check_length(datum, f)
-    walls = _root_tables(datum)[1]
-    guard = _repunit(n) << (DIGIT_BITS - 1)
-    rho = _encode(datum.rho) - BIAS * _repunit(n)
+    tables = _root_tables(datum)
+    rho, guard = tables.rho, tables.guard
     out: dict[int, int] = {}
     for key, c in f._keys.items():
-        key, count = _dominant_key(datum, key + rho, n, walls, guard)
+        key, count = _dominant_key(datum, key + rho, n, tables)
         key -= rho
         if key & guard:
             raise _overflow(n)
         out[key] = out.get(key, 0) + (-c if count & 1 else c)
-    dec = {key: out[key] for key in _dominant_keys(datum, out, n) if out[key]}
+    dec = {key: out[key] for key in _dominant_keys(datum, out) if out[key]}
     for key, m in dec.items():
         if m < 0:
             raise DecompositionError(

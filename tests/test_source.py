@@ -228,6 +228,73 @@ def test_codec_layout_stays_in_monomial():
     assert _layout_reads(ast.parse((SRC / "monomial.py").read_text()))
 
 
+_DATUM_CONSTANTS = {"alphas", "rho", "_height", "positive_roots"}
+
+
+def _record_names(scope) -> set:
+    """The names that hold a ``_root_tables`` record in a definition: bound
+    from a call of ``_root_tables``, or a parameter annotated
+    ``_RootTables``."""
+    args = scope.args.args + scope.args.kwonlyargs if hasattr(scope, "args") else []
+    return {arg.arg for arg in args if getattr(arg.annotation, "id", None) == "_RootTables"} | {
+        target.id for node in ast.walk(scope) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None)
+        == "_root_tables" for target in node.targets if isinstance(target, ast.Name)}
+
+
+def _packed_constant_reads(tree) -> list:
+    """(enclosing definition, line) of every read of an attribute
+    ``alphas``, ``rho``, ``_height`` or ``positive_roots``, spelled out or
+    through ``getattr``, other than a field of a ``_root_tables`` record;
+    and of every use of ``_repunit``.  The enclosing definition is dotted
+    through classes, and "" at module level."""
+    found = []
+
+    def visit(node, scope, records):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."), _record_names(child))
+                continue
+            if isinstance(child, ast.Attribute):
+                receiver, name = child.value, child.attr
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr" \
+                    and len(child.args) > 1 and isinstance(child.args[1], ast.Constant):
+                receiver, name = child.args[0], child.args[1].value
+            else:
+                receiver, name = None, getattr(child, "id", None)
+            record = getattr(receiver, "id", None) in records or (
+                isinstance(receiver, ast.Call)
+                and getattr(receiver.func, "id", None) == "_root_tables")
+            if (receiver is not None and name in _DATUM_CONSTANTS and not record) \
+                    or (receiver is None and name == "_repunit"):
+                found.append((scope, child.lineno))
+            visit(child, scope, records)
+    visit(tree, "", set())
+    return found
+
+
+def test_packed_constants_are_built_in_root_tables():
+    # weightring builds each per-datum packed constant once, in
+    # _root_tables, and every pass reads it from there by name; only the
+    # product, which has no datum, forms its own masks
+    allowed = {"_root_tables", "GroupAlgebraElement.__mul__"}
+    reads = _packed_constant_reads(ast.parse((SRC / "weightring.py").read_text()))
+    assert [f"weightring.py:{line} {scope}" for scope, line in reads
+            if scope not in allowed] == []
+    assert {scope for scope, _ in reads} == allowed
+    # the check itself sees every spelling, in functions, methods and at
+    # module level
+    sample = ("def _sign_masks(datum, n):\n    return _repunit(n)\n"
+              "class GroupAlgebraElement:\n    def __pow__(self, datum):\n        return datum.rho\n"
+              "HEIGHT = getattr(datum, '_height')\n"
+              "def _root_tables(datum):\n    return datum.alphas, datum.positive_roots\n"
+              "def straighten(datum, tables: _RootTables):\n    other = _root_tables(datum)\n"
+              "    return other.rho, tables.rho, _root_tables(datum).rho, self.rho\n")
+    assert _packed_constant_reads(ast.parse(sample)) == [
+        ("_sign_masks", 2), ("GroupAlgebraElement.__pow__", 5), ("", 6),
+        ("_root_tables", 8), ("_root_tables", 8), ("straighten", 11)]
+
+
 def test_bench_tracer_hooks_resolve():
     # bench/tracing.py wraps library functions by (module, name); one that
     # a refactor renamed or moved would only fail when the bench installs

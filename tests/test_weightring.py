@@ -631,6 +631,9 @@ def test_failed_scan_leaves_no_verdict(a3, monkeypatch):
     with pytest.raises(DecompositionError, match="Weyl-invariant"):
         weyl_decompose(a3, f)
     assert f._invariant_under is None
+    # the message names the first of the moving reflections, s_1 and s_3
+    with pytest.raises(DecompositionError, match=r"^not Weyl-invariant: s_1 moves it$"):
+        weyl_decompose(a3, e((1, 0, 1)))
     # the product check of the demazure-identity mutant
     monkeypatch.setattr(truncation, "demazure_pi", lambda datum, i, f: f)
     products = []
@@ -778,8 +781,12 @@ def test_overflow_raises_instead_of_wrapping(a2):
 
 
 def test_errors_at_the_edges(a2):
-    with pytest.raises(ValueError):   # a vertex the datum lacks
-        demazure_pi(a2, 3, e((1, 0)))
+    # a vertex the datum lacks, by name: A(i) is read as walls[i - 1], which
+    # alone would take 0 and -1 for the last walls
+    for datum, vertices in [(a2, (0, -1, 3)), (build_root_datum("GL", 3), (0, -1, 3, 4))]:
+        for i in vertices:
+            with pytest.raises(ValueError, match=rf"^vertex {i} not in diagram$"):
+                demazure_pi(datum, i, e((1,) + (0,) * (datum.rank - 1)))
     with pytest.raises(ValueError):   # weights of different lengths
         e((1, 0)) * e((1, 0, 0))
     with pytest.raises(ValueError):
@@ -799,7 +806,7 @@ def test_irreducible_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(limits, "IRR_CACHE_MAX_TERMS", cap)
     datum = RootDatum("A", 3)   # not the shared instance
     reference = build_root_datum("A", 3)
-    tables = weightring._root_tables(datum)[3]
+    tables = weightring._root_tables(datum).dominant
     inserted = []
     # (2,2,0) and (2,0,2) alone have more entries than the cap and are not kept
     for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2), (1, 0, 1), (2, 0, 0),
@@ -883,6 +890,50 @@ def test_dominant_multiplicities_with_many_dominant_weights(kind, rank, lam):
     assert dominant_multiplicities(datum, lam) == ref_dominant_part(datum, lam)
 
 
+TABLE_KINDS = ([("A", r) for r in range(1, 7)] + [("D", r) for r in range(4, 7)]
+               + [("E6", 6), ("E7", 7), ("E8", 8)] + [("GL", r) for r in range(1, 7)])
+
+
+@pytest.mark.parametrize("kind,rank", TABLE_KINDS)
+def test_root_tables_hold_the_packed_constants(kind, rank):
+    # each field against the expression that built it before the table
+    # named it: packed deltas as differences of encoded weights, masks bit
+    # by bit
+    datum = RootDatum(kind, rank)   # not the shared instance: empty caches
+    n, bits = datum.rank, weightring.DIGIT_BITS
+    tables = weightring._root_tables(datum)
+    assert tables._fields == ("roots", "signs", "walls", "guard", "rho", "height",
+                              "memo", "dominant")
+    zero = weightring._encode(datum.zero)
+
+    def delta(w):
+        return weightring._encode(w) - zero
+    assert tables.roots == tuple(
+        (delta(root), coords, tuple(datum.pairing(j, root) for j in datum.vertices))
+        for coords, root in datum.positive_roots)
+    assert tables.walls == tuple((bits * (n - i), delta(datum.alphas[i]))
+                                 for i in datum.vertices)
+    assert tables.signs == (sum(1 << bits * k + bits - 1 for k in range(n - 1))
+                            if kind == "GL" else sum(1 << bits * k + bits - 2 for k in range(n)))
+    assert tables.guard == sum(1 << bits * k + bits - 1 for k in range(n))
+    assert tables.rho == delta(datum.rho)
+    assert tables.height == tuple((bits * (n - 1 - j), h)
+                                  for j, h in enumerate(datum._height) if h)
+    assert tables.memo == {} and tables.dominant == {} and tables.memo is not tables.dominant
+    assert weightring._root_tables(datum) is tables
+    # the height parts order seeded weights as datum.height does: they
+    # differ from it by one constant
+    rng = random.Random(90 + 10 * rank + len(kind))
+    offsets = set()
+    for _ in range(50):
+        w = tuple(rng.randint(-BIAS, BIAS - 1) if rng.random() < 0.2 else rng.randint(-9, 9)
+                  for _ in range(n))
+        key = weightring._encode(w)
+        offsets.add(sum(h * ((key >> sh) & weightring._MASK) for sh, h in tables.height)
+                    - datum.height(w))
+    assert len(offsets) == 1
+
+
 def pairing_filter(datum, keys, n):
     """The dominant keys, found by testing every pairing <a_i^vee, w> >= 0."""
     out = list(keys)
@@ -909,7 +960,7 @@ def test_sign_bit_dominance_matches_pairings(kind, rank):
     weights = sorted(weights, key=lambda w: rng.random())
     keys = [weightring._encode(w) for w in weights]
     want = pairing_filter(datum, keys, n)
-    assert weightring._dominant_keys(datum, keys, n) == want
+    assert weightring._dominant_keys(datum, keys) == want
     assert want == [weightring._encode(w) for w in weights if datum.is_dominant(w)]
     # both outcomes are met, at the edges of the range too (GL_1 has no
     # wall: every weight is dominant)
@@ -936,12 +987,11 @@ def test_gl_sign_bit_dominance_matches_tuples(n):
     dominant = [w for w in weights if all(a >= b for a, b in zip(w, w[1:]))]
     assert 0 < len(dominant) < len(weights)
     assert {-(BIAS - 1), BIAS - 1} <= {x for w in dominant for x in w}
-    assert weightring._dominant_keys(datum, keys, n) == [weightring._encode(w) for w in dominant]
-    walls = weightring._root_tables(datum)[1]
-    guard = weightring._repunit(n) << (weightring.DIGIT_BITS - 1)
+    assert weightring._dominant_keys(datum, keys) == [weightring._encode(w) for w in dominant]
+    tables = weightring._root_tables(datum)
     for w, key in zip(weights, keys):
         inversions = sum(a < b for a, b in itertools.combinations(w, 2))
-        assert weightring._dominant_key(datum, key, n, walls, guard) == (
+        assert weightring._dominant_key(datum, key, n, tables) == (
             weightring._encode(sorted(w, reverse=True)), inversions)
 
 
@@ -1097,7 +1147,7 @@ def test_dominant_memo_is_cleared_when_full(monkeypatch):
     monkeypatch.setattr(limits, "DOMINANT_MEMO_MAX", 3)
     datum = RootDatum("A", 3)   # not the shared instance: a fresh memo
     reference = build_root_datum("A", 3)
-    memo = weightring._root_tables(datum)[2]
+    memo = weightring._root_tables(datum).memo
     walks = []
     dominant_key = weightring._dominant_key
     monkeypatch.setattr(weightring, "_dominant_key",
