@@ -232,14 +232,11 @@ _DATUM_CONSTANTS = {"alphas", "rho", "_height", "positive_roots"}
 
 
 def _record_names(scope) -> set:
-    """The names that hold a ``_root_tables`` record in a definition: bound
-    from a call of ``_root_tables``, or a parameter annotated
-    ``_RootTables``."""
-    args = scope.args.args + scope.args.kwonlyargs if hasattr(scope, "args") else []
-    return {arg.arg for arg in args if getattr(arg.annotation, "id", None) == "_RootTables"} | {
-        target.id for node in ast.walk(scope) if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None)
-        == "_root_tables" for target in node.targets if isinstance(target, ast.Name)}
+    """The names bound from a call of ``_root_tables`` in a definition."""
+    return {target.id for node in ast.walk(scope) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "_root_tables"
+            for target in node.targets if isinstance(target, ast.Name)}
 
 
 def _packed_constant_reads(tree) -> list:
@@ -288,8 +285,8 @@ def test_packed_constants_are_built_in_root_tables():
               "class GroupAlgebraElement:\n    def __pow__(self, datum):\n        return datum.rho\n"
               "HEIGHT = getattr(datum, '_height')\n"
               "def _root_tables(datum):\n    return datum.alphas, datum.positive_roots\n"
-              "def straighten(datum, tables: _RootTables):\n    other = _root_tables(datum)\n"
-              "    return other.rho, tables.rho, _root_tables(datum).rho, self.rho\n")
+              "def straighten(datum):\n    tables = _root_tables(datum)\n"
+              "    return tables.rho, _root_tables(datum).rho, self.rho\n")
     assert _packed_constant_reads(ast.parse(sample)) == [
         ("_sign_masks", 2), ("GroupAlgebraElement.__pow__", 5), ("", 6),
         ("_root_tables", 8), ("_root_tables", 8), ("straighten", 11)]

@@ -782,7 +782,7 @@ def test_overflow_raises_instead_of_wrapping(a2):
 
 def test_errors_at_the_edges(a2):
     # a vertex the datum lacks, by name: A(i) is read as walls[i - 1], which
-    # alone would take 0 and -1 for the last walls
+    # alone would read walls[-1] and walls[-2] for vertices 0 and -1
     for datum, vertices in [(a2, (0, -1, 3)), (build_root_datum("GL", 3), (0, -1, 3, 4))]:
         for i in vertices:
             with pytest.raises(ValueError, match=rf"^vertex {i} not in diagram$"):
