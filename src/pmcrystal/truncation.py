@@ -255,10 +255,11 @@ def full_character(datum: RootDatum, r: PointMultiset,
     """ch M(R) = pi_{w_o} applied to any truncation character.  With the
     truncation character g * h of the plan fold (``_fold``), g W-invariant,
     pi_{w_o} (g h) = g pi_{w_o} h, so pi_{w_o} acts on h alone.  ``check``
-    asserts that pi_{w_o} h and the product returned are W-invariant.  A
-    check that passes is recorded on the element it scanned (see
-    ``weightring.GroupAlgebraElement``), so ``weyl_decompose`` does not
-    scan the checked character again."""
+    asserts that pi_{w_o} h and the product returned are W-invariant, each
+    by one pass over its terms with at most one lookup per term
+    (``weightring._orbits_closed``).  A check that passes is recorded on
+    the element it tested (see ``weightring.GroupAlgebraElement``), so
+    ``weyl_decompose`` does not test the checked character again."""
     g, h = _fold(datum, build_plan(datum, r))
     ch = pi_longest(datum, h)
     if check:

@@ -22,9 +22,28 @@ W-invariance once and then peels on dominant keys alone, subtracting the
 dominant multiplicities of V(mu) that Freudenthal's formula gives
 (``_dominant_table``); the Demazure-built ch V(mu)
 (``irreducible_character``) stays as the independent oracle.  The check
-is made once across calls too: an element records a W-invariance scan
-that passed (``GroupAlgebraElement``), so the peel does not scan again a
+is made once across calls too: an element records a W-invariance verdict
+that passed (``GroupAlgebraElement``), so the peel does not test again a
 character that ``truncation.full_character`` checked.
+
+W-invariance.  ``_orbits_closed`` decides whether W fixes f in one pass
+over its terms.  A term c e^k with k not dominant has a negative pairing,
+and at the first such wall i, s_i k = k - <a_i^vee, k> a_i lies strictly
+higher in the positive-root order: the pass requires c at s_i k, one
+lookup.  A dominant term lam adds the size of its orbit, |W lam| =
+|W| / |W_lam|.  W_lam is generated by the s_i with <a_i^vee, lam> = 0
+(Humphreys, Lie algebras, 10.3 Lemma B), so its positive roots are the
+alpha > 0 with <alpha^vee, lam> = 0, of the same heights, and
+|W| = prod_{alpha > 0} (ht alpha + 1) / ht alpha (Macdonald 1972) holds
+for W and W_lam alike: |W lam| is that product over the alpha > 0 with
+<alpha^vee, lam> != 0.  The pass requires these sizes to add up to the
+number of terms.  A W-invariant f passes both tests.  Conversely, the
+lookups chain every term upwards, within f and with its coefficient, to
+its dominant representative, so the terms lie in the disjoint orbits of
+the dominant terms, and the count leaves none of these orbits with a term
+missing: f is the sum of c_lam times the orbit sum of each dominant term
+lam.  Only a failed verdict makes ``_moving_vertices`` scan every vertex,
+one lookup per term each, to name the reflections that move f.
 
 Limits.  A Demazure operator or a product that builds more than
 ``limits.MAX_TERMS`` terms raises ``limits.LimitExceeded``; a Demazure
@@ -84,8 +103,12 @@ that window and is checked where it could leave the legal range:
   ``ValueError`` instead of wrapping.
 - a product of legal keys has coordinates in [-2 BIAS, 2 BIAS); every key
   formed is tested before terms cancel.
-- the W-invariance scans (``_moving_vertices``) only look keys up: a
-  reflected key with an illegal coordinate is never a stored key.
+- the W-invariance verdict (``_orbits_closed``) and scan
+  (``_moving_vertices``) only look keys up: a key reflected at one wall
+  of a stored key is never a stored key when it is illegal.  s_i moves a
+  coordinate of GL to another one, and otherwise coordinate i to -m and
+  each neighbour's by m, m = <a_i^vee, w> in [-BIAS, BIAS), which stays
+  inside the window, so ``key & GUARD`` shows an illegal coordinate.
 - the dominant weights of V(mu) step down from mu by positive roots, whose
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
   strings step up by one root from a weight of V(mu), and the walk to the
@@ -109,7 +132,7 @@ both are tested, as is every key of the walk.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import add, eq, lt, mul, sub
@@ -160,13 +183,14 @@ class GroupAlgebraElement:
     packed keys of weights of one length (see the module docstring).
 
     Elements are immutable: no operation changes ``_keys`` once built.  So
-    an element can carry the verdict of a W-invariance scan:
-    ``_invariant_under`` is None until a complete scan under a root datum
-    finds no reflection moving the element, and is that datum from then on
-    (compared by identity).  Every scan (``_moving_vertices``) reads it, so
-    each element is scanned at most once under each datum; a scan that
-    finds a moving reflection records nothing.  The slot is not locked (see
-    ``limits``): it only goes from None to a datum, after a completed scan."""
+    an element can carry a W-invariance verdict: ``_invariant_under`` is
+    None until the one-pass verdict ``_orbits_closed`` finds under a root
+    datum that W fixes the element, and is that datum from then on
+    (compared by identity).  ``_moving_vertices`` reads it first, so each
+    element is tested at most once under each datum; a verdict that W
+    moves the element records nothing.  The slot is not locked (see
+    ``limits``): it only goes from None to a datum, after a completed
+    verdict."""
 
     __slots__ = ("_keys", "_n", "_invariant_under")
 
@@ -335,17 +359,63 @@ def _reflection_fixes(keys: dict[int, int], a: int, pairings: list[int]) -> bool
     return all(map(eq, map(keys.get, reflected), keys.values()))
 
 
+def _orbit_size(roots, off) -> int:
+    """|W lam| for dominant lam, from the ``roots`` of ``_root_tables`` and
+    ``off``, true at each vertex i with <a_i^vee, lam> != 0: the product of
+    (ht alpha + 1) / ht alpha over the alpha > 0 whose support meets those
+    vertices (see "W-invariance" in the module docstring)."""
+    num = den = 1
+    for _, coords, _ in roots:
+        if any(map(mul, coords, off)):
+            height = sum(coords)
+            num *= height + 1
+            den *= height
+    return num // den
+
+
+def _orbits_closed(datum: RootDatum, f: GroupAlgebraElement) -> bool:
+    """Whether W fixes f, by one pass over its terms with at most one lookup
+    each (see "W-invariance" in the module docstring)."""
+    tables = _root_tables(datum)
+    signs, walls, n = tables.signs, tables.walls, datum.rank
+    keys = f._keys
+    get = keys.get
+    gl = datum.kind == "GL"
+    # the dominant keys, counted by the walls they lie off
+    off = Counter()
+    for k, c in keys.items():
+        # the set bits of low mark the negative pairings (``_dominant_keys``),
+        # and the most significant one the first wall i they name
+        low = ~((k >> DIGIT_BITS) - k + signs if gl else k) & signs
+        if low:
+            sh, a = walls[n - 1 - low.bit_length() // DIGIT_BITS]
+            m = ((k >> sh) & _MASK) - (((k >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
+            if get(k - m * a) != c:
+                return False
+        else:
+            off[tuple(((k >> sh) & _MASK) != (((k >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
+                      for sh, _ in walls)] += 1
+    roots = tables.roots
+    return sum(count * _orbit_size(roots, walls_off) for walls_off, count in off.items()) \
+        == len(keys)
+
+
 def _moving_vertices(datum: RootDatum, f: GroupAlgebraElement) -> list[int]:
     """The vertices i with s_i moving f, in vertex order: [] when W fixes
-    f.  f's record of datum stands in for the scan, and a scan of every
-    vertex that finds none records datum on f (see ``GroupAlgebraElement``)."""
+    f.  f's record of datum stands in for the verdict, and a verdict of
+    ``_orbits_closed`` that W fixes f records datum on f (see
+    ``GroupAlgebraElement``).  Only a failed verdict scans every vertex, to
+    name the moving ones."""
     if f._invariant_under is datum:
+        return []
+    if _orbits_closed(datum, f):
+        f._invariant_under = datum
         return []
     keys, n = f._keys, datum.rank
     moving = [i for i, (_, a) in zip(datum.vertices, _root_tables(datum).walls)
               if not _reflection_fixes(keys, a, _pairings(datum, i, keys, n))]
     if not moving:
-        f._invariant_under = datum
+        raise AssertionError("the two W-invariance tests disagree")
     return moving
 
 
@@ -437,9 +507,11 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
     takes from w_o lam_J spells a reduced word for it.  The word is found
     afresh on each call, in under a millisecond even on E8.
 
-    Finding J scans every vertex.  When none moves f, f is its own image
-    and the scan is recorded on f (``GroupAlgebraElement``); an f recorded
-    under this datum is not scanned."""
+    Finding J (``_moving_vertices``) takes one pass over f, which decides
+    whether W fixes f; only when it does not is every vertex scanned.
+    When W fixes f, f is its own image and the verdict is recorded on f
+    (``GroupAlgebraElement``); an f recorded under this datum is not
+    tested again."""
     _check_length(datum, f)
     lam = datum.zero
     for i in _moving_vertices(datum, f):
@@ -606,10 +678,10 @@ def weyl_decompose(datum: RootDatum, f: GroupAlgebraElement) -> dict[Weight, int
     V(mu) (``_dominant_table``), at a dominant term mu of greatest
     height, hence maximal in the positive-root order.
     Raises DecompositionError when f is not W-invariant or not a
-    nonnegative integral combination.  The W-invariance scan is skipped
-    when f records a passed scan under this datum (``pi_longest``'s J
-    search, ``truncation.full_character``), and a passing scan is recorded
-    on f; a record under another datum does not count.
+    nonnegative integral combination.  The W-invariance test is skipped
+    when f records a passed verdict under this datum (``pi_longest``'s J
+    search, ``truncation.full_character``), and a passing verdict is
+    recorded on f; a record under another datum does not count.
     """
     n = _check_length(datum, f)
     keys = f._keys

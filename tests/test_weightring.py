@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -1029,11 +1030,18 @@ def test_peel_rejects_non_invariant_input(kind, rank):
 
 
 def orbit_sum(datum, lam):
-    orbit, frontier = {lam}, [lam]
+    """The sum of e^w over the W-orbit of a dominant lam, breadth-first
+    down from lam: any other weight w of the orbit has a wall i with
+    <a_i^vee, w> < 0, so it is s_i of the weight s_i w, of positive pairing
+    there.  Each layer is the set of these reflections of the last one not
+    found before, so a weight reached twice in a layer is kept once."""
+    walls = [(i, datum.alphas[i]) for i in datum.vertices]
+    orbit, frontier = {lam}, {lam}
     while frontier:
-        frontier = [datum.reflect(i, w) for w in frontier for i in datum.vertices]
-        frontier = [w for w in frontier if w not in orbit]
-        orbit.update(frontier)
+        frontier = {tuple([x - m * a for x, a in zip(w, alpha)])
+                    for w in frontier for i, alpha in walls
+                    for m in (datum.pairing(i, w),) if m > 0} - orbit
+        orbit |= frontier
     return GroupAlgebraElement(dict.fromkeys(orbit, 1))
 
 
@@ -1051,6 +1059,160 @@ def test_peel_stops_at_a_table_larger_than_its_input(gl3, monkeypatch):
         weyl_decompose(gl3, orbit_sum(gl3, (50, 0, -50)))
     assert weyl_decompose(gl3, orbit_sum(gl3, (1, 0, -1)) + 3 * e((0, 0, 0))) == {
         (1, 0, -1): 1, (0, 0, 0): 1}
+
+
+# -- the one-pass W-invariance verdict ----------------------------------------------
+
+
+VERDICT_KINDS = ([("A", r) for r in range(1, 6)] + [("D", 4), ("D", 5)]
+                 + [("E6", 6), ("E7", 7), ("E8", 8)] + [("GL", r) for r in range(1, 6)])
+
+
+def scanned_moving(datum, f):
+    """The per-vertex scan of ``_moving_vertices``, run without the verdict."""
+    keys, walls = f._keys, weightring._root_tables(datum).walls
+    return [i for i, (_, a) in zip(datum.vertices, walls) if not weightring._reflection_fixes(
+        keys, a, weightring._pairings(datum, i, keys, datum.rank))]
+
+
+def ref_invariant(datum, terms):
+    """Whether every simple reflection fixes terms, on tuple weights."""
+    return all(terms.get(datum.reflect(i, w)) == c for w, c in terms.items()
+               for i in datum.vertices)
+
+
+def invariant_elements(rng, datum):
+    """Seeded W-invariant elements: zero, and irreducible characters,
+    multiples of orbit sums, full characters and random_invariant's sums
+    and products; for GL1, whose W is trivial, random elements."""
+    out = [GroupAlgebraElement({})]
+    if not datum.vertices:
+        return out + [random_element(rng, datum, terms=6) for _ in range(6)]
+    small = 300 if datum.kind == "E8" else 1000
+    for _ in range(8):
+        lam = random_dominant(rng, datum, max_dim=small)
+        out += [irreducible_character(datum, lam),
+                rng.choice((-2, 1, 3)) * orbit_sum(datum, lam),
+                full_character(datum, random_multiset(rng, datum, max_points=2, cap=small))]
+    return out + [random_invariant(rng, datum) for _ in range(2)]
+
+
+def corruptions(rng, datum, f):
+    """(kind, element) for seeded corruptions of an invariant f: a moved
+    coefficient, a dropped term, its lowest term dropped (no lookup lands
+    there, so only the orbit count sees it), a term added one wall away,
+    and one orbit rescaled on all of its terms but one."""
+    terms = f.terms
+    if not terms:
+        return [("added", e(random_weight(rng, datum)))]
+    weights = sorted(terms)
+    w, lowest = rng.choice(weights), min(weights, key=datum.height)
+    moved = dict(terms)
+    moved[w] += rng.choice([d for d in (-2, -1, 1, 2) if d != -terms[w]])
+    out = [("moved", moved), ("dropped", {u: c for u, c in terms.items() if u != w}),
+           ("lowest", {u: c for u, c in terms.items() if u != lowest})]
+    if datum.vertices:
+        alpha = w_scale(rng.choice((-1, 1)), datum.alphas[rng.choice(datum.vertices)])
+        added = dict(terms)
+        added[w_add(w, alpha)] = added.get(w_add(w, alpha), 0) + rng.choice((-1, 1))
+        out.append(("added", added))
+        orbit = sorted(orbit_sum(datum, rng.choice(
+            [u for u in weights if datum.is_dominant(u)])).terms)
+        if len(orbit) > 1:
+            kept = rng.choice(orbit)
+            out.append(("rescaled", {**terms, **{u: 2 * terms[u] for u in orbit if u != kept}}))
+    return [(kind, GroupAlgebraElement(g)) for kind, g in out]
+
+
+@pytest.mark.parametrize("kind,rank", VERDICT_KINDS)
+def test_verdict_agrees_with_the_scan(kind, rank):
+    # _orbits_closed decides W-invariance as the per-vertex scan does, on
+    # invariant elements and on corruptions of each
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"verdict {kind}{rank}")
+    made, refused = Counter(), Counter()
+    for f in invariant_elements(rng, datum):
+        assert ref_invariant(datum, f.terms) and scanned_moving(datum, f) == []
+        assert weightring._orbits_closed(datum, f)
+        for name, g in corruptions(rng, datum, f):
+            invariant = ref_invariant(datum, g.terms)
+            assert weightring._orbits_closed(datum, g) == invariant
+            assert weightring._moving_vertices(datum, g) == scanned_moving(datum, g)
+            assert (scanned_moving(datum, g) == []) == invariant
+            assert (g._invariant_under is datum) == invariant
+            made[name] += 1
+            refused[name] += not invariant
+    if datum.vertices:
+        # a corruption at a W-fixed weight (0, or a power of det) can keep
+        # the element invariant; a part of an orbit never does
+        assert refused["rescaled"] == made["rescaled"] > 0
+        assert all(refused[name] for name in ("moved", "dropped", "lowest", "added"))
+    else:
+        assert not sum(refused.values())
+
+
+def test_verdict_looks_up_each_nondominant_term_once_and_never_scans(monkeypatch):
+    class Lookups(dict):
+        count = 0
+
+        def get(self, *args):
+            Lookups.count += 1
+            return super().get(*args)
+
+    e7 = build_root_datum("E7", 7)
+    ch = irreducible_character(e7, e7.fundamentals[7]) * irreducible_character(
+        e7, e7.fundamentals[1])
+    f = GroupAlgebraElement._of(Lookups(ch._keys), ch._n)
+    monkeypatch.setattr(weightring, "_reflection_fixes", None)
+    assert weightring._moving_vertices(e7, f) == [] and f._invariant_under is e7
+    dominant = sum(map(e7.is_dominant, ch.terms))
+    assert Lookups.count == len(ch._keys) - dominant and 0 < dominant < 20
+
+
+def test_disagreeing_tests_raise(a3, monkeypatch):
+    ch = irreducible_character(a3, (1, 0, 1))
+    monkeypatch.setattr(weightring, "_orbits_closed", lambda datum, f: False)
+    with pytest.raises(AssertionError, match="^the two W-invariance tests disagree$"):
+        weyl_decompose(a3, ch)
+    assert ch._invariant_under is None
+    # a failed verdict on an element some reflection moves names them
+    assert weightring._moving_vertices(a3, e((1, 0, 1))) == [1, 3]
+
+
+ZERO_ONE_KINDS = ([("A", r) for r in range(1, 5)] + [("D", 4), ("D", 5), ("E6", 6)]
+                  + [("GL", r) for r in range(1, 6)])
+
+
+@pytest.mark.parametrize("kind,rank", ZERO_ONE_KINDS)
+def test_orbit_sizes_against_orbit_sums(kind, rank):
+    # |W lam| from Macdonald's formula, on every dominant weight with
+    # coordinates 0 and 1, is the size of the orbit found breadth-first
+    datum = build_root_datum(kind, rank)
+    roots = weightring._root_tables(datum).roots
+    weights = [lam for lam in itertools.product((0, 1), repeat=rank) if datum.is_dominant(lam)]
+    assert len(weights) == (rank + 1 if kind == "GL" else 2 ** rank)
+    for lam in weights:
+        orbit = orbit_sum(datum, lam)
+        off = [datum.pairing(i, lam) != 0 for i in datum.vertices]
+        assert weightring._orbit_size(roots, off) == orbit.total()
+        assert weightring._orbits_closed(datum, orbit)
+
+
+def test_orbit_sizes_pinned():
+    # |W| itself, at a weight on no wall
+    for kind, rank, order in [("A", 1, 2), ("A", 5, 720), ("D", 4, 192), ("D", 5, 1920),
+                              ("E6", 6, 51840), ("E7", 7, 2903040), ("E8", 8, 696729600),
+                              ("GL", 1, 1), ("GL", 5, 120)]:
+        datum = build_root_datum(kind, rank)
+        off = [datum.pairing(i, datum.rho) != 0 for i in datum.vertices]
+        assert weightring._orbit_size(weightring._root_tables(datum).roots, off) == order
+    # E7's adjoint (the 126 roots) and minuscule (56) orbits
+    e7 = build_root_datum("E7", 7)
+    roots = weightring._root_tables(e7).roots
+    for i, size in [(1, 126), (7, 56)]:
+        off = [j == i for j in e7.vertices]
+        assert weightring._orbit_size(roots, off) == size
+        assert len(orbit_sum(e7, e7.fundamentals[i]).terms) == size
 
 
 def test_dominant_multiplicities_rejects_bad_weights(a2, monkeypatch):
