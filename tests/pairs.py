@@ -9,18 +9,25 @@ Each checkout's ``src`` and ``bench`` are byte-compiled once with
 ``compileall``.  Then ``bench/run.py --trace 0`` runs in the two checkouts
 in turn, the side that goes first switching from one pair to the next, with
 ``PYTHONDONTWRITEBYTECODE`` removed from the child environment so that the
-runs use that bytecode.  For each end-to-end metric in the change's
-``BENCHMARK.json`` the script prints the parent's and the change's medians,
-the interquartile range of the parent's runs and the number of pairs the
-change won.  The exit status is 1 when any run fails or is not ``correct``.
+runs use that bytecode.  With ``--no-compile`` nothing is compiled and the
+child environment sets ``PYTHONDONTWRITEBYTECODE=1``, so every worker
+compiles ``src`` as it imports it, as in a fresh checkout that no earlier
+run has written bytecode into; a ``__pycache__`` already under a
+checkout's ``src`` or ``bench`` would still be read, so the script warns
+of one (fresh copies, such as ``git archive`` output, have none).
+
+For each end-to-end metric in the change's ``BENCHMARK.json`` the script
+prints the parent's and the change's medians, the interquartile range of
+the parent's runs and the number of pairs the change won.  The exit status is 1 when any run fails or is not ``correct``.
 With ``--out PATH`` it also writes the pair set as JSON (``record``): the
-workload, seed, seconds and pairs, each checkout's path and ``git
-rev-parse HEAD`` (null outside a git checkout), each pair's end-to-end
-metrics per side with the side that went first, in run order, and the
-summary rows.
+workload, seed, seconds and pairs, whether the checkouts were compiled,
+each checkout's path and ``git rev-parse HEAD`` (null outside a git
+checkout), each pair's end-to-end metrics per side with the side that went
+first, in run order, and the summary rows.
 
 Standard library only.  pytest collects only test_*.py, so the suite never
-runs this file; ``tests/test_pairs.py`` tests its arithmetic.
+runs this file; ``tests/test_pairs.py`` tests its arithmetic and the
+child environment.
 """
 
 from __future__ import annotations
@@ -52,6 +59,25 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
 def compile_checkout(path: str, env: dict) -> None:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
                    cwd=path, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def child_env(no_compile: bool) -> dict:
+    """This process's environment for the runs: with
+    ``PYTHONDONTWRITEBYTECODE=1`` when ``no_compile``, without it
+    otherwise."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if no_compile:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def bytecode_dirs(path: str) -> list[str]:
+    """The ``__pycache__`` directories under the checkout's ``src`` and
+    ``bench``."""
+    return sorted(os.path.join(root, "__pycache__")
+                  for top in ("src", "bench")
+                  for root, dirs, _ in os.walk(os.path.join(path, top))
+                  if "__pycache__" in dirs)
 
 
 def run_bench(path: str, args, env: dict) -> dict | None:
@@ -102,7 +128,7 @@ def record(args, sides: dict, metrics: list[dict], runs: dict, rows: list[tuple]
 
     return {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "pairs": args.pairs,
+        "pairs": args.pairs, "compiled": not args.no_compile,
         "checkouts": {side: {"path": path, "head": git_head(path)}
                       for side, path in sides.items()},
         "runs": [{"first": "parent" if k % 2 == 0 else "change",
@@ -123,13 +149,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", help="write the pair set as JSON to this path")
+    parser.add_argument("--no-compile", action="store_true",
+                        help="compile nothing and run with PYTHONDONTWRITEBYTECODE=1")
     args = parser.parse_args(argv)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env = child_env(args.no_compile)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     for path in sides.values():
-        compile_checkout(path, env)
+        if args.no_compile:
+            for stale in bytecode_dirs(path):
+                print(f"warning: {stale} holds bytecode the runs will read", file=sys.stderr)
+        else:
+            compile_checkout(path, env)
     runs: dict[str, list] = {"parent": [], "change": []}
     ok = True
     for k in range(args.pairs):

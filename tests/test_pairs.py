@@ -121,3 +121,36 @@ def test_out_writes_the_pair_set(tmp_path, monkeypatch, capsys):
 
 def test_git_head_is_none_outside_a_checkout(tmp_path):
     assert pairs.git_head(str(tmp_path)) is None
+
+
+@pytest.mark.parametrize("no_compile", [False, True])
+def test_child_environment_in_both_modes(tmp_path, monkeypatch, capsys, no_compile):
+    # compiled: the bytecode compileall writes once is read by every run;
+    # --no-compile: nothing is compiled and no run writes bytecode, so each
+    # worker compiles src on import, as in a fresh checkout
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    (tmp_path / "parent" / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    compiled, envs = [], []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PAIRS_KEPT", "yes")
+    monkeypatch.setattr(pairs, "compile_checkout",
+                        lambda path, env: compiled.append(env.get("PYTHONDONTWRITEBYTECODE")))
+    monkeypatch.setattr(pairs, "run_bench",
+                        lambda path, args, env: envs.append(env) or fake_run({"wall_s": 1.0}))
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "character",
+            "--pairs", "2", "--out", str(out)] + (["--no-compile"] if no_compile else [])
+    assert pairs.main(argv) == 0
+    flag = "1" if no_compile else None
+    assert [env.get("PYTHONDONTWRITEBYTECODE") for env in envs] == [flag] * 4
+    assert all(env["PAIRS_KEPT"] == "yes" for env in envs)
+    assert compiled == ([] if no_compile else [None, None])
+    assert json.loads(out.read_text())["compiled"] is not no_compile
+    # a bytecode directory already in a checkout is read by an uncompiled run
+    warned = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    stale = str(tmp_path / "parent" / "src" / "pkg" / "__pycache__")
+    assert warned == ([f"warning: {stale} holds bytecode the runs will read"]
+                      if no_compile else [])
