@@ -105,9 +105,9 @@ that window and is checked where it could leave the legal range:
   formed is tested before terms cancel.
 - the W-invariance verdict (``_orbits_closed``) and scan
   (``_moving_vertices``) only look keys up: a key reflected at one wall
-  of a stored key is never a stored key when it is illegal.  s_i moves a
-  coordinate of GL to another one, and otherwise coordinate i to -m and
-  each neighbour's by m, m = <a_i^vee, w> in [-BIAS, BIAS), which stays
+  of a stored key is never a stored key when it is illegal.  In GL s_i
+  swaps two coordinates; otherwise it takes coordinate i to -m and adds m
+  to each neighbour's, m = <a_i^vee, w> in [-BIAS, BIAS), which stays
   inside the window, so ``key & GUARD`` shows an illegal coordinate.
 - the dominant weights of V(mu) step down from mu by positive roots, whose
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
@@ -382,7 +382,7 @@ def _orbits_closed(datum: RootDatum, f: GroupAlgebraElement) -> bool:
     get = keys.get
     gl = datum.kind == "GL"
     # the dominant keys, counted by the walls they lie off
-    off = Counter()
+    dominant = Counter()
     for k, c in keys.items():
         # the set bits of low mark the negative pairings (``_dominant_keys``),
         # and the most significant one the first wall i they name
@@ -393,11 +393,11 @@ def _orbits_closed(datum: RootDatum, f: GroupAlgebraElement) -> bool:
             if get(k - m * a) != c:
                 return False
         else:
-            off[tuple(((k >> sh) & _MASK) != (((k >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
-                      for sh, _ in walls)] += 1
+            dominant[tuple(((k >> sh) & _MASK) != (((k >> (sh - DIGIT_BITS)) & _MASK)
+                                                   if gl else BIAS) for sh, _ in walls)] += 1
     roots = tables.roots
-    return sum(count * _orbit_size(roots, walls_off) for walls_off, count in off.items()) \
-        == len(keys)
+    size = sum(count * _orbit_size(roots, off) for off, count in dominant.items())
+    return size == len(keys)
 
 
 def _moving_vertices(datum: RootDatum, f: GroupAlgebraElement) -> list[int]:
