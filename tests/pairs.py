@@ -14,7 +14,8 @@ child environment sets ``PYTHONDONTWRITEBYTECODE=1``, so every worker
 compiles ``src`` as it imports it, as in a fresh checkout that no earlier
 run has written bytecode into; a ``__pycache__`` already under a
 checkout's ``src`` or ``bench`` would still be read, so the script warns
-of one (fresh copies, such as ``git archive`` output, have none).
+of one (a fresh ``git clone`` has none, and keeps the HEAD that ``--out``
+records).
 
 For each end-to-end metric in the change's ``BENCHMARK.json`` the script
 prints the parent's and the change's medians, the interquartile range of
