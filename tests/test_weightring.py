@@ -1163,10 +1163,11 @@ def test_verdict_looks_up_each_nondominant_term_once_and_never_scans(monkeypatch
     ch = irreducible_character(e7, e7.fundamentals[7]) * irreducible_character(
         e7, e7.fundamentals[1])
     f = GroupAlgebraElement._of(Lookups(ch._keys), ch._n)
+    # a per-vertex scan would call None
     monkeypatch.setattr(weightring, "_reflection_fixes", None)
     assert weightring._moving_vertices(e7, f) == [] and f._invariant_under is e7
     dominant = sum(map(e7.is_dominant, ch.terms))
-    assert Lookups.count == len(ch._keys) - dominant and 0 < dominant < 20
+    assert Lookups.count == len(ch._keys) - dominant and dominant > 0
 
 
 def test_disagreeing_tests_raise(a3, monkeypatch):
