@@ -112,8 +112,8 @@ that window and is checked where it could leave the legal range:
 - the dominant weights of V(mu) step down from mu by positive roots, whose
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
   strings step up by one root from a weight of V(mu), and the walk to the
-  dominant chamber reflects one wall at a time, each move within the
-  window; every key on the way is tested.  In a peel of a W-invariant
+  dominant chamber reflects at one negative wall at a time, each move
+  within the window as in the verdict; every key on the way is tested.  In a peel of a W-invariant
   element with legal keys all of these stay legal but for weights within
   2 of the edge of the range: the weights of V(mu) lie in conv(W mu), and
   the orbit W mu is legal.
@@ -121,8 +121,9 @@ that window and is checked where it could leave the legal range:
 Straightening.  pi_{w_o} is Weyl's symmetriser (Demazure 1974; Humphreys
 section 24; for GL_n Macdonald I.3): pi_{w_o}(e^mu) is
 (-1)^l(w) ch V(w(mu + rho) - rho) for w(mu + rho) dominant, and 0 when
-mu + rho lies on a wall.  So ``straighten`` reads the decomposition of
-pi_{w_o} f off the terms of f and never builds pi_{w_o} f; as
+mu + rho lies on a wall.  ``_dominant_key`` walks mu + rho to w(mu + rho)
+in l(w) steps, so ``straighten`` reads the decomposition of pi_{w_o} f off
+the terms of f and never builds pi_{w_o} f; as
 pi_{w_o}(g f) = g pi_{w_o} f for W-invariant g, straightening
 g * sum m_lam e^lam decomposes g * sum m_lam ch V(lam) (the Brauer-Klimyk
 rule).  rho moves a coordinate by at most n - 1 (GL) or 1, so a legal key
@@ -541,26 +542,23 @@ def irreducible_character(datum: RootDatum, w: Weight) -> GroupAlgebraElement:
 
 def _dominant_key(datum: RootDatum, key: int, n: int, tables: _RootTables) -> tuple[int, int]:
     """The dominant weight in the W-orbit of a key whose true digits lie in
-    the guard window (see the module docstring), and the number of
-    reflections walked, whose parity is that of the length of w with w(key)
-    dominant; ValueError when a weight on the way has an illegal coordinate.
-    While the sign-bit test (``tables.signs``) finds a negative pairing, a
-    pass over ``tables.walls`` in vertex order reflects at each wall whose
-    pairing is negative when it is reached; each step raises the weight in
-    the positive-root order."""
+    the guard window (see the module docstring), and |N(key)|, N(mu) the
+    beta > 0 with <beta^vee, mu> < 0; ValueError when a weight on the way
+    has an illegal coordinate.  The walk reflects at the first negative wall
+    (``tables.signs``), as ``_orbits_closed`` does.  s_i there takes a_i out
+    of N and permutes the rest (Humphreys 10.2 Lemma B): in any order of
+    negative walls, |N(key)| steps, the least l(w) with w(key) dominant."""
     signs, walls, guard = tables.signs, tables.walls, tables.guard
     if key & guard:
         raise _overflow(n)
     gl = datum.kind == "GL"
     count = 0
-    while (((key >> DIGIT_BITS) - key + signs) if gl else key) & signs != signs:
-        for sh, a in walls:
-            m = ((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)
-            if m < 0:
-                key -= m * a
-                count += 1
-                if key & guard:
-                    raise _overflow(n)
+    while low := ~(((key >> DIGIT_BITS) - key + signs) if gl else key) & signs:
+        sh, a = walls[n - 1 - low.bit_length() // DIGIT_BITS]
+        key -= (((key >> sh) & _MASK) - (((key >> (sh - DIGIT_BITS)) & _MASK) if gl else BIAS)) * a
+        count += 1
+        if key & guard:
+            raise _overflow(n)
     return key, count
 
 

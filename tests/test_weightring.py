@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 import sys
 import threading
@@ -970,7 +971,7 @@ def test_sign_bit_dominance_matches_pairings(kind, rank):
     assert any(BIAS - 1 in weightring._decode(k, n) for k in want)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", [*range(2, 7), 16, 32])
 def test_gl_sign_bit_dominance_matches_tuples(n):
     # the GL test subtracts the whole key, top digit included: against the
     # tuple order on seeded weights with negative coordinates and
@@ -994,6 +995,101 @@ def test_gl_sign_bit_dominance_matches_tuples(n):
         inversions = sum(a < b for a, b in itertools.combinations(w, 2))
         assert weightring._dominant_key(datum, key, n, tables) == (
             weightring._encode(sorted(w, reverse=True)), inversions)
+
+
+WALK_KINDS = ([("A", r) for r in range(1, 7)] + [("D", r) for r in (4, 5, 6)]
+              + [("E6", 6), ("E7", 7), ("E8", 8)])
+
+
+def negative_roots_count(datum, w):
+    """#{beta > 0 : <beta^vee, w> < 0}, |N(w)|, in fundamental coordinates."""
+    return sum(sum(c * x for c, x in zip(coords, w)) < 0 for coords, _ in datum.positive_roots)
+
+
+def reflect_along(datum, word, w):
+    for i in word:
+        w = datum.reflect(i, w)
+    return w
+
+
+@pytest.mark.parametrize("kind,rank", WALK_KINDS)
+def test_dominant_key_against_an_order_free_oracle(kind, rank):
+    # whatever order of negative walls it takes, the walk ends at the one
+    # dominant weight of the orbit after |N(w)| reflections: on seeded
+    # weights, weights on walls, -rho, w_o of dominant weights, and orbits
+    # of dominant lam with <theta^vee, lam> just below BIAS, theta the
+    # highest root, which reach coordinates +-<theta^vee, lam>
+    datum = build_root_datum(kind, rank)
+    n = datum.rank
+    tables = weightring._root_tables(datum)
+    rng = random.Random(430 + 10 * rank + len(kind))
+    coords_of = {root: coords for coords, root in datum.positive_roots}
+    marks, theta = max(datum.positive_roots, key=lambda root: sum(root[0]))
+    # a word u with u(theta) a simple root a_i: then <a_i^vee, u(lam)> is
+    # <theta^vee, lam>, and s_i u(lam) has -<theta^vee, lam> there
+    down, beta = [], theta
+    while sum(coords_of[beta]) > 1:
+        i = next(i for i in datum.vertices if datum.pairing(i, beta) > 0)
+        down.append(i)
+        beta = datum.reflect(i, beta)
+    top = coords_of[beta].index(1) + 1
+    weights = [tuple(-x for x in datum.rho)]
+    for _ in range(60):
+        w = random_weight(rng, datum, -4, 4)
+        weights.append(tuple(0 if rng.random() < 0.4 else x for x in w))
+        lam = tuple(max(x, 0) for x in weights[-1])
+        weights.append(reflect_along(datum, datum.longest_word, lam))
+    for _ in range(6):
+        lam = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+        j = rng.choice([j for j in range(n) if marks[j] == min(marks)])
+        lam[j] += (BIAS - 1 - sum(map(operator.mul, marks, lam))) // marks[j]
+        lam = tuple(lam)
+        assert BIAS - max(marks) <= sum(map(operator.mul, marks, lam)) < BIAS
+        far = reflect_along(datum, down, lam)
+        weights += [far, datum.reflect(top, far), reflect_along(datum, datum.longest_word, lam)]
+        for _ in range(8):
+            word = [rng.choice(datum.vertices) for _ in range(rng.randint(1, 3 * n))]
+            weights.append(reflect_along(datum, word, lam))
+    extreme = max(abs(x) for w in weights for x in w)
+    assert BIAS - max(marks) <= extreme < BIAS
+    for w in weights:
+        want = (weightring._encode(datum.dominant_representative(w)[0]),
+                negative_roots_count(datum, w))
+        assert weightring._dominant_key(datum, weightring._encode(w), n, tables) == want
+    assert negative_roots_count(datum, weights[0]) == len(datum.positive_roots)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("D", 4), ("E6", 6), ("GL", 3)])
+def test_walk_leaving_the_packed_range_raises(kind, rank):
+    # a walk from w_o(lam), lam legal and dominant, reflects at some step
+    # at the wall whose pairing is -<theta^vee, lam>, theta the highest
+    # root, in any order of negative walls; when <theta^vee, lam> >= BIAS
+    # that step leaves the range, though both ends of the walk are legal
+    datum = build_root_datum(kind, rank)
+    n = datum.rank
+    tables = weightring._root_tables(datum)
+    big = BIAS - 1
+    if kind == "GL":
+        # s_i swaps two coordinates, so a GL walk stays legal: only a key
+        # that enters illegal (the top of the range plus rho) is refused
+        for w in [(-BIAS, big, -BIAS), (big, -BIAS, big), (0, -BIAS, big)]:
+            key = weightring._encode(w)
+            assert weightring._dominant_key(datum, key, n, tables)[0] == weightring._encode(
+                sorted(w, reverse=True))
+        with pytest.raises(ValueError, match="left the packed range"):
+            weightring._dominant_key(datum, weightring._encode((big, 0, 0)) + tables.rho,
+                                     n, tables)
+        return
+    marks = max(datum.positive_roots, key=lambda root: sum(root[0]))[0]
+    lams = [(big,) * n, (big, 1) + (0,) * (n - 2), (1,) + (0,) * (n - 2) + (big,)]
+    if kind == "A":   # the key of (-(BIAS - 1), -(BIAS - 1))
+        assert reflect_along(datum, datum.longest_word, lams[0]) == (-big, -big)
+    for lam in lams:
+        assert sum(map(operator.mul, marks, lam)) >= BIAS
+        key = weightring._encode(reflect_along(datum, datum.longest_word, lam))
+        with pytest.raises(ValueError, match="left the packed range"):
+            weightring._dominant_key(datum, key, n, tables)
+        weightring._encode(lam)   # the dominant end is legal
 
 
 @pytest.mark.parametrize("kind,rank,points", [
