@@ -113,10 +113,10 @@ that window and is checked where it could leave the legal range:
   coordinates are at most 2 in size, and each is tested.  Freudenthal's
   strings step up by one root from a weight of V(mu), and the walk to the
   dominant chamber reflects at one negative wall at a time, each move
-  within the window as in the verdict; every key on the way is tested.  In a peel of a W-invariant
-  element with legal keys all of these stay legal but for weights within
-  2 of the edge of the range: the weights of V(mu) lie in conv(W mu), and
-  the orbit W mu is legal.
+  within the window as in the verdict; every key on the way is tested.
+  In a peel of a W-invariant element with legal keys all of these stay
+  legal but for weights within 2 of the edge of the range: the weights of
+  V(mu) lie in conv(W mu), and the orbit W mu is legal.
 
 Straightening.  pi_{w_o} is Weyl's symmetriser (Demazure 1974; Humphreys
 section 24; for GL_n Macdonald I.3): pi_{w_o}(e^mu) is
