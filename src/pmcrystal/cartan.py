@@ -131,10 +131,13 @@ class RootDatum:
             self.rho = (1,) * rank
 
         self.zero: Weight = (0,) * rank
-        # the ascent from -rho to the dominant chamber is reduced of length
-        # #positive-roots, so it is a reduced word for w_o
-        self.longest_word: tuple[int, ...] = self.dominant_representative(
-            w_scale(-1, self.rho))[1]
+        # -sum_i i w_i is strictly antidominant: its ascent to the dominant
+        # chamber is reduced of length #positive-roots, a word for w_o, and
+        # ends at sum_i i w_{i*} (-w_o w_i = w_{i*}), which pairs to j* with
+        # alpha_j^vee
+        low = tuple(-sum(i * w[k] for i, w in self.fundamentals.items()) for k in range(rank))
+        top, self.longest_word = self.dominant_representative(low)
+        self.dual: dict[int, int] = {j: self.pairing(j, top) for j in self.vertices}
         self.positive_roots = self._close_positive_roots()
         if len(self.positive_roots) != len(self.longest_word):
             raise AssertionError("longest word and positive roots differ in length")

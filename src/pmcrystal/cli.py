@@ -39,7 +39,7 @@ import os
 import sys
 
 from . import limits
-from .cartan import build_root_datum, weight_str
+from .cartan import KINDS, build_root_datum, weight_str
 from .crystal import graph_to_json, monomials_json, to_dot
 from .product import (ConsistencyError, multiset_from_pairs, product_graph,
                       strict_int, validate_points)
@@ -261,7 +261,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cartan", default="A", choices=["A", "D", "E6", "E7", "E8", "GL"])
+        p.add_argument("--cartan", default="A", choices=KINDS)
         p.add_argument("--rank", type=int, default=2)
 
     p = sub.add_parser("decompose", help="decompose M(R) into irreducibles")

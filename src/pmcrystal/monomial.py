@@ -21,9 +21,10 @@ memoised for the packed passes of ``crystal``.  Its invariants:
 
 * Window.  Every encoded point lies in a finite window, known from R:
   M(i,c)^n, a copy of B(n w_i), runs from y_{i,c}^n down to y_{i*,c-h}^-n
-  (Kashiwara 2003; Nakajima 2003), h the Coxeter number, -w_o w_i =
-  w_{i*}, so its support lies in the (j, l) with c - h + d(i*, j) <= l <=
-  c - d(i, j), and the window is the union of these over the points of R.
+  (Kashiwara 2003; Nakajima 2003), h the Coxeter number, -w_o w_i = w_{i*}
+  (``RootDatum.dual``), so its support lies in the (j, l) with
+  c - h + d(i*, j) <= l <= c - d(i, j), and the window is the union of
+  these over the points of R.
   Columns are laid out one after another in vertex order, each column's
   positions by c ascending, one fixed-width digit each, so column i is one
   shift and one mask away.  A delta changes each point it touches by +-1,

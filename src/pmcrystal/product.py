@@ -150,22 +150,17 @@ def y_of_multiset(datum: RootDatum, r: PointMultiset) -> Monomial:
 def product_codec(datum: RootDatum, r: PointMultiset) -> MonomialCodec:
     """The codec of M(R), from R alone (see the ``monomial`` module
     docstring): the window is the union over the points (i, c) of R of the
-    (j, l) with c - h + d(i*, j) <= l <= c - d(i, j), h the Coxeter number,
-    and the bound is sum n a_i, n the multiplicity of (i, c) and a_i the
-    coefficient of alpha_i in the highest root, the last positive root."""
+    (j, l) with c - h + d(i*, j) <= l <= c - d(i, j), h the Coxeter number
+    and i* from ``RootDatum.dual``, and the bound is sum n a_i, n the
+    multiplicity of (i, c) and a_i the coefficient of alpha_i in the highest
+    root, the last positive root."""
     window: set[LatticePoint] = set()
     bound = 0
     if r.points:  # so the diagram has a vertex
         h = 2 * len(datum.positive_roots) // len(datum.vertices)
-        # -w_o w_i = w_{i*}: w_o takes sum_i i w_i to a weight pairing to -i
-        # with alpha_{i*}^vee
-        w = tuple(map(sum, zip(*(w_scale(i, datum.fundamentals[i]) for i in datum.vertices))))
-        for i in datum.longest_word:
-            w = datum.reflect(i, w)
-        dual = {-datum.pairing(j, w): j for j in datum.vertices}
     for (i, c), n in r.points:
         window.update((j, l) for j in datum.vertices for l in range(
-            c - h + datum.dist[dual[i], j], c - datum.dist[i, j] + 1, 2))
+            c - h + datum.dist[datum.dual[i], j], c - datum.dist[i, j] + 1, 2))
         bound += n * datum.positive_roots[-1][0][i - 1]
     return MonomialCodec(datum, window, bound)
 

@@ -139,7 +139,7 @@ from itertools import repeat
 from operator import add, eq, lt, mul, sub
 
 from . import limits
-from .cartan import RootDatum, Weight, add_into, w_add, w_scale, weight_str
+from .cartan import RootDatum, Weight, add_into, w_sub, weight_str
 
 DIGIT_BITS = 32
 BIAS = 1 << (DIGIT_BITS - 2)
@@ -503,10 +503,10 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
     With J = {i : s_i f = f}, every pi_i with i in J fixes f, hence so does
     pi_{w_J}; as l(w_o) = l(w_o w_J) + l(w_J), pi_{w_o} f = pi_{w_o w_J} f.
     The stabiliser of lam_J = sum_{i not in J} omega_i is W_J, so w_o w_J
-    is the shortest element taking lam_J to w_o lam_J = -(dominant
-    representative of -lam_J), and the ascent ``dominant_representative``
-    takes from w_o lam_J spells a reduced word for it.  The word is found
-    afresh on each call, in under a millisecond even on E8.
+    is the shortest element taking lam_J to w_o lam_J = -sum_{i not in J}
+    omega_{i*} (``RootDatum.dual``; GL adds a multiple of the determinant,
+    which no coroot sees), and the ascent ``dominant_representative`` takes
+    from there spells a reduced word for it, found afresh on each call.
 
     Finding J (``_moving_vertices``) takes one pass over f, which decides
     whether W fixes f; only when it does not is every vertex scanned.
@@ -514,10 +514,9 @@ def pi_longest(datum: RootDatum, f: GroupAlgebraElement) -> GroupAlgebraElement:
     (``GroupAlgebraElement``); an f recorded under this datum is not
     tested again."""
     _check_length(datum, f)
-    lam = datum.zero
+    low = datum.zero
     for i in _moving_vertices(datum, f):
-        lam = w_add(lam, datum.fundamentals[i])
-    low = w_scale(-1, datum.dominant_representative(w_scale(-1, lam))[0])
+        low = w_sub(low, datum.fundamentals[datum.dual[i]])
     return apply_word(datum, datum.dominant_representative(low)[1], f)
 
 

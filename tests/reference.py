@@ -18,7 +18,8 @@ and the two decomposition routes run.  What only the tests need lives here:
 - truncations are Demazure crystals: ``extend_strings``,
   ``string_property``, ``demazure_crystal``, ``replay_plan`` (the set
   semantics of a build plan) and ``check_crystal_axioms``;
-- ``ref_positive_roots``, the positive roots closed under all reflections;
+- ``ref_positive_roots``, the positive roots closed under all reflections,
+  and ``diagram_dual``, the involution i -> i* read off the Dynkin diagram;
 - ``dominant_multiplicities``, the checked entry to the Freudenthal tables
   of the Weyl peel;
 - the key polynomials ``demazure_character`` and ``key_decompose``;
@@ -91,6 +92,23 @@ def ref_positive_roots(datum: RootDatum) -> tuple[tuple[tuple[int, ...], Weight]
         frontier = nxt
     return tuple(sorted((coords, root) for root, coords in seen.items()
                         if all(c >= 0 for c in coords)))
+
+
+def diagram_dual(kind, rank):
+    """i -> i*, -w_o w_i = w_{i*}, read off the Dynkin diagram (Bourbaki,
+    Lie groups, ch. VI, planches): A_n and GL_n flip the chain, D_n swaps
+    its two short legs for odd n, E6 flips its long arm, and every other
+    datum is fixed."""
+    if kind == "A":
+        return {i: rank + 1 - i for i in range(1, rank + 1)}
+    if kind == "GL":
+        return {i: rank - i for i in range(1, rank)}
+    dual = {i: i for i in range(1, rank + 1)}
+    if kind == "D" and rank % 2:
+        dual[rank - 1], dual[rank] = rank, rank - 1
+    if kind == "E6":
+        dual.update({1: 6, 6: 1, 3: 5, 5: 3})
+    return dual
 
 
 # -- monomials -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from pmcrystal.cartan import RootDatum, build_root_datum, w_add, w_sub
 from pmcrystal.limits import MAX_RANK
 from conftest import random_weight
-from reference import ref_positive_roots
+from reference import diagram_dual, ref_positive_roots
 
 
 def test_a2_cartan_matrix(a2):
@@ -184,3 +184,31 @@ def test_height_is_positive_on_positive_roots(kind, rank):
     assert all(datum.height(datum.alphas[i]) == simple for i in datum.vertices)
     for coords, root in datum.positive_roots:
         assert datum.height(root) == simple * sum(coords) > 0
+
+
+DUAL_KINDS = ([("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 10)]
+              + [("E6", 6), ("E7", 7), ("E8", 8)] + [("GL", r) for r in range(1, 10)])
+
+
+@pytest.mark.parametrize("kind,rank", DUAL_KINDS)
+def test_dual_is_the_diagram_involution(kind, rank):
+    datum = build_root_datum(kind, rank)
+    dual = datum.dual
+    assert dual == diagram_dual(kind, rank)
+    assert sorted(dual) == list(datum.vertices)
+    for i in datum.vertices:
+        assert dual[dual[i]] == i
+        assert sorted(dual[j] for j in datum.neighbours[i]) == list(datum.neighbours[dual[i]])
+
+
+@pytest.mark.parametrize("kind,rank", DUAL_KINDS)
+def test_dual_is_minus_longest_element(kind, rank):
+    # w_o w_i = -w_{i*}, with w_o applied letter by letter along longest_word;
+    # for GL_n, w_o w_i = eps_{n-i+1} + ... + eps_n = det - w_{i*}
+    datum = build_root_datum(kind, rank)
+    for i in datum.vertices:
+        cur = datum.fundamentals[i]
+        for j in datum.longest_word:
+            cur = datum.reflect(j, cur)
+        det = (1,) * rank if kind == "GL" else datum.zero
+        assert w_add(cur, datum.fundamentals[datum.dual[i]]) == det

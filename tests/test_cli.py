@@ -684,6 +684,22 @@ def test_parser_is_built_once(capsys):
     assert cli.make_parser() is not cli.make_parser()
 
 
+def test_cartan_choices_are_the_kinds(capsys):
+    # every --cartan option offers cartan.KINDS itself, and a refusal lists
+    # the kinds in that order
+    import argparse
+    from pmcrystal import cli
+    from pmcrystal.cartan import KINDS
+    subparsers = next(a for a in cli.make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = [a for p in subparsers.choices.values() for a in p._actions
+               if "--cartan" in a.option_strings]
+    assert len(options) == 5 and all(a.choices is KINDS for a in options)
+    assert run(["decompose", "--cartan", "Q", "--R", "[]"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "invalid choice: 'Q' (choose from 'A', 'D', 'E6', 'E7', 'E8', 'GL')\n")
+
+
 CEILING_SCHUR_DIAGRAM = json.dumps([[r, 1] for r in range(1, 34)])  # GL rank 33
 
 

@@ -456,6 +456,43 @@ def test_pi_longest_along_the_coset_word(kind, rank, monkeypatch):
         assert len(calls) == len(datum.longest_word) - len(longest_word_of(datum, fixed))
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 4), ("D", 5), ("E6", 6), ("GL", 5)])
+def test_pi_longest_word_is_the_old_spelling(kind, rank, monkeypatch):
+    # over every vertex set J, e^{-lam_J} is fixed by the s_i with i in J
+    # alone; the letters pi_longest hands to demazure_pi are the ascent from
+    # w_o lam_J = -(dominant representative of -lam_J), found here by a
+    # second ascent that does not read RootDatum.dual, and pi_longest makes
+    # one ascent only
+    datum = build_root_datum(kind, rank)
+    real_pi, real_dominant = weightring.demazure_pi, datum.dominant_representative
+    calls, ascents = [], []
+
+    def counting_pi(datum, i, f):
+        calls.append(i)
+        return real_pi(datum, i, f)
+
+    def counting_dominant(w):
+        ascents.append(w)
+        return real_dominant(w)
+
+    for size in range(len(datum.vertices) + 1):
+        for moving in itertools.combinations(datum.vertices, size):
+            lam = datum.zero
+            for i in moving:
+                lam = w_add(lam, datum.fundamentals[i])
+            low = w_scale(-1, real_dominant(w_scale(-1, lam))[0])
+            f = e(w_scale(-1, lam))
+            assert fixed_vertices(datum, f.terms) == set(datum.vertices) - set(moving)
+            monkeypatch.setattr(weightring, "demazure_pi", counting_pi)
+            monkeypatch.setattr(datum, "dominant_representative", counting_dominant)
+            calls.clear()
+            ascents.clear()
+            pi_longest(datum, f)
+            monkeypatch.undo()
+            assert tuple(reversed(calls)) == real_dominant(low)[1]
+            assert len(ascents) == 1
+
+
 @pytest.mark.parametrize("kind,rank,points", [
     ("D", 4, {(1, 0): 1, (2, 1): 1, (3, 2): 1}),   # overlapping
     ("E6", 6, {(1, 0): 1, (6, 20): 1}),           # far apart
