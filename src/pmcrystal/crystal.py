@@ -11,8 +11,8 @@ codec's datum.  It looks up every f_i(x) in the set and checks closure
 under e by counting, with no lookup per e-edge.  ``walk`` is that pass
 with no graph: it returns only the keys every e_i kills; ``discover`` is
 that pass adding every f_i(x) it misses, from one highest-weight key.  All
-three read each column's step from the codec's memo, which
-``MonomialCodec.step`` fills once per column value of the codec; only
+three read each column's step from ``monomial``'s table for its shape, which
+``MonomialCodec.step`` fills once per column value in the process; only
 ``MonomialCodec.decode`` decodes a column, at the output edge.  Only the
 builders map elements to positions; an f-edge is a triple of positions.
 Every graph records its highest-weight elements, those that every e_i
@@ -95,17 +95,17 @@ def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
     every visit, as another factor may have stepped it, and before any step
     from it, so no key carries across a digit), or when the keys are not
     closed under e (the count of ``graph_over``)."""
-    columns = list(enumerate(zip(codec.columns, codec.steps)))
+    columns = list(enumerate(zip(codec.columns, codec.tables, codec.deltas)))
     excess = [0] * len(columns)
     found, seen = [seed], {seed}
     for key in found:  # found grows while it is read
-        for j, ((i, shift, mask), memo) in columns:
+        for j, ((i, shift, mask), table, deltas) in columns:
             col = (key >> shift) & mask
-            phi, f_delta, _, gap, top = memo.get(col) or codec.step(i, col)
+            phi, k, _, gap, top = table.get(col) or codec.step(i, col)
             if top > bound:
                 raise AssertionError(f"an exponent passes the bound {bound}")
             if phi:
-                if f_delta is None:
+                if (f_delta := deltas[k]) is None:
                     raise AssertionError(f"an f_{i} step leaves the window {codec.positions}")
                 down = key + f_delta
                 if down not in seen:
@@ -122,18 +122,18 @@ def walk(keys: set, codec: MonomialCodec) -> list:
     """The keys of the set ``keys`` that every e_i kills, in its iteration
     order: the pass of ``graph_over``, with the same ValueError when the set
     is not closed under f or e, and no decoding, ordering or edges."""
-    columns = list(enumerate(zip(codec.columns, codec.steps)))
+    columns = list(enumerate(zip(codec.columns, codec.tables, codec.deltas)))
     excess = [0] * len(columns)
     highest = []
     for key in keys:
         top = True
-        for j, ((i, shift, mask), memo) in columns:
+        for j, ((i, shift, mask), table, deltas) in columns:
             col = (key >> shift) & mask
             try:
-                phi, f_delta, eps, gap, _ = memo[col]
+                phi, k, eps, gap, _ = table[col]
             except KeyError:
-                phi, f_delta, eps, gap, _ = codec.step(i, col)
-            if phi and (f_delta is None or key + f_delta not in keys):
+                phi, k, eps, gap, _ = codec.step(i, col)
+            if phi and ((f_delta := deltas[k]) is None or key + f_delta not in keys):
                 raise ValueError("element set is not closed under f")
             if eps:
                 top = False
@@ -149,40 +149,40 @@ def walk(keys: set, codec: MonomialCodec) -> list:
 def graph_over(keys, codec: MonomialCodec) -> CrystalGraph:
     """The crystal graph over ``codec.datum`` on an e/f-closed set of
     products, given as ``codec``'s keys: one pass in which column i of a
-    key is one shift and mask away, and f_i adds a delta memoised per (i,
-    column) on the codec (``MonomialCodec.step``).  Every f_i(x) is computed
-    once and looked up in the set; ValueError when one is missing.  Closure
-    under e is checked by counting: in an f-closed set, f_i maps the
-    elements with phi_i > 0 injectively into those with eps_i > 0, because
-    e_i f_i = id and eps_i(f_i x) = eps_i(x) + 1, so the set is e-closed
-    exactly when the two counts agree for every i; ValueError after the
-    pass when they do not.  ``walk`` is this pass without the graph."""
+    key is one shift and mask away, and f_i adds the codec's delta at the
+    position of F_i its step gives (``MonomialCodec.step``).  Every f_i(x)
+    is computed once and looked up in the set; ValueError when one is
+    missing.  Closure under e is checked by counting: in an f-closed set,
+    f_i maps the elements with phi_i > 0 injectively into those with eps_i
+    > 0, because e_i f_i = id and eps_i(f_i x) = eps_i(x) + 1, so the set
+    is e-closed exactly when the two counts agree for every i; ValueError
+    after the pass when they do not.  ``walk`` is this pass without the graph."""
     rows = sorted((*codec.decode(key), key) for key in keys)  # by _order
     elems = tuple(Monomial(weight, exponents) for weight, exponents, _ in rows)
     index = {key: k for k, (_, _, key) in enumerate(rows)}
     del rows
-    columns = list(enumerate(zip(codec.columns, codec.steps)))
+    columns = list(enumerate(zip(codec.columns, codec.tables, codec.deltas)))
     # per column: the elements with phi_i > 0 less those with eps_i > 0
     excess = [0] * len(columns)
     edges = []
     highest = []
-    for key, k in index.items():
+    for key, at in index.items():
         top = True
-        for j, ((i, shift, mask), memo) in columns:
+        for j, ((i, shift, mask), table, deltas) in columns:
             col = (key >> shift) & mask
-            phi, f_delta, eps, gap, _ = memo.get(col) or codec.step(i, col)
+            phi, k, eps, gap, _ = table.get(col) or codec.step(i, col)
             if phi:
                 # a delta leaving the window leaves the set
-                target = None if f_delta is None else index.get(key + f_delta)
+                target = None if (f_delta := deltas[k]) is None else index.get(key + f_delta)
                 if target is None:
                     raise ValueError("element set is not closed under f")
-                edges.append((k, i, target))
+                edges.append((at, i, target))
             if eps:
                 top = False
             if gap:
                 excess[j] += gap
         if top:
-            highest.append(elems[k])
+            highest.append(elems[at])
     if any(excess):
         raise ValueError("element set is not closed under e")
     return CrystalGraph(codec.datum, elems, tuple(edges), tuple(highest))

@@ -13,10 +13,12 @@ CPython.  No other cache is locked (the ``memo`` of dominant
 representatives and the ``dominant`` Freudenthal tables of a
 ``weightring._root_tables`` record, the W-invariance verdict an element
 records, the memos a ``monomial.MonomialCodec`` holds for its
-computation, the eigenspace bases a ``typea.Seminormal`` form memoises):
-each entry depends on its key alone, is written by one dict or slot store,
+computation and the tables of steps ``monomial._steps`` shares between
+codecs, the eigenspace bases a ``typea.Seminormal`` form memoises): each
+entry depends on its key alone, is written by one dict or slot store,
 atomic in CPython, and is never changed once built, so racing threads at
-worst compute an entry twice or evict one more than needed.
+worst compute an entry twice or evict one more than needed (a clear that
+races a reader costs it one miss).
 """
 
 
@@ -52,6 +54,9 @@ IRR_CACHE_MAX_TERMS = 500_000
 # Bound on one datum's memo of dominant representatives (``memo`` of
 # ``weightring._root_tables``); a full memo is cleared.
 DOMINANT_MEMO_MAX = 100_000
+# Bound on the entries of all the tables of column steps (``monomial._steps``),
+# about 7 MiB; a full set is cleared.  Seed-1 ``enumerate`` fills 2,465.
+COLUMN_STEPS_MAX = 50_000
 # ``typea.row_relabellings`` tries all n! row orders: all 8! take 0.07-0.17 s
 # in ``sequence_of_diagram``, which refuses a gapped diagram with more rows,
 # and all 7! 0.06 s in ``skew_normalise``, which runs on every ``schur
@@ -62,7 +67,8 @@ SKEW_MAX_ROWS = 7
 # Cache bounds: the root data of ``cartan.build_root_datum`` and the
 # records of ``weightring._root_tables`` (with their ``memo`` and
 # ``dominant`` caches, bounded above); the z_{i,k}^power of every datum
-# (``monomial._z_monomial_cached``); the one parser of ``cli._parser``.
+# (``monomial._z_monomial_cached``); the one parser of ``cli._parser``;
+# the column steps of ``monomial._steps`` are bounded above.
 # ``typea.seminormal`` keeps one entry per partition of 1..SPECHT_MAX_BOXES,
 # and each entry memoises at most 2^d eigenspace bases, one per subset of
 # its d-1 swaps and sign: 2,962 in all; ``typea._partitions_with_conjugates``

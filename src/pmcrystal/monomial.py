@@ -11,13 +11,15 @@ as  f_i(p) = p * z_{i, F_i(p)-2}^{-1}  and  e_i(p) = p * z_{i, E_i(p)},
 where F_i (resp. E_i) is the largest (smallest) position maximising the
 upper (negated lower) column sum.  This convention reproduces the crystal
 graphs of the small SL_3 examples edge by edge; see the tests.  The
-exponents of z_{i,k} are written out once, in ``z_exponents``.
+exponents of z_{i,k} are written out in ``z_exponents``.
 
 Packed monomials.  ``MonomialCodec`` packs the products of the factors of
 a product crystal M(R) into integers, so that a product is an integer sum
 and f_i/e_i add a fixed integer delta.  It owns this format, which no other
-module reads, and the step of each column value (``MonomialCodec.step``),
-memoised for the packed passes of ``crystal``.  Its invariants:
+module reads, and the step of each column value (``MonomialCodec.step``)
+for the packed passes of ``crystal``: a step reads exponents in level
+order, not levels, so every codec shares one table of steps per column
+shape (digit width, number of positions), ``_steps``.  Its invariants:
 
 * Window.  Every encoded point lies in a finite window, known from R:
   M(i,c)^n, a copy of B(n w_i), runs from y_{i,c}^n down to y_{i*,c-h}^-n
@@ -237,14 +239,16 @@ def e_op(datum: RootDatum, p: Monomial, i: int) -> Monomial | None:
     return mono_mul(p, _z_monomial_cached(datum, i, best_e, 1))
 
 
+_steps: dict[tuple[int, int], dict[int, tuple]] = {}  # shape -> {column: step}
+
+
 class MonomialCodec:
     """Packs monomials into integers, one digit per point of ``window``,
     each |exponent| and |weight coordinate| at most ``bound`` (see the
-    module docstring for the layout and its invariants).  Its memos, for
-    the one computation it is meant to live for: decoded columns, which
-    serve only ``decode``; ``steps``, one dict per vertex, which ``step``
-    fills and the packed passes read first; weights; and f-deltas by (i, k).
-    """
+    module docstring for the layout and its invariants).  Per vertex:
+    ``tables``, its shape's table of steps, and ``deltas``, its f-deltas by
+    position of F_i.  Its memos, for the one computation it is meant to
+    live for: decoded columns, which serve only ``decode``, and weights."""
 
     def __init__(self, datum: RootDatum, window, bound: int):
         self.datum, self.bound = datum, bound
@@ -269,9 +273,24 @@ class MonomialCodec:
         # the key of the monomial 1 with weight 0: the bias H in every digit
         self.zero = self.half * (((1 << shift) - 1) // ((1 << width) - 1))
         self._decoded: list[dict[int, tuple]] = [{} for _ in datum.vertices]
-        self.steps: list[dict[int, tuple]] = [{} for _ in datum.vertices]
         self._weights: dict[int, Weight] = {}
-        self._deltas: dict[tuple[int, int], int | None] = {}
+        self.tables = [_steps.setdefault((width, len(col)), {}) for col in self.positions]
+        # deltas[i - 1][k] = key(p * z_{i,c-2}^-1) - key(p), c the k-th position
+        # of column i; None when z_{i,c-2} leaves the window (and the set)
+        shifts, self.deltas = self.shift, []
+        for i, col in zip(datum.vertices, self.positions):
+            alpha, row = self._pack_weight(datum.alphas[i]), []
+            for c in col:
+                below, delta = shifts.get((i, c - 2)), None
+                if below is not None:
+                    delta = -alpha - (1 << below) - (1 << shifts[i, c])
+                    for j in datum.neighbours[i]:
+                        if (up := shifts.get((j, c - 1))) is None:
+                            delta = None
+                            break
+                        delta += 1 << up
+                row.append(delta)
+            self.deltas.append(row)
 
     def _pack_weight(self, weight: Weight) -> int:
         """The weight as a signed sum of weight digits (no bias)."""
@@ -318,49 +337,36 @@ class MonomialCodec:
                 ((digits >> s) & digit) - half for s in self._wshifts)
         return weight, tuple(exponents)
 
-    def f_delta(self, i: int, k: int) -> int | None:
-        """key(p * z_{i,k}^-1) - key(p), or None when z_{i,k} touches a
-        point outside the window (then p * z_{i,k}^-1 is not in the encoded
-        set).  Memoised on the codec by (i, k), None included."""
-        memo = self._deltas
-        if (i, k) in memo:
-            return memo[i, k]
-        out = -self._pack_weight(self.datum.alphas[i])
-        for pt, ex in z_exponents(self.datum, i, k).items():
-            shift = self.shift.get(pt)
-            if shift is None:
-                out = None
-                break
-            out -= ex << shift
-        memo[i, k] = out
-        return out
-
     def step(self, i: int, col: int) -> tuple:
-        """(phi_i, f-delta, eps_i, gap, top) of the packed column ``col`` of
+        """(phi_i, k, eps_i, gap, top) of the packed column ``col`` of
         vertex i, read off its digits by c ascending, s their running sum:
         phi_i is the column's sum less the least s before a nonzero digit,
         F_i the largest c attaining it, eps_i the largest -s after one (each
-        >= 0).  The f-delta is key(f_i x) - key(x), None when phi_i = 0 or
-        the step leaves the window (and the set); the gap, (phi_i > 0) -
-        (eps_i > 0), is what the column adds to the e-closure count; top is
-        the largest |exponent|.  Stored in ``steps[i - 1]``, read first."""
+        >= 0).  k is the position of F_i in the column, None when phi_i = 0,
+        so ``deltas[i - 1][k]`` is key(f_i x) - key(x); the gap, (phi_i > 0)
+        - (eps_i > 0), is what the column adds to the e-closure count; top is
+        the largest |exponent|.  Stored in ``tables[i - 1]``, read first; all
+        the tables are cleared when they hold ``limits.COLUMN_STEPS_MAX``."""
         width, half, digit = self.width, self.half, (1 << self.width) - 1
-        below = least = low = top = best_f = 0
+        below = least = low = top = best = 0
         rest = col
-        for c in self.positions[i - 1]:
+        for k in range(len(self.positions[i - 1])):
             ex = (rest & digit) - half
             rest >>= width
             if ex:
                 if below <= least:
-                    least, best_f = below, c
+                    least, best = below, k
                 below += ex
                 if below < low:
                     low = below
                 if ex > top or -ex > top:
                     top = abs(ex)
         phi, eps = max(below - least, 0), -low
-        out = self.steps[i - 1][col] = (phi, self.f_delta(i, best_f - 2) if phi else None,
-                                        eps, (phi > 0) - (eps > 0), top)
+        if sum(map(len, tables := list(_steps.values()))) >= limits.COLUMN_STEPS_MAX:
+            for table in tables:
+                table.clear()
+        out = self.tables[i - 1][col] = (phi, best if phi else None,
+                                         eps, (phi > 0) - (eps > 0), top)
         return out
 
     def points_mask(self, select) -> int:

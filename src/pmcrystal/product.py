@@ -14,11 +14,12 @@ budget bounds the peel, and re-expanding the label is the one membership
 verdict.  S-labels serve the tests and the benchmark's tracer only.
 
 M(R) comes in two forms, both the ``fold`` of the fundamental subcrystals,
-each discovered from the key of y_{i,c}^n in a codec built from R alone,
-with its closure under every e_i/f_i asserted: ``product_crystal`` walks
-the keys (``crystal.walk``) and decodes only the highest-weight elements,
-which is all ``decompose`` reads; ``product_graph`` builds the whole
-crystal graph (``crystal.graph_over``) for the ``graph`` command.
+each discovered from the key of y_{i,c}^n in a codec built from R alone
+(whose column steps every codec shares, ``monomial._steps``), with its
+closure under every e_i/f_i asserted: ``product_crystal`` walks the keys
+(``crystal.walk``) and decodes only the highest-weight elements, which is
+all ``decompose`` reads; ``product_graph`` builds the whole crystal graph
+(``crystal.graph_over``) for the ``graph`` command.
 """
 
 from __future__ import annotations

@@ -37,10 +37,11 @@ and the two decomposition routes run.  What only the tests need lives here:
   ``fundamental_crystal``, the oracle of ``product.fundamental_keys``; and
   ``codec_of``/``fold_monomials``, a codec over the union of the supports
   of any monomial sets and their fold, as the library packed its factors
-  before its window came from R; and ``ref_step``, the step of one packed
-  column from its decoded entries, the oracle of ``MonomialCodec.step``,
-  which reads the digits and which the codec memoises for the packed
-  passes.
+  before its window came from R; ``f_delta``, one f-delta of a codec from
+  ``z_exponents``, the oracle of the codec's f-delta rows; and
+  ``ref_step``, the step of one packed column from its decoded entries,
+  the oracle of ``MonomialCodec.step``, which reads the digits and fills
+  the table of steps the codecs of one column shape share.
 """
 
 import itertools
@@ -184,16 +185,29 @@ def fold_monomials(datum: RootDatum, factors) -> tuple[MonomialCodec, set[int]]:
 
 
 
+def f_delta(codec: MonomialCodec, i: int, k: int) -> int | None:
+    """key(p * z_{i,k}^-1) - key(p) in ``codec``, from ``z_exponents``, or
+    None when z_{i,k} touches a point outside the window (then p *
+    z_{i,k}^-1 is not in the encoded set): what ``codec.deltas[i - 1]``
+    holds at the position of k + 2, memoised nowhere."""
+    out = -codec._pack_weight(codec.datum.alphas[i])
+    for pt, ex in z_exponents(codec.datum, i, k).items():
+        shift = codec.shift.get(pt)
+        if shift is None:
+            return None
+        out -= ex << shift
+    return out
+
+
 def ref_step(codec: MonomialCodec, i: int, col: int) -> tuple:
     """``codec.step(i, col)`` from the decoded entries of the packed
     column ``col`` of vertex i (``codec._column``): their ``column_stats``
-    phi_i, eps_i and F_i, the f-delta ``f_delta`` at F_i - 2, the gap and
-    the largest |exponent|.  The codec owns the step and its memo, one
-    dict per vertex for its computation; this oracle neither reads nor
-    fills that memo."""
+    phi_i and eps_i, the position of F_i in the column (None when phi_i =
+    0), the gap and the largest |exponent|.  This oracle neither reads nor
+    fills the shared table of steps."""
     entries = codec._column(i, col)
     phi, eps, best_f, _ = column_stats(Monomial(codec.datum.zero, entries), i)
-    return (phi, codec.f_delta(i, best_f - 2) if phi else None,
+    return (phi, codec.positions[i - 1].index(best_f) if phi else None,
             eps, (phi > 0) - (eps > 0), max((abs(ex) for _, ex in entries), default=0))
 
 # -- crystal queries over monomials and formal tensors -------------------------

@@ -11,7 +11,7 @@ from pmcrystal.monomial import Monomial, make_monomial, mono_mul, one, y_monomia
 from pmcrystal.weightring import e, irreducible_character
 from conftest import random_multiset, random_weight
 from reference import (character_of_set, check_crystal_axioms, codec_of, demazure_crystal,
-                       e_of, edge_triples, element_label, extend_strings, f_of,
+                       e_of, edge_triples, element_label, extend_strings, f_delta, f_of,
                        fundamental_crystal, highest_weight_monomial, ref_graph_over,
                        string_property, tensor_crystal)
 
@@ -129,16 +129,25 @@ def test_graph_over_drops_an_isolated_element(a2):
 
 
 def test_f_delta_is_memoised_with_its_misses(a2, monkeypatch):
-    elements = closure(a2, [y_monomial(a2, 1, 1, 2)]).elements
+    # the codec's f-delta rows are its memo: each (i, k) gives the
+    # z_exponents f-delta at the position of k + 2, and None where k + 2 is
+    # no position; f-deltas that leave the window are answers too
+    graph = closure(a2, [y_monomial(a2, 1, 1, 2)])
     args = [(i, k) for i in a2.vertices for k in range(-3, 6)]
-    first = [codec_of(a2, [elements]).f_delta(*a) for a in args]
-    # f-deltas that leave the window are answers too
+    codec = codec_of(a2, [graph.elements])
+    first = [f_delta(codec, *a) for a in args]
     assert None in first and any(d is not None for d in first)
-    codec = codec_of(a2, [elements])
-    assert [codec.f_delta(*a) for a in args] == first
+    for (i, k), want in zip(args, first):
+        column = codec.positions[i - 1]
+        assert (codec.deltas[i - 1][column.index(k + 2)] if k + 2 in column else None) == want
+    # the rows are built from the window, once per codec: a second codec
+    # and a pass over its keys build no z_{i,k}
     calls = []
     monkeypatch.setattr(monomial, "z_exponents", lambda *a: calls.append(a) or {})
-    assert [codec.f_delta(*a) for a in args] == first and calls == []
+    again = codec_of(a2, [graph.elements])
+    assert again.deltas == codec.deltas
+    keys = {again.zero + again.offset(x) for x in graph.elements}
+    assert graph_over(keys, again) == graph and calls == []
 
 
 def test_graph_over_keeps_weights_apart(a2, gl3):

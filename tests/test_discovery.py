@@ -10,16 +10,16 @@ import sys
 
 import pytest
 
-from pmcrystal import crystal, monomial, product
+from pmcrystal import crystal, limits, monomial, product
 from pmcrystal.cartan import build_root_datum, w_scale
-from pmcrystal.crystal import closure, graph_over
+from pmcrystal.crystal import closure, graph_over, graph_to_json, to_dot
 from pmcrystal.monomial import MonomialCodec, make_monomial, y_monomial
 from pmcrystal.product import (decompose, fundamental_keys, multiset, product_codec,
                                product_crystal, product_graph)
 from pmcrystal.truncation import truncate, up_closure
 from conftest import random_multiset, random_point, replace_everywhere
-from reference import (codec_of, fold_monomials, fundamental_crystal, ref_positive_roots,
-                       ref_step)
+from reference import (codec_of, f_delta, fold_monomials, fundamental_crystal,
+                       ref_positive_roots, ref_step)
 
 DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5), ("D", 6),
         ("E6", 6), ("E7", 7), ("E8", 8), ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
@@ -175,11 +175,26 @@ def test_a_smaller_bound_raises(monkeypatch):
     assert seen == [2]
 
 
+def fresh_steps(monkeypatch) -> dict:
+    """An empty set of the shared tables of column steps, for this test
+    alone: the codecs built after it read and fill it."""
+    tables = {}
+    monkeypatch.setattr(monomial, "_steps", tables)
+    return tables
+
+
+def held(tables) -> dict:
+    """A copy of each column shape's table of steps."""
+    return {shape: dict(table) for shape, table in tables.items()}
+
+
 @pytest.mark.parametrize("kind,rank", DATA)
 def test_digit_pass_matches_its_oracle(kind, rank):
     # every column value of the keys of seeded product crystals gives the
-    # same (phi, f-delta, eps, gap, largest |exponent|) read off its digits
-    # as from its decoded entries
+    # same (phi, position of F, eps, gap, largest |exponent|) read off its
+    # digits as from its decoded entries, and every entry of the codec's
+    # f-delta rows, None included, is the z_exponents f-delta at its
+    # position less 2
     datum = build_root_datum(kind, rank)
     rng = random.Random(f"digits:{kind}{rank}")
     for _ in range(3):
@@ -189,6 +204,8 @@ def test_digit_pass_matches_its_oracle(kind, rank):
                   for key in crystal_.elements for i, shift, mask in codec.columns}
         for i, col in values:
             assert codec.step(i, col) == ref_step(codec, i, col)
+        assert codec.deltas == [[f_delta(codec, i, c - 2) for c in column]
+                                for i, column in zip(datum.vertices, codec.positions)]
 
 
 def column_of(codec, exponents):
@@ -204,76 +221,129 @@ def column_of(codec, exponents):
     ([0, 2, -3, 0, 0, 0], 0, None, 1),    # a negative sum: phi is 0
     ([0, 3, -3, 0, 0, 0], 0, None, 0),    # exponents on the bound
     ([0, 0, 0, 0, 0, 0], 0, None, 0),     # the empty column
-    ([1, 0, 0, 0, 0, 0], 1, None, 0),     # the F - 2 step leaves the window
+    ([1, 0, 0, 0, 0, 0], 1, -1, 0),       # the F - 2 step leaves the window
 ])
 def test_digit_pass_on_hand_built_columns(exponents, phi, f_at, eps):
     # A1, one column at c = -1, 1, ..., 9: F is the largest c attaining
-    # the largest upper sum, and the f-delta is z_{1,F-2}^-1's
+    # the largest upper sum, the step gives its position, and the f-delta
+    # there is z_{1,F-2}^-1's
     datum = build_root_datum("A", 1)
     codec = MonomialCodec(datum, {(1, c) for c in range(-1, 10, 2)}, 3)
     col = column_of(codec, exponents)
     step = codec.step(1, col)
     assert step == ref_step(codec, 1, col)
-    f_delta = None if f_at is None else codec.f_delta(1, f_at - 2)
-    assert step == (phi, f_delta, eps, (phi > 0) - (eps > 0), max(map(abs, exponents)))
-    assert (f_delta is None) == (f_at is None or f_at == -1)
+    k = None if f_at is None else codec.positions[0].index(f_at)
+    assert step == (phi, k, eps, (phi > 0) - (eps > 0), max(map(abs, exponents)))
+    delta = None if k is None else codec.deltas[0][k]
+    assert delta == (None if f_at is None else f_delta(codec, 1, f_at - 2))
+    assert (delta is None) == (f_at is None or f_at == -1)
 
 
-def test_discover_at_the_bound_and_one_past_it():
+def test_discover_at_the_bound_and_one_past_it(monkeypatch):
     # a column value whose largest |exponent| is the bound passes; one
-    # whose largest is the bound + 1 raises before any step from it, on a
-    # fresh codec and on one whose memo a discovery at the full bound
-    # already filled: the memo is shared, so the bound is tested on every
-    # visit, and no value is stepped again
+    # whose largest is the bound + 1 raises before any step from it, on
+    # empty tables and on tables that a discovery at the full bound already
+    # filled: the tables are shared, so the bound is tested on every visit,
+    # and no value is stepped again
     datum = build_root_datum("A", 1)
     for n in (3, 4):
+        tables = fresh_steps(monkeypatch)
         codec = product_codec(datum, multiset({(1, 1): 4}))
         assert codec.bound == 4
         seed = codec.zero + codec.offset(y_monomial(datum, 1, 1, n))
         with pytest.raises(AssertionError, match=f"passes the bound {n - 1}"):
             crystal.discover(seed, codec, n - 1)
+        assert sum(map(len, tables.values())) == 1  # the seed's column
         codec = product_codec(datum, multiset({(1, 1): 4}))
         assert len(crystal.discover(seed, codec, n)) == n + 1
-        stepped = [dict(memo) for memo in codec.steps]
-        assert sum(map(len, stepped)) == n + 1
+        stepped = held(tables)
+        assert sum(map(len, stepped.values())) == n + 1
         with pytest.raises(AssertionError, match=f"passes the bound {n - 1}"):
             crystal.discover(seed, codec, n - 1)
-        assert codec.steps == stepped
+        assert held(tables) == stepped
 
 
 @pytest.mark.parametrize("kind,rank", DATA)
 def test_each_column_value_is_stepped_once_per_codec(monkeypatch, kind, rank):
-    # the codec owns the step memo and every packed pass reads it first, so
-    # over all the factors that discover finds and the walk or graph after
-    # them, a codec steps each (vertex, column value) exactly once, and
-    # its memo holds exactly what it stepped
+    # the codecs of one column shape (digit width, number of positions)
+    # share a table of steps that every packed pass reads first, so over
+    # every factor that discover finds and the walk or graph after them,
+    # over every R and command, the process (and so each codec) steps each
+    # (shape, column value) exactly once, and the tables hold exactly what
+    # it stepped; R shifted by 2, with J shifted too, steps no new value
+    tables = fresh_steps(monkeypatch)
     calls = []
     real = MonomialCodec.step
 
     def counted(self, i, col):
-        calls.append((self, i, col))
+        calls.append(((self.width, len(self.positions[i - 1])), col))
         return real(self, i, col)
 
     monkeypatch.setattr(MonomialCodec, "step", counted)
     datum = build_root_datum(kind, rank)
     rng = random.Random(f"once:{kind}{rank}")
-    total = 0
     for _ in range(3):
         r = random_multiset(rng, datum, max_points=3, cap=3000)
-        j = up_closure(datum, [*r.support(), random_point(rng, datum, -3, 3)])
-        for build in (product_crystal, product_graph, lambda datum, r: truncate(datum, r, j)):
-            del calls[:]
-            build(datum, r)
-            if not calls:
-                continue
-            codec = calls[0][0]
-            assert all(self is codec for self, _, _ in calls)
-            values = [(i, col) for _, i, col in calls]
-            assert len(set(values)) == len(values)
-            assert sorted(values) == sorted((i, col) for i, memo in zip(datum.vertices, codec.steps)
-                                            for col in memo)
-            total += len(values)
-    assert total
+        points = [*r.support(), random_point(rng, datum, -3, 3)]
+        for dc in (0, 2):
+            j = up_closure(datum, [(i, c + dc) for i, c in points])
+            for build in (product_crystal, product_graph, lambda datum, r: truncate(datum, r, j)):
+                before = len(calls)
+                build(datum, r.shifted(dc))
+                assert dc == 0 or len(calls) == before
+    assert calls
+    assert len(set(calls)) == len(calls)
+    assert sorted(calls) == sorted((shape, col) for shape, table in tables.items()
+                                   for col in table)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E6", 6), ("GL", 4)])
+def test_a_translate_of_r_steps_nothing_new(monkeypatch, kind, rank):
+    # R and R shifted by 2 have the same decomposition, and the shifted
+    # run finds every step it reads in the tables the first run filled
+    tables = fresh_steps(monkeypatch)
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"translate:{kind}{rank}")
+    for _ in range(3):
+        r = random_multiset(rng, datum, max_points=3, cap=3000)
+        want = decompose(datum, r)
+        stepped = held(tables)
+        assert decompose(datum, r.shifted(2)) == want
+        assert held(tables) == stepped
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("E6", 6), ("GL", 4)])
+def test_a_small_step_bound_changes_no_output(monkeypatch, kind, rank):
+    # with limits.COLUMN_STEPS_MAX at 5 the tables are cleared many times
+    # over, never hold more than 5 entries, and decompose, the graph as DOT
+    # and JSON, and truncate give what they give at the full bound
+    datum = build_root_datum(kind, rank)
+    rng = random.Random(f"bound:{kind}{rank}")
+    cases = []
+    for _ in range(3):
+        r = random_multiset(rng, datum, max_points=3, cap=3000)
+        cases.append((r, up_closure(datum, [*r.support(), random_point(rng, datum, -3, 3)])))
+
+    def outputs():
+        graphs = [product_graph(datum, r) for r, _ in cases]
+        return ([decompose(datum, r) for r, _ in cases], list(map(to_dot, graphs)),
+                list(map(graph_to_json, graphs)), [truncate(datum, r, j) for r, j in cases])
+
+    fresh_steps(monkeypatch)
+    want = outputs()
+    tables = fresh_steps(monkeypatch)
+    monkeypatch.setattr(limits, "COLUMN_STEPS_MAX", 5)
+    sizes = []
+    real = MonomialCodec.step
+
+    def counted(self, i, col):
+        out = real(self, i, col)
+        sizes.append(sum(map(len, tables.values())))
+        return out
+
+    monkeypatch.setattr(MonomialCodec, "step", counted)
+    assert outputs() == want
+    assert max(sizes) == 5 and sizes.count(1) > 2
 
 
 def test_the_packed_passes_decode_no_column(monkeypatch):

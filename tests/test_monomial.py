@@ -183,7 +183,8 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
     # p is no closure: its weight sits on the codec bound in every
     # coordinate, and f_i p, e_i p move one coordinate 2 past it (1 for GL),
     # for bounds on both sides of every power of two up to 32; each step,
-    # formed as a key plus or minus an f-delta, decodes to f_op / e_op
+    # formed as a key plus or minus the codec's f-delta at the position of
+    # c + 2, decodes to f_op / e_op
     datum = build_root_datum(kind, rank)
     for bound in range(1, 35):
         for sign in (1, -1):
@@ -196,7 +197,8 @@ def test_codec_z_steps_decode_at_the_weight_bound(kind, rank):
                 codec = codec_of(datum, [(p, window)])
                 assert codec.bound == bound
                 key = codec.zero + codec.offset(p)
+                delta = codec.deltas[i - 1][codec.positions[i - 1].index(c + 2)]
                 for step, sign in ((f_op, 1), (e_op, -1)):
                     want = step(datum, p, i)
-                    got = codec.decode(key + sign * codec.f_delta(i, c))
+                    got = codec.decode(key + sign * delta)
                     assert got == (want.weight, want.exponents)

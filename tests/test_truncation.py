@@ -347,15 +347,23 @@ def ref_char_by_plan(datum, steps):
     return ch
 
 
-def _seeded_plan_cases(seed=22, per_datum=12, cap=20000):
+def _seeded_plan_cases(seed=22, per_datum=12, cap=20000, most_draws=600):
     """(datum, R, J) over A1, A3, D4, E6 and GL4: 1-3 points of
     multiplicity 1-2, levels from overlapping to 10^3 apart, and J either
-    up(Supp R) or lowered below it."""
+    up(Supp R) or lowered below it.  The 60 cases take 187 draws;
+    RuntimeError, naming the seed and the count, at draw ``most_draws`` +
+    1, so that a fault which keeps the bound over ``cap`` fails at import
+    instead of hanging it."""
     rng = random.Random(seed)
+    draws = 0
     for kind, rank in [("A", 1), ("A", 3), ("D", 4), ("E6", 6), ("GL", 4)]:
         datum = build_root_datum(kind, rank)
         drawn = 0
         while drawn < per_datum:
+            draws += 1
+            if draws > most_draws:
+                raise RuntimeError(f"seed {seed}: no plan case of {kind}{rank} "
+                                   f"under {cap} in {most_draws} draws")
             pts = {}
             for _ in range(1 + drawn % 3):
                 i = rng.choice(datum.vertices)
@@ -374,6 +382,14 @@ def _seeded_plan_cases(seed=22, per_datum=12, cap=20000):
 
 
 SEEDED_PLAN_CASES = list(_seeded_plan_cases())
+
+
+def test_plan_cases_are_drawn_within_their_bound():
+    # the cases take 187 draws: that bound gives the same cases in the same
+    # order, and one draw fewer raises, naming the seed and the count
+    assert list(_seeded_plan_cases(most_draws=187)) == SEEDED_PLAN_CASES
+    with pytest.raises(RuntimeError, match="seed 22: .* in 186 draws"):
+        list(_seeded_plan_cases(most_draws=186))
 
 
 def test_seeded_cases_span_the_gaps():

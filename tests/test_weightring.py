@@ -510,16 +510,23 @@ def test_character_route_matches_reference(kind, rank, points):
 # -- the plan fold splits off its W-invariant factor ---------------------------
 
 
-def _seeded_split_cases(seed=41, per_datum=6, cap=1000):
+def _seeded_split_cases(seed=41, per_datum=6, cap=1000, most_draws=300):
     """(datum, R, far) over A3, D4, E6 and GL4: 2 up to ``most`` points,
     each either 30-60 levels below the one before (far) or on one of the
     three lowest levels of its column (overlapping), the tensor bound under
-    ``cap``."""
+    ``cap``.  The 24 cases take 97 draws; RuntimeError, naming the seed and
+    the count, at draw ``most_draws`` + 1, so that a fault which keeps the
+    bound over ``cap`` fails at import instead of hanging it."""
     rng = random.Random(seed)
+    draws = 0
     for kind, rank, most in [("A", 3, 4), ("D", 4, 3), ("E6", 6, 2), ("GL", 4, 4)]:
         datum = build_root_datum(kind, rank)
         drawn = 0
         while drawn < per_datum:
+            draws += 1
+            if draws > most_draws:
+                raise RuntimeError(f"seed {seed}: no split case of {kind}{rank} "
+                                   f"under {cap} in {most_draws} draws")
             far = drawn % 2 == 0
             pts, level = {}, 0
             for _ in range(2 + drawn // 2 % (most - 1)):
@@ -536,6 +543,14 @@ def _seeded_split_cases(seed=41, per_datum=6, cap=1000):
 
 
 SPLIT_CASES = list(_seeded_split_cases())
+
+
+def test_split_cases_are_drawn_within_their_bound():
+    # the cases take 97 draws: that bound gives the same cases in the same
+    # order, and one draw fewer raises, naming the seed and the count
+    assert list(_seeded_split_cases(most_draws=97)) == SPLIT_CASES
+    with pytest.raises(RuntimeError, match="seed 41: .* in 96 draws"):
+        list(_seeded_split_cases(most_draws=96))
 
 
 @pytest.mark.parametrize("case", range(len(SPLIT_CASES)))
