@@ -260,32 +260,36 @@ def make_parser() -> argparse.ArgumentParser:
                     "generalised Schur modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, **r_help):
+    def common(p):
         p.add_argument("--cartan", default="A", choices=KINDS)
         p.add_argument("--rank", type=int, default=2)
-        p.add_argument("--R", required=True, **r_help)
 
     p = sub.add_parser("decompose", help="decompose M(R) into irreducibles")
-    common(p, help='JSON [[i,c,mult],...]')
+    common(p)
+    p.add_argument("--R", required=True, help='JSON [[i,c,mult],...]')
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("character", help="character of M(R) or a truncation")
     common(p)
+    p.add_argument("--R", required=True)
     p.add_argument("--truncation", help='JSON {"thresholds": {"i": k}}')
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("truncate", help="list the monomials of M(R, J)")
     common(p)
+    p.add_argument("--R", required=True)
     p.add_argument("--truncation")
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("plan", help="emit a build plan for a truncation")
     common(p)
+    p.add_argument("--R", required=True)
     p.add_argument("--truncation")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("graph", help="emit the crystal graph of M(R)")
     common(p)
+    p.add_argument("--R", required=True)
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.set_defaults(func=cmd_graph)
 
