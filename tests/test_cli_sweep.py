@@ -30,12 +30,15 @@ DIGESTS = Path(__file__).parent / "golden" / "cli_sweep.sha256"
 DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("E6", 6),
         ("GL", 2), ("GL", 3), ("GL", 4), ("GL", 5)]
 CAP = 1500  # the largest product of fundamental dimensions drawn
+MOST_DRAWS = 100  # per multiset; the sweep's 23 multisets take 29 draws, at most 6 each
 
 
 def _multiset(rng, datum):
     """One to three points of small multiplicity near level 0, with the
-    product of their fundamental dimensions at most CAP."""
-    while True:
+    product of their fundamental dimensions at most CAP; RuntimeError,
+    naming the datum and the count, after MOST_DRAWS draws, so that a fault
+    which keeps the product over CAP fails at import instead of hanging it."""
+    for _ in range(MOST_DRAWS):
         pts = []
         for _ in range(rng.randint(1, 3)):
             i = rng.choice(datum.vertices)
@@ -45,6 +48,7 @@ def _multiset(rng, datum):
             bound *= datum.weyl_dimension(tuple(m * x for x in datum.fundamentals[i]))
         if bound <= CAP:
             return pts
+    raise RuntimeError(f"no multiset of {datum} under {CAP} in {MOST_DRAWS} draws")
 
 
 def _truncation(rng, datum, pts):
@@ -154,6 +158,13 @@ ARGVS = sweep_argvs()
 
 def test_sweep_lists_every_digest():
     assert sorted(_read_digests()) == sorted(json.dumps(argv) for argv in ARGVS)
+
+
+def test_multiset_draws_are_bounded(monkeypatch):
+    # a cap that no multiset meets ends the draws with a RuntimeError
+    monkeypatch.setitem(globals(), "CAP", 0)
+    with pytest.raises(RuntimeError, match=rf"\(A, 2\) under 0 in {MOST_DRAWS} draws"):
+        _multiset(random.Random(1), build_root_datum("A", 2))
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=[f"{k:03d}-{a[0]}" for k, a in enumerate(ARGVS)])

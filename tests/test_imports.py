@@ -2,10 +2,11 @@
 
 pytest imports each module at collection, outside ``conftest.time_bound``'s
 alarm, so work a module does at import (the seeded case lists of
-``test_weightring`` and ``test_truncation``) could hang collection with no
-test to blame.  Here each import runs alone, and one that is too slow, or
-raises, fails under the module's name.  Each takes about 0.2-0.3 s (2-core
-Xeon, Python 3.11), most of it starting Python and importing pytest.
+``test_weightring``, ``test_truncation`` and ``test_cli_sweep``) could hang
+collection with no test to blame.  Here each import runs alone, and one
+that is too slow, or raises, fails under the module's name.  Each takes
+about 0.2-0.3 s (2-core Xeon, Python 3.11), most of it starting Python and
+importing pytest.
 """
 
 import os
