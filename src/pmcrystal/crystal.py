@@ -15,9 +15,9 @@ three read each column's step from ``monomial``'s table for its shape, which
 ``MonomialCodec.step`` fills once per column value in the process; only
 ``MonomialCodec.decode`` decodes a column, at the output edge.  Only the
 builders map elements to positions; an f-edge is a triple of positions.
-Every graph records its highest-weight elements, those that every e_i
-kills (eps_i = 0 for ``graph_over``), from what was computed while it was
-built.  Both ``closure`` and ``product.fold`` stop at ``limits.MAX_ELEMENTS``.
+A graph stores its elements and f-edges; its ``highest`` view reads the
+elements every e_i kills off the edges.  Both ``closure`` and
+``product.fold`` stop at ``limits.MAX_ELEMENTS``.
 ``graph_to_json`` returns JSON text and ``to_dot`` DOT text, each from
 fragments memoised per call, one per weight and exponent.
 """
@@ -34,17 +34,23 @@ from .monomial import Monomial, MonomialCodec, e_op, f_op
 _order = attrgetter("weight", "exponents")  # the order of every graph's elements
 
 
-class CrystalGraph(namedtuple("CrystalGraph", "datum elements f_edges highest")):
-    """A crystal graph: its ``elements`` (sorted), ``f_edges`` ((k, i, l), ...)
-    meaning f_i(elements[k]) = elements[l] (sorted), and ``highest``, the
-    elements every e_i kills, in element order.  ``len`` counts elements,
-    so the namedtuple helpers ``_make`` and ``_replace``, which check the
-    length, refuse a graph that has other than four."""
+class CrystalGraph(namedtuple("CrystalGraph", "datum elements f_edges")):
+    """A crystal graph: its ``elements`` (sorted) and ``f_edges`` ((k, i,
+    l), ...) meaning f_i(elements[k]) = elements[l].  ``len`` counts
+    elements, so the namedtuple helpers ``_make`` and ``_replace``, which
+    check the length, refuse a graph that has other than three."""
 
     __slots__ = ()
 
     def __len__(self):
         return len(self.elements)
+
+    @property
+    def highest(self) -> tuple:
+        """The elements no f-edge enters, in element order: on a closed set,
+        those every e_i kills, as e_i(y) is defined iff an f_i-edge ends at y."""
+        entered = {target for _, _, target in self.f_edges}
+        return tuple(x for k, x in enumerate(self.elements) if k not in entered)
 
 
 def closure(datum: RootDatum, seeds) -> CrystalGraph:
@@ -55,11 +61,9 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
     seen = set(seeds)
     frontier = list(seen)
     edges = {}
-    tops = set()
     while frontier:
         nxt = []
         for x in frontier:
-            top = True
             for i in datum.vertices:
                 down = f_op(datum, x, i)
                 if down is not None:
@@ -68,13 +72,9 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
                         seen.add(down)
                         nxt.append(down)
                 up = e_op(datum, x, i)
-                if up is not None:
-                    top = False
-                    if up not in seen:
-                        seen.add(up)
-                        nxt.append(up)
-            if top:
-                tops.add(x)
+                if up is not None and up not in seen:
+                    seen.add(up)
+                    nxt.append(up)
             if len(seen) > limit:
                 raise limits.LimitExceeded("crystal.closure", limit, len(seen),
                                            f"closure exceeded limit {limit}")
@@ -84,8 +84,7 @@ def closure(datum: RootDatum, seeds) -> CrystalGraph:
     # edges were only recorded for elements processed in the frontier; the
     # frontier eventually visits everything in `seen`, so this is complete
     f_edges = tuple(sorted((at[x], i, at[y]) for (x, i), y in edges.items()))
-    return CrystalGraph(datum, elements, f_edges,
-                        tuple(x for x in elements if x in tops))
+    return CrystalGraph(datum, elements, f_edges)
 
 
 def discover(seed: int, codec: MonomialCodec, bound: int) -> list:
@@ -165,32 +164,27 @@ def graph_over(keys, codec: MonomialCodec) -> CrystalGraph:
     # per column: the elements with phi_i > 0 less those with eps_i > 0
     excess = [0] * len(columns)
     edges = []
-    highest = []
     for key, at in index.items():
-        top = True
         for j, ((i, shift, mask), table, deltas) in columns:
             col = (key >> shift) & mask
-            phi, k, eps, gap, _ = table.get(col) or codec.step(i, col)
+            phi, k, _, gap, _ = table.get(col) or codec.step(i, col)
             if phi:
                 # a delta leaving the window leaves the set
                 target = None if (f_delta := deltas[k]) is None else index.get(key + f_delta)
                 if target is None:
                     raise ValueError("element set is not closed under f")
                 edges.append((at, i, target))
-            if eps:
-                top = False
             if gap:
                 excess[j] += gap
-        if top:
-            highest.append(elems[at])
     if any(excess):
         raise ValueError("element set is not closed under e")
-    return CrystalGraph(codec.datum, elems, tuple(edges), tuple(highest))
+    return CrystalGraph(codec.datum, elems, tuple(edges))
 
 
 def highest_weights(graph: CrystalGraph) -> tuple:
-    """The primitive elements: no incoming f-edge, i.e. every e_i kills
-    them.  Read from the record the graph was built with."""
+    """The primitive elements, those every e_i kills: ``graph.highest``,
+    read off the f-edges of a ``CrystalGraph`` and found by the walk of a
+    ``product.ProductCrystal``."""
     return graph.highest
 
 

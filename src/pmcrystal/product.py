@@ -19,7 +19,7 @@ each discovered from the key of y_{i,c}^n in a codec built from R alone
 closure under every e_i/f_i asserted: ``product_crystal`` walks the keys
 (``crystal.walk``) and decodes only the highest-weight elements, which is
 all ``decompose`` reads; ``product_graph`` builds the whole crystal graph
-(``crystal.graph_over``) for the ``graph`` command.
+(``crystal.graph_over``: elements and f-edges) for the ``graph`` command.
 """
 
 from __future__ import annotations
@@ -202,11 +202,11 @@ def fold(codec: MonomialCodec, factors) -> set[int]:
     return product
 
 
-class ProductCrystal(namedtuple("ProductCrystal", "datum codec elements highest")):
-    """M(R) as a packed set: ``elements`` is the set of ``codec``'s keys of
-    its elements, and ``highest`` its highest-weight elements, those every
-    e_i kills, decoded, in the order of a ``CrystalGraph``'s elements.
-    ``len`` counts elements."""
+class ProductCrystal(namedtuple("ProductCrystal", "codec elements highest")):
+    """M(R) as a packed set over ``codec.datum``: ``elements``, its keys, and
+    ``highest``, the elements every e_i kills as the walk finds them (no edge
+    is kept to read them off), decoded, in a ``CrystalGraph``'s element
+    order.  ``len`` counts elements."""
 
     __slots__ = ()
 
@@ -229,7 +229,7 @@ def product_crystal(datum: RootDatum, r: PointMultiset) -> ProductCrystal:
     codec, keys = _folded(datum, r)
     # raises if the product set is not closed
     highest = sorted(map(codec.decode, walk(keys, codec)))  # in element order
-    return ProductCrystal(datum, codec, keys,
+    return ProductCrystal(codec, keys,
                           tuple(Monomial(weight, exponents) for weight, exponents in highest))
 
 

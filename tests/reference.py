@@ -283,7 +283,9 @@ def edge_triples(graph: CrystalGraph) -> tuple:
 def ref_graph_over(datum: RootDatum, elements) -> CrystalGraph:
     """The crystal graph on an e/f-closed set through the generic crystal
     queries, one pass in sort_key order: the reference ``crystal.closure``
-    must match on closed sets.  ValueError when the set is not closed."""
+    must match on closed sets.  ValueError when the set is not closed.  The
+    elements every e_of kills must be the graph's ``highest`` view, the
+    elements no f-edge enters; AssertionError when they are not."""
     elements = set(elements)
     elems = tuple(sorted(elements, key=sort_key))
     at = {x: k for k, x in enumerate(elems)}
@@ -304,7 +306,10 @@ def ref_graph_over(datum: RootDatum, elements) -> CrystalGraph:
                     raise ValueError("element set is not closed under e")
         if top:
             highest.append(x)
-    return CrystalGraph(datum, elems, tuple(edges), tuple(highest))
+    graph = CrystalGraph(datum, elems, tuple(edges))
+    if graph.highest != tuple(highest):
+        raise AssertionError("the elements e_of kills are not those no f-edge enters")
+    return graph
 
 
 def tensor_crystal(datum: RootDatum, a: CrystalGraph, b: CrystalGraph) -> CrystalGraph:

@@ -72,8 +72,9 @@ WALK_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5
 
 
 def test_product_crystal_walks_to_the_graphs_highest_weights():
-    # product_crystal decodes only the keys the walk finds highest; the
-    # graph of the same fold has the same elements and highest weights
+    # product_crystal decodes only the keys the walk finds highest (eps_i
+    # = 0 for every i); the graph of the same fold has the same elements,
+    # and its highest view, read off the f-edges, the same highest weights
     rng = random.Random(29)
     far = 0
     for kind, rank in WALK_DATA:
@@ -95,7 +96,8 @@ def test_product_crystal_walks_to_the_graphs_highest_weights():
 
 def assert_matches_naive_fold(datum, r):
     """product_graph(datum, r) against a mono_mul fold, with every f_i/e_i
-    taken by f_of/e_of."""
+    taken by f_of/e_of: the graph's highest view, read off its f-edges, is
+    the elements every e_of kills."""
     naive = {one(datum)}
     for (i, c), m in r.points:
         factor = fundamental_crystal(datum, i, c, m).elements

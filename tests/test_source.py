@@ -12,7 +12,7 @@ import pytest
 
 from pmcrystal.cartan import build_root_datum
 from pmcrystal.crystal import CrystalGraph
-from pmcrystal.product import PointMultiset
+from pmcrystal.product import PointMultiset, ProductCrystal
 from pmcrystal.truncation import BuildPlan, ThresholdSet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmcrystal"
@@ -74,11 +74,11 @@ def _records():
         (BuildPlan(j, (), r), BuildPlan(ThresholdSet((0, 1)), (), r), BuildPlan(j, (), r2),
          "BuildPlan(start=ThresholdSet(thresholds=(0, 1)), window=(), "
          "r=PointMultiset(points=(((1, 0), 1),)))", "window"),
-        (CrystalGraph(a2, ("x", "y"), ((0, 1, 1),), ("x",)),
-         CrystalGraph(a2, ("x", "y"), ((0, 1, 1),), ("x",)),
-         CrystalGraph(a2, ("x",), (), ("x",)),
+        (CrystalGraph(a2, ("x", "y"), ((0, 1, 1),)),
+         CrystalGraph(a2, ("x", "y"), ((0, 1, 1),)),
+         CrystalGraph(a2, ("x", "y"), ()),
          "CrystalGraph(datum=RootDatum(A, 2), elements=('x', 'y'), "
-         "f_edges=((0, 1, 1),), highest=('x',))", "highest"),
+         "f_edges=((0, 1, 1),))", "f_edges"),
     ]
 
 
@@ -101,6 +101,31 @@ def test_records_are_immutable_values():
     r, _, r2, _, _ = records[0]
     assert r < r2 and sorted([r2, r]) == [r, r2]
     assert len(records[-1][0]) == 2
+
+
+def test_crystal_graph_highest_is_a_read_only_view():
+    # a graph stores its elements and f-edges; highest is read off the
+    # edges, the elements that no edge enters, in element order
+    assert CrystalGraph._fields == ("datum", "elements", "f_edges")
+    assert ProductCrystal._fields == ("codec", "elements", "highest")
+    graph, _, edgeless, _, _ = _records()[-1]
+    assert graph.highest == ("x",) and edgeless.highest == ("x", "y")
+    for name in ("highest", "other"):
+        with pytest.raises(AttributeError):
+            setattr(graph, name, ("y",))
+    with pytest.raises(AttributeError):
+        delattr(graph, "highest")
+    assert graph.highest == ("x",)
+    a2 = build_root_datum("A", 2)
+    elements = ("a", "b", "c", "d", "e", "f")
+    cases = [((), elements),
+             (((0, 1, 1), (0, 2, 2), (1, 2, 3), (2, 1, 3)), ("a", "e", "f")),
+             (((5, 1, 0), (4, 2, 5), (1, 1, 2)), ("b", "d", "e")),
+             (((0, 1, 1), (2, 2, 1)), ("a", "c", "d", "e", "f"))]
+    for edges, want in cases:
+        entered = {elements[target] for _, _, target in edges}
+        assert CrystalGraph(a2, elements, edges).highest == want == tuple(
+            x for x in elements if x not in entered)
 
 
 def _unbounded_cache(node) -> bool:
