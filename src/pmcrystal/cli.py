@@ -17,11 +17,11 @@ that differs from its decomposition.  A computation that grows past one of the l
 diagnostics are the message and {"stage", "limit", "reached"}.  A rank
 above ``limits.MAX_RANK`` exits 2 too, as ``RootDatum`` refuses it before
 building anything; ``schur`` and ``stable`` build the datum of their GL
-rank before any other route runs.  When stdout closes before the output
-is written (as under ``| head``), the command stops without a traceback and
-exits 141, the code a shell gives a process that SIGPIPE ended.  All output
-orderings are deterministic, and every envelope, error envelopes included,
-has sorted keys.
+rank before any other route runs; ``--rank`` defaults to 2, or the rank
+of E6–E8.  When stdout closes before the output is written (as under
+``| head``), the command stops without a traceback and exits 141, the code
+a shell gives a process that SIGPIPE ended.  All output orderings are
+deterministic, and every envelope, error envelopes included, has sorted keys.
 
 Envelopes are written by ``_dumps``, which gives the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` without that call's fallback
@@ -54,7 +54,10 @@ from .weightring import laurent_str, straighten
 
 
 def _datum_and_multiset(args):
-    datum = build_root_datum(args.cartan, args.rank)
+    rank = args.rank
+    if rank is None:  # an E kind has one rank; every other kind defaults to 2
+        rank = int(args.cartan[1]) if args.cartan.startswith("E") else 2
+    datum = build_root_datum(args.cartan, rank)
     try:
         r = multiset_from_pairs(json.loads(args.R))
         validate_points(datum, r)
@@ -262,7 +265,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--cartan", default="A", choices=KINDS)
-        p.add_argument("--rank", type=int, default=2)
+        p.add_argument("--rank", type=int)
 
     p = sub.add_parser("decompose", help="decompose M(R) into irreducibles")
     common(p)

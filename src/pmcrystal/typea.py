@@ -294,7 +294,7 @@ def skew_normalise(boxes):
 def lr_skew_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Littlewood-Richardson coefficients of s_{lam/mu} by exhaustive
     enumeration of semistandard fillings with lattice reverse reading
-    word."""
+    word, depth first on an explicit stack, so no recursion limit applies."""
     lam, mu = check_shape(lam, mu)
     cells = []
     for r in range(len(lam)):
@@ -304,31 +304,31 @@ def lr_skew_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     filling: dict[tuple[int, int], int] = {}
     counts = [0] * len(lam)  # counts[v-1] = #v placed so far
-
-    def place(k: int):
+    stack: list = [None]  # stack[k]: values left to try at cells[k], or None
+    while stack:
+        k = len(stack) - 1
         if k == len(cells):
             content = tuple(itertools.takewhile(lambda x: x > 0, counts))
             out[content] = out.get(content, 0) + 1
-            return
+            stack.pop()
+            continue
         r, c = cells[k]
-        lo, hi = 1, r + 1
-        right = filling.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        above = filling.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, hi + 1):
+        left = stack[k]
+        if left is None:
+            lo = filling.get((r - 1, c), 0) + 1
+            hi = min(r + 1, filling.get((r, c + 1), r + 1))
             # lattice: after placing v, #v must not exceed #(v-1)
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue
+            left = stack[k] = [v for v in range(hi, lo - 1, -1)
+                               if v == 1 or counts[v - 1] < counts[v - 2]]
+        else:  # back from the fillings below: undo this cell's value
+            counts[filling.pop((r, c)) - 1] -= 1
+        if left:
+            v = left.pop()
             filling[(r, c)] = v
             counts[v - 1] += 1
-            place(k + 1)
-            counts[v - 1] -= 1
-            del filling[(r, c)]
-
-    place(0)
+            stack.append(None)
+        else:
+            stack.pop()
     return out
 
 

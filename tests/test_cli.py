@@ -176,6 +176,36 @@ def test_cartan_defaults_to_a2(capsys):
     assert run_json(capsys, argv) == run_json(capsys, argv + ["--cartan", "A", "--rank", "2"])
 
 
+@pytest.mark.parametrize("kind, r", [("E6", "[[1,0,1]]"), ("E7", "[[1,0,1]]"),
+                                     ("E8", "[[8,0,1]]")])
+def test_rank_defaults_to_the_fixed_rank_of_an_e_kind(capsys, kind, r):
+    # the kind fixes the rank, so --rank may be left out (the default was 2,
+    # which exited 2); a wrong rank given explicitly is still refused
+    for command in ("decompose", "graph", "plan"):
+        argv = [command, "--cartan", kind, "--R", r]
+        assert run_json(capsys, argv) == run_json(capsys, argv + ["--rank", kind[1]])
+    data = run_json(capsys, ["decompose", "--cartan", kind, "--rank", "2", "--R", r],
+                    expect_code=2)
+    assert data["diagnostics"] == [f"type {kind} has fixed rank {kind[1]}"]
+
+
+def test_rank_defaults_to_2_for_the_other_kinds(capsys):
+    for kind, r in (("A", "[[1,1,1]]"), ("GL", "[[1,1,1]]")):
+        argv = ["decompose", "--cartan", kind, "--R", r]
+        assert run_json(capsys, argv) == run_json(capsys, argv + ["--rank", "2"])
+    data = run_json(capsys, ["decompose", "--cartan", "D", "--R", "[]"], expect_code=2)
+    assert data["diagnostics"] == ["type D needs rank >= 4"]
+
+
+def test_schur_diagram_of_one_long_row(capsys):
+    # lr_skew_expand walks the cells with its own stack: it recursed once
+    # per cell, and a row of about 990 boxes or more ended in RecursionError
+    diagram = json.dumps([[1, c] for c in range(1, 1201)])
+    result = run_json(capsys, ["schur", "--diagram", diagram])["result"]
+    assert result["skew_lr"] == result["decomposition"] == {"[1200]": 1}
+    assert result["skew_shape"] == {"lambda": [1200], "mu": []}
+
+
 def test_stable_bound_and_coeffs_exclude_each_other(capsys):
     # the bound alone and the coefficients cannot both be printed
     assert run(["stable", "--R", "[[1,1,1]]", "--bound", "--coeffs"]) == 2
