@@ -22,8 +22,9 @@ prints the parent's and the change's medians, the interquartile range of
 the parent's runs and the number of pairs the change won.  The exit status is 1 when any run fails or is not ``correct``.
 With ``--out PATH`` it also writes the pair set as JSON (``record``): the
 workload, seed, seconds and pairs, whether the checkouts were compiled,
-each checkout's path and ``git rev-parse HEAD`` (null outside a git
-checkout), each pair's end-to-end metrics per side with the side that went
+each checkout's path relative to the working directory (so the file names
+no directory of the machine it was made on) and ``git rev-parse HEAD``
+(null outside a git checkout), each pair's end-to-end metrics per side with the side that went
 first, in run order, and the summary rows.
 
 Standard library only.  pytest collects only test_*.py, so the suite never
@@ -130,7 +131,7 @@ def record(args, sides: dict, metrics: list[dict], runs: dict, rows: list[tuple]
     return {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "compiled": not args.no_compile,
-        "checkouts": {side: {"path": path, "head": git_head(path)}
+        "checkouts": {side: {"path": os.path.relpath(path), "head": git_head(path)}
                       for side, path in sides.items()},
         "runs": [{"first": "parent" if k % 2 == 0 else "change",
                   "parent": values(p), "change": values(c)}

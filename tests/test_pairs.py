@@ -1,6 +1,8 @@
 """The arithmetic of ``tests/pairs.py`` and its exit status."""
 
+import argparse
 import json
+import os
 
 import pytest
 
@@ -70,9 +72,11 @@ def test_sides_alternate_and_a_bad_run_exits_1(tmp_path, monkeypatch, capsys, fa
 
 
 def test_out_writes_the_pair_set(tmp_path, monkeypatch, capsys):
-    # --out: the arguments, each checkout's path and HEAD (null outside a
-    # git checkout), each pair's end-to-end values per side in run order
-    # with the side that went first, and the summary rows
+    # --out: the arguments, each checkout's path relative to the working
+    # directory and HEAD (null outside a git checkout), each pair's
+    # end-to-end values per side in run order with the side that went
+    # first, and the summary rows
+    monkeypatch.chdir(tmp_path)
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
@@ -102,8 +106,8 @@ def test_out_writes_the_pair_set(tmp_path, monkeypatch, capsys):
     data = json.loads(out.read_text())
     assert data["workload"] == "emit" and data["seed"] == 3
     assert data["seconds"] == 2.0 and data["pairs"] == 3
-    assert data["checkouts"] == {"parent": {"path": parent, "head": None},
-                                 "change": {"path": change, "head": "abc123"}}
+    assert data["checkouts"] == {"parent": {"path": "parent", "head": None},
+                                 "change": {"path": "change", "head": "abc123"}}
     assert data["runs"] == [
         {"first": "parent", "parent": {"wall_s": 1.0, "peak_rss_mb": 20.0},
          "change": {"wall_s": 0.9, "peak_rss_mb": 20.0}},
@@ -117,6 +121,21 @@ def test_out_writes_the_pair_set(tmp_path, monkeypatch, capsys):
          "pairs": 2},
         {"metric": "peak_rss_mb", "better": "lower", "parent_median": 20.5,
          "change_median": 20.5, "parent_iqr": 0.5, "change_wins": 0, "pairs": 2}]
+
+
+def test_record_writes_no_absolute_path(tmp_path, monkeypatch):
+    # absolute checkout paths are written relative to the working
+    # directory, wherever it lies, so a pair set names no machine directory
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setattr(pairs, "git_head", lambda path: None)
+    args = argparse.Namespace(workload="enumerate", seed=1, seconds=15.0, pairs=0,
+                              no_compile=True)
+    sides = {"parent": str(tmp_path / "parent"), "change": str(tmp_path / "work")}
+    data = pairs.record(args, sides, [], {"parent": [], "change": []}, [])
+    assert [c["path"] for c in data["checkouts"].values()] == [
+        os.path.join("..", "parent"), "."]
+    assert str(tmp_path) not in json.dumps(data)
 
 
 def test_git_head_is_none_outside_a_checkout(tmp_path):
