@@ -316,7 +316,7 @@ def lr_skew_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
         left = stack[k]
         if left is None:
             lo = filling.get((r - 1, c), 0) + 1
-            hi = min(r + 1, filling.get((r, c + 1), r + 1))
+            hi = filling.get((r, c + 1), r + 1)  # the row's entries are <= r + 1
             # lattice: after placing v, #v must not exceed #(v-1)
             left = stack[k] = [v for v in range(hi, lo - 1, -1)
                                if v == 1 or counts[v - 1] < counts[v - 2]]
