@@ -7,7 +7,8 @@ and exits 0; ``graph --format dot`` prints DOT and ``schur --diagram …
 Bad input raises a ``ValueError`` naming it and exits 2 with a
 machine-readable diagnostic, as does an option that would do nothing:
 ``--rank`` with ``--format ascii``, or ``--restrict`` with
-``stable --bound``.  An internal oracle disagreement
+``stable --bound``.  ``_reading`` alone decides what makes a JSON argument
+unreadable, nesting past the parser's depth included.  An internal oracle disagreement
 exits 1 with status "internal-inconsistency"; its diagnostics are the
 message and {"diff": {weight: [enumeration, character]}} for every weight
 where the two routes differ, or for ``schur`` {"diff": {partition: [schur,
@@ -33,6 +34,7 @@ hand it their monomials as JSON text, which it copies in re-indented.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -53,16 +55,24 @@ from .typea import (diagram_ascii, lr_skew_expand, restrict_coeffs,
 from .weightring import laurent_str, straighten
 
 
+@contextlib.contextmanager
+def _reading(what):
+    """Around the reading of one JSON argument: what an unreadable one raises,
+    nesting past the parser's depth included, becomes ValueError("bad <what>: ...")."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as err:
+        raise ValueError(f"bad {what}: {err}") from err
+
+
 def _datum_and_multiset(args):
     rank = args.rank
     if rank is None:  # an E kind has one rank; every other kind defaults to 2
         rank = int(args.cartan[1]) if args.cartan.startswith("E") else 2
     datum = build_root_datum(args.cartan, rank)
-    try:
+    with _reading(f"point multiset {args.R!r}"):
         r = multiset_from_pairs(json.loads(args.R))
         validate_points(datum, r)
-    except (ValueError, TypeError, KeyError) as err:
-        raise ValueError(f"bad point multiset {args.R!r}: {err}") from err
     return datum, r
 
 
@@ -85,7 +95,7 @@ def _json_object(x) -> dict:
 
 
 def _parse_truncation(datum, text):
-    try:
+    with _reading(f"truncation {text!r}"):
         data = _json_object(json.loads(text, object_pairs_hook=_keyed_once))
         thresholds = [None] * len(datum.vertices)
         spelled: dict[int, str] = {}
@@ -109,8 +119,6 @@ def _parse_truncation(datum, text):
             if key != "thresholds":
                 raise ValueError(f"unknown key {key!r}: the only key is 'thresholds'")
         return j
-    except (ValueError, TypeError, KeyError, AttributeError) as err:
-        raise ValueError(f"bad truncation {text!r}: {err}") from err
 
 
 def _decomposition_json(datum, dec):
@@ -190,15 +198,11 @@ def cmd_schur(args):
     if args.sequence is not None:
         if args.format == "ascii":
             raise ValueError("--format ascii draws a --diagram, not a --sequence")
-        try:
+        with _reading("sequence"):
             seq = check_sequence(json.loads(args.sequence))
-        except (ValueError, TypeError) as err:
-            raise ValueError(f"bad sequence: {err}") from err
     else:
-        try:
+        with _reading("diagram"):
             boxes = check_diagram(json.loads(args.diagram))
-        except (ValueError, TypeError) as err:
-            raise ValueError(f"bad diagram: {err}") from err
         if args.format == "ascii":
             if args.rank is not None:
                 raise ValueError("--format ascii draws the diagram and takes no --rank")
@@ -239,12 +243,9 @@ def _agreeing(dec, name, oracle):
 def cmd_stable(args):
     if args.restrict is not None and args.restrict < 0:
         raise ValueError(f"--restrict must be at least 0, not {args.restrict}")
-    try:
+    with _reading(f"point multiset {args.R!r}"):
         r = multiset_from_pairs(json.loads(args.R))
-        datum = build_root_datum("GL", min_rank(r))
-        validate_points(datum, r)  # parity check against the GL colouring
-    except (ValueError, TypeError) as err:
-        raise ValueError(f"bad point multiset {args.R!r}: {err}") from err
+        validate_points(build_root_datum("GL", min_rank(r)), r)  # the GL colouring's parity
     if args.bound:
         if args.restrict is not None:
             raise ValueError("--bound reports only the bound and takes no --restrict")

@@ -283,12 +283,8 @@ def skew_normalise(boxes):
         relabellings = [{r: k for k, r in enumerate(order, start=1)}
                         for order in (sorted(rows), by_length)]
     columns = [rs for _, rs in sorted(diagram_columns(boxes).items())]
-    best = None
-    for pos in relabellings:
-        shape = _skew_shape_from(columns, pos)
-        if shape is not None and (best is None or shape < best):
-            best = shape
-    return best
+    shapes = (_skew_shape_from(columns, pos) for pos in relabellings)
+    return min((shape for shape in shapes if shape is not None), default=None)
 
 
 def lr_skew_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -18,9 +18,11 @@ when the tests fail or time out, and survives when they pass.  The score
 and every survivor, as file:line:column: mutation in function, are
 printed at the end; the exit status is 1 when a mutant survives.
 ``--functions`` keeps only the sites inside the named functions (as the
-survivors name them, ``MonomialCodec.__init__`` for a method).  Before
-any mutant runs, every file unparsed unmutated must pass, or the run
-stops with status 2.  The copy goes in a fresh ``tempfile`` directory
+survivors name them, ``MonomialCodec.__init__`` for a method) and prints
+each one's site count; a name with no site (misspelled, or a function
+with nothing to mutate) stops the run with status 2 before anything is
+copied.  Before any mutant runs, every file unparsed unmutated must pass,
+or the run stops with status 2.  The copy goes in a fresh ``tempfile`` directory
 (``TMPDIR`` moves it), and each file to mutate must be named relative to
 the checkout and lie inside it.
 
@@ -158,6 +160,15 @@ def main(argv=None) -> int:
             originals[path] = fh.read()
     every = [site for path, source in originals.items() for site in sites(path, source)
              if not args.functions or site[5].rsplit(" in ", 1)[1] in args.functions]
+    if args.functions:
+        counts = {name: 0 for name in args.functions}
+        for site in every:
+            counts[site[5].rsplit(" in ", 1)[1]] += 1
+        print(*(f"{name}: {n} sites" for name, n in counts.items()), sep="\n")
+        missing = [name for name, n in counts.items() if not n]
+        if missing:
+            print(f"no site in {', '.join(missing)}; no mutant run")
+            return 2
     chosen = sorted(random.Random(args.seed).sample(every, min(args.count, len(every))))
     print(f"{len(every)} sites, {len(chosen)} sampled with seed {args.seed}", flush=True)
     with tempfile.TemporaryDirectory() as work:

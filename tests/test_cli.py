@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from pmcrystal import cli
 from pmcrystal.cartan import build_root_datum
-from pmcrystal.limits import MAX_RANK
+from pmcrystal.limits import MAX_RANK, LimitExceeded
 from pmcrystal.cli import run
-from pmcrystal.product import multiset_from_pairs
+from pmcrystal.product import ConsistencyError, multiset_from_pairs
 from pmcrystal.truncation import truncate, up_closure
 from pmcrystal.typea import check_diagram, check_sequence
 from conftest import random_multiset
@@ -256,6 +257,49 @@ def test_round_trip_schema(capsys):
     assert set(data) == {"status", "result", "diagnostics"}
 
 
+DEEP_ARRAY = "[" * 3000 + "]" * 3000
+DEEP_OBJECT = '{"a": ' * 3000 + "1" + "}" * 3000
+
+
+@pytest.mark.parametrize("deep", [DEEP_ARRAY, DEEP_OBJECT], ids=["array", "object"])
+@pytest.mark.parametrize("argv, what", [
+    (["decompose", "--R", "{}"], "bad point multiset"),
+    (["stable", "--R", "{}"], "bad point multiset"),
+    (["schur", "--sequence", "{}"], "bad sequence"),
+    (["schur", "--diagram", "{}"], "bad diagram"),
+    (["truncate", "--R", "[[1,1,1]]", "--truncation", "{}"], "bad truncation"),
+    (["plan", "--R", "[[1,1,1]]", "--truncation", "{}"], "bad truncation"),
+], ids=["decompose", "stable", "sequence", "diagram", "truncate", "plan"])
+def test_argument_nested_past_the_parsers_depth_exits_2(capsys, argv, what, deep):
+    # json.loads raises RecursionError here, which once left run() as a
+    # traceback and exit 1, the code of a route disagreement
+    code = run([deep if arg == "{}" else arg for arg in argv])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2 and data["status"] == "error" and data["result"] is None
+    assert data["diagnostics"][0].startswith(what)
+    assert "maximum recursion depth exceeded" in data["diagnostics"][0]
+
+
+@pytest.mark.parametrize("error", [ValueError("v"), TypeError("t"), KeyError("k"),
+                                   AttributeError("a"), RecursionError("r")])
+def test_reading_names_every_unreadable_error(error):
+    # the one policy of every JSON argument; the validators raise only
+    # ValueError today, so the other three are pinned here, not by an input
+    with pytest.raises(ValueError) as info:
+        with cli._reading("thing 'x'"):
+            raise error
+    assert str(info.value) == f"bad thing 'x': {error}" and info.value.__cause__ is error
+
+
+@pytest.mark.parametrize("error", [OverflowError("o"), ConsistencyError("c", {}),
+                                   LimitExceeded("s", 1, 2)])
+def test_reading_lets_other_errors_through(error):
+    with pytest.raises(type(error)) as info:
+        with cli._reading("thing"):
+            raise error
+    assert info.value is error
+
+
 
 @pytest.mark.parametrize("command", ["decompose", "graph"])
 def test_limit_exceeded_exits_3(capsys, monkeypatch, command):
@@ -480,6 +524,16 @@ def test_tuples_stay_lists():
     # passes itself: a set of boxes, a generator of partitions
     assert check_diagram(frozenset({(1, 1), (1, 2)})) == frozenset({(1, 1), (1, 2)})
     assert check_sequence(p for p in ((), (1,))) == ((), (1,))
+
+
+@pytest.mark.parametrize("command", ["stable", "decompose"])
+@pytest.mark.parametrize("vertex", [0, -1, -3])
+def test_a_vertex_below_1_is_named(capsys, command, vertex):
+    # stable reads R at the rank one past its largest vertex, but never
+    # below GL_1, so the refusal names the vertex as decompose's does
+    code = run([command, "--R", f"[[{vertex},{vertex % 2},1]]"])
+    diagnostic, = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert code == 2 and diagnostic.endswith(f"vertex {vertex} not in diagram")
 
 
 @pytest.mark.parametrize("argv", [

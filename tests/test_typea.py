@@ -19,7 +19,7 @@ from pmcrystal.typea import (Seminormal, check_partition, check_sequence, check_
                              partitions_of, restrict_coeffs,
                              schur_decompose, seminormal, sequence_of_diagram,
                              skew_normalise, specht_decompose_bruteforce,
-                             stable_bound, stable_coeffs, weight_partition)
+                             stable_bound, stable_coeffs, min_rank, weight_partition)
 from pmcrystal.weightring import DecompositionError, e, laurent_str, straighten
 from reference import (diagram_of_sequence, multiset_of_sequence, psi_embed,
                        ref_is_column_convex, ref_schur_at_rank, ref_schur_decompose,
@@ -334,6 +334,51 @@ def test_skew_normalise_staircase_fails():
 def test_skew_normalise_young_diagram():
     young = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)})
     assert skew_normalise(young) == ((3, 2, 1), ())
+
+
+def incidence_form(boxes):
+    """The diagram up to permuting its rows and its columns: the least, over
+    every order of the rows, sorted tuple of its columns as row-bit tuples."""
+    rows = sorted({r for r, _ in boxes})
+    cols = sorted({c for _, c in boxes})
+    return min(tuple(sorted(tuple((r, c) in boxes for r in order) for c in cols))
+               for order in itertools.permutations(rows))
+
+
+def skew_shapes(n_rows, n_cols):
+    """Every lam/mu with n_rows nonempty rows and n_cols nonempty columns,
+    as ((lam, mu without zeros), its boxes)."""
+    for lam in itertools.product(range(1, n_cols + 1), repeat=n_rows):
+        if lam[0] != n_cols or any(a < b for a, b in zip(lam, lam[1:])):
+            continue
+        for mu in itertools.product(*(range(x) for x in lam)):
+            if any(a < b for a, b in zip(mu, mu[1:])):
+                continue
+            boxes = frozenset((r + 1, c) for r in range(n_rows)
+                              for c in range(mu[r] + 1, lam[r] + 1))
+            if len({c for _, c in boxes}) == n_cols:
+                yield (lam, tuple(x for x in mu if x)), boxes
+
+
+def test_skew_normalise_matches_brute_force_on_every_small_diagram():
+    # every box set in a 3 x 4 grid against the least lam/mu whose boxes are
+    # it up to permuting rows and columns; tie-breaking the column sort once
+    # lost the presentation under some row orders, and with it the least pair
+    by_form = {}
+    for n_rows in range(1, 4):
+        for n_cols in range(1, 5):
+            for shape, boxes in skew_shapes(n_rows, n_cols):
+                form = incidence_form(boxes)
+                by_form[form] = min(by_form.get(form, shape), shape)
+    grid = [(r, c) for r in range(1, 4) for c in range(1, 5)]
+    skew = 0
+    for bits in range(1, 1 << len(grid)):
+        boxes = frozenset(box for k, box in enumerate(grid) if bits >> k & 1)
+        expected = by_form.get(incidence_form(boxes))
+        assert skew_normalise(boxes) == expected, sorted(boxes)
+        skew += expected is not None
+    assert skew_normalise(frozenset()) == ((), ())
+    assert 0 < skew < (1 << len(grid)) - 1
 
 
 def test_lr_skew_expand():
@@ -652,6 +697,13 @@ def test_stable_bound_three_point_multiset():
 
 def test_stable_bound_singleton():
     assert stable_bound(multiset({(1, 1): 1})) == 1
+
+
+def test_min_rank_is_one_past_the_largest_vertex():
+    # GL_n has the vertices 1..n-1, and GL_1 is the smallest rank of all
+    assert min_rank(multiset({})) == 1
+    assert min_rank(multiset({(1, 1): 2})) == 2
+    assert min_rank(multiset({(1, 1): 1, (4, 0): 1, (2, 0): 1})) == 5
 
 
 def ref_stable_bound(rr) -> int:
