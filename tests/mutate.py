@@ -22,9 +22,9 @@ survivors name them, ``MonomialCodec.__init__`` for a method) and prints
 each one's site count; a name with no site (misspelled, or a function
 with nothing to mutate) stops the run with status 2 before anything is
 copied.  Before any mutant runs, every file unparsed unmutated must pass,
-or the run stops with status 2.  The copy goes in a fresh ``tempfile`` directory
-(``TMPDIR`` moves it), and each file to mutate must be named relative to
-the checkout and lie inside it.
+or the run stops with status 2.  The copy goes in a fresh ``tempfile``
+directory (``TMPDIR`` moves it), and each file to mutate must be named
+relative to the checkout and lie inside it.
 
 pytest collects only test_*.py, so the suite never runs this file.
 """
