@@ -125,7 +125,7 @@ def mapped(sigma, weights):
     return out
 
 
-def minuscule_multiset(rng, datum, vertex):
+def one_vertex_multiset(rng, datum, vertex):
     """One or two points on ``vertex`` (E7's 56- or E8's 248-dimensional
     one), total multiplicity at most 2, so M(R) has at most 248^2
     elements; a fixed number of draws."""
@@ -136,15 +136,14 @@ def minuscule_multiset(rng, datum, vertex):
     return multiset(out)
 
 
-TRANSLATION_KINDS = [("A", 3, 24), ("A", 5, 24), ("D", 4, 24), ("D", 6, 24),
-                     ("E6", 6, 24), ("GL", 4, 24), ("GL", 5, 24)]
+TRANSLATION_KINDS = [("A", 3), ("A", 5), ("D", 4), ("D", 6), ("E6", 6), ("GL", 4), ("GL", 5)]
 
 
-@pytest.mark.parametrize("kind,rank,cases", TRANSLATION_KINDS)
-def test_translation_keeps_decomposition_and_character(kind, rank, cases):
+@pytest.mark.parametrize("kind,rank", TRANSLATION_KINDS)
+def test_translation_keeps_decomposition_and_character(kind, rank):
     datum = build_root_datum(kind, rank)
     rng = random.Random(480 + 10 * len(kind) + rank)
-    for _ in range(cases):
+    for _ in range(24):
         r = random_multiset(rng, datum, max_points=3, c_lo=-3, c_hi=3, cap=20000)
         raised = multiset({(i, c + 2): m for (i, c), m in r.points})
         assert decompose(datum, raised) == decompose(datum, r), r
@@ -156,7 +155,7 @@ def test_translation_on_e7_and_e8(kind, rank, vertex, cases):
     datum = build_root_datum(kind, rank)
     rng = random.Random(500 + rank)
     for _ in range(cases):
-        r = minuscule_multiset(rng, datum, vertex)
+        r = one_vertex_multiset(rng, datum, vertex)
         raised = multiset({(i, c + 2): m for (i, c), m in r.points})
         assert decompose(datum, raised) == decompose(datum, r), r
         assert full_character(datum, raised).terms == full_character(datum, r).terms, r
